@@ -5,7 +5,8 @@ exact assignment solver) ship in two interchangeable implementations: numba
 @njit kernels and a pure-numpy fallback, selected at import time by the
 PROTFLOW_BACKEND environment variable. This script times the same workloads
 under both backends in child processes, checks that their outputs are
-byte-identical, and prints a comparison table.
+byte-identical, and prints a comparison table. Without numba installed it
+times the numpy backend alone and says so.
 
 Usage:
     python benchmarks/bench_kernels.py            # compare both backends
@@ -15,6 +16,7 @@ Usage:
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -109,8 +111,9 @@ def main(argv=None):
         print(json.dumps(report))
         return 0
 
+    backends = ("numba", "numpy") if importlib.util.find_spec("numba") else ("numpy",)
     reports = {}
-    for backend in ("numba", "numpy"):
+    for backend in backends:
         env = dict(os.environ, PROTFLOW_BACKEND=backend)
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--child", backend, "--n", str(args.n)],
@@ -122,6 +125,15 @@ def main(argv=None):
             print(f"{backend} run failed:\n{proc.stderr}", file=sys.stderr)
             return 1
         reports[backend] = json.loads(proc.stdout.splitlines()[-1])
+
+    if "numba" not in reports:
+        results = reports["numpy"]["results"]
+        width = max(len(r["task"]) for r in results)
+        print("numba is not installed: timing the numpy backend alone")
+        print(f"{'task':<{width}}  {'numpy':>10}")
+        for r in results:
+            print(f"{r['task']:<{width}}  {r['seconds']:>9.4f}s")
+        return 0
 
     rows = []
     all_match = True

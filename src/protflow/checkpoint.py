@@ -4,7 +4,8 @@ Layout: 4 magic bytes "PFLW", format version (u32 LE), header length
 (u64 LE), a UTF-8 JSON header, then raw little-endian float32 tensor
 payloads in header order. Header offsets are relative to the payload start;
 the loader verifies magic, version, bounds, and overlap before touching any
-payload bytes. Writes are atomic (temp file + rename).
+payload bytes, and rejects tensors holding NaN or infinity. Writes are
+atomic (temp file + rename).
 
 The pack_*/unpack_* helpers map the package's parameter objects to named
 tensors so a checkpoint is all a command needs to resume or sample.
@@ -23,6 +24,7 @@ from .errors import (
     BadMagic,
     CorruptOffset,
     IncompatibleCheckpoint,
+    NonFiniteTensor,
     NonFiniteValue,
     VersionUnsupported,
 )
@@ -108,6 +110,8 @@ def load_checkpoint(path):
         tensors[entry["name"]] = np.frombuffer(
             payload[off : off + size], dtype="<f4"
         ).reshape(shape)
+        if not np.all(np.isfinite(tensors[entry["name"]])):
+            raise NonFiniteTensor(f"{path}: tensor {entry['name']!r} has non-finite entries")
     spans.sort()
     for (_, end_a, name_a), (start_b, _, name_b) in zip(spans, spans[1:]):
         if start_b < end_a:

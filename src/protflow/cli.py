@@ -10,9 +10,10 @@ Subcommands:
     inspect-checkpoint  print a checkpoint's header summary as JSON
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 training or
-solver divergence, 4 checkpoint error. Every command is a pure function of
-(config, input files, seed): reruns reproduce outputs bitwise on one
-platform. Output files are written atomically (temp + rename).
+solver divergence, 4 checkpoint error; every ProtflowError carries its code
+as `exit_code`. Every command is a pure function of (config, input files,
+seed): reruns reproduce outputs bitwise on one platform. Output files are
+written atomically (temp + rename).
 """
 
 import argparse
@@ -44,17 +45,13 @@ from .checkpoint import (
 )
 from .config import load_config, parse_chains_value
 from .errors import (
-    CheckpointError,
     ConfigError,
     DataError,
-    Diverged,
     EmptyCorpus,
     IncompatibleCheckpoint,
     MalformedFasta,
-    NonFiniteLoss,
     ProtflowError,
     SequenceTooLong,
-    SolverFailure,
 )
 from .flow import (
     FlowTrainConfig,
@@ -783,18 +780,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except ProtflowError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (Diverged, NonFiniteLoss, SolverFailure) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except CheckpointError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -1,19 +1,22 @@
 """Exception types shared across the package.
 
 Every error raised by protflow derives from ProtflowError so callers can catch
-one base class. The CLI maps subfamilies to exit codes: config errors -> 1,
-data errors -> 2, divergence -> 3, checkpoint errors -> 4.
+one base class. Each concrete error family carries the CLI exit code it maps
+to as `exit_code`: config errors -> 1, data and metric-input errors -> 2,
+numerical failures (divergence, non-finite values, solver failures) -> 3,
+checkpoint errors and model/layout shape disagreements -> 4.
 """
 
 
 class ProtflowError(Exception):
-    """Base class for all protflow errors."""
+    """Base class for all protflow errors; only its subclasses are raised."""
 
 
 # --- sequence / data errors -------------------------------------------------
 
 class DataError(ProtflowError):
     """A referenced data file is missing, unreadable, or malformed."""
+    exit_code = 2
 
 
 class UnknownResidue(DataError):
@@ -48,48 +51,53 @@ class EmptyCorpus(DataError):
 
 class ConfigError(ProtflowError):
     """Bad config file, unknown key, bad value, or missing required key."""
+    exit_code = 1
 
 
 # --- numeric errors ---------------------------------------------------------
 
 class TooFewSamples(ProtflowError):
-    pass
+    exit_code = 3
 
 
 class NotSymmetric(ProtflowError):
-    pass
+    exit_code = 3
 
 
 class NotPSD(ProtflowError):
-    pass
+    exit_code = 3
 
 
 class NonFiniteValue(ProtflowError):
-    pass
+    exit_code = 3
 
 
 # --- latent / training errors -----------------------------------------------
 
 class IncompatibleRatio(ProtflowError):
     """Latent width not divisible by the compression ratio."""
+    exit_code = 1
 
 
 class Diverged(ProtflowError):
     """Training loss became non-finite."""
+    exit_code = 3
 
 
 class NonFiniteLoss(ProtflowError):
     """A single objective evaluation came out non-finite."""
+    exit_code = 3
 
 
 class ShapeMismatch(ProtflowError):
-    pass
+    exit_code = 4
 
 
 # --- ODE solver errors ------------------------------------------------------
 
 class SolverFailure(ProtflowError):
     """Base class for solver failures (propagated by callers such as reflow)."""
+    exit_code = 3
 
 
 class NonFiniteState(SolverFailure):
@@ -107,47 +115,47 @@ class StepUnderflow(SolverFailure):
 # --- multichain errors ------------------------------------------------------
 
 class WidthMismatch(ProtflowError):
-    pass
+    exit_code = 4
 
 
 class LayoutMismatch(ProtflowError):
-    pass
+    exit_code = 4
 
 
 # --- metric errors ----------------------------------------------------------
 
 class TooFewSequences(ProtflowError):
-    pass
+    exit_code = 2
 
 
 class EmptyInput(ProtflowError):
-    pass
+    exit_code = 2
 
 
 class EmptySequence(ProtflowError):
-    pass
+    exit_code = 2
 
 
 class UnequalSizes(ProtflowError):
-    pass
+    exit_code = 2
 
 
 class BadBandwidth(ProtflowError):
-    pass
+    exit_code = 2
 
 
 class BatchTooLarge(ProtflowError):
-    pass
+    exit_code = 2
 
 
 class DimensionMismatch(ProtflowError):
-    pass
+    exit_code = 2
 
 
 # --- checkpoint errors ------------------------------------------------------
 
 class CheckpointError(ProtflowError):
-    pass
+    exit_code = 4
 
 
 class BadMagic(CheckpointError):
@@ -167,6 +175,10 @@ class CorruptOffset(CheckpointError):
 
 class IncompatibleCheckpoint(CheckpointError):
     """Checkpoint lacks a component the command needs."""
+
+
+class NonFiniteTensor(CheckpointError):
+    """A stored tensor holds NaN or infinity."""
 
 
 # --- warnings ---------------------------------------------------------------

@@ -372,7 +372,7 @@ def decoder_logits(dec, h):
 def decoder_loss_and_grad(dec, h, targets):
     """Mean cross-entropy over rows plus gradients w.r.t. decoder params."""
     a = h @ dec.w1 + dec.b1
-    z = nn.gelu(a)
+    z, tanh_a = nn.gelu(a, return_tanh=True)
     y, ln_cache = nn.layernorm_forward(z, dec.gamma, dec.beta)
     logits = y @ dec.w2 + dec.b2
     loss, dlogits = nn.softmax_cross_entropy(logits, targets)
@@ -380,7 +380,7 @@ def decoder_loss_and_grad(dec, h, targets):
     d_b2 = dlogits.sum(axis=0)
     dy = dlogits @ dec.w2.T
     dz, d_gamma, d_beta = nn.layernorm_backward(dy, ln_cache)
-    da = dz * nn.gelu_grad(a)
+    da = dz * nn.gelu_grad(a, tanh_a)
     d_w1 = h.T @ da
     d_b1 = da.sum(axis=0)
     grads = {

@@ -15,14 +15,24 @@ from .errors import Diverged
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(x):
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x**3)))
+def _gelu_tanh(x):
+    # x*x*x rather than x**3: numpy's float pow costs ~60x a multiply per element
+    return np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
 
 
-def gelu_grad(x):
-    u = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(u)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+def gelu(x, return_tanh=False):
+    """Tanh-approximated GELU. With return_tanh, also return the tanh value so
+    the backward pass can hand it to gelu_grad instead of recomputing it."""
+    t = _gelu_tanh(x)
+    z = 0.5 * x * (1.0 + t)
+    return (z, t) if return_tanh else z
+
+
+def gelu_grad(x, t=None):
+    """d gelu / dx. t is the forward pass's tanh value; recomputed when None."""
+    if t is None:
+        t = _gelu_tanh(x)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
 
 
 def layernorm_forward(x, gamma, beta, eps=1e-5):

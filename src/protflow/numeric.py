@@ -3,8 +3,10 @@
 All randomness in the package flows from a single integer seed through
 RngStream, a counter-based (Philox) stream with named substreams. Substream
 keys are derived by hashing (root seed, path), so the draw order inside one
-substream never perturbs any other substream — per-sample streams make
-serial and batched generation produce identical values.
+substream never perturbs any other substream. Per-sample streams give every
+sample the same noise whatever the batch size; a rerun with the same n and
+seed is bitwise identical, and across batch sizes the solved states agree to
+1e-12 with equal per-sample NFE and step counts (see ode.sample_batch).
 """
 
 import hashlib

@@ -5,9 +5,12 @@ negated accordingly. Fixed-step Euler and Dormand-Prince 5(4) in fixed-grid
 and adaptive modes are provided. NFE counts vector-field evaluations only.
 The fixed-grid DP54 mode needs just the first six stages per step (the
 5th-order weight of stage 7 is zero), so its NFE is exactly 6N.
-"""
 
-import math
+There is one implementation of each integrator, over a leading lane axis:
+solve_lanes integrates n independent states with one field call per stage
+for every lane still running, and the single-state solve is its one-lane
+case.
+"""
 
 import numpy as np
 
@@ -71,6 +74,14 @@ class SolverConfig:
 
 
 class SolveResult:
+    """Endpoint, NFE and step counts of a solve.
+
+    For a single-state solve x0 is the state, nfe/accepted/rejected are ints
+    and trajectory is a list of (t, x) pairs. For solve_lanes x0 has the
+    lanes on its leading axis, the counts are (n,) int64 arrays, and
+    trajectory holds one such list per lane.
+    """
+
     __slots__ = ("x0", "nfe", "trajectory", "accepted", "rejected")
 
     def __init__(self, x0, nfe, trajectory=None, accepted=0, rejected=0):
@@ -81,145 +92,219 @@ class SolveResult:
         self.rejected = rejected
 
 
-def _check_finite(x, step):
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteState(f"non-finite state at step {step}")
+# (c, a, b) of the explicit fixed-grid schemes
+_EULER = (_C[:1], _A[:1], np.array([1.0]))
+_DP54_FIXED = (_C[:6], _A[:6], _B5[:6])
+
+
+def _check_finite(x, steps, lanes):
+    finite = np.isfinite(x.reshape(x.shape[0], -1)).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise NonFiniteState(f"non-finite state at step {int(steps[j])} in lane {int(lanes[j])}")
+
+
+def _stage(v, x, s, h, h_x, ks, i, c, a):
+    """Stage i of an explicit RK step in s = 1 - t: -v at s + c_i*h, evaluated
+    at x + h * sum_j a_ij k_j. h_x is h shaped to broadcast against x."""
+    xi = x
+    if i:
+        acc = a[i][0] * ks[0]
+        for j in range(1, i):
+            acc = acc + a[i][j] * ks[j]
+        xi = x + h_x * acc
+    t = np.broadcast_to(1.0 - (s + c[i] * h), x.shape[:1])
+    return -v(xi, t)
+
+
+def _start_trajectories(x, record):
+    return [[(1.0, xi.copy())] for xi in x] if record else None
+
+
+def _fixed_grid(v, x, n_steps, tableau, record_trajectory):
+    """Uniform-grid explicit RK over all lanes; NFE = stages * N per lane."""
+    c, a, b = tableau
+    n = x.shape[0]
+    lanes = np.arange(n)
+    h = 1.0 / n_steps
+    traj = _start_trajectories(x, record_trajectory)
+    ks = [None] * len(c)
+    for step in range(n_steps):
+        s = step * h
+        for i in range(len(c)):
+            ks[i] = _stage(v, x, s, h, h, ks, i, c, a)
+        incr = b[0] * ks[0]
+        for i in range(1, len(b)):
+            incr = incr + b[i] * ks[i]
+        x = x + h * incr
+        _check_finite(x, np.full(n, step), lanes)
+        if record_trajectory:
+            for lane_traj, xi in zip(traj, x):
+                lane_traj.append((1.0 - (step + 1) * h, xi.copy()))
+    steps = np.full(n, n_steps, dtype=np.int64)
+    return SolveResult(x, len(c) * steps, traj, accepted=steps, rejected=np.zeros(n, np.int64))
+
+
+def _dopri5_adaptive(v, x, atol, rtol, max_nfe, record_trajectory):
+    """Embedded 5(4) pair with PI step control and FSAL reuse, per lane.
+
+    Error norm: RMS over a lane's coordinates of err/(atol + rtol*max(|x|,
+    |x_new|)). Accept when the norm is <= 1. Step factor safety 0.9,
+    exponents 0.7/5 (proportional) and 0.4/5 (integral), clamped to [0.2, 5].
+
+    Every lane keeps its own s, h, previous error, counts and budget, and
+    stops being evaluated once it reaches s = 1. The step factors use
+    Python's float pow: numpy's vectorized power may differ from it by an
+    ulp, and a lane's steps should not depend on how it is batched.
+    """
+    alpha = 0.7 / 5.0
+    beta = 0.4 / 5.0
+    safety = 0.9
+
+    n = x.shape[0]
+    x_end = x.copy()
+    nfe = np.zeros(n, dtype=np.int64)
+    accepted = np.zeros(n, dtype=np.int64)
+    rejected = np.zeros(n, dtype=np.int64)
+    traj = _start_trajectories(x, record_trajectory)
+    lanes = np.arange(n)  # lanes still running; the arrays below follow it
+    s = np.zeros(n)
+    h = np.full(n, 0.1)
+    err_old = np.full(n, 1e-4)
+    lane_shape = (-1,) + (1,) * (x.ndim - 1)
+
+    def field(x_val, t):
+        nfe[lanes] += 1
+        over = nfe[lanes] > max_nfe
+        if over.any():
+            raise NfeBudgetExceeded(
+                f"nfe exceeded budget {max_nfe} in lane {int(lanes[np.argmax(over)])}"
+            )
+        return v(x_val, t)
+
+    k = [None] * 7
+    k[0] = _stage(field, x, s, h, None, k, 0, _C, _A)
+    while lanes.size:
+        h = np.minimum(h, 1.0 - s)
+        under = h < 1e-10
+        if under.any():
+            j = int(np.argmax(under))
+            raise StepUnderflow(f"step size {h[j]:g} underflowed at s={s[j]:g} in lane {lanes[j]}")
+        h_x = h.reshape(lane_shape)
+        for i in range(1, 7):
+            k[i] = _stage(field, x, s, h, h_x, k, i, _C, _A)
+        incr = _B5[0] * k[0]
+        err_incr = _ERR_W[0] * k[0]
+        for i in range(1, 7):
+            incr = incr + _B5[i] * k[i]
+            err_incr = err_incr + _ERR_W[i] * k[i]
+        x_new = x + h_x * incr
+        _check_finite(x_new, accepted[lanes] + rejected[lanes], lanes)
+        err_vec = h_x * err_incr
+        scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
+        err = np.sqrt(((err_vec / scale) ** 2).reshape(lanes.size, -1).mean(axis=1))
+        ok = err <= 1.0
+        s = np.where(ok, s + h, s)
+        x = np.where(ok.reshape(lane_shape), x_new, x)
+        k[0] = np.where(ok.reshape(lane_shape), k[6], k[0])  # FSAL
+        accepted[lanes[ok]] += 1
+        rejected[lanes[~ok]] += 1
+        for j, e in enumerate(err.tolist()):
+            if e <= 1.0:
+                if record_trajectory:
+                    traj[lanes[j]].append((1.0 - float(s[j]), x[j].copy()))
+                factor = 5.0 if e == 0.0 else safety * e ** (-alpha) * float(err_old[j]) ** beta
+                h[j] *= min(max(factor, 0.2), 5.0)
+                err_old[j] = max(e, 1e-4)
+            else:
+                h[j] *= min(max(safety * e ** (-1.0 / 5.0), 0.2), 1.0)
+        done = s >= 1.0
+        if done.any():
+            x_end[lanes[done]] = x[done]
+            keep = ~done
+            lanes, x, s, h = lanes[keep], x[keep], s[keep], h[keep]
+            err_old, k[0] = err_old[keep], k[0][keep]
+    return SolveResult(x_end, nfe, traj, accepted=accepted, rejected=rejected)
+
+
+def solve_lanes(v, x1, config, record_trajectory=False):
+    """Integrate n independent states ("lanes") from t=1 to t=0 at once.
+
+    Args:
+        v: lane field, v(x, t) -> dx/dt for x of shape (k, ...) and t of
+            shape (k,): the k lanes still running, in lane order.
+        x1: (n, ...) initial states, n >= 1.
+        config: SolverConfig.
+
+    Each lane follows the steps a one-lane solve of it would take, with the
+    same NFE and accepted/rejected counts; only the field's own arithmetic
+    on a larger batch can move the states, by rounding.
+    """
+    x = np.array(x1, dtype=np.float64)
+    if x.ndim < 1 or x.shape[0] < 1:
+        raise ValueError("solve_lanes needs at least one lane")
+    if config.method == "dopri5-adaptive":
+        return _dopri5_adaptive(
+            v, x, config.atol, config.rtol, config.max_nfe, record_trajectory
+        )
+    tableau = _EULER if config.method == "euler" else _DP54_FIXED
+    return _fixed_grid(v, x, config.steps, tableau, record_trajectory)
+
+
+def _lane_field(v):
+    """Lift a single-state field v(x, t) with a float t to the lane interface."""
+    return lambda xs, ts: v(xs[0], float(ts[0]))[None]
+
+
+def _one_lane(x1):
+    return np.array(x1, dtype=np.float64)[None]
+
+
+def _first_lane(res):
+    return SolveResult(
+        res.x0[0],
+        int(res.nfe[0]),
+        None if res.trajectory is None else res.trajectory[0],
+        accepted=int(res.accepted[0]),
+        rejected=int(res.rejected[0]),
+    )
 
 
 def euler_solve(v, x1, n_steps, record_trajectory=False):
     """Fixed-step Euler from t=1 to t=0: x <- x - (1/N) * v(x, t)."""
     if n_steps < 1:
         raise ValueError("N must be >= 1")
-    x = np.array(x1, dtype=np.float64)
-    delta = 1.0 / n_steps
-    traj = [(1.0, x.copy())] if record_trajectory else None
-    for k in range(n_steps):
-        t = 1.0 - k * delta
-        x = x - delta * v(x, t)
-        _check_finite(x, k)
-        if record_trajectory:
-            traj.append((1.0 - (k + 1) * delta, x.copy()))
-    return SolveResult(x, n_steps, traj, accepted=n_steps)
-
-
-def _dopri5_fixed(v, x1, n_steps, record_trajectory=False):
-    """Uniform-grid DP54 using the six 5th-order stages; NFE = 6N exactly."""
-    x = np.array(x1, dtype=np.float64)
-    h = 1.0 / n_steps
-    traj = [(1.0, x.copy())] if record_trajectory else None
-    ks = [None] * 6
-    for step in range(n_steps):
-        s = step * h  # s = 1 - t
-        for i in range(6):
-            xi = x
-            if i:
-                acc = _A[i][0] * ks[0]
-                for j in range(1, i):
-                    acc = acc + _A[i][j] * ks[j]
-                xi = x + h * acc
-            t = 1.0 - (s + _C[i] * h)
-            ks[i] = -v(xi, t)
-        incr = _B5[0] * ks[0]
-        for i in range(1, 6):
-            incr = incr + _B5[i] * ks[i]
-        x = x + h * incr
-        _check_finite(x, step)
-        if record_trajectory:
-            traj.append((1.0 - (step + 1) * h, x.copy()))
-    return SolveResult(x, 6 * n_steps, traj, accepted=n_steps)
-
-
-def _dopri5_adaptive(v, x1, atol, rtol, max_nfe, record_trajectory=False):
-    """Embedded 5(4) pair with PI step control and FSAL reuse.
-
-    Error norm: RMS over coordinates of err/(atol + rtol*max(|x|, |x_new|)).
-    Accept when the norm is <= 1. Step factor safety 0.9, exponents 0.7/5
-    (proportional) and 0.4/5 (integral), clamped to [0.2, 5].
-    """
-    alpha = 0.7 / 5.0
-    beta = 0.4 / 5.0
-    safety = 0.9
-
-    x = np.array(x1, dtype=np.float64)
-    s = 0.0
-    s_end = 1.0
-    nfe = 0
-    accepted = 0
-    rejected = 0
-    traj = [(1.0, x.copy())] if record_trajectory else None
-
-    def field(s_val, x_val):
-        nonlocal nfe
-        nfe += 1
-        if nfe > max_nfe:
-            raise NfeBudgetExceeded(f"nfe exceeded budget {max_nfe}")
-        return -v(x_val, 1.0 - s_val)
-
-    k = [None] * 7
-    k[0] = field(s, x)
-    h = 0.1
-    err_old = 1e-4
-    while s < s_end:
-        h = min(h, s_end - s)
-        if h < 1e-10:
-            raise StepUnderflow(f"step size {h:g} underflowed at s={s:g}")
-        for i in range(1, 7):
-            acc = _A[i][0] * k[0]
-            for j in range(1, i):
-                acc = acc + _A[i][j] * k[j]
-            k[i] = field(s + _C[i] * h, x + h * acc)
-        incr = _B5[0] * k[0]
-        err_incr = _ERR_W[0] * k[0]
-        for i in range(1, 7):
-            incr = incr + _B5[i] * k[i]
-            err_incr = err_incr + _ERR_W[i] * k[i]
-        x_new = x + h * incr
-        _check_finite(x_new, accepted + rejected)
-        err_vec = h * err_incr
-        scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
-        err = math.sqrt(float(((err_vec / scale) ** 2).mean()))
-        if err <= 1.0:
-            s += h
-            x = x_new
-            k[0] = k[6]  # FSAL
-            accepted += 1
-            if record_trajectory:
-                traj.append((1.0 - s, x.copy()))
-            if err == 0.0:
-                factor = 5.0
-            else:
-                factor = safety * err ** (-alpha) * err_old**beta
-            factor = min(max(factor, 0.2), 5.0)
-            h *= factor
-            err_old = max(err, 1e-4)
-        else:
-            rejected += 1
-            factor = min(max(safety * err ** (-1.0 / 5.0), 0.2), 1.0)
-            h *= factor
-    return SolveResult(x, nfe, traj, accepted=accepted, rejected=rejected)
+    return _first_lane(
+        _fixed_grid(_lane_field(v), _one_lane(x1), n_steps, _EULER, record_trajectory)
+    )
 
 
 def dopri5_solve(v, x1, config, record_trajectory=False):
+    """Dormand-Prince 5(4), adaptive or on config.steps uniform steps."""
     if config.method == "dopri5-adaptive":
-        return _dopri5_adaptive(
-            v, x1, config.atol, config.rtol, config.max_nfe, record_trajectory
-        )
-    return _dopri5_fixed(v, x1, config.steps, record_trajectory)
+        return solve(v, x1, config, record_trajectory)
+    return _first_lane(
+        _fixed_grid(_lane_field(v), _one_lane(x1), config.steps, _DP54_FIXED, record_trajectory)
+    )
 
 
 def solve(v, x1, config, record_trajectory=False):
-    """Integrate the field from noise (t=1) to data (t=0) per the config."""
-    if config.method == "euler":
-        return euler_solve(v, x1, config.steps, record_trajectory)
-    return dopri5_solve(v, x1, config, record_trajectory)
+    """Integrate the field from noise (t=1) to data (t=0) per the config.
+
+    v(x, t) takes one state and a float time; this is solve_lanes on one lane.
+    """
+    return _first_lane(solve_lanes(_lane_field(v), _one_lane(x1), config, record_trajectory))
 
 
 def sample_batch(model, pipeline, length_dist, n, solver_config, rng):
     """Full sampling: noise -> ODE -> decompress -> unsmooth -> decode.
 
-    Each sample draws its noise, its length, and solves on an independent
-    RNG substream keyed by sample index, so results do not depend on batch
-    order or size.
+    Each sample draws its noise and its length from an RNG substream keyed
+    by its index, and all samples are solved together as lanes of one
+    solve_lanes call. A rerun with the same n and seed is bitwise
+    identical. Across batch sizes a sample's latent agrees to 1e-12 (the
+    field's matrix products round differently with the row count), and its
+    NFE and accepted/rejected step counts are equal.
 
     Args:
         model: trained VectorFieldModel over (l_max, width) latents.
@@ -238,22 +323,15 @@ def sample_batch(model, pipeline, length_dist, n, solver_config, rng):
     if n < 1:
         raise ValueError("n must be >= 1")
     l_max = pipeline.l_max
-    width = pipeline.width
-
-    def field(x, t):
-        return flow_forward(model, x[None], np.full(1, t))[0]
-
+    subs = [rng.substream(f"sample{i}") for i in range(n)]
+    eps = np.stack([sub.substream("noise").normal((l_max, pipeline.width)) for sub in subs])
+    res = solve_lanes(lambda x, t: flow_forward(model, x, t), eps, solver_config)
     seqs = []
-    nfes = []
-    for i in range(n):
-        sub = rng.substream(f"sample{i}")
-        eps = sub.substream("noise").normal((l_max, width))
-        res = solve(field, eps, solver_config)
+    for sub, x0 in zip(subs, res.x0):
         length = length_dist.sample(sub.substream("length"))
         mask = np.zeros(l_max, dtype=bool)
         mask[: min(length, l_max)] = True
-        ts = pipeline.latent_to_sequence(res.x0, mask)
-        seqs.append(detokenize(ts))
-        nfes.append(res.nfe)
+        seqs.append(detokenize(pipeline.latent_to_sequence(x0, mask)))
+    nfes = [int(k) for k in res.nfe]
     stats = {"nfes": nfes, "mean_nfe": float(np.mean(nfes)), "n": n}
     return seqs, stats

@@ -18,6 +18,7 @@ from protflow.errors import (
     BadMagic,
     CorruptOffset,
     IncompatibleCheckpoint,
+    NonFiniteTensor,
     NonFiniteValue,
     VersionUnsupported,
 )
@@ -104,6 +105,16 @@ def test_non_finite_tensor_rejected(tmp_path):
         with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
             ckpt.save_checkpoint(path, {"w": np.array([1.0, poison])}, {})
     assert not (tmp_path / "bad.ckpt").exists()
+
+
+def test_non_finite_tensor_refused_at_load(tmp_path):
+    path = str(tmp_path / "nan.ckpt")
+    for poison in (np.nan, np.inf, -np.inf):
+        payload = np.array([1.0, poison, 2.0], dtype="<f4").tobytes()
+        entries = [{"name": "w", "shape": [3], "dtype": "<f4", "offset": 0}]
+        _write_raw(path, _header(entries, kind="flow"), payload)
+        with pytest.raises(NonFiniteTensor, match="'w'"):
+            ckpt.load_checkpoint(path)
 
 
 def test_file_sha256_matches_reference(tmp_path):

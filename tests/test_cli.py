@@ -6,12 +6,17 @@ evaluation, inspection, reruns, and every error exit path against it.
 """
 
 import json
+import os
+import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from protflow import cli
+import protflow
+from protflow import cli, errors
 from protflow.checkpoint import file_sha256, load_checkpoint
 from protflow.seqio import read_fasta
 
@@ -359,6 +364,70 @@ def test_exit_4_checkpoint_errors(workdir):
                   "--init", workdir["dec"], "--out", out, "--set", "model.D=16"])
         == 4
     )
+
+
+def test_exit_4_non_finite_checkpoint_tensor(workdir):
+    # A NaN in a stored tensor is a checkpoint error, caught at load time.
+    with open(workdir["flow"], "rb") as f:
+        data = bytearray(f.read())
+    payload = 16 + struct.unpack("<Q", data[8:16])[0]
+    data[payload : payload + 4] = struct.pack("<f", float("nan"))
+    bad = workdir["root"] / "nan.ckpt"
+    bad.write_bytes(bytes(data))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(protflow.__file__)))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-m", "protflow", "sample", "--checkpoint", str(bad),
+         "--out", str(workdir["root"] / "nan.fasta")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "non-finite" in proc.stderr
+
+
+def _error_classes(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+def test_every_protflow_error_maps_to_an_exit_code(monkeypatch, capsys):
+    documented = {
+        errors.ConfigError: 1,
+        errors.IncompatibleRatio: 1,
+        errors.DataError: 2,
+        errors.Diverged: 3,
+        errors.NonFiniteLoss: 3,
+        errors.SolverFailure: 3,
+        errors.NonFiniteValue: 3,
+        errors.CheckpointError: 4,
+        errors.ShapeMismatch: 4,
+        errors.LayoutMismatch: 4,
+        errors.WidthMismatch: 4,
+    }
+    needs_args = {
+        errors.UnknownResidue: ("X", 3),
+        errors.InvalidTokenId: (99,),
+        errors.SequenceTooLong: (30, 20),
+        errors.VersionUnsupported: (9, 1),
+    }
+    classes = list(_error_classes(errors.ProtflowError))
+    assert set(documented) <= set(classes)
+    for cls in classes:
+        exc = cls(*needs_args.get(cls, ("boom",)))
+
+        def raise_it(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_inspect_checkpoint", raise_it)
+        code = cli.main(["inspect-checkpoint", "--checkpoint", "unused.ckpt"])
+        assert code in (1, 2, 3, 4), cls.__name__
+        for family, expected in documented.items():
+            if issubclass(cls, family):
+                assert code == expected, cls.__name__
+        assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 # --- multichain plumbing --------------------------------------------------------

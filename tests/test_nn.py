@@ -28,6 +28,31 @@ def test_gelu_grad_matches_numeric():
     assert np.max(np.abs(num - nn.gelu_grad(x))) < 1e-8
 
 
+def test_gelu_pow_free_matches_cube_formula():
+    # The reference form computes x**3 with numpy's pow. x*x*x can differ from
+    # it by an ulp, so the two agree to 1e-15 relative to the input scale.
+    # Relative to the output they can differ far more where 1 + tanh(u)
+    # cancels (x near -3.5 gives ~3e-13), though the absolute gap stays ~4e-16.
+    x = np.linspace(-50.0, 50.0, 200_001)
+    c = math.sqrt(2.0 / math.pi)
+    ref = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+    assert np.all(np.abs(nn.gelu(x) - ref) <= 1e-15 * np.maximum(np.abs(x), 1.0))
+    z, t = nn.gelu(x, return_tanh=True)
+    assert np.array_equal(z, nn.gelu(x))
+    assert np.array_equal(t, np.tanh(c * (x + 0.044715 * (x * x * x))))
+
+
+def test_gelu_grad_with_cached_tanh():
+    rng = np.random.default_rng(4)
+    x = np.concatenate([rng.normal(size=200) * 3.0, np.linspace(-50.0, 50.0, 101)])
+    _, t = nn.gelu(x, return_tanh=True)
+    cached = nn.gelu_grad(x, t)
+    assert np.array_equal(cached, nn.gelu_grad(x))
+    h = 1e-6
+    num = (nn.gelu(x + h) - nn.gelu(x - h)) / (2.0 * h)
+    assert np.max(np.abs(num - cached)) < 1e-8
+
+
 def test_layernorm_forward_stats():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 16)) * 3.0 + 1.5

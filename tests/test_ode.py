@@ -178,3 +178,88 @@ def test_sample_batch_rejects_nonpositive_n():
     ld = LengthDistribution([2], [1])
     with pytest.raises(ValueError):
         ode.sample_batch(model, pipe, ld, 0, ode.SolverConfig(), RngStream(0))
+
+
+# --- lane-batched solves ---------------------------------------------------------
+
+
+def _decay(x, t):
+    """One state [y, w]: dy/dt = w*y + w*w*t^3, dw/dt = 0. Stiffer lanes (larger
+    w) need more adaptive steps. Only + and *, so lane arithmetic is exact."""
+    y, w = x[0], x[1]
+    return np.array([w * y + w * w * t * t * t, 0.0])
+
+
+def _decay_lanes(x, t):
+    y, w = x[:, 0], x[:, 1]
+    return np.stack([w * y + w * w * t * t * t, np.zeros_like(y)], axis=1)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ode.SolverConfig(method="euler", steps=9),
+        ode.SolverConfig(method="dopri5", steps=5),
+        ode.SolverConfig(method="dopri5-adaptive", atol=1e-8, rtol=1e-8),
+    ],
+    ids=lambda c: c.method,
+)
+def test_solve_lanes_match_one_lane_solves(cfg):
+    x1 = np.array([[1.0, 0.5], [-2.0, 4.0], [0.25, 12.0], [3.0, 1.5]])
+    lanes = ode.solve_lanes(_decay_lanes, x1, cfg, record_trajectory=True)
+    assert lanes.x0.shape == x1.shape
+    for i in range(len(x1)):
+        solo = ode.solve(_decay, x1[i], cfg, record_trajectory=True)
+        assert np.array_equal(lanes.x0[i], solo.x0)
+        assert (lanes.nfe[i], lanes.accepted[i], lanes.rejected[i]) == (
+            solo.nfe, solo.accepted, solo.rejected
+        )
+        assert [t for t, _ in lanes.trajectory[i]] == [t for t, _ in solo.trajectory]
+        for (_, a), (_, b) in zip(lanes.trajectory[i], solo.trajectory):
+            assert np.array_equal(a, b)
+    if cfg.method == "dopri5-adaptive":
+        # lanes finish after different step counts; each lane's NFE is its own
+        assert len(set(lanes.nfe.tolist())) == len(x1)
+        assert np.all(lanes.nfe == 1 + 6 * (lanes.accepted + lanes.rejected))
+        assert lanes.rejected.sum() > 0
+
+
+def test_solve_lanes_failures_name_the_lane():
+    # lane 0 finishes in 19 evaluations, lane 1 would need thousands
+    x1 = np.array([[1.0, 0.01], [1.0, 400.0]])
+    tight = ode.SolverConfig(method="dopri5-adaptive", atol=1e-8, rtol=1e-8, max_nfe=200)
+    with pytest.raises(NfeBudgetExceeded, match="lane 1"):
+        ode.solve_lanes(_decay_lanes, x1, tight)
+
+    def blow_up(x, t):
+        out = _decay_lanes(x, t)
+        out[x[:, 1] > 100.0] = np.nan
+        return out
+
+    with pytest.raises(NonFiniteState, match="lane 1"):
+        ode.solve_lanes(blow_up, x1, ode.SolverConfig(method="euler", steps=3))
+    with pytest.raises(ValueError):
+        ode.solve_lanes(_decay_lanes, np.zeros((0, 2)), ode.SolverConfig())
+
+
+@pytest.mark.parametrize("method", ["euler", "dopri5", "dopri5-adaptive"])
+def test_flow_lanes_agree_with_one_lane_solves(method):
+    # A batch's matrix products may round differently from batch-1 ones, so
+    # states agree to 1e-12 while steps and NFE stay identical per lane.
+    from protflow.flow import flow_forward
+
+    cfg = VectorFieldConfig(2, 8, 32)
+    model = init_flow_model(cfg, RngStream(21))
+    for key, val in model.params.items():
+        model.params[key] = val + 0.2 * RngStream(22).substream(key).normal(val.shape)
+    sc = ode.SolverConfig(method=method, steps=6, atol=1e-5, rtol=1e-5)
+    x1 = RngStream(23).normal((5, 6, 8))
+    lanes = ode.solve_lanes(lambda x, t: flow_forward(model, x, t), x1, sc)
+    again = ode.solve_lanes(lambda x, t: flow_forward(model, x, t), x1, sc)
+    assert np.array_equal(lanes.x0, again.x0)
+    for i in range(len(x1)):
+        solo = ode.solve(lambda x, t: flow_forward(model, x[None], np.full(1, t))[0], x1[i], sc)
+        assert np.max(np.abs(lanes.x0[i] - solo.x0)) <= 1e-12
+        assert (lanes.nfe[i], lanes.accepted[i], lanes.rejected[i]) == (
+            solo.nfe, solo.accepted, solo.rejected
+        )
