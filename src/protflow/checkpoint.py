@@ -4,7 +4,10 @@ Layout: 4 magic bytes "PFLW", format version (u32 LE), header length
 (u64 LE), a UTF-8 JSON header, then raw little-endian float32 tensor
 payloads in header order. Header offsets are relative to the payload start;
 the loader verifies magic, version, bounds, and overlap before touching any
-payload bytes, and rejects tensors holding NaN or infinity. Writes are
+payload bytes, and rejects tensors holding NaN or infinity. The header is
+an object whose "tensors" list holds one object per tensor: a unique string
+"name", a "shape" list of non-negative integers, an integer "offset" and
+the "dtype" "<f4"; every other key is metadata. Writes are
 atomic (temp file + rename).
 
 The pack_*/unpack_* helpers map the package's parameter objects to named
@@ -13,6 +16,7 @@ tensors so a checkpoint is all a command needs to resume or sample.
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -24,6 +28,7 @@ from .errors import (
     BadMagic,
     CorruptOffset,
     IncompatibleCheckpoint,
+    MalformedHeader,
     NonFiniteTensor,
     NonFiniteValue,
     VersionUnsupported,
@@ -92,32 +97,59 @@ def load_checkpoint(path):
         header = json.loads(data[16:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CorruptOffset(f"{path}: header is not valid JSON: {e}") from e
+    if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
+        raise MalformedHeader(f"{path}: header must be an object with a 'tensors' list")
     payload = data[header_end:]
     tensors = {}
     spans = []
-    for entry in header.get("tensors", []):
+    for i, entry in enumerate(header["tensors"]):
+        _check_entry(path, i, entry, tensors)
         if entry.get("dtype") != "<f4":
             raise CorruptOffset(f"{path}: unsupported tensor dtype {entry.get('dtype')!r}")
-        shape = tuple(int(x) for x in entry["shape"])
-        size = int(np.prod(shape)) * 4 if shape else 4
-        off = int(entry["offset"])
+        shape = tuple(entry["shape"])
+        size = math.prod(shape) * 4
+        off = entry["offset"]
         if off < 0 or off + size > len(payload):
             raise CorruptOffset(
                 f"{path}: tensor {entry['name']!r} spans [{off}, {off + size}) "
                 f"outside payload of {len(payload)} bytes"
             )
         spans.append((off, off + size, entry["name"]))
-        tensors[entry["name"]] = np.frombuffer(
-            payload[off : off + size], dtype="<f4"
-        ).reshape(shape)
-        if not np.all(np.isfinite(tensors[entry["name"]])):
+        try:
+            arr = np.frombuffer(payload[off : off + size], dtype="<f4").reshape(shape)
+        except ValueError as e:  # more dimensions, or larger ones, than numpy holds
+            raise MalformedHeader(f"{path}: tensor {entry['name']!r} shape {shape}: {e}") from e
+        if not np.all(np.isfinite(arr)):
             raise NonFiniteTensor(f"{path}: tensor {entry['name']!r} has non-finite entries")
+        tensors[entry["name"]] = arr
     spans.sort()
     for (_, end_a, name_a), (start_b, _, name_b) in zip(spans, spans[1:]):
         if start_b < end_a:
             raise CorruptOffset(f"{path}: tensors {name_a!r} and {name_b!r} overlap")
     meta = {k: v for k, v in header.items() if k != "tensors"}
     return tensors, meta
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_entry(path, k, entry, seen):
+    """Raise MalformedHeader unless tensor entry k follows the header schema."""
+    if not isinstance(entry, dict):
+        raise MalformedHeader(f"{path}: tensor entry {k} is not an object")
+    name = entry.get("name")
+    if not isinstance(name, str):
+        raise MalformedHeader(f"{path}: tensor entry {k} has no string 'name'")
+    if name in seen:
+        raise MalformedHeader(f"{path}: tensor {name!r} appears twice")
+    shape = entry.get("shape")
+    if not isinstance(shape, list) or not all(_is_int(x) and x >= 0 for x in shape):
+        raise MalformedHeader(
+            f"{path}: tensor {name!r} 'shape' must be a list of non-negative integers"
+        )
+    if not _is_int(entry.get("offset")):
+        raise MalformedHeader(f"{path}: tensor {name!r} 'offset' must be an integer")
 
 
 def file_sha256(path):

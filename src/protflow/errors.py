@@ -173,6 +173,10 @@ class CorruptOffset(CheckpointError):
     pass
 
 
+class MalformedHeader(CheckpointError):
+    """The JSON header does not follow the checkpoint schema."""
+
+
 class IncompatibleCheckpoint(CheckpointError):
     """Checkpoint lacks a component the command needs."""
 

@@ -1,49 +1,30 @@
 """Hot loops behind the sequence metrics: edit distance and assignment.
 
-Two interchangeable backends compute identical results:
-
-  * numba: scalar-loop kernels compiled with @njit (parallel pairwise fill),
-    used by default when numba imports cleanly.
-  * numpy: vectorized row-DP edit distance and a vectorized shortest
-    augmenting path solver, used as a fallback.
-
-Selection: set PROTFLOW_BACKEND=numpy to force the fallback, or
-PROTFLOW_BACKEND=numba to require the compiled path (ImportError if numba is
-missing). PROTFLOW_THREADS caps the numba thread pool. The neural-network
-math elsewhere in the package is plain numpy/BLAS and is not affected.
+Edit distances use the bit-vector recurrence of Myers (1999, J. ACM 46(3)) in
+Hyyrö's (2003) form for global Levenshtein distance. A matrix of distances is
+one vectorized pass: every (pattern, text) pair is a lane holding its column
+of vertical deltas as uint64 words, one word per 64 pattern rows, and each
+text position updates all lanes with a fixed group of numpy ops. The single
+pair `levenshtein` runs the same recurrence on one unbounded Python int.
+The assignment solver is a shortest augmenting path search with a vectorized
+column scan. Everything is plain numpy and integer-exact.
 """
-
-import os
 
 import numpy as np
 
+# the one kernel implementation, named in benchmark run records
+BACKEND = "numpy"
+
 _INF = np.int64(1) << np.int64(62)
 
-_env_backend = os.environ.get("PROTFLOW_BACKEND", "").strip().lower()
-if _env_backend not in ("", "numba", "numpy"):
-    raise ValueError(
-        f"PROTFLOW_BACKEND must be 'numba' or 'numpy', got {_env_backend!r}"
-    )
+# Lanes per vectorized pass. Memory per pass is O(_LANES * (W + text length)),
+# whatever the number of pairs.
+_LANES = 4096
 
-HAS_NUMBA = False
-if _env_backend != "numpy":
-    try:
-        import numba
-        from numba import njit, prange
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _env_backend == "numba":
-            raise
-        HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-if HAS_NUMBA:
-    _threads = os.environ.get("PROTFLOW_THREADS", "").strip()
-    if _threads:
-        _cap = max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS))
-        numba.set_num_threads(_cap)
+_ONE = np.uint64(1)
+_TOP_BIT = np.uint64(63)
+_ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
+_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
 def encode_sequences(seqs):
@@ -62,199 +43,98 @@ def encode_sequences(seqs):
     return codes, lengths
 
 
-# --- scalar implementations (compiled under numba) ----------------------------
+def _match_masks(codes, lengths):
+    """Per-pattern match bit masks over a compressed alphabet.
 
-
-def _lev_scalar_impl(a, b):
-    la = a.shape[0]
-    lb = b.shape[0]
-    if la == 0:
-        return lb
-    if lb == 0:
-        return la
-    prev = np.empty(lb + 1, dtype=np.int64)
-    cur = np.empty(lb + 1, dtype=np.int64)
-    for j in range(lb + 1):
-        prev[j] = j
-    for i in range(la):
-        cur[0] = i + 1
-        ai = a[i]
-        for j in range(1, lb + 1):
-            c = prev[j - 1] + (0 if b[j - 1] == ai else 1)
-            if prev[j] + 1 < c:
-                c = prev[j] + 1
-            if cur[j - 1] + 1 < c:
-                c = cur[j - 1] + 1
-            cur[j] = c
-        tmp = prev
-        prev = cur
-        cur = tmp
-    return prev[lb]
-
-
-def _assignment_scalar_impl(cost):
-    """Shortest-augmenting-path assignment on an int64 cost matrix.
-
-    Returns col4row (col4row[i] = column assigned to row i). All arithmetic
-    is integer, so results are exact.
+    Returns (alphabet, peq): alphabet is the sorted distinct code points of
+    the patterns, and peq[w, p * (sigma + 1) + s] has bit r set when
+    pattern p holds symbol s at row 64 * w + r. Row sigma of each pattern
+    stays zero; it stands for every symbol outside the alphabet.
     """
-    n = cost.shape[0]
-    u = np.zeros(n, dtype=np.int64)
-    v = np.zeros(n, dtype=np.int64)
-    col4row = np.full(n, -1, dtype=np.int64)
-    row4col = np.full(n, -1, dtype=np.int64)
-    shortest = np.empty(n, dtype=np.int64)
-    path = np.empty(n, dtype=np.int64)
-    sr = np.empty(n, dtype=np.bool_)
-    sc = np.empty(n, dtype=np.bool_)
-
-    for cur_row in range(n):
-        for j in range(n):
-            shortest[j] = _INF
-            path[j] = -1
-            sr[j] = False
-            sc[j] = False
-        min_val = np.int64(0)
-        i = cur_row
-        sink = -1
-        while sink == -1:
-            sr[i] = True
-            lowest = _INF
-            jlow = -1
-            for j in range(n):
-                if sc[j]:
-                    continue
-                r = min_val + cost[i, j] - u[i] - v[j]
-                if r < shortest[j]:
-                    shortest[j] = r
-                    path[j] = i
-                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
-                    lowest = shortest[j]
-                    jlow = j
-            min_val = lowest
-            sc[jlow] = True
-            if row4col[jlow] == -1:
-                sink = jlow
-            else:
-                i = row4col[jlow]
-        u[cur_row] += min_val
-        for k in range(n):
-            if sr[k] and k != cur_row:
-                u[k] += min_val - shortest[col4row[k]]
-        for j in range(n):
-            if sc[j]:
-                v[j] -= min_val - shortest[j]
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            tmp = col4row[i]
-            col4row[i] = j
-            j = tmp
-            if i == cur_row:
-                break
-    return col4row
+    n, l_max = codes.shape
+    rows, cols = np.nonzero(np.arange(l_max) < lengths[:, None])
+    alphabet = np.unique(codes[rows, cols])
+    sigma = alphabet.size
+    n_words = max(1, -(-l_max // 64))
+    peq = np.zeros((n_words, n * (sigma + 1)), dtype=np.uint64)
+    sym = np.searchsorted(alphabet, codes[rows, cols])
+    bits = _ONE << (cols % 64).astype(np.uint64)
+    np.bitwise_or.at(peq, (cols // 64, rows * (sigma + 1) + sym), bits)
+    return alphabet, peq
 
 
-def _pairwise_scalar_impl(codes, lengths):
-    n = codes.shape[0]
-    out = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = _lev_scalar_impl(codes[i, : lengths[i]], codes[j, : lengths[j]])
-            out[i, j] = d
-            out[j, i] = d
-    return out
+def _popcount(words):
+    """Set bits per lane of a (W, L) uint64 array, summed over the W words."""
+    return _POPCOUNT8[words.view(np.uint8)].reshape(*words.shape, 8).sum(axis=(0, 2))
 
 
-def _cross_scalar_impl(codes_a, lengths_a, codes_b, lengths_b):
-    na = codes_a.shape[0]
-    nb = codes_b.shape[0]
-    out = np.zeros((na, nb), dtype=np.int64)
-    for i in range(na):
-        for j in range(nb):
-            out[i, j] = _lev_scalar_impl(
-                codes_a[i, : lengths_a[i]], codes_b[j, : lengths_b[j]]
-            )
-    return out
+def _lane_distances(codes_p, lengths_p, codes_t, lengths_t, pi, ti):
+    """Edit distance between pattern pi[k] and text ti[k] for every lane k.
 
+    Lanes run longest text first, so the lanes still reading text at any
+    column are a prefix and finished lanes keep the delta column of their
+    last text position. The distance is then the text length plus the net
+    vertical delta over the pattern's rows: D[m, n] = n + sum_i (D[i, n] -
+    D[i - 1, n]). An empty pattern has no rows and gives the text length.
+    """
+    alphabet, peq = _match_masks(codes_p, lengths_p)
+    sigma = alphabet.size
+    n_words = peq.shape[0]
+    # text symbols as rows of the compressed alphabet, sigma when absent;
+    # position-major, so each pass gathers its (position, lane) keys directly
+    sym_t = np.searchsorted(alphabet, codes_t.T)
+    found = sym_t < sigma
+    found[found] = alphabet[sym_t[found]] == codes_t.T[found]
+    sym_t[~found] = sigma
 
-if HAS_NUMBA:
-    _lev_numba = njit(cache=True)(_lev_scalar_impl)
-    _assignment_numba = njit(cache=True)(_assignment_scalar_impl)
-
-    @njit(parallel=True, cache=True)
-    def _pairwise_numba(codes, lengths):
-        n = codes.shape[0]
-        out = np.zeros((n, n), dtype=np.int64)
-        for i in prange(n):
-            for j in range(i + 1, n):
-                d = _lev_numba(codes[i, : lengths[i]], codes[j, : lengths[j]])
-                out[i, j] = d
-                out[j, i] = d
-        return out
-
-    @njit(parallel=True, cache=True)
-    def _cross_numba(codes_a, lengths_a, codes_b, lengths_b):
-        na = codes_a.shape[0]
-        nb = codes_b.shape[0]
-        out = np.zeros((na, nb), dtype=np.int64)
-        for i in prange(na):
-            for j in range(nb):
-                out[i, j] = _lev_numba(
-                    codes_a[i, : lengths_a[i]], codes_b[j, : lengths_b[j]]
-                )
-        return out
-
-
-# --- numpy fallback implementations -------------------------------------------
-
-
-def _lev_numpy(a, b):
-    la = a.shape[0]
-    lb = b.shape[0]
-    if la == 0:
-        return int(lb)
-    if lb == 0:
-        return int(la)
-    j = np.arange(lb + 1, dtype=np.int64)
-    prev = j.copy()
-    cand = np.empty(lb + 1, dtype=np.int64)
-    for i in range(la):
-        cand[0] = i + 1
-        np.minimum(prev[1:] + 1, prev[:-1] + (b != a[i]), out=cand[1:])
-        # close the left-to-right deletion recurrence in one accumulate pass:
-        # cur[j] = min_{k<=j} cand[k] + (j - k)
-        prev = np.minimum.accumulate(cand - j) + j
-    return int(prev[lb])
-
-
-def _pairwise_numpy(codes, lengths):
-    n = codes.shape[0]
-    out = np.zeros((n, n), dtype=np.int64)
-    rows = [codes[i, : lengths[i]] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = _lev_numpy(rows[i], rows[j])
-            out[i, j] = d
-            out[j, i] = d
-    return out
-
-
-def _cross_numpy(codes_a, lengths_a, codes_b, lengths_b):
-    na = codes_a.shape[0]
-    nb = codes_b.shape[0]
-    out = np.zeros((na, nb), dtype=np.int64)
-    rows_a = [codes_a[i, : lengths_a[i]] for i in range(na)]
-    rows_b = [codes_b[j, : lengths_b[j]] for j in range(nb)]
-    for i in range(na):
-        for j in range(nb):
-            out[i, j] = _lev_numpy(rows_a[i], rows_b[j])
+    out = np.empty(pi.size, dtype=np.int64)
+    order = np.argsort(-lengths_t[ti], kind="stable")
+    word_rows = 64 * np.arange(n_words)[:, None]
+    for start in range(0, order.size, _LANES):
+        lanes = order[start : start + _LANES]
+        p, t = pi[lanes], ti[lanes]
+        m, n = lengths_p[p], lengths_t[t]
+        t_max = int(n[0])
+        keys = sym_t[:t_max, t] + p * (sigma + 1)
+        active = np.searchsorted(-n, -np.arange(t_max), side="left")
+        pv = np.full((n_words, lanes.size), _ALL)
+        mv = np.zeros((n_words, lanes.size), dtype=np.uint64)
+        for j in range(t_max):
+            a = active[j]
+            eq_words = peq[:, keys[j, :a]]
+            # word 0 sits under the top row D[0, j] = j: horizontal delta +1
+            h_pos, h_neg = _ONE, None
+            for w in range(n_words):
+                eq, pw, mw = eq_words[w], pv[w, :a], mv[w, :a]
+                xv = eq | mw
+                if h_neg is not None:
+                    eq = eq | h_neg
+                xh = (((eq & pw) + pw) ^ pw) | eq
+                ph = mw | ~(xh | pw)
+                mh = pw & xh
+                # the horizontal deltas of the word's last row (bit 63) feed the next word
+                carry = (ph >> _TOP_BIT, mh >> _TOP_BIT) if w + 1 < n_words else None
+                ph = (ph << _ONE) | h_pos
+                mh = mh << _ONE if h_neg is None else (mh << _ONE) | h_neg
+                pv[w, :a] = mh | ~(xv | ph)
+                mv[w, :a] = ph & xv
+                if carry is not None:
+                    h_pos, h_neg = carry
+        # keep the deltas of rows below m
+        rows_left = np.clip(m[None, :] - word_rows, 0, 64).astype(np.uint64)
+        keep = np.where(
+            rows_left >= 64, _ALL, (_ONE << np.minimum(rows_left, _TOP_BIT)) - _ONE
+        )
+        out[lanes] = n + _popcount(pv & keep) - _popcount(mv & keep)
     return out
 
 
 def _assignment_numpy(cost):
-    """Same augmenting-path algorithm with the column scan vectorized."""
+    """Shortest-augmenting-path assignment on an int64 cost matrix.
+
+    Returns col4row (col4row[i] = column assigned to row i). The column scan
+    is vectorized; all arithmetic is integer, so results are exact.
+    """
     n = cost.shape[0]
     u = np.zeros(n, dtype=np.int64)
     v = np.zeros(n, dtype=np.int64)
@@ -277,8 +157,8 @@ def _assignment_numpy(cost):
             shortest[better] = r[better]
             path[better] = i
             masked = np.where(open_cols, shortest, _INF)
-            # tie-break exactly like the scalar kernel's scan: last free
-            # column among the minima, else the first minimum
+            # tie-break: the last free column among the minima, else the
+            # first minimum
             lowest = masked.min()
             tie = np.flatnonzero(masked == lowest)
             free = tie[row4col[tie] == -1]
@@ -306,38 +186,54 @@ def _assignment_numpy(cost):
     return col4row
 
 
-# --- public dispatchers --------------------------------------------------------
-
-
 def levenshtein(a, b):
-    """Edit distance (unit insert/delete/substitute costs) between two strings."""
-    ca = np.frombuffer(a.encode("utf-32-le"), dtype=np.uint32) if a else np.zeros(0, np.uint32)
-    cb = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32) if b else np.zeros(0, np.uint32)
-    if BACKEND == "numba":
-        return int(_lev_numba(ca, cb))
-    return _lev_numpy(ca, cb)
+    """Edit distance (unit insert/delete/substitute costs) between two strings.
+
+    The bit-vector recurrence of the matrix kernel on one Python int, so any
+    pattern length fits in one word.
+    """
+    if not a:
+        return len(b)
+    peq = {}
+    for i, c in enumerate(a):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    pv, mv = mask, 0
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = ((mv | ~(xh | pv)) << 1) | 1
+        mh = (pv & xh) << 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return len(b) + pv.bit_count() - mv.bit_count()
 
 
 def pairwise_edit_matrix(seqs):
     """Symmetric (n, n) int64 matrix of edit distances within one list."""
     n = len(seqs)
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
+    out = np.zeros((n, n), dtype=np.int64)
+    if n < 2:
+        return out
     codes, lengths = encode_sequences(seqs)
-    if BACKEND == "numba":
-        return _pairwise_numba(codes, lengths)
-    return _pairwise_numpy(codes, lengths)
+    i, j = np.triu_indices(n, k=1)
+    d = _lane_distances(codes, lengths, codes, lengths, i, j)
+    out[i, j] = d
+    out[j, i] = d
+    return out
 
 
 def cross_edit_matrix(seqs_a, seqs_b):
     """(len(a), len(b)) int64 matrix of edit distances between two lists."""
-    if len(seqs_a) == 0 or len(seqs_b) == 0:
-        return np.zeros((len(seqs_a), len(seqs_b)), dtype=np.int64)
+    na, nb = len(seqs_a), len(seqs_b)
+    if na == 0 or nb == 0:
+        return np.zeros((na, nb), dtype=np.int64)
     codes_a, lengths_a = encode_sequences(seqs_a)
     codes_b, lengths_b = encode_sequences(seqs_b)
-    if BACKEND == "numba":
-        return _cross_numba(codes_a, lengths_a, codes_b, lengths_b)
-    return _cross_numpy(codes_a, lengths_a, codes_b, lengths_b)
+    i, j = np.divmod(np.arange(na * nb), nb)
+    d = _lane_distances(codes_a, lengths_a, codes_b, lengths_b, i, j)
+    return d.reshape(na, nb)
 
 
 def assignment_min_cost(cost):
@@ -355,9 +251,6 @@ def assignment_min_cost(cost):
     if not np.issubdtype(cost.dtype, np.integer):
         raise ValueError("cost matrix must be integer-typed (exact arithmetic)")
     cost = cost.astype(np.int64)
-    if BACKEND == "numba":
-        col4row = _assignment_numba(cost)
-    else:
-        col4row = _assignment_numpy(cost)
+    col4row = _assignment_numpy(cost)
     total = int(cost[np.arange(cost.shape[0]), col4row].sum())
     return total, col4row

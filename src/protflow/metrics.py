@@ -7,8 +7,8 @@ MMD over pluggable per-sequence vectors. Property-level: physicochemical
 property vectors and their averaged 1-D Wasserstein distance. Scorer-level:
 pseudoperplexity under any masked scorer.
 
-All metrics are pure functions; pairwise matrices come from the kernels
-module (numba or numpy backend).
+All metrics are pure functions; edit-distance matrices come from the
+bit-parallel kernel in the kernels module.
 """
 
 import math

@@ -16,8 +16,10 @@ from protflow import checkpoint as ckpt
 from protflow import nn
 from protflow.errors import (
     BadMagic,
+    CheckpointError,
     CorruptOffset,
     IncompatibleCheckpoint,
+    MalformedHeader,
     NonFiniteTensor,
     NonFiniteValue,
     VersionUnsupported,
@@ -217,6 +219,77 @@ def test_overlapping_tensors(tmp_path):
     _write_raw(path, _header(entries), payload=b"\x00" * 12)
     with pytest.raises(CorruptOffset):
         ckpt.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"[]", b'"tensors"', b"7", b"null", b"{}", b'{"tensors": {}}', b'{"tensors": null}'],
+)
+def test_header_must_be_an_object_with_a_tensor_list(tmp_path, header):
+    path = str(tmp_path / "hdr.ckpt")
+    _write_raw(path, header)
+    with pytest.raises(MalformedHeader):
+        ckpt.load_checkpoint(path)
+
+
+_GOOD_ENTRY = {"name": "a", "shape": [2], "dtype": "<f4", "offset": 0}
+
+
+def _without(key):
+    return {k: v for k, v in _GOOD_ENTRY.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        ["a", [2], "<f4", 0],
+        "a",
+        _without("name"),
+        dict(_GOOD_ENTRY, name=3),
+        dict(_GOOD_ENTRY, name=None),
+        _without("shape"),
+        dict(_GOOD_ENTRY, shape=2),
+        dict(_GOOD_ENTRY, shape="2"),
+        dict(_GOOD_ENTRY, shape=[-2]),
+        dict(_GOOD_ENTRY, shape=[2.0]),
+        dict(_GOOD_ENTRY, shape=[True]),
+        dict(_GOOD_ENTRY, shape=[1] * 70),
+        dict(_GOOD_ENTRY, shape=[0, 2**70]),
+        _without("offset"),
+        dict(_GOOD_ENTRY, offset="0"),
+        dict(_GOOD_ENTRY, offset=0.0),
+        dict(_GOOD_ENTRY, offset=False),
+    ],
+)
+def test_malformed_tensor_entry(tmp_path, entry):
+    path = str(tmp_path / "entry.ckpt")
+    _write_raw(path, _header([entry]), payload=b"\x00" * 8)
+    with pytest.raises(MalformedHeader):
+        ckpt.load_checkpoint(path)
+
+
+def test_missing_dtype_is_a_checkpoint_error(tmp_path):
+    path = str(tmp_path / "dtype.ckpt")
+    _write_raw(path, _header([_without("dtype")]), payload=b"\x00" * 8)
+    with pytest.raises(CheckpointError):
+        ckpt.load_checkpoint(path)
+
+
+def test_duplicate_tensor_names(tmp_path):
+    path = str(tmp_path / "dup.ckpt")
+    entries = [_GOOD_ENTRY, dict(_GOOD_ENTRY, offset=8)]
+    _write_raw(path, _header(entries), payload=b"\x00" * 16)
+    with pytest.raises(MalformedHeader):
+        ckpt.load_checkpoint(path)
+
+
+def test_well_formed_hand_written_header_loads(tmp_path):
+    path = str(tmp_path / "ok.ckpt")
+    entries = [_GOOD_ENTRY, dict(_GOOD_ENTRY, name="b", shape=[], offset=8)]
+    _write_raw(path, _header(entries, note="kept"), payload=b"\x00" * 12)
+    tensors, meta = ckpt.load_checkpoint(path)
+    assert tensors["a"].shape == (2,) and tensors["b"].shape == ()
+    assert meta == {"note": "kept"}
 
 
 # --- object packing ---------------------------------------------------------

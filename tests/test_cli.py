@@ -387,6 +387,28 @@ def test_exit_4_non_finite_checkpoint_tensor(workdir):
     assert "non-finite" in proc.stderr
 
 
+def test_exit_4_malformed_checkpoint_header(tmp_path):
+    # A header that breaks the schema is a checkpoint error, not a traceback.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(protflow.__file__)))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    headers = {
+        "list": ([], "'tensors' list"),
+        "no_shape": ({"tensors": [{"name": "w", "dtype": "<f4", "offset": 0}]}, "'shape'"),
+    }
+    for label, (header, message) in headers.items():
+        header = json.dumps(header).encode("utf-8")
+        bad = tmp_path / f"{label}.ckpt"
+        bad.write_bytes(b"PFLW" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header)
+        proc = subprocess.run(
+            [sys.executable, "-m", "protflow", "inspect-checkpoint", "--checkpoint", str(bad)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 4, (label, proc.stderr)
+        assert "Traceback" not in proc.stderr, label
+        assert message in proc.stderr, (label, proc.stderr)
+
+
 def _error_classes(cls):
     for sub in cls.__subclasses__():
         yield sub

@@ -1,12 +1,8 @@
-"""Edit-distance and assignment kernels: oracles, backends, env dispatch."""
+"""Edit-distance and assignment kernels against independent oracles."""
 
 import itertools
-import os
-import subprocess
-import sys
 
 import numpy as np
-import pytest
 
 from protflow import kernels
 from protflow.kernels import (
@@ -32,6 +28,41 @@ def _lev_recursive(a, b):
         _lev_recursive(a, b[1:]) + 1,
         _lev_recursive(a[1:], b[1:]) + cost,
     )
+
+
+def _lev_row_dp(a, b):
+    """Row-by-row dynamic program over code points, vectorized along b."""
+    ca = np.array([ord(c) for c in a], dtype=np.int64)
+    cb = np.array([ord(c) for c in b], dtype=np.int64)
+    j = np.arange(len(b) + 1, dtype=np.int64)
+    prev = j.copy()
+    cand = np.empty(len(b) + 1, dtype=np.int64)
+    for i in range(len(a)):
+        cand[0] = i + 1
+        np.minimum(prev[1:] + 1, prev[:-1] + (cb != ca[i]), out=cand[1:])
+        # close the left-to-right deletion recurrence in one accumulate pass:
+        # cur[j] = min_{k<=j} cand[k] + (j - k)
+        prev = np.minimum.accumulate(cand - j) + j
+    return int(prev[len(b)])
+
+
+def _random_string(rng, alphabet, length):
+    return "".join(alphabet[k] for k in rng.integers(0, len(alphabet), size=length))
+
+
+def _mutate(rng, s, alphabet, n_edits):
+    """s after n_edits random substitutions, insertions and deletions."""
+    chars = list(s)
+    for _ in range(n_edits):
+        op = rng.integers(0, 3)
+        pos = int(rng.integers(0, len(chars) + 1))
+        if op == 0 and pos < len(chars):
+            chars[pos] = alphabet[rng.integers(0, len(alphabet))]
+        elif op == 1:
+            chars.insert(pos, alphabet[rng.integers(0, len(alphabet))])
+        elif chars:
+            del chars[min(pos, len(chars) - 1)]
+    return "".join(chars)
 
 
 def _all_strings(max_len):
@@ -140,54 +171,92 @@ def test_assignment_identity_and_antidiagonal():
     assert col4row.tolist() == [0, 1, 2]
 
 
-def _run_with_backend(backend, snippet):
-    env = dict(os.environ, PROTFLOW_BACKEND=backend)
-    return subprocess.run(
-        [sys.executable, "-c", snippet], env=env, capture_output=True, text=True
-    )
+# lengths on both sides of every 64-row word boundary up to four words
+BLOCK_EDGE_LENGTHS = [0, 1, 63, 64, 65, 127, 128, 129, 200]
+ALPHABETS = ["AC", "ACDEFGHIKLMNPQRSTVWY", "\u00e9\u03b1\u4e2d\U0001f600"]
 
 
-_BACKEND_SNIPPET = """
-import numpy as np
-from protflow.kernels import BACKEND, levenshtein, pairwise_edit_matrix, assignment_min_cost
-rng = np.random.default_rng(99)
-aa = "ACDEFGHIKLMNPQRSTVWY"
-seqs = ["".join(aa[i] for i in rng.integers(0, 20, size=rng.integers(1, 12))) for _ in range(10)]
-mat = pairwise_edit_matrix(seqs)
-cost = rng.integers(0, 30, size=(6, 6)).astype(np.int64)
-total, col4row = assignment_min_cost(cost)
-print(BACKEND)
-print(mat.tolist())
-print(total, col4row.tolist())
-"""
+def _block_edge_sets(alphabet, seed):
+    """One random string per edge length on each side, plus near-copies, so
+    that both far-apart and close pairs cross every word boundary."""
+    rng = np.random.default_rng(seed)
+    xs = [_random_string(rng, alphabet, n) for n in BLOCK_EDGE_LENGTHS]
+    ys = [_random_string(rng, alphabet, n) for n in BLOCK_EDGE_LENGTHS]
+    ys += [_mutate(rng, x, alphabet, 3) for x in xs[2:]]
+    return xs, ys
 
 
-def test_backends_bitwise_identical():
-    out_numpy = _run_with_backend("numpy", _BACKEND_SNIPPET)
-    assert out_numpy.returncode == 0, out_numpy.stderr
-    lines_numpy = out_numpy.stdout.strip().splitlines()
-    assert lines_numpy[0] == "numpy"
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba not importable")
-    out_numba = _run_with_backend("numba", _BACKEND_SNIPPET)
-    assert out_numba.returncode == 0, out_numba.stderr
-    lines_numba = out_numba.stdout.strip().splitlines()
-    assert lines_numba[0] == "numba"
-    assert lines_numpy[1:] == lines_numba[1:]
+def test_row_dp_reference_matches_recursion():
+    for a in _all_strings(3):
+        for b in ("", "A", "CDA", "ACDC"):
+            assert _lev_row_dp(a, b) == _lev_recursive(a, b), (a, b)
 
 
-def test_invalid_backend_rejected():
-    res = _run_with_backend("cuda", "import protflow.kernels")
-    assert res.returncode != 0
-    assert "PROTFLOW_BACKEND" in res.stderr
+def test_cross_matrix_matches_references_at_word_edges():
+    for seed, alphabet in enumerate(ALPHABETS):
+        xs, ys = _block_edge_sets(alphabet, seed)
+        mat = cross_edit_matrix(xs, ys)
+        assert mat.shape == (len(xs), len(ys))
+        for i, a in enumerate(xs):
+            for j, b in enumerate(ys):
+                d = _lev_row_dp(a, b)
+                assert mat[i, j] == d, (alphabet, len(a), len(b))
+                assert levenshtein(a, b) == d, (alphabet, len(a), len(b))
 
 
-def test_threads_env_is_clamped():
-    snippet = "import protflow.kernels as k; print(k.BACKEND)"
-    res = subprocess.run(
-        [sys.executable, "-c", snippet],
-        env=dict(os.environ, PROTFLOW_THREADS="1"),
-        capture_output=True,
-        text=True,
-    )
-    assert res.returncode == 0, res.stderr
+def test_pairwise_matrix_matches_references_at_word_edges():
+    for seed, alphabet in enumerate(ALPHABETS):
+        xs, ys = _block_edge_sets(alphabet, 10 + seed)
+        seqs = xs + ys
+        mat = pairwise_edit_matrix(seqs)
+        assert np.array_equal(mat, mat.T)
+        assert np.all(np.diag(mat) == 0)
+        for i, j in zip(*np.triu_indices(len(seqs), k=1)):
+            assert mat[i, j] == _lev_row_dp(seqs[i], seqs[j]), (alphabet, i, j)
+
+
+def test_levenshtein_matches_row_dp_on_random_pairs():
+    rng = np.random.default_rng(53)
+    for alphabet in ALPHABETS:
+        for _ in range(100):
+            a = _random_string(rng, alphabet, int(rng.integers(0, 140)))
+            b = _random_string(rng, alphabet, int(rng.integers(0, 140)))
+            assert levenshtein(a, b) == _lev_row_dp(a, b), (a, b)
+
+
+def test_matrices_span_several_lane_chunks():
+    rng = np.random.default_rng(59)
+    aa = "ACDEFGHIKLMNPQRSTVWY"
+    xs = [_random_string(rng, aa, int(rng.integers(0, 14))) for _ in range(70)]
+    ys = [_random_string(rng, aa, int(rng.integers(0, 14))) for _ in range(61)]
+    assert len(xs) * len(ys) > kernels._LANES
+    mat = cross_edit_matrix(xs, ys)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            assert mat[i, j] == levenshtein(a, b) == _lev_row_dp(a, b), (a, b)
+    seqs = xs + ys
+    assert len(seqs) * (len(seqs) - 1) // 2 > kernels._LANES
+    pw = pairwise_edit_matrix(seqs)
+    assert np.array_equal(pw, pw.T)
+    assert np.all(np.diag(pw) == 0)
+    for i, j in zip(*np.triu_indices(len(seqs), k=1)):
+        assert pw[i, j] == levenshtein(seqs[i], seqs[j]), (i, j)
+
+
+def test_text_symbols_outside_the_pattern_alphabet():
+    # symbols only the texts use, including code points below and above
+    # every pattern symbol, never match
+    xs = ["CCC", "DCD", ""]
+    ys = ["AAA", "ZCZ", "\U0001f600C", "CD"]
+    mat = cross_edit_matrix(xs, ys)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            assert mat[i, j] == _lev_row_dp(a, b), (a, b)
+
+
+def test_empty_inputs():
+    assert cross_edit_matrix([], ["A"]).shape == (0, 1)
+    assert cross_edit_matrix(["A"], []).shape == (1, 0)
+    assert pairwise_edit_matrix([]).shape == (0, 0)
+    assert pairwise_edit_matrix(["ACD"]).tolist() == [[0]]
+    assert cross_edit_matrix(["", ""], ["", "AC"]).tolist() == [[0, 2], [0, 2]]
