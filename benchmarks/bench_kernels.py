@@ -1,6 +1,15 @@
-"""Time the edit-distance and assignment kernels at the shapes eval uses.
+"""Time GELU at the training shape, and the edit-distance and assignment
+kernels at the shapes eval uses.
 
-Two shapes:
+GELU runs first, on (64, 20, 64) float64 activations (train.batch x L_max x
+model.width: one flow block's hidden layer in a training step). gelu and
+gelu_grad are timed, and their minor page faults per call counted with
+resource.getrusage, twice: with the C library's default allocator settings,
+then after protflow.cli.keep_freed_heap, which the CLI applies at start-up.
+The first figure is the fault churn that setting removes. It comes first in
+the process, because glibc moves its mmap threshold as blocks are freed.
+
+Two kernel shapes:
   * eval: 32 x 32 sequences with lengths 2-96, as in the perfbench eval
     workload (two words of 64 pattern rows);
   * roadmap: a 128-sequence batch against a 500-sequence reference set with
@@ -18,6 +27,7 @@ Usage:
 """
 
 import os
+import resource
 import sys
 import time
 
@@ -27,11 +37,13 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from protflow import kernels  # noqa: E402
+from protflow import cli, kernels, nn  # noqa: E402
 
 ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 REPEATS = 5
 CHECKED_ENTRIES = 200
+GELU_SHAPE = (64, 20, 64)
+GELU_CALLS = 50
 
 SHAPES = {
     # name: (batch size, reference size, min length, max length)
@@ -60,6 +72,39 @@ def timed(fn):
     return result, min(times), float(np.median(times))
 
 
+def gelu_calls(fn):
+    """(best seconds, median seconds, minor faults per call) over GELU_CALLS
+    calls after a warm-up."""
+    fn()
+    times = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(GELU_CALLS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return min(times), float(np.median(times)), faults / GELU_CALLS
+
+
+def bench_gelu():
+    x = np.random.default_rng(0).normal(size=GELU_SHAPE)
+    _, t = nn.gelu(x, return_tanh=True)
+    shape = "x".join(map(str, GELU_SHAPE))
+    print(f"{'allocator':<10} {'task':<22} {'best':>10} {'median':>10}  minor faults/call")
+    for label in ("default", "kept-heap"):
+        if label == "kept-heap" and cli.keep_freed_heap() is None:
+            print("kept-heap  skipped: the C library is not glibc")
+            break
+        for task, fn in (
+            (f"gelu {shape}", lambda: nn.gelu(x, return_tanh=True)),
+            (f"gelu_grad {shape}", lambda: nn.gelu_grad(x, t)),
+        ):
+            best, median, faults = gelu_calls(fn)
+            timing = f"{best * 1e3:>8.2f}ms {median * 1e3:>8.2f}ms"
+            print(f"{label:<10} {task:<22} {timing}  {faults:.0f}")
+    print()
+
+
 def mismatches(mat, xs, ys, seed):
     """Sampled entries of mat that disagree with levenshtein(xs[i], ys[j])."""
     gen = np.random.default_rng(seed)
@@ -69,6 +114,7 @@ def mismatches(mat, xs, ys, seed):
 
 
 def main():
+    bench_gelu()
     print(f"{'shape':<8} {'task':<22} {'best':>10} {'median':>10}  entries checked")
     bad = 0
     for seed, (shape, (n_batch, n_ref, lo, hi)) in enumerate(SHAPES.items()):

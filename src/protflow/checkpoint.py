@@ -7,8 +7,11 @@ the loader verifies magic, version, bounds, and overlap before touching any
 payload bytes, and rejects tensors holding NaN or infinity. The header is
 an object whose "tensors" list holds one object per tensor: a unique string
 "name", a "shape" list of non-negative integers, an integer "offset" and
-the "dtype" "<f4"; every other key is metadata. Writes are
-atomic (temp file + rename).
+the "dtype" "<f4"; every other key is metadata. A checkpoint of a
+pipeline kind (decoder, pipeline, flow, reflow) must carry the metadata its
+commands read: "dim" and "clamp_k"; "l_max" and "length_dist", or "chains"
+and "length_dists" for a multichain corpus; and "flow_cfg" for flow and
+reflow. Writes are atomic (temp file + rename).
 
 The pack_*/unpack_* helpers map the package's parameter objects to named
 tensors so a checkpoint is all a command needs to resume or sample.
@@ -127,11 +130,74 @@ def load_checkpoint(path):
         if start_b < end_a:
             raise CorruptOffset(f"{path}: tensors {name_a!r} and {name_b!r} overlap")
     meta = {k: v for k, v in header.items() if k != "tensors"}
+    _check_meta(path, meta)
     return tensors, meta
 
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_positive_int(x):
+    return _is_int(x) and x > 0
+
+
+def _is_positive_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
+
+
+def _is_length_dist(d):
+    return isinstance(d, dict) and all(isinstance(d.get(k), list) for k in ("lengths", "counts"))
+
+
+def _is_chain(c):
+    return (
+        isinstance(c, dict) and isinstance(c.get("name"), str) and _is_positive_int(c.get("l_max"))
+    )
+
+
+def _is_chain_list(chains):
+    return isinstance(chains, list) and len(chains) > 0 and all(map(_is_chain, chains))
+
+
+# metadata key -> (check, what the check wants)
+_META_CHECKS = {
+    "dim": (_is_positive_int, "a positive integer"),
+    "l_max": (_is_positive_int, "a positive integer"),
+    "clamp_k": (_is_positive_number, "a positive number"),
+    "length_dist": (_is_length_dist, "an object with 'lengths' and 'counts' lists"),
+    "chains": (_is_chain_list, "a non-empty list of {name, l_max} objects"),
+    "length_dists": (
+        lambda d: isinstance(d, dict) and all(_is_length_dist(v) for v in d.values()),
+        "an object of per-chain length distributions",
+    ),
+    "flow_cfg": (lambda d: isinstance(d, dict), "an object"),
+}
+_PIPELINE_KINDS = ("decoder", "pipeline", "flow", "reflow")
+
+
+def _check_meta(path, meta):
+    """Raise MalformedHeader unless a pipeline-kind checkpoint carries the
+    metadata its kind needs, each key of the expected type."""
+    kind = meta.get("kind")
+    if kind not in _PIPELINE_KINDS:
+        return
+    keys = ["dim", "clamp_k"]
+    keys += ["chains", "length_dists"] if "chains" in meta else ["l_max", "length_dist"]
+    if kind in ("flow", "reflow"):
+        keys.append("flow_cfg")
+    for key in keys:
+        if key not in meta:
+            raise MalformedHeader(f"{path}: {kind} checkpoint lacks metadata {key!r}")
+        check, wanted = _META_CHECKS[key]
+        if not check(meta[key]):
+            raise MalformedHeader(f"{path}: metadata {key!r} must be {wanted}")
+    if "chains" in meta:
+        missing = {c["name"] for c in meta["chains"]} - set(meta["length_dists"])
+        if missing:
+            raise MalformedHeader(
+                f"{path}: metadata 'length_dists' lacks chains {sorted(missing)}"
+            )
 
 
 def _check_entry(path, k, entry, seen):
@@ -257,7 +323,10 @@ def pack_flow(model, prefix="flow."):
 def unpack_flow(tensors, meta, prefix="flow."):
     if "flow_cfg" not in meta:
         raise IncompatibleCheckpoint("checkpoint carries no flow model")
-    cfg = VectorFieldConfig.from_dict(meta["flow_cfg"])
+    try:
+        cfg = VectorFieldConfig.from_dict(meta["flow_cfg"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise MalformedHeader(f"metadata 'flow_cfg' is not a vector-field config: {e!r}") from e
     params = {}
     for key, arr in tensors.items():
         if key.startswith(prefix):

@@ -174,7 +174,8 @@ class CorruptOffset(CheckpointError):
 
 
 class MalformedHeader(CheckpointError):
-    """The JSON header does not follow the checkpoint schema."""
+    """The JSON header does not follow the checkpoint schema, or lacks the
+    metadata its checkpoint kind needs."""
 
 
 class IncompatibleCheckpoint(CheckpointError):

@@ -78,11 +78,31 @@ def encode(ts, enc):
     return enc.embed[ts.tokens] + enc.pos[:n]
 
 
+def _token_rows(seqs, l_max):
+    """(n, l_max) token ids and masks of a corpus, each sequence padded to l_max."""
+    padded = [ts if len(ts) == l_max else pad_to(ts, l_max) for ts in seqs]
+    tokens = np.array([ts.tokens for ts in padded], dtype=np.int64).reshape(len(seqs), l_max)
+    mask = np.array([ts.mask for ts in padded], dtype=bool).reshape(len(seqs), l_max)
+    return tokens, mask
+
+
+def _gather_rows(enc, tokens, mask, idx):
+    """Latent rows and token targets of the true positions of corpus rows idx
+    (from _token_rows), sequence after sequence: the masked rows of encode
+    for each sequence, in one gather."""
+    rows, pos = np.nonzero(mask[idx])
+    y = tokens[idx[rows], pos]
+    h = enc.embed[y]
+    h += enc.pos[pos]
+    return h, y
+
+
 def encode_corpus(seqs, enc):
-    """Stack padded-corpus latents into (n, l_max, dim)."""
-    out = np.empty((len(seqs), enc.l_max, enc.dim), dtype=np.float64)
-    for i, ts in enumerate(seqs):
-        out[i] = encode(pad_to(ts, enc.l_max) if len(ts) != enc.l_max else ts, enc)
+    """Stack padded-corpus latents into (n, l_max, dim) with one gather; row i
+    is bitwise encode of seqs[i] padded to l_max."""
+    tokens, _ = _token_rows(seqs, enc.l_max)
+    out = enc.embed[tokens]
+    out += enc.pos
     return out
 
 
@@ -152,12 +172,20 @@ def fit_smoothing(rows, clamp_k=3.0):
 
 def smooth(h, stats):
     """Normalize latents into [-1, 1] per dimension; shape-preserving."""
+    # z = clip((h - mean) / std, -k, k); out = clip(2 * ((z - post_min) / span) - 1, -1, 1),
+    # computed in one buffer, as a whole corpus goes through here at once
     h = np.asarray(h, dtype=np.float64)
-    z = np.clip((h - stats.mean) / stats.std, -stats.clamp_k, stats.clamp_k)
     span = np.where(stats.constant, 1.0, stats.post_max - stats.post_min)
-    x01 = (z - stats.post_min) / span
-    out = np.clip(2.0 * x01 - 1.0, -1.0, 1.0)
-    return np.where(stats.constant, h, out)
+    out = h - stats.mean
+    out /= stats.std
+    np.clip(out, -stats.clamp_k, stats.clamp_k, out=out)
+    out -= stats.post_min
+    out /= span
+    out *= 2.0
+    out -= 1.0
+    np.clip(out, -1.0, 1.0, out=out)
+    np.copyto(out, h, where=stats.constant)
+    return out
 
 
 def unsmooth(h_s, stats):
@@ -450,18 +478,10 @@ def train_decoder(
     n = len(train_seqs)
     if n == 0:
         raise EmptyCorpus("empty decoder training corpus")
+    tokens, mask = _token_rows(train_seqs, enc.l_max)
     for step in range(steps):
         idx = stream.integers(0, n, size=min(batch, n))
-        hs = []
-        ys = []
-        for i in idx:
-            ts = train_seqs[int(i)]
-            h = encode(ts, enc)
-            m = ts.mask[: len(ts)]
-            hs.append(h[m])
-            ys.append(ts.tokens[: len(ts)][m])
-        h = np.concatenate(hs, axis=0)
-        y = np.concatenate(ys, axis=0)
+        h, y = _gather_rows(enc, tokens, mask, idx)
         loss, grads = decoder_loss_and_grad(dec, h, y)
         if not np.isfinite(loss):
             raise Diverged(f"decoder loss non-finite at step {step}")
@@ -505,6 +525,11 @@ class LatentPipeline:
         """Padded TokenizedSequence -> (l_max, width) compressed latent."""
         h = encode(pad_to(ts, self.l_max) if len(ts) != self.l_max else ts, self.encoder)
         return compress(smooth(h, self.smoothing), self.compressor)
+
+    def corpus_to_latent(self, seqs):
+        """Padded corpus -> (n, l_max, width) compressed latents in one batch;
+        row i is bitwise data_to_latent(seqs[i])."""
+        return compress(smooth(encode_corpus(seqs, self.encoder), self.smoothing), self.compressor)
 
     def latent_to_sequence(self, h_c, mask):
         """Compressed latent plus a length mask -> decoded TokenizedSequence."""

@@ -13,26 +13,58 @@ import numpy as np
 from .errors import Diverged
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+_GELU_3A = 3 * _GELU_A
+
+# The GELU functions run each formula in the order written in their comments,
+# but through one or two buffers updated in place: every fresh activation-sized
+# temporary is memory the allocator may hand back and fault in again. Products
+# and sums only swap operands, so results are bitwise those of the formulas.
 
 
 def _gelu_tanh(x):
-    # x*x*x rather than x**3: numpy's float pow costs ~60x a multiply per element
-    return np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    # tanh(C * (x + A * (x * x * x))); x*x*x rather than x**3: numpy's float
+    # pow costs ~60x a multiply per element
+    u = x * x
+    u *= x
+    u *= _GELU_A
+    u += x
+    u *= _GELU_C
+    return np.tanh(u, out=u)
 
 
 def gelu(x, return_tanh=False):
     """Tanh-approximated GELU. With return_tanh, also return the tanh value so
     the backward pass can hand it to gelu_grad instead of recomputing it."""
+    # 0.5 * x * (1 + t)
     t = _gelu_tanh(x)
-    z = 0.5 * x * (1.0 + t)
-    return (z, t) if return_tanh else z
+    z = x * 0.5
+    if return_tanh:
+        z *= t + 1.0
+        return z, t
+    t += 1.0
+    z *= t
+    return z
 
 
 def gelu_grad(x, t=None):
     """d gelu / dx. t is the forward pass's tanh value; recomputed when None."""
+    # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 3A * (x * x))
     if t is None:
         t = _gelu_tanh(x)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+    b = x * 0.5
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    b *= s
+    b *= _GELU_C
+    np.multiply(x, x, out=s)
+    s *= _GELU_3A
+    s += 1.0
+    b *= s
+    np.add(t, 1.0, out=s)
+    s *= 0.5
+    s += b
+    return s
 
 
 def layernorm_forward(x, gamma, beta, eps=1e-5):

@@ -56,13 +56,6 @@ class RngStream:
         return self._gen
 
 
-def gaussian(rng, rows, cols):
-    """Draw a (rows, cols) float64 standard-normal matrix from an RngStream."""
-    if rows <= 0 or cols <= 0:
-        raise ValueError(f"dimensions must be positive, got ({rows}, {cols})")
-    return rng.normal((rows, cols))
-
-
 def mean_cov(x):
     """Sample mean and unbiased covariance of rows.
 

@@ -22,6 +22,10 @@ VOCAB_SIZE = 21
 TOKEN_TO_ID = {aa: i for i, aa in enumerate(AMINO_ACIDS)}
 ID_TO_TOKEN = {i: aa for i, aa in enumerate(AMINO_ACIDS)}
 
+# Byte -> token id for the canonical residues, -1 for every other byte.
+_BYTE_TO_ID = np.full(256, -1, dtype=np.int64)
+_BYTE_TO_ID[np.frombuffer(AMINO_ACIDS.encode("ascii"), dtype=np.uint8)] = np.arange(PAD_ID)
+
 
 class TokenizedSequence:
     """Integer token row plus a validity mask.
@@ -107,6 +111,28 @@ def pad_to(ts, l_max):
     return TokenizedSequence(tokens, mask, ts.true_length)
 
 
+def tokenize_padded(seq, l_max):
+    """pad_to(tokenize(seq), l_max), built in one pass through a byte lookup table.
+
+    Raises what that expression raises, in the same order: UnknownResidue
+    (from tokenize, which any string outside the alphabet falls back to),
+    then SequenceTooLong.
+    """
+    ids = None
+    if seq.isascii():
+        ids = _BYTE_TO_ID[np.frombuffer(seq.encode("ascii"), dtype=np.uint8)]
+    if ids is None or np.any(ids < 0):
+        return pad_to(tokenize(seq), l_max)
+    n = len(seq)
+    if n > l_max:
+        raise SequenceTooLong(n, l_max)
+    tokens = np.full(l_max, PAD_ID, dtype=np.int64)
+    tokens[:n] = ids
+    mask = np.zeros(l_max, dtype=bool)
+    mask[:n] = True
+    return TokenizedSequence(tokens, mask, n)
+
+
 def parse_fasta(text):
     """Parse FASTA text into a list of (header, sequence) pairs.
 
@@ -153,13 +179,6 @@ def parse_fasta(text):
 def read_fasta(path):
     with open(path, "r", encoding="utf-8") as f:
         return parse_fasta(f.read())
-
-
-def write_fasta(path, records):
-    """Write (header, sequence) pairs to a FASTA file, one sequence line each."""
-    with open(path, "w", encoding="utf-8") as f:
-        for header, seq in records:
-            f.write(f">{header}\n{seq}\n")
 
 
 class LengthDistribution:

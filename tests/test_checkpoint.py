@@ -432,3 +432,54 @@ def test_combined_pipeline_and_flow_checkpoint(tmp_path):
     assert out_flow.cfg.to_dict() == cfg.to_dict()
     for key, val in model.params.items():
         assert np.array_equal(out_flow.params[key], val.astype(np.float32))
+
+
+def _pipeline_meta(kind, chains=False):
+    meta = {"kind": kind, "dim": 8, "clamp_k": 3.0}
+    if chains:
+        meta["chains"] = [{"name": "A", "l_max": 3}, {"name": "B", "l_max": 4}]
+        meta["length_dists"] = {n: {"lengths": [2], "counts": [1]} for n in ("A", "B")}
+    else:
+        meta.update({"l_max": 6, "length_dist": {"lengths": [2], "counts": [1]}})
+    if kind in ("flow", "reflow"):
+        meta["flow_cfg"] = {"depth": 1, "width": 4, "hidden": 8}
+    return meta
+
+
+@pytest.mark.parametrize("kind", ["decoder", "pipeline", "flow", "reflow"])
+@pytest.mark.parametrize("chains", [False, True])
+def test_pipeline_kinds_need_their_metadata(tmp_path, kind, chains):
+    path = str(tmp_path / "m.ckpt")
+    meta = _pipeline_meta(kind, chains)
+    ckpt.save_checkpoint(path, {"x": np.ones(2)}, meta)
+    assert ckpt.load_checkpoint(path)[1] == meta
+    for key in sorted(set(meta) - {"kind", "chains"}):
+        ckpt.save_checkpoint(path, {"x": np.ones(2)}, {k: v for k, v in meta.items() if k != key})
+        with pytest.raises(MalformedHeader, match=repr(key)):
+            ckpt.load_checkpoint(path)
+    bad_values = {"dim": "8", "clamp_k": True, "l_max": 0, "length_dist": {"lengths": [2]},
+                  "chains": [{"name": "A"}], "length_dists": {"A": {}}, "flow_cfg": [1]}
+    for key in sorted(set(meta) & set(bad_values)):
+        ckpt.save_checkpoint(path, {"x": np.ones(2)}, dict(meta, **{key: bad_values[key]}))
+        with pytest.raises(MalformedHeader, match=repr(key)):
+            ckpt.load_checkpoint(path)
+
+
+def test_metadata_checks_only_pipeline_kinds(tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    ckpt.save_checkpoint(path, {"x": np.ones(2)}, {"kind": "demo", "dim": "not checked"})
+    assert ckpt.load_checkpoint(path)[1]["dim"] == "not checked"
+    meta = _pipeline_meta("flow", chains=True)
+    del meta["length_dists"]["B"]
+    ckpt.save_checkpoint(path, {"x": np.ones(2)}, meta)
+    with pytest.raises(MalformedHeader, match="lacks chains"):
+        ckpt.load_checkpoint(path)
+
+
+def test_unpack_flow_rejects_a_bad_flow_cfg():
+    tensors, _ = ckpt.pack_flow(
+        init_flow_model(VectorFieldConfig(depth=1, width=2, hidden=4), RngStream(3))
+    )
+    for cfg in ({"width": 2, "hidden": 4}, {"depth": 1, "width": 2, "hidden": 4, "time_dim": 3}):
+        with pytest.raises(MalformedHeader, match="flow_cfg"):
+            ckpt.unpack_flow(tensors, {"flow_cfg": cfg})

@@ -7,6 +7,7 @@ evaluation, inspection, reruns, and every error exit path against it.
 
 import json
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 
 import protflow
 from protflow import cli, errors
-from protflow.checkpoint import file_sha256, load_checkpoint
+from protflow.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from protflow.seqio import read_fasta
 
 _CORPUS = [
@@ -407,6 +408,32 @@ def test_exit_4_malformed_checkpoint_header(tmp_path):
         assert proc.returncode == 4, (label, proc.stderr)
         assert "Traceback" not in proc.stderr, label
         assert message in proc.stderr, (label, proc.stderr)
+
+
+def test_exit_4_checkpoint_missing_metadata(workdir):
+    # A flow checkpoint re-saved without l_max is a checkpoint error, not a KeyError.
+    tensors, meta = load_checkpoint(workdir["flow"])
+    del meta["l_max"]
+    bad = workdir["root"] / "no_l_max.ckpt"
+    save_checkpoint(str(bad), tensors, meta)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(protflow.__file__)))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-m", "protflow", "sample", "--checkpoint", str(bad),
+         "--out", str(workdir["root"] / "no_l_max.fasta")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "'l_max'" in proc.stderr
+
+
+def test_keep_freed_heap(monkeypatch):
+    if platform.libc_ver()[0] == "glibc":
+        assert cli.keep_freed_heap() == (1, 1)  # mallopt accepted both thresholds
+    monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("musl", "1.2"))
+    assert cli.keep_freed_heap() is None
 
 
 def _error_classes(cls):

@@ -100,6 +100,19 @@ def test_smoothing_constant_dims_pass_through():
     assert np.array_equal(back[:, 1], rows[:, 1])
 
 
+def test_smooth_in_place_matches_formula_bitwise():
+    rng = np.random.default_rng(9)
+    rows = rng.normal(size=(300, 4)) * np.array([1.0, 5.0, 0.1, 1.0])
+    rows[:, 3] = 4.2  # constant: passes through
+    rows[:5, 0] = 50.0  # clamped
+    stats = latent.fit_smoothing(rows[:200])
+    h = rows.reshape(3, 100, 4)  # smooth sees (n, L, dim) corpus batches
+    z = np.clip((h - stats.mean) / stats.std, -stats.clamp_k, stats.clamp_k)
+    span = np.where(stats.constant, 1.0, stats.post_max - stats.post_min)
+    ref = np.where(stats.constant, h, np.clip(2.0 * ((z - stats.post_min) / span) - 1.0, -1.0, 1.0))
+    assert np.array_equal(latent.smooth(h, stats), ref)
+
+
 def test_fit_smoothing_needs_rows():
     with pytest.raises(EmptyCorpus):
         latent.fit_smoothing(np.zeros((1, 4)))
@@ -253,3 +266,62 @@ def test_pipeline_round_trip_identity_compressor():
         hits += int((out.tokens[padded.mask] == padded.tokens[padded.mask]).sum())
         total += int(padded.mask.sum())
     assert hits / total >= 0.99
+
+
+def _random_pipeline(l_max, seed, dim=32, ratio=4):
+    rng = RngStream(seed)
+    enc = latent.init_encoder(l_max, dim, rng.substream("enc"), embed_scale=10.0, embed_rank=4)
+    dec = latent.init_decoder(dim, 16, rng.substream("dec"))
+    corpus = [pad_to(tokenize(s), l_max) for s in _random_peptides(64, l_max, seed)]
+    sm = latent.fit_smoothing(latent.encode_corpus(corpus, enc).reshape(-1, dim))
+    comp = latent.init_compressor(dim, ratio, rng.substream("comp"))
+    return latent.LatentPipeline(enc, dec, sm, comp)
+
+
+def _random_peptides(n, l_max, seed):
+    gen = np.random.default_rng(seed)
+    alphabet = list("ACDEFGHIKLMNPQRSTVWY")
+    return ["".join(gen.choice(alphabet, size=int(gen.integers(1, l_max + 1)))) for _ in range(n)]
+
+
+def test_corpus_to_latent_is_bitwise_per_sequence():
+    # the training-corpus shapes: 500 sequences, L_max 20, D 32, ratio 4
+    pipe = _random_pipeline(20, 1)
+    seqs = [pad_to(tokenize(s), 20) for s in _random_peptides(500, 20, 2)]
+    seqs[3] = tokenize("ACD")  # unpadded sequences are padded on the way in
+    batched = pipe.corpus_to_latent(seqs)
+    assert batched.shape == (500, 20, 8)
+    assert np.array_equal(batched, np.stack([pipe.data_to_latent(ts) for ts in seqs]))
+
+
+def test_multichain_corpus_latents_are_bitwise_per_complex():
+    # one batch per chain, joined on the position axis, as train-flow builds them
+    chains = [("A", 12, _random_pipeline(12, 3)), ("B", 9, _random_pipeline(9, 4))]
+    seqs = {
+        name: [pad_to(tokenize(s), l_max) for s in _random_peptides(300, l_max, 5 + l_max)]
+        for name, l_max, _ in chains
+    }
+    batched = np.concatenate([p.corpus_to_latent(seqs[name]) for name, _, p in chains], axis=1)
+    looped = np.stack(
+        [
+            np.concatenate([p.data_to_latent(seqs[name][i]) for name, _, p in chains], axis=0)
+            for i in range(300)
+        ]
+    )
+    assert np.array_equal(batched, looped)
+
+
+def test_decoder_batch_gather_matches_encode_loop():
+    enc = latent.init_encoder(20, 32, RngStream(6), embed_scale=10.0, embed_rank=4)
+    seqs = [pad_to(tokenize(s), 20) for s in _random_peptides(200, 20, 7)]
+    tokens, mask = latent._token_rows(seqs, 20)
+    idx = np.random.default_rng(8).integers(0, len(seqs), size=64)
+    h, y = latent._gather_rows(enc, tokens, mask, idx)
+    hs, ys = [], []
+    for i in idx:
+        ts = seqs[int(i)]
+        m = ts.mask[: len(ts)]
+        hs.append(latent.encode(ts, enc)[m])
+        ys.append(ts.tokens[: len(ts)][m])
+    assert np.array_equal(h, np.concatenate(hs, axis=0))
+    assert np.array_equal(y, np.concatenate(ys, axis=0))

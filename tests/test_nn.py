@@ -53,6 +53,30 @@ def test_gelu_grad_with_cached_tanh():
     assert np.max(np.abs(num - cached)) < 1e-8
 
 
+def test_gelu_in_place_matches_formulas_bitwise():
+    # gelu and gelu_grad run through in-place buffers; the results must be
+    # bitwise those of the plain formulas, subnormal inputs included.
+    rng = np.random.default_rng(9)
+    x = np.concatenate(
+        [np.linspace(-50.0, 50.0, 200_001), rng.normal(size=(3, 5000)).ravel() * 4.0,
+         [0.0, -0.0, 1e-310, -1e-310, 5e-324]]
+    )
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    z = 0.5 * x * (1.0 + t)
+    grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * (x * x))
+    assert np.array_equal(nn.gelu(x), z)
+    z2, t2 = nn.gelu(x, return_tanh=True)
+    assert np.array_equal(z2, z) and np.array_equal(t2, t)
+    assert np.array_equal(nn.gelu_grad(x), grad)
+    t_in = t.copy()
+    assert np.array_equal(nn.gelu_grad(x, t_in), grad)
+    assert np.array_equal(t_in, t)  # the cached tanh is read, never written
+    x3 = x[: 4 * 20 * 64].reshape(4, 20, 64)  # activations come in as (n, L, hidden)
+    _, t3 = nn.gelu(x3, return_tanh=True)
+    assert np.array_equal(nn.gelu_grad(x3, t3), grad[: x3.size].reshape(x3.shape))
+
+
 def test_layernorm_forward_stats():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 16)) * 3.0 + 1.5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from protflow.errors import NotPSD, NotSymmetric, TooFewSamples
-from protflow.numeric import RngStream, gaussian, grad_check, mean_cov, psd_sqrt
+from protflow.numeric import RngStream, grad_check, mean_cov, psd_sqrt
 
 
 def test_rng_stream_reproducible():
@@ -40,13 +40,6 @@ def test_rng_stream_nested_paths():
     assert np.array_equal(a, b)
     # nested substream is the same as the joined path string
     assert np.array_equal(a, c)
-
-
-def test_gaussian_moments():
-    z = gaussian(RngStream(0).substream("g"), 4000, 3)
-    assert z.shape == (4000, 3)
-    assert np.all(np.abs(z.mean(axis=0)) < 0.08)
-    assert np.all(np.abs(z.std(axis=0) - 1.0) < 0.08)
 
 
 def test_mean_cov_matches_manual():

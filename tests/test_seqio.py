@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protflow.errors import (
     EmptyCorpus,
@@ -20,9 +22,8 @@ from protflow.seqio import (
     fit_length_distribution,
     pad_to,
     parse_fasta,
-    read_fasta,
     tokenize,
-    write_fasta,
+    tokenize_padded,
 )
 
 
@@ -94,17 +95,6 @@ def test_parse_fasta_errors():
         parse_fasta(">a\nACZ\n")
 
 
-def test_fasta_file_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    records = []
-    for i in range(30):
-        n = int(rng.integers(1, 40))
-        records.append((f"s{i}", "".join(AMINO_ACIDS[j] for j in rng.integers(0, 20, n))))
-    path = tmp_path / "x.fasta"
-    write_fasta(path, records)
-    assert read_fasta(path) == records
-
-
 def test_length_distribution_inverse_cdf():
     ld = LengthDistribution([3, 5, 9], [1, 1, 2])
     assert ld.total == 4
@@ -165,3 +155,45 @@ def test_fit_length_distribution_sampling_is_empirical():
     expected = ld.counts.max() / ld.total
     observed = draws.count(top) / len(draws)
     assert abs(observed - expected) < 0.05
+
+
+def _outcome(fn, *args):
+    """("ok", tokens, mask, true_length, dtype) or ("raised", exception type, args)."""
+    try:
+        ts = fn(*args)
+    except Exception as e:  # compare whatever either side raises
+        return ("raised", type(e), e.args)
+    return ("ok", ts.tokens.tolist(), ts.mask.tolist(), ts.true_length, ts.tokens.dtype)
+
+
+# canonical residues; lowercase and other ASCII; code points up to U+02FF
+# (Latin-1 and beyond); astral-plane characters
+_ANY_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(AMINO_ACIDS),
+        st.sampled_from(AMINO_ACIDS.lower() + "BJOUXZ*-. \n\x00\x7f"),
+        st.characters(max_codepoint=0x2FF),
+        st.characters(min_codepoint=0x10000, max_codepoint=0x1F9FF),
+    ),
+    max_size=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(_ANY_TEXT, st.text(alphabet=AMINO_ACIDS, max_size=24)),
+    st.integers(min_value=-2, max_value=3),
+)
+def test_tokenize_padded_matches_tokenize_then_pad(seq, slack):
+    l_max = len(seq) + slack  # too short, exact, or padded
+    assert _outcome(tokenize_padded, seq, l_max) == _outcome(
+        lambda s, n: pad_to(tokenize(s), n), seq, l_max
+    )
+
+
+def test_tokenize_padded_reports_the_residue_before_the_length():
+    with pytest.raises(UnknownResidue) as info:
+        tokenize_padded("ACDEFx", 3)
+    assert (info.value.char, info.value.position) == ("x", 5)
+    with pytest.raises(SequenceTooLong):
+        tokenize_padded("ACDEF", 4)
