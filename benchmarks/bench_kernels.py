@@ -1,5 +1,5 @@
-"""Time GELU at the training shape, and the edit-distance and assignment
-kernels at the shapes eval uses.
+"""Time GELU at the training shape, the edit-distance and assignment kernels
+at the shapes eval uses, and the start-up of each CLI command.
 
 GELU runs first, on (64, 20, 64) float64 activations (train.batch x L_max x
 model.width: one flow block's hidden layer in a training step). gelu and
@@ -22,12 +22,19 @@ and median of five runs after one warm-up. It checks a seeded sample of
 matrix entries against the single-pair levenshtein and exits 1 on any
 mismatch, else 0.
 
+Start-up comes last: the child CPU seconds (user + system, from os.wait4) of
+`python -m protflow <command> --help` for each command, best and median of
+five runs, beside the bare interpreter and `import numpy` for scale. --help
+parses the command line and exits before a command imports anything, so
+each figure is the cost every run of that command pays before its work.
+
 Usage:
     python benchmarks/bench_kernels.py
 """
 
 import os
 import resource
+import subprocess
 import sys
 import time
 
@@ -44,6 +51,16 @@ REPEATS = 5
 CHECKED_ENTRIES = 200
 GELU_SHAPE = (64, 20, 64)
 GELU_CALLS = 50
+
+COMMANDS = (
+    "train-decoder",
+    "train-compressor",
+    "train-flow",
+    "reflow",
+    "sample",
+    "eval",
+    "inspect-checkpoint",
+)
 
 SHAPES = {
     # name: (batch size, reference size, min length, max length)
@@ -113,6 +130,28 @@ def mismatches(mat, xs, ys, seed):
     return sum(int(mat[i, j]) != kernels.levenshtein(xs[i], ys[j]) for i, j in zip(rows, cols))
 
 
+def child_cpu(argv, env):
+    """CPU seconds (user + system) of one child process, which must exit 0."""
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise RuntimeError(f"{argv} failed")
+    return usage.ru_utime + usage.ru_stime
+
+
+def bench_startup():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    rows = [("python -c pass", [sys.executable, "-c", "pass"]),
+            ("python -c 'import numpy'", [sys.executable, "-c", "import numpy"])]
+    rows += [(f"{cmd} --help", [sys.executable, "-m", "protflow", cmd, "--help"])
+             for cmd in COMMANDS]
+    print(f"{'start-up':<30} {'best':>10} {'median':>10}  (child CPU)")
+    for label, argv in rows:
+        child_cpu(argv, env)
+        times = [child_cpu(argv, env) for _ in range(REPEATS)]
+        print(f"{label:<30} {min(times) * 1e3:>8.1f}ms {float(np.median(times)) * 1e3:>8.1f}ms")
+
+
 def main():
     bench_gelu()
     print(f"{'shape':<8} {'task':<22} {'best':>10} {'median':>10}  entries checked")
@@ -134,6 +173,8 @@ def main():
         ]
         for task, (best, median), checked in rows:
             print(f"{shape:<8} {task:<22} {best * 1e3:>8.2f}ms {median * 1e3:>8.2f}ms  {checked}")
+    print()
+    bench_startup()
     return 1 if bad else 0
 
 

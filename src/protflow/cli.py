@@ -14,38 +14,18 @@ solver divergence, 4 checkpoint error; every ProtflowError carries its code
 as `exit_code`. Every command is a pure function of (config, input files,
 seed): reruns reproduce outputs bitwise on one platform. Output files are
 written atomically (temp + rename).
+
+Start-up cost is part of every command, so this module imports only the
+standard library and the errors module; each command imports numpy and the
+protflow modules it runs. `--help` and argument errors load no numpy, and
+`eval` loads neither the flow, ODE, checkpoint nor multichain modules.
 """
 
 import argparse
-import csv
-import ctypes
-import hashlib
-import io
 import json
 import os
-import platform
 import sys
-import tempfile
-import warnings
 
-import numpy as np
-
-from .checkpoint import (
-    VERSION,
-    file_sha256,
-    load_checkpoint,
-    pack_compressor,
-    pack_decoder,
-    pack_encoder,
-    pack_flow,
-    pack_smoothing,
-    save_checkpoint,
-    unpack_encoder,
-    unpack_flow,
-    unpack_pipeline,
-    unpack_smoothing,
-)
-from .config import load_config, parse_chains_value
 from .errors import (
     ConfigError,
     DataError,
@@ -54,44 +34,6 @@ from .errors import (
     MalformedFasta,
     ProtflowError,
 )
-from .flow import (
-    FlowTrainConfig,
-    VectorFieldConfig,
-    init_flow_model,
-    reflow_pairs,
-    straightness,
-    train_reflow,
-    train_rf,
-)
-from .latent import (
-    embed_sequences,
-    encode_corpus,
-    fit_smoothing,
-    init_compressor,
-    init_decoder,
-    init_encoder,
-    smooth,
-    train_compressor,
-    train_decoder,
-)
-from .metrics import (
-    UnigramScorer,
-    frechet_distance,
-    int_div,
-    kmer_jaccard,
-    mean_edit_to_reference,
-    mmd_rbf,
-    ot_levenshtein,
-    pseudoperplexity,
-    shannon_entropy,
-    threshold_proportions,
-    uniqueness,
-    w_property,
-)
-from .multichain import ChainLayout, ChainSpec, sample_multichain
-from .numeric import RngStream
-from .ode import SolverConfig, sample_batch
-from .seqio import LengthDistribution, fit_length_distribution, read_fasta, tokenize_padded
 
 _CHAIN_TAG = "|chain="
 _EMBED_DIM = 32
@@ -118,6 +60,9 @@ def keep_freed_heap():
     Returns the two mallopt results (1 each on success), or None when the C
     library is not glibc, where this does nothing.
     """
+    import ctypes
+    import platform
+
     if platform.libc_ver()[0] != "glibc":
         return None
     mallopt = ctypes.CDLL(None).mallopt
@@ -133,6 +78,8 @@ def keep_freed_heap():
 
 
 def _atomic_write_text(path, text):
+    import tempfile
+
     dirpath = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=dirpath, suffix=".tmp")
     try:
@@ -165,6 +112,8 @@ def _loss_csv_text(history):
 
 
 def _load_single_corpus(path, l_max):
+    from .seqio import read_fasta, tokenize_padded
+
     records = read_fasta(path)
     if not records:
         raise EmptyCorpus(f"no sequences in {path}")
@@ -186,6 +135,8 @@ def _split_chain_header(header):
 def _load_multichain_corpus(path, chains):
     """Group '<complex>|chain=<name>' records into per-chain, complex-aligned
     token lists. Every complex must provide every configured chain."""
+    from .seqio import read_fasta, tokenize_padded
+
     l_max_by_name = dict(chains)
     records = read_fasta(path)
     by_chain = {name: {} for name in l_max_by_name}
@@ -250,6 +201,10 @@ def _carry_meta(meta, cfg, kind, step):
 
 
 def _train_decoder_stage(cfg, seqs, l_max, root, prefix, tag):
+    from .checkpoint import pack_decoder, pack_encoder, pack_smoothing
+    from .latent import encode_corpus, fit_smoothing, init_decoder, init_encoder, train_decoder
+    from .seqio import fit_length_distribution
+
     dim = cfg["model.D"]
     enc = init_encoder(
         l_max,
@@ -284,6 +239,10 @@ def _train_decoder_stage(cfg, seqs, l_max, root, prefix, tag):
 
 
 def cmd_train_decoder(args):
+    from .checkpoint import save_checkpoint
+    from .config import load_config, parse_chains_value
+    from .numeric import RngStream
+
     cfg = load_config(args.config, args.set)
     path = cfg.require("data.train_path")
     root = RngStream(cfg["train.seed"])
@@ -326,12 +285,20 @@ def cmd_train_decoder(args):
 
 
 def _smoothed_rows(tensors, meta, seqs, l_max, dim, prefix):
+    from .checkpoint import unpack_encoder, unpack_smoothing
+    from .latent import encode_corpus, smooth
+
     enc = unpack_encoder(tensors, l_max, dim, prefix)
     sm = unpack_smoothing(tensors, meta["clamp_k"], prefix)
     return smooth(encode_corpus(seqs, enc).reshape(-1, dim), sm)
 
 
 def cmd_train_compressor(args):
+    from .checkpoint import load_checkpoint, pack_compressor, save_checkpoint
+    from .config import load_config
+    from .latent import init_compressor, train_compressor
+    from .numeric import RngStream
+
     cfg = load_config(args.config, args.set)
     tensors, meta = load_checkpoint(args.init)
     _expect_kind(meta, ("decoder", "pipeline", "flow", "reflow"), args.init)
@@ -404,6 +371,8 @@ def cmd_train_compressor(args):
 
 
 def _chain_pipelines(tensors, meta, chains):
+    from .checkpoint import unpack_pipeline
+
     return {
         name: unpack_pipeline(
             tensors,
@@ -415,6 +384,13 @@ def _chain_pipelines(tensors, meta, chains):
 
 
 def cmd_train_flow(args):
+    import numpy as np
+
+    from .checkpoint import load_checkpoint, pack_flow, save_checkpoint, unpack_pipeline
+    from .config import load_config
+    from .flow import FlowTrainConfig, VectorFieldConfig, init_flow_model, train_rf
+    from .numeric import RngStream
+
     cfg = load_config(args.config, args.set)
     tensors, meta = load_checkpoint(args.init)
     _expect_kind(meta, ("pipeline", "flow", "reflow"), args.init)
@@ -472,6 +448,8 @@ def cmd_train_flow(args):
 
 
 def _solver_from_values(values):
+    from .ode import SolverConfig
+
     return SolverConfig(
         method=values["solver.method"],
         steps=values["solver.steps"],
@@ -481,6 +459,11 @@ def _solver_from_values(values):
 
 
 def cmd_reflow(args):
+    from .checkpoint import file_sha256, load_checkpoint, pack_flow, save_checkpoint, unpack_flow
+    from .config import load_config
+    from .flow import FlowTrainConfig, reflow_pairs, straightness, train_reflow
+    from .numeric import RngStream
+
     cfg = load_config(args.config, args.set)
     tensors, meta = load_checkpoint(args.init)
     _expect_kind(meta, ("flow", "reflow"), args.init)
@@ -546,6 +529,12 @@ def _solver_with_overrides(meta, args):
 
 
 def cmd_sample(args):
+    from .checkpoint import load_checkpoint, unpack_flow, unpack_pipeline
+    from .multichain import ChainLayout, ChainSpec, sample_multichain
+    from .numeric import RngStream
+    from .ode import sample_batch
+    from .seqio import LengthDistribution
+
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     tensors, meta = load_checkpoint(args.checkpoint)
@@ -597,6 +586,10 @@ def cmd_sample(args):
 
 def _read_scores(path):
     """Two-column CSV (sequence_id, score); a header row is allowed."""
+    import csv
+
+    import numpy as np
+
     if not os.path.exists(path):
         raise DataError(f"external scores file does not exist: {path}")
     scores = []
@@ -621,17 +614,110 @@ def _report_schema_path():
     return os.path.join(os.path.dirname(__file__), "data", "report_schema.json")
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The JSON types as Python values. As in JSON Schema draft 7, a float with an
+# integral value is an integer, and a bool is neither an integer nor a number.
+_SCHEMA_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+    "number": _is_number,
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+}
+_SCHEMA_KEYWORDS = frozenset(
+    "$schema title type const required additionalProperties properties items minimum minLength"
+    " pattern".split()
+)
+
+
+def check_schema(value, schema, path="$"):
+    """Raise ValueError at the first place value breaks the JSON Schema schema.
+
+    Implements the draft-7 keywords the eval report schema uses, with
+    jsonschema's meaning: type, const (a scalar; True is not 1), required,
+    additionalProperties, properties, items (one schema for every element),
+    minimum, minLength and pattern (re.search); $schema and title are
+    annotations. Any other keyword raises NotImplementedError, so a rule added
+    to the schema can never be skipped in silence.
+    """
+    import re
+
+    unknown = sorted(set(schema) - _SCHEMA_KEYWORDS)
+    if unknown:
+        raise NotImplementedError(f"schema keywords not supported: {', '.join(unknown)}")
+    if "type" in schema:
+        types = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+        if not any(_SCHEMA_TYPES[t](value) for t in types):
+            raise ValueError(f"{path}: {value!r} is not of type {' or '.join(types)}")
+    if "const" in schema:
+        const = schema["const"]
+        if isinstance(value, bool) or isinstance(const, bool):
+            same = value is const
+        else:
+            same = value == const
+        if not same:
+            raise ValueError(f"{path}: {value!r} is not {const!r}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ValueError(f"{path}: required key {key!r} is missing")
+        properties = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            if key in properties:
+                check_schema(item, properties[key], f"{path}.{key}")
+            elif extra is False:
+                raise ValueError(f"{path}: key {key!r} is not allowed")
+            elif isinstance(extra, dict):
+                check_schema(item, extra, f"{path}.{key}")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            check_schema(item, schema["items"], f"{path}[{i}]")
+    if _is_number(value) and "minimum" in schema and value < schema["minimum"]:
+        raise ValueError(f"{path}: {value!r} is less than {schema['minimum']!r}")
+    if isinstance(value, str):
+        if len(value) < schema.get("minLength", 0):
+            raise ValueError(f"{path}: {value!r} is shorter than {schema['minLength']}")
+        if "pattern" in schema and not re.search(schema["pattern"], value):
+            raise ValueError(f"{path}: {value!r} does not match {schema['pattern']!r}")
+
+
 def _validate_report(report):
     with open(_report_schema_path(), "r", encoding="utf-8") as f:
-        schema = json.load(f)
-    try:
-        import jsonschema
-    except ImportError:
-        return
-    jsonschema.validate(report, schema)
+        check_schema(report, json.load(f))
 
 
 def cmd_eval(args):
+    import csv
+    import hashlib
+    import io
+    import warnings
+
+    import numpy as np
+
+    from .kernels import cross_edit_matrix
+    from .latent import embed_sequences
+    from .metrics import (
+        UnigramScorer,
+        frechet_distance,
+        int_div,
+        kmer_jaccard,
+        mean_edit_to_reference,
+        mmd_rbf,
+        ot_levenshtein,
+        pseudoperplexity,
+        shannon_entropy,
+        threshold_proportions,
+        uniqueness,
+        w_property,
+    )
+    from .seqio import read_fasta
+
     gen = [s for _, s in read_fasta(args.gen)]
     ref = [s for _, s in read_fasta(args.ref)]
     if not gen:
@@ -654,9 +740,11 @@ def cmd_eval(args):
     add("mean_entropy_ref", lambda: np.mean([shannon_entropy(s) for s in ref]))
     add(f"kmer_jaccard_k{args.k}", lambda: kmer_jaccard(gen, ref, k=args.k))
     add("int_div_gen", lambda: int_div(gen))
-    add("e_dist", lambda: mean_edit_to_reference(gen, ref))
+    # e_dist and ot_levenshtein share one gen x ref edit-distance matrix
+    dist = cross_edit_matrix(gen, ref)
+    add("e_dist", lambda: mean_edit_to_reference(gen, ref, dist=dist))
     add("uniqueness_gen", lambda: uniqueness(gen))
-    add("ot_levenshtein", lambda: ot_levenshtein(gen, ref))
+    add("ot_levenshtein", lambda: ot_levenshtein(gen, ref, dist=dist))
     z_gen = embed_sequences(gen, dim=_EMBED_DIM, seed=args.seed)
     z_ref = embed_sequences(ref, dim=_EMBED_DIM, seed=args.seed)
     add("frechet_distance", lambda: frechet_distance(z_gen, z_ref))
@@ -711,6 +799,8 @@ def cmd_eval(args):
 
 
 def cmd_inspect_checkpoint(args):
+    from .checkpoint import VERSION, file_sha256, load_checkpoint
+
     tensors, meta = load_checkpoint(args.checkpoint)
     summary = {
         "path": args.checkpoint,

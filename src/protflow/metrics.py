@@ -121,12 +121,15 @@ def int_div(batch):
     return float(mat[np.triu_indices(n, k=1)].sum() / (n * (n - 1) / 2))
 
 
-def mean_edit_to_reference(batch, reference):
+def mean_edit_to_reference(batch, reference, dist=None):
     """Mean over the batch of each sequence's mean edit distance to the
-    reference set (mean over references first, then over the batch)."""
+    reference set (mean over references first, then over the batch).
+
+    dist, if given, is kernels.cross_edit_matrix(batch, reference), computed
+    once by a caller that needs it for other metrics too."""
     if not batch or not reference:
         raise EmptyInput("both batch and reference must be nonempty")
-    mat = kernels.cross_edit_matrix(batch, reference)
+    mat = kernels.cross_edit_matrix(batch, reference) if dist is None else dist
     return float(mat.mean(axis=1).mean())
 
 
@@ -137,11 +140,12 @@ def uniqueness(batch):
     return len(set(batch)) / len(batch)
 
 
-def ot_levenshtein(batch_a, batch_b, cap=512):
+def ot_levenshtein(batch_a, batch_b, cap=512, dist=None):
     """Optimal-assignment mean edit distance between two equal-size batches.
 
     The n x n edit-distance matrix is solved exactly (integer costs), and
     the optimal total is divided by n so values compare across batch sizes.
+    dist, if given, is kernels.cross_edit_matrix(batch_a, batch_b).
     """
     n = len(batch_a)
     if n != len(batch_b):
@@ -150,7 +154,7 @@ def ot_levenshtein(batch_a, batch_b, cap=512):
         raise EmptyInput("empty batches")
     if n > cap:
         raise BatchTooLarge(f"n={n} exceeds cap {cap}")
-    cost = kernels.cross_edit_matrix(batch_a, batch_b)
+    cost = kernels.cross_edit_matrix(batch_a, batch_b) if dist is None else dist
     total, _ = kernels.assignment_min_cost(cost)
     return total / n
 
@@ -278,8 +282,9 @@ def _check_residues(seq):
             raise UnknownResidue(ch, i)
 
 
-def net_charge(seq, ph):
-    """Henderson-Hasselbalch net charge at a given pH, termini included."""
+def _ionizable_pkas(seq):
+    """pKa lists of the positive and negative groups, termini first, then in
+    sequence order."""
     pos = [PKA_POSITIVE["nterm"]]
     neg = [PKA_NEGATIVE["cterm"]]
     for ch in seq:
@@ -287,17 +292,27 @@ def net_charge(seq, ph):
             pos.append(PKA_POSITIVE[ch])
         elif ch in PKA_NEGATIVE:
             neg.append(PKA_NEGATIVE[ch])
+    return pos, neg
+
+
+def _charge(pos, neg, ph):
     charge = sum(1.0 / (1.0 + 10.0 ** (ph - pka)) for pka in pos)
     charge -= sum(1.0 / (1.0 + 10.0 ** (pka - ph)) for pka in neg)
     return charge
 
 
+def net_charge(seq, ph):
+    """Henderson-Hasselbalch net charge at a given pH, termini included."""
+    return _charge(*_ionizable_pkas(seq), ph)
+
+
 def isoelectric_point(seq, tol=1e-4):
     """pH where the net charge crosses zero, by bisection on [0, 14]."""
+    pos, neg = _ionizable_pkas(seq)
     lo, hi = 0.0, 14.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if net_charge(seq, mid) > 0:
+        if _charge(pos, neg, mid) > 0:
             lo = mid
         else:
             hi = mid

@@ -436,6 +436,211 @@ def test_keep_freed_heap(monkeypatch):
     assert cli.keep_freed_heap() is None
 
 
+# --- import footprint -------------------------------------------------------------
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Imports the CLI, runs the command given as arguments (none: import only) and
+# prints its exit code and every loaded module name as the last line.
+_MODULES_AFTER = """\
+import json, sys
+from protflow import cli
+code = None
+if sys.argv[1:]:
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as e:
+        code = e.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def _modules_after(argv, cwd):
+    """(exit code, names in sys.modules) after one CLI command in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(protflow.__file__)))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+def test_cli_start_loads_no_numpy(tmp_path):
+    # importing the CLI, --help and an argument error stop before any command runs
+    for argv, expected in (([], None), (["eval", "--help"], 0), (["eval"], 2)):
+        code, modules = _modules_after(argv, tmp_path)
+        assert code == expected, argv
+        assert "numpy" not in modules, argv
+        assert {m for m in modules if m.startswith("protflow.")} <= {
+            "protflow.cli", "protflow.errors"
+        }, argv
+
+
+def test_eval_loads_only_what_it_runs(tmp_path):
+    _write_fasta(tmp_path / "a.fasta", [("a0", "ACDE"), ("a1", "KLMNPQ"), ("a2", "RSTV")])
+    _write_fasta(tmp_path / "b.fasta", [("b0", "ACD"), ("b1", "WY"), ("b2", "KLMN")])
+    code, modules = _modules_after(
+        ["eval", "--gen", "a.fasta", "--ref", "b.fasta", "--out", "report"], tmp_path
+    )
+    assert code == 0
+    assert {"numpy", "protflow.metrics", "protflow.kernels"} <= modules
+    unused = {"jsonschema", "protflow.flow", "protflow.ode", "protflow.checkpoint",
+              "protflow.multichain"}
+    assert not unused & modules
+    assert (tmp_path / "report.json").exists()
+
+
+def test_sample_and_train_flow_load_no_metrics(workdir):
+    root = workdir["root"]
+    commands = (
+        ["sample", "--checkpoint", workdir["flow"], "--out", str(root / "fp.fasta"), "--n", "2"],
+        ["train-flow", "--config", workdir["cfg"], "--init", workdir["pipe"],
+         "--out", str(root / "fp.ckpt"), "--set", "train.steps=2"],
+    )
+    for argv in commands:
+        code, modules = _modules_after(argv, root)
+        assert code == 0, argv
+        assert "protflow.flow" in modules, argv
+        assert not {"jsonschema", "protflow.metrics", "protflow.kernels"} & modules, argv
+
+
+# --- report schema check -----------------------------------------------------------
+
+
+def _load_json(path):
+    with open(path, "r", encoding="utf-8") as f:
+        return json.load(f)
+
+
+def _report_mutations(report):
+    """(label, mutated copy) pairs; each copy changes one thing in the report."""
+
+    def mutate(label, fn):
+        copy = json.loads(json.dumps(report))
+        fn(copy)
+        return label, copy
+
+    row = report["metrics"][0]
+    return [
+        mutate("missing k", lambda r: r.pop("k")),
+        mutate("extra key", lambda r: r.update(extra=1)),
+        mutate("bool n_gen", lambda r: r.update(n_gen=True)),
+        mutate("k=0", lambda r: r.update(k=0)),
+        mutate("negative n_gen", lambda r: r.update(n_gen=-1)),
+        mutate("null n_ref", lambda r: r.update(n_ref=None)),
+        mutate("fractional seed", lambda r: r.update(seed=1.5)),
+        mutate("integral float seed", lambda r: r.update(seed=3.0)),
+        mutate("schema_version 2", lambda r: r.update(schema_version=2)),
+        mutate("bool schema_version", lambda r: r.update(schema_version=True)),
+        mutate("short config_hash", lambda r: r.update(config_hash=r["config_hash"][:-1])),
+        mutate("upper-case config_hash", lambda r: r.update(config_hash=r["config_hash"].upper())),
+        mutate("config_hash + newline", lambda r: r.update(config_hash=r["config_hash"] + "\n")),
+        mutate("metrics not a list", lambda r: r.update(metrics={})),
+        mutate("empty metric name", lambda r: r["metrics"][0].update(metric="")),
+        mutate("string value", lambda r: r["metrics"][0].update(value=repr(row["value"]))),
+        mutate("bool value", lambda r: r["metrics"][0].update(value=True)),
+        mutate("nan value", lambda r: r["metrics"][0].update(value=float("nan"))),
+        mutate("int skipped", lambda r: r["metrics"][0].update(skipped=5)),
+        mutate("row missing skipped", lambda r: r["metrics"][0].pop("skipped")),
+        mutate("row extra key", lambda r: r["metrics"][0].update(note="x")),
+    ]
+
+
+def test_report_check_agrees_with_jsonschema():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = _load_json(cli._report_schema_path())
+    reports = sorted(
+        os.path.join(_ROOT, "runs", run, name)
+        for run in os.listdir(os.path.join(_ROOT, "runs"))
+        for name in os.listdir(os.path.join(_ROOT, "runs", run))
+        if name.startswith("report") and name.endswith(".json")
+    )
+    assert len(reports) == 3
+    # jsonschema accepts these, as draft 7 reads them; the check must too
+    accepted = {"committed", "integral float seed", "config_hash + newline", "nan value"}
+    for path in reports:
+        report = _load_json(path)
+        for label, value in [("committed", report)] + _report_mutations(report):
+            try:
+                jsonschema.validate(value, schema)
+            except jsonschema.ValidationError:
+                assert label not in accepted, (path, label)
+                with pytest.raises(ValueError):
+                    cli.check_schema(value, schema)
+            else:
+                assert label in accepted, (path, label)
+                cli.check_schema(value, schema)
+
+
+@pytest.mark.parametrize(
+    "schema, value",
+    [
+        ({"pattern": "b"}, "abc"),  # re.search, not a whole-string match
+        ({"pattern": "^b"}, "abc"),
+        ({"minimum": 0}, "-1"),  # number keywords ignore other types
+        ({"minimum": 0}, -0.5),
+        ({"minLength": 2}, "\u00e9"),  # code points, not bytes
+        ({"minLength": 2}, 12),
+        ({"type": "integer"}, 2.0),
+        ({"type": "integer"}, True),
+        ({"type": "number"}, False),
+        ({"type": ["string", "null"]}, None),
+        ({"type": ["string", "null"]}, 0),
+        ({"const": 1}, 1.0),
+        ({"const": 1}, True),
+        ({"const": False}, 0),
+        ({"const": "a"}, "a"),
+        ({"required": ["a"]}, []),  # object keywords ignore other types
+        ({"required": ["a"]}, {"b": 1}),
+        ({"properties": {"a": {"type": "string"}}}, {"a": 1}),
+        ({"additionalProperties": {"type": "string"}}, {"a": 1}),
+        ({"additionalProperties": False, "properties": {"a": {}}}, {"a": 1}),
+        ({"items": {"type": "null"}}, [None, 0]),
+        ({"items": {"type": "null"}}, {"a": 0}),
+    ],
+)
+def test_schema_keywords_agree_with_jsonschema(schema, value):
+    jsonschema = pytest.importorskip("jsonschema")
+    try:
+        jsonschema.Draft7Validator(schema).validate(value)
+    except jsonschema.ValidationError:
+        with pytest.raises(ValueError):
+            cli.check_schema(value, schema)
+    else:
+        cli.check_schema(value, schema)
+
+
+def test_report_check_refuses_unknown_keywords():
+    schema = _load_json(cli._report_schema_path())
+    report = _load_json(os.path.join(_ROOT, "runs", "multichain", "report.json"))
+    for keys in ((), ("properties", "k"), ("properties", "metrics", "items")):
+        bad = json.loads(json.dumps(schema))
+        target = bad
+        for key in keys:
+            target = target[key]
+        target["maximum"] = 10**9  # the report still passes it, but it is not implemented
+        with pytest.raises(NotImplementedError, match="maximum"):
+            cli.check_schema(report, bad)
+
+
+def test_eval_checks_the_report_before_writing(tmp_path, monkeypatch):
+    schema = _load_json(cli._report_schema_path())
+    schema["properties"]["k"]["minimum"] = 7
+    strict = tmp_path / "strict_schema.json"
+    strict.write_text(json.dumps(schema))
+    monkeypatch.setattr(cli, "_report_schema_path", lambda: str(strict))
+    _write_fasta(tmp_path / "a.fasta", [("a0", "ACDE"), ("a1", "KLMNPQ")])
+    out = tmp_path / "report"
+    with pytest.raises(ValueError, match=r"\$\.k: 6 is less than 7"):
+        cli.main(["eval", "--gen", str(tmp_path / "a.fasta"), "--ref", str(tmp_path / "a.fasta"),
+                  "--out", str(out)])
+    assert sorted(os.listdir(tmp_path)) == ["a.fasta", "strict_schema.json"]
+
+
 def _error_classes(cls):
     for sub in cls.__subclasses__():
         yield sub

@@ -1,5 +1,9 @@
 """Encoder, smoothing, compressor, decoder, and the bundled pipeline."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -325,3 +329,89 @@ def test_decoder_batch_gather_matches_encode_loop():
         ys.append(ts.tokens[: len(ts)][m])
     assert np.array_equal(h, np.concatenate(hs, axis=0))
     assert np.array_equal(y, np.concatenate(ys, axis=0))
+
+
+def _accuracy_loop(dec, enc, seqs):
+    """decoder_accuracy as a per-sequence loop of encode and decode."""
+    correct = 0
+    total = 0
+    for ts in seqs:
+        m = ts.mask[: len(ts)]
+        out = latent.decode(latent.encode(ts, enc), m, dec)
+        correct += int((out.tokens[m] == ts.tokens[: len(ts)][m]).sum())
+        total += int(m.sum())
+    return correct / max(total, 1)
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (corpus, make_corpus.py arguments or None for the committed file, run.cfg,
+#  --set overrides). The perfbench train and multichain workloads at seed 1,
+# and the two runs/ experiments with training cut to 40 steps: their full
+# 1,500-step decoders are exact, which would make the comparison trivial.
+_DECODER_CORPORA = {
+    "perfbench-train-seed1": (
+        "corpus.fasta",
+        ["--n", "500", "--max-len", "20", "--seed", "1"],
+        "runs/single_chain/run.cfg",
+        ["train.seed=1", "train.warmup=10", "train.steps=40"],
+    ),
+    "perfbench-multichain-seed1": (
+        "corpus.fasta",
+        ["--n", "300", "--max-len", "12", "--seed", "1", "--chains", "A:12,B:9"],
+        "runs/multichain/run.cfg",
+        ["train.seed=1", "train.warmup=10", "train.steps=30"],
+    ),
+    "runs-single_chain": (
+        "runs/single_chain/corpus.fasta", None, "runs/single_chain/run.cfg", ["train.steps=40"]
+    ),
+    "runs-multichain": (
+        "runs/multichain/corpus.fasta", None, "runs/multichain/run.cfg", ["train.steps=40"]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DECODER_CORPORA))
+def test_decoder_accuracy_batch_matches_loop(case, tmp_path):
+    from protflow import cli
+    from protflow.checkpoint import load_checkpoint, unpack_decoder, unpack_encoder
+
+    corpus, make_args, cfg, sets = _DECODER_CORPORA[case]
+    if make_args is None:
+        corpus = os.path.join(_ROOT, corpus)
+    else:
+        corpus = str(tmp_path / corpus)
+        script = os.path.join(_ROOT, "experiments", "make_corpus.py")
+        subprocess.run([sys.executable, script, *make_args, "--out", corpus], check=True,
+                       stdout=subprocess.DEVNULL, timeout=120)
+    ckpt = str(tmp_path / "decoder.ckpt")
+    argv = ["train-decoder", "--config", os.path.join(_ROOT, cfg), "--out", ckpt]
+    for kv in sets + [f"data.train_path={corpus}"]:
+        argv += ["--set", kv]
+    assert cli.main(argv) == 0
+    tensors, meta = load_checkpoint(ckpt)
+    dim = int(meta["dim"])
+    if "chains" in meta:
+        chains = [(c["name"], c["l_max"]) for c in meta["chains"]]
+        by_chain = cli._load_multichain_corpus(corpus, chains)
+        parts = [(f"chain.{name}.", l_max, by_chain[name]) for name, l_max in chains]
+    else:
+        parts = [("", meta["l_max"], cli._load_single_corpus(corpus, meta["l_max"]))]
+    for prefix, l_max, seqs in parts:
+        enc = unpack_encoder(tensors, l_max, dim, prefix)
+        dec = unpack_decoder(tensors, prefix)
+        val = seqs[:256]  # the held-out set train-decoder scores
+        accuracy = latent.decoder_accuracy(dec, enc, val)
+        assert 0.0 < accuracy < 1.0, (case, prefix, accuracy)
+        assert accuracy == _accuracy_loop(dec, enc, val), (case, prefix)
+
+
+def test_decoder_accuracy_edge_cases():
+    enc = latent.init_encoder(6, 8, RngStream(3), embed_scale=10.0, embed_rank=4)
+    dec = latent.init_decoder(8, 16, RngStream(4))
+    seqs = [tokenize(""), pad_to(tokenize("A"), 6), tokenize("ACDEFG"), pad_to(tokenize("KL"), 6)]
+    assert latent.decoder_accuracy(dec, enc, seqs) == _accuracy_loop(dec, enc, seqs)
+    assert latent.decoder_accuracy(dec, enc, [tokenize("")]) == 0.0
+    assert latent.decoder_accuracy(dec, enc, []) == 0.0
+    with pytest.raises(SequenceTooLong):
+        latent.decoder_accuracy(dec, enc, [tokenize("ACDEFGH")])

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from protflow import metrics
+from protflow import kernels, metrics
 from protflow.errors import (
     BadBandwidth,
     BatchTooLarge,
@@ -221,6 +221,57 @@ def test_net_charge_limits_and_pi():
     pi = metrics.isoelectric_point(seq)
     assert 0.0 < pi < 14.0
     assert abs(metrics.net_charge(seq, pi)) < 0.01
+
+
+def _net_charge_reference(seq, ph):
+    pos = [metrics.PKA_POSITIVE["nterm"]]
+    neg = [metrics.PKA_NEGATIVE["cterm"]]
+    for ch in seq:
+        if ch in metrics.PKA_POSITIVE:
+            pos.append(metrics.PKA_POSITIVE[ch])
+        elif ch in metrics.PKA_NEGATIVE:
+            neg.append(metrics.PKA_NEGATIVE[ch])
+    out = sum(1.0 / (1.0 + 10.0 ** (ph - pka)) for pka in pos)
+    out -= sum(1.0 / (1.0 + 10.0 ** (pka - ph)) for pka in neg)
+    return out
+
+
+def _isoelectric_point_reference(seq, tol=1e-4):
+    """Bisection that rebuilds the pKa lists at every step."""
+    lo, hi = 0.0, 14.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _net_charge_reference(seq, mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_isoelectric_point_is_bitwise_the_per_step_formula():
+    gen = np.random.default_rng(12)
+    alphabet = list("ACDEFGHIKLMNPQRSTVWY")
+    seqs = ["", "A", "K", "D", "C", "Y", "H", "KR" * 30, "DE" * 30, "C" * 50, "ACDKR",
+            "GGGG", "KDKDKDKD", "HHHHHHHHHH"]
+    seqs += ["".join(gen.choice(alphabet, size=int(n))) for n in gen.integers(1, 97, size=200)]
+    for seq in seqs:
+        for tol in (1e-4, 1e-9):
+            assert metrics.isoelectric_point(seq, tol) == _isoelectric_point_reference(seq, tol)
+        for ph in (0.0, 3.3, 6.0, 7.0, 9.1, 14.0):
+            assert metrics.net_charge(seq, ph) == _net_charge_reference(seq, ph)
+
+
+def test_precomputed_edit_matrix_gives_the_same_metrics():
+    a = ["ACDE", "KLMNPQ", "RSTV"]
+    b = ["ACD", "WY", "KLMN"]
+    dist = kernels.cross_edit_matrix(a, b)
+    assert metrics.mean_edit_to_reference(a, b, dist=dist) == metrics.mean_edit_to_reference(a, b)
+    assert metrics.ot_levenshtein(a, b, dist=dist) == metrics.ot_levenshtein(a, b)
+    # the size checks come first, whatever matrix is passed
+    with pytest.raises(UnequalSizes):
+        metrics.ot_levenshtein(a, b[:2], dist=dist[:, :2])
+    with pytest.raises(EmptyInput):
+        metrics.mean_edit_to_reference([], b, dist=dist[:0])
 
 
 def test_property_vector_known_values():
