@@ -121,15 +121,12 @@ def int_div(batch):
     return float(mat[np.triu_indices(n, k=1)].sum() / (n * (n - 1) / 2))
 
 
-def mean_edit_to_reference(batch, reference, dist=None):
+def mean_edit_to_reference(batch, reference):
     """Mean over the batch of each sequence's mean edit distance to the
-    reference set (mean over references first, then over the batch).
-
-    dist, if given, is kernels.cross_edit_matrix(batch, reference), computed
-    once by a caller that needs it for other metrics too."""
+    reference set (mean over references first, then over the batch)."""
     if not batch or not reference:
         raise EmptyInput("both batch and reference must be nonempty")
-    mat = kernels.cross_edit_matrix(batch, reference) if dist is None else dist
+    mat = kernels.cross_edit_matrix(batch, reference)
     return float(mat.mean(axis=1).mean())
 
 
@@ -140,12 +137,11 @@ def uniqueness(batch):
     return len(set(batch)) / len(batch)
 
 
-def ot_levenshtein(batch_a, batch_b, cap=512, dist=None):
+def ot_levenshtein(batch_a, batch_b, cap=512):
     """Optimal-assignment mean edit distance between two equal-size batches.
 
     The n x n edit-distance matrix is solved exactly (integer costs), and
     the optimal total is divided by n so values compare across batch sizes.
-    dist, if given, is kernels.cross_edit_matrix(batch_a, batch_b).
     """
     n = len(batch_a)
     if n != len(batch_b):
@@ -154,7 +150,7 @@ def ot_levenshtein(batch_a, batch_b, cap=512, dist=None):
         raise EmptyInput("empty batches")
     if n > cap:
         raise BatchTooLarge(f"n={n} exceeds cap {cap}")
-    cost = kernels.cross_edit_matrix(batch_a, batch_b) if dist is None else dist
+    cost = kernels.cross_edit_matrix(batch_a, batch_b)
     total, _ = kernels.assignment_min_cost(cost)
     return total / n
 

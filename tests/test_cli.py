@@ -441,9 +441,12 @@ def test_keep_freed_heap(monkeypatch):
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Imports the CLI, runs the command given as arguments (none: import only) and
-# prints its exit code and every loaded module name as the last line.
+# prints its exit code and the name of every module whose code has run as the
+# last line. protflow binds its modules lazily; one whose type is still
+# _LazyModule is in sys.modules but has not run.
 _MODULES_AFTER = """\
 import json, sys
+from importlib.util import _LazyModule
 from protflow import cli
 code = None
 if sys.argv[1:]:
@@ -451,21 +454,53 @@ if sys.argv[1:]:
         code = cli.main(sys.argv[1:])
     except SystemExit as e:
         code = e.code
-print(json.dumps([code, sorted(sys.modules)]))
+ran = sorted(k for k, m in sys.modules.items() if type(m) is not _LazyModule)
+print(json.dumps([code, ran]))
+"""
+
+# Like perfbench/tracer.py: imports the CLI, lists the protflow modules then in
+# sys.modules, replaces two functions in each of them by counting wrappers and
+# runs the command given as arguments.
+_PATCH_AFTER_IMPORT = """\
+import json, sys
+import protflow.cli
+from protflow import cli, kernels, seqio
+loaded = [m for k, m in list(sys.modules.items()) if k.startswith("protflow.")]
+names = sorted(m.__name__ for m in loaded)
+calls = {}
+def counting(name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    return wrapper
+for owner, attr in ((kernels, "cross_edit_matrix"), (seqio, "read_fasta")):
+    original = getattr(owner, attr)
+    wrapper = counting(attr, original)
+    for module in loaded:
+        for key, value in list(vars(module).items()):
+            if value is original:
+                setattr(module, key, wrapper)
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, names, calls]))
 """
 
 
-def _modules_after(argv, cwd):
-    """(exit code, names in sys.modules) after one CLI command in a fresh interpreter."""
+def _run_script(script, argv, cwd):
+    """The JSON last line a script prints, run with argv in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(protflow.__file__)))
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run(
-        [sys.executable, "-c", _MODULES_AFTER, *argv],
+        [sys.executable, "-c", script, *argv],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _modules_after(argv, cwd):
+    """(exit code, modules that ran) after one CLI command in a fresh interpreter."""
+    code, modules = _run_script(_MODULES_AFTER, argv, cwd)
     return code, set(modules)
 
 
@@ -492,6 +527,26 @@ def test_eval_loads_only_what_it_runs(tmp_path):
               "protflow.multichain"}
     assert not unused & modules
     assert (tmp_path / "report.json").exists()
+
+
+def test_functions_patched_after_import_reach_the_commands(tmp_path):
+    _write_fasta(tmp_path / "a.fasta", [("a0", "ACDE"), ("a1", "KLMNPQ"), ("a2", "RSTV")])
+    _write_fasta(tmp_path / "b.fasta", [("b0", "ACD"), ("b1", "WY"), ("b2", "KLMN")])
+    code, names, calls = _run_script(
+        _PATCH_AFTER_IMPORT,
+        ["eval", "--gen", "a.fasta", "--ref", "b.fasta", "--out", "report"],
+        tmp_path,
+    )
+    assert code == 0
+    # every module of the package is bound once the CLI is imported
+    package = os.path.dirname(os.path.abspath(protflow.__file__))
+    assert names == sorted(
+        f"protflow.{name[:-3]}"
+        for name in os.listdir(package)
+        if name.endswith(".py") and name not in ("__init__.py", "__main__.py")
+    )
+    # e_dist and ot_levenshtein each build the matrix; eval reads both files
+    assert calls == {"cross_edit_matrix": 2, "read_fasta": 2}
 
 
 def test_sample_and_train_flow_load_no_metrics(workdir):
@@ -597,7 +652,6 @@ def test_report_check_agrees_with_jsonschema():
         ({"required": ["a"]}, []),  # object keywords ignore other types
         ({"required": ["a"]}, {"b": 1}),
         ({"properties": {"a": {"type": "string"}}}, {"a": 1}),
-        ({"additionalProperties": {"type": "string"}}, {"a": 1}),
         ({"additionalProperties": False, "properties": {"a": {}}}, {"a": 1}),
         ({"items": {"type": "null"}}, [None, 0]),
         ({"items": {"type": "null"}}, {"a": 0}),
@@ -625,6 +679,15 @@ def test_report_check_refuses_unknown_keywords():
         target["maximum"] = 10**9  # the report still passes it, but it is not implemented
         with pytest.raises(NotImplementedError, match="maximum"):
             cli.check_schema(report, bad)
+    # only what the schema uses: additionalProperties false and its type names
+    for schema, value in (
+        ({"additionalProperties": True}, {}),
+        ({"additionalProperties": {"type": "string"}}, {"a": "b"}),
+        ({"type": "boolean"}, True),
+        ({"type": ["null", "boolean"]}, None),
+    ):
+        with pytest.raises(NotImplementedError):
+            cli.check_schema(value, schema)
 
 
 def test_eval_checks_the_report_before_writing(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from protflow import kernels, metrics
+from protflow import metrics
 from protflow.errors import (
     BadBandwidth,
     BatchTooLarge,
@@ -259,19 +259,6 @@ def test_isoelectric_point_is_bitwise_the_per_step_formula():
             assert metrics.isoelectric_point(seq, tol) == _isoelectric_point_reference(seq, tol)
         for ph in (0.0, 3.3, 6.0, 7.0, 9.1, 14.0):
             assert metrics.net_charge(seq, ph) == _net_charge_reference(seq, ph)
-
-
-def test_precomputed_edit_matrix_gives_the_same_metrics():
-    a = ["ACDE", "KLMNPQ", "RSTV"]
-    b = ["ACD", "WY", "KLMN"]
-    dist = kernels.cross_edit_matrix(a, b)
-    assert metrics.mean_edit_to_reference(a, b, dist=dist) == metrics.mean_edit_to_reference(a, b)
-    assert metrics.ot_levenshtein(a, b, dist=dist) == metrics.ot_levenshtein(a, b)
-    # the size checks come first, whatever matrix is passed
-    with pytest.raises(UnequalSizes):
-        metrics.ot_levenshtein(a, b[:2], dist=dist[:, :2])
-    with pytest.raises(EmptyInput):
-        metrics.mean_edit_to_reference([], b, dist=dist[:0])
 
 
 def test_property_vector_known_values():
