@@ -4,6 +4,9 @@
 # reproduces all outputs bitwise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# Bitwise reruns need one BLAS thread: with more, OpenBLAS may split a matrix
+# product differently, and the loss CSVs differ in their last digits.
+export OPENBLAS_NUM_THREADS=1
 
 RUN=runs/multichain
 mkdir -p "$RUN"

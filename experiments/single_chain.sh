@@ -5,6 +5,9 @@
 # outputs bitwise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# Bitwise reruns need one BLAS thread: with more, OpenBLAS may split a matrix
+# product differently, and the loss CSVs differ in their last digits.
+export OPENBLAS_NUM_THREADS=1
 
 RUN=runs/single_chain
 mkdir -p "$RUN"

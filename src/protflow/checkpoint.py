@@ -15,6 +15,9 @@ reflow. Writes are atomic (temp file + rename).
 
 The pack_*/unpack_* helpers map the package's parameter objects to named
 tensors so a checkpoint is all a command needs to resume or sample.
+unpack_pipeline and unpack_flow check each tensor's name and shape against
+what the metadata implies, so a checkpoint that disagrees with its model is
+an IncompatibleCheckpoint, not an error deep inside a command.
 """
 
 import hashlib
@@ -36,7 +39,7 @@ from .errors import (
     NonFiniteValue,
     VersionUnsupported,
 )
-from .flow import VectorFieldConfig, VectorFieldModel
+from .flow import VectorFieldConfig, VectorFieldModel, param_shapes
 from .latent import (
     CompressorParams,
     DecoderParams,
@@ -44,6 +47,7 @@ from .latent import (
     LatentPipeline,
     SmoothingStats,
 )
+from .seqio import VOCAB_SIZE
 
 MAGIC = b"PFLW"
 VERSION = 1
@@ -235,6 +239,18 @@ def _get(tensors, key):
     return np.asarray(tensors[key], dtype=np.float64)
 
 
+def _get_shaped(tensors, prefix, shapes):
+    """{name: tensor prefix + name as float64} for each name in shapes; raise
+    IncompatibleCheckpoint unless every one is present with its shape."""
+    out = {name: _get(tensors, prefix + name) for name in shapes}
+    for name, shape in shapes.items():
+        if out[name].shape != shape:
+            raise IncompatibleCheckpoint(
+                f"tensor {prefix + name!r} has shape {out[name].shape}, expected {shape}"
+            )
+    return out
+
+
 def pack_encoder(enc, prefix=""):
     """EncoderParams -> tensors. The positional table is recomputed at load
     time from (l_max, dim), so only the embedding is stored."""
@@ -305,13 +321,34 @@ def pack_pipeline(pipeline, prefix=""):
 
 
 def unpack_pipeline(tensors, meta, prefix=""):
+    """Rebuild the latent stack of meta's l_max and dim. Every tensor must
+    have the shape dim implies, given the decoder's hidden width and the
+    compressor's width (the lengths of decoder.b1 and compressor.b_down);
+    l_max sizes the positional table, which is not stored."""
     l_max = int(meta["l_max"])
     dim = int(meta["dim"])
+    hidden = _get(tensors, prefix + "decoder.b1").size
+    width = _get(tensors, prefix + "compressor.b_down").size
+    shapes = {
+        "encoder.embed": (VOCAB_SIZE, dim),
+        "decoder.w1": (dim, hidden),
+        "decoder.w2": (hidden, VOCAB_SIZE),
+        "decoder.b2": (VOCAB_SIZE,),
+        "compressor.w_down": (dim, width),
+        "compressor.w_up": (width, dim),
+        "compressor.b_up": (dim,),
+    }
+    shapes.update({f"decoder.{k}": (hidden,) for k in ("b1", "gamma", "beta")})
+    shapes.update({f"compressor.{k}": (width,) for k in ("b_down", "g", "s")})
+    shapes.update(
+        {f"smoothing.{k}": (dim,) for k in ("mean", "std", "post_min", "post_max", "constant")}
+    )
+    checked = _get_shaped(tensors, prefix, shapes)
     return LatentPipeline(
-        unpack_encoder(tensors, l_max, dim, prefix),
-        unpack_decoder(tensors, prefix),
-        unpack_smoothing(tensors, meta["clamp_k"], prefix),
-        unpack_compressor(tensors, prefix),
+        unpack_encoder(checked, l_max, dim),
+        unpack_decoder(checked),
+        unpack_smoothing(checked, meta["clamp_k"]),
+        unpack_compressor(checked),
     )
 
 
@@ -327,10 +364,4 @@ def unpack_flow(tensors, meta, prefix="flow."):
         cfg = VectorFieldConfig.from_dict(meta["flow_cfg"])
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedHeader(f"metadata 'flow_cfg' is not a vector-field config: {e!r}") from e
-    params = {}
-    for key, arr in tensors.items():
-        if key.startswith(prefix):
-            params[key[len(prefix) :]] = np.asarray(arr, dtype=np.float64)
-    if not params:
-        raise IncompatibleCheckpoint("checkpoint carries no flow tensors")
-    return VectorFieldModel(cfg, params)
+    return VectorFieldModel(cfg, _get_shaped(tensors, prefix, param_shapes(cfg)))

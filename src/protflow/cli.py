@@ -36,6 +36,8 @@ from .errors import (
 )
 
 _CHAIN_TAG = "|chain="
+# metadata a training stage carries over from the checkpoint it starts from
+_CARRIED_META = ("dim", "clamp_k", "l_max", "length_dist", "chains", "length_dists", "flow_cfg")
 _EMBED_DIM = 32
 
 # glibc mallopt parameters (malloc.h) and the values main() sets.
@@ -108,55 +110,101 @@ def _loss_csv_text(history):
     return "\n".join(lines) + "\n"
 
 
-# --- corpus loading ----------------------------------------------------------
+# --- chain layouts and corpora -----------------------------------------------
 
 
-def _load_single_corpus(path, l_max):
+def _config_chains(cfg):
+    """The config's chain layout: its named chains, or the unnamed chain of
+    model.L_max when the chains key is unset."""
+    from .config import parse_chains_value
+    from .multichain import ChainSpec
+
+    if cfg["chains"] is None:
+        return [ChainSpec("", cfg["model.L_max"], None)]
+    return [ChainSpec(name, l_max, None) for name, l_max in parse_chains_value(cfg["chains"])]
+
+
+def _meta_chains(meta):
+    """The checkpoint's chain layout: its named chains, or the unnamed chain."""
+    from .multichain import ChainSpec
+
+    if "chains" not in meta:
+        return [ChainSpec("", int(meta["l_max"]), None)]
+    return [ChainSpec(c["name"], int(c["l_max"]), None) for c in meta["chains"]]
+
+
+def _chains_meta(chains, length_dists):
+    """Checkpoint metadata for a layout: l_max and length_dist for the unnamed
+    chain, chains and length_dists for named ones."""
+    if not chains[0].name:
+        return {"l_max": chains[0].l_max, "length_dist": length_dists[0]}
+    return {
+        "chains": [{"name": c.name, "l_max": c.l_max} for c in chains],
+        "length_dists": {c.name: d for c, d in zip(chains, length_dists)},
+    }
+
+
+def _meta_length_dists(meta):
+    """{chain name: LengthDistribution} from the metadata _chains_meta writes."""
+    from .seqio import LengthDistribution
+
+    dists = meta["length_dists"] if "chains" in meta else {"": meta["length_dist"]}
+    return {name: LengthDistribution.from_dict(d) for name, d in dists.items()}
+
+
+def _load_corpus(path, chains):
+    """Per-chain padded token lists, in layout order. The unnamed chain takes
+    every record; named chains group '<complex>|chain=<name>' records into
+    complex-aligned lists, and every complex must provide every chain."""
     from .seqio import read_fasta, tokenize_padded
 
     records = read_fasta(path)
     if not records:
         raise EmptyCorpus(f"no sequences in {path}")
-    return [tokenize_padded(s, l_max) for _, s in records]
-
-
-def _split_chain_header(header):
-    if _CHAIN_TAG not in header:
-        raise MalformedFasta(
-            f"multichain corpus record {header!r} lacks a '{_CHAIN_TAG}<name>' tag"
-        )
-    base, _, name = header.rpartition(_CHAIN_TAG)
-    name = name.strip()
-    if not name:
-        raise MalformedFasta(f"empty chain name in record {header!r}")
-    return base.strip(), name
-
-
-def _load_multichain_corpus(path, chains):
-    """Group '<complex>|chain=<name>' records into per-chain, complex-aligned
-    token lists. Every complex must provide every configured chain."""
-    from .seqio import read_fasta, tokenize_padded
-
-    l_max_by_name = dict(chains)
-    records = read_fasta(path)
+    if not chains[0].name:
+        return [[tokenize_padded(s, chains[0].l_max) for _, s in records]]
+    l_max_by_name = {c.name: c.l_max for c in chains}
     by_chain = {name: {} for name in l_max_by_name}
-    order = []
+    order = {}  # complexes, in the order they first appear
     for header, seq in records:
-        base, name = _split_chain_header(header)
+        if _CHAIN_TAG not in header:
+            raise MalformedFasta(
+                f"multichain corpus record {header!r} lacks a '{_CHAIN_TAG}<name>' tag"
+            )
+        base, _, name = (part.strip() for part in header.rpartition(_CHAIN_TAG))
+        if not name:
+            raise MalformedFasta(f"empty chain name in record {header!r}")
         if name not in by_chain:
             raise DataError(f"record {header!r} names unknown chain {name!r}")
         if base in by_chain[name]:
             raise DataError(f"duplicate record for complex {base!r} chain {name!r}")
-        if all(base not in by_chain[other] for other in by_chain):
-            order.append(base)
+        order.setdefault(base)
         by_chain[name][base] = tokenize_padded(seq, l_max_by_name[name])
-    if not order:
-        raise EmptyCorpus(f"no sequences in {path}")
-    for name, _ in chains:
+    for name, seqs in by_chain.items():
         for base in order:
-            if base not in by_chain[name]:
+            if base not in seqs:
                 raise DataError(f"complex {base!r} is missing chain {name!r}")
-    return {name: [by_chain[name][base] for base in order] for name, _ in chains}
+    return [[by_chain[c.name][base] for base in order] for c in chains]
+
+
+def _val_corpus(cfg, chains):
+    """(per-chain held-out corpora, "val") from data.val_path, or ([None] per
+    chain, "train") when it is unset and the figures come from training data."""
+    path = cfg["data.val_path"]
+    if path is None:
+        return [None] * len(chains), "train"
+    return _load_corpus(path, chains), "val"
+
+
+def _layout(tensors, meta):
+    """The checkpoint's ChainLayout, each chain with its latent stack."""
+    from .checkpoint import unpack_pipeline
+    from .multichain import ChainLayout
+
+    chains = _meta_chains(meta)
+    for chain in chains:
+        chain.pipeline = unpack_pipeline(tensors, dict(meta, l_max=chain.l_max), chain.prefix)
+    return ChainLayout(chains)
 
 
 # --- checkpoint compatibility helpers ----------------------------------------
@@ -177,106 +225,87 @@ def _check_dim(meta, cfg, path):
         )
 
 
-def _meta_chains(meta):
-    """[(name, l_max)] for multichain checkpoints, else None."""
-    if "chains" not in meta:
-        return None
-    return [(c["name"], int(c["l_max"])) for c in meta["chains"]]
-
-
-def _carry_meta(meta, cfg, kind, step):
-    out = {
-        k: meta[k]
-        for k in ("dim", "clamp_k", "l_max", "length_dist", "chains", "length_dists", "flow_cfg")
-        if k in meta
-    }
-    out["kind"] = kind
-    out["config"] = cfg.to_dict()
-    out["rng"] = {"seed": cfg["train.seed"]}
-    out["step"] = step
+def _carry_meta(meta, cfg, kind):
+    """Metadata of a new kind-stage checkpoint: the layout, latent and flow
+    keys carried over from meta, and this run's config, seed and step count."""
+    out = {k: meta[k] for k in _CARRIED_META if k in meta}
+    out.update(kind=kind, config=cfg.to_dict(), rng={"seed": cfg["train.seed"]})
+    out["step"] = cfg["train.steps"]
     return out
+
+
+def _train_args(cfg, *extra):
+    """The optimizer keys steps, batch, lr, lr_min, warmup, weight_decay and
+    clip, plus the extra train.* keys named, as keyword arguments."""
+    keys = ("steps", "batch", "lr", "lr_min", "warmup", "weight_decay", "clip") + extra
+    return {k: cfg["train." + k] for k in keys}
+
+
+def _save_flow_stage(out, tensors, out_meta, model, trace):
+    """Write a flow-stage checkpoint, the input's other tensors plus the
+    model, and its loss CSV."""
+    from .checkpoint import pack_flow, save_checkpoint
+
+    out_tensors = {k: v for k, v in tensors.items() if not k.startswith("flow.")}
+    flow_tensors, flow_meta = pack_flow(model)
+    out_tensors.update(flow_tensors)
+    out_meta.update(flow_meta)
+    save_checkpoint(out, out_tensors, out_meta)
+    _atomic_write_text(out + ".loss.csv", _loss_csv_text(trace))
+
+
+def _write_loss_csvs(out, chains, histories):
+    """One loss CSV per chain: <out>.loss.csv, or <out>.<name>.loss.csv."""
+    for chain, history in zip(chains, histories):
+        _atomic_write_text(f"{out}{chain.tag('.')}.loss.csv", _loss_csv_text(history))
 
 
 # --- train-decoder ------------------------------------------------------------
 
 
-def _train_decoder_stage(cfg, seqs, l_max, root, prefix, tag):
-    from .checkpoint import pack_decoder, pack_encoder, pack_smoothing
+def cmd_train_decoder(args):
+    from .checkpoint import pack_decoder, pack_encoder, pack_smoothing, save_checkpoint
+    from .config import load_config
     from .latent import encode_corpus, fit_smoothing, init_decoder, init_encoder, train_decoder
+    from .numeric import RngStream
     from .seqio import fit_length_distribution
 
-    dim = cfg["model.D"]
-    enc = init_encoder(
-        l_max,
-        dim,
-        root.substream("encoder" + tag),
-        embed_scale=cfg["model.embed_scale"],
-        embed_rank=cfg["model.embed_rank"],
-    )
-    dec = init_decoder(dim, cfg["model.decoder_hidden"], root.substream("decoder-init" + tag))
-    dec, history = train_decoder(
-        dec,
-        enc,
-        seqs,
-        seqs[: min(len(seqs), 256)],
-        root.substream("decoder" + tag),
-        steps=cfg["train.steps"],
-        batch=cfg["train.batch"],
-        lr=cfg["train.lr"],
-        lr_min=cfg["train.lr_min"],
-        warmup=cfg["train.warmup"],
-        weight_decay=cfg["train.weight_decay"],
-        clip=cfg["train.clip"],
-    )
-    sm = fit_smoothing(encode_corpus(seqs, enc).reshape(-1, dim))
-    tensors = {}
-    tensors.update(pack_encoder(enc, prefix))
-    tensors.update(pack_decoder(dec, prefix))
-    tensors.update(pack_smoothing(sm, prefix))
-    if history["val_accuracy"] is not None:
-        print(f"decoder{tag} val accuracy: {float(history['val_accuracy']):.4f}")
-    return tensors, sm.clamp_k, fit_length_distribution(seqs, l_max), history
-
-
-def cmd_train_decoder(args):
-    from .checkpoint import save_checkpoint
-    from .config import load_config, parse_chains_value
-    from .numeric import RngStream
-
     cfg = load_config(args.config, args.set)
-    path = cfg.require("data.train_path")
+    chains = _config_chains(cfg)
+    corpus = _load_corpus(cfg.require("data.train_path"), chains)
+    val_corpus, figure = _val_corpus(cfg, chains)
     root = RngStream(cfg["train.seed"])
-    chains = parse_chains_value(cfg["chains"]) if cfg["chains"] is not None else None
-    meta = {
-        "kind": "decoder",
-        "config": cfg.to_dict(),
-        "rng": {"seed": cfg["train.seed"]},
-        "step": cfg["train.steps"],
-        "dim": cfg["model.D"],
-    }
-    tensors = {}
-    loss_csvs = {}
-    if chains is None:
-        seqs = _load_single_corpus(path, cfg["model.L_max"])
-        t, clamp_k, ld, history = _train_decoder_stage(cfg, seqs, cfg["model.L_max"], root, "", "")
-        tensors.update(t)
-        meta.update({"l_max": cfg["model.L_max"], "clamp_k": clamp_k, "length_dist": ld.to_dict()})
-        loss_csvs[args.out + ".loss.csv"] = history
-    else:
-        seqs_by_chain = _load_multichain_corpus(path, chains)
-        meta["chains"] = [{"name": n, "l_max": l} for n, l in chains]
-        meta["length_dists"] = {}
-        for name, l_max in chains:
-            t, clamp_k, ld, history = _train_decoder_stage(
-                cfg, seqs_by_chain[name], l_max, root, f"chain.{name}.", f"-{name}"
-            )
-            tensors.update(t)
-            meta["clamp_k"] = clamp_k
-            meta["length_dists"][name] = ld.to_dict()
-            loss_csvs[f"{args.out}.{name}.loss.csv"] = history
+    dim = cfg["model.D"]
+    tensors, length_dists, histories = {}, [], []
+    for chain, seqs, val_seqs in zip(chains, corpus, val_corpus):
+        tag = chain.tag("-")
+        enc = init_encoder(
+            chain.l_max,
+            dim,
+            root.substream(f"encoder{tag}"),
+            embed_scale=cfg["model.embed_scale"],
+            embed_rank=cfg["model.embed_rank"],
+        )
+        dec = init_decoder(dim, cfg["model.decoder_hidden"], root.substream(f"decoder-init{tag}"))
+        dec, history = train_decoder(
+            dec,
+            enc,
+            seqs,
+            seqs[:256] if val_seqs is None else val_seqs,
+            root.substream(f"decoder{tag}"),
+            **_train_args(cfg),
+        )
+        sm = fit_smoothing(encode_corpus(seqs, enc).reshape(-1, dim))
+        tensors.update(pack_encoder(enc, chain.prefix))
+        tensors.update(pack_decoder(dec, chain.prefix))
+        tensors.update(pack_smoothing(sm, chain.prefix))
+        length_dists.append(fit_length_distribution(seqs, chain.l_max).to_dict())
+        histories.append(history)
+        print(f"decoder{tag} {figure} accuracy: {float(history['val_accuracy']):.4f}")
+    meta = _carry_meta({}, cfg, "decoder")
+    meta.update(dim=dim, clamp_k=sm.clamp_k, **_chains_meta(chains, length_dists))
     save_checkpoint(args.out, tensors, meta)
-    for p, history in loss_csvs.items():
-        _atomic_write_text(p, _loss_csv_text(history))
+    _write_loss_csvs(args.out, chains, histories)
     print(f"wrote {args.out}")
     return 0
 
@@ -284,12 +313,13 @@ def cmd_train_decoder(args):
 # --- train-compressor -----------------------------------------------------------
 
 
-def _smoothed_rows(tensors, meta, seqs, l_max, dim, prefix):
+def _smoothed_rows(tensors, meta, seqs, chain):
     from .checkpoint import unpack_encoder, unpack_smoothing
     from .latent import encode_corpus, smooth
 
-    enc = unpack_encoder(tensors, l_max, dim, prefix)
-    sm = unpack_smoothing(tensors, meta["clamp_k"], prefix)
+    dim = int(meta["dim"])
+    enc = unpack_encoder(tensors, chain.l_max, dim, chain.prefix)
+    sm = unpack_smoothing(tensors, meta["clamp_k"], chain.prefix)
     return smooth(encode_corpus(seqs, enc).reshape(-1, dim), sm)
 
 
@@ -303,66 +333,34 @@ def cmd_train_compressor(args):
     tensors, meta = load_checkpoint(args.init)
     _expect_kind(meta, ("decoder", "pipeline", "flow", "reflow"), args.init)
     _check_dim(meta, cfg, args.init)
-    path = cfg.require("data.train_path")
-    root = RngStream(cfg["train.seed"])
-    dim = int(meta["dim"])
-    ratio = cfg["model.ratio_c"]
     chains = _meta_chains(meta)
+    corpus = _load_corpus(cfg.require("data.train_path"), chains)
+    val_corpus, figure = _val_corpus(cfg, chains)
+    root = RngStream(cfg["train.seed"])
     out_tensors = {
         k: v
         for k, v in tensors.items()
         if "compressor." not in k and not k.startswith("flow.")
     }
-    loss_csvs = {}
-    if chains is None:
-        seqs = _load_single_corpus(path, int(meta["l_max"]))
-        rows = _smoothed_rows(tensors, meta, seqs, int(meta["l_max"]), dim, "")
-        comp = init_compressor(dim, ratio, root.substream("compressor-init"))
-        comp, history = train_compressor(
-            comp,
-            rows,
-            rows,
-            root.substream("compressor"),
-            steps=cfg["train.steps"],
-            batch=cfg["train.batch"],
-            lr=cfg["train.lr"],
-            lr_min=cfg["train.lr_min"],
-            warmup=cfg["train.warmup"],
-            weight_decay=cfg["train.weight_decay"],
-            clip=cfg["train.clip"],
-            val_every=cfg["train.val_every"],
+    histories = []
+    for chain, seqs, val_seqs in zip(chains, corpus, val_corpus):
+        tag = chain.tag("-")
+        rows = _smoothed_rows(tensors, meta, seqs, chain)
+        val_rows = rows if val_seqs is None else _smoothed_rows(tensors, meta, val_seqs, chain)
+        comp = init_compressor(
+            int(meta["dim"]), cfg["model.ratio_c"], root.substream(f"compressor-init{tag}")
         )
-        out_tensors.update(pack_compressor(comp))
-        print(f"compressor val MSE: {history['val_mse'][-1]:.6g}")
-        loss_csvs[args.out + ".loss.csv"] = history
-    else:
-        seqs_by_chain = _load_multichain_corpus(path, chains)
-        for name, l_max in chains:
-            prefix = f"chain.{name}."
-            rows = _smoothed_rows(tensors, meta, seqs_by_chain[name], l_max, dim, prefix)
-            comp = init_compressor(dim, ratio, root.substream(f"compressor-init-{name}"))
-            comp, history = train_compressor(
-                comp,
-                rows,
-                rows,
-                root.substream(f"compressor-{name}"),
-                steps=cfg["train.steps"],
-                batch=cfg["train.batch"],
-                lr=cfg["train.lr"],
-                lr_min=cfg["train.lr_min"],
-                warmup=cfg["train.warmup"],
-                weight_decay=cfg["train.weight_decay"],
-                clip=cfg["train.clip"],
-                val_every=cfg["train.val_every"],
-            )
-            out_tensors.update(pack_compressor(comp, prefix))
-            print(f"compressor-{name} val MSE: {history['val_mse'][-1]:.6g}")
-            loss_csvs[f"{args.out}.{name}.loss.csv"] = history
-    out_meta = _carry_meta(meta, cfg, "pipeline", cfg["train.steps"])
+        comp, history = train_compressor(
+            comp, rows, val_rows, root.substream(f"compressor{tag}"), **_train_args(cfg, "val_every")
+        )
+        out_tensors.update(pack_compressor(comp, chain.prefix))
+        histories.append(history)
+        if history["val_mse"]:
+            print(f"compressor{tag} {figure} MSE: {history['val_mse'][-1]:.6g}")
+    out_meta = _carry_meta(meta, cfg, "pipeline")
     out_meta.pop("flow_cfg", None)
     save_checkpoint(args.out, out_tensors, out_meta)
-    for p, history in loss_csvs.items():
-        _atomic_write_text(p, _loss_csv_text(history))
+    _write_loss_csvs(args.out, chains, histories)
     print(f"wrote {args.out}")
     return 0
 
@@ -370,23 +368,10 @@ def cmd_train_compressor(args):
 # --- train-flow -----------------------------------------------------------------
 
 
-def _chain_pipelines(tensors, meta, chains):
-    from .checkpoint import unpack_pipeline
-
-    return {
-        name: unpack_pipeline(
-            tensors,
-            {"l_max": l_max, "dim": meta["dim"], "clamp_k": meta["clamp_k"]},
-            prefix=f"chain.{name}.",
-        )
-        for name, l_max in chains
-    }
-
-
 def cmd_train_flow(args):
     import numpy as np
 
-    from .checkpoint import load_checkpoint, pack_flow, save_checkpoint, unpack_pipeline
+    from .checkpoint import load_checkpoint
     from .config import load_config
     from .flow import FlowTrainConfig, VectorFieldConfig, init_flow_model, train_rf
     from .numeric import RngStream
@@ -395,49 +380,21 @@ def cmd_train_flow(args):
     tensors, meta = load_checkpoint(args.init)
     _expect_kind(meta, ("pipeline", "flow", "reflow"), args.init)
     _check_dim(meta, cfg, args.init)
-    path = cfg.require("data.train_path")
-    root = RngStream(cfg["train.seed"])
-    chains = _meta_chains(meta)
-    if chains is None:
-        pipeline = unpack_pipeline(tensors, meta)
-        seqs = _load_single_corpus(path, pipeline.l_max)
-        dataset = pipeline.corpus_to_latent(seqs)
-        seq_len = pipeline.l_max
-        width = pipeline.width
-    else:
-        pipes = _chain_pipelines(tensors, meta, chains)
-        seqs_by_chain = _load_multichain_corpus(path, chains)
-        dataset = np.concatenate(
-            [pipes[name].corpus_to_latent(seqs_by_chain[name]) for name, _ in chains], axis=1
-        )
-        seq_len = sum(l for _, l in chains)
-        width = pipes[chains[0][0]].width
+    layout = _layout(tensors, meta)
+    corpus = _load_corpus(cfg.require("data.train_path"), layout.chains)
+    dataset = np.concatenate(
+        [chain.pipeline.corpus_to_latent(seqs) for chain, seqs in zip(layout, corpus)], axis=1
+    )
     fcfg = VectorFieldConfig(
         depth=cfg["model.depth"],
-        width=width,
+        width=layout.width,
         hidden=cfg["model.width"],
         attention=cfg["model.attention"],
-        seq_len=seq_len,
+        seq_len=layout.total_length,
     )
-    model = init_flow_model(fcfg, root.substream("flow"))
-    tc = FlowTrainConfig(
-        steps=cfg["train.steps"],
-        batch=cfg["train.batch"],
-        lr=cfg["train.lr"],
-        lr_min=cfg["train.lr_min"],
-        warmup=cfg["train.warmup"],
-        clip=cfg["train.clip"],
-        seed=cfg["train.seed"],
-        weight_decay=cfg["train.weight_decay"],
-    )
-    model, trace = train_rf(dataset, tc, model)
-    out_tensors = {k: v for k, v in tensors.items() if not k.startswith("flow.")}
-    flow_tensors, flow_meta = pack_flow(model)
-    out_tensors.update(flow_tensors)
-    out_meta = _carry_meta(meta, cfg, "flow", cfg["train.steps"])
-    out_meta.update(flow_meta)
-    save_checkpoint(args.out, out_tensors, out_meta)
-    _atomic_write_text(args.out + ".loss.csv", _loss_csv_text(trace))
+    model = init_flow_model(fcfg, RngStream(cfg["train.seed"]).substream("flow"))
+    model, trace = train_rf(dataset, FlowTrainConfig(**_train_args(cfg, "seed")), model)
+    _save_flow_stage(args.out, tensors, _carry_meta(meta, cfg, "flow"), model, trace)
     if trace:
         print(f"final flow loss: {trace[-1][1]:.6g}")
     print(f"wrote {args.out}")
@@ -459,7 +416,7 @@ def _solver_from_values(values):
 
 
 def cmd_reflow(args):
-    from .checkpoint import file_sha256, load_checkpoint, pack_flow, save_checkpoint, unpack_flow
+    from .checkpoint import file_sha256, load_checkpoint, unpack_flow
     from .config import load_config
     from .flow import FlowTrainConfig, reflow_pairs, straightness, train_reflow
     from .numeric import RngStream
@@ -475,30 +432,15 @@ def cmd_reflow(args):
     root = RngStream(cfg["train.seed"])
     pairs = reflow_pairs(model, solver, m, root.substream("reflow-pairs"))
     s_before = straightness(model, pairs, n_t=8)
-    tc = FlowTrainConfig(
-        steps=cfg["train.steps"],
-        batch=cfg["train.batch"],
-        lr=cfg["train.lr"],
-        lr_min=cfg["train.lr_min"],
-        warmup=cfg["train.warmup"],
-        clip=cfg["train.clip"],
-        seed=cfg["train.seed"],
-        weight_decay=cfg["train.weight_decay"],
-    )
-    model, trace = train_reflow(pairs, tc, model)
+    model, trace = train_reflow(pairs, FlowTrainConfig(**_train_args(cfg, "seed")), model)
     s_after = straightness(model, pairs, n_t=8)
     print(f"straightness before: {s_before:.6g}")
     print(f"straightness after:  {s_after:.6g}")
-    out_tensors = {k: v for k, v in tensors.items() if not k.startswith("flow.")}
-    flow_tensors, flow_meta = pack_flow(model)
-    out_tensors.update(flow_tensors)
-    out_meta = _carry_meta(meta, cfg, "reflow", cfg["train.steps"])
-    out_meta.update(flow_meta)
+    out_meta = _carry_meta(meta, cfg, "reflow")
     out_meta["lineage"] = file_sha256(args.init)
     out_meta["straightness_before"] = float(s_before)
     out_meta["straightness_after"] = float(s_after)
-    save_checkpoint(args.out, out_tensors, out_meta)
-    _atomic_write_text(args.out + ".loss.csv", _loss_csv_text(trace))
+    _save_flow_stage(args.out, tensors, out_meta, model, trace)
     print(f"wrote {args.out}")
     return 0
 
@@ -507,6 +449,8 @@ def cmd_reflow(args):
 
 
 def _solver_with_overrides(meta, args):
+    """Each solver setting from its flag (--method, --steps, --atol, --rtol),
+    else from the checkpoint's config snapshot, else the default."""
     values = {
         "solver.method": "dopri5",
         "solver.steps": 25,
@@ -515,25 +459,17 @@ def _solver_with_overrides(meta, args):
     }
     snapshot = meta.get("config") or {}
     for key in values:
-        if snapshot.get(key) is not None:
-            values[key] = snapshot[key]
-    if args.method is not None:
-        values["solver.method"] = args.method
-    if args.steps is not None:
-        values["solver.steps"] = args.steps
-    if args.atol is not None:
-        values["solver.atol"] = args.atol
-    if args.rtol is not None:
-        values["solver.rtol"] = args.rtol
+        flag = getattr(args, key.split(".")[1])
+        for value in (snapshot.get(key), flag):
+            if value is not None:
+                values[key] = value
     return _solver_from_values(values)
 
 
 def cmd_sample(args):
-    from .checkpoint import load_checkpoint, unpack_flow, unpack_pipeline
-    from .multichain import ChainLayout, ChainSpec, sample_multichain
+    from .checkpoint import load_checkpoint, unpack_flow
+    from .multichain import sample_multichain
     from .numeric import RngStream
-    from .ode import sample_batch
-    from .seqio import LengthDistribution
 
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
@@ -542,30 +478,13 @@ def cmd_sample(args):
     model = unpack_flow(tensors, meta)
     solver = _solver_with_overrides(meta, args)
     rng = RngStream(args.seed).substream("sample")
-    chains = _meta_chains(meta)
-    if chains is None:
-        pipeline = unpack_pipeline(tensors, meta)
-        length_dist = LengthDistribution.from_dict(meta["length_dist"])
-        seqs, stats = sample_batch(model, pipeline, length_dist, args.n, solver, rng)
-        records = [(f"gen_{i}", s) for i, s in enumerate(seqs)]
-    else:
-        layout = ChainLayout(
-            [
-                ChainSpec(name, l_max, pipe)
-                for (name, l_max), pipe in zip(
-                    chains, _chain_pipelines(tensors, meta, chains).values()
-                )
-            ]
-        )
-        length_dists = {
-            name: LengthDistribution.from_dict(d) for name, d in meta["length_dists"].items()
-        }
-        samples, stats = sample_multichain(model, layout, length_dists, args.n, solver, rng)
-        records = [
-            (f"gen_{i}{_CHAIN_TAG}{chain.name}", s)
-            for i, tup in enumerate(samples)
-            for chain, s in zip(layout, tup)
-        ]
+    layout = _layout(tensors, meta)
+    samples, stats = sample_multichain(model, layout, _meta_length_dists(meta), args.n, solver, rng)
+    records = [
+        (f"gen_{i}{chain.tag(_CHAIN_TAG)}", s)
+        for i, tup in enumerate(samples)
+        for chain, s in zip(layout, tup)
+    ]
     _atomic_write_fasta(args.out, records)
     sidecar = {
         "seed": args.seed,

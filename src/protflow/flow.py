@@ -100,29 +100,41 @@ def _skip_source(cfg, b):
     return -1
 
 
-def init_flow_model(cfg, rng):
-    """Initialize so the network is the identity map: block outputs, skip
-    projections, and attention outputs all start at zero, so v(x, t) = x."""
-    sub = rng.substream("flow-init")
-    p = {}
-    if cfg.attention:
-        p["pos"] = 0.02 * sub.substream("pos").normal((cfg.seq_len, cfg.width))
+def param_shapes(cfg):
+    """Name -> shape of every parameter of the network cfg describes, in
+    parameter order."""
+    w = cfg.width
+    shapes = {"pos": (cfg.seq_len, w)} if cfg.attention else {}
     for b in range(cfg.depth):
-        bs = sub.substream(f"block{b}")
-        p[f"block{b}.tw"] = bs.substream("tw").normal((cfg.time_dim, cfg.width)) / math.sqrt(cfg.time_dim)
-        p[f"block{b}.tb"] = np.zeros(cfg.width)
+        shapes[f"block{b}.tw"] = (cfg.time_dim, w)
+        shapes[f"block{b}.tb"] = (w,)
         if cfg.attention:
-            p[f"block{b}.wq"] = bs.substream("wq").normal((cfg.width, cfg.width)) / math.sqrt(cfg.width)
-            p[f"block{b}.wk"] = bs.substream("wk").normal((cfg.width, cfg.width)) / math.sqrt(cfg.width)
-            p[f"block{b}.wv"] = bs.substream("wv").normal((cfg.width, cfg.width)) / math.sqrt(cfg.width)
-            p[f"block{b}.wo"] = np.zeros((cfg.width, cfg.width))
-        p[f"block{b}.w1"] = bs.substream("w1").normal((cfg.width, cfg.hidden)) / math.sqrt(cfg.width)
-        p[f"block{b}.b1"] = np.zeros(cfg.hidden)
-        p[f"block{b}.w2"] = np.zeros((cfg.hidden, cfg.width))
-        p[f"block{b}.b2"] = np.zeros(cfg.width)
+            shapes.update({f"block{b}.{k}": (w, w) for k in ("wq", "wk", "wv", "wo")})
+        shapes[f"block{b}.w1"] = (w, cfg.hidden)
+        shapes[f"block{b}.b1"] = (cfg.hidden,)
+        shapes[f"block{b}.w2"] = (cfg.hidden, w)
+        shapes[f"block{b}.b2"] = (w,)
     for j in range(cfg.depth // 2):
         if cfg.depth - 1 - j != j:
-            p[f"skip{j}.w"] = np.zeros((cfg.width, cfg.width))
+            shapes[f"skip{j}.w"] = (w, w)
+    return shapes
+
+
+def init_flow_model(cfg, rng):
+    """Initialize so the network is the identity map: block outputs, skip
+    projections, and attention outputs all start at zero, so v(x, t) = x.
+    The time, query, key, value and first MLP projections are normal over
+    sqrt(fan-in); the positional table is normal times 0.02."""
+    sub = rng.substream("flow-init")
+    p = {}
+    for name, shape in param_shapes(cfg).items():
+        block, _, kind = name.rpartition(".")
+        if name == "pos":
+            p[name] = 0.02 * sub.substream("pos").normal(shape)
+        elif kind in ("tw", "wq", "wk", "wv", "w1"):
+            p[name] = sub.substream(block).substream(kind).normal(shape) / math.sqrt(shape[0])
+        else:
+            p[name] = np.zeros(shape)
     return VectorFieldModel(cfg, p)
 
 
@@ -427,7 +439,7 @@ def reflow_pairs(model, solver_config, m, rng):
 
     Each pair draws z1 from its own RNG substream, and all pairs are solved
     together as lanes of one ode.solve_lanes call. A one-pair re-solve
-    takes the same steps and agrees to 1e-12 (see ode.sample_batch).
+    takes the same steps and agrees to 1e-12 (see multichain.sample_multichain).
     """
     cfg = model.cfg
     shape = (cfg.seq_len if cfg.attention else 1, cfg.width)

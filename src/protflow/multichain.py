@@ -5,6 +5,11 @@ models all chains together — including whatever dependence exists between
 them — and split back into chains at decode time. Each chain keeps its own
 encoder/decoder/smoothing/compressor parameters and its own length
 distribution; only the flow is shared.
+
+A single-chain corpus is the one-chain layout of the chain named "". The
+unnamed chain adds nothing to the names derived from a chain (ChainSpec.prefix
+and ChainSpec.tag), so single-chain tensors, RNG substreams, loss CSVs and
+FASTA headers carry no chain part.
 """
 
 import numpy as np
@@ -14,7 +19,7 @@ from .seqio import detokenize
 
 
 class ChainSpec:
-    """One chain's name, maximum length, and latent stack."""
+    """One chain's name, maximum length, and latent stack (None until known)."""
 
     __slots__ = ("name", "l_max", "pipeline")
 
@@ -24,6 +29,16 @@ class ChainSpec:
         self.name = name
         self.l_max = int(l_max)
         self.pipeline = pipeline
+
+    @property
+    def prefix(self):
+        """Tensor-name prefix: "chain.A." for chain A, "" for the unnamed chain."""
+        return self.tag("chain.", ".")
+
+    def tag(self, sep, end=""):
+        """sep + name + end, or "" for the unnamed chain: e.g. the RNG-substream
+        suffix "-A", the loss-CSV infix ".A" and the FASTA header tag "|chain=A"."""
+        return f"{sep}{self.name}{end}" if self.name else ""
 
 
 class ChainLayout:
@@ -97,9 +112,15 @@ def split_latents(joint, layout):
 
 
 def sample_multichain(model, layout, length_dists, n, solver_config, rng):
-    """Draw n joint samples in one lane-batched ODE solve, then decode each
-    chain per sample. Noise and lengths come from per-sample substreams, as
-    in ode.sample_batch, which states the batch-size guarantee.
+    """Full sampling: noise -> one lane-batched ODE solve -> split into
+    chains -> decompress -> unsmooth -> decode, per sample and chain.
+
+    Each sample draws its noise and each chain's length from RNG substreams
+    keyed by its index, and all samples are solved together as lanes of one
+    solve_lanes call. A rerun with the same n and seed is bitwise identical.
+    Across batch sizes a sample's latent agrees to 1e-12 (the field's matrix
+    products round differently with the row count), and its NFE and
+    accepted/rejected step counts are equal.
 
     Args:
         model: VectorFieldModel trained on the joint (total_length, W) grid.
@@ -118,15 +139,18 @@ def sample_multichain(model, layout, length_dists, n, solver_config, rng):
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    subs = [rng.substream(f"sample{i}") for i in range(n)]
     shape = (layout.total_length, layout.width)
+    cfg = model.cfg
+    if cfg.width != shape[1] or cfg.attention and cfg.seq_len != shape[0]:
+        raise LayoutMismatch(f"flow ({cfg.seq_len}, {cfg.width}) cannot sample latents {shape}")
+    subs = [rng.substream(f"sample{i}") for i in range(n)]
     eps = np.stack([sub.substream("noise").normal(shape) for sub in subs])
     res = solve_lanes(lambda x, t: flow_forward(model, x, t), eps, solver_config)
     samples = []
     for sub, x0 in zip(subs, res.x0):
         chains = []
         for chain, block in zip(layout, split_latents(x0, layout)):
-            length = length_dists[chain.name].sample(sub.substream(f"length-{chain.name}"))
+            length = length_dists[chain.name].sample(sub.substream("length" + chain.tag("-")))
             mask = np.zeros(chain.l_max, dtype=bool)
             mask[: min(length, chain.l_max)] = True
             chains.append(detokenize(chain.pipeline.latent_to_sequence(block, mask)))

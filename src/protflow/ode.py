@@ -8,14 +8,13 @@ The fixed-grid DP54 mode needs just the first six stages per step (the
 
 There is one implementation of each integrator, over a leading lane axis:
 solve_lanes integrates n independent states with one field call per stage
-for every lane still running, and the single-state solve is its one-lane
+for every lane still running, and solve, over one state, is its one-lane
 case.
 """
 
 import numpy as np
 
 from .errors import NfeBudgetExceeded, NonFiniteState, StepUnderflow
-from .seqio import detokenize
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -251,16 +250,14 @@ def solve_lanes(v, x1, config, record_trajectory=False):
     return _fixed_grid(v, x, config.steps, tableau, record_trajectory)
 
 
-def _lane_field(v):
-    """Lift a single-state field v(x, t) with a float t to the lane interface."""
-    return lambda xs, ts: v(xs[0], float(ts[0]))[None]
+def solve(v, x1, config, record_trajectory=False):
+    """Integrate the field from noise (t=1) to data (t=0) per the config.
 
-
-def _one_lane(x1):
-    return np.array(x1, dtype=np.float64)[None]
-
-
-def _first_lane(res):
+    v(x, t) takes one state and a float time; this is solve_lanes on one lane,
+    and the counts of the result are ints.
+    """
+    x = np.array(x1, dtype=np.float64)[None]
+    res = solve_lanes(lambda xs, ts: v(xs[0], float(ts[0]))[None], x, config, record_trajectory)
     return SolveResult(
         res.x0[0],
         int(res.nfe[0]),
@@ -268,70 +265,3 @@ def _first_lane(res):
         accepted=int(res.accepted[0]),
         rejected=int(res.rejected[0]),
     )
-
-
-def euler_solve(v, x1, n_steps, record_trajectory=False):
-    """Fixed-step Euler from t=1 to t=0: x <- x - (1/N) * v(x, t)."""
-    if n_steps < 1:
-        raise ValueError("N must be >= 1")
-    return _first_lane(
-        _fixed_grid(_lane_field(v), _one_lane(x1), n_steps, _EULER, record_trajectory)
-    )
-
-
-def dopri5_solve(v, x1, config, record_trajectory=False):
-    """Dormand-Prince 5(4), adaptive or on config.steps uniform steps."""
-    if config.method == "dopri5-adaptive":
-        return solve(v, x1, config, record_trajectory)
-    return _first_lane(
-        _fixed_grid(_lane_field(v), _one_lane(x1), config.steps, _DP54_FIXED, record_trajectory)
-    )
-
-
-def solve(v, x1, config, record_trajectory=False):
-    """Integrate the field from noise (t=1) to data (t=0) per the config.
-
-    v(x, t) takes one state and a float time; this is solve_lanes on one lane.
-    """
-    return _first_lane(solve_lanes(_lane_field(v), _one_lane(x1), config, record_trajectory))
-
-
-def sample_batch(model, pipeline, length_dist, n, solver_config, rng):
-    """Full sampling: noise -> ODE -> decompress -> unsmooth -> decode.
-
-    Each sample draws its noise and its length from an RNG substream keyed
-    by its index, and all samples are solved together as lanes of one
-    solve_lanes call. A rerun with the same n and seed is bitwise
-    identical. Across batch sizes a sample's latent agrees to 1e-12 (the
-    field's matrix products round differently with the row count), and its
-    NFE and accepted/rejected step counts are equal.
-
-    Args:
-        model: trained VectorFieldModel over (l_max, width) latents.
-        pipeline: LatentPipeline providing decode-side parameters.
-        length_dist: LengthDistribution for mask sampling.
-        n: number of sequences, >= 1.
-        solver_config: SolverConfig.
-        rng: RngStream.
-
-    Returns:
-        (sequences, stats): list of n residue strings and a dict with
-        per-sample NFE plus the mean.
-    """
-    from .flow import flow_forward
-
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    l_max = pipeline.l_max
-    subs = [rng.substream(f"sample{i}") for i in range(n)]
-    eps = np.stack([sub.substream("noise").normal((l_max, pipeline.width)) for sub in subs])
-    res = solve_lanes(lambda x, t: flow_forward(model, x, t), eps, solver_config)
-    seqs = []
-    for sub, x0 in zip(subs, res.x0):
-        length = length_dist.sample(sub.substream("length"))
-        mask = np.zeros(l_max, dtype=bool)
-        mask[: min(length, l_max)] = True
-        seqs.append(detokenize(pipeline.latent_to_sequence(x0, mask)))
-    nfes = [int(k) for k in res.nfe]
-    stats = {"nfes": nfes, "mean_nfe": float(np.mean(nfes)), "n": n}
-    return seqs, stats

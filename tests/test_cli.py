@@ -78,6 +78,13 @@ def _write_fasta(path, records):
     path.write_text("".join(f">{h}\n{s}\n" for h, s in records))
 
 
+def _protflow_env():
+    """The environment with this protflow first on PYTHONPATH, for subprocesses."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(protflow.__file__)))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Train decoder -> compressor -> flow -> reflow once on a toy corpus."""
@@ -375,9 +382,7 @@ def test_exit_4_non_finite_checkpoint_tensor(workdir):
     data[payload : payload + 4] = struct.pack("<f", float("nan"))
     bad = workdir["root"] / "nan.ckpt"
     bad.write_bytes(bytes(data))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(protflow.__file__)))
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = _protflow_env()
     proc = subprocess.run(
         [sys.executable, "-m", "protflow", "sample", "--checkpoint", str(bad),
          "--out", str(workdir["root"] / "nan.fasta")],
@@ -390,9 +395,7 @@ def test_exit_4_non_finite_checkpoint_tensor(workdir):
 
 def test_exit_4_malformed_checkpoint_header(tmp_path):
     # A header that breaks the schema is a checkpoint error, not a traceback.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(protflow.__file__)))
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = _protflow_env()
     headers = {
         "list": ([], "'tensors' list"),
         "no_shape": ({"tensors": [{"name": "w", "dtype": "<f4", "offset": 0}]}, "'shape'"),
@@ -416,9 +419,7 @@ def test_exit_4_checkpoint_missing_metadata(workdir):
     del meta["l_max"]
     bad = workdir["root"] / "no_l_max.ckpt"
     save_checkpoint(str(bad), tensors, meta)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(protflow.__file__)))
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = _protflow_env()
     proc = subprocess.run(
         [sys.executable, "-m", "protflow", "sample", "--checkpoint", str(bad),
          "--out", str(workdir["root"] / "no_l_max.fasta")],
@@ -427,6 +428,74 @@ def test_exit_4_checkpoint_missing_metadata(workdir):
     assert proc.returncode == 4, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "'l_max'" in proc.stderr
+
+
+def test_exit_4_tensors_that_disagree_with_the_model(workdir, mc_workdir):
+    # Each tensor must have the name and shape the checkpoint's metadata
+    # implies; sampling reports the first that does not as one error line.
+    cases = {
+        "flow_w1_truncated": (workdir["flow"], "flow.block0.w1", lambda a: a[:, :-1]),
+        "chain_decoder_w1_cut": (mc_workdir["flow"], "chain.A.decoder.w1", lambda a: a[:5]),
+        "flow_b2_deleted": (workdir["flow"], "flow.block0.b2", None),
+    }
+    for label, (source, key, change) in cases.items():
+        tensors, meta = load_checkpoint(source)
+        if change is None:
+            del tensors[key]
+        else:
+            tensors[key] = change(tensors[key])
+        bad = workdir["root"] / f"{label}.ckpt"
+        save_checkpoint(str(bad), tensors, meta)
+        proc = subprocess.run(
+            [sys.executable, "-m", "protflow", "sample", "--checkpoint", str(bad),
+             "--out", str(workdir["root"] / f"{label}.fasta")],
+            env=_protflow_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 4, (label, proc.stderr)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (label, proc.stderr)
+        assert repr(key) in lines[0], (label, lines[0])
+
+
+def test_val_path_is_held_out_data(workdir, monkeypatch, capsys):
+    from protflow import latent
+
+    held_out = workdir["root"] / "val.fasta"
+    _write_fasta(held_out, [("v0", "WYW"), ("v1", "HHIKL"), ("v2", "MMN")])
+    seen = {}
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name] = len(args[3] if name == "decoder" else args[2])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(latent, "train_decoder", spy("decoder", latent.train_decoder))
+    monkeypatch.setattr(latent, "train_compressor", spy("compressor", latent.train_compressor))
+    root = workdir["root"]
+    runs = {}
+    for figure, sets in (("train", []), ("val", ["--set", f"data.val_path={held_out}"])):
+        dec, pipe = str(root / f"dec_{figure}.ckpt"), str(root / f"pipe_{figure}.ckpt")
+        assert cli.main(["train-decoder", "--config", workdir["cfg"], "--out", dec, *sets]) == 0
+        assert cli.main(["train-compressor", "--config", workdir["cfg"], "--init", dec,
+                         "--out", pipe, *sets]) == 0
+        out = capsys.readouterr().out
+        assert f"decoder {figure} accuracy: " in out
+        assert f"compressor {figure} MSE: " in out
+        runs[figure] = (dict(seen), dec, pipe)
+    # the figures come from the 12 training sequences (12 * L_max 6 rows), or
+    # from the 3 held-out ones
+    assert runs["train"][0] == {"decoder": 12, "compressor": 72}
+    assert runs["val"][0] == {"decoder": 3, "compressor": 18}
+    for train_path, val_path in zip(runs["train"][1:], runs["val"][1:]):
+        (t_tensors, t_meta), (v_tensors, v_meta) = load_checkpoint(train_path), load_checkpoint(val_path)
+        assert t_tensors.keys() == v_tensors.keys()
+        assert all(np.array_equal(t_tensors[k], v_tensors[k]) for k in t_tensors)
+        assert v_meta["config"].pop("data.val_path") == str(held_out)
+        t_meta["config"].pop("data.val_path")
+        assert t_meta == v_meta
+        with open(train_path + ".loss.csv", "rb") as a, open(val_path + ".loss.csv", "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_keep_freed_heap(monkeypatch):
@@ -487,9 +556,7 @@ print(json.dumps([code, names, calls]))
 
 def _run_script(script, argv, cwd):
     """The JSON last line a script prints, run with argv in a fresh interpreter."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(protflow.__file__)))
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = _protflow_env()
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
@@ -826,3 +893,62 @@ def test_multichain_corpus_errors(mc_workdir):
              "--set", f"data.train_path={bad}"]
         )
         assert code == 2, fname
+
+
+# --- golden bytes ---------------------------------------------------------------
+
+# SHA-256 of every file the pipeline writes, recorded on x86-64 with numpy 2.4
+# and OpenBLAS, with OPENBLAS_NUM_THREADS=1 and unset alike. The two-chain
+# corpus pairs each record of _CORPUS (chain A) with its last four residues
+# (chain B).
+_GOLDEN = {
+    None: {
+        "dec.ckpt": "6e4c3e44867b4966db278cd67450000bd72285cd5a71b641ca37bb7c76fc1d34",
+        "dec.ckpt.loss.csv": "e4a572cc3bfd320fa7a1761e93c6897b84c276356de01623494ad7ecf95b9680",
+        "flow.ckpt": "4700be635f4bbd2231f7c8423087def56dc0c7db92dfd6da971bdefe58b2b6b2",
+        "flow.ckpt.loss.csv": "d1428fb04b69853eb410b15a6e64cfd9c3aaeac68024cdee699e9be8225d3cab",
+        "gen.fasta": "8528cb52414a107176d619057362785a906d8034972277db2df97042c2e8b1ab",
+        "gen.fasta.json": "b36e90fe0c8ee92577f0b839d1a951a0b130459ceda2abfb40472db27eab3113",
+        "pipe.ckpt": "b3344d1a2b4e183691da2d30ae9b1e3c35b8be78116c85fc938b9e3c29f7fa0d",
+        "pipe.ckpt.loss.csv": "ca9a9c03bc77eec706da63bcc41e45066d581157cb01f6f9402857f13bc83a7d",
+    },
+    "A:6,B:4": {
+        "dec.ckpt": "1601b661dc7c04121c2fd34cd5a9c44189cae8e76ca002e20fafc01a65e04dc7",
+        "dec.ckpt.A.loss.csv": "fba529ac338e0664611978f41ef1786c452f65f6faddf8f0cbfbfaa22e7fde01",
+        "dec.ckpt.B.loss.csv": "f4665507cd5294d97c96b75638d09ed9ef5c78d2b27ea084c567929deabd66cb",
+        "flow.ckpt": "25e025177d2b0893ed1cd69d533c5bc0ab608f8489a869626a3ce35eab0dad17",
+        "flow.ckpt.loss.csv": "2478ee64659dcfc6823734ecfaa46dfcd5d9f21f3e1c2f329f63f839c3dbc4a1",
+        "gen.fasta": "8eb9121068aa8471873f5d87ba3baa4967e14fcb653911d1469bf3460a18ff39",
+        "gen.fasta.json": "b36e90fe0c8ee92577f0b839d1a951a0b130459ceda2abfb40472db27eab3113",
+        "pipe.ckpt": "c29aeebed752f4fae37d76e82bda9d1318b0620f292e5929c3012e9c3cd93794",
+        "pipe.ckpt.A.loss.csv": "383b6fdf4b73e89fb28783c74617d05b079de9d1aab7d53ae0f988ad9310361c",
+        "pipe.ckpt.B.loss.csv": "ae295ba41feb12367d91f2e273c8802077fe778331de55ad662221e075e6488b",
+    },
+}
+
+
+@pytest.mark.parametrize("chains", list(_GOLDEN), ids=lambda c: c or "single")
+def test_pipeline_outputs_match_golden_bytes(chains, tmp_path, monkeypatch):
+    # Relative paths keep the config snapshot in each checkpoint the same
+    # wherever the test runs.
+    monkeypatch.chdir(tmp_path)
+    if chains is None:
+        records = [(f"seq{i}", s) for i, s in enumerate(_CORPUS)]
+    else:
+        records = [
+            rec
+            for i, s in enumerate(_CORPUS)
+            for rec in ((f"c{i}|chain=A", s), (f"c{i}|chain=B", s[-4:]))
+        ]
+    _write_fasta(tmp_path / "corpus.fasta", records)
+    chains_line = "" if chains is None else f"chains = {chains}\n"
+    (tmp_path / "run.cfg").write_text(_BASE_CFG + "data.train_path = corpus.fasta\n" + chains_line)
+    for argv in (
+        ["train-decoder", "--config", "run.cfg", "--out", "dec.ckpt"],
+        ["train-compressor", "--config", "run.cfg", "--init", "dec.ckpt", "--out", "pipe.ckpt"],
+        ["train-flow", "--config", "run.cfg", "--init", "pipe.ckpt", "--out", "flow.ckpt"],
+        ["sample", "--checkpoint", "flow.ckpt", "--out", "gen.fasta", "--n", "6", "--seed", "3"],
+    ):
+        assert cli.main(argv) == 0, argv
+    outputs = sorted(set(os.listdir(tmp_path)) - {"corpus.fasta", "run.cfg"})
+    assert {name: file_sha256(str(tmp_path / name)) for name in outputs} == _GOLDEN[chains]

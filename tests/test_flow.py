@@ -156,7 +156,7 @@ def test_planted_constant_offset_field():
     def field(x, t):
         return flow.flow_forward(model, x, np.full(x.shape[0], t))
 
-    res = ode.euler_solve(field, eps, 1)
+    res = ode.solve(field, eps, ode.SolverConfig(method="euler", steps=1))
     assert np.allclose(res.x0, np.broadcast_to(c, eps.shape), atol=1e-12)
 
 

@@ -391,14 +391,10 @@ def test_decoder_accuracy_batch_matches_loop(case, tmp_path):
     assert cli.main(argv) == 0
     tensors, meta = load_checkpoint(ckpt)
     dim = int(meta["dim"])
-    if "chains" in meta:
-        chains = [(c["name"], c["l_max"]) for c in meta["chains"]]
-        by_chain = cli._load_multichain_corpus(corpus, chains)
-        parts = [(f"chain.{name}.", l_max, by_chain[name]) for name, l_max in chains]
-    else:
-        parts = [("", meta["l_max"], cli._load_single_corpus(corpus, meta["l_max"]))]
-    for prefix, l_max, seqs in parts:
-        enc = unpack_encoder(tensors, l_max, dim, prefix)
+    chains = cli._meta_chains(meta)
+    for chain, seqs in zip(chains, cli._load_corpus(corpus, chains)):
+        prefix = chain.prefix
+        enc = unpack_encoder(tensors, chain.l_max, dim, prefix)
         dec = unpack_decoder(tensors, prefix)
         val = seqs[:256]  # the held-out set train-decoder scores
         accuracy = latent.decoder_accuracy(dec, enc, val)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from protflow import latent, ode
+from protflow import latent, multichain, ode
 from protflow.errors import NfeBudgetExceeded, NonFiniteState, StepUnderflow
 from protflow.flow import VectorFieldConfig, init_flow_model
 from protflow.numeric import RngStream
@@ -39,29 +39,31 @@ def test_solver_config_dict_round_trip():
 def test_euler_linear_field_closed_form():
     x1 = np.array([2.0, -3.0, 0.5])
     for n in (1, 4, 25):
-        res = ode.euler_solve(lambda x, t: x, x1, n)
+        res = ode.solve(lambda x, t: x, x1, ode.SolverConfig(method="euler", steps=n))
         expected = x1 * (1.0 - 1.0 / n) ** n
         assert np.allclose(res.x0, expected, atol=1e-14)
         assert res.nfe == n
     with pytest.raises(ValueError):
-        ode.euler_solve(lambda x, t: x, x1, 0)
+        ode.solve(lambda x, t: x, x1, ode.SolverConfig(method="euler", steps=0))
 
 
 def test_euler_one_step_subtracts_field_at_t1():
     x1 = np.array([1.0, 2.0])
-    res = ode.euler_solve(lambda x, t: x - np.array([5.0, 5.0]), x1, 1)
+    one_step = ode.SolverConfig(method="euler", steps=1)
+    res = ode.solve(lambda x, t: x - np.array([5.0, 5.0]), x1, one_step)
     # x0 = x1 - 1*(x1 - c) = c exactly
     assert np.array_equal(res.x0, np.array([5.0, 5.0]))
 
 
 def test_trajectory_recording():
     x1 = np.array([1.0])
-    res = ode.euler_solve(lambda x, t: x, x1, 4, record_trajectory=True)
+    euler4 = ode.SolverConfig(method="euler", steps=4)
+    res = ode.solve(lambda x, t: x, x1, euler4, record_trajectory=True)
     assert len(res.trajectory) == 5
     times = [t for t, _ in res.trajectory]
     assert times == pytest.approx([1.0, 0.75, 0.5, 0.25, 0.0])
     assert np.array_equal(res.trajectory[-1][1], res.x0)
-    res2 = ode.dopri5_solve(
+    res2 = ode.solve(
         lambda x, t: x, x1, ode.SolverConfig(steps=3), record_trajectory=True
     )
     assert len(res2.trajectory) == 4
@@ -70,7 +72,7 @@ def test_trajectory_recording():
 def test_dopri5_fixed_exponential_accuracy_and_nfe():
     x1 = np.array([1.0, -2.0])
     for n in (5, 25):
-        res = ode.dopri5_solve(lambda x, t: x, x1, ode.SolverConfig(steps=n))
+        res = ode.solve(lambda x, t: x, x1, ode.SolverConfig(steps=n))
         assert res.nfe == 6 * n
         assert np.max(np.abs(res.x0 - x1 * math.exp(-1.0))) < 1e-7
 
@@ -83,7 +85,7 @@ def test_dopri5_fixed_single_step_quartic_exact():
     def v(x, t):
         return np.array([t**4 + t + 1.0])
 
-    res = ode.dopri5_solve(v, x1, ode.SolverConfig(steps=1))
+    res = ode.solve(v, x1, ode.SolverConfig(steps=1))
     expected = x1 - (1.0 / 5.0 + 1.0 / 2.0 + 1.0)
     assert np.max(np.abs(res.x0 - expected)) < 1e-12
     assert res.nfe == 6
@@ -92,7 +94,7 @@ def test_dopri5_fixed_single_step_quartic_exact():
 def test_dopri5_adaptive_accuracy_and_nfe_accounting():
     x1 = np.array([3.0, -1.0, 0.125])
     cfg = ode.SolverConfig(method="dopri5-adaptive", atol=1e-8, rtol=1e-8)
-    res = ode.dopri5_solve(lambda x, t: x, x1, cfg)
+    res = ode.solve(lambda x, t: x, x1, cfg)
     assert np.max(np.abs(res.x0 - x1 * math.exp(-1.0))) < 1e-7
     assert res.nfe == 1 + 6 * (res.accepted + res.rejected)
     assert res.accepted > 0
@@ -103,7 +105,7 @@ def test_adaptive_tightening_tolerance_reduces_error():
     errs = []
     for tol in (1e-4, 1e-10):
         cfg = ode.SolverConfig(method="dopri5-adaptive", atol=tol, rtol=tol)
-        res = ode.dopri5_solve(lambda x, t: np.sin(3.0 * t) * x, x1, cfg)
+        res = ode.solve(lambda x, t: np.sin(3.0 * t) * x, x1, cfg)
         # closed form: x(0) = x1 * exp(-(1 - cos(3))/3) integrated 1 -> 0
         exact = x1 * math.exp(-(1.0 - math.cos(3.0)) / 3.0)
         errs.append(float(np.abs(res.x0 - exact)[0]))
@@ -114,7 +116,7 @@ def test_adaptive_tightening_tolerance_reduces_error():
 def test_adaptive_nfe_budget():
     cfg = ode.SolverConfig(method="dopri5-adaptive", atol=1e-12, rtol=1e-12, max_nfe=10)
     with pytest.raises(NfeBudgetExceeded):
-        ode.dopri5_solve(lambda x, t: np.sin(100 * t) * x, np.ones(3), cfg)
+        ode.solve(lambda x, t: np.sin(100 * t) * x, np.ones(3), cfg)
 
 
 def test_adaptive_step_underflow():
@@ -123,14 +125,14 @@ def test_adaptive_step_underflow():
 
     cfg = ode.SolverConfig(method="dopri5-adaptive", atol=1e-10, rtol=1e-10)
     with pytest.raises(StepUnderflow):
-        ode.dopri5_solve(nasty, np.array([1.0]), cfg)
+        ode.solve(nasty, np.array([1.0]), cfg)
 
 
 def test_non_finite_state_raises():
     with pytest.raises(NonFiniteState):
-        ode.euler_solve(lambda x, t: x * np.inf, np.ones(2), 4)
+        ode.solve(lambda x, t: x * np.inf, np.ones(2), ode.SolverConfig(method="euler", steps=4))
     with pytest.raises(NonFiniteState):
-        ode.dopri5_solve(lambda x, t: x * np.nan, np.ones(2), ode.SolverConfig(steps=2))
+        ode.solve(lambda x, t: x * np.nan, np.ones(2), ode.SolverConfig(steps=2))
 
 
 def test_solve_dispatches_by_method():
@@ -145,24 +147,29 @@ def test_solve_dispatches_by_method():
     assert r_ad.nfe == 1 + 6 * (r_ad.accepted + r_ad.rejected)
 
 
-def _tiny_pipeline(rng):
+def _tiny_layout(rng):
+    """The one-chain layout of a single-chain corpus: the unnamed chain."""
     enc = latent.init_encoder(4, 8, rng.substream("enc"), embed_scale=5.0, embed_rank=3)
     dec = latent.init_decoder(8, 8, rng.substream("dec"))
     rows = rng.substream("rows").normal((30, 8))
     stats = latent.fit_smoothing(rows)
     comp = latent.init_compressor(8, 2, rng.substream("comp"))
-    return latent.LatentPipeline(enc, dec, stats, comp)
+    pipe = latent.LatentPipeline(enc, dec, stats, comp)
+    return multichain.ChainLayout([multichain.ChainSpec("", 4, pipe)])
 
 
 def test_sample_batch_order_independent():
     rng = RngStream(17)
-    pipe = _tiny_pipeline(rng)
+    layout = _tiny_layout(rng)
     cfg = VectorFieldConfig(2, 4, 8)
     model = init_flow_model(cfg, rng.substream("model"))
-    ld = LengthDistribution([2, 3, 4], [1, 2, 1])
+    ld = {"": LengthDistribution([2, 3, 4], [1, 2, 1])}
     sc = ode.SolverConfig(method="dopri5", steps=4)
-    seqs3, stats3 = ode.sample_batch(model, pipe, ld, 3, sc, RngStream(5))
-    seqs5, stats5 = ode.sample_batch(model, pipe, ld, 5, sc, RngStream(5))
+    samples3, stats3 = multichain.sample_multichain(model, layout, ld, 3, sc, RngStream(5))
+    samples5, stats5 = multichain.sample_multichain(model, layout, ld, 5, sc, RngStream(5))
+    assert all(len(sample) == 1 for sample in samples5)
+    seqs3 = [s for (s,) in samples3]
+    seqs5 = [s for (s,) in samples5]
     assert seqs5[:3] == seqs3
     assert stats3["mean_nfe"] == 24.0  # 6 * 4 fixed-grid evaluations
     assert stats5["n"] == 5
@@ -172,12 +179,12 @@ def test_sample_batch_order_independent():
 
 def test_sample_batch_rejects_nonpositive_n():
     rng = RngStream(18)
-    pipe = _tiny_pipeline(rng)
+    layout = _tiny_layout(rng)
     cfg = VectorFieldConfig(2, 4, 8)
     model = init_flow_model(cfg, rng.substream("model"))
-    ld = LengthDistribution([2], [1])
+    ld = {"": LengthDistribution([2], [1])}
     with pytest.raises(ValueError):
-        ode.sample_batch(model, pipe, ld, 0, ode.SolverConfig(), RngStream(0))
+        multichain.sample_multichain(model, layout, ld, 0, ode.SolverConfig(), RngStream(0))
 
 
 # --- lane-batched solves ---------------------------------------------------------
