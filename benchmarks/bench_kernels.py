@@ -22,6 +22,14 @@ and median of five runs after one warm-up. It checks a seeded sample of
 matrix entries against the single-pair levenshtein and exits 1 on any
 mismatch, else 0.
 
+Sampling follows, on a seeded flow model shaped like the sample workload's
+(depth 2, width 8, hidden 64, L = 20) whose parameters are perturbed so the
+field is not the identity: flow_forward per call at batch 2 and 16 (the
+adaptive and dopri5 x25 sample commands' batches), one dopri5-adaptive solve
+of 2 lanes with its NFE per lane, and one dopri5 x25 solve of 16 lanes, best
+and median of five runs after one warm-up. Set OPENBLAS_NUM_THREADS=1 to
+time them as the CLI benchmarks do.
+
 Start-up comes last: the child CPU seconds (user + system, from os.wait4) of
 `python -m protflow <command> --help` for each command, best and median of
 five runs, beside the bare interpreter and `import numpy` for scale. --help
@@ -44,7 +52,8 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from protflow import cli, kernels, nn  # noqa: E402
+from protflow import cli, flow, kernels, nn, ode  # noqa: E402
+from protflow.numeric import RngStream  # noqa: E402
 
 ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 REPEATS = 5
@@ -61,6 +70,10 @@ COMMANDS = (
     "eval",
     "inspect-checkpoint",
 )
+
+FLOW_CFG = dict(depth=2, width=8, hidden=64)
+FLOW_LENGTH = 20
+FORWARD_CALLS = 200
 
 SHAPES = {
     # name: (batch size, reference size, min length, max length)
@@ -122,6 +135,35 @@ def bench_gelu():
     print()
 
 
+def bench_sampling():
+    model = flow.init_flow_model(flow.VectorFieldConfig(**FLOW_CFG), RngStream(0))
+    for key, val in model.params.items():
+        model.params[key] = val + 0.1 * RngStream(1).substream(key).normal(val.shape)
+
+    def field(x, t):
+        return flow.flow_forward(model, x, t)
+
+    def lanes(n):
+        return RngStream(2).normal((n, FLOW_LENGTH, FLOW_CFG["width"]))
+
+    print(f"{'sampling':<34} {'best':>10} {'median':>10}")
+    for n in (2, 16):
+        x, t = lanes(n), np.full(n, 0.5)
+        _, best, median = timed(lambda: [field(x, t) for _ in range(FORWARD_CALLS)])
+        label = f"flow_forward {n}x{FLOW_LENGTH}x{FLOW_CFG['width']}, per call"
+        print(f"{label:<34} {best / FORWARD_CALLS * 1e6:>8.1f}us "
+              f"{median / FORWARD_CALLS * 1e6:>8.1f}us")
+    solves = (
+        ("dopri5-adaptive, 2 lanes", lanes(2), ode.SolverConfig(method="dopri5-adaptive")),
+        ("dopri5 x25, 16 lanes", lanes(16), ode.SolverConfig(method="dopri5", steps=25)),
+    )
+    for label, x1, config in solves:
+        res, best, median = timed(lambda: ode.solve_lanes(field, x1, config))
+        nfe = "/".join(str(k) for k in sorted(set(res.nfe.tolist())))
+        print(f"{label:<34} {best * 1e3:>8.1f}ms {median * 1e3:>8.1f}ms  NFE per lane {nfe}")
+    print()
+
+
 def mismatches(mat, xs, ys, seed):
     """Sampled entries of mat that disagree with levenshtein(xs[i], ys[j])."""
     gen = np.random.default_rng(seed)
@@ -174,6 +216,7 @@ def main():
         for task, (best, median), checked in rows:
             print(f"{shape:<8} {task:<22} {best * 1e3:>8.2f}ms {median * 1e3:>8.2f}ms  {checked}")
     print()
+    bench_sampling()
     bench_startup()
     return 1 if bad else 0
 

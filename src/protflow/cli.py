@@ -407,12 +407,15 @@ def cmd_train_flow(args):
 def _solver_from_values(values):
     from .ode import SolverConfig
 
-    return SolverConfig(
-        method=values["solver.method"],
-        steps=values["solver.steps"],
-        atol=values["solver.atol"],
-        rtol=values["solver.rtol"],
-    )
+    try:
+        return SolverConfig(
+            method=values["solver.method"],
+            steps=values["solver.steps"],
+            atol=values["solver.atol"],
+            rtol=values["solver.rtol"],
+        )
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def cmd_reflow(args):

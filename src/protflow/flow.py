@@ -14,6 +14,7 @@ self-attention sublayer per block, plus a learned positional table, can be
 switched on when positions must interact (e.g. jointly-modeled chains).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -92,10 +93,10 @@ class VectorFieldModel:
         return sum(int(v.size) for v in self.params.values())
 
 
-def _skip_source(cfg, b):
+def _skip_source(depth, b):
     """Index j of the block whose input is projected into block b, or -1."""
-    j = cfg.depth - 1 - b
-    if 0 <= j < cfg.depth // 2 and j < b:
+    j = depth - 1 - b
+    if 0 <= j < depth // 2 and j < b:
         return j
     return -1
 
@@ -143,6 +144,18 @@ def _softmax_lastaxis(x):
     return z / z.sum(axis=-1, keepdims=True)
 
 
+@functools.lru_cache(maxsize=None)
+def _block_names(depth):
+    """Per block b: the skip source j (or -1), the name of its projection, and
+    the names of the block's parameters."""
+    kinds = ("tw", "tb", "wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2")
+    names = []
+    for b in range(depth):
+        j = _skip_source(depth, b)
+        names.append((j, f"skip{j}.w", tuple(f"block{b}.{k}" for k in kinds)))
+    return tuple(names)
+
+
 def flow_forward(model, x, t, need_cache=False):
     """Evaluate v(x, t).
 
@@ -160,7 +173,9 @@ def flow_forward(model, x, t, need_cache=False):
     if x.ndim != 3 or x.shape[2] != cfg.width:
         raise ShapeMismatch(f"expected (n, L, {cfg.width}), got {x.shape}")
     n, length, w = x.shape
-    t = np.broadcast_to(np.asarray(t, dtype=np.float64), (n,))
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape != (n,):
+        t = np.broadcast_to(t, (n,))
     temb = nn.time_features(t, cfg.time_dim)
 
     stream = x
@@ -171,27 +186,33 @@ def flow_forward(model, x, t, need_cache=False):
     inputs = []
     caches = []
     inv_sqrt_w = 1.0 / math.sqrt(w)
-    for b in range(cfg.depth):
-        j = _skip_source(cfg, b)
-        x_in = stream + inputs[j] @ p[f"skip{j}.w"] if j >= 0 else stream
+    # Biases, residuals and the score scale are applied in place to fresh
+    # matmul results; each sum adds the operand pair x + y would, so no value moves.
+    for j, skip_w, (tw, tb, wq, wk, wv, wo, w1, b1, w2, b2) in _block_names(cfg.depth):
+        x_in = stream + inputs[j] @ p[skip_w] if j >= 0 else stream
         inputs.append(x_in)
-        tb = temb @ p[f"block{b}.tw"] + p[f"block{b}.tb"]
-        u = x_in + tb[:, None, :]
+        tproj = temb @ p[tw]
+        tproj += p[tb]
+        u = x_in + tproj[:, None, :]
         if cfg.attention:
-            q = u @ p[f"block{b}.wq"]
-            k = u @ p[f"block{b}.wk"]
-            vv = u @ p[f"block{b}.wv"]
-            scores = (q @ k.transpose(0, 2, 1)) * inv_sqrt_w
+            q = u @ p[wq]
+            k = u @ p[wk]
+            vv = u @ p[wv]
+            scores = q @ k.transpose(0, 2, 1)
+            scores *= inv_sqrt_w
             att = _softmax_lastaxis(scores)
             m = att @ vv
-            u2 = u + m @ p[f"block{b}.wo"]
+            u2 = m @ p[wo]
+            u2 += u
         else:
             q = k = vv = att = m = None
             u2 = u
-        a = u2 @ p[f"block{b}.w1"] + p[f"block{b}.b1"]
-        z, tanh_a = nn.gelu(a, return_tanh=True)
-        delta = z @ p[f"block{b}.w2"] + p[f"block{b}.b2"]
-        stream = x_in + delta
+        a = u2 @ p[w1]
+        a += p[b1]
+        z, tanh_a = nn.gelu(a, return_tanh=True) if need_cache else (nn.gelu(a), None)
+        stream = z @ p[w2]
+        stream += p[b2]
+        stream += x_in
         if need_cache:
             caches.append((u, q, k, vv, att, m, u2, a, tanh_a, z))
     if need_cache:
@@ -251,7 +272,7 @@ def flow_backward(model, cache, dv):
         d_x_in = d_stream + d_u
         if d_inputs_extra[b] is not None:
             d_x_in = d_x_in + d_inputs_extra[b]
-        j = _skip_source(cfg, b)
+        j = _skip_source(cfg.depth, b)
         if j >= 0:
             grads[f"skip{j}.w"] += flat(inputs[j]).T @ flat(d_x_in)
             extra = d_x_in @ p[f"skip{j}.w"].T

@@ -43,6 +43,16 @@ def encode_sequences(seqs):
     return codes, lengths
 
 
+def _sorted_unique(a):
+    """np.unique of a 1-D array by sort and neighbour comparison: np.unique
+    imports numpy.ma, which eval needs for nothing else."""
+    a = np.sort(a)
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _match_masks(codes, lengths):
     """Per-pattern match bit masks over a compressed alphabet.
 
@@ -53,7 +63,7 @@ def _match_masks(codes, lengths):
     """
     n, l_max = codes.shape
     rows, cols = np.nonzero(np.arange(l_max) < lengths[:, None])
-    alphabet = np.unique(codes[rows, cols])
+    alphabet = _sorted_unique(codes[rows, cols])
     sigma = alphabet.size
     n_words = max(1, -(-l_max // 64))
     peq = np.zeros((n_words, n * (sigma + 1)), dtype=np.uint64)

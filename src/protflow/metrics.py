@@ -201,13 +201,23 @@ def frechet_distance(x, y):
     return fd
 
 
+def _median(a):
+    """np.median of a 1-D float array by np.partition, which unlike np.median
+    does not import numpy.ma; np.median still takes the empty and NaN cases."""
+    k, odd = divmod(a.size, 2)
+    if a.size == 0 or np.isnan(a).any():
+        return np.median(a)
+    part = np.partition(a, k if odd else (k - 1, k))
+    return part[k] if odd else (part[k - 1] + part[k]) / 2
+
+
 def median_pairwise_distance(z):
     """Median Euclidean distance over distinct pairs of rows."""
     z = np.asarray(z, dtype=np.float64)
     sq = (z**2).sum(axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
     iu = np.triu_indices(z.shape[0], k=1)
-    return float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
+    return float(_median(np.sqrt(np.maximum(d2[iu], 0.0))))
 
 
 def mmd_rbf(x, y, bandwidth="median"):

@@ -6,6 +6,7 @@ serialized by name. GELU uses the tanh approximation, which has a clean
 analytic derivative.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -135,15 +136,21 @@ def sinusoidal_table(length, dim):
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def _time_freqs(dim):
+    half = dim // 2
+    freqs = np.exp(-math.log(10000.0) * np.arange(half, dtype=np.float64) / max(half, 1))
+    freqs.flags.writeable = False  # one array serves every caller
+    return freqs
+
+
 def time_features(t, dim, scale=1000.0):
     """Sinusoidal features of scalar times t in [0, 1], shape (len(t), dim)."""
     if dim % 2 != 0:
         raise ValueError(f"dim must be even, got {dim}")
     t = np.atleast_1d(np.asarray(t, dtype=np.float64)) * scale
-    half = dim // 2
-    freqs = np.exp(-math.log(10000.0) * np.arange(half, dtype=np.float64) / max(half, 1))
-    ang = t[:, None] * freqs[None, :]
-    out = np.zeros((t.shape[0], dim), dtype=np.float64)
+    ang = t[:, None] * _time_freqs(dim)
+    out = np.empty((t.shape[0], dim), dtype=np.float64)
     out[:, 0::2] = np.sin(ang)
     out[:, 1::2] = np.cos(ang)
     return out

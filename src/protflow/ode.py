@@ -1,8 +1,10 @@
 """ODE integration of dx/dt = v(x, t) from t=1 (noise) to t=0 (data).
 
-Internally integration runs in s = 1 - t so steps move forward; the field is
-negated accordingly. Fixed-step Euler and Dormand-Prince 5(4) in fixed-grid
-and adaptive modes are provided. NFE counts vector-field evaluations only.
+Internally integration runs in s = 1 - t so steps move forward, where the
+state moves along -v. The sign is folded into the tableau: stages combine the
+field values v with the negated weights, which rounds exactly as the weights
+applied to -v. Fixed-step Euler and Dormand-Prince 5(4) in fixed-grid and
+adaptive modes are provided. NFE counts vector-field evaluations only.
 The fixed-grid DP54 mode needs just the first six stages per step (the
 5th-order weight of stage 7 is zero), so its NFE is exactly 6N.
 
@@ -17,21 +19,22 @@ import numpy as np
 from .errors import NfeBudgetExceeded, NonFiniteState, StepUnderflow
 
 # Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_ERR_W = _B5 - _B4
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# the weights applied to v rather than to -v: (-a)*v rounds as a*(-v)
+_NEG_A = tuple(tuple(-a for a in row) for row in _A)
+_NEG_B5 = tuple(-b for b in _B5)
+_NEG_ERR = tuple(b4 - b5 for b5, b4 in zip(_B5, _B4))
 
 _FIXED_METHODS = ("euler", "dopri5-fixed")
 
@@ -50,8 +53,8 @@ class SolverConfig:
         self.steps = int(steps)
         if method in _FIXED_METHODS and not 1 <= self.steps <= 100:
             raise ValueError(f"fixed-grid steps must be in [1, 100], got {steps}")
-        if atol <= 0 or rtol <= 0:
-            raise ValueError("atol and rtol must be > 0")
+        if not (atol > 0 and rtol > 0):
+            raise ValueError(f"atol and rtol must be > 0, got {atol} and {rtol}")
         self.atol = float(atol)
         self.rtol = float(rtol)
         self.max_nfe = int(max_nfe)
@@ -91,29 +94,30 @@ class SolveResult:
         self.rejected = rejected
 
 
-# (c, a, b) of the explicit fixed-grid schemes
-_EULER = (_C[:1], _A[:1], np.array([1.0]))
-_DP54_FIXED = (_C[:6], _A[:6], _B5[:6])
+# (c, a, b) of the explicit fixed-grid schemes, a and b negated
+_EULER = (_C[:1], _NEG_A[:1], (-1.0,))
+_DP54_FIXED = (_C[:6], _NEG_A[:6], _NEG_B5[:6])
 
 
-def _check_finite(x, steps, lanes):
-    finite = np.isfinite(x.reshape(x.shape[0], -1)).all(axis=1)
-    if not finite.all():
-        j = int(np.argmin(finite))
-        raise NonFiniteState(f"non-finite state at step {int(steps[j])} in lane {int(lanes[j])}")
+def _check_finite(x, step, lanes):
+    if not np.isfinite(x).all():
+        lane = lanes[np.argmin(np.isfinite(x.reshape(x.shape[0], -1)).all(axis=1))]
+        raise NonFiniteState(f"non-finite state at step {step} in lane {int(lane)}")
 
 
-def _stage(v, x, s, h, h_x, ks, i, c, a):
-    """Stage i of an explicit RK step in s = 1 - t: -v at s + c_i*h, evaluated
-    at x + h * sum_j a_ij k_j. h_x is h shaped to broadcast against x."""
-    xi = x
-    if i:
-        acc = a[i][0] * ks[0]
-        for j in range(1, i):
-            acc = acc + a[i][j] * ks[j]
-        xi = x + h_x * acc
-    t = np.broadcast_to(1.0 - (s + c[i] * h), x.shape[:1])
-    return -v(xi, t)
+def _combine(weights, vs):
+    """sum_j weights[j] * vs[j], summed left to right in one fresh array."""
+    acc = weights[0] * vs[0]
+    for j in range(1, len(weights)):
+        acc += weights[j] * vs[j]
+    return acc
+
+
+def _advance(x, h, acc):
+    """x + h * acc in acc's buffer; h is a float or broadcasts against x."""
+    acc *= h
+    acc += x
+    return acc
 
 
 def _start_trajectories(x, record):
@@ -127,16 +131,14 @@ def _fixed_grid(v, x, n_steps, tableau, record_trajectory):
     lanes = np.arange(n)
     h = 1.0 / n_steps
     traj = _start_trajectories(x, record_trajectory)
-    ks = [None] * len(c)
+    vs = [None] * len(c)
     for step in range(n_steps):
         s = step * h
         for i in range(len(c)):
-            ks[i] = _stage(v, x, s, h, h, ks, i, c, a)
-        incr = b[0] * ks[0]
-        for i in range(1, len(b)):
-            incr = incr + b[i] * ks[i]
-        x = x + h * incr
-        _check_finite(x, np.full(n, step), lanes)
+            xi = _advance(x, h, _combine(a[i], vs)) if i else x
+            vs[i] = v(xi, np.full(n, 1.0 - (s + c[i] * h)))
+        x = _advance(x, h, _combine(b, vs))
+        _check_finite(x, step, lanes)
         if record_trajectory:
             for lane_traj, xi in zip(traj, x):
                 lane_traj.append((1.0 - (step + 1) * h, xi.copy()))
@@ -151,8 +153,12 @@ def _dopri5_adaptive(v, x, atol, rtol, max_nfe, record_trajectory):
     |x_new|)). Accept when the norm is <= 1. Step factor safety 0.9,
     exponents 0.7/5 (proportional) and 0.4/5 (integral), clamped to [0.2, 5].
 
-    Every lane keeps its own s, h, previous error, counts and budget, and
-    stops being evaluated once it reaches s = 1. The step factors use
+    Every lane keeps its own s, h, previous error and accepted count, and
+    stops being evaluated once it reaches s = 1. Every running lane takes
+    each field call and each step, so the NFE and step count of the running
+    lanes are two ints, checked against the budget per call and stored per
+    lane as it finishes. The 5th-order weights are stage 7's row of the
+    tableau, so the increment reuses that stage's sum. The step factors use
     Python's float pow: numpy's vectorized power may differ from it by an
     ulp, and a lane's steps should not depend on how it is batched.
     """
@@ -162,27 +168,23 @@ def _dopri5_adaptive(v, x, atol, rtol, max_nfe, record_trajectory):
 
     n = x.shape[0]
     x_end = x.copy()
-    nfe = np.zeros(n, dtype=np.int64)
-    accepted = np.zeros(n, dtype=np.int64)
-    rejected = np.zeros(n, dtype=np.int64)
+    nfe, accepted, rejected, lane_accepted = (np.zeros(n, dtype=np.int64) for _ in range(4))
     traj = _start_trajectories(x, record_trajectory)
     lanes = np.arange(n)  # lanes still running; the arrays below follow it
     s = np.zeros(n)
     h = np.full(n, 0.1)
-    err_old = np.full(n, 1e-4)
+    err_old = [1e-4] * n
     lane_shape = (-1,) + (1,) * (x.ndim - 1)
+    calls = steps = 0  # taken by every running lane
 
     def field(x_val, t):
-        nfe[lanes] += 1
-        over = nfe[lanes] > max_nfe
-        if over.any():
-            raise NfeBudgetExceeded(
-                f"nfe exceeded budget {max_nfe} in lane {int(lanes[np.argmax(over)])}"
-            )
+        nonlocal calls
+        if calls >= max_nfe:
+            raise NfeBudgetExceeded(f"nfe exceeded budget {max_nfe} in lane {int(lanes[0])}")
+        calls += 1
         return v(x_val, t)
 
-    k = [None] * 7
-    k[0] = _stage(field, x, s, h, None, k, 0, _C, _A)
+    vs = [field(x, np.ones(n))] + [None] * 6
     while lanes.size:
         h = np.minimum(h, 1.0 - s)
         under = h < 1e-10
@@ -191,38 +193,48 @@ def _dopri5_adaptive(v, x, atol, rtol, max_nfe, record_trajectory):
             raise StepUnderflow(f"step size {h[j]:g} underflowed at s={s[j]:g} in lane {lanes[j]}")
         h_x = h.reshape(lane_shape)
         for i in range(1, 7):
-            k[i] = _stage(field, x, s, h, h_x, k, i, _C, _A)
-        incr = _B5[0] * k[0]
-        err_incr = _ERR_W[0] * k[0]
-        for i in range(1, 7):
-            incr = incr + _B5[i] * k[i]
-            err_incr = err_incr + _ERR_W[i] * k[i]
-        x_new = x + h_x * incr
-        _check_finite(x_new, accepted[lanes] + rejected[lanes], lanes)
-        err_vec = h_x * err_incr
+            acc = _combine(_NEG_A[i], vs)
+            if i == 6:
+                incr = acc.copy()  # b5 = a7: the increment up to stage 7's term
+            vs[i] = field(_advance(x, h_x, acc), 1.0 - (s + _C[i] * h))
+        incr += _NEG_B5[6] * vs[6]
+        x_new = _advance(x, h_x, incr)
+        _check_finite(x_new, steps, lanes)
+        steps += 1
+        err_vec = h_x * _combine(_NEG_ERR, vs)
         scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
-        err = np.sqrt(((err_vec / scale) ** 2).reshape(lanes.size, -1).mean(axis=1))
-        ok = err <= 1.0
-        s = np.where(ok, s + h, s)
-        x = np.where(ok.reshape(lane_shape), x_new, x)
-        k[0] = np.where(ok.reshape(lane_shape), k[6], k[0])  # FSAL
-        accepted[lanes[ok]] += 1
-        rejected[lanes[~ok]] += 1
-        for j, e in enumerate(err.tolist()):
+        errs = np.sqrt(((err_vec / scale) ** 2).reshape(lanes.size, -1).mean(axis=1)).tolist()
+        if all(e <= 1.0 for e in errs):
+            s = s + h
+            x = x_new
+            vs[0] = vs[6]  # FSAL
+            lane_accepted += 1
+        else:
+            ok = np.array([e <= 1.0 for e in errs])
+            s = np.where(ok, s + h, s)
+            x = np.where(ok.reshape(lane_shape), x_new, x)
+            vs[0] = np.where(ok.reshape(lane_shape), vs[6], vs[0])
+            lane_accepted += ok
+        for j, e in enumerate(errs):
             if e <= 1.0:
                 if record_trajectory:
                     traj[lanes[j]].append((1.0 - float(s[j]), x[j].copy()))
-                factor = 5.0 if e == 0.0 else safety * e ** (-alpha) * float(err_old[j]) ** beta
+                factor = 5.0 if e == 0.0 else safety * e ** (-alpha) * err_old[j] ** beta
                 h[j] *= min(max(factor, 0.2), 5.0)
                 err_old[j] = max(e, 1e-4)
             else:
                 h[j] *= min(max(safety * e ** (-1.0 / 5.0), 0.2), 1.0)
         done = s >= 1.0
         if done.any():
-            x_end[lanes[done]] = x[done]
+            finished = lanes[done]
+            x_end[finished] = x[done]
+            nfe[finished] = calls
+            accepted[finished] = lane_accepted[done]
+            rejected[finished] = steps - lane_accepted[done]
             keep = ~done
             lanes, x, s, h = lanes[keep], x[keep], s[keep], h[keep]
-            err_old, k[0] = err_old[keep], k[0][keep]
+            lane_accepted, vs[0] = lane_accepted[keep], vs[0][keep]
+            err_old = [e for e, d in zip(err_old, done.tolist()) if not d]
     return SolveResult(x_end, nfe, traj, accepted=accepted, rejected=rejected)
 
 

@@ -43,13 +43,17 @@ class TokenizedSequence:
         mask = np.asarray(mask, dtype=bool)
         if tokens.shape != mask.shape or tokens.ndim != 1:
             raise MalformedFasta("tokens and mask must be 1-D arrays of equal length")
-        if true_length != int(mask.sum()) or not np.all(mask[:true_length]):
+        n = true_length  # mask is a True-prefix: check slices, not mask gathers
+        count = np.count_nonzero
+        if not 0 <= n <= mask.shape[0] or count(mask[:n]) != n or count(mask) != n:
             raise MalformedFasta("mask must be a True-prefix matching true_length")
-        if np.any(tokens[~mask] != PAD_ID):
-            raise InvalidTokenId(int(tokens[~mask][tokens[~mask] != PAD_ID][0]))
-        bad = (tokens[mask] < 0) | (tokens[mask] >= PAD_ID)
-        if np.any(bad):
-            raise InvalidTokenId(int(tokens[mask][bad][0]))
+        pad, residues = tokens[n:], tokens[:n]
+        bad = pad != PAD_ID
+        if count(bad):
+            raise InvalidTokenId(int(pad[bad][0]))
+        bad = (residues < 0) | (residues >= PAD_ID)
+        if count(bad):
+            raise InvalidTokenId(int(residues[bad][0]))
         self.tokens = tokens
         self.mask = mask
         self.true_length = int(true_length)

@@ -305,6 +305,23 @@ def test_exit_1_sample_bad_n(workdir):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flag", [("--steps", "0"), ("--steps", "101"), ("--atol", "-1"), ("--rtol", "-1"),
+             ("--atol", "nan")],
+    ids=lambda f: " ".join(f),
+)
+def test_exit_1_sample_bad_solver_flag(workdir, flag):
+    proc = subprocess.run(
+        [sys.executable, "-m", "protflow", "sample", "--checkpoint", workdir["flow"],
+         "--out", str(workdir["root"] / "bad_solver.fasta"), *flag],
+        env=_protflow_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 def test_exit_2_missing_data(workdir):
     code = cli.main(
         ["train-decoder", "--config", workdir["cfg"],
@@ -591,7 +608,7 @@ def test_eval_loads_only_what_it_runs(tmp_path):
     assert code == 0
     assert {"numpy", "protflow.metrics", "protflow.kernels"} <= modules
     unused = {"jsonschema", "protflow.flow", "protflow.ode", "protflow.checkpoint",
-              "protflow.multichain"}
+              "protflow.multichain", "numpy.ma"}
     assert not unused & modules
     assert (tmp_path / "report.json").exists()
 

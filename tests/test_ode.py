@@ -270,3 +270,161 @@ def test_flow_lanes_agree_with_one_lane_solves(method):
         assert (lanes.nfe[i], lanes.accepted[i], lanes.rejected[i]) == (
             solo.nfe, solo.accepted, solo.rejected
         )
+
+
+# --- reference integrators -------------------------------------------------------
+# The integrators as first written: each stage combines k_i = -v_i with the
+# tableau weights and the adaptive loop counts NFE per lane and per call. The
+# solver folds the sign into the weights and counts once for all running lanes;
+# every result must be bitwise the same.
+
+
+def _ref_stage(v, x, s, h, h_x, ks, i, c, a):
+    xi = x
+    if i:
+        acc = a[i][0] * ks[0]
+        for j in range(1, i):
+            acc = acc + a[i][j] * ks[j]
+        xi = x + h_x * acc
+    t = np.broadcast_to(1.0 - (s + c[i] * h), x.shape[:1])
+    return -v(xi, t)
+
+
+def _ref_fixed_grid(v, x, n_steps, c, a, b):
+    h = 1.0 / n_steps
+    traj = [[(1.0, xi.copy())] for xi in x]
+    ks = [None] * len(c)
+    for step in range(n_steps):
+        for i in range(len(c)):
+            ks[i] = _ref_stage(v, x, step * h, h, h, ks, i, c, a)
+        incr = b[0] * ks[0]
+        for i in range(1, len(b)):
+            incr = incr + b[i] * ks[i]
+        x = x + h * incr
+        for lane_traj, xi in zip(traj, x):
+            lane_traj.append((1.0 - (step + 1) * h, xi.copy()))
+    steps = np.full(x.shape[0], n_steps)
+    return x, len(c) * steps, steps, 0 * steps, traj
+
+
+def _ref_adaptive(v, x, atol, rtol, max_nfe):
+    c, a = np.array(ode._C), [np.array(row) for row in ode._A]
+    b5, err_w = np.array(ode._B5), np.array(ode._B5) - np.array(ode._B4)
+    n = x.shape[0]
+    x_end = x.copy()
+    nfe, accepted, rejected = (np.zeros(n, dtype=np.int64) for _ in range(3))
+    traj = [[(1.0, xi.copy())] for xi in x]
+    lanes = np.arange(n)
+    s, h, err_old = np.zeros(n), np.full(n, 0.1), np.full(n, 1e-4)
+    lane_shape = (-1,) + (1,) * (x.ndim - 1)
+    alpha, beta = 0.7 / 5.0, 0.4 / 5.0
+
+    def field(x_val, t):
+        nfe[lanes] += 1
+        over = nfe[lanes] > max_nfe
+        if over.any():
+            raise NfeBudgetExceeded(
+                f"nfe exceeded budget {max_nfe} in lane {int(lanes[np.argmax(over)])}"
+            )
+        return v(x_val, t)
+
+    k = [None] * 7
+    k[0] = _ref_stage(field, x, s, h, None, k, 0, c, a)
+    while lanes.size:
+        h = np.minimum(h, 1.0 - s)
+        h_x = h.reshape(lane_shape)
+        for i in range(1, 7):
+            k[i] = _ref_stage(field, x, s, h, h_x, k, i, c, a)
+        incr = b5[0] * k[0]
+        err_incr = err_w[0] * k[0]
+        for i in range(1, 7):
+            incr = incr + b5[i] * k[i]
+            err_incr = err_incr + err_w[i] * k[i]
+        x_new = x + h_x * incr
+        scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
+        err = np.sqrt(((h_x * err_incr / scale) ** 2).reshape(lanes.size, -1).mean(axis=1))
+        ok = err <= 1.0
+        s = np.where(ok, s + h, s)
+        x = np.where(ok.reshape(lane_shape), x_new, x)
+        k[0] = np.where(ok.reshape(lane_shape), k[6], k[0])
+        accepted[lanes[ok]] += 1
+        rejected[lanes[~ok]] += 1
+        for j, e in enumerate(err.tolist()):
+            if e <= 1.0:
+                traj[lanes[j]].append((1.0 - float(s[j]), x[j].copy()))
+                factor = 5.0 if e == 0.0 else 0.9 * e ** -alpha * float(err_old[j]) ** beta
+                h[j] *= min(max(factor, 0.2), 5.0)
+                err_old[j] = max(e, 1e-4)
+            else:
+                h[j] *= min(max(0.9 * e ** (-1.0 / 5.0), 0.2), 1.0)
+        done = s >= 1.0
+        x_end[lanes[done]] = x[done]
+        keep = ~done
+        lanes, x, s, h = lanes[keep], x[keep], s[keep], h[keep]
+        err_old, k[0] = err_old[keep], k[0][keep]
+    return x_end, nfe, accepted, rejected, traj
+
+
+def _ref_solve(v, x1, cfg):
+    if cfg.method == "dopri5-adaptive":
+        return _ref_adaptive(v, x1, cfg.atol, cfg.rtol, cfg.max_nfe)
+    c, a = np.array(ode._C), [np.array(row) for row in ode._A]
+    if cfg.method == "euler":
+        return _ref_fixed_grid(v, x1, cfg.steps, c[:1], a[:1], np.array([1.0]))
+    return _ref_fixed_grid(v, x1, cfg.steps, c[:6], a[:6], np.array(ode._B5[:6]))
+
+
+def _perturbed_flow(seed):
+    from protflow.flow import flow_forward
+
+    model = init_flow_model(VectorFieldConfig(3, 8, 16), RngStream(seed))
+    for key, val in model.params.items():
+        model.params[key] = val + 0.3 * RngStream(seed + 1).substream(key).normal(val.shape)
+    return lambda x, t: flow_forward(model, x, t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ode.SolverConfig(method="euler", steps=7),
+        ode.SolverConfig(method="dopri5", steps=3),
+        ode.SolverConfig(method="dopri5-adaptive", atol=1e-5, rtol=1e-5),
+    ],
+    ids=lambda c: c.method,
+)
+def test_solve_lanes_bitwise_matches_reference_integrators(cfg, n):
+    v = _perturbed_flow(31)
+    x1 = RngStream(32 + n).normal((n, 6, 8))
+    got = ode.solve_lanes(v, x1, cfg, record_trajectory=True)
+    x0, nfe, accepted, rejected, traj = _ref_solve(v, x1, cfg)
+    assert got.x0.tobytes() == x0.tobytes()
+    assert got.nfe.tolist() == nfe.tolist()
+    assert got.accepted.tolist() == accepted.tolist()
+    assert got.rejected.tolist() == rejected.tolist()
+    for lane_got, lane_ref in zip(got.trajectory, traj):
+        assert [t for t, _ in lane_got] == [t for t, _ in lane_ref]
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(lane_got, lane_ref))
+    if cfg.method == "dopri5-adaptive" and n > 1:
+        assert got.rejected.sum() > 0  # the rejecting branch ran too
+
+
+@pytest.mark.parametrize("budget, lane", [(1, 0), (8, 0), (800, 1), (1400, 2)])
+def test_nfe_budget_raises_where_the_reference_does(budget, lane):
+    # lane 0 finishes after 799 evaluations and lane 1 after 1363
+    v = _perturbed_flow(41)
+    x1 = RngStream(42).normal((3, 6, 8))
+    x1[0] *= 40.0
+    cfg = ode.SolverConfig(method="dopri5-adaptive", atol=1e-4, rtol=1e-4, max_nfe=budget)
+    outcomes = []
+    for solver in (ode.solve_lanes, _ref_solve):
+        calls = []
+
+        def counted(x, t):
+            calls.append(x.shape[0])
+            return v(x, t)
+
+        with pytest.raises(NfeBudgetExceeded, match=f"in lane {lane}$") as info:
+            solver(counted, x1, cfg)
+        outcomes.append((str(info.value), calls))
+    assert outcomes[0] == outcomes[1]
