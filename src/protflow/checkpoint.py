@@ -32,6 +32,7 @@ import numpy as np
 from . import nn
 from .errors import (
     BadMagic,
+    CheckpointError,
     CorruptOffset,
     IncompatibleCheckpoint,
     MalformedHeader,
@@ -89,8 +90,11 @@ def save_checkpoint(path, tensors, meta):
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (tensors dict of float32 arrays, meta dict)."""
-    with open(path, "rb") as f:
-        data = f.read()
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {e.strerror or e}") from None
     if len(data) < 16 or data[:4] != MAGIC:
         raise BadMagic(f"{path}: not a checkpoint (magic mismatch)")
     version = struct.unpack("<I", data[4:8])[0]

@@ -98,14 +98,10 @@ def _atomic_write_fasta(path, records):
     _atomic_write_text(path, "".join(f">{h}\n{s}\n" for h, s in records))
 
 
-def _loss_csv_text(history):
-    """History dict {loss, lr, grad_norm} or trace rows -> CSV text."""
-    if isinstance(history, dict):
-        rows = zip(range(len(history["loss"])), history["loss"], history["lr"], history["grad_norm"])
-    else:
-        rows = history
+def _loss_csv_text(trace):
+    """Trace rows (step, loss, lr, grad_norm) -> CSV text."""
     lines = ["step,loss,lr,grad_norm"]
-    for step, loss, lr, grad_norm in rows:
+    for step, loss, lr, grad_norm in trace:
         lines.append(f"{int(step)},{float(loss)!r},{float(lr)!r},{float(grad_norm)!r}")
     return "\n".join(lines) + "\n"
 
@@ -254,10 +250,10 @@ def _save_flow_stage(out, tensors, out_meta, model, trace):
     _atomic_write_text(out + ".loss.csv", _loss_csv_text(trace))
 
 
-def _write_loss_csvs(out, chains, histories):
+def _write_loss_csvs(out, chains, traces):
     """One loss CSV per chain: <out>.loss.csv, or <out>.<name>.loss.csv."""
-    for chain, history in zip(chains, histories):
-        _atomic_write_text(f"{out}{chain.tag('.')}.loss.csv", _loss_csv_text(history))
+    for chain, trace in zip(chains, traces):
+        _atomic_write_text(f"{out}{chain.tag('.')}.loss.csv", _loss_csv_text(trace))
 
 
 # --- train-decoder ------------------------------------------------------------
@@ -266,7 +262,14 @@ def _write_loss_csvs(out, chains, histories):
 def cmd_train_decoder(args):
     from .checkpoint import pack_decoder, pack_encoder, pack_smoothing, save_checkpoint
     from .config import load_config
-    from .latent import encode_corpus, fit_smoothing, init_decoder, init_encoder, train_decoder
+    from .latent import (
+        decoder_accuracy,
+        encode_corpus,
+        fit_smoothing,
+        init_decoder,
+        init_encoder,
+        train_decoder,
+    )
     from .numeric import RngStream
     from .seqio import fit_length_distribution
 
@@ -276,7 +279,7 @@ def cmd_train_decoder(args):
     val_corpus, figure = _val_corpus(cfg, chains)
     root = RngStream(cfg["train.seed"])
     dim = cfg["model.D"]
-    tensors, length_dists, histories = {}, [], []
+    tensors, length_dists, traces = {}, [], []
     for chain, seqs, val_seqs in zip(chains, corpus, val_corpus):
         tag = chain.tag("-")
         enc = init_encoder(
@@ -287,25 +290,21 @@ def cmd_train_decoder(args):
             embed_rank=cfg["model.embed_rank"],
         )
         dec = init_decoder(dim, cfg["model.decoder_hidden"], root.substream(f"decoder-init{tag}"))
-        dec, history = train_decoder(
-            dec,
-            enc,
-            seqs,
-            seqs[:256] if val_seqs is None else val_seqs,
-            root.substream(f"decoder{tag}"),
-            **_train_args(cfg),
+        dec, trace = train_decoder(
+            dec, enc, seqs, root.substream(f"decoder{tag}"), **_train_args(cfg)
         )
+        accuracy = decoder_accuracy(dec, enc, seqs[:256] if val_seqs is None else val_seqs)
         sm = fit_smoothing(encode_corpus(seqs, enc).reshape(-1, dim))
         tensors.update(pack_encoder(enc, chain.prefix))
         tensors.update(pack_decoder(dec, chain.prefix))
         tensors.update(pack_smoothing(sm, chain.prefix))
         length_dists.append(fit_length_distribution(seqs, chain.l_max).to_dict())
-        histories.append(history)
-        print(f"decoder{tag} {figure} accuracy: {float(history['val_accuracy']):.4f}")
+        traces.append(trace)
+        print(f"decoder{tag} {figure} accuracy: {accuracy:.4f}")
     meta = _carry_meta({}, cfg, "decoder")
     meta.update(dim=dim, clamp_k=sm.clamp_k, **_chains_meta(chains, length_dists))
     save_checkpoint(args.out, tensors, meta)
-    _write_loss_csvs(args.out, chains, histories)
+    _write_loss_csvs(args.out, chains, traces)
     print(f"wrote {args.out}")
     return 0
 
@@ -326,7 +325,7 @@ def _smoothed_rows(tensors, meta, seqs, chain):
 def cmd_train_compressor(args):
     from .checkpoint import load_checkpoint, pack_compressor, save_checkpoint
     from .config import load_config
-    from .latent import init_compressor, train_compressor
+    from .latent import compressor_mse, init_compressor, train_compressor
     from .numeric import RngStream
 
     cfg = load_config(args.config, args.set)
@@ -342,25 +341,25 @@ def cmd_train_compressor(args):
         for k, v in tensors.items()
         if "compressor." not in k and not k.startswith("flow.")
     }
-    histories = []
+    traces = []
     for chain, seqs, val_seqs in zip(chains, corpus, val_corpus):
         tag = chain.tag("-")
         rows = _smoothed_rows(tensors, meta, seqs, chain)
-        val_rows = rows if val_seqs is None else _smoothed_rows(tensors, meta, val_seqs, chain)
         comp = init_compressor(
             int(meta["dim"]), cfg["model.ratio_c"], root.substream(f"compressor-init{tag}")
         )
-        comp, history = train_compressor(
-            comp, rows, val_rows, root.substream(f"compressor{tag}"), **_train_args(cfg, "val_every")
+        comp, trace = train_compressor(
+            comp, rows, root.substream(f"compressor{tag}"), **_train_args(cfg)
         )
         out_tensors.update(pack_compressor(comp, chain.prefix))
-        histories.append(history)
-        if history["val_mse"]:
-            print(f"compressor{tag} {figure} MSE: {history['val_mse'][-1]:.6g}")
+        traces.append(trace)
+        if trace:
+            val_rows = rows if val_seqs is None else _smoothed_rows(tensors, meta, val_seqs, chain)
+            print(f"compressor{tag} {figure} MSE: {compressor_mse(comp, val_rows):.6g}")
     out_meta = _carry_meta(meta, cfg, "pipeline")
     out_meta.pop("flow_cfg", None)
     save_checkpoint(args.out, out_tensors, out_meta)
-    _write_loss_csvs(args.out, chains, histories)
+    _write_loss_csvs(args.out, chains, traces)
     print(f"wrote {args.out}")
     return 0
 
@@ -642,6 +641,8 @@ def cmd_eval(args):
     )
     from .seqio import read_fasta
 
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     gen = [s for _, s in read_fasta(args.gen)]
     ref = [s for _, s in read_fasta(args.ref)]
     if not gen:

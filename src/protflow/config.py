@@ -33,7 +33,7 @@ SCHEMA = {
     "train.warmup": ("int", 100),
     "train.clip": ("float", 1.0),
     "train.seed": ("int", 0),
-    "train.val_every": ("int", 100),
+    "train.val_every": ("int", 100),  # recorded in config snapshots; has no effect
     "train.weight_decay": ("float", 0.01),
     "solver.method": ("str", "dopri5"),
     "solver.steps": ("int", 25),
@@ -86,9 +86,6 @@ class Config:
 
     def __getitem__(self, key):
         return self._values[key]
-
-    def get(self, key, default=None):
-        return self._values.get(key, default)
 
     def require(self, key):
         val = self._values.get(key)

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import nn, ode
-from .errors import Diverged, NonFiniteLoss, ShapeMismatch
+from .errors import NonFiniteLoss, ShapeMismatch
 from .numeric import RngStream
 
 
@@ -86,12 +86,6 @@ class VectorFieldModel:
         self.cfg = cfg
         self.params = params
 
-    def clone(self):
-        return VectorFieldModel(self.cfg, {k: v.copy() for k, v in self.params.items()})
-
-    def n_params(self):
-        return sum(int(v.size) for v in self.params.values())
-
 
 def _skip_source(depth, b):
     """Index j of the block whose input is projected into block b, or -1."""
@@ -137,11 +131,6 @@ def init_flow_model(cfg, rng):
         else:
             p[name] = np.zeros(shape)
     return VectorFieldModel(cfg, p)
-
-
-def _softmax_lastaxis(x):
-    z = np.exp(x - x.max(axis=-1, keepdims=True))
-    return z / z.sum(axis=-1, keepdims=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,7 +189,7 @@ def flow_forward(model, x, t, need_cache=False):
             vv = u @ p[wv]
             scores = q @ k.transpose(0, 2, 1)
             scores *= inv_sqrt_w
-            att = _softmax_lastaxis(scores)
+            att = nn.softmax(scores)
             m = att @ vv
             u2 = m @ p[wo]
             u2 += u
@@ -345,7 +334,6 @@ class FlowTrainConfig:
         "clip",
         "seed",
         "weight_decay",
-        "betas",
         "ema_decay",
     )
 
@@ -359,7 +347,6 @@ class FlowTrainConfig:
         clip=1.0,
         seed=0,
         weight_decay=0.01,
-        betas=(0.9, 0.98),
         ema_decay=0.0,
     ):
         if steps < 0:
@@ -376,33 +363,24 @@ class FlowTrainConfig:
         self.clip = clip
         self.seed = seed
         self.weight_decay = weight_decay
-        self.betas = betas
         self.ema_decay = ema_decay
 
 
 def _train(model, config, draw_batch, stream_name):
-    """Shared optimizer loop; draw_batch(sub, step) -> (x0, x1, t)."""
-    params = model.params
-    opt = nn.AdamW(params, betas=config.betas, eps=1e-6, weight_decay=config.weight_decay)
+    """Train model in place on the CFM loss; draw_batch(sub) -> (x0, x1, t)
+    draws each step's batch from that step's substream of stream_name.
+    Returns (model, trace) with trace rows (step, loss, lr, grad_norm)."""
     root = RngStream(config.seed).substream(stream_name)
-    trace = []
-    ema = None
-    if config.ema_decay > 0:
-        ema = {k: v.copy() for k, v in params.items()}
-    for step in range(config.steps):
-        sub = root.substream(f"step{step}")
-        x0, x1, t = draw_batch(sub, step)
-        loss, grads = cfm_loss(model, x0, x1, t)
-        if not np.isfinite(loss):
-            raise Diverged(f"loss non-finite at step {step}")
-        grad_norm = nn.clip_grads_(grads, config.clip)
-        lr = nn.cosine_lr(step, config.steps, config.lr, config.lr_min, config.warmup)
-        opt.step(params, grads, lr)
-        if ema is not None:
-            for key, val in params.items():
-                ema[key] += (1.0 - config.ema_decay) * (val - ema[key])
-        trace.append((step, loss, lr, grad_norm))
-    return model, trace, ema
+
+    def loss_and_grad(step):
+        return cfm_loss(model, *draw_batch(root.substream(f"step{step}")))
+
+    trace = nn.fit(
+        model.params, loss_and_grad, config.steps, config.lr, config.lr_min, config.warmup,
+        config.clip, config.weight_decay, betas=(0.9, 0.98), eps=1e-6,
+        ema_decay=config.ema_decay,
+    )
+    return model, trace
 
 
 def train_rf(dataset, config, model):
@@ -422,17 +400,13 @@ def train_rf(dataset, config, model):
     n = dataset.shape[0]
     shape = dataset.shape[1:]
 
-    def draw(sub, step):
+    def draw(sub):
         idx = sub.substream("idx").integers(0, n, size=config.batch)
         x1 = sub.substream("noise").normal((config.batch,) + shape)
         t = sub.substream("t").uniform(config.batch)
         return dataset[idx], x1, t
 
-    model, trace, ema = _train(model, config, draw, "rf-train")
-    if ema is not None:
-        for key in model.params:
-            model.params[key] = ema[key]
-    return model, trace
+    return _train(model, config, draw, "rf-train")
 
 
 class ReflowCoupling:
@@ -479,16 +453,12 @@ def train_reflow(pairs, config, model):
     z0, z1 = pairs.z0, pairs.z1
     n = z0.shape[0]
 
-    def draw(sub, step):
+    def draw(sub):
         idx = sub.substream("idx").integers(0, n, size=config.batch)
         t = sub.substream("t").uniform(config.batch)
         return z0[idx], z1[idx], t
 
-    model, trace, ema = _train(model, config, draw, "reflow-train")
-    if ema is not None:
-        for key in model.params:
-            model.params[key] = ema[key]
-    return model, trace
+    return _train(model, config, draw, "reflow-train")
 
 
 def straightness(model, pairs, n_t):

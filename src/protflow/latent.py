@@ -16,7 +16,7 @@ is lossy and trained to minimize reconstruction MSE in the smoothed space.
 import numpy as np
 
 from . import nn
-from .errors import Diverged, EmptyCorpus, IncompatibleRatio, SequenceTooLong, ShapeMismatch
+from .errors import EmptyCorpus, IncompatibleRatio, SequenceTooLong, ShapeMismatch
 from .numeric import RngStream
 from .seqio import PAD_ID, VOCAB_SIZE, TokenizedSequence, pad_to, tokenize
 
@@ -317,40 +317,28 @@ def compressor_mse(comp, rows):
 def train_compressor(
     comp,
     train_rows,
-    val_rows,
     rng,
     steps=2000,
     batch=64,
     lr=3e-3,
     lr_min=1e-4,
     warmup=100,
-    betas=(0.9, 0.999),
     weight_decay=0.0,
     clip=1.0,
-    val_every=100,
-    cycles=2,
 ):
-    """Minimize reconstruction MSE on smoothed rows; returns (comp, history)."""
-    params = comp.params()
-    opt = nn.AdamW(params, betas=betas, eps=1e-8, weight_decay=weight_decay)
+    """Minimize reconstruction MSE on smoothed rows; returns (comp, trace)."""
     stream = rng.substream("compressor-train")
-    history = {"loss": [], "lr": [], "grad_norm": [], "val_mse": [], "val_steps": []}
     n = train_rows.shape[0]
-    for step in range(steps):
+
+    def loss_and_grad(step):
         idx = stream.integers(0, n, size=min(batch, n))
-        loss, grads = compressor_loss_and_grad(comp, train_rows[idx])
-        if not np.isfinite(loss):
-            raise Diverged(f"compressor loss non-finite at step {step}")
-        grad_norm = nn.clip_grads_(grads, clip)
-        lr_t = nn.cosine_lr(step, steps, lr, lr_min, warmup, cycles)
-        opt.step(params, grads, lr_t)
-        history["loss"].append(loss)
-        history["lr"].append(lr_t)
-        history["grad_norm"].append(grad_norm)
-        if val_every and (step % val_every == 0 or step == steps - 1):
-            history["val_mse"].append(compressor_mse(comp, val_rows))
-            history["val_steps"].append(step)
-    return comp, history
+        return compressor_loss_and_grad(comp, train_rows[idx])
+
+    trace = nn.fit(
+        comp.params(), loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
+        betas=(0.9, 0.999), eps=1e-8, cycles=2,
+    )
+    return comp, trace
 
 
 # --- decoder ------------------------------------------------------------------
@@ -453,44 +441,33 @@ def train_decoder(
     dec,
     enc,
     train_seqs,
-    val_seqs,
     rng,
     steps=1000,
     batch=64,
     lr=1e-3,
     lr_min=1e-5,
     warmup=50,
-    betas=(0.9, 0.98),
     weight_decay=0.001,
     clip=1.0,
 ):
-    """Train the per-position classifier on raw encoder latents.
-
-    Returns (dec, history) with the per-step loss trace and final held-out
-    accuracy on val_seqs.
-    """
-    params = dec.params()
-    opt = nn.AdamW(params, betas=betas, eps=1e-8, weight_decay=weight_decay)
-    stream = rng.substream("decoder-train")
-    history = {"loss": [], "lr": [], "grad_norm": []}
+    """Train the per-position classifier on raw encoder latents; returns
+    (dec, trace)."""
     n = len(train_seqs)
     if n == 0:
         raise EmptyCorpus("empty decoder training corpus")
     tokens, mask = _token_rows(train_seqs, enc.l_max)
-    for step in range(steps):
+    stream = rng.substream("decoder-train")
+
+    def loss_and_grad(step):
         idx = stream.integers(0, n, size=min(batch, n))
         h, y = _gather_rows(enc, tokens, mask, idx)
-        loss, grads = decoder_loss_and_grad(dec, h, y)
-        if not np.isfinite(loss):
-            raise Diverged(f"decoder loss non-finite at step {step}")
-        grad_norm = nn.clip_grads_(grads, clip)
-        lr_t = nn.cosine_lr(step, steps, lr, lr_min, warmup)
-        opt.step(params, grads, lr_t)
-        history["loss"].append(loss)
-        history["lr"].append(lr_t)
-        history["grad_norm"].append(grad_norm)
-    history["val_accuracy"] = decoder_accuracy(dec, enc, val_seqs) if val_seqs else None
-    return dec, history
+        return decoder_loss_and_grad(dec, h, y)
+
+    trace = nn.fit(
+        dec.params(), loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
+        betas=(0.9, 0.98), eps=1e-8,
+    )
+    return dec, trace
 
 
 # --- bundled pipeline ---------------------------------------------------------

@@ -1,9 +1,9 @@
 """Small neural-net primitives with hand-written forward/backward passes.
 
 Everything operates on float64 numpy arrays; parameters live in ordered
-dicts of named arrays so they can be flattened for gradient checks and
-serialized by name. GELU uses the tanh approximation, which has a clean
-analytic derivative.
+dicts of named arrays, serialized by name. GELU uses the tanh approximation,
+which has a clean analytic derivative. fit is the one training loop every
+stage runs.
 """
 
 import functools
@@ -213,19 +213,32 @@ class AdamW:
             p -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
-def flatten_params(params):
-    """Concatenate a dict of arrays into one vector plus a layout for unflatten."""
-    keys = list(params)
-    vec = np.concatenate([params[k].ravel() for k in keys]) if keys else np.zeros(0)
-    layout = [(k, params[k].shape) for k in keys]
-    return vec, layout
+def fit(params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay, betas, eps,
+        cycles=1, ema_decay=0.0):
+    """Train params (a dict of named arrays, updated in place) with AdamW.
 
+    Each step calls loss_and_grad(step) -> (loss, grads keyed like params),
+    raises Diverged on a non-finite loss, clips the gradients to global norm
+    clip and steps at the cosine_lr rate. With ema_decay > 0 an exponential
+    moving average of params is kept and copied into params at the end.
 
-def unflatten_params(vec, layout):
-    out = {}
-    pos = 0
-    for k, shape in layout:
-        n = int(np.prod(shape)) if shape else 1
-        out[k] = vec[pos : pos + n].reshape(shape).copy()
-        pos += n
-    return out
+    Returns trace rows (step, loss, lr, grad_norm), one per step.
+    """
+    opt = AdamW(params, betas=betas, eps=eps, weight_decay=weight_decay)
+    ema = {k: v.copy() for k, v in params.items()} if ema_decay > 0 else None
+    trace = []
+    for step in range(steps):
+        loss, grads = loss_and_grad(step)
+        if not np.isfinite(loss):
+            raise Diverged(f"loss non-finite at step {step}")
+        grad_norm = clip_grads_(grads, clip)
+        lr_t = cosine_lr(step, steps, lr, lr_min, warmup, cycles)
+        opt.step(params, grads, lr_t)
+        if ema is not None:
+            for k, v in params.items():
+                ema[k] += (1.0 - ema_decay) * (v - ema[k])
+        trace.append((step, loss, lr_t, grad_norm))
+    if ema is not None:
+        for k, v in ema.items():
+            np.copyto(params[k], v)
+    return trace

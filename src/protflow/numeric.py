@@ -49,13 +49,6 @@ class RngStream:
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high=high, size=size, dtype=np.int64)
 
-    def permutation(self, n):
-        return self._gen.permutation(n)
-
-    @property
-    def generator(self):
-        return self._gen
-
 
 def mean_cov(x):
     """Sample mean and unbiased covariance of rows.
@@ -112,33 +105,37 @@ def grad_check(fn, params, h=1e-5):
     """Compare an analytic gradient against central differences.
 
     Args:
-        fn: params -> (value, grad) with grad shaped like params.
-        params: 1-D float64 array of the point to check at.
+        fn: params -> (value, grads), grads a dict keyed like params.
+        params: dict of named float64 arrays, the point to check at. Each
+            coordinate is perturbed in place, in dict order then C order,
+            and restored before the next.
         h: central-difference step.
 
     Returns:
         Max over coordinates of |num - ana| / max(|num|, |ana|, 1e-8).
     """
-    params = np.asarray(params, dtype=np.float64)
-    if params.ndim != 1:
-        raise ValueError("params must be a flat 1-D array")
-    value, grad = fn(params)
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != params.shape:
-        raise ValueError(f"grad shape {grad.shape} != params shape {params.shape}")
-    if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-        raise NonFiniteValue("non-finite value or gradient")
+    value, grads = fn(params)
+    if not np.isfinite(value):
+        raise NonFiniteValue("non-finite value")
     worst = 0.0
-    for i in range(params.size):
-        p_hi = params.copy()
-        p_lo = params.copy()
-        p_hi[i] += h
-        p_lo[i] -= h
-        f_hi, _ = fn(p_hi)
-        f_lo, _ = fn(p_lo)
-        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
-            raise NonFiniteValue(f"non-finite perturbed value at coordinate {i}")
-        num = (f_hi - f_lo) / (2.0 * h)
-        rel = abs(num - grad[i]) / max(abs(num), abs(grad[i]), 1e-8)
-        worst = max(worst, rel)
+    for name, p in params.items():
+        if p.dtype != np.float64:
+            raise ValueError(f"{name}: params must be float64 arrays, got {p.dtype}")
+        grad = np.asarray(grads[name], dtype=np.float64)
+        if grad.shape != p.shape:
+            raise ValueError(f"{name}: grad shape {grad.shape} != params shape {p.shape}")
+        if not np.all(np.isfinite(grad)):
+            raise NonFiniteValue(f"non-finite gradient for {name}")
+        for i in np.ndindex(p.shape):
+            orig = p[i]
+            p[i] = orig + h
+            f_hi, _ = fn(params)
+            p[i] = orig - h
+            f_lo, _ = fn(params)
+            p[i] = orig
+            if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
+                raise NonFiniteValue(f"non-finite perturbed value at {name}{list(i)}")
+            num = (f_hi - f_lo) / (2.0 * h)
+            rel = abs(num - grad[i]) / max(abs(num), abs(grad[i]), 1e-8)
+            worst = max(worst, rel)
     return worst

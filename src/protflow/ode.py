@@ -61,19 +61,6 @@ class SolverConfig:
         if self.max_nfe < 1:
             raise ValueError("max_nfe must be >= 1")
 
-    def to_dict(self):
-        return {
-            "method": self.method,
-            "steps": self.steps,
-            "atol": self.atol,
-            "rtol": self.rtol,
-            "max_nfe": self.max_nfe,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 class SolveResult:
     """Endpoint, NFE and step counts of a solve.

@@ -8,6 +8,7 @@ detokenize(tokenize(s)) == s for any sequence over the canonical alphabet.
 import numpy as np
 
 from .errors import (
+    DataError,
     EmptyCorpus,
     InvalidTokenId,
     MalformedFasta,
@@ -181,8 +182,14 @@ def parse_fasta(text):
 
 
 def read_fasta(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_fasta(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except OSError as e:
+        raise DataError(f"{path}: cannot read FASTA file: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: FASTA file is not UTF-8 text: {e}") from None
+    return parse_fasta(text)
 
 
 class LengthDistribution:

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from protflow import cli, latent, nn
+from protflow import cli, latent
 from protflow.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from protflow.flow import (
     FlowTrainConfig,
@@ -56,24 +56,6 @@ from protflow.seqio import AMINO_ACIDS, pad_to, read_fasta, tokenize
 
 # --- criterion 1: analytic gradients vs central finite differences ------------------
 
-_DECODER_FIELDS = ("w1", "b1", "gamma", "beta", "w2", "b2")
-_COMPRESSOR_FIELDS = ("w_down", "b_down", "g", "s", "w_up", "b_up")
-
-
-def _flatten_fields(params, order):
-    return np.concatenate([np.asarray(params[k], dtype=np.float64).ravel() for k in order])
-
-
-def _unflatten_fields(vec, template, order):
-    out = []
-    pos = 0
-    for k in order:
-        arr = np.asarray(template[k])
-        out.append(vec[pos : pos + arr.size].reshape(arr.shape))
-        pos += arr.size
-    return out
-
-
 def _perturb(params, rng, scale=0.05):
     return {k: v + scale * rng.substream(k).normal(v.shape) for k, v in params.items()}
 
@@ -84,62 +66,29 @@ def test_criterion_1_gradients(criterion):
 
     # Rectified-flow training loss, batch 2, channel width 8.
     cfg = VectorFieldConfig(2, 8, 16)
-    model = init_flow_model(cfg, RngStream(11))
-    model.params = _perturb(model.params, RngStream(11).substream("perturb"))
+    flow_params = _perturb(init_flow_model(cfg, RngStream(11)).params,
+                           RngStream(11).substream("perturb"))
     gen = np.random.default_rng(12)
     x0 = gen.normal(size=(2, 3, 8))
     x1 = gen.normal(size=(2, 3, 8))
     t = gen.uniform(size=2)
-    vec, layout = nn.flatten_params(model.params)
-
-    def f_flow(flat):
-        trial = VectorFieldModel(cfg, nn.unflatten_params(flat, layout))
-        loss, grads = cfm_loss(trial, x0, x1, t)
-        gvec, _ = nn.flatten_params(grads)
-        return loss, gvec
-
-    err_flow = grad_check(f_flow, vec)
+    err_flow = grad_check(lambda p: cfm_loss(VectorFieldModel(cfg, p), x0, x1, t),
+                          flow_params)
 
     # Decoder cross-entropy, 2 latent rows of width 8.
-    dec = init_decoder(8, 16, RngStream(13))
-    dec = DecoderParams(
-        *_unflatten_fields(
-            _flatten_fields(_perturb(dec.params(), RngStream(13).substream("perturb")), _DECODER_FIELDS),
-            dec.params(),
-            _DECODER_FIELDS,
-        )
-    )
+    dec_params = _perturb(init_decoder(8, 16, RngStream(13)).params(),
+                          RngStream(13).substream("perturb"))
     h = gen.normal(size=(2, 8))
     targets = gen.integers(0, 20, size=2)
-    dec_template = dec.params()
-    dec_vec = _flatten_fields(dec_template, _DECODER_FIELDS)
-
-    def f_dec(flat):
-        trial = DecoderParams(*_unflatten_fields(flat, dec_template, _DECODER_FIELDS))
-        loss, grads = decoder_loss_and_grad(trial, h, targets)
-        return loss, _flatten_fields(grads, _DECODER_FIELDS)
-
-    err_dec = grad_check(f_dec, dec_vec)
+    err_dec = grad_check(lambda p: decoder_loss_and_grad(DecoderParams(**p), h, targets),
+                         dec_params)
 
     # Compressor reconstruction MSE, 2 rows of width 8 at channel ratio 2.
-    comp = init_compressor(8, 2, RngStream(14))
-    comp = CompressorParams(
-        *_unflatten_fields(
-            _flatten_fields(_perturb(comp.params(), RngStream(14).substream("perturb")), _COMPRESSOR_FIELDS),
-            comp.params(),
-            _COMPRESSOR_FIELDS,
-        )
-    )
+    comp_params = _perturb(init_compressor(8, 2, RngStream(14)).params(),
+                           RngStream(14).substream("perturb"))
     batch = gen.normal(size=(2, 8))
-    comp_template = comp.params()
-    comp_vec = _flatten_fields(comp_template, _COMPRESSOR_FIELDS)
-
-    def f_comp(flat):
-        trial = CompressorParams(*_unflatten_fields(flat, comp_template, _COMPRESSOR_FIELDS))
-        loss, grads = compressor_loss_and_grad(trial, batch)
-        return loss, _flatten_fields(grads, _COMPRESSOR_FIELDS)
-
-    err_comp = grad_check(f_comp, comp_vec)
+    err_comp = grad_check(lambda p: compressor_loss_and_grad(CompressorParams(**p), batch),
+                          comp_params)
 
     seconds = time.time() - t_start
     passed = err_flow < tol and err_dec < tol and err_comp < tol and seconds < 60.0
@@ -323,7 +272,7 @@ def test_criterion_6_round_trip(criterion):
     enc = latent.init_encoder(l_max, dim, rng.substream("encoder"), embed_scale=10.0, embed_rank=4)
     dec = latent.init_decoder(dim, 64, rng.substream("decoder-init"))
     dec, _ = latent.train_decoder(
-        dec, enc, toks, toks[:256], rng.substream("decoder"), steps=600, batch=48, lr=2e-3, warmup=30
+        dec, enc, toks, rng.substream("decoder"), steps=600, batch=48, lr=2e-3, warmup=30
     )
 
     rows = latent.encode_corpus(toks, enc).reshape(-1, dim)
@@ -341,7 +290,6 @@ def test_criterion_6_round_trip(criterion):
         comp, _ = latent.train_compressor(
             comp,
             smoothed,
-            smoothed[:4096],
             rng.substream(f"comp-{c}"),
             steps=1500,
             batch=256,

@@ -322,6 +322,36 @@ def test_exit_1_sample_bad_solver_flag(workdir, flag):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["inspect-checkpoint", "--checkpoint", "{missing}.ckpt"], 4),
+        (["sample", "--checkpoint", "{missing}.ckpt", "--out", "{root}/x.fasta"], 4),
+        (["inspect-checkpoint", "--checkpoint", "{root}"], 4),
+        (["sample", "--checkpoint", "{root}", "--out", "{root}/x.fasta"], 4),
+        (["eval", "--gen", "{missing}.fasta", "--ref", "{corpus}", "--out", "{root}/x"], 2),
+        (["eval", "--gen", "{corpus}", "--ref", "{root}", "--out", "{root}/x"], 2),
+        (["eval", "--gen", "{not_utf8}", "--ref", "{corpus}", "--out", "{root}/x"], 2),
+        (["eval", "--gen", "{corpus}", "--ref", "{corpus}", "--out", "{root}/x", "--k", "0"], 1),
+    ],
+    ids=["inspect missing", "sample missing", "inspect directory", "sample directory",
+         "eval missing gen", "eval directory ref", "eval non-UTF-8 gen", "eval k 0"],
+)
+def test_exit_code_for_missing_and_invalid_inputs(workdir, argv, code):
+    root = workdir["root"]
+    not_utf8 = root / "not_utf8.fasta"
+    not_utf8.write_bytes(b">s0\nAC\xff\n")
+    paths = {"missing": root / "nonexistent", "root": root, "corpus": workdir["corpus"],
+             "not_utf8": not_utf8}
+    proc = subprocess.run(
+        [sys.executable, "-m", "protflow", *(arg.format(**paths) for arg in argv)],
+        env=_protflow_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 def test_exit_2_missing_data(workdir):
     code = cli.main(
         ["train-decoder", "--config", workdir["cfg"],
@@ -483,12 +513,12 @@ def test_val_path_is_held_out_data(workdir, monkeypatch, capsys):
 
     def spy(name, fn):
         def wrapper(*args, **kwargs):
-            seen[name] = len(args[3] if name == "decoder" else args[2])
+            seen[name] = len(args[2] if name == "decoder" else args[1])
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(latent, "train_decoder", spy("decoder", latent.train_decoder))
-    monkeypatch.setattr(latent, "train_compressor", spy("compressor", latent.train_compressor))
+    monkeypatch.setattr(latent, "decoder_accuracy", spy("decoder", latent.decoder_accuracy))
+    monkeypatch.setattr(latent, "compressor_mse", spy("compressor", latent.compressor_mse))
     root = workdir["root"]
     runs = {}
     for figure, sets in (("train", []), ("val", ["--set", f"data.val_path={held_out}"])):

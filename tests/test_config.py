@@ -1,5 +1,7 @@
 """Config file parsing, typing, validation, overrides, and hashing."""
 
+import os
+
 import pytest
 
 from protflow.config import SCHEMA, load_config, parse_chains_value, parse_config_text
@@ -150,3 +152,24 @@ def test_chains_validated_inside_load():
     assert parse_chains_value(cfg["chains"]) == [("A", 3), ("B", 4)]
     with pytest.raises(ConfigError):
         load_config(None, overrides=["chains=A:0"])
+
+
+def test_readme_configuration_table_matches_schema():
+    # Each row names one key, or `a` / `b` with one shared default or one each;
+    # a default of — means unset (None).
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        section = f.read().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) < 3 or not cells[0].startswith("`"):
+            continue
+        keys = [k.strip().strip("`") for k in cells[0].split(" / ")]
+        defaults = [d.strip() for d in cells[1].split(" / ")]
+        defaults = defaults * len(keys) if len(defaults) == 1 else defaults
+        assert len(defaults) == len(keys), line
+        for key, text in zip(keys, defaults):
+            assert key not in documented, f"{key} documented twice"
+            documented[key] = None if text == "—" else parse_config_text(f"{key} = {text}")[key]
+    assert documented == {key: default for key, (_, default) in SCHEMA.items()}

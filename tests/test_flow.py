@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from protflow import flow, nn, ode
+from protflow import flow, ode
 from protflow.errors import ShapeMismatch
 from protflow.numeric import RngStream, grad_check
 
@@ -73,15 +73,11 @@ def test_cfm_grad_matches_numeric_plain():
     x0 = gen.normal(size=(2, 3, 2))
     x1 = gen.normal(size=(2, 3, 2))
     t = gen.uniform(size=2)
-    vec, layout = nn.flatten_params(model.params)
 
-    def f(flat):
-        trial = flow.VectorFieldModel(cfg, nn.unflatten_params(flat, layout))
-        loss, grads = flow.cfm_loss(trial, x0, x1, t)
-        gvec, _ = nn.flatten_params(grads)
-        return loss, gvec
+    def f(params):
+        return flow.cfm_loss(flow.VectorFieldModel(cfg, params), x0, x1, t)
 
-    assert grad_check(f, vec) < 1e-5
+    assert grad_check(f, model.params) < 1e-5
 
 
 def test_cfm_grad_matches_numeric_attention():
@@ -91,15 +87,11 @@ def test_cfm_grad_matches_numeric_attention():
     x0 = gen.normal(size=(2, 3, 2))
     x1 = gen.normal(size=(2, 3, 2))
     t = gen.uniform(size=2)
-    vec, layout = nn.flatten_params(model.params)
 
-    def f(flat):
-        trial = flow.VectorFieldModel(cfg, nn.unflatten_params(flat, layout))
-        loss, grads = flow.cfm_loss(trial, x0, x1, t)
-        gvec, _ = nn.flatten_params(grads)
-        return loss, gvec
+    def f(params):
+        return flow.cfm_loss(flow.VectorFieldModel(cfg, params), x0, x1, t)
 
-    assert grad_check(f, vec) < 1e-5
+    assert grad_check(f, model.params) < 1e-5
 
 
 def test_interpolate_exact_endpoints():
@@ -188,14 +180,17 @@ def test_ema_fold_in_keeps_params_near_init():
     data = rng.substream("data").normal((64, 1, 2))
     cfg = flow.VectorFieldConfig(2, 2, 8)
 
+    def flat(params):
+        return np.concatenate([v.ravel() for v in params.values()])
+
     def run(decay):
         model = flow.init_flow_model(cfg, RngStream(7))
         tc = flow.FlowTrainConfig(steps=100, batch=16, lr=5e-3, warmup=5, seed=1,
                                   ema_decay=decay)
         model, _ = flow.train_rf(data, tc, model)
-        return nn.flatten_params(model.params)[0]
+        return flat(model.params)
 
-    init_vec = nn.flatten_params(flow.init_flow_model(cfg, RngStream(7)).params)[0]
+    init_vec = flat(flow.init_flow_model(cfg, RngStream(7)).params)
     raw = run(0.0)
     averaged = run(0.9999999)  # EMA this slow barely moves from init
     assert np.linalg.norm(raw - init_vec) > 10 * np.linalg.norm(averaged - init_vec)

@@ -124,11 +124,11 @@ def test_softmax_cross_entropy_value_and_grad():
     raw = rng.normal(size=(5, 7))
     y = rng.integers(0, 7, size=5)
 
-    def f(flat):
-        val, grad = nn.softmax_cross_entropy(flat.reshape(5, 7), y)
-        return val, grad.ravel()
+    def f(params):
+        val, grad = nn.softmax_cross_entropy(params["logits"], y)
+        return val, {"logits": grad}
 
-    assert grad_check(f, raw.ravel()) < 1e-7
+    assert grad_check(f, {"logits": raw}) < 1e-7
 
 
 def test_log_softmax_normalizes():
@@ -212,11 +212,22 @@ def test_adamw_rejects_non_finite_grad():
         opt.step(params, {"w": np.array([1.0, np.nan])}, 1e-3)
 
 
-def test_flatten_unflatten_round_trip():
-    rng = np.random.default_rng(6)
-    params = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=7), "c": rng.normal(size=())}
-    vec, layout = nn.flatten_params(params)
-    assert vec.shape == (20,)
-    back = nn.unflatten_params(vec, layout)
-    for k in params:
-        assert np.array_equal(back[k], params[k])
+
+def test_fit_raises_diverged_at_the_first_non_finite_loss(monkeypatch):
+    updates = []
+    adamw_step = nn.AdamW.step
+
+    def counted_step(self, params, grads, lr):
+        updates.append(lr)
+        adamw_step(self, params, grads, lr)
+
+    monkeypatch.setattr(nn.AdamW, "step", counted_step)
+    params = {"w": np.array([1.0, -2.0])}
+
+    def loss_and_grad(step):
+        loss = math.nan if step == 2 else float((params["w"] ** 2).sum())
+        return loss, {"w": 2.0 * params["w"]}
+
+    with pytest.raises(Diverged, match=r"at step 2$"):
+        nn.fit(params, loss_and_grad, 5, 1e-2, 1e-3, 0, 1.0, 0.0, betas=(0.9, 0.98), eps=1e-8)
+    assert len(updates) == 2

@@ -87,17 +87,19 @@ def test_psd_sqrt_clamps_rounding_noise():
 
 
 def test_grad_check_accepts_correct_gradient():
-    def f(x):
-        return float((x**3).sum()), 3.0 * x**2
+    def f(params):
+        x = params["x"]
+        return float((x**3).sum()), {"x": 3.0 * x**2}
 
     # stay away from x = 0 where the analytic gradient vanishes and the
     # relative-error denominator floors out
     x0 = np.linspace(0.5, 1.5, 7)
-    assert grad_check(f, x0) < 1e-7
+    assert grad_check(f, {"x": x0}) < 1e-7
 
 
 def test_grad_check_flags_wrong_gradient():
-    def f(x):
-        return float((x**2).sum()), 2.0 * x + 0.05
+    def f(params):
+        x = params["x"]
+        return float((x**2).sum()), {"x": 2.0 * x + 0.05}
 
-    assert grad_check(f, np.ones(4)) > 1e-3
+    assert grad_check(f, {"x": np.ones(4)}) > 1e-3

@@ -30,12 +30,6 @@ def test_solver_config_normalizes_and_validates():
     assert ode.SolverConfig(method="dopri5-adaptive", steps=500).steps == 500
 
 
-def test_solver_config_dict_round_trip():
-    cfg = ode.SolverConfig(method="dopri5-adaptive", steps=7, atol=1e-9, rtol=1e-7)
-    back = ode.SolverConfig.from_dict(cfg.to_dict())
-    assert back.to_dict() == cfg.to_dict()
-
-
 def test_euler_linear_field_closed_form():
     x1 = np.array([2.0, -3.0, 0.5])
     for n in (1, 4, 25):
