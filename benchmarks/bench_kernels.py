@@ -1,5 +1,6 @@
 """Time GELU at the training shape, the edit-distance and assignment kernels
-at the shapes eval uses, and the start-up of each CLI command.
+at the shapes eval uses, the decoder and compressor training steps, the
+sampling path, and the start-up of each CLI command.
 
 GELU runs first, on (64, 20, 64) float64 activations (train.batch x L_max x
 model.width: one flow block's hidden layer in a training step). gelu and
@@ -21,6 +22,13 @@ pairwise_edit_matrix (within the batch, as int_div) and assignment_min_cost
 and median of five runs after one warm-up. It checks a seeded sample of
 matrix entries against the single-pair levenshtein and exits 1 on any
 mismatch, else 0.
+
+Training steps follow, at experiments/single_chain.sh's canonical batch:
+decoder_loss_and_grad on the true positions of 64 sequences of lengths
+1-20 (L_max 20, D 32, decoder_hidden 64, embed_rank 4), and
+compressor_loss_and_grad on 64 smoothed rows of width 32 at ratio_c 4,
+each per call, best and median of five runs of TRAIN_CALLS calls after one
+warm-up.
 
 Sampling follows, on a seeded flow model shaped like the sample workload's
 (depth 2, width 8, hidden 64, L = 20) whose parameters are perturbed so the
@@ -52,8 +60,9 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from protflow import cli, flow, kernels, nn, ode  # noqa: E402
+from protflow import cli, flow, kernels, latent, nn, ode  # noqa: E402
 from protflow.numeric import RngStream  # noqa: E402
+from protflow.seqio import tokenize_padded  # noqa: E402
 
 ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 REPEATS = 5
@@ -70,6 +79,12 @@ COMMANDS = (
     "eval",
     "inspect-checkpoint",
 )
+
+# experiments/single_chain.sh: model.L_max, model.D, model.decoder_hidden,
+# model.embed_rank, model.ratio_c and train.batch
+TRAIN_CFG = dict(l_max=20, dim=32, hidden=64, rank=4, ratio=4, batch=64)
+TRAIN_CORPUS = 500
+TRAIN_CALLS = 200
 
 FLOW_CFG = dict(depth=2, width=8, hidden=64)
 FLOW_LENGTH = 20
@@ -132,6 +147,38 @@ def bench_gelu():
             best, median, faults = gelu_calls(fn)
             timing = f"{best * 1e3:>8.2f}ms {median * 1e3:>8.2f}ms"
             print(f"{label:<10} {task:<22} {timing}  {faults:.0f}")
+    print()
+
+
+def bench_training():
+    c = TRAIN_CFG
+    rng = RngStream(3)
+    seqs = [tokenize_padded(s, c["l_max"]) for s in make_corpus(TRAIN_CORPUS, 1, c["l_max"], 7)]
+    enc = latent.init_encoder(
+        c["l_max"], c["dim"], rng.substream("enc"), embed_scale=10.0, embed_rank=c["rank"]
+    )
+    # one decoder batch: the true positions of batch sequences, as train_decoder draws it
+    tokens, mask = latent._token_rows(seqs, c["l_max"])
+    idx = np.random.default_rng(4).integers(0, len(seqs), size=c["batch"])
+    h, y = latent._gather_rows(enc, tokens, mask, idx)
+    dec = latent.init_decoder(c["dim"], c["hidden"], rng.substream("dec"))
+    # one compressor batch: batch smoothed rows of the padded corpus
+    rows = latent.encode_corpus(seqs, enc).reshape(-1, c["dim"])
+    rows = latent.smooth(rows, latent.fit_smoothing(rows))
+    batch = rows[np.random.default_rng(5).integers(0, len(rows), size=c["batch"])]
+    comp = latent.init_compressor(c["dim"], c["ratio"], rng.substream("comp"))
+
+    print(f"{'training step':<40} {'best':>10} {'median':>10}")
+    steps = (
+        (f"decoder_loss_and_grad {h.shape[0]}x{c['dim']}",
+         lambda: latent.decoder_loss_and_grad(dec, h, y)),
+        (f"compressor_loss_and_grad {batch.shape[0]}x{c['dim']}",
+         lambda: latent.compressor_loss_and_grad(comp, batch)),
+    )
+    for label, step in steps:
+        _, best, median = timed(lambda: [step() for _ in range(TRAIN_CALLS)])
+        print(f"{label:<40} {best / TRAIN_CALLS * 1e6:>8.1f}us "
+              f"{median / TRAIN_CALLS * 1e6:>8.1f}us")
     print()
 
 
@@ -216,6 +263,7 @@ def main():
         for task, (best, median), checked in rows:
             print(f"{shape:<8} {task:<22} {best * 1e3:>8.2f}ms {median * 1e3:>8.2f}ms  {checked}")
     print()
+    bench_training()
     bench_sampling()
     bench_startup()
     return 1 if bad else 0

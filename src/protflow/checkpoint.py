@@ -13,11 +13,12 @@ commands read: "dim" and "clamp_k"; "l_max" and "length_dist", or "chains"
 and "length_dists" for a multichain corpus; and "flow_cfg" for flow and
 reflow. Writes are atomic (temp file + rename).
 
-The pack_*/unpack_* helpers map the package's parameter objects to named
-tensors so a checkpoint is all a command needs to resume or sample.
-unpack_pipeline and unpack_flow check each tensor's name and shape against
-what the metadata implies, so a checkpoint that disagrees with its model is
-an IncompatibleCheckpoint, not an error deep inside a command.
+Parameters are dicts of named arrays; pack(params, prefix) stores each
+under prefix + name, so a checkpoint is all a command needs to resume or
+sample. unpack_pipeline checks each tensor of one chain's latent stack
+against latent.pipeline_shapes, and unpack_flow the flow's against
+flow.param_shapes, so a checkpoint that disagrees with its model is an
+IncompatibleCheckpoint, not an error deep inside a command.
 """
 
 import hashlib
@@ -41,14 +42,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .flow import VectorFieldConfig, VectorFieldModel, param_shapes
-from .latent import (
-    CompressorParams,
-    DecoderParams,
-    EncoderParams,
-    LatentPipeline,
-    SmoothingStats,
-)
-from .seqio import VOCAB_SIZE
+from .latent import EncoderParams, LatentPipeline, SmoothingStats, pipeline_shapes
 
 MAGIC = b"PFLW"
 VERSION = 1
@@ -170,7 +164,7 @@ def _is_chain_list(chains):
 
 # metadata key -> (check, what the check wants)
 _META_CHECKS = {
-    "dim": (_is_positive_int, "a positive integer"),
+    "dim": (lambda x: _is_positive_int(x) and x % 2 == 0, "a positive even integer"),
     "l_max": (_is_positive_int, "a positive integer"),
     "clamp_k": (_is_positive_number, "a positive number"),
     "length_dist": (_is_length_dist, "an object with 'lengths' and 'counts' lists"),
@@ -255,24 +249,13 @@ def _get_shaped(tensors, prefix, shapes):
     return out
 
 
-def pack_encoder(enc, prefix=""):
-    """EncoderParams -> tensors. The positional table is recomputed at load
-    time from (l_max, dim), so only the embedding is stored."""
-    return {prefix + "encoder.embed": enc.embed}
+def pack(params, prefix):
+    """Named arrays -> checkpoint tensors, each named prefix + its name."""
+    return {prefix + name: value for name, value in params.items()}
 
 
 def unpack_encoder(tensors, l_max, dim, prefix=""):
     return EncoderParams(_get(tensors, prefix + "encoder.embed"), nn.sinusoidal_table(l_max, dim))
-
-
-def pack_decoder(dec, prefix=""):
-    return {prefix + "decoder." + k: v for k, v in dec.params().items()}
-
-
-def unpack_decoder(tensors, prefix=""):
-    return DecoderParams(
-        *(_get(tensors, prefix + "decoder." + k) for k in ("w1", "b1", "gamma", "beta", "w2", "b2"))
-    )
 
 
 def pack_smoothing(sm, prefix=""):
@@ -296,69 +279,28 @@ def unpack_smoothing(tensors, clamp_k, prefix=""):
     )
 
 
-def pack_compressor(comp, prefix=""):
-    return {prefix + "compressor." + k: v for k, v in comp.params().items()}
-
-
-def unpack_compressor(tensors, prefix=""):
-    return CompressorParams(
-        *(
-            _get(tensors, prefix + "compressor." + k)
-            for k in ("w_down", "b_down", "g", "s", "w_up", "b_up")
-        )
-    )
-
-
-def pack_pipeline(pipeline, prefix=""):
-    """LatentPipeline -> (tensors, meta fragment)."""
-    t = {}
-    t.update(pack_encoder(pipeline.encoder, prefix))
-    t.update(pack_decoder(pipeline.decoder, prefix))
-    t.update(pack_smoothing(pipeline.smoothing, prefix))
-    t.update(pack_compressor(pipeline.compressor, prefix))
-    meta = {
-        "l_max": pipeline.l_max,
-        "dim": pipeline.dim,
-        "clamp_k": pipeline.smoothing.clamp_k,
-    }
-    return t, meta
-
-
-def unpack_pipeline(tensors, meta, prefix=""):
-    """Rebuild the latent stack of meta's l_max and dim. Every tensor must
-    have the shape dim implies, given the decoder's hidden width and the
-    compressor's width (the lengths of decoder.b1 and compressor.b_down);
+def unpack_pipeline(tensors, l_max, dim, clamp_k, prefix=""):
+    """Rebuild the latent stack stored under prefix. Every tensor must have
+    the shape pipeline_shapes gives for dim and the decoder's hidden and
+    compressor's widths (the lengths of decoder.b1 and compressor.b_down);
     l_max sizes the positional table, which is not stored."""
-    l_max = int(meta["l_max"])
-    dim = int(meta["dim"])
     hidden = _get(tensors, prefix + "decoder.b1").size
     width = _get(tensors, prefix + "compressor.b_down").size
-    shapes = {
-        "encoder.embed": (VOCAB_SIZE, dim),
-        "decoder.w1": (dim, hidden),
-        "decoder.w2": (hidden, VOCAB_SIZE),
-        "decoder.b2": (VOCAB_SIZE,),
-        "compressor.w_down": (dim, width),
-        "compressor.w_up": (width, dim),
-        "compressor.b_up": (dim,),
-    }
-    shapes.update({f"decoder.{k}": (hidden,) for k in ("b1", "gamma", "beta")})
-    shapes.update({f"compressor.{k}": (width,) for k in ("b_down", "g", "s")})
-    shapes.update(
-        {f"smoothing.{k}": (dim,) for k in ("mean", "std", "post_min", "post_max", "constant")}
-    )
-    checked = _get_shaped(tensors, prefix, shapes)
+    checked = _get_shaped(tensors, prefix, pipeline_shapes(dim, hidden, width))
+
+    def component(name):
+        return {k.partition(".")[2]: v for k, v in checked.items() if k.startswith(name + ".")}
+
     return LatentPipeline(
         unpack_encoder(checked, l_max, dim),
-        unpack_decoder(checked),
-        unpack_smoothing(checked, meta["clamp_k"]),
-        unpack_compressor(checked),
+        component("decoder"),
+        unpack_smoothing(checked, clamp_k),
+        component("compressor"),
     )
 
 
 def pack_flow(model, prefix="flow."):
-    tensors = {prefix + k: v for k, v in model.params.items()}
-    return tensors, {"flow_cfg": model.cfg.to_dict()}
+    return pack(model.params, prefix), {"flow_cfg": model.cfg.to_dict()}
 
 
 def unpack_flow(tensors, meta, prefix="flow."):
@@ -366,6 +308,7 @@ def unpack_flow(tensors, meta, prefix="flow."):
         raise IncompatibleCheckpoint("checkpoint carries no flow model")
     try:
         cfg = VectorFieldConfig.from_dict(meta["flow_cfg"])
+        shapes = param_shapes(cfg)
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedHeader(f"metadata 'flow_cfg' is not a vector-field config: {e!r}") from e
-    return VectorFieldModel(cfg, _get_shaped(tensors, prefix, param_shapes(cfg)))
+    return VectorFieldModel(cfg, _get_shaped(tensors, prefix, shapes))

@@ -199,7 +199,9 @@ def _layout(tensors, meta):
 
     chains = _meta_chains(meta)
     for chain in chains:
-        chain.pipeline = unpack_pipeline(tensors, dict(meta, l_max=chain.l_max), chain.prefix)
+        chain.pipeline = unpack_pipeline(
+            tensors, chain.l_max, meta["dim"], meta["clamp_k"], chain.prefix
+        )
     return ChainLayout(chains)
 
 
@@ -260,7 +262,7 @@ def _write_loss_csvs(out, chains, traces):
 
 
 def cmd_train_decoder(args):
-    from .checkpoint import pack_decoder, pack_encoder, pack_smoothing, save_checkpoint
+    from .checkpoint import pack, pack_smoothing, save_checkpoint
     from .config import load_config
     from .latent import (
         decoder_accuracy,
@@ -295,8 +297,8 @@ def cmd_train_decoder(args):
         )
         accuracy = decoder_accuracy(dec, enc, seqs[:256] if val_seqs is None else val_seqs)
         sm = fit_smoothing(encode_corpus(seqs, enc).reshape(-1, dim))
-        tensors.update(pack_encoder(enc, chain.prefix))
-        tensors.update(pack_decoder(dec, chain.prefix))
+        tensors.update(pack({"embed": enc.embed}, chain.prefix + "encoder."))
+        tensors.update(pack(dec, chain.prefix + "decoder."))
         tensors.update(pack_smoothing(sm, chain.prefix))
         length_dists.append(fit_length_distribution(seqs, chain.l_max).to_dict())
         traces.append(trace)
@@ -323,7 +325,7 @@ def _smoothed_rows(tensors, meta, seqs, chain):
 
 
 def cmd_train_compressor(args):
-    from .checkpoint import load_checkpoint, pack_compressor, save_checkpoint
+    from .checkpoint import load_checkpoint, pack, save_checkpoint
     from .config import load_config
     from .latent import compressor_mse, init_compressor, train_compressor
     from .numeric import RngStream
@@ -351,7 +353,7 @@ def cmd_train_compressor(args):
         comp, trace = train_compressor(
             comp, rows, root.substream(f"compressor{tag}"), **_train_args(cfg)
         )
-        out_tensors.update(pack_compressor(comp, chain.prefix))
+        out_tensors.update(pack(comp, chain.prefix + "compressor."))
         traces.append(trace)
         if trace:
             val_rows = rows if val_seqs is None else _smoothed_rows(tensors, meta, val_seqs, chain)
@@ -511,21 +513,25 @@ def _read_scores(path):
 
     import numpy as np
 
-    if not os.path.exists(path):
-        raise DataError(f"external scores file does not exist: {path}")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+    except OSError as e:
+        raise DataError(f"{path}: cannot read external scores: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: external scores are not UTF-8 text: {e}") from None
     scores = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        for i, row in enumerate(csv.reader(f)):
-            if not row:
+    for i, row in enumerate(rows):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise DataError(f"{path}:{i + 1}: expected two columns, got {len(row)}")
+        try:
+            scores.append(float(row[1]))
+        except ValueError:
+            if i == 0:
                 continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{i + 1}: expected two columns, got {len(row)}")
-            try:
-                scores.append(float(row[1]))
-            except ValueError:
-                if i == 0:
-                    continue
-                raise DataError(f"{path}:{i + 1}: bad score {row[1]!r}") from None
+            raise DataError(f"{path}:{i + 1}: bad score {row[1]!r}") from None
     if not scores:
         raise DataError(f"no scores in {path}")
     return np.array(scores, dtype=np.float64)

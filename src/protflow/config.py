@@ -138,6 +138,13 @@ def _validate(values):
         )
     if not 1 <= values["solver.steps"] <= 100:
         raise ConfigError(f"solver.steps must be in [1, 100], got {values['solver.steps']}")
+    if values["model.D"] % 2 != 0:
+        raise ConfigError(f"model.D must be even (sinusoidal positions), got {values['model.D']}")
+    if values["model.embed_rank"] > values["model.D"]:
+        raise ConfigError(
+            f"model.embed_rank ({values['model.embed_rank']}) must be <= model.D "
+            f"({values['model.D']})"
+        )
     if values["model.D"] % values["model.ratio_c"] != 0:
         raise ConfigError(
             f"model.D ({values['model.D']}) must be divisible by "

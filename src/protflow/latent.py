@@ -11,6 +11,10 @@ Pipeline, sample side:  h_s' = decompress(h_c'); h' = unsmooth(h_s'); x' = decod
 
 smooth/unsmooth are exact inverses away from the clamp boundary; compression
 is lossy and trained to minimize reconstruction MSE in the smoothed space.
+
+The decoder and compressor parameters are dicts of named float64 arrays,
+as the flow's are, which nn.fit trains in place; pipeline_shapes is the one
+table of the stack's stored tensor names and shapes.
 """
 
 import numpy as np
@@ -40,10 +44,6 @@ class EncoderParams:
     @property
     def l_max(self):
         return self.pos.shape[0]
-
-    @property
-    def dim(self):
-        return self.embed.shape[1]
 
 
 def init_encoder(l_max, dim, rng, embed_scale=1.0, embed_rank=0):
@@ -148,10 +148,6 @@ class SmoothingStats:
         self.post_max = np.asarray(post_max, dtype=np.float64)
         self.constant = np.asarray(constant, dtype=bool)
 
-    @property
-    def dim(self):
-        return self.mean.shape[0]
-
 
 def fit_smoothing(rows, clamp_k=3.0):
     """Fit SmoothingStats on pooled latent rows of shape (n, dim)."""
@@ -200,102 +196,67 @@ def unsmooth(h_s, stats):
 # --- compressor ---------------------------------------------------------------
 
 
-class CompressorParams:
-    """Gated down-projection with tanh squash, linear up-projection back."""
-
-    __slots__ = ("w_down", "b_down", "g", "s", "w_up", "b_up")
-
-    def __init__(self, w_down, b_down, g, s, w_up, b_up):
-        self.w_down = np.asarray(w_down, dtype=np.float64)
-        self.b_down = np.asarray(b_down, dtype=np.float64)
-        self.g = np.asarray(g, dtype=np.float64)
-        self.s = np.asarray(s, dtype=np.float64)
-        self.w_up = np.asarray(w_up, dtype=np.float64)
-        self.b_up = np.asarray(b_up, dtype=np.float64)
-
-    @property
-    def dim(self):
-        return self.w_down.shape[0]
-
-    @property
-    def width(self):
-        return self.w_down.shape[1]
-
-    @property
-    def ratio(self):
-        return self.dim // self.width
-
-    def params(self):
-        return {
-            "w_down": self.w_down,
-            "b_down": self.b_down,
-            "g": self.g,
-            "s": self.s,
-            "w_up": self.w_up,
-            "b_up": self.b_up,
-        }
-
-
 def init_compressor(dim, ratio, rng, identity=False):
-    """Random init at the given channel ratio; identity init only at ratio 1.
-
-    With identity=True (ratio 1) the maps reduce to compress = tanh and
-    decompress = identity, so decompress(arctanh(compress(x))) ... reduces to
-    h_c = tanh(h_s) exactly.
-    """
+    """Compressor parameters (a gated down-projection with tanh squash, a
+    linear up-projection back) at the given channel ratio. identity=True (ratio
+    1 only) makes compress = tanh and decompress = identity exactly."""
     if dim % ratio != 0:
         raise IncompatibleRatio(f"dim {dim} not divisible by ratio {ratio}")
     width = dim // ratio
     if identity:
         if ratio != 1:
             raise IncompatibleRatio("identity init requires ratio 1")
-        return CompressorParams(
-            np.eye(dim), np.zeros(dim), np.ones(dim), np.zeros(dim), np.eye(dim), np.zeros(dim)
-        )
-    sub = rng.substream("compressor")
-    w_down = sub.substream("down").normal((dim, width)) / np.sqrt(dim)
-    w_up = sub.substream("up").normal((width, dim)) / np.sqrt(width)
-    return CompressorParams(
-        w_down, np.zeros(width), np.ones(width), np.zeros(width), w_up, np.zeros(dim)
-    )
+        w_down, w_up = np.eye(dim), np.eye(dim)
+    else:
+        sub = rng.substream("compressor")
+        w_down = sub.substream("down").normal((dim, width)) / np.sqrt(dim)
+        w_up = sub.substream("up").normal((width, dim)) / np.sqrt(width)
+    return {
+        "w_down": w_down,
+        "b_down": np.zeros(width),
+        "g": np.ones(width),
+        "s": np.zeros(width),
+        "w_up": w_up,
+        "b_up": np.zeros(dim),
+    }
 
 
 def compress(h_s, comp):
     """(..., dim) smoothed latents -> (..., width) compressed latents."""
-    lin = h_s @ comp.w_down + comp.b_down
-    return np.tanh(comp.g * lin + comp.s)
+    lin = h_s @ comp["w_down"] + comp["b_down"]
+    return np.tanh(comp["g"] * lin + comp["s"])
 
 
 def decompress(h_c, comp):
     """(..., width) compressed latents -> (..., dim) smoothed-space latents."""
-    return h_c @ comp.w_up + comp.b_up
+    return h_c @ comp["w_up"] + comp["b_up"]
 
 
 def compressor_loss_and_grad(comp, batch):
     """Reconstruction MSE in smoothed space plus parameter gradients.
 
     Args:
-        comp: CompressorParams.
+        comp: compressor parameter dict, as init_compressor returns.
         batch: (n, dim) smoothed rows.
 
     Returns:
-        (loss, grads dict keyed like comp.params()).
+        (loss, grads dict keyed like comp).
     """
-    lin = batch @ comp.w_down + comp.b_down
-    pre = comp.g * lin + comp.s
+    lin = batch @ comp["w_down"] + comp["b_down"]
+    pre = comp["g"] * lin + comp["s"]
     h_c = np.tanh(pre)
-    rec = h_c @ comp.w_up + comp.b_up
+    rec = h_c @ comp["w_up"] + comp["b_up"]
     diff = rec - batch
     loss = float((diff**2).mean())
 
     d_rec = 2.0 * diff / diff.size
     d_w_up = h_c.T @ d_rec
     d_b_up = d_rec.sum(axis=0)
-    d_hc = d_rec @ comp.w_up.T
+    d_hc = d_rec @ comp["w_up"].T
     d_pre = d_hc * (1.0 - h_c**2)
     d_g = (d_pre * lin).sum(axis=0)
     d_s = d_pre.sum(axis=0)
-    d_lin = d_pre * comp.g
+    d_lin = d_pre * comp["g"]
     d_w_down = batch.T @ d_lin
     d_b_down = d_lin.sum(axis=0)
     grads = {
@@ -335,7 +296,7 @@ def train_compressor(
         return compressor_loss_and_grad(comp, train_rows[idx])
 
     trace = nn.fit(
-        comp.params(), loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
+        comp, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
         betas=(0.9, 0.999), eps=1e-8, cycles=2,
     )
     return comp, trace
@@ -344,57 +305,38 @@ def train_compressor(
 # --- decoder ------------------------------------------------------------------
 
 
-class DecoderParams:
-    """Per-position classifier: logits = LayerNorm(gelu(h W1 + b1)) W2 + b2."""
-
-    __slots__ = ("w1", "b1", "gamma", "beta", "w2", "b2")
-
-    def __init__(self, w1, b1, gamma, beta, w2, b2):
-        self.w1 = np.asarray(w1, dtype=np.float64)
-        self.b1 = np.asarray(b1, dtype=np.float64)
-        self.gamma = np.asarray(gamma, dtype=np.float64)
-        self.beta = np.asarray(beta, dtype=np.float64)
-        self.w2 = np.asarray(w2, dtype=np.float64)
-        self.b2 = np.asarray(b2, dtype=np.float64)
-
-    def params(self):
-        return {
-            "w1": self.w1,
-            "b1": self.b1,
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "w2": self.w2,
-            "b2": self.b2,
-        }
-
-
 def init_decoder(dim, hidden, rng):
+    """Per-position classifier parameters: logits = LayerNorm(gelu(h w1 + b1))
+    w2 + b2, with LayerNorm's scale gamma and shift beta."""
     sub = rng.substream("decoder")
-    w1 = sub.substream("w1").normal((dim, hidden)) / np.sqrt(dim)
-    w2 = sub.substream("w2").normal((hidden, VOCAB_SIZE)) / np.sqrt(hidden)
-    return DecoderParams(
-        w1, np.zeros(hidden), np.ones(hidden), np.zeros(hidden), w2, np.zeros(VOCAB_SIZE)
-    )
+    return {
+        "w1": sub.substream("w1").normal((dim, hidden)) / np.sqrt(dim),
+        "b1": np.zeros(hidden),
+        "gamma": np.ones(hidden),
+        "beta": np.zeros(hidden),
+        "w2": sub.substream("w2").normal((hidden, VOCAB_SIZE)) / np.sqrt(hidden),
+        "b2": np.zeros(VOCAB_SIZE),
+    }
 
 
 def decoder_logits(dec, h):
     """(n, dim) latent rows -> (n, vocab) logits."""
-    a = h @ dec.w1 + dec.b1
+    a = h @ dec["w1"] + dec["b1"]
     z = nn.gelu(a)
-    y, _ = nn.layernorm_forward(z, dec.gamma, dec.beta)
-    return y @ dec.w2 + dec.b2
+    y, _ = nn.layernorm_forward(z, dec["gamma"], dec["beta"])
+    return y @ dec["w2"] + dec["b2"]
 
 
 def decoder_loss_and_grad(dec, h, targets):
     """Mean cross-entropy over rows plus gradients w.r.t. decoder params."""
-    a = h @ dec.w1 + dec.b1
+    a = h @ dec["w1"] + dec["b1"]
     z, tanh_a = nn.gelu(a, return_tanh=True)
-    y, ln_cache = nn.layernorm_forward(z, dec.gamma, dec.beta)
-    logits = y @ dec.w2 + dec.b2
+    y, ln_cache = nn.layernorm_forward(z, dec["gamma"], dec["beta"])
+    logits = y @ dec["w2"] + dec["b2"]
     loss, dlogits = nn.softmax_cross_entropy(logits, targets)
     d_w2 = y.T @ dlogits
     d_b2 = dlogits.sum(axis=0)
-    dy = dlogits @ dec.w2.T
+    dy = dlogits @ dec["w2"].T
     dz, d_gamma, d_beta = nn.layernorm_backward(dy, ln_cache)
     da = dz * nn.gelu_grad(a, tanh_a)
     d_w1 = h.T @ da
@@ -464,13 +406,35 @@ def train_decoder(
         return decoder_loss_and_grad(dec, h, y)
 
     trace = nn.fit(
-        dec.params(), loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
+        dec, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
         betas=(0.9, 0.98), eps=1e-8,
     )
     return dec, trace
 
 
 # --- bundled pipeline ---------------------------------------------------------
+
+
+def pipeline_shapes(dim, hidden, width):
+    """Name -> shape of every stored tensor of a latent stack, in checkpoint
+    order. The positional table is recomputed from l_max, not stored, and
+    the smoothing's constant mask is stored as 0/1."""
+    return {
+        "encoder.embed": (VOCAB_SIZE, dim),
+        "decoder.w1": (dim, hidden),
+        "decoder.b1": (hidden,),
+        "decoder.gamma": (hidden,),
+        "decoder.beta": (hidden,),
+        "decoder.w2": (hidden, VOCAB_SIZE),
+        "decoder.b2": (VOCAB_SIZE,),
+        **{f"smoothing.{k}": (dim,) for k in ("mean", "std", "post_min", "post_max", "constant")},
+        "compressor.w_down": (dim, width),
+        "compressor.b_down": (width,),
+        "compressor.g": (width,),
+        "compressor.s": (width,),
+        "compressor.w_up": (width, dim),
+        "compressor.b_up": (dim,),
+    }
 
 
 class LatentPipeline:
@@ -489,12 +453,8 @@ class LatentPipeline:
         return self.encoder.l_max
 
     @property
-    def dim(self):
-        return self.encoder.dim
-
-    @property
     def width(self):
-        return self.compressor.width
+        return self.compressor["w_down"].shape[1]
 
     def data_to_latent(self, ts):
         """Padded TokenizedSequence -> (l_max, width) compressed latent."""

@@ -33,8 +33,6 @@ from protflow.flow import (
     train_rf,
 )
 from protflow.latent import (
-    CompressorParams,
-    DecoderParams,
     compressor_loss_and_grad,
     decoder_loss_and_grad,
     init_compressor,
@@ -76,19 +74,17 @@ def test_criterion_1_gradients(criterion):
                           flow_params)
 
     # Decoder cross-entropy, 2 latent rows of width 8.
-    dec_params = _perturb(init_decoder(8, 16, RngStream(13)).params(),
+    dec_params = _perturb(init_decoder(8, 16, RngStream(13)),
                           RngStream(13).substream("perturb"))
     h = gen.normal(size=(2, 8))
     targets = gen.integers(0, 20, size=2)
-    err_dec = grad_check(lambda p: decoder_loss_and_grad(DecoderParams(**p), h, targets),
-                         dec_params)
+    err_dec = grad_check(lambda p: decoder_loss_and_grad(p, h, targets), dec_params)
 
     # Compressor reconstruction MSE, 2 rows of width 8 at channel ratio 2.
-    comp_params = _perturb(init_compressor(8, 2, RngStream(14)).params(),
+    comp_params = _perturb(init_compressor(8, 2, RngStream(14)),
                            RngStream(14).substream("perturb"))
     batch = gen.normal(size=(2, 8))
-    err_comp = grad_check(lambda p: compressor_loss_and_grad(CompressorParams(**p), batch),
-                          comp_params)
+    err_comp = grad_check(lambda p: compressor_loss_and_grad(p, batch), comp_params)
 
     seconds = time.time() - t_start
     passed = err_flow < tol and err_dec < tol and err_comp < tol and seconds < 60.0

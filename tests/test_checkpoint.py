@@ -5,15 +5,20 @@ float32 payloads), so most tests craft files byte-by-byte and check that
 the loader refuses anything malformed before touching payload bytes.
 """
 
+import functools
 import hashlib
 import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protflow import checkpoint as ckpt
-from protflow import nn
+from protflow import cli, nn
 from protflow.errors import (
     BadMagic,
     CheckpointError,
@@ -22,6 +27,7 @@ from protflow.errors import (
     MalformedHeader,
     NonFiniteTensor,
     NonFiniteValue,
+    ProtflowError,
     VersionUnsupported,
 )
 from protflow.flow import VectorFieldConfig, init_flow_model
@@ -31,6 +37,7 @@ from protflow.latent import (
     init_compressor,
     init_decoder,
     init_encoder,
+    pipeline_shapes,
 )
 from protflow.numeric import RngStream
 
@@ -306,38 +313,51 @@ def _toy_pipeline():
     return LatentPipeline(enc, dec, sm, comp)
 
 
+def _pack_pipeline(pipe, prefix=""):
+    """The tensors train-decoder and train-compressor store for pipe."""
+    return {
+        **ckpt.pack({"embed": pipe.encoder.embed}, prefix + "encoder."),
+        **ckpt.pack(pipe.decoder, prefix + "decoder."),
+        **ckpt.pack_smoothing(pipe.smoothing, prefix),
+        **ckpt.pack(pipe.compressor, prefix + "compressor."),
+    }
+
+
 def test_pack_unpack_encoder_bitwise():
-    enc = init_encoder(6, 8, RngStream(3), embed_scale=2.0, embed_rank=4)
-    tensors = ckpt.pack_encoder(enc)
-    assert set(tensors) == {"encoder.embed"}
-    out = ckpt.unpack_encoder(tensors, 6, 8)
-    assert np.array_equal(out.embed, enc.embed)
+    pipe = _toy_pipeline()
+    tensors = _pack_pipeline(pipe)
+    assert [k for k in tensors if k.startswith("encoder.")] == ["encoder.embed"]
+    out = ckpt.unpack_pipeline(tensors, 6, 8, 2.5)
+    assert np.array_equal(out.encoder.embed, pipe.encoder.embed)
     # the positional table is recomputed, not stored
-    assert np.array_equal(out.pos, nn.sinusoidal_table(6, 8))
-    assert np.array_equal(out.pos, enc.pos)
-    with pytest.raises(IncompatibleCheckpoint):
-        ckpt.unpack_encoder({}, 6, 8)
+    assert np.array_equal(out.encoder.pos, nn.sinusoidal_table(6, 8))
+    assert np.array_equal(out.encoder.pos, pipe.encoder.pos)
+    del tensors["encoder.embed"]
+    with pytest.raises(IncompatibleCheckpoint, match="'encoder.embed'"):
+        ckpt.unpack_pipeline(tensors, 6, 8, 2.5)
 
 
 def test_pack_unpack_decoder_bitwise():
-    dec = init_decoder(8, 16, RngStream(5))
-    out = ckpt.unpack_decoder(ckpt.pack_decoder(dec))
-    for key, val in dec.params().items():
-        assert np.array_equal(out.params()[key], val)
+    pipe = _toy_pipeline()
+    out = ckpt.unpack_pipeline(_pack_pipeline(pipe), 6, 8, 2.5)
+    assert list(out.decoder) == list(pipe.decoder)
+    for key, val in pipe.decoder.items():
+        assert np.array_equal(out.decoder[key], val)
 
 
 def test_pack_unpack_compressor_bitwise():
-    comp = init_compressor(8, 2, RngStream(7))
-    out = ckpt.unpack_compressor(ckpt.pack_compressor(comp))
-    for key, val in comp.params().items():
-        assert np.array_equal(out.params()[key], val)
+    pipe = _toy_pipeline()
+    out = ckpt.unpack_pipeline(_pack_pipeline(pipe), 6, 8, 2.5)
+    assert list(out.compressor) == list(pipe.compressor)
+    for key, val in pipe.compressor.items():
+        assert np.array_equal(out.compressor[key], val)
+    assert out.width == pipe.width == 4
 
 
 def test_pack_unpack_smoothing():
-    rows = RngStream(13).substream("rows").normal((64, 8))
-    rows[:, 3] = 0.7
-    sm = fit_smoothing(rows, clamp_k=2.5)
-    out = ckpt.unpack_smoothing(ckpt.pack_smoothing(sm), sm.clamp_k)
+    pipe = _toy_pipeline()
+    sm = pipe.smoothing
+    out = ckpt.unpack_pipeline(_pack_pipeline(pipe), 6, 8, sm.clamp_k).smoothing
     assert np.array_equal(out.mean, sm.mean)
     assert np.array_equal(out.std, sm.std)
     assert np.array_equal(out.post_min, sm.post_min)
@@ -348,28 +368,46 @@ def test_pack_unpack_smoothing():
     assert out.constant[3] and out.constant.sum() == 1
 
 
+def test_packed_stack_has_exactly_the_pipeline_shapes():
+    pipe = _toy_pipeline()
+    packed = {k: np.shape(v) for k, v in _pack_pipeline(pipe).items()}
+    assert list(packed.items()) == list(pipeline_shapes(8, 16, 4).items())
+    chained = {k: np.shape(v) for k, v in _pack_pipeline(pipe, "chain.A.").items()}
+    assert chained == {"chain.A." + k: shape for k, shape in pipeline_shapes(8, 16, 4).items()}
+
+
 def test_pipeline_file_round_trip(tmp_path):
     pipe = _toy_pipeline()
-    tensors, meta = ckpt.pack_pipeline(pipe)
-    assert meta == {"l_max": 6, "dim": 8, "clamp_k": 2.5}
-
     path = str(tmp_path / "pipe.ckpt")
-    ckpt.save_checkpoint(path, tensors, meta)
-    loaded, meta2 = ckpt.load_checkpoint(path)
-    out = ckpt.unpack_pipeline(loaded, meta2)
+    for prefix in ("", "chain.A."):
+        meta = {"l_max": 6, "dim": 8, "clamp_k": 2.5}
+        ckpt.save_checkpoint(path, _pack_pipeline(pipe, prefix), meta)
+        loaded, meta = ckpt.load_checkpoint(path)
+        out = ckpt.unpack_pipeline(loaded, meta["l_max"], meta["dim"], meta["clamp_k"], prefix)
 
-    assert out.l_max == pipe.l_max and out.dim == pipe.dim
-    # stored tensors come back as exact float32 casts of the originals
-    assert np.array_equal(out.encoder.embed, pipe.encoder.embed.astype(np.float32))
-    for key, val in pipe.decoder.params().items():
-        assert np.array_equal(out.decoder.params()[key], val.astype(np.float32))
-    for key, val in pipe.compressor.params().items():
-        assert np.array_equal(out.compressor.params()[key], val.astype(np.float32))
-    assert np.array_equal(out.smoothing.mean, pipe.smoothing.mean.astype(np.float32))
-    assert np.array_equal(out.smoothing.constant, pipe.smoothing.constant)
-    assert out.smoothing.clamp_k == pipe.smoothing.clamp_k
-    # the positional table never passes through float32 storage
-    assert np.array_equal(out.encoder.pos, pipe.encoder.pos)
+        assert out.l_max == pipe.l_max and out.width == pipe.width
+        # stored tensors come back as exact float32 casts of the originals
+        assert np.array_equal(out.encoder.embed, pipe.encoder.embed.astype(np.float32))
+        for key, val in pipe.decoder.items():
+            assert np.array_equal(out.decoder[key], val.astype(np.float32))
+        for key, val in pipe.compressor.items():
+            assert np.array_equal(out.compressor[key], val.astype(np.float32))
+        assert np.array_equal(out.smoothing.mean, pipe.smoothing.mean.astype(np.float32))
+        assert np.array_equal(out.smoothing.constant, pipe.smoothing.constant)
+        assert out.smoothing.clamp_k == pipe.smoothing.clamp_k
+        # the positional table never passes through float32 storage
+        assert np.array_equal(out.encoder.pos, pipe.encoder.pos)
+
+
+def test_unpack_pipeline_checks_every_shape():
+    pipe = _toy_pipeline()
+    for name in pipeline_shapes(8, 16, 4):
+        tensors = _pack_pipeline(pipe)
+        tensors[name] = tensors[name][np.newaxis]  # same size, so b1 and b_down set widths
+        with pytest.raises(IncompatibleCheckpoint, match=repr(name)):
+            ckpt.unpack_pipeline(tensors, 6, 8, 2.5)
+    with pytest.raises(IncompatibleCheckpoint, match="'encoder.embed'"):
+        ckpt.unpack_pipeline(_pack_pipeline(pipe), 6, 10, 2.5)  # dim disagrees
 
 
 def test_pack_unpack_flow(tmp_path):
@@ -416,19 +454,19 @@ def test_combined_pipeline_and_flow_checkpoint(tmp_path):
     cfg = VectorFieldConfig(depth=2, width=4, hidden=8, attention=False)
     model = init_flow_model(cfg, RngStream(22))
 
-    pipe_tensors, pipe_meta = ckpt.pack_pipeline(pipe)
+    pipe_tensors = _pack_pipeline(pipe)
     flow_tensors, flow_meta = ckpt.pack_flow(model)
     assert not set(pipe_tensors) & set(flow_tensors)
 
     tensors = {**pipe_tensors, **flow_tensors}
-    meta = {**pipe_meta, **flow_meta}
+    meta = {"l_max": 6, "dim": 8, "clamp_k": 2.5, **flow_meta}
     path = str(tmp_path / "both.ckpt")
     ckpt.save_checkpoint(path, tensors, meta)
     loaded, meta2 = ckpt.load_checkpoint(path)
 
-    out_pipe = ckpt.unpack_pipeline(loaded, meta2)
+    out_pipe = ckpt.unpack_pipeline(loaded, meta2["l_max"], meta2["dim"], meta2["clamp_k"])
     out_flow = ckpt.unpack_flow(loaded, meta2)
-    assert out_pipe.l_max == pipe.l_max and out_pipe.dim == pipe.dim
+    assert out_pipe.l_max == pipe.l_max and out_pipe.width == pipe.width
     assert out_flow.cfg.to_dict() == cfg.to_dict()
     for key, val in model.params.items():
         assert np.array_equal(out_flow.params[key], val.astype(np.float32))
@@ -457,12 +495,15 @@ def test_pipeline_kinds_need_their_metadata(tmp_path, kind, chains):
         ckpt.save_checkpoint(path, {"x": np.ones(2)}, {k: v for k, v in meta.items() if k != key})
         with pytest.raises(MalformedHeader, match=repr(key)):
             ckpt.load_checkpoint(path)
-    bad_values = {"dim": "8", "clamp_k": True, "l_max": 0, "length_dist": {"lengths": [2]},
-                  "chains": [{"name": "A"}], "length_dists": {"A": {}}, "flow_cfg": [1]}
+    # an odd dim would reach nn.sinusoidal_table, which needs an even width
+    bad_values = {"dim": ["8", 7], "clamp_k": [True], "l_max": [0],
+                  "length_dist": [{"lengths": [2]}], "chains": [[{"name": "A"}]],
+                  "length_dists": [{"A": {}}], "flow_cfg": [[1]]}
     for key in sorted(set(meta) & set(bad_values)):
-        ckpt.save_checkpoint(path, {"x": np.ones(2)}, dict(meta, **{key: bad_values[key]}))
-        with pytest.raises(MalformedHeader, match=repr(key)):
-            ckpt.load_checkpoint(path)
+        for value in bad_values[key]:
+            ckpt.save_checkpoint(path, {"x": np.ones(2)}, dict(meta, **{key: value}))
+            with pytest.raises(MalformedHeader, match=repr(key)):
+                ckpt.load_checkpoint(path)
 
 
 def test_metadata_checks_only_pipeline_kinds(tmp_path):
@@ -483,3 +524,116 @@ def test_unpack_flow_rejects_a_bad_flow_cfg():
     for cfg in ({"width": 2, "hidden": 4}, {"depth": 1, "width": 2, "hidden": 4, "time_dim": 3}):
         with pytest.raises(MalformedHeader, match="flow_cfg"):
             ckpt.unpack_flow(tensors, {"flow_cfg": cfg})
+
+
+# --- fuzzing ------------------------------------------------------------------
+
+# Values a crafted header may hold. Integers stay small wherever the loader
+# reads them as sizes it will allocate (l_max, flow_cfg depth and widths);
+# shapes and offsets also get sizes beyond what any payload or numpy holds.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 64) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+_SIZES = st.integers(-3, 300) | st.sampled_from([2**31, 2**62, 2**64, 10**30])
+_ENTRY_VALUES = {
+    "name": st.text(max_size=8) | st.sampled_from(["decoder.b1", "flow.block0.w1"]),
+    "shape": st.lists(_SIZES, max_size=4),
+    "offset": _SIZES,
+    "dtype": st.sampled_from(["<f4", "<f8", "f4", "<i4"]),
+}
+_FLOW_CFG_KEYS = ("depth", "width", "hidden", "attention", "seq_len", "time_dim")
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_checkpoint():
+    """(header dict, payload bytes) of a small pipeline+flow checkpoint."""
+    cfg = VectorFieldConfig(depth=2, width=4, hidden=8, attention=True, seq_len=6)
+    tensors = {**_pack_pipeline(_toy_pipeline()),
+               **ckpt.pack_flow(init_flow_model(cfg, RngStream(23)))[0]}
+    meta = {"kind": "flow", "dim": 8, "clamp_k": 2.5, "l_max": 6,
+            "length_dist": {"lengths": [2], "counts": [1]}, "flow_cfg": cfg.to_dict()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "valid.ckpt")
+        ckpt.save_checkpoint(path, tensors, meta)
+        with open(path, "rb") as f:
+            data = f.read()
+    header_end = 16 + struct.unpack("<Q", data[8:16])[0]
+    return json.loads(data[16:header_end]), data[header_end:]
+
+
+def _mutate_header(data, header):
+    """Delete or replace one metadata value, flow_cfg field, tensor entry or
+    entry field of header."""
+    target = data.draw(st.sampled_from(["meta", "flow_cfg", "entry"]))
+    values = _JSON_VALUES
+    if target == "meta":
+        parent = header
+        key = data.draw(st.sampled_from(sorted(set(header) - {"tensors"}) + ["chains"]))
+    elif target == "flow_cfg":
+        if not isinstance(header.get("flow_cfg"), dict):
+            return
+        parent, key = header["flow_cfg"], data.draw(st.sampled_from(_FLOW_CFG_KEYS))
+    else:
+        entries = header["tensors"]
+        if not entries:
+            return
+        i = data.draw(st.integers(0, len(entries) - 1))
+        if data.draw(st.booleans()):
+            del entries[i]
+            return
+        parent, key = entries[i], data.draw(st.sampled_from(sorted(_ENTRY_VALUES)))
+        shape = parent.get("shape")
+        if key == "shape" and isinstance(shape, list) and shape and data.draw(st.booleans()):
+            # one size off, so most such files load and reach the shape checks
+            shape[data.draw(st.integers(0, len(shape) - 1))] = data.draw(_SIZES)
+            return
+        values = _ENTRY_VALUES[key] | _JSON_VALUES
+    if not data.draw(st.integers(0, 4)):
+        parent.pop(key, None)
+    else:
+        parent[key] = data.draw(values)
+
+
+def _mutate_bytes(data, blob):
+    """Overwrite, cut or extend a span of blob."""
+    action = data.draw(st.sampled_from(["overwrite", "truncate", "extend"]))
+    if action == "truncate":
+        return blob[: data.draw(st.integers(0, len(blob)))]
+    if action == "extend":
+        return blob + data.draw(st.binary(min_size=1, max_size=16))
+    start = data.draw(st.integers(0, max(len(blob) - 1, 0)))
+    patch = data.draw(st.binary(min_size=1, max_size=8))
+    return blob[:start] + patch + blob[start + len(patch):]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_checkpoints_load_or_exit_4(data):
+    header, payload = _valid_checkpoint()
+    header = json.loads(json.dumps(header))  # a fresh copy to mutate
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate_header(data, header)
+    if data.draw(st.booleans()):
+        payload = _mutate_bytes(data, payload)
+    header_bytes = json.dumps(header).encode("utf-8")
+    blob = b"PFLW" + struct.pack("<IQ", 1, len(header_bytes)) + header_bytes + payload
+    if data.draw(st.integers(0, 3)) == 0:
+        blob = _mutate_bytes(data, blob)  # anywhere, the magic and lengths included
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzzed.ckpt")
+        with open(path, "wb") as f:
+            f.write(blob)
+        try:
+            # what sample does with a checkpoint before it draws a latent
+            tensors, meta = ckpt.load_checkpoint(path)
+            if meta.get("kind") in ("flow", "reflow"):
+                for chain in cli._meta_chains(meta):
+                    ckpt.unpack_pipeline(
+                        tensors, chain.l_max, meta["dim"], meta["clamp_k"], chain.prefix
+                    )
+                ckpt.unpack_flow(tensors, meta)
+        except ProtflowError as e:
+            assert e.exit_code == 4, repr(e)

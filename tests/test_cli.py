@@ -333,16 +333,26 @@ def test_exit_1_sample_bad_solver_flag(workdir, flag):
         (["eval", "--gen", "{corpus}", "--ref", "{root}", "--out", "{root}/x"], 2),
         (["eval", "--gen", "{not_utf8}", "--ref", "{corpus}", "--out", "{root}/x"], 2),
         (["eval", "--gen", "{corpus}", "--ref", "{corpus}", "--out", "{root}/x", "--k", "0"], 1),
+        (["eval", "--gen", "{corpus}", "--ref", "{corpus}", "--out", "{root}/x",
+          "--external-scores", "{root}"], 2),
+        (["eval", "--gen", "{corpus}", "--ref", "{corpus}", "--out", "{root}/x",
+          "--external-scores", "{not_utf8}"], 2),
+        (["train-decoder", "--config", "{cfg}", "--out", "{root}/x.ckpt",
+          "--set", "model.D=7", "--set", "model.ratio_c=1"], 1),
+        (["train-decoder", "--config", "{cfg}", "--out", "{root}/x.ckpt",
+          "--set", "model.embed_rank=9"], 1),
     ],
     ids=["inspect missing", "sample missing", "inspect directory", "sample directory",
-         "eval missing gen", "eval directory ref", "eval non-UTF-8 gen", "eval k 0"],
+         "eval missing gen", "eval directory ref", "eval non-UTF-8 gen", "eval k 0",
+         "eval directory scores", "eval non-UTF-8 scores", "odd model.D",
+         "embed_rank above model.D"],
 )
 def test_exit_code_for_missing_and_invalid_inputs(workdir, argv, code):
     root = workdir["root"]
     not_utf8 = root / "not_utf8.fasta"
     not_utf8.write_bytes(b">s0\nAC\xff\n")
     paths = {"missing": root / "nonexistent", "root": root, "corpus": workdir["corpus"],
-             "not_utf8": not_utf8}
+             "not_utf8": not_utf8, "cfg": workdir["cfg"]}
     proc = subprocess.run(
         [sys.executable, "-m", "protflow", *(arg.format(**paths) for arg in argv)],
         env=_protflow_env(), capture_output=True, text=True, timeout=120,

@@ -91,6 +91,13 @@ def test_range_checks():
     with pytest.raises(ConfigError, match="divisible"):
         load_config(None, overrides=["model.D=10", "model.ratio_c=4"])
     load_config(None, overrides=["model.D=16", "model.ratio_c=4"])  # fine
+    # the sinusoidal positional table needs an even width
+    with pytest.raises(ConfigError, match="even"):
+        load_config(None, overrides=["model.D=7", "model.ratio_c=1"])
+    # a rank-limited token table cannot have more factors than channels
+    with pytest.raises(ConfigError, match="embed_rank"):
+        load_config(None, overrides=["model.D=8", "model.embed_rank=9"])
+    load_config(None, overrides=["model.D=8", "model.embed_rank=8"])  # fine
 
 
 def test_data_paths_checked(tmp_path):

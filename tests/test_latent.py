@@ -138,12 +138,31 @@ def test_compressor_ratio_validation():
 
 def test_compressor_shapes():
     comp = latent.init_compressor(16, 4, RngStream(3))
-    assert comp.dim == 16 and comp.width == 4 and comp.ratio == 4
+    assert {k: v.shape for k, v in comp.items()} == {
+        k.partition(".")[2]: shape
+        for k, shape in latent.pipeline_shapes(16, 1, 4).items()
+        if k.startswith("compressor.")
+    }
     x = np.random.default_rng(0).normal(size=(5, 7, 16))
     c = latent.compress(x, comp)
     assert c.shape == (5, 7, 4)
     assert np.abs(c).max() <= 1.0  # tanh squash
     assert latent.decompress(c, comp).shape == (5, 7, 16)
+
+
+def test_fresh_parameter_arrays_share_no_memory():
+    # nn.fit updates every array in place, so two names on one buffer would
+    # train as one parameter
+    dicts = {
+        "decoder": latent.init_decoder(6, 5, RngStream(1)),
+        "compressor": latent.init_compressor(6, 2, RngStream(2)),
+        "identity compressor": latent.init_compressor(6, 1, RngStream(3), identity=True),
+    }
+    for label, params in dicts.items():
+        arrays = list(params.items())
+        for i, (name_a, a) in enumerate(arrays):
+            for name_b, b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b), (label, name_a, name_b)
 
 
 def test_compressor_grad_matches_numeric():
@@ -152,9 +171,9 @@ def test_compressor_grad_matches_numeric():
     batch = np.random.default_rng(1).normal(size=(4, 6)) * 0.5
 
     def f(params):
-        return latent.compressor_loss_and_grad(latent.CompressorParams(**params), batch)
+        return latent.compressor_loss_and_grad(params, batch)
 
-    assert grad_check(f, comp.params()) < 1e-6
+    assert grad_check(f, comp) < 1e-6
 
 
 def test_train_compressor_reduces_val_mse():
@@ -180,9 +199,9 @@ def test_decoder_grad_matches_numeric():
     y = np.random.default_rng(3).integers(0, 20, size=7)
 
     def f(params):
-        return latent.decoder_loss_and_grad(latent.DecoderParams(**params), h, y)
+        return latent.decoder_loss_and_grad(params, h, y)
 
-    assert grad_check(f, dec.params()) < 1e-6
+    assert grad_check(f, dec) < 1e-6
 
 
 def test_decode_masks_and_never_emits_pad():
@@ -201,9 +220,7 @@ def test_decode_masks_and_never_emits_pad():
 
 def test_decode_ties_resolve_to_lowest_id():
     # zero weights give identical logits for every residue class
-    dec = latent.DecoderParams(
-        np.zeros((4, 3)), np.zeros(3), np.ones(3), np.zeros(3), np.zeros((3, 21)), np.zeros(21)
-    )
+    dec = {k: np.zeros_like(v) for k, v in latent.init_decoder(4, 3, RngStream(0)).items()}
     out = latent.decode(np.ones((2, 4)), np.array([True, True]), dec)
     assert (out.tokens == 0).all()
 
@@ -239,7 +256,7 @@ def test_pipeline_round_trip_identity_compressor():
     comp = latent.init_compressor(16, 1, rng.substream("comp"))
     comp, _ = latent.train_compressor(comp, smoothed, rng.substream("ctrain"), steps=800, batch=64)
     pipe = latent.LatentPipeline(enc, dec, stats, comp)
-    assert pipe.l_max == 10 and pipe.dim == 16 and pipe.width == 16
+    assert pipe.l_max == 10 and pipe.width == 16
 
     hits = 0
     total = 0
@@ -355,7 +372,7 @@ _DECODER_CORPORA = {
 @pytest.mark.parametrize("case", sorted(_DECODER_CORPORA))
 def test_decoder_accuracy_batch_matches_loop(case, tmp_path):
     from protflow import cli
-    from protflow.checkpoint import load_checkpoint, unpack_decoder, unpack_encoder
+    from protflow.checkpoint import load_checkpoint, unpack_encoder
 
     corpus, make_args, cfg, sets = _DECODER_CORPORA[case]
     if make_args is None:
@@ -376,7 +393,11 @@ def test_decoder_accuracy_batch_matches_loop(case, tmp_path):
     for chain, seqs in zip(chains, cli._load_corpus(corpus, chains)):
         prefix = chain.prefix
         enc = unpack_encoder(tensors, chain.l_max, dim, prefix)
-        dec = unpack_decoder(tensors, prefix)
+        dec = {
+            k.rpartition(".")[2]: v.astype(np.float64)
+            for k, v in tensors.items()
+            if k.startswith(prefix + "decoder.")
+        }
         val = seqs[:256]  # the held-out set train-decoder scores
         accuracy = latent.decoder_accuracy(dec, enc, val)
         assert 0.0 < accuracy < 1.0, (case, prefix, accuracy)
