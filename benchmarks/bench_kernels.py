@@ -23,9 +23,10 @@ and median of five runs after one warm-up. It checks a seeded sample of
 matrix entries against the single-pair levenshtein and exits 1 on any
 mismatch, else 0.
 
-Training steps follow, at experiments/single_chain.sh's canonical batch:
-decoder_loss_and_grad on the true positions of 64 sequences of lengths
-1-20 (L_max 20, D 32, decoder_hidden 64, embed_rank 4), and
+Training follows, at experiments/single_chain.sh's canonical shapes:
+tokenize of the 500-record runs/single_chain/corpus.fasta at L_max 20,
+decoder_loss_and_grad on the residue positions of a batch of 64 sequences of
+lengths 1-20 (L_max 20, D 32, decoder_hidden 64, embed_rank 4), and
 compressor_loss_and_grad on 64 smoothed rows of width 32 at ratio_c 4,
 each per call, best and median of five runs of TRAIN_CALLS calls after one
 warm-up.
@@ -62,7 +63,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from protflow import cli, flow, kernels, latent, nn, ode  # noqa: E402
 from protflow.numeric import RngStream  # noqa: E402
-from protflow.seqio import tokenize_padded  # noqa: E402
+from protflow.seqio import read_fasta, tokenize  # noqa: E402
 
 ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 REPEATS = 5
@@ -84,6 +85,7 @@ COMMANDS = (
 # model.embed_rank, model.ratio_c and train.batch
 TRAIN_CFG = dict(l_max=20, dim=32, hidden=64, rank=4, ratio=4, batch=64)
 TRAIN_CORPUS = 500
+CANONICAL_CORPUS = os.path.join(ROOT, "runs", "single_chain", "corpus.fasta")
 TRAIN_CALLS = 200
 
 FLOW_CFG = dict(depth=2, width=8, hidden=64)
@@ -153,23 +155,25 @@ def bench_gelu():
 def bench_training():
     c = TRAIN_CFG
     rng = RngStream(3)
-    seqs = [tokenize_padded(s, c["l_max"]) for s in make_corpus(TRAIN_CORPUS, 1, c["l_max"], 7)]
+    canonical = [s for _, s in read_fasta(CANONICAL_CORPUS)]
+    ids = tokenize(make_corpus(TRAIN_CORPUS, 1, c["l_max"], 7), c["l_max"])
     enc = latent.init_encoder(
         c["l_max"], c["dim"], rng.substream("enc"), embed_scale=10.0, embed_rank=c["rank"]
     )
-    # one decoder batch: the true positions of batch sequences, as train_decoder draws it
-    tokens, mask = latent._token_rows(seqs, c["l_max"])
-    idx = np.random.default_rng(4).integers(0, len(seqs), size=c["batch"])
-    h, y = latent._gather_rows(enc, tokens, mask, idx)
+    # one decoder batch: the residue positions of batch sequences, as train_decoder draws it
+    idx = np.random.default_rng(4).integers(0, len(ids), size=c["batch"])
+    h, y = latent._gather_rows(enc, ids, idx)
     dec = latent.init_decoder(c["dim"], c["hidden"], rng.substream("dec"))
     # one compressor batch: batch smoothed rows of the padded corpus
-    rows = latent.encode_corpus(seqs, enc).reshape(-1, c["dim"])
+    rows = latent.encode_corpus(ids, enc).reshape(-1, c["dim"])
     rows = latent.smooth(rows, latent.fit_smoothing(rows))
     batch = rows[np.random.default_rng(5).integers(0, len(rows), size=c["batch"])]
     comp = latent.init_compressor(c["dim"], c["ratio"], rng.substream("comp"))
 
-    print(f"{'training step':<40} {'best':>10} {'median':>10}")
+    print(f"{'training, per call':<40} {'best':>10} {'median':>10}")
     steps = (
+        (f"tokenize {len(canonical)} records, L_max {c['l_max']}",
+         lambda: tokenize(canonical, c["l_max"])),
         (f"decoder_loss_and_grad {h.shape[0]}x{c['dim']}",
          lambda: latent.decoder_loss_and_grad(dec, h, y)),
         (f"compressor_loss_and_grad {batch.shape[0]}x{c['dim']}",

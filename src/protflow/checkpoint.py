@@ -162,6 +162,16 @@ def _is_chain_list(chains):
     return isinstance(chains, list) and len(chains) > 0 and all(map(_is_chain, chains))
 
 
+def _is_flow_cfg(d):
+    """Integer sizes, an integer or null seq_len and time_dim, a bool attention."""
+    return (
+        isinstance(d, dict)
+        and all(_is_int(d.get(k)) for k in ("depth", "width", "hidden"))
+        and all(d.get(k) is None or _is_int(d[k]) for k in ("seq_len", "time_dim"))
+        and isinstance(d.get("attention", False), bool)
+    )
+
+
 # metadata key -> (check, what the check wants)
 _META_CHECKS = {
     "dim": (lambda x: _is_positive_int(x) and x % 2 == 0, "a positive even integer"),
@@ -173,7 +183,7 @@ _META_CHECKS = {
         lambda d: isinstance(d, dict) and all(_is_length_dist(v) for v in d.values()),
         "an object of per-chain length distributions",
     ),
-    "flow_cfg": (lambda d: isinstance(d, dict), "an object"),
+    "flow_cfg": (_is_flow_cfg, "an object of integer sizes and a bool 'attention'"),
 }
 _PIPELINE_KINDS = ("decoder", "pipeline", "flow", "reflow")
 

@@ -149,18 +149,18 @@ def _meta_length_dists(meta):
 
 
 def _load_corpus(path, chains):
-    """Per-chain padded token lists, in layout order. The unnamed chain takes
-    every record; named chains group '<complex>|chain=<name>' records into
-    complex-aligned lists, and every complex must provide every chain."""
-    from .seqio import read_fasta, tokenize_padded
+    """Per-chain (n, l_max) token id matrices, in layout order. The unnamed
+    chain takes every record; named chains group '<complex>|chain=<name>'
+    records into complex-aligned rows, and every complex must provide every
+    chain."""
+    from .seqio import read_fasta, tokenize
 
     records = read_fasta(path)
     if not records:
         raise EmptyCorpus(f"no sequences in {path}")
     if not chains[0].name:
-        return [[tokenize_padded(s, chains[0].l_max) for _, s in records]]
-    l_max_by_name = {c.name: c.l_max for c in chains}
-    by_chain = {name: {} for name in l_max_by_name}
+        return [tokenize([s for _, s in records], chains[0].l_max)]
+    by_chain = {c.name: {} for c in chains}
     order = {}  # complexes, in the order they first appear
     for header, seq in records:
         if _CHAIN_TAG not in header:
@@ -175,12 +175,12 @@ def _load_corpus(path, chains):
         if base in by_chain[name]:
             raise DataError(f"duplicate record for complex {base!r} chain {name!r}")
         order.setdefault(base)
-        by_chain[name][base] = tokenize_padded(seq, l_max_by_name[name])
+        by_chain[name][base] = seq
     for name, seqs in by_chain.items():
         for base in order:
             if base not in seqs:
                 raise DataError(f"complex {base!r} is missing chain {name!r}")
-    return [[by_chain[c.name][base] for base in order] for c in chains]
+    return [tokenize([by_chain[c.name][base] for base in order], c.l_max) for c in chains]
 
 
 def _val_corpus(cfg, chains):
@@ -300,7 +300,7 @@ def cmd_train_decoder(args):
         tensors.update(pack({"embed": enc.embed}, chain.prefix + "encoder."))
         tensors.update(pack(dec, chain.prefix + "decoder."))
         tensors.update(pack_smoothing(sm, chain.prefix))
-        length_dists.append(fit_length_distribution(seqs, chain.l_max).to_dict())
+        length_dists.append(fit_length_distribution(seqs).to_dict())
         traces.append(trace)
         print(f"decoder{tag} {figure} accuracy: {accuracy:.4f}")
     meta = _carry_meta({}, cfg, "decoder")

@@ -9,6 +9,7 @@ override file values. Paths named by data.* must exist at load time.
 
 import hashlib
 import json
+import math
 import os
 
 from .errors import ConfigError, DataError
@@ -125,11 +126,14 @@ def _validate(values):
     for key in _NONNEG_INT:
         if values[key] < 0:
             raise ConfigError(f"{key} must be >= 0, got {values[key]}")
+    for key in _POSITIVE_FLOAT + _NONNEG_FLOAT:
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"{key} must be finite, got {values[key]}")
     for key in _POSITIVE_FLOAT:
         if not values[key] > 0:
             raise ConfigError(f"{key} must be > 0, got {values[key]}")
     for key in _NONNEG_FLOAT:
-        if values[key] < 0:
+        if not values[key] >= 0:
             raise ConfigError(f"{key} must be >= 0, got {values[key]}")
     if values["solver.method"] not in _SOLVER_METHODS:
         raise ConfigError(

@@ -6,8 +6,11 @@ positional vector. The token table can be built low-rank and scaled so that
 sequence identity concentrates in a small subspace, which is what makes
 aggressive channel compression survivable for decoding.
 
-Pipeline, data side:    h = encode(x);  h_s = smooth(h);  h_c = compress(h_s)
-Pipeline, sample side:  h_s' = decompress(h_c'); h' = unsmooth(h_s'); x' = decode(h')
+A corpus is one (n, l_max) token id matrix from seqio.tokenize. Every
+position is encoded, PAD included; the decoder trains on residue positions.
+
+Pipeline, data side:    h = encode_corpus(ids);  h_s = smooth(h);  h_c = compress(h_s)
+Pipeline, sample side:  h_s' = decompress(h_c'); h' = unsmooth(h_s'); x' = decode(h'[:length])
 
 smooth/unsmooth are exact inverses away from the clamp boundary; compression
 is lossy and trained to minimize reconstruction MSE in the smoothed space.
@@ -20,9 +23,9 @@ table of the stack's stored tensor names and shapes.
 import numpy as np
 
 from . import nn
-from .errors import EmptyCorpus, IncompatibleRatio, SequenceTooLong, ShapeMismatch
+from .errors import EmptyCorpus, IncompatibleRatio, ShapeMismatch
 from .numeric import RngStream
-from .seqio import PAD_ID, VOCAB_SIZE, TokenizedSequence, pad_to, tokenize
+from .seqio import PAD_ID, VOCAB_SIZE, tokenize
 
 
 # --- encoder ------------------------------------------------------------------
@@ -70,38 +73,28 @@ def init_encoder(l_max, dim, rng, embed_scale=1.0, embed_rank=0):
     return EncoderParams(embed, nn.sinusoidal_table(l_max, dim))
 
 
-def encode(ts, enc):
-    """Map a TokenizedSequence to its (len, dim) latent rows."""
-    n = len(ts)
-    if n > enc.l_max:
-        raise SequenceTooLong(n, enc.l_max)
-    return enc.embed[ts.tokens] + enc.pos[:n]
+def _check_width(ids, enc):
+    if np.shape(ids)[1:] != (enc.l_max,):
+        raise ShapeMismatch(f"token ids {np.shape(ids)} do not have l_max={enc.l_max} columns")
 
 
-def _token_rows(seqs, l_max):
-    """(n, l_max) token ids and masks of a corpus, each sequence padded to l_max."""
-    padded = [ts if len(ts) == l_max else pad_to(ts, l_max) for ts in seqs]
-    tokens = np.array([ts.tokens for ts in padded], dtype=np.int64).reshape(len(seqs), l_max)
-    mask = np.array([ts.mask for ts in padded], dtype=bool).reshape(len(seqs), l_max)
-    return tokens, mask
-
-
-def _gather_rows(enc, tokens, mask, idx):
-    """Latent rows and token targets of the true positions of corpus rows idx
-    (from _token_rows), sequence after sequence: the masked rows of encode
-    for each sequence, in one gather."""
-    rows, pos = np.nonzero(mask[idx])
-    y = tokens[idx[rows], pos]
+def _gather_rows(enc, ids, idx):
+    """Latent rows and token ids of the residue (non-PAD) positions of id
+    matrix rows idx, sequence after sequence, in one gather."""
+    _check_width(ids, enc)
+    sub = ids[idx]
+    rows, pos = np.nonzero(sub != PAD_ID)
+    y = sub[rows, pos]
     h = enc.embed[y]
     h += enc.pos[pos]
     return h, y
 
 
-def encode_corpus(seqs, enc):
-    """Stack padded-corpus latents into (n, l_max, dim) with one gather; row i
-    is bitwise encode of seqs[i] padded to l_max."""
-    tokens, _ = _token_rows(seqs, enc.l_max)
-    out = enc.embed[tokens]
+def encode_corpus(ids, enc):
+    """(n, l_max) token ids -> (n, l_max, dim) latents embed[ids] + pos, in one
+    gather."""
+    _check_width(ids, enc)
+    out = enc.embed[ids]
     out += enc.pos
     return out
 
@@ -114,15 +107,13 @@ def embed_sequences(seqs, dim=32, seed=0):
     """
     if not seqs:
         raise EmptyCorpus("no sequences to embed")
-    l_max = max(len(s) for s in seqs)
-    enc = init_encoder(max(l_max, 1), dim, RngStream(seed).substream("embedder"))
-    out = np.empty((len(seqs), dim), dtype=np.float64)
-    for i, s in enumerate(seqs):
-        ts = tokenize(s)
-        if len(ts) == 0:
-            out[i] = 0.0
-        else:
-            out[i] = encode(ts, enc).mean(axis=0)
+    l_max = max(max(map(len, seqs)), 1)
+    ids = tokenize(seqs, l_max)
+    enc = init_encoder(l_max, dim, RngStream(seed).substream("embedder"))
+    out = np.zeros((len(seqs), dim), dtype=np.float64)
+    for i, n in enumerate(map(len, seqs)):
+        if n:
+            out[i] = (enc.embed[ids[i, :n]] + enc.pos[:n]).mean(axis=0)
     return out
 
 
@@ -352,37 +343,25 @@ def decoder_loss_and_grad(dec, h, targets):
     return float(loss), grads
 
 
-def decode(h, mask, dec):
-    """Classify each masked latent row to a residue; PAD outside the mask.
-
-    Argmax ties resolve to the lowest token id. Returns a TokenizedSequence.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if h.shape[0] != mask.shape[0]:
-        raise ShapeMismatch(f"h rows {h.shape[0]} != mask length {mask.shape[0]}")
-    tokens = np.full(mask.shape[0], PAD_ID, dtype=np.int64)
-    if mask.any():
-        logits = decoder_logits(dec, h[mask])
-        tokens[mask] = np.argmax(logits[:, :PAD_ID], axis=1)
-    return TokenizedSequence(tokens, mask, int(mask.sum()))
+def decode(h, dec):
+    """(n, dim) latent rows -> (n,) residue ids, the argmax over the residue
+    logits; ties resolve to the lowest id, and PAD is never emitted."""
+    return np.argmax(decoder_logits(dec, h)[:, :PAD_ID], axis=1)
 
 
-def decoder_accuracy(dec, enc, seqs):
-    """Fraction of true positions recovered by decode(encode(x)) over a corpus,
-    with every true position of every sequence decoded in one batch."""
-    tokens, mask = _token_rows(seqs, enc.l_max)
-    h, y = _gather_rows(enc, tokens, mask, np.arange(len(seqs)))
+def decoder_accuracy(dec, enc, ids):
+    """Fraction of the residue positions of an (n, l_max) id matrix that
+    decode(encode) recovers, every position of every sequence in one batch."""
+    h, y = _gather_rows(enc, ids, np.arange(len(ids)))
     if y.size == 0:
         return 0.0
-    pred = np.argmax(decoder_logits(dec, h)[:, :PAD_ID], axis=1)
-    return int((pred == y).sum()) / y.size
+    return int((decode(h, dec) == y).sum()) / y.size
 
 
 def train_decoder(
     dec,
     enc,
-    train_seqs,
+    train_ids,
     rng,
     steps=1000,
     batch=64,
@@ -392,17 +371,16 @@ def train_decoder(
     weight_decay=0.001,
     clip=1.0,
 ):
-    """Train the per-position classifier on raw encoder latents; returns
-    (dec, trace)."""
-    n = len(train_seqs)
+    """Train the per-position classifier on the raw encoder latents of the
+    residue positions of an (n, l_max) id matrix; returns (dec, trace)."""
+    n = len(train_ids)
     if n == 0:
         raise EmptyCorpus("empty decoder training corpus")
-    tokens, mask = _token_rows(train_seqs, enc.l_max)
     stream = rng.substream("decoder-train")
 
     def loss_and_grad(step):
         idx = stream.integers(0, n, size=min(batch, n))
-        h, y = _gather_rows(enc, tokens, mask, idx)
+        h, y = _gather_rows(enc, train_ids, idx)
         return decoder_loss_and_grad(dec, h, y)
 
     trace = nn.fit(
@@ -449,25 +427,15 @@ class LatentPipeline:
         self.compressor = compressor
 
     @property
-    def l_max(self):
-        return self.encoder.l_max
-
-    @property
     def width(self):
         return self.compressor["w_down"].shape[1]
 
-    def data_to_latent(self, ts):
-        """Padded TokenizedSequence -> (l_max, width) compressed latent."""
-        h = encode(pad_to(ts, self.l_max) if len(ts) != self.l_max else ts, self.encoder)
-        return compress(smooth(h, self.smoothing), self.compressor)
+    def corpus_to_latent(self, ids):
+        """(n, l_max) token ids -> (n, l_max, width) compressed latents."""
+        return compress(smooth(encode_corpus(ids, self.encoder), self.smoothing), self.compressor)
 
-    def corpus_to_latent(self, seqs):
-        """Padded corpus -> (n, l_max, width) compressed latents in one batch;
-        row i is bitwise data_to_latent(seqs[i])."""
-        return compress(smooth(encode_corpus(seqs, self.encoder), self.smoothing), self.compressor)
-
-    def latent_to_sequence(self, h_c, mask):
-        """Compressed latent plus a length mask -> decoded TokenizedSequence."""
-        h_s = decompress(h_c, self.compressor)
-        h = unsmooth(h_s, self.smoothing)
-        return decode(h, mask, self.decoder)
+    def latent_to_sequence(self, h_c, length):
+        """(l_max, width) compressed latent -> residue ids of its first length
+        positions."""
+        h = unsmooth(decompress(h_c, self.compressor), self.smoothing)
+        return decode(h[:length], self.decoder)

@@ -27,10 +27,9 @@ from .errors import (
     EmptySequence,
     TooFewSequences,
     UnequalSizes,
-    UnknownResidue,
 )
 from .numeric import mean_cov, psd_sqrt
-from .seqio import AMINO_ACIDS, TOKEN_TO_ID
+from .seqio import AMINO_ACIDS, PAD_ID, TOKEN_TO_ID, VOCAB_SIZE, check_residues, tokenize
 
 # Average (isotope-abundance-weighted) residue masses, Da, in-chain values;
 # a free peptide adds one water. Source: standard ExPASy residue mass table.
@@ -282,12 +281,6 @@ class PropertyVector:
         return {name: getattr(self, name) for name in PROPERTY_NAMES}
 
 
-def _check_residues(seq):
-    for i, ch in enumerate(seq):
-        if ch not in TOKEN_TO_ID:
-            raise UnknownResidue(ch, i)
-
-
 def _ionizable_pkas(seq):
     """pKa lists of the positive and negative groups, termini first, then in
     sequence order."""
@@ -329,7 +322,7 @@ def property_vector(seq):
     """Compute the full PropertyVector for one sequence."""
     if not seq:
         raise EmptySequence("properties of an empty sequence")
-    _check_residues(seq)
+    check_residues(seq)
     n = len(seq)
     mw = sum(RESIDUE_MASS[ch] for ch in seq) + WATER_MASS
     return PropertyVector(
@@ -410,10 +403,8 @@ class UnigramScorer:
 
     @classmethod
     def fit(cls, corpus):
-        counts = np.ones(20)
-        for s in corpus:
-            for ch in s:
-                counts[TOKEN_TO_ID[ch]] += 1
+        ids = tokenize(corpus, max(map(len, corpus), default=0))
+        counts = np.bincount(ids.ravel(), minlength=VOCAB_SIZE)[:PAD_ID] + 1.0
         return cls(counts / counts.sum())
 
     def score(self, seq, position):
@@ -432,10 +423,10 @@ class BigramScorer:
 
     @classmethod
     def fit(cls, corpus):
-        counts = np.ones((20, 20))
-        for s in corpus:
-            for a, b in zip(s, s[1:]):
-                counts[TOKEN_TO_ID[a], TOKEN_TO_ID[b]] += 1
+        ids = tokenize(corpus, max(map(len, corpus), default=0))
+        pairs = (ids[:, :-1] * VOCAB_SIZE + ids[:, 1:]).ravel()  # PAD rows and columns dropped
+        counts = np.bincount(pairs, minlength=VOCAB_SIZE**2).reshape(VOCAB_SIZE, VOCAB_SIZE)
+        counts = counts[:PAD_ID, :PAD_ID] + 1.0
         return cls(counts / counts.sum(axis=1, keepdims=True))
 
     def score(self, seq, position):
@@ -452,7 +443,7 @@ def pseudoperplexity(seq, scorer):
     scorer, probabilities floored at 1e-12 before the log."""
     if not seq:
         raise EmptySequence("pseudoperplexity of an empty sequence")
-    _check_residues(seq)
+    check_residues(seq)
     total = 0.0
     for i, ch in enumerate(seq):
         p = np.asarray(scorer.score(seq, i), dtype=np.float64)

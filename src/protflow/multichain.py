@@ -151,9 +151,8 @@ def sample_multichain(model, layout, length_dists, n, solver_config, rng):
         chains = []
         for chain, block in zip(layout, split_latents(x0, layout)):
             length = length_dists[chain.name].sample(sub.substream("length" + chain.tag("-")))
-            mask = np.zeros(chain.l_max, dtype=bool)
-            mask[: min(length, chain.l_max)] = True
-            chains.append(detokenize(chain.pipeline.latent_to_sequence(block, mask)))
+            ids = chain.pipeline.latent_to_sequence(block, min(length, chain.l_max))
+            chains.append(detokenize(ids))
         samples.append(tuple(chains))
     nfes = [int(k) for k in res.nfe]
     stats = {"nfes": nfes, "mean_nfe": float(np.mean(nfes)), "n": n}

@@ -53,8 +53,8 @@ class SolverConfig:
         self.steps = int(steps)
         if method in _FIXED_METHODS and not 1 <= self.steps <= 100:
             raise ValueError(f"fixed-grid steps must be in [1, 100], got {steps}")
-        if not (atol > 0 and rtol > 0):
-            raise ValueError(f"atol and rtol must be > 0, got {atol} and {rtol}")
+        if not (0 < atol < np.inf and 0 < rtol < np.inf):
+            raise ValueError(f"atol and rtol must be finite and > 0, got {atol} and {rtol}")
         self.atol = float(atol)
         self.rtol = float(rtol)
         self.max_nfe = int(max_nfe)

@@ -1,8 +1,12 @@
 """Sequence vocabulary, tokenization, FASTA I/O, and length statistics.
 
 The vocabulary is the 20 canonical amino acids in alphabetical order
-(ids 0..19) plus a PAD token (id 20). Tokenization is reversible:
-detokenize(tokenize(s)) == s for any sequence over the canonical alphabet.
+(ids 0..19) plus a PAD token (id 20). A tokenized corpus is one (n, l_max)
+int64 id matrix: row i holds the residue ids of sequence i, then PAD_ID to
+the end of the row, so a sequence's length is its count of non-PAD ids.
+check_residues is the one check of a string against the alphabet.
+Tokenization is reversible: detokenize(tokenize([s], len(s))[0]) == s for
+any sequence over the canonical alphabet.
 """
 
 import numpy as np
@@ -21,121 +25,54 @@ PAD_ID = 20
 VOCAB_SIZE = 21
 
 TOKEN_TO_ID = {aa: i for i, aa in enumerate(AMINO_ACIDS)}
-ID_TO_TOKEN = {i: aa for i, aa in enumerate(AMINO_ACIDS)}
 
-# Byte -> token id for the canonical residues, -1 for every other byte.
+# Byte -> token id for the canonical residues, -1 for every other byte, and
+# token id -> byte for the residue ids.
+_ID_TO_BYTE = np.frombuffer(AMINO_ACIDS.encode("ascii"), dtype=np.uint8)
 _BYTE_TO_ID = np.full(256, -1, dtype=np.int64)
-_BYTE_TO_ID[np.frombuffer(AMINO_ACIDS.encode("ascii"), dtype=np.uint8)] = np.arange(PAD_ID)
+_BYTE_TO_ID[_ID_TO_BYTE] = np.arange(PAD_ID)
 
 
-class TokenizedSequence:
-    """Integer token row plus a validity mask.
-
-    tokens is an int64 array of shape (L,), mask a bool array of the same
-    shape. mask is True on the first true_length entries and False after;
-    tokens is PAD_ID wherever mask is False and a residue id (< 20) wherever
-    mask is True.
-    """
-
-    __slots__ = ("tokens", "mask", "true_length")
-
-    def __init__(self, tokens, mask, true_length):
-        tokens = np.asarray(tokens, dtype=np.int64)
-        mask = np.asarray(mask, dtype=bool)
-        if tokens.shape != mask.shape or tokens.ndim != 1:
-            raise MalformedFasta("tokens and mask must be 1-D arrays of equal length")
-        n = true_length  # mask is a True-prefix: check slices, not mask gathers
-        count = np.count_nonzero
-        if not 0 <= n <= mask.shape[0] or count(mask[:n]) != n or count(mask) != n:
-            raise MalformedFasta("mask must be a True-prefix matching true_length")
-        pad, residues = tokens[n:], tokens[:n]
-        bad = pad != PAD_ID
-        if count(bad):
-            raise InvalidTokenId(int(pad[bad][0]))
-        bad = (residues < 0) | (residues >= PAD_ID)
-        if count(bad):
-            raise InvalidTokenId(int(residues[bad][0]))
-        self.tokens = tokens
-        self.mask = mask
-        self.true_length = int(true_length)
-
-    def __len__(self):
-        return self.tokens.shape[0]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TokenizedSequence)
-            and self.true_length == other.true_length
-            and np.array_equal(self.tokens, other.tokens)
-            and np.array_equal(self.mask, other.mask)
-        )
-
-
-def tokenize(seq):
-    """Map a residue string to a TokenizedSequence of the same length.
-
-    Args:
-        seq: string over the canonical 20-letter alphabet (case-sensitive,
-            upper case). May be empty.
-
-    Raises:
-        UnknownResidue: on any character outside the alphabet.
-    """
-    tokens = np.empty(len(seq), dtype=np.int64)
+def check_residues(seq):
+    """Raise UnknownResidue at the first character of seq outside the
+    alphabet (case-sensitive, upper case)."""
     for i, ch in enumerate(seq):
         if ch not in TOKEN_TO_ID:
             raise UnknownResidue(ch, i)
-        tokens[i] = TOKEN_TO_ID[ch]
-    mask = np.ones(len(seq), dtype=bool)
-    return TokenizedSequence(tokens, mask, len(seq))
 
 
-def detokenize(ts):
-    """Map a TokenizedSequence back to its residue string (masked prefix only)."""
-    out = []
-    for t in ts.tokens[ts.mask]:
-        t = int(t)
-        if t not in ID_TO_TOKEN:
-            raise InvalidTokenId(t)
-        out.append(ID_TO_TOKEN[t])
-    return "".join(out)
+def tokenize(seqs, l_max):
+    """(n, l_max) int64 id matrix of a list of n residue strings, each row
+    padded with PAD_ID after its sequence, built in one table lookup over the
+    joined text.
 
-
-def pad_to(ts, l_max):
-    """Right-pad a TokenizedSequence with PAD to length l_max.
-
-    Raises:
-        SequenceTooLong: if the sequence is longer than l_max.
+    Raises what checking the records one by one raises: for the first bad
+    record, UnknownResidue if it has a character outside the alphabet, else
+    SequenceTooLong if it is longer than l_max.
     """
-    if ts.true_length > l_max:
-        raise SequenceTooLong(ts.true_length, l_max)
-    tokens = np.full(l_max, PAD_ID, dtype=np.int64)
-    mask = np.zeros(l_max, dtype=bool)
-    tokens[: ts.true_length] = ts.tokens[: ts.true_length]
-    mask[: ts.true_length] = True
-    return TokenizedSequence(tokens, mask, ts.true_length)
-
-
-def tokenize_padded(seq, l_max):
-    """pad_to(tokenize(seq), l_max), built in one pass through a byte lookup table.
-
-    Raises what that expression raises, in the same order: UnknownResidue
-    (from tokenize, which any string outside the alphabet falls back to),
-    then SequenceTooLong.
-    """
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    text = "".join(seqs)
     ids = None
-    if seq.isascii():
-        ids = _BYTE_TO_ID[np.frombuffer(seq.encode("ascii"), dtype=np.uint8)]
-    if ids is None or np.any(ids < 0):
-        return pad_to(tokenize(seq), l_max)
-    n = len(seq)
-    if n > l_max:
-        raise SequenceTooLong(n, l_max)
-    tokens = np.full(l_max, PAD_ID, dtype=np.int64)
-    tokens[:n] = ids
-    mask = np.zeros(l_max, dtype=bool)
-    mask[:n] = True
-    return TokenizedSequence(tokens, mask, n)
+    if text.isascii():
+        ids = _BYTE_TO_ID[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+    if ids is None or ids.min(initial=0) < 0 or lengths.max(initial=0) > l_max:
+        for seq in seqs:  # some record is bad: find the first
+            check_residues(seq)
+            if len(seq) > l_max:
+                raise SequenceTooLong(len(seq), l_max)
+    out = np.full((len(seqs), l_max), PAD_ID, dtype=np.int64)
+    out[np.arange(l_max) < lengths[:, None]] = ids
+    return out
+
+
+def detokenize(ids):
+    """Map a 1-D array of residue ids back to its residue string; PAD or any
+    id outside 0..19 raises InvalidTokenId."""
+    ids = np.asarray(ids, dtype=np.int64)
+    bad = (ids < 0) | (ids >= PAD_ID)
+    if bad.any():
+        raise InvalidTokenId(int(ids[bad][0]))
+    return _ID_TO_BYTE[ids].tobytes().decode("ascii")
 
 
 def parse_fasta(text):
@@ -160,9 +97,7 @@ def parse_fasta(text):
         seq = "".join(chunks)
         if not seq:
             raise MalformedFasta(f"record {header!r} has no sequence")
-        for i, ch in enumerate(seq):
-            if ch not in TOKEN_TO_ID:
-                raise UnknownResidue(ch, i)
+        check_residues(seq)
         records.append((header, seq))
 
     for raw in text.splitlines():
@@ -237,20 +172,11 @@ class LengthDistribution:
         return cls(np.asarray(d["lengths"]), np.asarray(d["counts"]))
 
 
-def fit_length_distribution(seqs, l_max=None):
-    """Fit a LengthDistribution to a corpus of residue strings.
-
-    Args:
-        seqs: iterable of sequences (strings or TokenizedSequence).
-        l_max: optional cap; longer sequences raise SequenceTooLong.
-    """
-    counts = {}
-    for s in seqs:
-        n = s.true_length if isinstance(s, TokenizedSequence) else len(s)
-        if l_max is not None and n > l_max:
-            raise SequenceTooLong(n, l_max)
-        counts[n] = counts.get(n, 0) + 1
-    if not counts:
+def fit_length_distribution(ids):
+    """Fit a LengthDistribution to the sequence lengths of an (n, l_max) id
+    matrix, as tokenize returns it."""
+    if len(ids) == 0:
         raise EmptyCorpus("empty corpus")
-    lengths = np.array(sorted(counts), dtype=np.int64)
-    return LengthDistribution(lengths, np.array([counts[k] for k in lengths], dtype=np.int64))
+    counts = np.bincount(np.count_nonzero(ids != PAD_ID, axis=1))
+    lengths = np.flatnonzero(counts)
+    return LengthDistribution(lengths, counts[lengths])

@@ -50,7 +50,7 @@ from protflow.metrics import (
 from protflow.multichain import ChainLayout, ChainSpec, concat_latents, split_latents
 from protflow.numeric import RngStream, grad_check, mean_cov, psd_sqrt
 from protflow.ode import SolverConfig, solve
-from protflow.seqio import AMINO_ACIDS, pad_to, read_fasta, tokenize
+from protflow.seqio import AMINO_ACIDS, read_fasta, tokenize
 
 # --- criterion 1: analytic gradients vs central finite differences ------------------
 
@@ -263,7 +263,7 @@ def test_criterion_6_round_trip(criterion):
     lengths = rng.substream("lengths").integers(2, 51, size=n)
     residues = rng.substream("residues").integers(0, 20, size=(n, l_max))
     texts = ["".join(AMINO_ACIDS[j] for j in residues[i, : lengths[i]]) for i in range(n)]
-    toks = [pad_to(tokenize(s), l_max) for s in texts]
+    toks = tokenize(texts, l_max)
 
     enc = latent.init_encoder(l_max, dim, rng.substream("encoder"), embed_scale=10.0, embed_rank=4)
     dec = latent.init_decoder(dim, 64, rng.substream("decoder-init"))
@@ -294,10 +294,10 @@ def test_criterion_6_round_trip(criterion):
         )
         pipe = latent.LatentPipeline(enc, dec, sm, comp)
         hits = total = 0
-        for ts in toks:
-            out = pipe.latent_to_sequence(pipe.data_to_latent(ts), ts.mask)
-            hits += int((out.tokens[ts.mask] == ts.tokens[ts.mask]).sum())
-            total += int(ts.mask.sum())
+        for row, h_c, n in zip(toks, pipe.corpus_to_latent(toks), lengths):
+            out = pipe.latent_to_sequence(h_c, n)
+            hits += int((out == row[:n]).sum())
+            total += int(n)
         accs[c] = hits / total
 
     seconds = time.time() - t_start

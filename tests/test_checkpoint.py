@@ -30,7 +30,7 @@ from protflow.errors import (
     ProtflowError,
     VersionUnsupported,
 )
-from protflow.flow import VectorFieldConfig, init_flow_model
+from protflow.flow import VectorFieldConfig, flow_forward, init_flow_model
 from protflow.latent import (
     LatentPipeline,
     fit_smoothing,
@@ -385,7 +385,7 @@ def test_pipeline_file_round_trip(tmp_path):
         loaded, meta = ckpt.load_checkpoint(path)
         out = ckpt.unpack_pipeline(loaded, meta["l_max"], meta["dim"], meta["clamp_k"], prefix)
 
-        assert out.l_max == pipe.l_max and out.width == pipe.width
+        assert out.encoder.l_max == pipe.encoder.l_max and out.width == pipe.width
         # stored tensors come back as exact float32 casts of the originals
         assert np.array_equal(out.encoder.embed, pipe.encoder.embed.astype(np.float32))
         for key, val in pipe.decoder.items():
@@ -466,7 +466,7 @@ def test_combined_pipeline_and_flow_checkpoint(tmp_path):
 
     out_pipe = ckpt.unpack_pipeline(loaded, meta2["l_max"], meta2["dim"], meta2["clamp_k"])
     out_flow = ckpt.unpack_flow(loaded, meta2)
-    assert out_pipe.l_max == pipe.l_max and out_pipe.width == pipe.width
+    assert out_pipe.encoder.l_max == pipe.encoder.l_max and out_pipe.width == pipe.width
     assert out_flow.cfg.to_dict() == cfg.to_dict()
     for key, val in model.params.items():
         assert np.array_equal(out_flow.params[key], val.astype(np.float32))
@@ -496,9 +496,14 @@ def test_pipeline_kinds_need_their_metadata(tmp_path, kind, chains):
         with pytest.raises(MalformedHeader, match=repr(key)):
             ckpt.load_checkpoint(path)
     # an odd dim would reach nn.sinusoidal_table, which needs an even width
+    # and a float or bool flow_cfg size would reach the network's range() calls
+    flow_cfg = {"depth": 1, "width": 4, "hidden": 8}
+    bad_flow_cfgs = [[1], dict(flow_cfg, depth=1.0), dict(flow_cfg, width=True),
+                     dict(flow_cfg, time_dim=8.0), dict(flow_cfg, seq_len=6.0),
+                     dict(flow_cfg, attention=1)]
     bad_values = {"dim": ["8", 7], "clamp_k": [True], "l_max": [0],
                   "length_dist": [{"lengths": [2]}], "chains": [[{"name": "A"}]],
-                  "length_dists": [{"A": {}}], "flow_cfg": [[1]]}
+                  "length_dists": [{"A": {}}], "flow_cfg": bad_flow_cfgs}
     for key in sorted(set(meta) & set(bad_values)):
         for value in bad_values[key]:
             ckpt.save_checkpoint(path, {"x": np.ones(2)}, dict(meta, **{key: value}))
@@ -576,6 +581,9 @@ def _mutate_header(data, header):
         if not isinstance(header.get("flow_cfg"), dict):
             return
         parent, key = header["flow_cfg"], data.draw(st.sampled_from(_FLOW_CFG_KEYS))
+        # the valid value as an integral float, or a bool, compares equal to it
+        valid = _valid_checkpoint()[0]["flow_cfg"][key]
+        values = _JSON_VALUES | st.sampled_from([float(valid), bool(valid)])
     else:
         entries = header["tensors"]
         if not entries:
@@ -634,6 +642,8 @@ def test_fuzzed_checkpoints_load_or_exit_4(data):
                     ckpt.unpack_pipeline(
                         tensors, chain.l_max, meta["dim"], meta["clamp_k"], chain.prefix
                     )
-                ckpt.unpack_flow(tensors, meta)
+                model = ckpt.unpack_flow(tensors, meta)
+                seq_len = model.cfg.seq_len if model.cfg.attention else 6
+                flow_forward(model, np.zeros((1, seq_len, model.cfg.width)), np.zeros(1))
         except ProtflowError as e:
             assert e.exit_code == 4, repr(e)

@@ -307,7 +307,7 @@ def test_exit_1_sample_bad_n(workdir):
 
 @pytest.mark.parametrize(
     "flag", [("--steps", "0"), ("--steps", "101"), ("--atol", "-1"), ("--rtol", "-1"),
-             ("--atol", "nan")],
+             ("--atol", "nan"), ("--atol", "inf"), ("--rtol", "inf")],
     ids=lambda f: " ".join(f),
 )
 def test_exit_1_sample_bad_solver_flag(workdir, flag):
@@ -320,6 +320,11 @@ def test_exit_1_sample_bad_solver_flag(workdir, flag):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+# each once trained on, or wrote NaN into a checkpoint, instead of exiting 1
+_NON_FINITE_SETTINGS = ("train.weight_decay=nan", "train.lr_min=nan", "train.lr=inf",
+                        "model.embed_scale=inf", "solver.atol=inf")
 
 
 @pytest.mark.parametrize(
@@ -341,11 +346,13 @@ def test_exit_1_sample_bad_solver_flag(workdir, flag):
           "--set", "model.D=7", "--set", "model.ratio_c=1"], 1),
         (["train-decoder", "--config", "{cfg}", "--out", "{root}/x.ckpt",
           "--set", "model.embed_rank=9"], 1),
+        *((["train-decoder", "--config", "{cfg}", "--out", "{root}/x.ckpt", "--set", kv], 1)
+          for kv in _NON_FINITE_SETTINGS),
     ],
     ids=["inspect missing", "sample missing", "inspect directory", "sample directory",
          "eval missing gen", "eval directory ref", "eval non-UTF-8 gen", "eval k 0",
          "eval directory scores", "eval non-UTF-8 scores", "odd model.D",
-         "embed_rank above model.D"],
+         "embed_rank above model.D", *_NON_FINITE_SETTINGS],
 )
 def test_exit_code_for_missing_and_invalid_inputs(workdir, argv, code):
     root = workdir["root"]

@@ -83,6 +83,17 @@ def test_range_checks():
         "solver.steps=101",
         "solver.method=rk4",
         "model.embed_scale=0",
+        # every float key must be finite; NaN fails every comparison
+        "train.weight_decay=nan",
+        "train.lr_min=nan",
+        "train.lr=nan",
+        "train.lr=inf",
+        "train.clip=inf",
+        "train.weight_decay=inf",
+        "model.embed_scale=inf",
+        "solver.atol=inf",
+        "solver.rtol=inf",
+        "solver.atol=nan",
     ]
     for override in bad:
         with pytest.raises(ConfigError):

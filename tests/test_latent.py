@@ -15,7 +15,7 @@ from protflow.errors import (
     ShapeMismatch,
 )
 from protflow.numeric import RngStream, grad_check
-from protflow.seqio import PAD_ID, pad_to, tokenize
+from protflow.seqio import PAD_ID, tokenize
 
 
 def test_init_encoder_shapes_and_rank():
@@ -38,26 +38,32 @@ def test_encoder_scale_multiplies_table():
 def test_encode_is_embed_plus_positional():
     rng = RngStream(1)
     enc = latent.init_encoder(10, 8, rng)
-    ts = tokenize("ACDE")
-    h = latent.encode(ts, enc)
-    assert h.shape == (4, 8)
-    expected = enc.embed[ts.tokens] + enc.pos[:4]
-    assert np.array_equal(h, expected)
+    h = latent.encode_corpus(tokenize(["ACDE"], 10), enc)
+    assert h.shape == (1, 10, 8)
+    expected = enc.embed[[0, 1, 2, 3]] + enc.pos[:4]
+    assert np.array_equal(h[0, :4], expected)
 
 
 def test_encode_rejects_overlong():
     enc = latent.init_encoder(3, 8, RngStream(1))
+    dec = latent.init_decoder(8, 4, RngStream(2))
     with pytest.raises(SequenceTooLong):
-        latent.encode(tokenize("ACDEF"), enc)
+        tokenize(["ACDEF"], enc.l_max)
+    # an id matrix must be as wide as the encoder's positional table
+    for ids in (tokenize(["ACDEF"], 5), tokenize(["AC"], 2), np.array([0, 1, 2])):
+        with pytest.raises(ShapeMismatch):
+            latent.encode_corpus(ids, enc)
+        with pytest.raises(ShapeMismatch):
+            latent.decoder_accuracy(dec, enc, ids)
+        with pytest.raises(ShapeMismatch):
+            latent.train_decoder(dec, enc, ids, RngStream(3), steps=1)
 
 
 def test_encode_corpus_pads():
     enc = latent.init_encoder(5, 8, RngStream(2))
-    seqs = [tokenize("AC"), tokenize("ACDEF")]
-    out = latent.encode_corpus(seqs, enc)
+    out = latent.encode_corpus(tokenize(["AC", "ACDEF"], 5), enc)
     assert out.shape == (2, 5, 8)
-    padded = pad_to(tokenize("AC"), 5)
-    assert np.array_equal(out[0], enc.embed[padded.tokens] + enc.pos)
+    assert np.array_equal(out[0], enc.embed[[0, 1, PAD_ID, PAD_ID, PAD_ID]] + enc.pos)
 
 
 def test_embed_sequences_batch_independent():
@@ -208,21 +214,25 @@ def test_decode_masks_and_never_emits_pad():
     rng = RngStream(4)
     dec = latent.init_decoder(8, 6, rng)
     h = np.random.default_rng(5).normal(size=(5, 8))
-    mask = np.array([True, True, True, False, False])
-    out = latent.decode(h, mask, dec)
-    assert out.tokens.shape == (5,)
-    assert (out.tokens[:3] != PAD_ID).all()
-    assert (out.tokens[3:] == PAD_ID).all()
-    assert out.true_length == 3
-    with pytest.raises(ShapeMismatch):
-        latent.decode(h, mask[:4], dec)
+    # a PAD-favouring decoder still emits residues only
+    dec["b2"][PAD_ID] = 1e6
+    out = latent.decode(h, dec)
+    assert out.shape == (5,) and out.dtype == np.int64
+    assert (out < PAD_ID).all()
+    assert np.array_equal(latent.decode(h[:3], dec), out[:3])
+    # a sampled latent decodes its first length positions only
+    pipe = _random_pipeline(5, 6)
+    h_c = np.random.default_rng(7).uniform(-1, 1, size=(5, pipe.width))
+    rows = latent.unsmooth(latent.decompress(h_c, pipe.compressor), pipe.smoothing)
+    assert np.array_equal(pipe.latent_to_sequence(h_c, 3), latent.decode(rows[:3], pipe.decoder))
+    assert pipe.latent_to_sequence(h_c, 0).shape == (0,)
 
 
 def test_decode_ties_resolve_to_lowest_id():
     # zero weights give identical logits for every residue class
     dec = {k: np.zeros_like(v) for k, v in latent.init_decoder(4, 3, RngStream(0)).items()}
-    out = latent.decode(np.ones((2, 4)), np.array([True, True]), dec)
-    assert (out.tokens == 0).all()
+    out = latent.decode(np.ones((2, 4)), dec)
+    assert (out == 0).all()
 
 
 def test_train_decoder_learns_separable_corpus():
@@ -231,7 +241,7 @@ def test_train_decoder_learns_separable_corpus():
     gen = np.random.default_rng(17)
     alphabet = "ACDEFGHIKLMNPQRSTVWY"
     seqs = ["".join(gen.choice(list(alphabet), size=int(gen.integers(2, 9)))) for _ in range(60)]
-    toks = [tokenize(s) for s in seqs]
+    toks = tokenize(seqs, 8)
     dec = latent.init_decoder(16, 32, rng.substream("dec"))
     dec, trace = latent.train_decoder(
         dec, enc, toks[:45], rng.substream("train"), steps=400, batch=32
@@ -246,7 +256,7 @@ def test_pipeline_round_trip_identity_compressor():
     gen = np.random.default_rng(23)
     alphabet = "ACDEFGHIKLMNPQRSTVWY"
     seqs = ["".join(gen.choice(list(alphabet), size=int(gen.integers(2, 11)))) for _ in range(50)]
-    toks = [tokenize(s) for s in seqs]
+    toks = tokenize(seqs, 10)
     dec = latent.init_decoder(16, 32, rng.substream("dec"))
     dec, _ = latent.train_decoder(dec, enc, toks, rng.substream("train"), steps=900, batch=32)
     rows = latent.encode_corpus(toks, enc).reshape(-1, 16)
@@ -256,17 +266,16 @@ def test_pipeline_round_trip_identity_compressor():
     comp = latent.init_compressor(16, 1, rng.substream("comp"))
     comp, _ = latent.train_compressor(comp, smoothed, rng.substream("ctrain"), steps=800, batch=64)
     pipe = latent.LatentPipeline(enc, dec, stats, comp)
-    assert pipe.l_max == 10 and pipe.width == 16
+    assert pipe.encoder.l_max == 10 and pipe.width == 16
 
     hits = 0
     total = 0
-    for ts in toks[:20]:
-        padded = pad_to(ts, 10)
-        h_c = pipe.data_to_latent(ts)
-        assert h_c.shape == (10, 16)
-        out = pipe.latent_to_sequence(h_c, padded.mask)
-        hits += int((out.tokens[padded.mask] == padded.tokens[padded.mask]).sum())
-        total += int(padded.mask.sum())
+    h_c = pipe.corpus_to_latent(toks[:20])
+    assert h_c.shape == (20, 10, 16)
+    for i, seq in enumerate(seqs[:20]):
+        out = pipe.latent_to_sequence(h_c[i], len(seq))
+        hits += int((out == toks[i, : len(seq)]).sum())
+        total += len(seq)
     assert hits / total >= 0.99
 
 
@@ -274,7 +283,7 @@ def _random_pipeline(l_max, seed, dim=32, ratio=4):
     rng = RngStream(seed)
     enc = latent.init_encoder(l_max, dim, rng.substream("enc"), embed_scale=10.0, embed_rank=4)
     dec = latent.init_decoder(dim, 16, rng.substream("dec"))
-    corpus = [pad_to(tokenize(s), l_max) for s in _random_peptides(64, l_max, seed)]
+    corpus = tokenize(_random_peptides(64, l_max, seed), l_max)
     sm = latent.fit_smoothing(latent.encode_corpus(corpus, enc).reshape(-1, dim))
     comp = latent.init_compressor(dim, ratio, rng.substream("comp"))
     return latent.LatentPipeline(enc, dec, sm, comp)
@@ -286,58 +295,66 @@ def _random_peptides(n, l_max, seed):
     return ["".join(gen.choice(alphabet, size=int(gen.integers(1, l_max + 1)))) for _ in range(n)]
 
 
+def _row_latent(pipe, row):
+    """One id row through the stack on its own: (l_max, width) latent."""
+    h = pipe.encoder.embed[row] + pipe.encoder.pos
+    return latent.compress(latent.smooth(h, pipe.smoothing), pipe.compressor)
+
+
 def test_corpus_to_latent_is_bitwise_per_sequence():
     # the training-corpus shapes: 500 sequences, L_max 20, D 32, ratio 4
     pipe = _random_pipeline(20, 1)
-    seqs = [pad_to(tokenize(s), 20) for s in _random_peptides(500, 20, 2)]
-    seqs[3] = tokenize("ACD")  # unpadded sequences are padded on the way in
-    batched = pipe.corpus_to_latent(seqs)
+    ids = tokenize(_random_peptides(500, 20, 2), 20)
+    batched = pipe.corpus_to_latent(ids)
     assert batched.shape == (500, 20, 8)
-    assert np.array_equal(batched, np.stack([pipe.data_to_latent(ts) for ts in seqs]))
+    assert np.array_equal(batched, np.stack([_row_latent(pipe, row) for row in ids]))
 
 
 def test_multichain_corpus_latents_are_bitwise_per_complex():
     # one batch per chain, joined on the position axis, as train-flow builds them
     chains = [("A", 12, _random_pipeline(12, 3)), ("B", 9, _random_pipeline(9, 4))]
-    seqs = {
-        name: [pad_to(tokenize(s), l_max) for s in _random_peptides(300, l_max, 5 + l_max)]
+    ids = {
+        name: tokenize(_random_peptides(300, l_max, 5 + l_max), l_max)
         for name, l_max, _ in chains
     }
-    batched = np.concatenate([p.corpus_to_latent(seqs[name]) for name, _, p in chains], axis=1)
+    batched = np.concatenate([p.corpus_to_latent(ids[name]) for name, _, p in chains], axis=1)
     looped = np.stack(
         [
-            np.concatenate([p.data_to_latent(seqs[name][i]) for name, _, p in chains], axis=0)
+            np.concatenate([_row_latent(p, ids[name][i]) for name, _, p in chains], axis=0)
             for i in range(300)
         ]
     )
     assert np.array_equal(batched, looped)
 
 
+def _residues(row):
+    """The residue ids of an id row, before its PAD tail."""
+    return row[: int((row != PAD_ID).sum())]
+
+
 def test_decoder_batch_gather_matches_encode_loop():
     enc = latent.init_encoder(20, 32, RngStream(6), embed_scale=10.0, embed_rank=4)
-    seqs = [pad_to(tokenize(s), 20) for s in _random_peptides(200, 20, 7)]
-    tokens, mask = latent._token_rows(seqs, 20)
-    idx = np.random.default_rng(8).integers(0, len(seqs), size=64)
-    h, y = latent._gather_rows(enc, tokens, mask, idx)
+    ids = tokenize(_random_peptides(200, 20, 7), 20)
+    idx = np.random.default_rng(8).integers(0, len(ids), size=64)
+    h, y = latent._gather_rows(enc, ids, idx)
     hs, ys = [], []
     for i in idx:
-        ts = seqs[int(i)]
-        m = ts.mask[: len(ts)]
-        hs.append(latent.encode(ts, enc)[m])
-        ys.append(ts.tokens[: len(ts)][m])
+        res = _residues(ids[int(i)])
+        hs.append(enc.embed[res] + enc.pos[: len(res)])
+        ys.append(res)
     assert np.array_equal(h, np.concatenate(hs, axis=0))
     assert np.array_equal(y, np.concatenate(ys, axis=0))
 
 
-def _accuracy_loop(dec, enc, seqs):
+def _accuracy_loop(dec, enc, ids):
     """decoder_accuracy as a per-sequence loop of encode and decode."""
     correct = 0
     total = 0
-    for ts in seqs:
-        m = ts.mask[: len(ts)]
-        out = latent.decode(latent.encode(ts, enc), m, dec)
-        correct += int((out.tokens[m] == ts.tokens[: len(ts)][m]).sum())
-        total += int(m.sum())
+    for row in ids:
+        res = _residues(row)
+        out = latent.decode(enc.embed[res] + enc.pos[: len(res)], dec)
+        correct += int((out == res).sum())
+        total += len(res)
     return correct / max(total, 1)
 
 
@@ -407,9 +424,9 @@ def test_decoder_accuracy_batch_matches_loop(case, tmp_path):
 def test_decoder_accuracy_edge_cases():
     enc = latent.init_encoder(6, 8, RngStream(3), embed_scale=10.0, embed_rank=4)
     dec = latent.init_decoder(8, 16, RngStream(4))
-    seqs = [tokenize(""), pad_to(tokenize("A"), 6), tokenize("ACDEFG"), pad_to(tokenize("KL"), 6)]
-    assert latent.decoder_accuracy(dec, enc, seqs) == _accuracy_loop(dec, enc, seqs)
-    assert latent.decoder_accuracy(dec, enc, [tokenize("")]) == 0.0
-    assert latent.decoder_accuracy(dec, enc, []) == 0.0
-    with pytest.raises(SequenceTooLong):
-        latent.decoder_accuracy(dec, enc, [tokenize("ACDEFGH")])
+    ids = tokenize(["", "A", "ACDEFG", "KL"], 6)
+    assert latent.decoder_accuracy(dec, enc, ids) == _accuracy_loop(dec, enc, ids)
+    assert latent.decoder_accuracy(dec, enc, tokenize([""], 6)) == 0.0
+    assert latent.decoder_accuracy(dec, enc, tokenize([], 6)) == 0.0
+    with pytest.raises(ShapeMismatch):
+        latent.decoder_accuracy(dec, enc, tokenize(["ACDEFGH"], 7))

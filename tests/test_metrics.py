@@ -357,6 +357,25 @@ def test_bigram_scorer_conditions_on_neighbors():
     assert p_first.sum() == pytest.approx(1.0)
 
 
+def test_scorer_fits_match_per_residue_count_loops():
+    # the loops the tokenize-based fits replaced: counts, and so probabilities, are bitwise equal
+    gen = np.random.default_rng(12)
+    for _ in range(50):
+        corpus = ["".join(gen.choice(list(metrics.AMINO_ACIDS), size=int(gen.integers(0, 30))))
+                  for _ in range(int(gen.integers(0, 12)))]
+        uni, bi = np.ones(20), np.ones((20, 20))
+        for s in corpus:
+            for ch in s:
+                uni[metrics.TOKEN_TO_ID[ch]] += 1
+            for a, b in zip(s, s[1:]):
+                bi[metrics.TOKEN_TO_ID[a], metrics.TOKEN_TO_ID[b]] += 1
+        assert np.array_equal(metrics.UnigramScorer.fit(corpus).probs, uni / uni.sum())
+        expected = bi / bi.sum(axis=1, keepdims=True)
+        assert np.array_equal(metrics.BigramScorer.fit(corpus).trans, expected)
+    with pytest.raises(UnknownResidue):
+        metrics.UnigramScorer.fit(["ACx"])
+
+
 def test_pseudoperplexity_rejects_bad_scorer():
     class Bad:
         def score(self, seq, position):

@@ -1,11 +1,14 @@
-"""Tokenizer, FASTA IO, and length-distribution tests."""
+"""Tokenizer, FASTA IO, config-text and length-distribution tests."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protflow.config import SCHEMA, _validate, parse_config_text
 from protflow.errors import (
+    ConfigError,
+    DataError,
     EmptyCorpus,
     InvalidTokenId,
     MalformedFasta,
@@ -15,15 +18,14 @@ from protflow.errors import (
 from protflow.seqio import (
     AMINO_ACIDS,
     PAD_ID,
+    TOKEN_TO_ID,
     VOCAB_SIZE,
     LengthDistribution,
-    TokenizedSequence,
+    check_residues,
     detokenize,
     fit_length_distribution,
-    pad_to,
     parse_fasta,
     tokenize,
-    tokenize_padded,
 )
 
 
@@ -35,50 +37,48 @@ def test_alphabet_constants():
 
 
 def test_tokenize_known_values():
-    ts = tokenize("ACD")
-    assert ts.tokens.tolist() == [0, 1, 2]
-    assert ts.mask.tolist() == [True, True, True]
-    assert ts.true_length == 3
+    ids = tokenize(["ACD"], 3)
+    assert ids.tolist() == [[0, 1, 2]]
+    assert ids.dtype == np.int64
 
 
 def test_tokenize_detokenize_round_trip_random():
     rng = np.random.default_rng(11)
+    seqs = []
     for _ in range(200):
         n = int(rng.integers(1, 60))
-        seq = "".join(AMINO_ACIDS[i] for i in rng.integers(0, 20, size=n))
-        assert detokenize(tokenize(seq)) == seq
+        seqs.append("".join(AMINO_ACIDS[i] for i in rng.integers(0, 20, size=n)))
+    ids = tokenize(seqs, 60)
+    for row, seq in zip(ids, seqs):
+        assert detokenize(row[: len(seq)]) == seq
 
 
 def test_tokenize_rejects_unknown_residue():
     with pytest.raises(UnknownResidue):
-        tokenize("ACX")
+        tokenize(["ACX"], 3)
     with pytest.raises(UnknownResidue):
-        tokenize("acd")  # case-sensitive
+        tokenize(["acd"], 3)  # case-sensitive
+    with pytest.raises(UnknownResidue):
+        check_residues("acd")
 
 
-def test_pad_to_appends_pad_ids():
-    ts = pad_to(tokenize("MK"), 5)
-    assert ts.tokens.tolist() == [10, 8, PAD_ID, PAD_ID, PAD_ID]
-    assert ts.mask.tolist() == [True, True, False, False, False]
-    assert ts.true_length == 2
-    assert detokenize(ts) == "MK"
+def test_tokenize_appends_pad_ids():
+    ids = tokenize(["MK", "", "ACDEF"], 5)
+    assert ids.tolist() == [[10, 8, PAD_ID, PAD_ID, PAD_ID], [PAD_ID] * 5, [0, 1, 2, 3, 4]]
+    assert detokenize(ids[0, :2]) == "MK"
+    assert tokenize([], 5).shape == (0, 5)
 
 
-def test_pad_to_rejects_too_long():
+def test_tokenize_rejects_too_long():
     with pytest.raises(SequenceTooLong):
-        pad_to(tokenize("ACDEF"), 3)
+        tokenize(["AC", "ACDEF"], 3)
 
 
-def test_tokenized_sequence_validation():
-    # mask must be a True-prefix
-    with pytest.raises(MalformedFasta):
-        TokenizedSequence(np.array([0, PAD_ID, 1]), np.array([True, False, True]), 2)
-    # PAD required outside the mask
-    with pytest.raises(InvalidTokenId):
-        TokenizedSequence(np.array([0, 1, 3]), np.array([True, True, False]), 2)
-    # residue ids inside the mask must be < PAD_ID
-    with pytest.raises(InvalidTokenId):
-        TokenizedSequence(np.array([0, PAD_ID]), np.array([True, True]), 2)
+def test_detokenize_rejects_pad_and_out_of_range_ids():
+    for bad in ([0, PAD_ID], [0, -1], [VOCAB_SIZE]):
+        with pytest.raises(InvalidTokenId):
+            detokenize(np.array(bad))
+    assert detokenize(np.array([], dtype=np.int64)) == ""
 
 
 def test_parse_fasta_multiline_and_blank_lines():
@@ -130,21 +130,20 @@ def test_length_distribution_validation():
 
 
 def test_fit_length_distribution_counts_true_lengths():
-    seqs = ["AC", "ACD", "AC", pad_to(tokenize("M"), 10)]
-    ld = fit_length_distribution(seqs)
+    ld = fit_length_distribution(tokenize(["AC", "ACD", "AC", "M"], 10))
     assert ld.lengths.tolist() == [1, 2, 3]
     assert ld.counts.tolist() == [1, 2, 1]
-    with pytest.raises(SequenceTooLong):
-        fit_length_distribution(["ACDEF"], l_max=4)
     with pytest.raises(EmptyCorpus):
-        fit_length_distribution([])
+        fit_length_distribution(tokenize([], 4))
+    with pytest.raises(EmptyCorpus):  # an empty sequence has no length to sample
+        fit_length_distribution(tokenize(["AC", ""], 4))
 
 
 def test_fit_length_distribution_sampling_is_empirical():
     rng = np.random.default_rng(3)
     lens = rng.integers(2, 30, size=400)
     seqs = ["".join(AMINO_ACIDS[j] for j in rng.integers(0, 20, n)) for n in lens]
-    ld = fit_length_distribution(seqs)
+    ld = fit_length_distribution(tokenize(seqs, 30))
     from protflow.numeric import RngStream
 
     stream = RngStream(9).substream("len")
@@ -158,12 +157,26 @@ def test_fit_length_distribution_sampling_is_empirical():
 
 
 def _outcome(fn, *args):
-    """("ok", tokens, mask, true_length, dtype) or ("raised", exception type, args)."""
+    """("ok", ids, dtype) or ("raised", exception type, attributes)."""
     try:
-        ts = fn(*args)
+        ids = fn(*args)
     except Exception as e:  # compare whatever either side raises
-        return ("raised", type(e), e.args)
-    return ("ok", ts.tokens.tolist(), ts.mask.tolist(), ts.true_length, ts.tokens.dtype)
+        return ("raised", type(e), e.args, vars(e))
+    return ("ok", ids.tolist(), ids.dtype)
+
+
+def _tokenize_reference(seqs, l_max):
+    """tokenize as a per-character loop, each record checked in turn."""
+    out = np.full((len(seqs), l_max), PAD_ID, dtype=np.int64)
+    for i, seq in enumerate(seqs):
+        for j, ch in enumerate(seq):
+            if ch not in TOKEN_TO_ID:
+                raise UnknownResidue(ch, j)
+        if len(seq) > l_max:
+            raise SequenceTooLong(len(seq), l_max)
+        for j, ch in enumerate(seq):
+            out[i, j] = TOKEN_TO_ID[ch]
+    return out
 
 
 # canonical residues; lowercase and other ASCII; code points up to U+02FF
@@ -179,21 +192,70 @@ _ANY_TEXT = st.text(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    st.one_of(_ANY_TEXT, st.text(alphabet=AMINO_ACIDS, max_size=24)),
-    st.integers(min_value=-2, max_value=3),
+    st.lists(st.one_of(_ANY_TEXT, st.text(alphabet=AMINO_ACIDS, max_size=24)), max_size=6),
+    st.integers(min_value=0, max_value=26),
 )
-def test_tokenize_padded_matches_tokenize_then_pad(seq, slack):
-    l_max = len(seq) + slack  # too short, exact, or padded
-    assert _outcome(tokenize_padded, seq, l_max) == _outcome(
-        lambda s, n: pad_to(tokenize(s), n), seq, l_max
-    )
+def test_tokenize_matches_per_record_reference(seqs, l_max):
+    # too short, exact or padded widths, valid and invalid records in any order
+    assert _outcome(tokenize, seqs, l_max) == _outcome(_tokenize_reference, seqs, l_max)
 
 
-def test_tokenize_padded_reports_the_residue_before_the_length():
+def test_tokenize_reports_the_residue_before_the_length():
     with pytest.raises(UnknownResidue) as info:
-        tokenize_padded("ACDEFx", 3)
+        tokenize(["ACDEFx"], 3)
     assert (info.value.char, info.value.position) == ("x", 5)
     with pytest.raises(SequenceTooLong):
-        tokenize_padded("ACDEF", 4)
+        tokenize(["ACDEF"], 4)
+    # records are checked in order: a long record before a bad one reports the length
+    with pytest.raises(SequenceTooLong):
+        tokenize(["ACDEF", "ACx"], 4)
+
+
+# FASTA-shaped text: headers, residue lines (valid or not), blank lines and noise
+_FASTA_LINES = st.one_of(
+    st.text(max_size=8).map(lambda h: ">" + h),
+    st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=12),
+    _ANY_TEXT,
+    st.sampled_from(["", " ", ">", "\t"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(_FASTA_LINES, max_size=8).map("\n".join), st.text(max_size=40)))
+def test_fuzzed_fasta_parses_or_raises_a_data_error(text):
+    try:
+        records = parse_fasta(text)
+    except DataError as e:
+        assert e.exit_code == 2
+        return
+    for header, seq in records:
+        assert isinstance(header, str)
+        assert detokenize(tokenize([seq], len(seq))[0]) == seq
+
+
+_CONFIG_VALUES = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "0", "1", "true", "False", "0x10",
+                     "1_000", "A:3,B:2", "A:0", ":"]),
+    st.integers(-5, 200).map(str),
+    st.floats().map(repr),
+)
+_CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(sorted(SCHEMA)), _CONFIG_VALUES).map(" = ".join),
+    st.text(max_size=20),
+    st.sampled_from(["", "# comment", "=", "model.D", "model.D = 8 # c"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CONFIG_LINES, max_size=6).map("\n".join))
+def test_fuzzed_config_text_parses_or_raises_a_config_error(text):
+    try:
+        values = parse_config_text(text)
+        _validate(values)
+    except ConfigError as e:
+        assert e.exit_code == 1
+        return
+    assert set(values) == set(SCHEMA)
