@@ -11,7 +11,8 @@ the "dtype" "<f4"; every other key is metadata. A checkpoint of a
 pipeline kind (decoder, pipeline, flow, reflow) must carry the metadata its
 commands read: "dim" and "clamp_k"; "l_max" and "length_dist", or "chains"
 and "length_dists" for a multichain corpus; and "flow_cfg" for flow and
-reflow. Writes are atomic (temp file + rename).
+reflow. Each l_max is at most config.L_MAX_CAP. Writes are atomic (temp
+file + rename).
 
 Parameters are dicts of named arrays; pack(params, prefix) stores each
 under prefix + name, so a checkpoint is all a command needs to resume or
@@ -31,6 +32,7 @@ import tempfile
 import numpy as np
 
 from . import nn
+from .config import L_MAX_CAP
 from .errors import (
     BadMagic,
     CheckpointError,
@@ -148,14 +150,27 @@ def _is_positive_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
 
 
+def _is_l_max(x):
+    return _is_positive_int(x) and x <= L_MAX_CAP
+
+
 def _is_length_dist(d):
-    return isinstance(d, dict) and all(isinstance(d.get(k), list) for k in ("lengths", "counts"))
+    """Equal-length, non-empty lists of positive int64 counts and of distinct
+    positive int64 lengths."""
+    if not isinstance(d, dict):
+        return False
+    lengths, counts = d.get("lengths"), d.get("counts")
+    return (
+        isinstance(lengths, list)
+        and isinstance(counts, list)
+        and 0 < len(lengths) == len(counts)
+        and all(_is_positive_int(x) and x < 2**63 for x in lengths + counts)
+        and len(set(lengths)) == len(lengths)
+    )
 
 
 def _is_chain(c):
-    return (
-        isinstance(c, dict) and isinstance(c.get("name"), str) and _is_positive_int(c.get("l_max"))
-    )
+    return isinstance(c, dict) and isinstance(c.get("name"), str) and _is_l_max(c.get("l_max"))
 
 
 def _is_chain_list(chains):
@@ -175,10 +190,13 @@ def _is_flow_cfg(d):
 # metadata key -> (check, what the check wants)
 _META_CHECKS = {
     "dim": (lambda x: _is_positive_int(x) and x % 2 == 0, "a positive even integer"),
-    "l_max": (_is_positive_int, "a positive integer"),
+    "l_max": (_is_l_max, f"an integer in [1, {L_MAX_CAP}]"),
     "clamp_k": (_is_positive_number, "a positive number"),
-    "length_dist": (_is_length_dist, "an object with 'lengths' and 'counts' lists"),
-    "chains": (_is_chain_list, "a non-empty list of {name, l_max} objects"),
+    "length_dist": (
+        _is_length_dist,
+        "an object of equal-length 'lengths' and 'counts' lists of positive integers",
+    ),
+    "chains": (_is_chain_list, f"a non-empty list of {{name, l_max <= {L_MAX_CAP}}} objects"),
     "length_dists": (
         lambda d: isinstance(d, dict) and all(_is_length_dist(v) for v in d.values()),
         "an object of per-chain length distributions",

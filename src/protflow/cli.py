@@ -32,6 +32,7 @@ from .errors import (
     EmptyCorpus,
     IncompatibleCheckpoint,
     MalformedFasta,
+    MalformedHeader,
     ProtflowError,
 )
 
@@ -415,7 +416,7 @@ def _solver_from_values(values):
             atol=values["solver.atol"],
             rtol=values["solver.rtol"],
         )
-    except ValueError as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(str(e)) from None
 
 
@@ -454,7 +455,9 @@ def cmd_reflow(args):
 
 def _solver_with_overrides(meta, args):
     """Each solver setting from its flag (--method, --steps, --atol, --rtol),
-    else from the checkpoint's config snapshot, else the default."""
+    else from the checkpoint's config snapshot, else the default. Bad settings
+    in the snapshot are a MalformedHeader, whatever the flags; bad flags are a
+    ConfigError."""
     values = {
         "solver.method": "dopri5",
         "solver.steps": 25,
@@ -462,11 +465,17 @@ def _solver_with_overrides(meta, args):
         "solver.rtol": 1e-6,
     }
     snapshot = meta.get("config") or {}
+    if not isinstance(snapshot, dict):
+        raise MalformedHeader(f"{args.checkpoint}: metadata 'config' must be an object")
+    values.update((key, snapshot[key]) for key in values if snapshot.get(key) is not None)
+    try:
+        _solver_from_values(values)
+    except ConfigError as e:
+        raise MalformedHeader(f"{args.checkpoint}: config snapshot: {e}") from None
     for key in values:
         flag = getattr(args, key.split(".")[1])
-        for value in (snapshot.get(key), flag):
-            if value is not None:
-                values[key] = value
+        if flag is not None:
+            values[key] = flag
     return _solver_from_values(values)
 
 
@@ -535,91 +544,6 @@ def _read_scores(path):
     if not scores:
         raise DataError(f"no scores in {path}")
     return np.array(scores, dtype=np.float64)
-
-
-def _report_schema_path():
-    return os.path.join(os.path.dirname(__file__), "data", "report_schema.json")
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# The JSON types as Python values. As in JSON Schema draft 7, a float with an
-# integral value is an integer, and a bool is neither an integer nor a number.
-_SCHEMA_TYPES = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
-    "number": _is_number,
-    "null": lambda v: v is None,
-}
-_SCHEMA_KEYWORDS = frozenset(
-    "$schema title type const required additionalProperties properties items minimum minLength"
-    " pattern".split()
-)
-
-
-def check_schema(value, schema, path="$"):
-    """Raise ValueError at the first place value breaks the JSON Schema schema.
-
-    Implements the draft-7 keywords the eval report schema uses, with
-    jsonschema's meaning: type (the names in _SCHEMA_TYPES), const (a scalar;
-    True is not 1), required, additionalProperties (false only), properties,
-    items (one schema for every element), minimum, minLength and pattern
-    (re.search); $schema and title are annotations. Any other keyword, type
-    name or additionalProperties value raises NotImplementedError, so a rule
-    added to the schema can never be skipped in silence.
-    """
-    import re
-
-    unknown = sorted(set(schema) - _SCHEMA_KEYWORDS)
-    if unknown:
-        raise NotImplementedError(f"schema keywords not supported: {', '.join(unknown)}")
-    if schema.get("additionalProperties", False) is not False:
-        raise NotImplementedError("additionalProperties is supported only as false")
-    if "type" in schema:
-        types = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
-        unknown = sorted(set(types) - set(_SCHEMA_TYPES))
-        if unknown:
-            raise NotImplementedError(f"schema types not supported: {', '.join(unknown)}")
-        if not any(_SCHEMA_TYPES[t](value) for t in types):
-            raise ValueError(f"{path}: {value!r} is not of type {' or '.join(types)}")
-    if "const" in schema:
-        const = schema["const"]
-        if isinstance(value, bool) or isinstance(const, bool):
-            same = value is const
-        else:
-            same = value == const
-        if not same:
-            raise ValueError(f"{path}: {value!r} is not {const!r}")
-    if isinstance(value, dict):
-        for key in schema.get("required", ()):
-            if key not in value:
-                raise ValueError(f"{path}: required key {key!r} is missing")
-        properties = schema.get("properties", {})
-        closed = "additionalProperties" in schema
-        for key, item in value.items():
-            if key in properties:
-                check_schema(item, properties[key], f"{path}.{key}")
-            elif closed:
-                raise ValueError(f"{path}: key {key!r} is not allowed")
-    if isinstance(value, list) and "items" in schema:
-        for i, item in enumerate(value):
-            check_schema(item, schema["items"], f"{path}[{i}]")
-    if _is_number(value) and "minimum" in schema and value < schema["minimum"]:
-        raise ValueError(f"{path}: {value!r} is less than {schema['minimum']!r}")
-    if isinstance(value, str):
-        if len(value) < schema.get("minLength", 0):
-            raise ValueError(f"{path}: {value!r} is shorter than {schema['minLength']}")
-        if "pattern" in schema and not re.search(schema["pattern"], value):
-            raise ValueError(f"{path}: {value!r} does not match {schema['pattern']!r}")
-
-
-def _validate_report(report):
-    with open(_report_schema_path(), "r", encoding="utf-8") as f:
-        check_schema(report, json.load(f))
 
 
 def cmd_eval(args):
@@ -705,7 +629,6 @@ def cmd_eval(args):
         ).hexdigest(),
         "metrics": rows,
     }
-    _validate_report(report)
     _atomic_write_text(args.out + ".json", json.dumps(report, sort_keys=True, indent=2) + "\n")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -7,14 +7,17 @@ rejected so a typo cannot silently fall back to a default. Values are typed
 override file values. Paths named by data.* must exist at load time.
 """
 
-import hashlib
-import json
 import math
 import os
 
 from .errors import ConfigError, DataError
 
 _SOLVER_METHODS = ("euler", "dopri5", "dopri5-fixed", "dopri5-adaptive")
+
+# The longest chain a config may name (model.L_max, each chains length) and a
+# checkpoint may carry: l_max sizes the positional table, which no stored
+# tensor bounds.
+L_MAX_CAP = 4096
 
 # key -> (type tag, default). None default = unset (allowed for paths/chains).
 SCHEMA = {
@@ -97,10 +100,6 @@ class Config:
     def to_dict(self):
         return dict(self._values)
 
-    def hash(self):
-        blob = json.dumps(self._values, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
-
 
 def parse_config_text(text, values=None):
     """Apply config lines on top of `values` (or the schema defaults)."""
@@ -140,6 +139,8 @@ def _validate(values):
             f"solver.method must be one of {', '.join(_SOLVER_METHODS)}, "
             f"got {values['solver.method']!r}"
         )
+    if values["model.L_max"] > L_MAX_CAP:
+        raise ConfigError(f"model.L_max must be <= {L_MAX_CAP}, got {values['model.L_max']}")
     if not 1 <= values["solver.steps"] <= 100:
         raise ConfigError(f"solver.steps must be in [1, 100], got {values['solver.steps']}")
     if values["model.D"] % 2 != 0:
@@ -158,13 +159,14 @@ def _validate(values):
         parse_chains_value(values["chains"])
 
 
-def load_config(path=None, overrides=None, check_paths=True):
+def load_config(path=None, overrides=None):
     """Build a Config from an optional file plus `key=value` override strings.
 
     Args:
         path: config file, or None for pure defaults + overrides.
         overrides: iterable of "key=value" strings (highest precedence).
-        check_paths: verify files named by data.* exist (DataError if not).
+
+    Raises DataError if a file named by data.* does not exist.
     """
     values = {k: v for k, (_, v) in SCHEMA.items()}
     if path is not None:
@@ -177,11 +179,10 @@ def load_config(path=None, overrides=None, check_paths=True):
             raise ConfigError(f"override must look like key=value, got {item!r}")
         values = parse_config_text(item, values)
     _validate(values)
-    if check_paths:
-        for key in ("data.train_path", "data.val_path"):
-            p = values[key]
-            if p is not None and not os.path.exists(p):
-                raise DataError(f"{key} does not exist: {p}")
+    for key in ("data.train_path", "data.val_path"):
+        p = values[key]
+        if p is not None and not os.path.exists(p):
+            raise DataError(f"{key} does not exist: {p}")
     return Config(values)
 
 
@@ -204,8 +205,8 @@ def parse_chains_value(text):
             l_max = int(length.strip())
         except ValueError:
             raise ConfigError(f"bad chain length in {part!r}") from None
-        if l_max < 1:
-            raise ConfigError(f"chain length must be >= 1, got {l_max}")
+        if not 1 <= l_max <= L_MAX_CAP:
+            raise ConfigError(f"chain length must be >= 1 and <= {L_MAX_CAP}, got {l_max}")
         chains.append((name, l_max))
     if not chains:
         raise ConfigError("chains is set but names no chains")

@@ -412,21 +412,16 @@ def train_rf(dataset, config, model):
 class ReflowCoupling:
     """Noise/data endpoint pairs produced by integrating a trained model."""
 
-    __slots__ = ("z0", "z1", "nfe", "solver")
+    __slots__ = ("z0", "z1")
 
-    def __init__(self, z0, z1, nfe, solver):
+    def __init__(self, z0, z1):
         self.z0 = np.asarray(z0, dtype=np.float64)
         self.z1 = np.asarray(z1, dtype=np.float64)
         if self.z0.shape != self.z1.shape:
             raise ShapeMismatch(f"z0 {self.z0.shape} vs z1 {self.z1.shape}")
-        self.nfe = np.asarray(nfe, dtype=np.int64)
-        self.solver = solver
 
     def __len__(self):
         return self.z0.shape[0]
-
-    def __getitem__(self, i):
-        return self.z0[i], self.z1[i]
 
 
 def reflow_pairs(model, solver_config, m, rng):
@@ -440,10 +435,10 @@ def reflow_pairs(model, solver_config, m, rng):
     shape = (cfg.seq_len if cfg.attention else 1, cfg.width)
     if m == 0:
         empty = np.zeros((0,) + shape)
-        return ReflowCoupling(empty, empty, [], solver_config)
+        return ReflowCoupling(empty, empty)
     z1 = np.stack([rng.substream(f"pair{i}").normal(shape) for i in range(m)])
     res = ode.solve_lanes(lambda x, t: flow_forward(model, x, t), z1, solver_config)
-    return ReflowCoupling(res.x0, z1, res.nfe, solver_config)
+    return ReflowCoupling(res.x0, z1)
 
 
 def train_reflow(pairs, config, model):

@@ -187,21 +187,15 @@ def unsmooth(h_s, stats):
 # --- compressor ---------------------------------------------------------------
 
 
-def init_compressor(dim, ratio, rng, identity=False):
+def init_compressor(dim, ratio, rng):
     """Compressor parameters (a gated down-projection with tanh squash, a
-    linear up-projection back) at the given channel ratio. identity=True (ratio
-    1 only) makes compress = tanh and decompress = identity exactly."""
+    linear up-projection back) at the given channel ratio."""
     if dim % ratio != 0:
         raise IncompatibleRatio(f"dim {dim} not divisible by ratio {ratio}")
     width = dim // ratio
-    if identity:
-        if ratio != 1:
-            raise IncompatibleRatio("identity init requires ratio 1")
-        w_down, w_up = np.eye(dim), np.eye(dim)
-    else:
-        sub = rng.substream("compressor")
-        w_down = sub.substream("down").normal((dim, width)) / np.sqrt(dim)
-        w_up = sub.substream("up").normal((width, dim)) / np.sqrt(width)
+    sub = rng.substream("compressor")
+    w_down = sub.substream("down").normal((dim, width)) / np.sqrt(dim)
+    w_up = sub.substream("up").normal((width, dim)) / np.sqrt(width)
     return {
         "w_down": w_down,
         "b_down": np.zeros(width),

@@ -29,7 +29,7 @@ from .errors import (
     UnequalSizes,
 )
 from .numeric import mean_cov, psd_sqrt
-from .seqio import AMINO_ACIDS, PAD_ID, TOKEN_TO_ID, VOCAB_SIZE, check_residues, tokenize
+from .seqio import PAD_ID, TOKEN_TO_ID, VOCAB_SIZE, check_residues, tokenize
 
 # Average (isotope-abundance-weighted) residue masses, Da, in-chain values;
 # a free peptide adds one water. Source: standard ExPASy residue mass table.
@@ -106,11 +106,6 @@ def kmer_jaccard(corpus_a, corpus_b, k=6):
     return len(sa & sb) / len(union)
 
 
-def edit_distance(s1, s2):
-    """Levenshtein distance with unit insert/delete/substitute costs."""
-    return kernels.levenshtein(s1, s2)
-
-
 def int_div(batch):
     """Mean edit distance over all unordered distinct pairs within a batch."""
     n = len(batch)
@@ -157,33 +152,11 @@ def ot_levenshtein(batch_a, batch_b, cap=512):
 # --- embedding-level metrics ----------------------------------------------------
 
 
-class EmbeddingBatch:
-    """Per-sequence embedding vectors plus a tag naming their embedder."""
-
-    __slots__ = ("vectors", "source")
-
-    def __init__(self, vectors, source="unknown"):
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ValueError(f"expected (n, d) matrix, got {vectors.shape}")
-        if not np.all(np.isfinite(vectors)):
-            raise ValueError("non-finite embedding entries")
-        self.vectors = vectors
-        self.source = source
-
-    def __len__(self):
-        return self.vectors.shape[0]
-
-
-def _vectors(x):
-    return x.vectors if isinstance(x, EmbeddingBatch) else np.asarray(x, dtype=np.float64)
-
-
 def frechet_distance(x, y):
     """Fréchet distance between Gaussians fitted to two embedding batches:
     |mu1 - mu2|^2 + tr(S1 + S2 - 2*sqrt(sqrt(S1) S2 sqrt(S1)))."""
-    xv = _vectors(x)
-    yv = _vectors(y)
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
     if xv.shape[1] != yv.shape[1]:
         raise DimensionMismatch(f"d={xv.shape[1]} vs d={yv.shape[1]}")
     mu1, s1 = mean_cov(xv)
@@ -227,8 +200,8 @@ def mmd_rbf(x, y, bandwidth="median"):
     k(a,b) = exp(-|a-b|^2 / (2 sigma^2)), or "median" for the median
     pairwise distance over the pooled rows.
     """
-    xv = _vectors(x)
-    yv = _vectors(y)
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
     n = xv.shape[0]
     if n != yv.shape[0]:
         raise UnequalSizes(f"{n} vs {yv.shape[0]}")
@@ -276,9 +249,6 @@ class PropertyVector:
 
     def as_array(self):
         return np.array([getattr(self, name) for name in PROPERTY_NAMES])
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in PROPERTY_NAMES}
 
 
 def _ionizable_pkas(seq):
@@ -379,22 +349,6 @@ def w_property(gen_batch, ref_batch, properties=PROPERTY_NAMES):
 # --- masked scorers and pseudoperplexity --------------------------------------------
 
 
-class UniformScorer:
-    """p = 1/20 on every residue at every position."""
-
-    def score(self, seq, position):
-        return np.full(20, 1.0 / 20.0)
-
-
-class OracleScorer:
-    """p = 1 on the true residue (lower bound pppl = 1)."""
-
-    def score(self, seq, position):
-        out = np.zeros(20)
-        out[TOKEN_TO_ID[seq[position]]] = 1.0
-        return out
-
-
 class UnigramScorer:
     """Position-independent residue frequencies with add-one smoothing."""
 
@@ -409,33 +363,6 @@ class UnigramScorer:
 
     def score(self, seq, position):
         return self.probs
-
-
-class BigramScorer:
-    """Neighbor-conditioned scorer from add-one-smoothed transition counts.
-
-    p(x_i | x_{i-1}, x_{i+1}) is proportional to T[left, x] * T[x, right],
-    dropping whichever factor falls off a sequence boundary.
-    """
-
-    def __init__(self, trans):
-        self.trans = np.asarray(trans, dtype=np.float64)
-
-    @classmethod
-    def fit(cls, corpus):
-        ids = tokenize(corpus, max(map(len, corpus), default=0))
-        pairs = (ids[:, :-1] * VOCAB_SIZE + ids[:, 1:]).ravel()  # PAD rows and columns dropped
-        counts = np.bincount(pairs, minlength=VOCAB_SIZE**2).reshape(VOCAB_SIZE, VOCAB_SIZE)
-        counts = counts[:PAD_ID, :PAD_ID] + 1.0
-        return cls(counts / counts.sum(axis=1, keepdims=True))
-
-    def score(self, seq, position):
-        p = np.ones(20)
-        if position > 0:
-            p = p * self.trans[TOKEN_TO_ID[seq[position - 1]], :]
-        if position < len(seq) - 1:
-            p = p * self.trans[:, TOKEN_TO_ID[seq[position + 1]]]
-        return p / p.sum()
 
 
 def pseudoperplexity(seq, scorer):

@@ -75,30 +75,8 @@ class ChainLayout:
         return len(self.chains)
 
 
-def concat_latents(per_chain, layout=None):
-    """Row-wise concatenation of per-chain (L_i, W) latents, in order.
-
-    With a layout given, each block's row count must match its chain's
-    l_max. Widths must agree in all cases.
-    """
-    if not per_chain:
-        raise LayoutMismatch("no latents to concatenate")
-    widths = {np.asarray(x).shape[1] for x in per_chain}
-    if len(widths) != 1:
-        raise WidthMismatch(f"latent widths differ: {sorted(widths)}")
-    if layout is not None:
-        if len(per_chain) != len(layout):
-            raise LayoutMismatch(f"{len(per_chain)} blocks vs {len(layout)} chains")
-        for x, chain in zip(per_chain, layout):
-            if np.asarray(x).shape[0] != chain.l_max:
-                raise LayoutMismatch(
-                    f"chain {chain.name!r} expects {chain.l_max} rows, got {np.asarray(x).shape[0]}"
-                )
-    return np.concatenate([np.asarray(x, dtype=np.float64) for x in per_chain], axis=0)
-
-
 def split_latents(joint, layout):
-    """Exact inverse of concat_latents for a given layout."""
+    """Per-chain (l_max, W) blocks of a joint latent, in layout order."""
     joint = np.asarray(joint, dtype=np.float64)
     total = layout.total_length
     if joint.shape[0] != total:

@@ -150,10 +150,6 @@ class LengthDistribution:
             raise EmptyCorpus("duplicate lengths in distribution")
         self._cdf = np.cumsum(self.counts) / float(self.counts.sum())
 
-    @property
-    def total(self):
-        return int(self.counts.sum())
-
     def sample(self, rng):
         """Draw one length by inverse-CDF over the empirical counts."""
         u = rng.uniform(())

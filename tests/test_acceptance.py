@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from protflow import cli, latent
+from protflow import cli, kernels, latent
 from protflow.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from protflow.flow import (
     FlowTrainConfig,
@@ -39,15 +39,14 @@ from protflow.latent import (
     init_decoder,
 )
 from protflow.metrics import (
-    UniformScorer,
-    edit_distance,
+    UnigramScorer,
     frechet_distance,
     mmd_rbf,
     ot_levenshtein,
     pseudoperplexity,
     w_property,
 )
-from protflow.multichain import ChainLayout, ChainSpec, concat_latents, split_latents
+from protflow.multichain import ChainLayout, ChainSpec, split_latents
 from protflow.numeric import RngStream, grad_check, mean_cov, psd_sqrt
 from protflow.ode import SolverConfig, solve
 from protflow.seqio import AMINO_ACIDS, read_fasta, tokenize
@@ -344,7 +343,9 @@ def test_criterion_7_metric_oracles(criterion):
     strings = [""]
     for length in range(1, 6):
         strings.extend("".join(p) for p in itertools.product("ACD", repeat=length))
-    edit_ok = all(edit_distance(a, b) == _lev_recursive(a, b) for a in strings for b in strings)
+    edit_ok = all(
+        kernels.levenshtein(a, b) == _lev_recursive(a, b) for a in strings for b in strings
+    )
     n_pairs = len(strings) ** 2
 
     # Assignment distance: exact solver vs brute-force permutation minimum.
@@ -359,7 +360,7 @@ def test_criterion_7_metric_oracles(criterion):
         n = int(gen.integers(2, 7))
         batch_a = [rand_seq() for _ in range(n)]
         batch_b = [rand_seq() for _ in range(n)]
-        cost = [[edit_distance(a, b) for b in batch_b] for a in batch_a]
+        cost = [[kernels.levenshtein(a, b) for b in batch_b] for a in batch_a]
         best = min(
             sum(cost[i][p[i]] for i in range(n)) for p in itertools.permutations(range(n))
         )
@@ -399,7 +400,8 @@ def test_criterion_7_metric_oracles(criterion):
     mmd_ok = mmd_err < 1e-12 and mmd_med_err < 1e-12
 
     # A uniform scorer assigns every residue probability 1/20.
-    pppl_err = abs(pseudoperplexity(AMINO_ACIDS, UniformScorer()) - 20.0)
+    uniform = UnigramScorer(np.full(20, 1.0 / 20.0))
+    pppl_err = abs(pseudoperplexity(AMINO_ACIDS, uniform) - 20.0)
     pppl_ok = pppl_err <= 1e-12
 
     # Identical batches are at zero transport distance in every property.
@@ -428,12 +430,12 @@ def test_criterion_8_multichain_coupling(criterion):
     layout = ChainLayout([ChainSpec("A", 7, None), ChainSpec("B", 4, None)])
     gen = np.random.default_rng(88)
     blocks = [gen.normal(size=(7, 3)), gen.normal(size=(4, 3))]
-    joint = concat_latents(blocks, layout)
+    joint = np.concatenate(blocks, axis=0)
     back = split_latents(joint, layout)
     exact = (
         np.array_equal(back[0], blocks[0])
         and np.array_equal(back[1], blocks[1])
-        and np.array_equal(concat_latents(back, layout), joint)
+        and np.array_equal(np.concatenate(back, axis=0), joint)
     )
 
     # Correlated scalar pair: one latent position per chain. A model trained on
@@ -448,7 +450,7 @@ def test_criterion_8_multichain_coupling(criterion):
     train_corr = float(np.corrcoef(u, v)[0, 1])
     pair_layout = ChainLayout([ChainSpec("u", 1, None), ChainSpec("v", 1, None)])
     joint_train = np.stack(
-        [concat_latents([[[u[i]]], [[v[i]]]], pair_layout) for i in range(n_train)]
+        [np.concatenate([[[u[i]]], [[v[i]]]], axis=0) for i in range(n_train)]
     )
 
     cfg = VectorFieldConfig(depth=4, width=1, hidden=64, attention=True, seq_len=2)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from protflow import checkpoint as ckpt
 from protflow import cli, nn
+from protflow.config import L_MAX_CAP
 from protflow.errors import (
     BadMagic,
     CheckpointError,
@@ -534,8 +535,9 @@ def test_unpack_flow_rejects_a_bad_flow_cfg():
 # --- fuzzing ------------------------------------------------------------------
 
 # Values a crafted header may hold. Integers stay small wherever the loader
-# reads them as sizes it will allocate (l_max, flow_cfg depth and widths);
-# shapes and offsets also get sizes beyond what any payload or numpy holds.
+# reads them as sizes it will allocate (flow_cfg depth and widths); shapes
+# and offsets also get sizes beyond what any payload or numpy holds, l_max
+# sizes far past L_MAX_CAP, and length distributions every kind of entry.
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 64) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
@@ -550,6 +552,8 @@ _ENTRY_VALUES = {
     "dtype": st.sampled_from(["<f4", "<f8", "f4", "<i4"]),
 }
 _FLOW_CFG_KEYS = ("depth", "width", "hidden", "attention", "seq_len", "time_dim")
+_L_MAX_VALUES = st.integers(-3, 2 * L_MAX_CAP) | st.sampled_from([2**40, 2**63, 2**64, 10**30])
+_LENGTH_VALUES = _SIZES | _JSON_VALUES | st.sampled_from([2.0, 2.7, True])
 
 
 @functools.lru_cache(maxsize=None)
@@ -571,9 +575,25 @@ def _valid_checkpoint():
 
 def _mutate_header(data, header):
     """Delete or replace one metadata value, flow_cfg field, tensor entry or
-    entry field of header."""
-    target = data.draw(st.sampled_from(["meta", "flow_cfg", "entry"]))
+    entry field of header; set l_max; or replace, add or drop one entry of the
+    length distribution."""
+    target = data.draw(st.sampled_from(["meta", "flow_cfg", "entry", "l_max", "length_dist"]))
     values = _JSON_VALUES
+    if target == "l_max":
+        header["l_max"] = data.draw(_L_MAX_VALUES)
+        return
+    if target == "length_dist":
+        dist = header.get("length_dist")
+        key = data.draw(st.sampled_from(["lengths", "counts"]))
+        if not isinstance(dist, dict) or not isinstance(dist.get(key), list):
+            return
+        entries = dist[key]
+        i = data.draw(st.integers(0, len(entries)))
+        if i < len(entries) and data.draw(st.booleans()):
+            del entries[i]
+        else:
+            entries[i:i + 1] = [data.draw(_LENGTH_VALUES)]
+        return
     if target == "meta":
         parent = header
         key = data.draw(st.sampled_from(sorted(set(header) - {"tensors"}) + ["chains"]))
@@ -642,6 +662,8 @@ def test_fuzzed_checkpoints_load_or_exit_4(data):
                     ckpt.unpack_pipeline(
                         tensors, chain.l_max, meta["dim"], meta["clamp_k"], chain.prefix
                     )
+                for dist in cli._meta_length_dists(meta).values():
+                    dist.sample(RngStream(0))
                 model = ckpt.unpack_flow(tensors, meta)
                 seq_len = model.cfg.seq_len if model.cfg.attention else 6
                 flow_forward(model, np.zeros((1, seq_len, model.cfg.width)), np.zeros(1))

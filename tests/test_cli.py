@@ -19,6 +19,7 @@ import pytest
 import protflow
 from protflow import cli, errors
 from protflow.checkpoint import file_sha256, load_checkpoint, save_checkpoint
+from protflow.config import L_MAX_CAP
 from protflow.seqio import read_fasta
 
 _CORPUS = [
@@ -494,6 +495,61 @@ def test_exit_4_checkpoint_missing_metadata(workdir):
     assert "'l_max'" in proc.stderr
 
 
+def _set_length_dist(lengths, counts):
+    return lambda m: m.update(length_dist={"lengths": lengths, "counts": counts})
+
+
+def _set_snapshot(key, value):
+    return lambda m: m["config"].update({key: value})
+
+
+# (label, multichain source, metadata change, extra sample flags)
+_BAD_FLOW_METADATA = [
+    ("config is a list", False, lambda m: m.update(config=[1, 2]), []),
+    ("string solver.atol", False, _set_snapshot("solver.atol", "x"), []),
+    ("list solver.steps", False, _set_snapshot("solver.steps", [3]), []),
+    ("list solver.steps under --steps", False, _set_snapshot("solver.steps", [3]),
+     ["--steps", "3"]),
+    ("huge solver.atol", False, _set_snapshot("solver.atol", 10**400), []),
+    ("l_max 2**40", False, lambda m: m.update(l_max=2**40), []),
+    ("l_max above the cap", False, lambda m: m.update(l_max=L_MAX_CAP + 1), []),
+    ("string length", False, _set_length_dist(["a"], [1]), []),
+    ("fractional length", False, _set_length_dist([2.7], [1]), []),
+    ("nested length", False, _set_length_dist([[2]], [1]), []),
+    ("zero length", False, _set_length_dist([0], [1]), []),
+    ("bool count", False, _set_length_dist([2], [True]), []),
+    ("length beyond int64", False, _set_length_dist([2**64], [1]), []),
+    ("unequal lists", False, _set_length_dist([2, 3], [1]), []),
+    ("duplicate lengths", False, _set_length_dist([2, 2], [1, 1]), []),
+    ("empty lists", False, _set_length_dist([], []), []),
+    ("chain l_max above the cap", True,
+     lambda m: m["chains"][0].update(l_max=L_MAX_CAP + 1), []),
+    ("chain length_dist of floats", True,
+     lambda m: m["length_dists"].update(A={"lengths": [2.0], "counts": [1]}), []),
+]
+
+
+@pytest.mark.parametrize(
+    "multichain, change, flags",
+    [case[1:] for case in _BAD_FLOW_METADATA],
+    ids=[case[0] for case in _BAD_FLOW_METADATA],
+)
+def test_exit_4_bad_flow_metadata(workdir, mc_workdir, capsys, multichain, change, flags):
+    # bad metadata that sample reads (the config snapshot's solver settings,
+    # l_max, the length distributions) is a checkpoint error, whatever the flags
+    tensors, meta = load_checkpoint(mc_workdir["flow"] if multichain else workdir["flow"])
+    change(meta)
+    bad = str(workdir["root"] / "bad_meta.ckpt")
+    save_checkpoint(bad, tensors, meta)
+    capsys.readouterr()
+    out = str(workdir["root"] / "bad_meta.fasta")
+    code = cli.main(["sample", "--checkpoint", bad, "--out", out, "--n", "2", *flags])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 def test_exit_4_tensors_that_disagree_with_the_model(workdir, mc_workdir):
     # Each tensor must have the name and shape the checkpoint's metadata
     # implies; sampling reports the first that does not as one error line.
@@ -694,7 +750,7 @@ def test_sample_and_train_flow_load_no_metrics(workdir):
         assert not {"jsonschema", "protflow.metrics", "protflow.kernels"} & modules, argv
 
 
-# --- report schema check -----------------------------------------------------------
+# --- published report schema -------------------------------------------------------
 
 
 def _load_json(path):
@@ -736,9 +792,11 @@ def _report_mutations(report):
     ]
 
 
-def test_report_check_agrees_with_jsonschema():
+def test_reports_validate_against_the_published_schema(tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
-    schema = _load_json(cli._report_schema_path())
+    schema = _load_json(os.path.join(os.path.dirname(protflow.__file__), "data",
+                                     "report_schema.json"))
+    validator = jsonschema.Draft7Validator(schema)
     reports = sorted(
         os.path.join(_ROOT, "runs", run, name)
         for run in os.listdir(os.path.join(_ROOT, "runs"))
@@ -746,93 +804,22 @@ def test_report_check_agrees_with_jsonschema():
         if name.startswith("report") and name.endswith(".json")
     )
     assert len(reports) == 3
-    # jsonschema accepts these, as draft 7 reads them; the check must too
+    # draft 7 accepts these: an integral float is an integer, "$" matches
+    # before a final newline, and NaN is a number
     accepted = {"committed", "integral float seed", "config_hash + newline", "nan value"}
     for path in reports:
         report = _load_json(path)
         for label, value in [("committed", report)] + _report_mutations(report):
-            try:
-                jsonschema.validate(value, schema)
-            except jsonschema.ValidationError:
-                assert label not in accepted, (path, label)
-                with pytest.raises(ValueError):
-                    cli.check_schema(value, schema)
-            else:
-                assert label in accepted, (path, label)
-                cli.check_schema(value, schema)
-
-
-@pytest.mark.parametrize(
-    "schema, value",
-    [
-        ({"pattern": "b"}, "abc"),  # re.search, not a whole-string match
-        ({"pattern": "^b"}, "abc"),
-        ({"minimum": 0}, "-1"),  # number keywords ignore other types
-        ({"minimum": 0}, -0.5),
-        ({"minLength": 2}, "\u00e9"),  # code points, not bytes
-        ({"minLength": 2}, 12),
-        ({"type": "integer"}, 2.0),
-        ({"type": "integer"}, True),
-        ({"type": "number"}, False),
-        ({"type": ["string", "null"]}, None),
-        ({"type": ["string", "null"]}, 0),
-        ({"const": 1}, 1.0),
-        ({"const": 1}, True),
-        ({"const": False}, 0),
-        ({"const": "a"}, "a"),
-        ({"required": ["a"]}, []),  # object keywords ignore other types
-        ({"required": ["a"]}, {"b": 1}),
-        ({"properties": {"a": {"type": "string"}}}, {"a": 1}),
-        ({"additionalProperties": False, "properties": {"a": {}}}, {"a": 1}),
-        ({"items": {"type": "null"}}, [None, 0]),
-        ({"items": {"type": "null"}}, {"a": 0}),
-    ],
-)
-def test_schema_keywords_agree_with_jsonschema(schema, value):
-    jsonschema = pytest.importorskip("jsonschema")
-    try:
-        jsonschema.Draft7Validator(schema).validate(value)
-    except jsonschema.ValidationError:
-        with pytest.raises(ValueError):
-            cli.check_schema(value, schema)
-    else:
-        cli.check_schema(value, schema)
-
-
-def test_report_check_refuses_unknown_keywords():
-    schema = _load_json(cli._report_schema_path())
-    report = _load_json(os.path.join(_ROOT, "runs", "multichain", "report.json"))
-    for keys in ((), ("properties", "k"), ("properties", "metrics", "items")):
-        bad = json.loads(json.dumps(schema))
-        target = bad
-        for key in keys:
-            target = target[key]
-        target["maximum"] = 10**9  # the report still passes it, but it is not implemented
-        with pytest.raises(NotImplementedError, match="maximum"):
-            cli.check_schema(report, bad)
-    # only what the schema uses: additionalProperties false and its type names
-    for schema, value in (
-        ({"additionalProperties": True}, {}),
-        ({"additionalProperties": {"type": "string"}}, {"a": "b"}),
-        ({"type": "boolean"}, True),
-        ({"type": ["null", "boolean"]}, None),
-    ):
-        with pytest.raises(NotImplementedError):
-            cli.check_schema(value, schema)
-
-
-def test_eval_checks_the_report_before_writing(tmp_path, monkeypatch):
-    schema = _load_json(cli._report_schema_path())
-    schema["properties"]["k"]["minimum"] = 7
-    strict = tmp_path / "strict_schema.json"
-    strict.write_text(json.dumps(schema))
-    monkeypatch.setattr(cli, "_report_schema_path", lambda: str(strict))
+            assert validator.is_valid(value) == (label in accepted), (path, label)
+    # a fresh report whose panel skips the paired metrics
     _write_fasta(tmp_path / "a.fasta", [("a0", "ACDE"), ("a1", "KLMNPQ")])
-    out = tmp_path / "report"
-    with pytest.raises(ValueError, match=r"\$\.k: 6 is less than 7"):
-        cli.main(["eval", "--gen", str(tmp_path / "a.fasta"), "--ref", str(tmp_path / "a.fasta"),
-                  "--out", str(out)])
-    assert sorted(os.listdir(tmp_path)) == ["a.fasta", "strict_schema.json"]
+    _write_fasta(tmp_path / "b.fasta", [("b0", "ACD"), ("b1", "WY"), ("b2", "KLMN")])
+    out = str(tmp_path / "report")
+    assert cli.main(["eval", "--gen", str(tmp_path / "a.fasta"),
+                     "--ref", str(tmp_path / "b.fasta"), "--out", out]) == 0
+    report = _load_json(out + ".json")
+    assert any("UnequalSizes" in (row["skipped"] or "") for row in report["metrics"])
+    validator.validate(report)
 
 
 def _error_classes(cls):

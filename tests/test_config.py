@@ -1,10 +1,10 @@
-"""Config file parsing, typing, validation, overrides, and hashing."""
+"""Config file parsing, typing, validation, and overrides."""
 
 import os
 
 import pytest
 
-from protflow.config import SCHEMA, load_config, parse_chains_value, parse_config_text
+from protflow.config import L_MAX_CAP, SCHEMA, load_config, parse_chains_value, parse_config_text
 from protflow.errors import ConfigError, DataError
 
 
@@ -94,6 +94,8 @@ def test_range_checks():
         "solver.atol=inf",
         "solver.rtol=inf",
         "solver.atol=nan",
+        f"model.L_max={L_MAX_CAP + 1}",
+        f"chains=A:3,B:{L_MAX_CAP + 1}",
     ]
     for override in bad:
         with pytest.raises(ConfigError):
@@ -118,9 +120,6 @@ def test_data_paths_checked(tmp_path):
     assert cfg["data.train_path"] == str(data)
     with pytest.raises(DataError, match="does not exist"):
         load_config(None, overrides=["data.train_path=/nonexistent/x.fasta"])
-    # check_paths=False defers existence checking to the command
-    cfg = load_config(None, overrides=["data.train_path=/nonexistent/x.fasta"], check_paths=False)
-    assert cfg["data.train_path"] == "/nonexistent/x.fasta"
 
 
 def test_require():
@@ -128,19 +127,6 @@ def test_require():
     with pytest.raises(ConfigError, match="must be set"):
         cfg.require("data.train_path")
     assert cfg.require("model.D") == 64
-
-
-def test_hash_stable_and_sensitive(tmp_path):
-    a = tmp_path / "a.cfg"
-    b = tmp_path / "b.cfg"
-    a.write_text("model.depth = 3\ntrain.lr = 5e-4\n")
-    b.write_text("train.lr = 5e-4\nmodel.depth = 3\n")  # same values, other order
-    ha = load_config(str(a)).hash()
-    hb = load_config(str(b)).hash()
-    assert ha == hb
-    assert len(ha) == 64 and all(c in "0123456789abcdef" for c in ha)
-    hc = load_config(str(a), overrides=["model.depth=4"]).hash()
-    assert hc != ha
 
 
 def test_to_dict_is_a_copy():
@@ -163,6 +149,12 @@ def test_parse_chains():
         parse_chains_value("A:0")
     with pytest.raises(ConfigError, match="names no chains"):
         parse_chains_value(" , ")
+
+
+def test_l_max_cap_is_inclusive():
+    cfg = load_config(None, overrides=[f"model.L_max={L_MAX_CAP}", f"chains=A:{L_MAX_CAP}"])
+    assert cfg["model.L_max"] == L_MAX_CAP
+    assert parse_chains_value(cfg["chains"]) == [("A", L_MAX_CAP)]
 
 
 def test_chains_validated_inside_load():

@@ -59,28 +59,14 @@ def test_split_concat_exact_round_trip():
     )
     gen = np.random.default_rng(3)
     blocks = [gen.normal(size=(4, 4)), gen.normal(size=(6, 4))]
-    joint = multichain.concat_latents(blocks, layout)
+    joint = np.concatenate(blocks, axis=0)
     assert joint.shape == (10, 4)
     back = multichain.split_latents(joint, layout)
     assert len(back) == 2
     assert np.array_equal(back[0], blocks[0])
     assert np.array_equal(back[1], blocks[1])
     # and the other composition order is exact too
-    assert np.array_equal(multichain.concat_latents(back, layout), joint)
-
-
-def test_concat_validation():
-    with pytest.raises(LayoutMismatch):
-        multichain.concat_latents([])
-    with pytest.raises(WidthMismatch):
-        multichain.concat_latents([np.zeros((2, 3)), np.zeros((2, 4))])
-    rng = RngStream(4)
-    pa = _pipeline(rng.substream("a"), 4)
-    layout = multichain.ChainLayout([multichain.ChainSpec("A", 4, pa)])
-    with pytest.raises(LayoutMismatch):
-        multichain.concat_latents([np.zeros((2, 4)), np.zeros((2, 4))], layout)
-    with pytest.raises(LayoutMismatch):  # row count must match l_max
-        multichain.concat_latents([np.zeros((3, 4))], layout)
+    assert np.array_equal(np.concatenate(back, axis=0), joint)
 
 
 def test_split_requires_exact_total():

@@ -97,7 +97,7 @@ def test_parse_fasta_errors():
 
 def test_length_distribution_inverse_cdf():
     ld = LengthDistribution([3, 5, 9], [1, 1, 2])
-    assert ld.total == 4
+    assert ld.counts.sum() == 4
 
     class FakeRng:
         def __init__(self, u):
@@ -151,7 +151,7 @@ def test_fit_length_distribution_sampling_is_empirical():
     assert set(draws) <= set(int(x) for x in lens)
     # empirical frequency of the most common length is roughly preserved
     top = int(ld.lengths[np.argmax(ld.counts)])
-    expected = ld.counts.max() / ld.total
+    expected = ld.counts.max() / ld.counts.sum()
     observed = draws.count(top) / len(draws)
     assert abs(observed - expected) < 0.05
 
