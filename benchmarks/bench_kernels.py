@@ -32,12 +32,13 @@ each per call, best and median of five runs of TRAIN_CALLS calls after one
 warm-up.
 
 Sampling follows, on a seeded flow model shaped like the sample workload's
-(depth 2, width 8, hidden 64, L = 20) whose parameters are perturbed so the
-field is not the identity: flow_forward per call at batch 2 and 16 (the
-adaptive and dopri5 x25 sample commands' batches), one dopri5-adaptive solve
-of 2 lanes with its NFE per lane, and one dopri5 x25 solve of 16 lanes, best
-and median of five runs after one warm-up. Set OPENBLAS_NUM_THREADS=1 to
-time them as the CLI benchmarks do.
+(depth 2, width 8, hidden 64, L = 20, time features at flow.TIME_SCALE)
+whose parameters are perturbed so the field is not the identity:
+flow_forward per call at batch 2 and 16 (the adaptive and dopri5 x25 sample
+commands' batches), one dopri5-adaptive solve of 2 lanes with its NFE per
+lane, and one dopri5 x25 solve of 16 lanes, best and median of five runs
+after one warm-up. Set OPENBLAS_NUM_THREADS=1 to time them as the CLI
+benchmarks do.
 
 Start-up comes last: the child CPU seconds (user + system, from os.wait4) of
 `python -m protflow <command> --help` for each command, best and median of

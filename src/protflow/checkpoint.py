@@ -11,8 +11,8 @@ the "dtype" "<f4"; every other key is metadata. A checkpoint of a
 pipeline kind (decoder, pipeline, flow, reflow) must carry the metadata its
 commands read: "dim" and "clamp_k"; "l_max" and "length_dist", or "chains"
 and "length_dists" for a multichain corpus; and "flow_cfg" for flow and
-reflow. Each l_max is at most config.L_MAX_CAP. Writes are atomic (temp
-file + rename).
+reflow. Each l_max is at most config.L_MAX_CAP, and each flow_cfg size at
+most config.SIZE_CAP. Writes are atomic (temp file + rename).
 
 Parameters are dicts of named arrays; pack(params, prefix) stores each
 under prefix + name, so a checkpoint is all a command needs to resume or
@@ -27,12 +27,13 @@ import json
 import math
 import os
 import struct
+import sys
 import tempfile
 
 import numpy as np
 
 from . import nn
-from .config import L_MAX_CAP
+from .config import L_MAX_CAP, SIZE_CAP
 from .errors import (
     BadMagic,
     CheckpointError,
@@ -177,13 +178,22 @@ def _is_chain_list(chains):
     return isinstance(chains, list) and len(chains) > 0 and all(map(_is_chain, chains))
 
 
+def _is_size(x):
+    return _is_positive_int(x) and x <= SIZE_CAP
+
+
 def _is_flow_cfg(d):
-    """Integer sizes, an integer or null seq_len and time_dim, a bool attention."""
+    """Integer sizes in [1, SIZE_CAP], an integer or null seq_len, a size or
+    null time_dim, a bool attention, and no time_scale or a positive number
+    that is finite as a float."""
     return (
         isinstance(d, dict)
-        and all(_is_int(d.get(k)) for k in ("depth", "width", "hidden"))
-        and all(d.get(k) is None or _is_int(d[k]) for k in ("seq_len", "time_dim"))
+        and all(_is_size(d.get(k)) for k in ("depth", "width", "hidden"))
+        and (d.get("seq_len") is None or _is_int(d["seq_len"]))
+        and (d.get("time_dim") is None or _is_size(d["time_dim"]))
         and isinstance(d.get("attention", False), bool)
+        and ("time_scale" not in d or _is_positive_number(d["time_scale"])
+             and d["time_scale"] <= sys.float_info.max)
     )
 
 
@@ -201,7 +211,11 @@ _META_CHECKS = {
         lambda d: isinstance(d, dict) and all(_is_length_dist(v) for v in d.values()),
         "an object of per-chain length distributions",
     ),
-    "flow_cfg": (_is_flow_cfg, "an object of integer sizes and a bool 'attention'"),
+    "flow_cfg": (
+        _is_flow_cfg,
+        f"an object of integer sizes up to {SIZE_CAP}, a bool 'attention' and a finite "
+        "positive 'time_scale'",
+    ),
 }
 _PIPELINE_KINDS = ("decoder", "pipeline", "flow", "reflow")
 

@@ -453,26 +453,38 @@ def cmd_reflow(args):
 # --- sample ---------------------------------------------------------------------
 
 
+# Python types a config snapshot value may have, by config.SCHEMA type tag;
+# a bool is none of them.
+_SNAPSHOT_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
 def _solver_with_overrides(meta, args):
     """Each solver setting from its flag (--method, --steps, --atol, --rtol),
-    else from the checkpoint's config snapshot, else the default. Bad settings
-    in the snapshot are a MalformedHeader, whatever the flags; bad flags are a
-    ConfigError."""
-    values = {
-        "solver.method": "dopri5",
-        "solver.steps": 25,
-        "solver.atol": 1e-6,
-        "solver.rtol": 1e-6,
-    }
+    else from the checkpoint's config snapshot, else the default. A snapshot
+    setting of another type than config.SCHEMA gives its key, or out of range,
+    is a MalformedHeader, whatever the flags; bad flags are a ConfigError."""
+    from .config import SCHEMA
+
+    keys = ("solver.method", "solver.steps", "solver.atol", "solver.rtol")
+    values = {key: SCHEMA[key][1] for key in keys}
     snapshot = meta.get("config") or {}
     if not isinstance(snapshot, dict):
         raise MalformedHeader(f"{args.checkpoint}: metadata 'config' must be an object")
-    values.update((key, snapshot[key]) for key in values if snapshot.get(key) is not None)
+    for key in keys:
+        value = snapshot.get(key)
+        if value is None:
+            continue
+        kind = SCHEMA[key][0]
+        if isinstance(value, bool) or not isinstance(value, _SNAPSHOT_TYPES[kind]):
+            raise MalformedHeader(
+                f"{args.checkpoint}: config snapshot: {key} must be of type {kind}, got {value!r}"
+            )
+        values[key] = value
     try:
         _solver_from_values(values)
     except ConfigError as e:
         raise MalformedHeader(f"{args.checkpoint}: config snapshot: {e}") from None
-    for key in values:
+    for key in keys:
         flag = getattr(args, key.split(".")[1])
         if flag is not None:
             values[key] = flag
@@ -506,6 +518,7 @@ def cmd_sample(args):
         "atol": solver.atol,
         "rtol": solver.rtol,
         "mean_nfe": stats["mean_nfe"],
+        "nfe": stats["nfes"],
         "n": args.n,
     }
     _atomic_write_text(args.out + ".json", json.dumps(sidecar, sort_keys=True, indent=2) + "\n")

@@ -18,6 +18,11 @@ _SOLVER_METHODS = ("euler", "dopri5", "dopri5-fixed", "dopri5-adaptive")
 # checkpoint may carry: l_max sizes the positional table, which no stored
 # tensor bounds.
 L_MAX_CAP = 4096
+# The largest network size a config may set (the model.* sizes below) and a
+# checkpoint's flow_cfg may carry: the loader builds the flow's shape table
+# over range(depth) before it compares a single tensor.
+SIZE_CAP = 4096
+_CAPPED_SIZES = ("model.depth", "model.width", "model.D", "model.decoder_hidden")
 
 # key -> (type tag, default). None default = unset (allowed for paths/chains).
 SCHEMA = {
@@ -139,6 +144,9 @@ def _validate(values):
             f"solver.method must be one of {', '.join(_SOLVER_METHODS)}, "
             f"got {values['solver.method']!r}"
         )
+    for key in _CAPPED_SIZES:
+        if values[key] > SIZE_CAP:
+            raise ConfigError(f"{key} must be <= {SIZE_CAP}, got {values[key]}")
     if values["model.L_max"] > L_MAX_CAP:
         raise ConfigError(f"model.L_max must be <= {L_MAX_CAP}, got {values['model.L_max']}")
     if not 1 <= values["solver.steps"] <= 100:

@@ -144,8 +144,14 @@ def _time_freqs(dim):
     return freqs
 
 
-def time_features(t, dim, scale=1000.0):
-    """Sinusoidal features of scalar times t in [0, 1], shape (len(t), dim)."""
+def time_features(t, dim, scale):
+    """Sinusoidal features of scalar times t in [0, 1], shape (len(t), dim).
+
+    Channel pair k is (sin, cos) of scale * t * 10000**(-k / (dim/2)), so
+    scale is the fastest angular rate in rad per unit t. A flow's scale is
+    its VectorFieldConfig.time_scale: flow.TIME_SCALE for new fields, and
+    flow.LEGACY_TIME_SCALE (1000) for checkpoints whose flow_cfg predates it.
+    """
     if dim % 2 != 0:
         raise ValueError(f"dim must be even, got {dim}")
     t = np.atleast_1d(np.asarray(t, dtype=np.float64)) * scale

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from protflow import checkpoint as ckpt
 from protflow import cli, nn
-from protflow.config import L_MAX_CAP
+from protflow.config import L_MAX_CAP, SIZE_CAP
 from protflow.errors import (
     BadMagic,
     CheckpointError,
@@ -31,7 +31,7 @@ from protflow.errors import (
     ProtflowError,
     VersionUnsupported,
 )
-from protflow.flow import VectorFieldConfig, flow_forward, init_flow_model
+from protflow.flow import LEGACY_TIME_SCALE, VectorFieldConfig, flow_forward, init_flow_model
 from protflow.latent import (
     LatentPipeline,
     fit_smoothing,
@@ -412,11 +412,12 @@ def test_unpack_pipeline_checks_every_shape():
 
 
 def test_pack_unpack_flow(tmp_path):
-    cfg = VectorFieldConfig(depth=2, width=3, hidden=8, attention=False)
+    cfg = VectorFieldConfig(depth=2, width=3, hidden=8, attention=False, time_scale=3.5)
     model = init_flow_model(cfg, RngStream(11))
     tensors, meta = ckpt.pack_flow(model)
     assert all(key.startswith("flow.") for key in tensors)
     assert meta == {"flow_cfg": cfg.to_dict()}
+    assert meta["flow_cfg"]["time_scale"] == 3.5
 
     # direct unpack keeps full float64 precision
     out = ckpt.unpack_flow(tensors, meta)
@@ -436,8 +437,13 @@ def test_pack_unpack_flow(tmp_path):
     ckpt.save_checkpoint(path, tensors, meta)
     loaded, meta2 = ckpt.load_checkpoint(path)
     out3 = ckpt.unpack_flow(loaded, meta2)
+    assert out3.cfg.time_scale == 3.5
     for key, val in model.params.items():
         assert np.array_equal(out3.params[key], val.astype(np.float32))
+
+    # a flow_cfg written before time_scale existed means the legacy scale
+    legacy = {k: v for k, v in meta["flow_cfg"].items() if k != "time_scale"}
+    assert ckpt.unpack_flow(tensors, {"flow_cfg": legacy}).cfg.time_scale == LEGACY_TIME_SCALE
 
 
 def test_unpack_flow_incompatible():
@@ -497,11 +503,17 @@ def test_pipeline_kinds_need_their_metadata(tmp_path, kind, chains):
         with pytest.raises(MalformedHeader, match=repr(key)):
             ckpt.load_checkpoint(path)
     # an odd dim would reach nn.sinusoidal_table, which needs an even width
-    # and a float or bool flow_cfg size would reach the network's range() calls
+    # and a float, bool or huge flow_cfg size would reach the network's range() calls
     flow_cfg = {"depth": 1, "width": 4, "hidden": 8}
     bad_flow_cfgs = [[1], dict(flow_cfg, depth=1.0), dict(flow_cfg, width=True),
                      dict(flow_cfg, time_dim=8.0), dict(flow_cfg, seq_len=6.0),
-                     dict(flow_cfg, attention=1)]
+                     dict(flow_cfg, attention=1), dict(flow_cfg, depth=10**9),
+                     dict(flow_cfg, depth=SIZE_CAP + 1), dict(flow_cfg, width=SIZE_CAP + 1),
+                     dict(flow_cfg, hidden=0), dict(flow_cfg, time_dim=SIZE_CAP + 2),
+                     dict(flow_cfg, time_scale=0.0), dict(flow_cfg, time_scale=-10.0),
+                     dict(flow_cfg, time_scale=True), dict(flow_cfg, time_scale="10"),
+                     dict(flow_cfg, time_scale=None), dict(flow_cfg, time_scale=float("inf")),
+                     dict(flow_cfg, time_scale=float("nan")), dict(flow_cfg, time_scale=10**400)]
     bad_values = {"dim": ["8", 7], "clamp_k": [True], "l_max": [0],
                   "length_dist": [{"lengths": [2]}], "chains": [[{"name": "A"}]],
                   "length_dists": [{"A": {}}], "flow_cfg": bad_flow_cfgs}
@@ -510,6 +522,15 @@ def test_pipeline_kinds_need_their_metadata(tmp_path, kind, chains):
             ckpt.save_checkpoint(path, {"x": np.ones(2)}, dict(meta, **{key: value}))
             with pytest.raises(MalformedHeader, match=repr(key)):
                 ckpt.load_checkpoint(path)
+
+
+def test_flow_cfg_sizes_up_to_the_cap_load(tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    meta = _pipeline_meta("flow")
+    meta["flow_cfg"] = {"depth": SIZE_CAP, "width": SIZE_CAP, "hidden": SIZE_CAP,
+                        "time_dim": SIZE_CAP, "time_scale": 1}
+    ckpt.save_checkpoint(path, {"x": np.ones(2)}, meta)
+    assert ckpt.load_checkpoint(path)[1] == meta
 
 
 def test_metadata_checks_only_pipeline_kinds(tmp_path):
@@ -534,10 +555,9 @@ def test_unpack_flow_rejects_a_bad_flow_cfg():
 
 # --- fuzzing ------------------------------------------------------------------
 
-# Values a crafted header may hold. Integers stay small wherever the loader
-# reads them as sizes it will allocate (flow_cfg depth and widths); shapes
-# and offsets also get sizes beyond what any payload or numpy holds, l_max
-# sizes far past L_MAX_CAP, and length distributions every kind of entry.
+# Values a crafted header may hold. Shapes and offsets also get sizes beyond
+# what any payload or numpy holds, l_max and flow_cfg sizes far past their
+# caps, and length distributions every kind of entry.
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 64) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
@@ -551,7 +571,10 @@ _ENTRY_VALUES = {
     "offset": _SIZES,
     "dtype": st.sampled_from(["<f4", "<f8", "f4", "<i4"]),
 }
-_FLOW_CFG_KEYS = ("depth", "width", "hidden", "attention", "seq_len", "time_dim")
+_FLOW_CFG_KEYS = ("depth", "width", "hidden", "attention", "seq_len", "time_dim", "time_scale")
+_FLOW_CFG_VALUES = st.integers(-3, 2 * SIZE_CAP) | st.sampled_from(
+    [10**9, 2**63, 10**400, 0.5, 1e308, 1e-300]
+)
 _L_MAX_VALUES = st.integers(-3, 2 * L_MAX_CAP) | st.sampled_from([2**40, 2**63, 2**64, 10**30])
 _LENGTH_VALUES = _SIZES | _JSON_VALUES | st.sampled_from([2.0, 2.7, True])
 
@@ -603,7 +626,7 @@ def _mutate_header(data, header):
         parent, key = header["flow_cfg"], data.draw(st.sampled_from(_FLOW_CFG_KEYS))
         # the valid value as an integral float, or a bool, compares equal to it
         valid = _valid_checkpoint()[0]["flow_cfg"][key]
-        values = _JSON_VALUES | st.sampled_from([float(valid), bool(valid)])
+        values = _JSON_VALUES | _FLOW_CFG_VALUES | st.sampled_from([float(valid), bool(valid)])
     else:
         entries = header["tensors"]
         if not entries:

@@ -18,8 +18,10 @@ import pytest
 
 import protflow
 from protflow import cli, errors
-from protflow.checkpoint import file_sha256, load_checkpoint, save_checkpoint
+from protflow.checkpoint import file_sha256, load_checkpoint, pack_flow, save_checkpoint
 from protflow.config import L_MAX_CAP
+from protflow.flow import TIME_SCALE, VectorFieldConfig, init_flow_model
+from protflow.numeric import RngStream
 from protflow.seqio import read_fasta
 
 _CORPUS = [
@@ -144,8 +146,9 @@ def test_stage_artifacts(workdir):
     assert dec_meta["l_max"] == 6 and dec_meta["dim"] == 8
     assert "length_dist" in dec_meta
     _, flow_meta = load_checkpoint(workdir["flow"])
-    assert "flow_cfg" in flow_meta
+    assert flow_meta["flow_cfg"]["time_scale"] == TIME_SCALE  # new flows record the constant
     _, reflow_meta = load_checkpoint(workdir["reflow"])
+    assert reflow_meta["flow_cfg"] == flow_meta["flow_cfg"]
     assert reflow_meta["lineage"] == file_sha256(workdir["flow"])
     assert reflow_meta["straightness_after"] >= 0.0
 
@@ -180,6 +183,7 @@ def test_sample_bitwise_and_sidecar(workdir):
         "atol": 1e-6,
         "rtol": 1e-6,
         "mean_nfe": 60.0,
+        "nfe": [60] * 6,
         "n": 6,
     }
     records = read_fasta(out1)
@@ -511,6 +515,16 @@ _BAD_FLOW_METADATA = [
     ("list solver.steps under --steps", False, _set_snapshot("solver.steps", [3]),
      ["--steps", "3"]),
     ("huge solver.atol", False, _set_snapshot("solver.atol", 10**400), []),
+    # each snapshot setting has the type config.SCHEMA gives its key
+    ("float solver.steps", False, _set_snapshot("solver.steps", 2.7), []),
+    ("integral float solver.steps", False, _set_snapshot("solver.steps", 7.0), []),
+    ("string solver.steps", False, _set_snapshot("solver.steps", "7"), []),
+    ("string solver.steps under --steps", False, _set_snapshot("solver.steps", "7"),
+     ["--steps", "3"]),
+    ("bool solver.steps", False, _set_snapshot("solver.steps", True), []),
+    ("bool solver.rtol", False, _set_snapshot("solver.rtol", False), []),
+    ("string number solver.rtol", False, _set_snapshot("solver.rtol", "1e-6"), []),
+    ("int solver.method", False, _set_snapshot("solver.method", 5), []),
     ("l_max 2**40", False, lambda m: m.update(l_max=2**40), []),
     ("l_max above the cap", False, lambda m: m.update(l_max=L_MAX_CAP + 1), []),
     ("string length", False, _set_length_dist(["a"], [1]), []),
@@ -548,6 +562,20 @@ def test_exit_4_bad_flow_metadata(workdir, mc_workdir, capsys, multichain, chang
     assert code == 4, err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def test_snapshot_solver_settings_of_their_schema_type_sample(workdir):
+    # an integer is a number, so an integer tolerance samples as its float
+    tensors, meta = load_checkpoint(workdir["flow"])
+    meta["config"].update({"solver.method": "euler", "solver.steps": 7, "solver.atol": 1})
+    good = str(workdir["root"] / "int_snapshot.ckpt")
+    save_checkpoint(good, tensors, meta)
+    out = str(workdir["root"] / "int_snapshot.fasta")
+    assert cli.main(["sample", "--checkpoint", good, "--out", out, "--n", "2"]) == 0
+    with open(out + ".json") as f:
+        sidecar = json.load(f)
+    assert (sidecar["solver"], sidecar["steps"], sidecar["atol"]) == ("euler", 7, 1.0)
+    assert sidecar["nfe"] == [7, 7]
 
 
 def test_exit_4_tensors_that_disagree_with_the_model(workdir, mc_workdir):
@@ -948,6 +976,36 @@ def test_multichain_corpus_errors(mc_workdir):
 
 # --- golden bytes ---------------------------------------------------------------
 
+
+@pytest.mark.parametrize(
+    "flags, digest, mean_nfe",
+    [
+        ([], "9a59e0ca9f8e6eb465103c39a3382e852be125be0bdad1f4c84dc1b798dde567", 60.0),
+        (["--method", "dopri5-adaptive"],
+         "1b3192194f37472e63a014dcf60072b5414a2d93d1effa75e74cf54a66304310", 3385.0),
+    ],
+    ids=["snapshot-dopri5", "adaptive"],
+)
+def test_flow_cfg_without_time_scale_samples_as_before(workdir, flags, digest, mean_nfe):
+    # A flow_cfg written before time_scale existed means the legacy scale of
+    # 1000: the digests and NFE were recorded by sampling this checkpoint with
+    # the code that predates the key.
+    tensors, meta = load_checkpoint(workdir["pipe"])
+    model = init_flow_model(VectorFieldConfig(2, 4, 16), RngStream(61))
+    for key, val in model.params.items():
+        model.params[key] = val + 0.3 * RngStream(62).substream(key).normal(val.shape)
+    flow_tensors, flow_meta = pack_flow(model)
+    del flow_meta["flow_cfg"]["time_scale"]
+    path = str(workdir["root"] / "legacy.ckpt")
+    save_checkpoint(path, {**tensors, **flow_tensors}, dict(meta, kind="flow", **flow_meta))
+    out = str(workdir["root"] / "legacy.fasta")
+    argv = ["sample", "--checkpoint", path, "--out", out, "--n", "4", "--seed", "2", *flags]
+    assert cli.main(argv) == 0
+    assert file_sha256(out) == digest
+    with open(out + ".json") as f:
+        assert json.load(f)["mean_nfe"] == mean_nfe
+
+
 # SHA-256 of every file the pipeline writes, recorded on x86-64 with numpy 2.4
 # and OpenBLAS, with OPENBLAS_NUM_THREADS=1 and unset alike. The two-chain
 # corpus pairs each record of _CORPUS (chain A) with its last four residues
@@ -956,10 +1014,10 @@ _GOLDEN = {
     None: {
         "dec.ckpt": "6e4c3e44867b4966db278cd67450000bd72285cd5a71b641ca37bb7c76fc1d34",
         "dec.ckpt.loss.csv": "e4a572cc3bfd320fa7a1761e93c6897b84c276356de01623494ad7ecf95b9680",
-        "flow.ckpt": "4700be635f4bbd2231f7c8423087def56dc0c7db92dfd6da971bdefe58b2b6b2",
-        "flow.ckpt.loss.csv": "d1428fb04b69853eb410b15a6e64cfd9c3aaeac68024cdee699e9be8225d3cab",
-        "gen.fasta": "8528cb52414a107176d619057362785a906d8034972277db2df97042c2e8b1ab",
-        "gen.fasta.json": "b36e90fe0c8ee92577f0b839d1a951a0b130459ceda2abfb40472db27eab3113",
+        "flow.ckpt": "c657dc96dd9f0cf60744fcea022a181f33657f29b52f786c5438385a61d0b453",
+        "flow.ckpt.loss.csv": "90b3bb51c06837051d9a990615e01cc5ad2d447cdd91b7e7c00774d0831d28e7",
+        "gen.fasta": "cc9d1f58cbb70b852b2880ba805d816ddec1951367982a856639f15038de23f5",
+        "gen.fasta.json": "4455d7bced896a4e5d7bf4318d81dc0072a38ee78a64d97c78e4e0b98883da0c",
         "pipe.ckpt": "b3344d1a2b4e183691da2d30ae9b1e3c35b8be78116c85fc938b9e3c29f7fa0d",
         "pipe.ckpt.loss.csv": "ca9a9c03bc77eec706da63bcc41e45066d581157cb01f6f9402857f13bc83a7d",
     },
@@ -967,10 +1025,10 @@ _GOLDEN = {
         "dec.ckpt": "1601b661dc7c04121c2fd34cd5a9c44189cae8e76ca002e20fafc01a65e04dc7",
         "dec.ckpt.A.loss.csv": "fba529ac338e0664611978f41ef1786c452f65f6faddf8f0cbfbfaa22e7fde01",
         "dec.ckpt.B.loss.csv": "f4665507cd5294d97c96b75638d09ed9ef5c78d2b27ea084c567929deabd66cb",
-        "flow.ckpt": "25e025177d2b0893ed1cd69d533c5bc0ab608f8489a869626a3ce35eab0dad17",
-        "flow.ckpt.loss.csv": "2478ee64659dcfc6823734ecfaa46dfcd5d9f21f3e1c2f329f63f839c3dbc4a1",
-        "gen.fasta": "8eb9121068aa8471873f5d87ba3baa4967e14fcb653911d1469bf3460a18ff39",
-        "gen.fasta.json": "b36e90fe0c8ee92577f0b839d1a951a0b130459ceda2abfb40472db27eab3113",
+        "flow.ckpt": "12d4ebeb4c6d5839bac0f2b7164d0679ba32feb742d614f0aba70d580236d27e",
+        "flow.ckpt.loss.csv": "60376e20cff44f599efcf0adf4a60b23ce4fa2e332aa03153a1a9a8dad1ebc48",
+        "gen.fasta": "b762ed328b6187470eee71ea7c031b97d4c1e0e2ef7c188fb359876d4ecb7c05",
+        "gen.fasta.json": "4455d7bced896a4e5d7bf4318d81dc0072a38ee78a64d97c78e4e0b98883da0c",
         "pipe.ckpt": "c29aeebed752f4fae37d76e82bda9d1318b0620f292e5929c3012e9c3cd93794",
         "pipe.ckpt.A.loss.csv": "383b6fdf4b73e89fb28783c74617d05b079de9d1aab7d53ae0f988ad9310361c",
         "pipe.ckpt.B.loss.csv": "ae295ba41feb12367d91f2e273c8802077fe778331de55ad662221e075e6488b",

@@ -4,7 +4,14 @@ import os
 
 import pytest
 
-from protflow.config import L_MAX_CAP, SCHEMA, load_config, parse_chains_value, parse_config_text
+from protflow.config import (
+    L_MAX_CAP,
+    SCHEMA,
+    SIZE_CAP,
+    load_config,
+    parse_chains_value,
+    parse_config_text,
+)
 from protflow.errors import ConfigError, DataError
 
 
@@ -96,6 +103,11 @@ def test_range_checks():
         "solver.atol=nan",
         f"model.L_max={L_MAX_CAP + 1}",
         f"chains=A:3,B:{L_MAX_CAP + 1}",
+        f"model.depth={SIZE_CAP + 1}",
+        "model.depth=1000000000",
+        f"model.width={SIZE_CAP + 1}",
+        f"model.decoder_hidden={SIZE_CAP + 1}",
+        f"model.D={2 * SIZE_CAP}",
     ]
     for override in bad:
         with pytest.raises(ConfigError):
@@ -155,6 +167,12 @@ def test_l_max_cap_is_inclusive():
     cfg = load_config(None, overrides=[f"model.L_max={L_MAX_CAP}", f"chains=A:{L_MAX_CAP}"])
     assert cfg["model.L_max"] == L_MAX_CAP
     assert parse_chains_value(cfg["chains"]) == [("A", L_MAX_CAP)]
+
+
+def test_size_cap_is_inclusive():
+    sizes = ("model.depth", "model.width", "model.D", "model.decoder_hidden")
+    cfg = load_config(None, overrides=[f"{key}={SIZE_CAP}" for key in sizes])
+    assert [cfg[key] for key in sizes] == [SIZE_CAP] * 4
 
 
 def test_chains_validated_inside_load():

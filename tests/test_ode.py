@@ -368,10 +368,10 @@ def _ref_solve(v, x1, cfg):
     return _ref_fixed_grid(v, x1, cfg.steps, c[:6], a[:6], np.array(ode._B5[:6]))
 
 
-def _perturbed_flow(seed):
+def _perturbed_flow(seed, **cfg):
     from protflow.flow import flow_forward
 
-    model = init_flow_model(VectorFieldConfig(3, 8, 16), RngStream(seed))
+    model = init_flow_model(VectorFieldConfig(3, 8, 16, **cfg), RngStream(seed))
     for key, val in model.params.items():
         model.params[key] = val + 0.3 * RngStream(seed + 1).substream(key).normal(val.shape)
     return lambda x, t: flow_forward(model, x, t)
@@ -405,8 +405,9 @@ def test_solve_lanes_bitwise_matches_reference_integrators(cfg, n):
 
 @pytest.mark.parametrize("budget, lane", [(1, 0), (8, 0), (800, 1), (1400, 2)])
 def test_nfe_budget_raises_where_the_reference_does(budget, lane):
-    # lane 0 finishes after 799 evaluations and lane 1 after 1363
-    v = _perturbed_flow(41)
+    # lane 0 finishes after 799 evaluations and lane 1 after 1363; the budgets
+    # were sized for a field whose time features turn at 1000 rad per unit t
+    v = _perturbed_flow(41, time_scale=1000.0)
     x1 = RngStream(42).normal((3, 6, 8))
     x1[0] *= 40.0
     cfg = ode.SolverConfig(method="dopri5-adaptive", atol=1e-4, rtol=1e-4, max_nfe=budget)
