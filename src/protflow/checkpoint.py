@@ -37,6 +37,7 @@ from .config import L_MAX_CAP, SIZE_CAP
 from .errors import (
     BadMagic,
     CheckpointError,
+    ConfigError,
     CorruptOffset,
     IncompatibleCheckpoint,
     MalformedHeader,
@@ -69,8 +70,9 @@ def save_checkpoint(path, tensors, meta):
     header["tensors"] = entries
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     dirpath = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirpath, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=dirpath, suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
             f.write(MAGIC)
             f.write(struct.pack("<I", VERSION))
@@ -79,9 +81,11 @@ def save_checkpoint(path, tensors, meta):
             for blob in blobs:
                 f.write(blob)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as e:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError):  # e.g. path is a directory or its directory is missing
+            raise ConfigError(f"{path}: cannot write checkpoint: {e.strerror or e}") from None
         raise
 
 

@@ -84,14 +84,17 @@ def _atomic_write_text(path, text):
     import tempfile
 
     dirpath = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirpath, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=dirpath, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as e:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError):  # e.g. path is a directory or its directory is missing
+            raise ConfigError(f"{path}: cannot write output: {e.strerror or e}") from None
         raise
 
 
@@ -233,10 +236,10 @@ def _carry_meta(meta, cfg, kind):
     return out
 
 
-def _train_args(cfg, *extra):
+def _train_args(cfg):
     """The optimizer keys steps, batch, lr, lr_min, warmup, weight_decay and
-    clip, plus the extra train.* keys named, as keyword arguments."""
-    keys = ("steps", "batch", "lr", "lr_min", "warmup", "weight_decay", "clip") + extra
+    clip as keyword arguments."""
+    keys = ("steps", "batch", "lr", "lr_min", "warmup", "weight_decay", "clip")
     return {k: cfg["train." + k] for k in keys}
 
 
@@ -375,7 +378,7 @@ def cmd_train_flow(args):
 
     from .checkpoint import load_checkpoint
     from .config import load_config
-    from .flow import FlowTrainConfig, VectorFieldConfig, init_flow_model, train_rf
+    from .flow import VectorFieldConfig, init_flow_model, train_rf
     from .numeric import RngStream
 
     cfg = load_config(args.config, args.set)
@@ -394,8 +397,9 @@ def cmd_train_flow(args):
         attention=cfg["model.attention"],
         seq_len=layout.total_length,
     )
-    model = init_flow_model(fcfg, RngStream(cfg["train.seed"]).substream("flow"))
-    model, trace = train_rf(dataset, FlowTrainConfig(**_train_args(cfg, "seed")), model)
+    root = RngStream(cfg["train.seed"])
+    model = init_flow_model(fcfg, root.substream("flow"))
+    model, trace = train_rf(model, dataset, root, **_train_args(cfg))
     _save_flow_stage(args.out, tensors, _carry_meta(meta, cfg, "flow"), model, trace)
     if trace:
         print(f"final flow loss: {trace[-1][1]:.6g}")
@@ -423,7 +427,7 @@ def _solver_from_values(values):
 def cmd_reflow(args):
     from .checkpoint import file_sha256, load_checkpoint, unpack_flow
     from .config import load_config
-    from .flow import FlowTrainConfig, reflow_pairs, straightness, train_reflow
+    from .flow import reflow_pairs, straightness, train_reflow
     from .numeric import RngStream
 
     cfg = load_config(args.config, args.set)
@@ -435,10 +439,10 @@ def cmd_reflow(args):
     model = unpack_flow(tensors, meta)
     solver = _solver_from_values(cfg.to_dict())
     root = RngStream(cfg["train.seed"])
-    pairs = reflow_pairs(model, solver, m, root.substream("reflow-pairs"))
-    s_before = straightness(model, pairs, n_t=8)
-    model, trace = train_reflow(pairs, FlowTrainConfig(**_train_args(cfg, "seed")), model)
-    s_after = straightness(model, pairs, n_t=8)
+    z0, z1 = reflow_pairs(model, solver, m, root.substream("reflow-pairs"))
+    s_before = straightness(model, z0, z1, n_t=8)
+    model, trace = train_reflow(model, z0, z1, root, **_train_args(cfg))
+    s_after = straightness(model, z0, z1, n_t=8)
     print(f"straightness before: {s_before:.6g}")
     print(f"straightness after:  {s_after:.6g}")
     out_meta = _carry_meta(meta, cfg, "reflow")
@@ -569,7 +573,6 @@ def cmd_eval(args):
 
     from .latent import embed_sequences
     from .metrics import (
-        UnigramScorer,
         frechet_distance,
         int_div,
         kmer_jaccard,
@@ -579,6 +582,7 @@ def cmd_eval(args):
         pseudoperplexity,
         shannon_entropy,
         threshold_proportions,
+        unigram_probs,
         uniqueness,
         w_property,
     )
@@ -616,10 +620,10 @@ def cmd_eval(args):
     add("frechet_distance", lambda: frechet_distance(z_gen, z_ref))
     add("mmd_rbf", lambda: mmd_rbf(z_gen, z_ref))
     add("w_property", lambda: w_property(gen, ref))
-    unigram = UnigramScorer.fit(ref)
+    probs = unigram_probs(ref)
     add(
         "pseudoperplexity_unigram_ref",
-        lambda: np.mean([pseudoperplexity(s, unigram) for s in gen]),
+        lambda: np.mean([pseudoperplexity(s, probs) for s in gen]),
     )
     if scores is not None:
         for t in thresholds:

@@ -174,14 +174,21 @@ def load_config(path=None, overrides=None):
         path: config file, or None for pure defaults + overrides.
         overrides: iterable of "key=value" strings (highest precedence).
 
-    Raises DataError if a file named by data.* does not exist.
+    Raises ConfigError if the file is missing, unreadable or not UTF-8 text,
+    and DataError if a file named by data.* does not exist.
     """
     values = {k: v for k, (_, v) in SCHEMA.items()}
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as f:
-            values = parse_config_text(f.read(), values)
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                text = f.read()
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except OSError as e:
+            raise ConfigError(f"{path}: cannot read config file: {e.strerror or e}") from None
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: config file is not UTF-8 text: {e}") from None
+        values = parse_config_text(text, values)
     for item in overrides or ():
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import nn, ode
 from .errors import NonFiniteLoss, ShapeMismatch
-from .numeric import RngStream
 
 # Time-feature scale of new fields: the fastest time channel turns TIME_SCALE
 # rad per unit t, slow enough for the 25-step grid (h = 0.04) and the
@@ -246,46 +245,47 @@ def flow_backward(model, cache, dv):
     def flat(arr):
         return arr.reshape(-1, arr.shape[-1])
 
+    names = _block_names(cfg.depth)
     d_stream = dv
     for b in reversed(range(cfg.depth)):
+        j, skip_w, (tw, tb, wq, wk, wv, wo, w1, b1, w2, b2) = names[b]
         u, q, k, vv, att, m, u2, a, tanh_a, z = caches[b]
         # stream_out = x_in + delta
         d_delta = d_stream
-        grads[f"block{b}.w2"] += flat(z).T @ flat(d_delta)
-        grads[f"block{b}.b2"] += flat(d_delta).sum(axis=0)
-        d_z = d_delta @ p[f"block{b}.w2"].T
+        grads[w2] += flat(z).T @ flat(d_delta)
+        grads[b2] += flat(d_delta).sum(axis=0)
+        d_z = d_delta @ p[w2].T
         d_a = d_z * nn.gelu_grad(a, tanh_a)
-        grads[f"block{b}.w1"] += flat(u2).T @ flat(d_a)
-        grads[f"block{b}.b1"] += flat(d_a).sum(axis=0)
-        d_u2 = d_a @ p[f"block{b}.w1"].T
+        grads[w1] += flat(u2).T @ flat(d_a)
+        grads[b1] += flat(d_a).sum(axis=0)
+        d_u2 = d_a @ p[w1].T
         if cfg.attention:
             d_u = d_u2.copy()
-            grads[f"block{b}.wo"] += flat(m).T @ flat(d_u2)
-            d_m = d_u2 @ p[f"block{b}.wo"].T
+            grads[wo] += flat(m).T @ flat(d_u2)
+            d_m = d_u2 @ p[wo].T
             d_att = d_m @ vv.transpose(0, 2, 1)
             d_vv = att.transpose(0, 2, 1) @ d_m
             d_scores = att * (d_att - (d_att * att).sum(axis=-1, keepdims=True))
             d_q = (d_scores @ k) * inv_sqrt_w
             d_k = (d_scores.transpose(0, 2, 1) @ q) * inv_sqrt_w
-            grads[f"block{b}.wq"] += flat(u).T @ flat(d_q)
-            grads[f"block{b}.wk"] += flat(u).T @ flat(d_k)
-            grads[f"block{b}.wv"] += flat(u).T @ flat(d_vv)
-            d_u += d_q @ p[f"block{b}.wq"].T
-            d_u += d_k @ p[f"block{b}.wk"].T
-            d_u += d_vv @ p[f"block{b}.wv"].T
+            grads[wq] += flat(u).T @ flat(d_q)
+            grads[wk] += flat(u).T @ flat(d_k)
+            grads[wv] += flat(u).T @ flat(d_vv)
+            d_u += d_q @ p[wq].T
+            d_u += d_k @ p[wk].T
+            d_u += d_vv @ p[wv].T
         else:
             d_u = d_u2
         # u = x_in + broadcast time projection
         d_tb = d_u.sum(axis=1)
-        grads[f"block{b}.tw"] += temb.T @ d_tb
-        grads[f"block{b}.tb"] += d_tb.sum(axis=0)
+        grads[tw] += temb.T @ d_tb
+        grads[tb] += d_tb.sum(axis=0)
         d_x_in = d_stream + d_u
         if d_inputs_extra[b] is not None:
             d_x_in = d_x_in + d_inputs_extra[b]
-        j = _skip_source(cfg.depth, b)
         if j >= 0:
-            grads[f"skip{j}.w"] += flat(inputs[j]).T @ flat(d_x_in)
-            extra = d_x_in @ p[f"skip{j}.w"].T
+            grads[skip_w] += flat(inputs[j]).T @ flat(d_x_in)
+            extra = d_x_in @ p[skip_w].T
             d_inputs_extra[j] = extra if d_inputs_extra[j] is None else d_inputs_extra[j] + extra
         d_stream = d_x_in
     if cfg.attention:
@@ -343,74 +343,19 @@ def cfm_loss(model, x0, x1, t):
 # --- training loops --------------------------------------------------------------
 
 
-class FlowTrainConfig:
-    """Optimization settings for 1-RF training and reflow fine-tuning."""
-
-    __slots__ = (
-        "steps",
-        "batch",
-        "lr",
-        "lr_min",
-        "warmup",
-        "clip",
-        "seed",
-        "weight_decay",
-        "ema_decay",
-    )
-
-    def __init__(
-        self,
-        steps,
-        batch,
-        lr=1e-3,
-        lr_min=2e-4,
-        warmup=100,
-        clip=1.0,
-        seed=0,
-        weight_decay=0.01,
-        ema_decay=0.0,
-    ):
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        if clip <= 0:
-            raise ValueError("clip norm must be > 0")
-        self.steps = steps
-        self.batch = batch
-        self.lr = lr
-        self.lr_min = lr_min
-        self.warmup = warmup
-        self.clip = clip
-        self.seed = seed
-        self.weight_decay = weight_decay
-        self.ema_decay = ema_decay
-
-
-def _train(model, config, draw_batch, stream_name):
-    """Train model in place on the CFM loss; draw_batch(sub) -> (x0, x1, t)
-    draws each step's batch from that step's substream of stream_name.
-    Returns (model, trace) with trace rows (step, loss, lr, grad_norm)."""
-    root = RngStream(config.seed).substream(stream_name)
-
-    def loss_and_grad(step):
-        return cfm_loss(model, *draw_batch(root.substream(f"step{step}")))
-
-    trace = nn.fit(
-        model.params, loss_and_grad, config.steps, config.lr, config.lr_min, config.warmup,
-        config.clip, config.weight_decay, betas=(0.9, 0.98), eps=1e-6,
-        ema_decay=config.ema_decay,
-    )
-    return model, trace
-
-
-def train_rf(dataset, config, model):
+def train_rf(
+    model, dataset, rng, steps, batch, lr=1e-3, lr_min=2e-4, warmup=100, weight_decay=0.01,
+    clip=1.0, ema_decay=0.0,
+):
     """1-RF training: x0 from data, x1 ~ N(0, I), t ~ U(0, 1) per step.
 
     Args:
-        dataset: (N, L, W) array of smoothed, compressed latents.
-        config: FlowTrainConfig.
         model: VectorFieldModel (modified in place).
+        dataset: (N, L, W) array of smoothed, compressed latents.
+        rng: RngStream; step s draws its batch from substream "rf-train/step{s}".
+        steps, batch: optimizer steps and rows per step.
+        lr, lr_min, warmup, weight_decay, clip, ema_decay: nn.fit's AdamW
+            schedule, decay, clip norm and parameter EMA.
 
     Returns:
         (model, trace) with trace rows (step, loss, lr, grad_norm).
@@ -420,72 +365,72 @@ def train_rf(dataset, config, model):
         raise ValueError(f"dataset must be nonempty (N, L, W), got {dataset.shape}")
     n = dataset.shape[0]
     shape = dataset.shape[1:]
+    stream = rng.substream("rf-train")
 
-    def draw(sub):
-        idx = sub.substream("idx").integers(0, n, size=config.batch)
-        x1 = sub.substream("noise").normal((config.batch,) + shape)
-        t = sub.substream("t").uniform(config.batch)
-        return dataset[idx], x1, t
+    def loss_and_grad(step):
+        sub = stream.substream(f"step{step}")
+        idx = sub.substream("idx").integers(0, n, size=batch)
+        x1 = sub.substream("noise").normal((batch,) + shape)
+        t = sub.substream("t").uniform(batch)
+        return cfm_loss(model, dataset[idx], x1, t)
 
-    return _train(model, config, draw, "rf-train")
-
-
-class ReflowCoupling:
-    """Noise/data endpoint pairs produced by integrating a trained model."""
-
-    __slots__ = ("z0", "z1")
-
-    def __init__(self, z0, z1):
-        self.z0 = np.asarray(z0, dtype=np.float64)
-        self.z1 = np.asarray(z1, dtype=np.float64)
-        if self.z0.shape != self.z1.shape:
-            raise ShapeMismatch(f"z0 {self.z0.shape} vs z1 {self.z1.shape}")
-
-    def __len__(self):
-        return self.z0.shape[0]
+    trace = nn.fit(
+        model.params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
+        betas=(0.9, 0.98), eps=1e-6, ema_decay=ema_decay,
+    )
+    return model, trace
 
 
 def reflow_pairs(model, solver_config, m, rng):
-    """Generate M coupling pairs: z1 ~ N(0, I), z0 = ODE endpoint from z1.
+    """Generate M >= 1 coupling pairs: z1 ~ N(0, I), z0 = ODE endpoint from z1.
 
     Each pair draws z1 from its own RNG substream, and all pairs are solved
     together as lanes of one ode.solve_lanes call. A one-pair re-solve
     takes the same steps and agrees to 1e-12 (see multichain.sample_multichain).
+
+    Returns:
+        (z0, z1), two (M, L, W) arrays. M < 1 raises ValueError.
     """
     cfg = model.cfg
     shape = (cfg.seq_len if cfg.attention else 1, cfg.width)
-    if m == 0:
-        empty = np.zeros((0,) + shape)
-        return ReflowCoupling(empty, empty)
     z1 = np.stack([rng.substream(f"pair{i}").normal(shape) for i in range(m)])
     res = ode.solve_lanes(lambda x, t: flow_forward(model, x, t), z1, solver_config)
-    return ReflowCoupling(res.x0, z1)
+    return res.x0, z1
 
 
-def train_reflow(pairs, config, model):
-    """Fine-tune on deterministic couplings: (x0, x1) drawn jointly from pairs."""
-    if len(pairs) == 0:
+def train_reflow(
+    model, z0, z1, rng, steps, batch, lr=1e-3, lr_min=2e-4, warmup=100, weight_decay=0.01,
+    clip=1.0, ema_decay=0.0,
+):
+    """Fine-tune on deterministic couplings: (x0, x1) = (z0, z1) rows drawn
+    jointly, t ~ U(0, 1), step s from substream "reflow-train/step{s}" of rng.
+    The optimizer settings are train_rf's; returns (model, trace)."""
+    n = len(z0)
+    if n == 0:
         raise ValueError("empty coupling set")
-    z0, z1 = pairs.z0, pairs.z1
-    n = z0.shape[0]
+    stream = rng.substream("reflow-train")
 
-    def draw(sub):
-        idx = sub.substream("idx").integers(0, n, size=config.batch)
-        t = sub.substream("t").uniform(config.batch)
-        return z0[idx], z1[idx], t
+    def loss_and_grad(step):
+        sub = stream.substream(f"step{step}")
+        idx = sub.substream("idx").integers(0, n, size=batch)
+        t = sub.substream("t").uniform(batch)
+        return cfm_loss(model, z0[idx], z1[idx], t)
 
-    return _train(model, config, draw, "reflow-train")
+    trace = nn.fit(
+        model.params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
+        betas=(0.9, 0.98), eps=1e-6, ema_decay=ema_decay,
+    )
+    return model, trace
 
 
-def straightness(model, pairs, n_t):
+def straightness(model, z0, z1, n_t):
     """Mean squared deviation per coordinate between the model field and the
-    straight-line velocity, over a uniform t-grid and all pairs. 0 means the
-    learned paths are exactly straight on these couplings."""
-    if len(pairs) == 0:
+    straight-line velocity, over a uniform t-grid and all pairs (z0, z1). 0
+    means the learned paths are exactly straight on these couplings."""
+    if len(z0) == 0:
         raise ValueError("empty coupling set")
     if n_t < 2:
         raise ValueError("n_t must be >= 2")
-    z0, z1 = pairs.z0, pairs.z1
     u = z1 - z0
     total = 0.0
     for t in np.linspace(0.0, 1.0, n_t):

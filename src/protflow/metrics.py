@@ -4,8 +4,8 @@ Sequence-level: Shannon entropy, k-mer Jaccard, edit distance and its
 aggregates (IntDiv, mean distance to a reference set, uniqueness), optimal
 transport over edit costs. Embedding-level: Fréchet distance and RBF-kernel
 MMD over pluggable per-sequence vectors. Property-level: physicochemical
-property vectors and their averaged 1-D Wasserstein distance. Scorer-level:
-pseudoperplexity under any masked scorer.
+property vectors and their averaged 1-D Wasserstein distance. Unigram
+pseudoperplexity under a corpus's add-one residue frequencies.
 
 All metrics are pure functions; edit-distance matrices come from the
 bit-parallel kernel in the kernels module.
@@ -238,19 +238,6 @@ def mmd_rbf(x, y, bandwidth="median"):
 # --- physicochemical properties ---------------------------------------------------
 
 
-class PropertyVector:
-    """Named physicochemical descriptors of one sequence."""
-
-    __slots__ = PROPERTY_NAMES
-
-    def __init__(self, **kwargs):
-        for name in PROPERTY_NAMES:
-            setattr(self, name, float(kwargs[name]))
-
-    def as_array(self):
-        return np.array([getattr(self, name) for name in PROPERTY_NAMES])
-
-
 def _ionizable_pkas(seq):
     """pKa lists of the positive and negative groups, termini first, then in
     sequence order."""
@@ -289,21 +276,22 @@ def isoelectric_point(seq, tol=1e-4):
 
 
 def property_vector(seq):
-    """Compute the full PropertyVector for one sequence."""
+    """The physicochemical descriptors of one sequence, a float64 array in
+    PROPERTY_NAMES order."""
     if not seq:
         raise EmptySequence("properties of an empty sequence")
     check_residues(seq)
     n = len(seq)
-    mw = sum(RESIDUE_MASS[ch] for ch in seq) + WATER_MASS
-    return PropertyVector(
-        length=n,
-        molecular_weight=mw,
-        aromaticity=sum(ch in AROMATIC for ch in seq) / n,
-        gravy=sum(HYDROPATHY[ch] for ch in seq) / n,
-        charge_ph6=net_charge(seq, 6.0),
-        charge_ph7=net_charge(seq, 7.0),
-        isoelectric_point=isoelectric_point(seq),
-    )
+    props = {
+        "length": n,
+        "molecular_weight": sum(RESIDUE_MASS[ch] for ch in seq) + WATER_MASS,
+        "aromaticity": sum(ch in AROMATIC for ch in seq) / n,
+        "gravy": sum(HYDROPATHY[ch] for ch in seq) / n,
+        "charge_ph6": net_charge(seq, 6.0),
+        "charge_ph7": net_charge(seq, 7.0),
+        "isoelectric_point": isoelectric_point(seq),
+    }
+    return np.array([props[name] for name in PROPERTY_NAMES], dtype=np.float64)
 
 
 def wasserstein_1d(a, b):
@@ -325,8 +313,8 @@ def w_property(gen_batch, ref_batch, properties=PROPERTY_NAMES):
     signal and are skipped with a warning."""
     if not gen_batch or not ref_batch:
         raise EmptyInput("both batches must be nonempty")
-    gen_vecs = np.array([property_vector(s).as_array() for s in gen_batch])
-    ref_vecs = np.array([property_vector(s).as_array() for s in ref_batch])
+    gen_vecs = np.array([property_vector(s) for s in gen_batch])
+    ref_vecs = np.array([property_vector(s) for s in ref_batch])
     idx = [PROPERTY_NAMES.index(p) for p in properties]
     dists = []
     for i in idx:
@@ -346,39 +334,27 @@ def w_property(gen_batch, ref_batch, properties=PROPERTY_NAMES):
     return float(np.mean(dists))
 
 
-# --- masked scorers and pseudoperplexity --------------------------------------------
+# --- pseudoperplexity -----------------------------------------------------------
 
 
-class UnigramScorer:
-    """Position-independent residue frequencies with add-one smoothing."""
-
-    def __init__(self, probs):
-        self.probs = np.asarray(probs, dtype=np.float64)
-
-    @classmethod
-    def fit(cls, corpus):
-        ids = tokenize(corpus, max(map(len, corpus), default=0))
-        counts = np.bincount(ids.ravel(), minlength=VOCAB_SIZE)[:PAD_ID] + 1.0
-        return cls(counts / counts.sum())
-
-    def score(self, seq, position):
-        return self.probs
+def unigram_probs(corpus):
+    """Position-independent residue frequencies of a corpus with add-one
+    smoothing: a (20,) float64 array indexed by residue id."""
+    ids = tokenize(corpus, max(map(len, corpus), default=0))
+    counts = np.bincount(ids.ravel(), minlength=VOCAB_SIZE)[:PAD_ID] + 1.0
+    return counts / counts.sum()
 
 
-def pseudoperplexity(seq, scorer):
+def pseudoperplexity(seq, probs):
     """exp of the mean negative log-probability of each residue under the
-    scorer, probabilities floored at 1e-12 before the log."""
+    residue distribution probs (indexed by residue id), probabilities
+    floored at 1e-12 before the log."""
     if not seq:
         raise EmptySequence("pseudoperplexity of an empty sequence")
     check_residues(seq)
     total = 0.0
-    for i, ch in enumerate(seq):
-        p = np.asarray(scorer.score(seq, i), dtype=np.float64)
-        if p.shape != (20,):
-            raise ValueError(f"scorer returned shape {p.shape}, expected (20,)")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"scorer distribution sums to {float(p.sum()):.12f}")
-        total += math.log(max(float(p[TOKEN_TO_ID[ch]]), 1e-12))
+    for ch in seq:
+        total += math.log(max(float(probs[TOKEN_TO_ID[ch]]), 1e-12))
     return math.exp(-total / len(seq))
 
 

@@ -20,7 +20,6 @@ import pytest
 from protflow import cli, kernels, latent
 from protflow.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from protflow.flow import (
-    FlowTrainConfig,
     VectorFieldConfig,
     VectorFieldModel,
     cfm_loss,
@@ -39,7 +38,6 @@ from protflow.latent import (
     init_decoder,
 )
 from protflow.metrics import (
-    UnigramScorer,
     frechet_distance,
     mmd_rbf,
     ot_levenshtein,
@@ -192,10 +190,10 @@ def toy2d():
     train = draw_mixture(rng.substream("train"), 4096)[:, None, :]
     cfg = VectorFieldConfig(depth=4, width=2, hidden=64, attention=False)
     model = init_flow_model(cfg, rng.substream("model-42"))
-    tc = FlowTrainConfig(
-        steps=20000, batch=64, lr=1e-3, lr_min=5e-5, warmup=500, seed=42, ema_decay=0.9995
+    model, _ = train_rf(
+        model, train, RngStream(42), steps=20000, batch=64, lr=1e-3, lr_min=5e-5, warmup=500,
+        ema_decay=0.9995,
     )
-    model, _ = train_rf(train, tc, model)
 
     def mean_mmd(m, tag, method, steps):
         vals = []
@@ -235,11 +233,13 @@ def test_criterion_5_reflow_straightens(toy2d, criterion):
     t_start = time.time()
     model, rng, pre25 = toy2d["model"], toy2d["rng"], toy2d["pre25"]
 
-    pairs = reflow_pairs(model, SolverConfig(method="dopri5", steps=25), 2048, rng.substream("pairs"))
-    s_before = straightness(model, pairs, 8)
-    rc = FlowTrainConfig(steps=4000, batch=64, lr=5e-4, lr_min=1e-4, warmup=100, seed=43)
-    model2, _ = train_reflow(pairs, rc, model)
-    s_after = straightness(model2, pairs, 8)
+    solver = SolverConfig(method="dopri5", steps=25)
+    z0, z1 = reflow_pairs(model, solver, 2048, rng.substream("pairs"))
+    s_before = straightness(model, z0, z1, 8)
+    model2, _ = train_reflow(
+        model, z0, z1, RngStream(43), steps=4000, batch=64, lr=5e-4, lr_min=1e-4, warmup=100
+    )
+    s_after = straightness(model2, z0, z1, 8)
     post1 = toy2d["mean_mmd"](model2, "post1", "euler", 1)
 
     seconds = time.time() - t_start
@@ -400,8 +400,7 @@ def test_criterion_7_metric_oracles(criterion):
     mmd_ok = mmd_err < 1e-12 and mmd_med_err < 1e-12
 
     # A uniform scorer assigns every residue probability 1/20.
-    uniform = UnigramScorer(np.full(20, 1.0 / 20.0))
-    pppl_err = abs(pseudoperplexity(AMINO_ACIDS, uniform) - 20.0)
+    pppl_err = abs(pseudoperplexity(AMINO_ACIDS, np.full(20, 1.0 / 20.0)) - 20.0)
     pppl_ok = pppl_err <= 1e-12
 
     # Identical batches are at zero transport distance in every property.
@@ -455,10 +454,10 @@ def test_criterion_8_multichain_coupling(criterion):
 
     cfg = VectorFieldConfig(depth=4, width=1, hidden=64, attention=True, seq_len=2)
     model = init_flow_model(cfg, rng.substream("joint-init"))
-    tc = FlowTrainConfig(
-        steps=20000, batch=64, lr=1e-3, lr_min=5e-5, warmup=500, seed=80, ema_decay=0.9995
+    model, _ = train_rf(
+        model, joint_train, RngStream(80), steps=20000, batch=64, lr=1e-3, lr_min=5e-5,
+        warmup=500, ema_decay=0.9995,
     )
-    model, _ = train_rf(joint_train, tc, model)
 
     solver = SolverConfig(method="dopri5", steps=25)
 
@@ -476,10 +475,15 @@ def test_criterion_8_multichain_coupling(criterion):
     joint_corr = float(np.corrcoef(u_gen, v_gen)[0, 1])
 
     ind_cfg = VectorFieldConfig(depth=2, width=1, hidden=64, attention=True, seq_len=1)
-    tc_a = FlowTrainConfig(steps=2000, batch=64, lr=1e-3, lr_min=1e-4, warmup=100, seed=81)
-    tc_b = FlowTrainConfig(steps=2000, batch=64, lr=1e-3, lr_min=1e-4, warmup=100, seed=82)
-    model_a, _ = train_rf(joint_train[:, :1, :], tc_a, init_flow_model(ind_cfg, rng.substream("a-init")))
-    model_b, _ = train_rf(joint_train[:, 1:, :], tc_b, init_flow_model(ind_cfg, rng.substream("b-init")))
+    opt = dict(steps=2000, batch=64, lr=1e-3, lr_min=1e-4, warmup=100)
+    model_a, _ = train_rf(
+        init_flow_model(ind_cfg, rng.substream("a-init")), joint_train[:, :1, :], RngStream(81),
+        **opt,
+    )
+    model_b, _ = train_rf(
+        init_flow_model(ind_cfg, rng.substream("b-init")), joint_train[:, 1:, :], RngStream(82),
+        **opt,
+    )
     a_ind = sample_latents(model_a, "a-noise", 1)[:, 0, 0]
     b_ind = sample_latents(model_b, "b-noise", 1)[:, 0, 0]
     ind_corr = float(np.corrcoef(a_ind, b_ind)[0, 1])

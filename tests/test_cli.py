@@ -15,6 +15,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import protflow
 from protflow import cli, errors
@@ -651,6 +653,116 @@ def test_keep_freed_heap(monkeypatch):
         assert cli.keep_freed_heap() == (1, 1)  # mallopt accepted both thresholds
     monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("musl", "1.2"))
     assert cli.keep_freed_heap() is None
+
+
+# --- corrupt inputs ---------------------------------------------------------------
+
+# Each input slot of each command, with {bad} where the corrupt input goes. The
+# other inputs are valid, so the exit code is the corrupt input's.
+_INPUT_SLOTS = {
+    "train-decoder --config": ["train-decoder", "--config", "{bad}", "--out", "{out}"],
+    "train-decoder data": ["train-decoder", "--config", "{cfg}", "--out", "{out}",
+                           "--set", "data.train_path={bad}"],
+    "train-decoder --out": ["train-decoder", "--config", "{cfg}", "--out", "{bad}"],
+    "train-compressor --config": ["train-compressor", "--config", "{bad}", "--init", "{dec}",
+                                  "--out", "{out}"],
+    "train-compressor --init": ["train-compressor", "--config", "{cfg}", "--init", "{bad}",
+                                "--out", "{out}"],
+    "train-compressor data": ["train-compressor", "--config", "{cfg}", "--init", "{dec}",
+                              "--out", "{out}", "--set", "data.train_path={bad}"],
+    "train-compressor --out": ["train-compressor", "--config", "{cfg}", "--init", "{dec}",
+                               "--out", "{bad}"],
+    "train-flow --config": ["train-flow", "--config", "{bad}", "--init", "{pipe}",
+                            "--out", "{out}"],
+    "train-flow --init": ["train-flow", "--config", "{cfg}", "--init", "{bad}", "--out", "{out}"],
+    "train-flow data": ["train-flow", "--config", "{cfg}", "--init", "{pipe}", "--out", "{out}",
+                        "--set", "data.train_path={bad}"],
+    "train-flow --out": ["train-flow", "--config", "{cfg}", "--init", "{pipe}", "--out", "{bad}"],
+    "reflow --config": ["reflow", "--config", "{bad}", "--init", "{flow}", "--out", "{out}"],
+    "reflow --init": ["reflow", "--config", "{cfg}", "--init", "{bad}", "--out", "{out}",
+                      "--set", "reflow.pairs=4"],
+    "reflow --out": ["reflow", "--config", "{cfg}", "--init", "{flow}", "--out", "{bad}",
+                     "--set", "reflow.pairs=4", "--set", "train.steps=2"],
+    "sample --checkpoint": ["sample", "--checkpoint", "{bad}", "--out", "{out}"],
+    "sample --out": ["sample", "--checkpoint", "{flow}", "--out", "{bad}", "--n", "2"],
+    "eval --gen": ["eval", "--gen", "{bad}", "--ref", "{corpus}", "--out", "{out}"],
+    "eval --ref": ["eval", "--gen", "{corpus}", "--ref", "{bad}", "--out", "{out}"],
+    "eval --external-scores": ["eval", "--gen", "{corpus}", "--ref", "{corpus}", "--out", "{out}",
+                               "--external-scores", "{bad}", "--threshold", "0.5"],
+    "inspect-checkpoint --checkpoint": ["inspect-checkpoint", "--checkpoint", "{bad}"],
+}
+_CORRUPTIONS = ("truncated checkpoint", "flipped header bytes", "binary FASTA", "empty file",
+                "directory")
+# An output path breaks only as a directory (a file there is overwritten), and an
+# empty config file is the all-defaults config.
+_CORRUPT_CASES = [
+    (slot, kind)
+    for slot in _INPUT_SLOTS
+    for kind in _CORRUPTIONS
+    if ("--out" not in slot or kind == "directory")
+    and not ("--config" in slot and kind == "empty file")
+]
+
+
+def _corrupt_input(workdir, kind):
+    """Write the corrupt input of this kind under workdir and return its path."""
+    root = workdir["root"]
+    if kind == "directory":
+        return str(root)
+    with open(workdir["flow"], "rb") as f:
+        data = f.read()
+    gen = np.random.default_rng(13)
+    if kind == "truncated checkpoint":
+        data = data[: len(data) // 2]
+    elif kind == "flipped header bytes":
+        header_end = 16 + struct.unpack("<Q", data[8:16])[0]
+        flipped = bytearray(data)
+        for i in gen.choice(header_end, size=8, replace=False):
+            flipped[i] ^= int(gen.integers(1, 256))
+        data = bytes(flipped)
+    elif kind == "binary FASTA":
+        data = b">s0\n" + gen.integers(0, 256, size=256, dtype=np.uint8).tobytes()
+    else:
+        data = b""
+    path = root / f"corrupt-{kind.replace(' ', '-')}"
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "slot, kind", _CORRUPT_CASES, ids=[f"{slot}-{kind}" for slot, kind in _CORRUPT_CASES]
+)
+def test_corrupt_input_exits_with_a_contract_code(workdir, slot, kind):
+    paths = {**workdir, "bad": _corrupt_input(workdir, kind),
+             "out": str(workdir["root"] / "corrupt-out")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.main([arg.format(**paths) for arg in _INPUT_SLOTS[slot]])
+    assert code in (1, 2, 3, 4)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_flow_checkpoint_loads_or_exits_with_a_contract_code(workdir, data):
+    with open(workdir["flow"], "rb") as f:
+        blob = bytearray(f.read())
+    header_end = 16 + struct.unpack("<Q", blob[8:16])[0]
+    for _ in range(data.draw(st.integers(1, 4))):
+        # half the writes go to the magic, lengths and JSON header, the rest anywhere
+        end = header_end if data.draw(st.booleans()) else len(blob)
+        i = data.draw(st.integers(0, end - 1))
+        blob[i] = data.draw(st.integers(0, 255))
+    if data.draw(st.integers(0, 3)) == 0:
+        del blob[data.draw(st.integers(0, len(blob))):]
+    bad = workdir["root"] / "mutated.ckpt"
+    bad.write_bytes(bytes(blob))
+    out = str(workdir["root"] / "mutated.fasta")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(["inspect-checkpoint", "--checkpoint", str(bad)]) in (0, 4)
+        code = cli.main(["sample", "--checkpoint", str(bad), "--out", out, "--n", "2"])
+    assert code in (0, 3, 4)
 
 
 # --- import footprint -------------------------------------------------------------

@@ -86,6 +86,8 @@ def test_range_checks():
         "train.lr=0",
         "train.lr=-1",
         "train.lr_min=-0.1",
+        "train.clip=0",
+        "train.clip=-1",
         "solver.steps=0",
         "solver.steps=101",
         "solver.method=rk4",

@@ -160,8 +160,8 @@ def test_train_rf_reduces_loss():
     data = rng.substream("data").normal((256, 1, 2)) * 0.5 + 1.0
     cfg = flow.VectorFieldConfig(2, 2, 16)
     model = flow.init_flow_model(cfg, rng.substream("model"))
-    tc = flow.FlowTrainConfig(steps=300, batch=32, lr=2e-3, warmup=30, seed=0)
-    model, trace = flow.train_rf(data, tc, model)
+    model, trace = flow.train_rf(model, data, RngStream(0), steps=300, batch=32, lr=2e-3,
+                                 warmup=30)
     assert len(trace) == 300
     first = np.mean([row[1] for row in trace[:50]])
     last = np.mean([row[1] for row in trace[-50:]])
@@ -173,9 +173,8 @@ def test_train_rf_reduces_loss():
 def test_train_rf_rejects_empty_dataset():
     cfg = flow.VectorFieldConfig(2, 2, 8)
     model = flow.init_flow_model(cfg, RngStream(0))
-    tc = flow.FlowTrainConfig(steps=1, batch=4)
     with pytest.raises(ValueError):
-        flow.train_rf(np.zeros((0, 1, 2)), tc, model)
+        flow.train_rf(model, np.zeros((0, 1, 2)), RngStream(0), steps=1, batch=4)
 
 
 def test_ema_fold_in_keeps_params_near_init():
@@ -188,9 +187,8 @@ def test_ema_fold_in_keeps_params_near_init():
 
     def run(decay):
         model = flow.init_flow_model(cfg, RngStream(7))
-        tc = flow.FlowTrainConfig(steps=100, batch=16, lr=5e-3, warmup=5, seed=1,
-                                  ema_decay=decay)
-        model, _ = flow.train_rf(data, tc, model)
+        model, _ = flow.train_rf(model, data, RngStream(1), steps=100, batch=16, lr=5e-3,
+                                 warmup=5, ema_decay=decay)
         return flat(model.params)
 
     init_vec = flat(flow.init_flow_model(cfg, RngStream(7)).params)
@@ -204,38 +202,34 @@ def test_reflow_pairs_deterministic_and_per_pair():
     model = flow.init_flow_model(cfg, RngStream(3))
     model.params["block0.b2"] = np.array([0.5, -0.5])
     sc = ode.SolverConfig(method="euler", steps=4)
-    pairs = flow.reflow_pairs(model, sc, 3, RngStream(99).substream("pairs"))
+    z0, z1 = flow.reflow_pairs(model, sc, 3, RngStream(99).substream("pairs"))
     again = flow.reflow_pairs(model, sc, 3, RngStream(99).substream("pairs"))
-    assert np.array_equal(pairs.z0, again.z0)
-    assert np.array_equal(pairs.z1, again.z1)
-    assert len(pairs) == 3
+    assert np.array_equal(z0, again[0])
+    assert np.array_equal(z1, again[1])
+    assert z0.shape == z1.shape == (3, 1, cfg.width)
     # one pair re-solves independently of the rest of the batch
-    z1 = RngStream(99).substream("pairs").substream("pair1").normal((1, cfg.width))
+    noise = RngStream(99).substream("pairs").substream("pair1").normal((1, cfg.width))
 
     def field(x, t):
         return flow.flow_forward(model, x[None], np.full(1, t))[0]
 
-    solo = ode.solve(field, z1, sc)
-    assert np.array_equal(pairs.z1[1], z1)
-    assert np.array_equal(pairs.z0[1], solo.x0)
+    solo = ode.solve(field, noise, sc)
+    assert np.array_equal(z1[1], noise)
+    assert np.array_equal(z0[1], solo.x0)
 
 
 def test_reflow_empty_coupling_rejected():
     cfg = flow.VectorFieldConfig(2, 2, 8)
     model = flow.init_flow_model(cfg, RngStream(0))
     sc = ode.SolverConfig(method="euler", steps=2)
-    pairs = flow.reflow_pairs(model, sc, 0, RngStream(0))
-    assert len(pairs) == 0
-    tc = flow.FlowTrainConfig(steps=1, batch=2)
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            flow.reflow_pairs(model, sc, m, RngStream(0))
+    empty = np.zeros((0, 1, 2))
     with pytest.raises(ValueError):
-        flow.train_reflow(pairs, tc, model)
+        flow.train_reflow(model, empty, empty, RngStream(0), steps=1, batch=2)
     with pytest.raises(ValueError):
-        flow.straightness(model, pairs, 4)
-
-
-def test_coupling_shape_validation():
-    with pytest.raises(ShapeMismatch):
-        flow.ReflowCoupling(np.zeros((2, 1, 2)), np.zeros((3, 1, 2)))
+        flow.straightness(model, empty, empty, 4)
 
 
 def test_straightness_manual_value():
@@ -244,16 +238,15 @@ def test_straightness_manual_value():
     gen = np.random.default_rng(13)
     z0 = gen.normal(size=(5, 1, 2))
     z1 = gen.normal(size=(5, 1, 2))
-    pairs = flow.ReflowCoupling(z0, z1)
     n_t = 4
     u = z1 - z0
     total = 0.0
     for t in np.linspace(0.0, 1.0, n_t):
         z_t = t * z1 + (1 - t) * z0
         total += float(((u - z_t) ** 2).mean())
-    assert flow.straightness(model, pairs, n_t) == pytest.approx(total / n_t, rel=1e-12)
+    assert flow.straightness(model, z0, z1, n_t) == pytest.approx(total / n_t, rel=1e-12)
     with pytest.raises(ValueError):
-        flow.straightness(model, pairs, 1)
+        flow.straightness(model, z0, z1, 1)
 
 
 def test_straightness_positive_for_curved_field():
@@ -262,6 +255,6 @@ def test_straightness_positive_for_curved_field():
     cfg = flow.VectorFieldConfig(2, 2, 8)
     model = flow.init_flow_model(cfg, RngStream(1))
     sc = ode.SolverConfig(method="dopri5-fixed", steps=10)
-    pairs = flow.reflow_pairs(model, sc, 4, RngStream(5))
-    val = flow.straightness(model, pairs, 6)
+    z0, z1 = flow.reflow_pairs(model, sc, 4, RngStream(5))
+    val = flow.straightness(model, z0, z1, 6)
     assert val > 0.0

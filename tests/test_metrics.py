@@ -1,5 +1,5 @@
 """Metric oracles: entropy, k-mer overlap, edit aggregates, OT, FD, MMD,
-properties, Wasserstein, and masked-scorer pseudoperplexity."""
+properties, Wasserstein, and unigram pseudoperplexity."""
 
 import itertools
 import math
@@ -266,14 +266,15 @@ def test_isoelectric_point_is_bitwise_the_per_step_formula():
 
 
 def test_property_vector_known_values():
-    pv = metrics.property_vector("G")
-    assert pv.length == 1.0
-    assert pv.molecular_weight == pytest.approx(57.0519 + 18.0153)
-    assert pv.aromaticity == 0.0
-    assert pv.gravy == pytest.approx(-0.4)
-    assert metrics.property_vector("FWY").aromaticity == 1.0
-    arr = pv.as_array()
-    assert arr.shape == (len(metrics.PROPERTY_NAMES),)
+    arr = metrics.property_vector("G")
+    assert arr.shape == (len(metrics.PROPERTY_NAMES),) and arr.dtype == np.float64
+    pv = dict(zip(metrics.PROPERTY_NAMES, arr))
+    assert pv["length"] == 1.0
+    assert pv["molecular_weight"] == pytest.approx(57.0519 + 18.0153)
+    assert pv["aromaticity"] == 0.0
+    assert pv["gravy"] == pytest.approx(-0.4)
+    aromaticity = metrics.PROPERTY_NAMES.index("aromaticity")
+    assert metrics.property_vector("FWY")[aromaticity] == 1.0
     with pytest.raises(EmptySequence):
         metrics.property_vector("")
     with pytest.raises(UnknownResidue):
@@ -309,7 +310,7 @@ def test_w_property_detects_shift():
 
 
 def test_pseudoperplexity_uniform_is_twenty():
-    uniform = metrics.UnigramScorer(np.full(20, 1.0 / 20.0))
+    uniform = np.full(20, 1.0 / 20.0)
     for seq in ("A", "ACDEFG", "WYWYWYWYWY"):
         assert metrics.pseudoperplexity(seq, uniform) == pytest.approx(
             20.0, abs=1e-12
@@ -318,19 +319,19 @@ def test_pseudoperplexity_uniform_is_twenty():
 
 def test_pseudoperplexity_oracle_is_one():
     # p = 1 on the true residue at every position is the lower bound
-    oracle = metrics.UnigramScorer(np.eye(20)[TOKEN_TO_ID["W"]])
+    oracle = np.eye(20)[TOKEN_TO_ID["W"]]
     assert metrics.pseudoperplexity("WWWWWW", oracle) == 1.0
 
 
 def test_pseudoperplexity_unigram_closed_form():
-    scorer = metrics.UnigramScorer.fit(["AAAC"])
+    probs = metrics.unigram_probs(["AAAC"])
     # add-one smoothing: counts A=4, C=2, rest 1 -> total 43... wait: 20 ones
     # plus 3 As plus 1 C = 24; p(A) = 4/24, p(C) = 2/24
-    assert scorer.probs.sum() == pytest.approx(1.0)
+    assert probs.sum() == pytest.approx(1.0)
     p_a = 4 / 24
-    assert metrics.pseudoperplexity("A", scorer) == pytest.approx(1 / p_a)
+    assert metrics.pseudoperplexity("A", probs) == pytest.approx(1 / p_a)
     with pytest.raises(EmptySequence):
-        metrics.pseudoperplexity("", scorer)
+        metrics.pseudoperplexity("", probs)
 
 
 def test_scorer_fits_match_per_residue_count_loops():
@@ -343,18 +344,9 @@ def test_scorer_fits_match_per_residue_count_loops():
         for s in corpus:
             for ch in s:
                 uni[TOKEN_TO_ID[ch]] += 1
-        assert np.array_equal(metrics.UnigramScorer.fit(corpus).probs, uni / uni.sum())
+        assert np.array_equal(metrics.unigram_probs(corpus), uni / uni.sum())
     with pytest.raises(UnknownResidue):
-        metrics.UnigramScorer.fit(["ACx"])
-
-
-def test_pseudoperplexity_rejects_bad_scorer():
-    class Bad:
-        def score(self, seq, position):
-            return np.ones(20)  # sums to 20
-
-    with pytest.raises(ValueError):
-        metrics.pseudoperplexity("ACD", Bad())
+        metrics.unigram_probs(["ACx"])
 
 
 def test_threshold_proportions_strict():
