@@ -159,7 +159,7 @@ def bench_training():
     canonical = [s for _, s in read_fasta(CANONICAL_CORPUS)]
     ids = tokenize(make_corpus(TRAIN_CORPUS, 1, c["l_max"], 7), c["l_max"])
     enc = latent.init_encoder(
-        c["l_max"], c["dim"], rng.substream("enc"), embed_scale=10.0, embed_rank=c["rank"]
+        c["dim"], rng.substream("enc"), embed_scale=10.0, embed_rank=c["rank"]
     )
     # one decoder batch: the residue positions of batch sequences, as train_decoder draws it
     idx = np.random.default_rng(4).integers(0, len(ids), size=c["batch"])

@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 _LAZY_MODULES = (
     "checkpoint",
     "config",
+    "fileio",
     "flow",
     "kernels",
     "latent",

@@ -12,32 +12,31 @@ pipeline kind (decoder, pipeline, flow, reflow) must carry the metadata its
 commands read: "dim" and "clamp_k"; "l_max" and "length_dist", or "chains"
 and "length_dists" for a multichain corpus; and "flow_cfg" for flow and
 reflow. Each l_max is at most config.L_MAX_CAP, and each flow_cfg size at
-most config.SIZE_CAP. Writes are atomic (temp file + rename).
+most config.SIZE_CAP. "clamp_k" records latent.CLAMP_K; applying the
+smoothing does not read it. Writes are atomic (fileio.write_atomic).
 
 Parameters are dicts of named arrays; pack(params, prefix) stores each
 under prefix + name, so a checkpoint is all a command needs to resume or
-sample. unpack_pipeline checks each tensor of one chain's latent stack
-against latent.pipeline_shapes, and unpack_flow the flow's against
-flow.param_shapes, so a checkpoint that disagrees with its model is an
-IncompatibleCheckpoint, not an error deep inside a command.
+sample. Every part of the latent stack (encoder, decoder, smoothing,
+compressor) is such a dict. unpack_pipeline checks each tensor of one
+chain's stack against latent.pipeline_shapes and splits them by part, and
+unpack_flow checks the flow's against flow.param_shapes, so a checkpoint
+that disagrees with its model is an IncompatibleCheckpoint, not an error
+deep inside a command.
 """
 
 import hashlib
 import json
 import math
-import os
 import struct
 import sys
-import tempfile
 
 import numpy as np
 
-from . import nn
 from .config import L_MAX_CAP, SIZE_CAP
 from .errors import (
     BadMagic,
     CheckpointError,
-    ConfigError,
     CorruptOffset,
     IncompatibleCheckpoint,
     MalformedHeader,
@@ -45,8 +44,9 @@ from .errors import (
     NonFiniteValue,
     VersionUnsupported,
 )
+from .fileio import write_atomic
 from .flow import VectorFieldConfig, VectorFieldModel, param_shapes
-from .latent import EncoderParams, LatentPipeline, SmoothingStats, pipeline_shapes
+from .latent import pipeline_shapes
 
 MAGIC = b"PFLW"
 VERSION = 1
@@ -69,24 +69,8 @@ def save_checkpoint(path, tensors, meta):
     header = dict(meta)
     header["tensors"] = entries
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    dirpath = os.path.dirname(os.path.abspath(path))
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=dirpath, suffix=".tmp")
-        with os.fdopen(fd, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", VERSION))
-            f.write(struct.pack("<Q", len(header_bytes)))
-            f.write(header_bytes)
-            for blob in blobs:
-                f.write(blob)
-        os.replace(tmp, path)
-    except BaseException as e:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(e, OSError):  # e.g. path is a directory or its directory is missing
-            raise ConfigError(f"{path}: cannot write checkpoint: {e.strerror or e}") from None
-        raise
+    head = MAGIC + struct.pack("<IQ", VERSION, len(header_bytes)) + header_bytes
+    write_atomic(path, b"".join([head] + blobs), "checkpoint")
 
 
 def load_checkpoint(path):
@@ -300,49 +284,26 @@ def pack(params, prefix):
     return {prefix + name: value for name, value in params.items()}
 
 
-def unpack_encoder(tensors, l_max, dim, prefix=""):
-    return EncoderParams(_get(tensors, prefix + "encoder.embed"), nn.sinusoidal_table(l_max, dim))
+_STACK_PARTS = ("encoder", "decoder", "smoothing", "compressor")
 
 
-def pack_smoothing(sm, prefix=""):
-    return {
-        prefix + "smoothing.mean": sm.mean,
-        prefix + "smoothing.std": sm.std,
-        prefix + "smoothing.post_min": sm.post_min,
-        prefix + "smoothing.post_max": sm.post_max,
-        prefix + "smoothing.constant": sm.constant.astype(np.float32),
+def unpack_pipeline(tensors, dim, prefix="", parts=_STACK_PARTS):
+    """{part: {name: float64 array}} for each of parts of the latent stack
+    stored under prefix. Every tensor must have the shape pipeline_shapes
+    gives for dim and the decoder's hidden and compressor's widths (the
+    lengths of decoder.b1 and compressor.b_down)."""
+    hidden = _get(tensors, prefix + "decoder.b1").size if "decoder" in parts else 0
+    width = _get(tensors, prefix + "compressor.b_down").size if "compressor" in parts else 0
+    shapes = {
+        key: shape
+        for key, shape in pipeline_shapes(dim, hidden, width).items()
+        if key.partition(".")[0] in parts
     }
-
-
-def unpack_smoothing(tensors, clamp_k, prefix=""):
-    return SmoothingStats(
-        _get(tensors, prefix + "smoothing.mean"),
-        _get(tensors, prefix + "smoothing.std"),
-        float(clamp_k),
-        _get(tensors, prefix + "smoothing.post_min"),
-        _get(tensors, prefix + "smoothing.post_max"),
-        _get(tensors, prefix + "smoothing.constant") != 0.0,
-    )
-
-
-def unpack_pipeline(tensors, l_max, dim, clamp_k, prefix=""):
-    """Rebuild the latent stack stored under prefix. Every tensor must have
-    the shape pipeline_shapes gives for dim and the decoder's hidden and
-    compressor's widths (the lengths of decoder.b1 and compressor.b_down);
-    l_max sizes the positional table, which is not stored."""
-    hidden = _get(tensors, prefix + "decoder.b1").size
-    width = _get(tensors, prefix + "compressor.b_down").size
-    checked = _get_shaped(tensors, prefix, pipeline_shapes(dim, hidden, width))
-
-    def component(name):
-        return {k.partition(".")[2]: v for k, v in checked.items() if k.startswith(name + ".")}
-
-    return LatentPipeline(
-        unpack_encoder(checked, l_max, dim),
-        component("decoder"),
-        unpack_smoothing(checked, clamp_k),
-        component("compressor"),
-    )
+    out = {part: {} for part in parts}
+    for key, value in _get_shaped(tensors, prefix, shapes).items():
+        part, _, name = key.partition(".")
+        out[part][name] = value
+    return out
 
 
 def pack_flow(model, prefix="flow."):

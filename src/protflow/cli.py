@@ -23,7 +23,6 @@ protflow modules it runs. `--help` and argument errors load no numpy, and
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import (
@@ -81,25 +80,9 @@ def keep_freed_heap():
 
 
 def _atomic_write_text(path, text):
-    import tempfile
+    from .fileio import write_atomic
 
-    dirpath = os.path.dirname(os.path.abspath(path))
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=dirpath, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException as e:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(e, OSError):  # e.g. path is a directory or its directory is missing
-            raise ConfigError(f"{path}: cannot write output: {e.strerror or e}") from None
-        raise
-
-
-def _atomic_write_fasta(path, records):
-    _atomic_write_text(path, "".join(f">{h}\n{s}\n" for h, s in records))
+    write_atomic(path, text.encode("utf-8"), "output")
 
 
 def _loss_csv_text(trace):
@@ -199,13 +182,12 @@ def _val_corpus(cfg, chains):
 def _layout(tensors, meta):
     """The checkpoint's ChainLayout, each chain with its latent stack."""
     from .checkpoint import unpack_pipeline
+    from .latent import LatentPipeline
     from .multichain import ChainLayout
 
     chains = _meta_chains(meta)
     for chain in chains:
-        chain.pipeline = unpack_pipeline(
-            tensors, chain.l_max, meta["dim"], meta["clamp_k"], chain.prefix
-        )
+        chain.pipeline = LatentPipeline(**unpack_pipeline(tensors, meta["dim"], chain.prefix))
     return ChainLayout(chains)
 
 
@@ -266,9 +248,10 @@ def _write_loss_csvs(out, chains, traces):
 
 
 def cmd_train_decoder(args):
-    from .checkpoint import pack, pack_smoothing, save_checkpoint
+    from .checkpoint import pack, save_checkpoint
     from .config import load_config
     from .latent import (
+        CLAMP_K,
         decoder_accuracy,
         encode_corpus,
         fit_smoothing,
@@ -289,7 +272,6 @@ def cmd_train_decoder(args):
     for chain, seqs, val_seqs in zip(chains, corpus, val_corpus):
         tag = chain.tag("-")
         enc = init_encoder(
-            chain.l_max,
             dim,
             root.substream(f"encoder{tag}"),
             embed_scale=cfg["model.embed_scale"],
@@ -301,14 +283,13 @@ def cmd_train_decoder(args):
         )
         accuracy = decoder_accuracy(dec, enc, seqs[:256] if val_seqs is None else val_seqs)
         sm = fit_smoothing(encode_corpus(seqs, enc).reshape(-1, dim))
-        tensors.update(pack({"embed": enc.embed}, chain.prefix + "encoder."))
-        tensors.update(pack(dec, chain.prefix + "decoder."))
-        tensors.update(pack_smoothing(sm, chain.prefix))
+        for part, params in (("encoder", enc), ("decoder", dec), ("smoothing", sm)):
+            tensors.update(pack(params, f"{chain.prefix}{part}."))
         length_dists.append(fit_length_distribution(seqs).to_dict())
         traces.append(trace)
         print(f"decoder{tag} {figure} accuracy: {accuracy:.4f}")
     meta = _carry_meta({}, cfg, "decoder")
-    meta.update(dim=dim, clamp_k=sm.clamp_k, **_chains_meta(chains, length_dists))
+    meta.update(dim=dim, clamp_k=CLAMP_K, **_chains_meta(chains, length_dists))
     save_checkpoint(args.out, tensors, meta)
     _write_loss_csvs(args.out, chains, traces)
     print(f"wrote {args.out}")
@@ -318,18 +299,17 @@ def cmd_train_decoder(args):
 # --- train-compressor -----------------------------------------------------------
 
 
-def _smoothed_rows(tensors, meta, seqs, chain):
-    from .checkpoint import unpack_encoder, unpack_smoothing
+def _smoothed_rows(stack, seqs):
+    """The smoothed latent rows of an id matrix through a stack's encoder and
+    smoothing."""
     from .latent import encode_corpus, smooth
 
-    dim = int(meta["dim"])
-    enc = unpack_encoder(tensors, chain.l_max, dim, chain.prefix)
-    sm = unpack_smoothing(tensors, meta["clamp_k"], chain.prefix)
-    return smooth(encode_corpus(seqs, enc).reshape(-1, dim), sm)
+    h = encode_corpus(seqs, stack["encoder"])
+    return smooth(h.reshape(-1, h.shape[-1]), stack["smoothing"])
 
 
 def cmd_train_compressor(args):
-    from .checkpoint import load_checkpoint, pack, save_checkpoint
+    from .checkpoint import load_checkpoint, pack, save_checkpoint, unpack_pipeline
     from .config import load_config
     from .latent import compressor_mse, init_compressor, train_compressor
     from .numeric import RngStream
@@ -350,9 +330,13 @@ def cmd_train_compressor(args):
     traces = []
     for chain, seqs, val_seqs in zip(chains, corpus, val_corpus):
         tag = chain.tag("-")
-        rows = _smoothed_rows(tensors, meta, seqs, chain)
+        # the parts a decoder checkpoint holds, each checked against the shape table
+        stack = unpack_pipeline(
+            tensors, meta["dim"], chain.prefix, ("encoder", "decoder", "smoothing")
+        )
+        rows = _smoothed_rows(stack, seqs)
         comp = init_compressor(
-            int(meta["dim"]), cfg["model.ratio_c"], root.substream(f"compressor-init{tag}")
+            meta["dim"], cfg["model.ratio_c"], root.substream(f"compressor-init{tag}")
         )
         comp, trace = train_compressor(
             comp, rows, root.substream(f"compressor{tag}"), **_train_args(cfg)
@@ -360,7 +344,7 @@ def cmd_train_compressor(args):
         out_tensors.update(pack(comp, chain.prefix + "compressor."))
         traces.append(trace)
         if trace:
-            val_rows = rows if val_seqs is None else _smoothed_rows(tensors, meta, val_seqs, chain)
+            val_rows = rows if val_seqs is None else _smoothed_rows(stack, val_seqs)
             print(f"compressor{tag} {figure} MSE: {compressor_mse(comp, val_rows):.6g}")
     out_meta = _carry_meta(meta, cfg, "pipeline")
     out_meta.pop("flow_cfg", None)
@@ -514,7 +498,7 @@ def cmd_sample(args):
         for i, tup in enumerate(samples)
         for chain, s in zip(layout, tup)
     ]
-    _atomic_write_fasta(args.out, records)
+    _atomic_write_text(args.out, "".join(f">{h}\n{s}\n" for h, s in records))
     sidecar = {
         "seed": args.seed,
         "solver": solver.method,

@@ -15,15 +15,17 @@ Pipeline, sample side:  h_s' = decompress(h_c'); h' = unsmooth(h_s'); x' = decod
 smooth/unsmooth are exact inverses away from the clamp boundary; compression
 is lossy and trained to minimize reconstruction MSE in the smoothed space.
 
-The decoder and compressor parameters are dicts of named float64 arrays,
-as the flow's are, which nn.fit trains in place; pipeline_shapes is the one
-table of the stack's stored tensor names and shapes.
+Every part of the stack (encoder, decoder, smoothing, compressor) is a dict
+of named float64 arrays, as the flow's parameters are, which nn.fit trains
+in place; pipeline_shapes is the one table of the stack's stored tensor
+names and shapes. The positional table is not a parameter: encode_corpus
+adds the cached rows of nn.sinusoidal_table for the id matrix's width.
 """
 
 import numpy as np
 
 from . import nn
-from .errors import EmptyCorpus, IncompatibleRatio, ShapeMismatch
+from .errors import EmptyCorpus, IncompatibleRatio
 from .numeric import RngStream
 from .seqio import PAD_ID, VOCAB_SIZE, tokenize
 
@@ -31,29 +33,11 @@ from .seqio import PAD_ID, VOCAB_SIZE, tokenize
 # --- encoder ------------------------------------------------------------------
 
 
-class EncoderParams:
-    """Token embedding table plus a fixed sinusoidal positional table."""
-
-    __slots__ = ("embed", "pos")
-
-    def __init__(self, embed, pos):
-        self.embed = np.asarray(embed, dtype=np.float64)
-        self.pos = np.asarray(pos, dtype=np.float64)
-        if self.embed.shape[0] != VOCAB_SIZE or self.embed.shape[1] != self.pos.shape[1]:
-            raise ShapeMismatch(
-                f"embed {self.embed.shape} incompatible with pos {self.pos.shape}"
-            )
-
-    @property
-    def l_max(self):
-        return self.pos.shape[0]
-
-
-def init_encoder(l_max, dim, rng, embed_scale=1.0, embed_rank=0):
-    """Build a deterministic encoder from an RngStream.
+def init_encoder(dim, rng, embed_scale=1.0, embed_rank=0):
+    """Encoder parameters {"embed": (vocab, dim) token table}, drawn from an
+    RngStream. The positional table is fixed, so it is not a parameter.
 
     Args:
-        l_max: positional table length.
         dim: latent width D (even).
         rng: RngStream for the token table.
         embed_scale: multiplier on the token table; large values make token
@@ -70,32 +54,25 @@ def init_encoder(l_max, dim, rng, embed_scale=1.0, embed_rank=0):
         embed = embed_scale * (scores @ q.T)
     else:
         embed = embed_scale * sub.substream("full").normal((VOCAB_SIZE, dim))
-    return EncoderParams(embed, nn.sinusoidal_table(l_max, dim))
-
-
-def _check_width(ids, enc):
-    if np.shape(ids)[1:] != (enc.l_max,):
-        raise ShapeMismatch(f"token ids {np.shape(ids)} do not have l_max={enc.l_max} columns")
+    return {"embed": embed}
 
 
 def _gather_rows(enc, ids, idx):
     """Latent rows and token ids of the residue (non-PAD) positions of id
     matrix rows idx, sequence after sequence, in one gather."""
-    _check_width(ids, enc)
     sub = ids[idx]
     rows, pos = np.nonzero(sub != PAD_ID)
     y = sub[rows, pos]
-    h = enc.embed[y]
-    h += enc.pos[pos]
+    h = enc["embed"][y]
+    h += nn.sinusoidal_table(ids.shape[1], h.shape[1])[pos]
     return h, y
 
 
 def encode_corpus(ids, enc):
-    """(n, l_max) token ids -> (n, l_max, dim) latents embed[ids] + pos, in one
-    gather."""
-    _check_width(ids, enc)
-    out = enc.embed[ids]
-    out += enc.pos
+    """(n, l_max) token ids -> (n, l_max, dim) latents embed[ids] plus the
+    positional table of l_max rows, in one gather."""
+    out = enc["embed"][ids]
+    out += nn.sinusoidal_table(ids.shape[1], out.shape[2])
     return out
 
 
@@ -109,39 +86,31 @@ def embed_sequences(seqs, dim=32, seed=0):
         raise EmptyCorpus("no sequences to embed")
     l_max = max(max(map(len, seqs)), 1)
     ids = tokenize(seqs, l_max)
-    enc = init_encoder(l_max, dim, RngStream(seed).substream("embedder"))
+    embed = init_encoder(dim, RngStream(seed).substream("embedder"))["embed"]
+    pos = nn.sinusoidal_table(l_max, dim)
     out = np.zeros((len(seqs), dim), dtype=np.float64)
     for i, n in enumerate(map(len, seqs)):
         if n:
-            out[i] = (enc.embed[ids[i, :n]] + enc.pos[:n]).mean(axis=0)
+            out[i] = (embed[ids[i, :n]] + pos[:n]).mean(axis=0)
     return out
 
 
 # --- smoothing ----------------------------------------------------------------
 
+# z-scores are clamped to [-CLAMP_K, CLAMP_K] before the min-max fit
+CLAMP_K = 3.0
 
-class SmoothingStats:
-    """Per-dimension affine normalization fitted on corpus latents.
 
-    Value map per non-constant dimension: z-score, clamp to [-k, k], then
-    min-max (over the post-clamp data range) to [-1, 1]. Constant dimensions
-    (std below tolerance, or degenerate post-clamp range) pass through
-    unchanged in both directions.
+def fit_smoothing(rows):
+    """Per-dimension affine normalization fitted on pooled latent rows of
+    shape (n, dim): {mean, std, post_min, post_max, constant}, each (dim,).
+
+    Value map per non-constant dimension: z-score, clamp to [-CLAMP_K,
+    CLAMP_K], then min-max (over the post-clamp data range) to [-1, 1].
+    constant is 1.0 on constant dimensions (std below tolerance, or a
+    degenerate post-clamp range), which pass through unchanged in both
+    directions, and 0.0 elsewhere.
     """
-
-    __slots__ = ("mean", "std", "clamp_k", "post_min", "post_max", "constant")
-
-    def __init__(self, mean, std, clamp_k, post_min, post_max, constant):
-        self.mean = np.asarray(mean, dtype=np.float64)
-        self.std = np.asarray(std, dtype=np.float64)
-        self.clamp_k = float(clamp_k)
-        self.post_min = np.asarray(post_min, dtype=np.float64)
-        self.post_max = np.asarray(post_max, dtype=np.float64)
-        self.constant = np.asarray(constant, dtype=bool)
-
-
-def fit_smoothing(rows, clamp_k=3.0):
-    """Fit SmoothingStats on pooled latent rows of shape (n, dim)."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] < 2:
         raise EmptyCorpus(f"need (n>=2, dim) rows, got {rows.shape}")
@@ -149,39 +118,47 @@ def fit_smoothing(rows, clamp_k=3.0):
     std = rows.std(axis=0)
     constant = std <= 1e-12
     safe_std = np.where(constant, 1.0, std)
-    z = np.clip((rows - mean) / safe_std, -clamp_k, clamp_k)
+    z = np.clip((rows - mean) / safe_std, -CLAMP_K, CLAMP_K)
     post_min = z.min(axis=0)
     post_max = z.max(axis=0)
     degenerate = (post_max - post_min) <= 1e-12
     constant = constant | degenerate
-    return SmoothingStats(mean, safe_std, clamp_k, post_min, post_max, constant)
+    return {
+        "mean": mean,
+        "std": safe_std,
+        "post_min": post_min,
+        "post_max": post_max,
+        "constant": constant.astype(np.float64),
+    }
 
 
 def smooth(h, stats):
     """Normalize latents into [-1, 1] per dimension; shape-preserving."""
-    # z = clip((h - mean) / std, -k, k); out = clip(2 * ((z - post_min) / span) - 1, -1, 1),
-    # computed in one buffer, as a whole corpus goes through here at once
+    # out = clip(2 * (((h - mean) / std - post_min) / span) - 1, -1, 1), computed
+    # in one buffer, as a whole corpus goes through here at once. The z-score
+    # needs no clamp: post_min and post_max lie inside [-CLAMP_K, CLAMP_K], so
+    # the final clip saturates every value the clamp would move.
     h = np.asarray(h, dtype=np.float64)
-    span = np.where(stats.constant, 1.0, stats.post_max - stats.post_min)
-    out = h - stats.mean
-    out /= stats.std
-    np.clip(out, -stats.clamp_k, stats.clamp_k, out=out)
-    out -= stats.post_min
+    constant = stats["constant"] != 0.0
+    span = np.where(constant, 1.0, stats["post_max"] - stats["post_min"])
+    out = h - stats["mean"]
+    out /= stats["std"]
+    out -= stats["post_min"]
     out /= span
     out *= 2.0
     out -= 1.0
     np.clip(out, -1.0, 1.0, out=out)
-    np.copyto(out, h, where=stats.constant)
+    np.copyto(out, h, where=constant)
     return out
 
 
 def unsmooth(h_s, stats):
     """Invert smooth() on the non-saturated interior."""
     h_s = np.asarray(h_s, dtype=np.float64)
-    span = stats.post_max - stats.post_min
-    z = 0.5 * (h_s + 1.0) * span + stats.post_min
-    out = z * stats.std + stats.mean
-    return np.where(stats.constant, h_s, out)
+    span = stats["post_max"] - stats["post_min"]
+    z = 0.5 * (h_s + 1.0) * span + stats["post_min"]
+    out = z * stats["std"] + stats["mean"]
+    return np.where(stats["constant"] != 0.0, h_s, out)
 
 
 # --- compressor ---------------------------------------------------------------
@@ -389,8 +366,8 @@ def train_decoder(
 
 def pipeline_shapes(dim, hidden, width):
     """Name -> shape of every stored tensor of a latent stack, in checkpoint
-    order. The positional table is recomputed from l_max, not stored, and
-    the smoothing's constant mask is stored as 0/1."""
+    order. The positional table is recomputed from the width of the id
+    matrix, not stored, and the smoothing's constant mask is stored as 0/1."""
     return {
         "encoder.embed": (VOCAB_SIZE, dim),
         "decoder.w1": (dim, hidden),

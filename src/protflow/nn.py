@@ -118,11 +118,13 @@ def softmax_cross_entropy(logits, targets):
     return loss, dlogits / n
 
 
+@functools.lru_cache(maxsize=16)
 def sinusoidal_table(length, dim):
-    """Fixed sin/cos positional table, deterministic in (length, dim).
+    """Fixed sin/cos positional table, deterministic in (length, dim); cached
+    and read-only, as one table serves every caller.
 
     Even columns carry sin, odd columns cos, geometric frequencies from 1
-    down to 1/10000 across column pairs.
+    down to 1/10000 across column pairs. Row i does not depend on length.
     """
     if dim % 2 != 0:
         raise ValueError(f"dim must be even, got {dim}")
@@ -133,6 +135,7 @@ def sinusoidal_table(length, dim):
     table = np.zeros((length, dim), dtype=np.float64)
     table[:, 0::2] = np.sin(ang)
     table[:, 1::2] = np.cos(ang)
+    table.flags.writeable = False
     return table
 
 

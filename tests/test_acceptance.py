@@ -264,7 +264,7 @@ def test_criterion_6_round_trip(criterion):
     texts = ["".join(AMINO_ACIDS[j] for j in residues[i, : lengths[i]]) for i in range(n)]
     toks = tokenize(texts, l_max)
 
-    enc = latent.init_encoder(l_max, dim, rng.substream("encoder"), embed_scale=10.0, embed_rank=4)
+    enc = latent.init_encoder(dim, rng.substream("encoder"), embed_scale=10.0, embed_rank=4)
     dec = latent.init_decoder(dim, 64, rng.substream("decoder-init"))
     dec, _ = latent.train_decoder(
         dec, enc, toks, rng.substream("decoder"), steps=600, batch=48, lr=2e-3, warmup=30
@@ -275,8 +275,9 @@ def test_criterion_6_round_trip(criterion):
     smoothed = latent.smooth(rows, sm)
 
     # Inverse check away from the clamp and off constant dimensions.
-    std = np.where(sm.std == 0.0, 1.0, sm.std)
-    off_clamp = (np.abs((rows - sm.mean) / std) < sm.clamp_k) & ~sm.constant[None, :]
+    std = np.where(sm["std"] == 0.0, 1.0, sm["std"])
+    z = np.abs((rows - sm["mean"]) / std)
+    off_clamp = (z < latent.CLAMP_K) & (sm["constant"] == 0.0)[None, :]
     inv_err = float(np.max(np.abs(latent.unsmooth(smoothed, sm) - rows)[off_clamp]))
 
     accs = {}

@@ -18,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protflow import checkpoint as ckpt
-from protflow import cli, nn
+from protflow import cli
 from protflow.config import L_MAX_CAP, SIZE_CAP
 from protflow.errors import (
     BadMagic,
     CheckpointError,
+    ConfigError,
     CorruptOffset,
     IncompatibleCheckpoint,
     MalformedHeader,
@@ -107,6 +108,26 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["only.ckpt"]
     loaded, _ = ckpt.load_checkpoint(path)
     assert np.array_equal(loaded["x"], np.zeros(3, dtype=np.float32))
+
+
+def test_atomic_writer_cleans_up_after_a_failed_write(tmp_path, monkeypatch):
+    from protflow import fileio
+
+    (tmp_path / "dir").mkdir()
+    target = str(tmp_path / "dir")
+    # an OSError is a ConfigError at both call sites
+    with pytest.raises(ConfigError, match="cannot write checkpoint"):
+        ckpt.save_checkpoint(target, {"x": np.ones(2)}, {})
+    with pytest.raises(ConfigError, match="cannot write output"):
+        cli._atomic_write_text(target, "text")
+    # any other failure propagates as itself; the temp file goes either way
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fileio.os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        fileio.write_atomic(str(tmp_path / "out.bin"), b"data", "output")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
 
 
 def test_non_finite_tensor_rejected(tmp_path):
@@ -305,99 +326,105 @@ def test_well_formed_hand_written_header_loads(tmp_path):
 
 def _toy_pipeline():
     rng = RngStream(21)
-    enc = init_encoder(6, 8, rng.substream("enc"), embed_scale=2.0, embed_rank=4)
+    enc = init_encoder(8, rng.substream("enc"), embed_scale=2.0, embed_rank=4)
     dec = init_decoder(8, 16, rng.substream("dec"))
     rows = rng.substream("rows").normal((64, 8))
-    rows[:, 3] = 0.7  # one constant channel to exercise the boolean mask
-    sm = fit_smoothing(rows, clamp_k=2.5)
+    rows[:, 3] = 0.7  # one constant channel to exercise the 0/1 mask
+    sm = fit_smoothing(rows)
     comp = init_compressor(8, 2, rng.substream("comp"))
     return LatentPipeline(enc, dec, sm, comp)
 
 
+_PARTS = ("encoder", "decoder", "smoothing", "compressor")
+
+
 def _pack_pipeline(pipe, prefix=""):
     """The tensors train-decoder and train-compressor store for pipe."""
-    return {
-        **ckpt.pack({"embed": pipe.encoder.embed}, prefix + "encoder."),
-        **ckpt.pack(pipe.decoder, prefix + "decoder."),
-        **ckpt.pack_smoothing(pipe.smoothing, prefix),
-        **ckpt.pack(pipe.compressor, prefix + "compressor."),
-    }
+    tensors = {}
+    for part in _PARTS:
+        tensors.update(ckpt.pack(getattr(pipe, part), f"{prefix}{part}."))
+    return tensors
 
 
 def test_pack_unpack_encoder_bitwise():
     pipe = _toy_pipeline()
     tensors = _pack_pipeline(pipe)
+    # the positional table is not a parameter, so it is not stored
     assert [k for k in tensors if k.startswith("encoder.")] == ["encoder.embed"]
-    out = ckpt.unpack_pipeline(tensors, 6, 8, 2.5)
-    assert np.array_equal(out.encoder.embed, pipe.encoder.embed)
-    # the positional table is recomputed, not stored
-    assert np.array_equal(out.encoder.pos, nn.sinusoidal_table(6, 8))
-    assert np.array_equal(out.encoder.pos, pipe.encoder.pos)
+    out = ckpt.unpack_pipeline(tensors, 8)["encoder"]
+    assert list(out) == ["embed"]
+    assert np.array_equal(out["embed"], pipe.encoder["embed"])
     del tensors["encoder.embed"]
     with pytest.raises(IncompatibleCheckpoint, match="'encoder.embed'"):
-        ckpt.unpack_pipeline(tensors, 6, 8, 2.5)
+        ckpt.unpack_pipeline(tensors, 8)
 
 
 def test_pack_unpack_decoder_bitwise():
     pipe = _toy_pipeline()
-    out = ckpt.unpack_pipeline(_pack_pipeline(pipe), 6, 8, 2.5)
-    assert list(out.decoder) == list(pipe.decoder)
+    out = ckpt.unpack_pipeline(_pack_pipeline(pipe), 8)["decoder"]
+    assert list(out) == list(pipe.decoder)
     for key, val in pipe.decoder.items():
-        assert np.array_equal(out.decoder[key], val)
+        assert np.array_equal(out[key], val)
 
 
 def test_pack_unpack_compressor_bitwise():
     pipe = _toy_pipeline()
-    out = ckpt.unpack_pipeline(_pack_pipeline(pipe), 6, 8, 2.5)
-    assert list(out.compressor) == list(pipe.compressor)
+    out = ckpt.unpack_pipeline(_pack_pipeline(pipe), 8)
+    assert list(out["compressor"]) == list(pipe.compressor)
     for key, val in pipe.compressor.items():
-        assert np.array_equal(out.compressor[key], val)
-    assert out.width == pipe.width == 4
+        assert np.array_equal(out["compressor"][key], val)
+    assert LatentPipeline(**out).width == pipe.width == 4
 
 
 def test_pack_unpack_smoothing():
     pipe = _toy_pipeline()
     sm = pipe.smoothing
-    out = ckpt.unpack_pipeline(_pack_pipeline(pipe), 6, 8, sm.clamp_k).smoothing
-    assert np.array_equal(out.mean, sm.mean)
-    assert np.array_equal(out.std, sm.std)
-    assert np.array_equal(out.post_min, sm.post_min)
-    assert np.array_equal(out.post_max, sm.post_max)
-    assert out.clamp_k == 2.5
-    assert out.constant.dtype == np.bool_
-    assert np.array_equal(out.constant, sm.constant)
-    assert out.constant[3] and out.constant.sum() == 1
+    out = ckpt.unpack_pipeline(_pack_pipeline(pipe), 8)["smoothing"]
+    assert list(out) == list(sm)
+    for key, val in sm.items():
+        assert np.array_equal(out[key], val)
+    assert out["constant"][3] == 1.0 and out["constant"].sum() == 1.0
 
 
-def test_packed_stack_has_exactly_the_pipeline_shapes():
-    pipe = _toy_pipeline()
-    packed = {k: np.shape(v) for k, v in _pack_pipeline(pipe).items()}
-    assert list(packed.items()) == list(pipeline_shapes(8, 16, 4).items())
-    chained = {k: np.shape(v) for k, v in _pack_pipeline(pipe, "chain.A.").items()}
-    assert chained == {"chain.A." + k: shape for k, shape in pipeline_shapes(8, 16, 4).items()}
+def test_packed_stack_has_exactly_the_pipeline_shapes(tmp_path, monkeypatch):
+    # the tensors train-decoder and train-compressor write, in file order
+    monkeypatch.chdir(tmp_path)
+    seqs = ["ACDEFG", "KLMNPQ", "RSTVWY", "AC", "DEF", "KLMN"]
+    shapes = list(pipeline_shapes(8, 16, 4).items())
+    cfg = ("model.D = 8\nmodel.decoder_hidden = 16\nmodel.ratio_c = 2\nmodel.L_max = 6\n"
+           "train.steps = 2\ntrain.batch = 4\ntrain.warmup = 1\ndata.train_path = corpus.fasta\n")
+    layouts = {
+        "": ("", [(f"s{i}", s) for i, s in enumerate(seqs)]),
+        "chain.A.": ("chains = A:6,B:4\n", [rec for i, s in enumerate(seqs)
+                                            for rec in ((f"c{i}|chain=A", s),
+                                                        (f"c{i}|chain=B", s[-4:]))]),
+    }
+    for prefix, (chains_line, records) in layouts.items():
+        (tmp_path / "corpus.fasta").write_text("".join(f">{h}\n{s}\n" for h, s in records))
+        (tmp_path / "run.cfg").write_text(cfg + chains_line)
+        assert cli.main(["train-decoder", "--config", "run.cfg", "--out", "dec.ckpt"]) == 0
+        assert cli.main(["train-compressor", "--config", "run.cfg", "--init", "dec.ckpt",
+                         "--out", "pipe.ckpt"]) == 0
+        tensors, _ = ckpt.load_checkpoint("pipe.ckpt")
+        stored = [(k[len(prefix):], v.shape) for k, v in tensors.items() if k.startswith(prefix)]
+        assert stored == shapes, prefix
+        assert len(tensors) == len(shapes) * (2 if prefix else 1)
 
 
 def test_pipeline_file_round_trip(tmp_path):
     pipe = _toy_pipeline()
     path = str(tmp_path / "pipe.ckpt")
     for prefix in ("", "chain.A."):
-        meta = {"l_max": 6, "dim": 8, "clamp_k": 2.5}
-        ckpt.save_checkpoint(path, _pack_pipeline(pipe, prefix), meta)
+        ckpt.save_checkpoint(path, _pack_pipeline(pipe, prefix), {"l_max": 6, "dim": 8})
         loaded, meta = ckpt.load_checkpoint(path)
-        out = ckpt.unpack_pipeline(loaded, meta["l_max"], meta["dim"], meta["clamp_k"], prefix)
-
-        assert out.encoder.l_max == pipe.encoder.l_max and out.width == pipe.width
+        out = ckpt.unpack_pipeline(loaded, meta["dim"], prefix)
+        assert list(out) == list(_PARTS)
         # stored tensors come back as exact float32 casts of the originals
-        assert np.array_equal(out.encoder.embed, pipe.encoder.embed.astype(np.float32))
-        for key, val in pipe.decoder.items():
-            assert np.array_equal(out.decoder[key], val.astype(np.float32))
-        for key, val in pipe.compressor.items():
-            assert np.array_equal(out.compressor[key], val.astype(np.float32))
-        assert np.array_equal(out.smoothing.mean, pipe.smoothing.mean.astype(np.float32))
-        assert np.array_equal(out.smoothing.constant, pipe.smoothing.constant)
-        assert out.smoothing.clamp_k == pipe.smoothing.clamp_k
-        # the positional table never passes through float32 storage
-        assert np.array_equal(out.encoder.pos, pipe.encoder.pos)
+        for part, params in out.items():
+            original = getattr(pipe, part)
+            assert list(params) == list(original), part
+            for key, val in original.items():
+                assert np.array_equal(params[key], val.astype(np.float32)), (part, key)
 
 
 def test_unpack_pipeline_checks_every_shape():
@@ -406,9 +433,15 @@ def test_unpack_pipeline_checks_every_shape():
         tensors = _pack_pipeline(pipe)
         tensors[name] = tensors[name][np.newaxis]  # same size, so b1 and b_down set widths
         with pytest.raises(IncompatibleCheckpoint, match=repr(name)):
-            ckpt.unpack_pipeline(tensors, 6, 8, 2.5)
+            ckpt.unpack_pipeline(tensors, 8)
     with pytest.raises(IncompatibleCheckpoint, match="'encoder.embed'"):
-        ckpt.unpack_pipeline(_pack_pipeline(pipe), 6, 10, 2.5)  # dim disagrees
+        ckpt.unpack_pipeline(_pack_pipeline(pipe), 10)  # dim disagrees
+    # a decoder checkpoint has no compressor, and its parts unpack without one
+    tensors = {k: v for k, v in _pack_pipeline(pipe).items() if not k.startswith("compressor.")}
+    parts = ("encoder", "decoder", "smoothing")
+    assert list(ckpt.unpack_pipeline(tensors, 8, "", parts)) == list(parts)
+    with pytest.raises(IncompatibleCheckpoint, match="'compressor.b_down'"):
+        ckpt.unpack_pipeline(tensors, 8)
 
 
 def test_pack_unpack_flow(tmp_path):
@@ -471,9 +504,9 @@ def test_combined_pipeline_and_flow_checkpoint(tmp_path):
     ckpt.save_checkpoint(path, tensors, meta)
     loaded, meta2 = ckpt.load_checkpoint(path)
 
-    out_pipe = ckpt.unpack_pipeline(loaded, meta2["l_max"], meta2["dim"], meta2["clamp_k"])
+    out_pipe = LatentPipeline(**ckpt.unpack_pipeline(loaded, meta2["dim"]))
     out_flow = ckpt.unpack_flow(loaded, meta2)
-    assert out_pipe.encoder.l_max == pipe.encoder.l_max and out_pipe.width == pipe.width
+    assert out_pipe.width == pipe.width
     assert out_flow.cfg.to_dict() == cfg.to_dict()
     for key, val in model.params.items():
         assert np.array_equal(out_flow.params[key], val.astype(np.float32))
@@ -682,9 +715,7 @@ def test_fuzzed_checkpoints_load_or_exit_4(data):
             tensors, meta = ckpt.load_checkpoint(path)
             if meta.get("kind") in ("flow", "reflow"):
                 for chain in cli._meta_chains(meta):
-                    ckpt.unpack_pipeline(
-                        tensors, chain.l_max, meta["dim"], meta["clamp_k"], chain.prefix
-                    )
+                    ckpt.unpack_pipeline(tensors, meta["dim"], chain.prefix)
                 for dist in cli._meta_length_dists(meta).values():
                     dist.sample(RngStream(0))
                 model = ckpt.unpack_flow(tensors, meta)

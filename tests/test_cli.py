@@ -23,6 +23,7 @@ from protflow import cli, errors
 from protflow.checkpoint import file_sha256, load_checkpoint, pack_flow, save_checkpoint
 from protflow.config import L_MAX_CAP
 from protflow.flow import TIME_SCALE, VectorFieldConfig, init_flow_model
+from protflow.latent import pipeline_shapes
 from protflow.numeric import RngStream
 from protflow.seqio import read_fasta
 
@@ -605,6 +606,32 @@ def test_exit_4_tensors_that_disagree_with_the_model(workdir, mc_workdir):
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (label, proc.stderr)
         assert repr(key) in lines[0], (label, lines[0])
+
+
+# Each tensor of a decoder checkpoint (the workdir's dim 8, decoder_hidden 16),
+# and two ways to give it a wrong shape: one entry more along its last axis,
+# or a leading axis of one, which keeps its size and broadcasts.
+_DECODER_TENSORS = [k for k in pipeline_shapes(8, 16, 1) if not k.startswith("compressor.")]
+_WRONG_SHAPES = {
+    "longer": lambda a: np.concatenate([a, np.zeros(a.shape[:-1] + (1,), a.dtype)], axis=-1),
+    "leading-axis": lambda a: a[np.newaxis],
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_WRONG_SHAPES))
+@pytest.mark.parametrize("name", _DECODER_TENSORS)
+def test_train_compressor_exits_4_on_a_wrong_shaped_tensor(workdir, capsys, name, mutation):
+    tensors, meta = load_checkpoint(workdir["dec"])
+    tensors[name] = _WRONG_SHAPES[mutation](tensors[name])
+    bad = str(workdir["root"] / "wrong_shape.ckpt")
+    save_checkpoint(bad, tensors, meta)
+    capsys.readouterr()
+    out = str(workdir["root"] / "wrong_shape_pipe.ckpt")
+    code = cli.main(["train-compressor", "--config", workdir["cfg"], "--init", bad, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 def test_val_path_is_held_out_data(workdir, monkeypatch, capsys):

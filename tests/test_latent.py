@@ -7,63 +7,51 @@ import sys
 import numpy as np
 import pytest
 
-from protflow import latent
-from protflow.errors import (
-    EmptyCorpus,
-    IncompatibleRatio,
-    SequenceTooLong,
-    ShapeMismatch,
-)
+from protflow import latent, nn
+from protflow.errors import EmptyCorpus, IncompatibleRatio, SequenceTooLong
 from protflow.numeric import RngStream, grad_check
 from protflow.seqio import PAD_ID, tokenize
 
 
 def test_init_encoder_shapes_and_rank():
     rng = RngStream(0)
-    enc = latent.init_encoder(12, 16, rng, embed_scale=10.0, embed_rank=3)
-    assert enc.embed.shape == (21, 16)
-    assert enc.pos.shape == (12, 16)
-    assert np.linalg.matrix_rank(enc.embed) == 3
-    full = latent.init_encoder(12, 16, RngStream(0), embed_scale=1.0)
-    assert np.linalg.matrix_rank(full.embed) == 16
+    enc = latent.init_encoder(16, rng, embed_scale=10.0, embed_rank=3)
+    assert {k: v.shape for k, v in enc.items()} == {
+        k.partition(".")[2]: shape
+        for k, shape in latent.pipeline_shapes(16, 1, 1).items()
+        if k.startswith("encoder.")
+    }
+    assert np.linalg.matrix_rank(enc["embed"]) == 3
+    full = latent.init_encoder(16, RngStream(0), embed_scale=1.0)
+    assert np.linalg.matrix_rank(full["embed"]) == 16
 
 
 def test_encoder_scale_multiplies_table():
-    a = latent.init_encoder(4, 8, RngStream(5), embed_scale=1.0, embed_rank=2)
-    b = latent.init_encoder(4, 8, RngStream(5), embed_scale=7.0, embed_rank=2)
-    assert np.allclose(b.embed, 7.0 * a.embed)
-    assert np.array_equal(a.pos, b.pos)
+    a = latent.init_encoder(8, RngStream(5), embed_scale=1.0, embed_rank=2)
+    b = latent.init_encoder(8, RngStream(5), embed_scale=7.0, embed_rank=2)
+    assert np.allclose(b["embed"], 7.0 * a["embed"])
 
 
 def test_encode_is_embed_plus_positional():
     rng = RngStream(1)
-    enc = latent.init_encoder(10, 8, rng)
+    enc = latent.init_encoder(8, rng)
     h = latent.encode_corpus(tokenize(["ACDE"], 10), enc)
     assert h.shape == (1, 10, 8)
-    expected = enc.embed[[0, 1, 2, 3]] + enc.pos[:4]
+    expected = enc["embed"][[0, 1, 2, 3]] + nn.sinusoidal_table(10, 8)[:4]
     assert np.array_equal(h[0, :4], expected)
 
 
 def test_encode_rejects_overlong():
-    enc = latent.init_encoder(3, 8, RngStream(1))
-    dec = latent.init_decoder(8, 4, RngStream(2))
     with pytest.raises(SequenceTooLong):
-        tokenize(["ACDEF"], enc.l_max)
-    # an id matrix must be as wide as the encoder's positional table
-    for ids in (tokenize(["ACDEF"], 5), tokenize(["AC"], 2), np.array([0, 1, 2])):
-        with pytest.raises(ShapeMismatch):
-            latent.encode_corpus(ids, enc)
-        with pytest.raises(ShapeMismatch):
-            latent.decoder_accuracy(dec, enc, ids)
-        with pytest.raises(ShapeMismatch):
-            latent.train_decoder(dec, enc, ids, RngStream(3), steps=1)
+        tokenize(["ACDEF"], 3)
 
 
 def test_encode_corpus_pads():
-    enc = latent.init_encoder(5, 8, RngStream(2))
+    enc = latent.init_encoder(8, RngStream(2))
     out = latent.encode_corpus(tokenize(["AC", "ACDEF"], 5), enc)
     assert out.shape == (2, 5, 8)
-    assert np.array_equal(out[0], enc.embed[[0, 1, PAD_ID, PAD_ID, PAD_ID]] + enc.pos)
+    expected = enc["embed"][[0, 1, PAD_ID, PAD_ID, PAD_ID]] + nn.sinusoidal_table(5, 8)
+    assert np.array_equal(out[0], expected)
 
 
 def test_embed_sequences_batch_independent():
@@ -79,11 +67,11 @@ def test_embed_sequences_batch_independent():
 def test_smoothing_round_trip_interior():
     rng = np.random.default_rng(7)
     rows = rng.normal(size=(200, 6)) * np.array([1, 5, 0.1, 2, 3, 1]) + 1.0
-    stats = latent.fit_smoothing(rows, clamp_k=3.0)
+    stats = latent.fit_smoothing(rows)
     s = latent.smooth(rows, stats)
     assert s.min() >= -1.0 and s.max() <= 1.0
-    z = np.abs((rows - stats.mean) / stats.std)
-    interior = (z < 3.0).all(axis=1)
+    z = np.abs((rows - stats["mean"]) / stats["std"])
+    interior = (z < latent.CLAMP_K).all(axis=1)
     assert interior.sum() > 100
     back = latent.unsmooth(s, stats)
     assert np.max(np.abs(back[interior] - rows[interior])) < 1e-6
@@ -93,7 +81,7 @@ def test_smoothing_clamps_outliers_one_sided():
     rng = np.random.default_rng(8)
     rows = rng.normal(size=(100, 2))
     rows[0, 0] = 50.0  # far outside the clamp
-    stats = latent.fit_smoothing(rows, clamp_k=3.0)
+    stats = latent.fit_smoothing(rows)
     s = latent.smooth(rows, stats)
     back = latent.unsmooth(s, stats)
     assert abs(back[0, 0] - rows[0, 0]) > 1.0  # clamped, not invertible
@@ -103,24 +91,41 @@ def test_smoothing_clamps_outliers_one_sided():
 def test_smoothing_constant_dims_pass_through():
     rows = np.stack([np.linspace(0, 1, 50), np.full(50, 4.2)], axis=1)
     stats = latent.fit_smoothing(rows)
-    assert stats.constant[1] and not stats.constant[0]
+    assert list(stats["constant"]) == [0.0, 1.0]
     s = latent.smooth(rows, stats)
     assert np.array_equal(s[:, 1], rows[:, 1])
     back = latent.unsmooth(s, stats)
     assert np.array_equal(back[:, 1], rows[:, 1])
 
 
+def _smooth_formula(h, stats):
+    """smooth() as its formula, with the z-score clamped to [-CLAMP_K, CLAMP_K]."""
+    constant = stats["constant"] != 0.0
+    z = np.clip((h - stats["mean"]) / stats["std"], -latent.CLAMP_K, latent.CLAMP_K)
+    span = np.where(constant, 1.0, stats["post_max"] - stats["post_min"])
+    return np.where(constant, h, np.clip(2.0 * ((z - stats["post_min"]) / span) - 1.0, -1.0, 1.0))
+
+
 def test_smooth_in_place_matches_formula_bitwise():
-    rng = np.random.default_rng(9)
-    rows = rng.normal(size=(300, 4)) * np.array([1.0, 5.0, 0.1, 1.0])
-    rows[:, 3] = 4.2  # constant: passes through
-    rows[:5, 0] = 50.0  # clamped
-    stats = latent.fit_smoothing(rows[:200])
-    h = rows.reshape(3, 100, 4)  # smooth sees (n, L, dim) corpus batches
-    z = np.clip((h - stats.mean) / stats.std, -stats.clamp_k, stats.clamp_k)
-    span = np.where(stats.constant, 1.0, stats.post_max - stats.post_min)
-    ref = np.where(stats.constant, h, np.clip(2.0 * ((z - stats.post_min) / span) - 1.0, -1.0, 1.0))
-    assert np.array_equal(latent.smooth(h, stats), ref)
+    # smooth() does not clamp the z-score; the clipped output must not show it
+    gen = np.random.default_rng(9)
+    for trial in range(40):
+        rows = gen.standard_t(2 + trial % 3, size=(300, 4)) * np.array([1.0, 5.0, 0.1, 1.0])
+        rows[:, 3] = 4.2  # constant: passes through
+        rows[:5, 0] = 50.0  # clamped in the fit
+        fitted = latent.fit_smoothing(rows[:200])
+        # outliers far past the clamp on both sides, and the clamp boundary itself
+        far = gen.choice([-1.0, 1.0], size=(60, 4)) * 10.0 ** gen.uniform(1, 6, size=(60, 4))
+        rows[200:260] = fitted["mean"] + far * fitted["std"]
+        rows[260:280] = fitted["mean"] + gen.choice([-1.0, 1.0], size=(20, 4)) * (
+            latent.CLAMP_K * fitted["std"]
+        )
+        h = rows.reshape(3, 100, 4)  # smooth sees (n, L, dim) corpus batches
+        # as fitted, and rounded through float32 as a loaded checkpoint gives them
+        loaded = {k: v.astype(np.float32).astype(np.float64) for k, v in fitted.items()}
+        for stats in (fitted, loaded):
+            out = latent.smooth(h, stats)
+            assert np.array_equal(out.view(np.uint64), _smooth_formula(h, stats).view(np.uint64))
 
 
 def test_fit_smoothing_needs_rows():
@@ -235,7 +240,7 @@ def test_decode_ties_resolve_to_lowest_id():
 
 def test_train_decoder_learns_separable_corpus():
     rng = RngStream(31)
-    enc = latent.init_encoder(8, 16, rng.substream("enc"), embed_scale=10.0, embed_rank=4)
+    enc = latent.init_encoder(16, rng.substream("enc"), embed_scale=10.0, embed_rank=4)
     gen = np.random.default_rng(17)
     alphabet = "ACDEFGHIKLMNPQRSTVWY"
     seqs = ["".join(gen.choice(list(alphabet), size=int(gen.integers(2, 9)))) for _ in range(60)]
@@ -250,7 +255,7 @@ def test_train_decoder_learns_separable_corpus():
 
 def test_pipeline_round_trip_identity_compressor():
     rng = RngStream(41)
-    enc = latent.init_encoder(10, 16, rng.substream("enc"), embed_scale=10.0, embed_rank=4)
+    enc = latent.init_encoder(16, rng.substream("enc"), embed_scale=10.0, embed_rank=4)
     gen = np.random.default_rng(23)
     alphabet = "ACDEFGHIKLMNPQRSTVWY"
     seqs = ["".join(gen.choice(list(alphabet), size=int(gen.integers(2, 11)))) for _ in range(50)]
@@ -264,7 +269,7 @@ def test_pipeline_round_trip_identity_compressor():
     comp = latent.init_compressor(16, 1, rng.substream("comp"))
     comp, _ = latent.train_compressor(comp, smoothed, rng.substream("ctrain"), steps=800, batch=64)
     pipe = latent.LatentPipeline(enc, dec, stats, comp)
-    assert pipe.encoder.l_max == 10 and pipe.width == 16
+    assert pipe.width == 16
 
     hits = 0
     total = 0
@@ -279,7 +284,7 @@ def test_pipeline_round_trip_identity_compressor():
 
 def _random_pipeline(l_max, seed, dim=32, ratio=4):
     rng = RngStream(seed)
-    enc = latent.init_encoder(l_max, dim, rng.substream("enc"), embed_scale=10.0, embed_rank=4)
+    enc = latent.init_encoder(dim, rng.substream("enc"), embed_scale=10.0, embed_rank=4)
     dec = latent.init_decoder(dim, 16, rng.substream("dec"))
     corpus = tokenize(_random_peptides(64, l_max, seed), l_max)
     sm = latent.fit_smoothing(latent.encode_corpus(corpus, enc).reshape(-1, dim))
@@ -295,7 +300,7 @@ def _random_peptides(n, l_max, seed):
 
 def _row_latent(pipe, row):
     """One id row through the stack on its own: (l_max, width) latent."""
-    h = pipe.encoder.embed[row] + pipe.encoder.pos
+    h = pipe.encoder["embed"][row] + nn.sinusoidal_table(len(row), pipe.encoder["embed"].shape[1])
     return latent.compress(latent.smooth(h, pipe.smoothing), pipe.compressor)
 
 
@@ -331,14 +336,14 @@ def _residues(row):
 
 
 def test_decoder_batch_gather_matches_encode_loop():
-    enc = latent.init_encoder(20, 32, RngStream(6), embed_scale=10.0, embed_rank=4)
+    enc = latent.init_encoder(32, RngStream(6), embed_scale=10.0, embed_rank=4)
     ids = tokenize(_random_peptides(200, 20, 7), 20)
     idx = np.random.default_rng(8).integers(0, len(ids), size=64)
     h, y = latent._gather_rows(enc, ids, idx)
     hs, ys = [], []
     for i in idx:
         res = _residues(ids[int(i)])
-        hs.append(enc.embed[res] + enc.pos[: len(res)])
+        hs.append(enc["embed"][res] + nn.sinusoidal_table(20, 32)[: len(res)])
         ys.append(res)
     assert np.array_equal(h, np.concatenate(hs, axis=0))
     assert np.array_equal(y, np.concatenate(ys, axis=0))
@@ -348,9 +353,10 @@ def _accuracy_loop(dec, enc, ids):
     """decoder_accuracy as a per-sequence loop of encode and decode."""
     correct = 0
     total = 0
+    pos = nn.sinusoidal_table(ids.shape[1], enc["embed"].shape[1])
     for row in ids:
         res = _residues(row)
-        out = latent.decode(enc.embed[res] + enc.pos[: len(res)], dec)
+        out = latent.decode(enc["embed"][res] + pos[: len(res)], dec)
         correct += int((out == res).sum())
         total += len(res)
     return correct / max(total, 1)
@@ -387,7 +393,7 @@ _DECODER_CORPORA = {
 @pytest.mark.parametrize("case", sorted(_DECODER_CORPORA))
 def test_decoder_accuracy_batch_matches_loop(case, tmp_path):
     from protflow import cli
-    from protflow.checkpoint import load_checkpoint, unpack_encoder
+    from protflow.checkpoint import load_checkpoint, unpack_pipeline
 
     corpus, make_args, cfg, sets = _DECODER_CORPORA[case]
     if make_args is None:
@@ -403,16 +409,11 @@ def test_decoder_accuracy_batch_matches_loop(case, tmp_path):
         argv += ["--set", kv]
     assert cli.main(argv) == 0
     tensors, meta = load_checkpoint(ckpt)
-    dim = int(meta["dim"])
     chains = cli._meta_chains(meta)
     for chain, seqs in zip(chains, cli._load_corpus(corpus, chains)):
         prefix = chain.prefix
-        enc = unpack_encoder(tensors, chain.l_max, dim, prefix)
-        dec = {
-            k.rpartition(".")[2]: v.astype(np.float64)
-            for k, v in tensors.items()
-            if k.startswith(prefix + "decoder.")
-        }
+        stack = unpack_pipeline(tensors, meta["dim"], prefix, ("encoder", "decoder"))
+        enc, dec = stack["encoder"], stack["decoder"]
         val = seqs[:256]  # the held-out set train-decoder scores
         accuracy = latent.decoder_accuracy(dec, enc, val)
         assert 0.0 < accuracy < 1.0, (case, prefix, accuracy)
@@ -420,11 +421,9 @@ def test_decoder_accuracy_batch_matches_loop(case, tmp_path):
 
 
 def test_decoder_accuracy_edge_cases():
-    enc = latent.init_encoder(6, 8, RngStream(3), embed_scale=10.0, embed_rank=4)
+    enc = latent.init_encoder(8, RngStream(3), embed_scale=10.0, embed_rank=4)
     dec = latent.init_decoder(8, 16, RngStream(4))
     ids = tokenize(["", "A", "ACDEFG", "KL"], 6)
     assert latent.decoder_accuracy(dec, enc, ids) == _accuracy_loop(dec, enc, ids)
     assert latent.decoder_accuracy(dec, enc, tokenize([""], 6)) == 0.0
     assert latent.decoder_accuracy(dec, enc, tokenize([], 6)) == 0.0
-    with pytest.raises(ShapeMismatch):
-        latent.decoder_accuracy(dec, enc, tokenize(["ACDEFGH"], 7))

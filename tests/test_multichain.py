@@ -11,7 +11,7 @@ from protflow.seqio import LengthDistribution
 
 
 def _pipeline(rng, l_max, dim=8, ratio=2):
-    enc = latent.init_encoder(l_max, dim, rng.substream("enc"), embed_scale=5.0, embed_rank=3)
+    enc = latent.init_encoder(dim, rng.substream("enc"), embed_scale=5.0, embed_rank=3)
     dec = latent.init_decoder(dim, 8, rng.substream("dec"))
     rows = rng.substream("rows").normal((30, dim))
     stats = latent.fit_smoothing(rows)

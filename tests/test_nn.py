@@ -150,6 +150,10 @@ def test_sinusoidal_table_values():
     assert abs(table[2, 1] - math.cos(2.0)) < 1e-12
     with pytest.raises(ValueError):
         nn.sinusoidal_table(4, 5)
+    # one cached, read-only table serves every caller, and row i does not
+    # depend on the length
+    assert nn.sinusoidal_table(4, 6) is table and not table.flags.writeable
+    assert np.array_equal(nn.sinusoidal_table(9, 6)[:4], table)
 
 
 def test_time_features_scale():

@@ -143,7 +143,7 @@ def test_solve_dispatches_by_method():
 
 def _tiny_layout(rng):
     """The one-chain layout of a single-chain corpus: the unnamed chain."""
-    enc = latent.init_encoder(4, 8, rng.substream("enc"), embed_scale=5.0, embed_rank=3)
+    enc = latent.init_encoder(8, rng.substream("enc"), embed_scale=5.0, embed_rank=3)
     dec = latent.init_decoder(8, 8, rng.substream("dec"))
     rows = rng.substream("rows").normal((30, 8))
     stats = latent.fit_smoothing(rows)
