@@ -306,11 +306,11 @@ def unpack_pipeline(tensors, dim, prefix="", parts=_STACK_PARTS):
     return out
 
 
-def pack_flow(model, prefix="flow."):
-    return pack(model.params, prefix), {"flow_cfg": model.cfg.to_dict()}
+def pack_flow(model):
+    return pack(model.params, "flow."), {"flow_cfg": model.cfg.to_dict()}
 
 
-def unpack_flow(tensors, meta, prefix="flow."):
+def unpack_flow(tensors, meta):
     if "flow_cfg" not in meta:
         raise IncompatibleCheckpoint("checkpoint carries no flow model")
     try:
@@ -318,4 +318,4 @@ def unpack_flow(tensors, meta, prefix="flow."):
         shapes = param_shapes(cfg)
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedHeader(f"metadata 'flow_cfg' is not a vector-field config: {e!r}") from e
-    return VectorFieldModel(cfg, _get_shaped(tensors, prefix, shapes))
+    return VectorFieldModel(cfg, _get_shaped(tensors, "flow.", shapes))

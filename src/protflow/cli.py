@@ -24,6 +24,7 @@ protflow modules it runs. `--help` and argument errors load no numpy, and
 import argparse
 import json
 import sys
+import warnings
 
 from .errors import (
     ConfigError,
@@ -394,23 +395,9 @@ def cmd_train_flow(args):
 # --- reflow ---------------------------------------------------------------------
 
 
-def _solver_from_values(values):
-    from .ode import SolverConfig
-
-    try:
-        return SolverConfig(
-            method=values["solver.method"],
-            steps=values["solver.steps"],
-            atol=values["solver.atol"],
-            rtol=values["solver.rtol"],
-        )
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(str(e)) from None
-
-
 def cmd_reflow(args):
     from .checkpoint import file_sha256, load_checkpoint, unpack_flow
-    from .config import load_config
+    from .config import load_config, solver_config
     from .flow import reflow_pairs, straightness, train_reflow
     from .numeric import RngStream
 
@@ -421,7 +408,7 @@ def cmd_reflow(args):
     if m < 1:
         raise ConfigError("reflow.pairs must be >= 1: reflow needs a nonempty coupling set")
     model = unpack_flow(tensors, meta)
-    solver = _solver_from_values(cfg.to_dict())
+    solver = solver_config(cfg)
     root = RngStream(cfg["train.seed"])
     z0, z1 = reflow_pairs(model, solver, m, root.substream("reflow-pairs"))
     s_before = straightness(model, z0, z1, n_t=8)
@@ -441,42 +428,24 @@ def cmd_reflow(args):
 # --- sample ---------------------------------------------------------------------
 
 
-# Python types a config snapshot value may have, by config.SCHEMA type tag;
-# a bool is none of them.
-_SNAPSHOT_TYPES = {"int": int, "float": (int, float), "str": str}
-
-
 def _solver_with_overrides(meta, args):
     """Each solver setting from its flag (--method, --steps, --atol, --rtol),
     else from the checkpoint's config snapshot, else the default. A snapshot
-    setting of another type than config.SCHEMA gives its key, or out of range,
-    is a MalformedHeader, whatever the flags; bad flags are a ConfigError."""
-    from .config import SCHEMA
+    setting that SolverConfig rejects is a MalformedHeader, whatever the
+    flags; a bad flag is its ConfigError."""
+    from .ode import SETTINGS, SolverConfig
 
-    keys = ("solver.method", "solver.steps", "solver.atol", "solver.rtol")
-    values = {key: SCHEMA[key][1] for key in keys}
     snapshot = meta.get("config") or {}
     if not isinstance(snapshot, dict):
         raise MalformedHeader(f"{args.checkpoint}: metadata 'config' must be an object")
-    for key in keys:
-        value = snapshot.get(key)
-        if value is None:
-            continue
-        kind = SCHEMA[key][0]
-        if isinstance(value, bool) or not isinstance(value, _SNAPSHOT_TYPES[kind]):
-            raise MalformedHeader(
-                f"{args.checkpoint}: config snapshot: {key} must be of type {kind}, got {value!r}"
-            )
-        values[key] = value
+    settings = {n: snapshot.get("solver." + n) for n in SETTINGS}
+    settings = {n: value for n, value in settings.items() if value is not None}
     try:
-        _solver_from_values(values)
+        SolverConfig(**settings)
     except ConfigError as e:
         raise MalformedHeader(f"{args.checkpoint}: config snapshot: {e}") from None
-    for key in keys:
-        flag = getattr(args, key.split(".")[1])
-        if flag is not None:
-            values[key] = flag
-    return _solver_from_values(values)
+    settings.update((n, getattr(args, n)) for n in SETTINGS if getattr(args, n) is not None)
+    return SolverConfig(**settings)
 
 
 def cmd_sample(args):
@@ -551,7 +520,6 @@ def cmd_eval(args):
     import csv
     import hashlib
     import io
-    import warnings
 
     import numpy as np
 
@@ -708,9 +676,7 @@ def build_parser():
     sp.add_argument("--out", required=True, help="output FASTA path (JSON sidecar beside it)")
     sp.add_argument("--n", type=int, default=16, help="number of samples")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument(
-        "--method", choices=("euler", "dopri5", "dopri5-fixed", "dopri5-adaptive"), default=None
-    )
+    sp.add_argument("--method", default=None, help="solver method (see solver.method)")
     sp.add_argument("--steps", type=int, default=None)
     sp.add_argument("--atol", type=float, default=None)
     sp.add_argument("--rtol", type=float, default=None)
@@ -742,7 +708,11 @@ def main(argv=None):
     keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a numerical failure is reported as its one error line, which the
+        # finiteness checks raise, without numpy's RuntimeWarnings before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.func(args)
     except ProtflowError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

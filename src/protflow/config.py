@@ -3,16 +3,18 @@
 Format: one `key = value` per line, `#` starts a comment anywhere, blank
 lines ignored. Keys are dotted paths from the schema below; unknown keys are
 rejected so a typo cannot silently fall back to a default. Values are typed
-(int / float / bool / str) and range-checked. CLI `--set key=value` flags
-override file values. Paths named by data.* must exist at load time.
+(int / float / bool / str). Each SCHEMA row holds its key's type, default and
+inclusive bounds, and ode.SolverConfig alone checks the solver.* keys. CLI
+`--set key=value` flags override file values. Paths named by data.* must
+exist at load time.
 """
 
 import math
 import os
+import sys
 
 from .errors import ConfigError, DataError
-
-_SOLVER_METHODS = ("euler", "dopri5", "dopri5-fixed", "dopri5-adaptive")
+from .ode import SETTINGS, SolverConfig
 
 # The longest chain a config may name (model.L_max, each chains length) and a
 # checkpoint may carry: l_max sizes the positional table, which no stored
@@ -22,51 +24,42 @@ L_MAX_CAP = 4096
 # checkpoint's flow_cfg may carry: the loader builds the flow's shape table
 # over range(depth) before it compares a single tensor.
 SIZE_CAP = 4096
-_CAPPED_SIZES = ("model.depth", "model.width", "model.D", "model.decoder_hidden")
+# Inclusive float bounds: the least float > 0, and the greatest finite float,
+# so a float key within its bounds is neither nan nor infinite.
+_ABOVE_0 = math.ulp(0.0)
+_FINITE = sys.float_info.max
 
-# key -> (type tag, default). None default = unset (allowed for paths/chains).
+# key -> (type tag, default, lo, hi): an int or float key must lie in [lo, hi].
+# None default = unset (allowed for paths/chains). Keys without bounds are
+# checked elsewhere: solver.* by ode.SolverConfig, chains by parse_chains_value.
 SCHEMA = {
-    "model.depth": ("int", 2),
-    "model.width": ("int", 64),
-    "model.ratio_c": ("int", 4),
-    "model.L_max": ("int", 50),
-    "model.D": ("int", 64),
-    "model.attention": ("bool", False),
-    "model.embed_scale": ("float", 10.0),
-    "model.embed_rank": ("int", 4),
-    "model.decoder_hidden": ("int", 64),
-    "train.steps": ("int", 2000),
-    "train.batch": ("int", 64),
-    "train.lr": ("float", 1e-3),
-    "train.lr_min": ("float", 2e-4),
-    "train.warmup": ("int", 100),
-    "train.clip": ("float", 1.0),
-    "train.seed": ("int", 0),
-    "train.val_every": ("int", 100),  # recorded in config snapshots; has no effect
-    "train.weight_decay": ("float", 0.01),
-    "solver.method": ("str", "dopri5"),
-    "solver.steps": ("int", 25),
-    "solver.atol": ("float", 1e-6),
-    "solver.rtol": ("float", 1e-6),
-    "data.train_path": ("str", None),
-    "data.val_path": ("str", None),
-    "chains": ("str", None),
-    "reflow.pairs": ("int", 256),
+    "model.depth": ("int", 2, 1, SIZE_CAP),
+    "model.width": ("int", 64, 1, SIZE_CAP),
+    "model.ratio_c": ("int", 4, 1, math.inf),
+    "model.L_max": ("int", 50, 1, L_MAX_CAP),
+    "model.D": ("int", 64, 1, SIZE_CAP),
+    "model.attention": ("bool", False, None, None),
+    "model.embed_scale": ("float", 10.0, _ABOVE_0, _FINITE),
+    "model.embed_rank": ("int", 4, 0, math.inf),
+    "model.decoder_hidden": ("int", 64, 1, SIZE_CAP),
+    "train.steps": ("int", 2000, 0, math.inf),
+    "train.batch": ("int", 64, 1, math.inf),
+    "train.lr": ("float", 1e-3, _ABOVE_0, _FINITE),
+    "train.lr_min": ("float", 2e-4, 0.0, _FINITE),
+    "train.warmup": ("int", 100, 0, math.inf),
+    "train.clip": ("float", 1.0, _ABOVE_0, _FINITE),
+    "train.seed": ("int", 0, 0, math.inf),
+    "train.val_every": ("int", 100, 1, math.inf),  # recorded in config snapshots; has no effect
+    "train.weight_decay": ("float", 0.01, 0.0, _FINITE),
+    "solver.method": ("str", "dopri5", None, None),
+    "solver.steps": ("int", 25, None, None),
+    "solver.atol": ("float", 1e-6, None, None),
+    "solver.rtol": ("float", 1e-6, None, None),
+    "data.train_path": ("str", None, None, None),
+    "data.val_path": ("str", None, None, None),
+    "chains": ("str", None, None, None),
+    "reflow.pairs": ("int", 256, 0, math.inf),
 }
-
-_POSITIVE_INT = (
-    "model.depth",
-    "model.width",
-    "model.ratio_c",
-    "model.L_max",
-    "model.D",
-    "model.decoder_hidden",
-    "train.batch",
-    "train.val_every",
-)
-_NONNEG_INT = ("model.embed_rank", "train.steps", "train.warmup", "train.seed", "reflow.pairs")
-_POSITIVE_FLOAT = ("train.lr", "train.clip", "solver.atol", "solver.rtol", "model.embed_scale")
-_NONNEG_FLOAT = ("train.lr_min", "train.weight_decay")
 
 
 def _parse_value(key, text):
@@ -108,7 +101,7 @@ class Config:
 
 def parse_config_text(text, values=None):
     """Apply config lines on top of `values` (or the schema defaults)."""
-    out = {k: v for k, (_, v) in SCHEMA.items()} if values is None else dict(values)
+    out = {key: row[1] for key, row in SCHEMA.items()} if values is None else dict(values)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,34 +116,16 @@ def parse_config_text(text, values=None):
     return out
 
 
+def solver_config(values):
+    """The SolverConfig of the solver.* keys of a Config or values dict."""
+    return SolverConfig(**{name: values["solver." + name] for name in SETTINGS})
+
+
 def _validate(values):
-    for key in _POSITIVE_INT:
-        if values[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {values[key]}")
-    for key in _NONNEG_INT:
-        if values[key] < 0:
-            raise ConfigError(f"{key} must be >= 0, got {values[key]}")
-    for key in _POSITIVE_FLOAT + _NONNEG_FLOAT:
-        if not math.isfinite(values[key]):
-            raise ConfigError(f"{key} must be finite, got {values[key]}")
-    for key in _POSITIVE_FLOAT:
-        if not values[key] > 0:
-            raise ConfigError(f"{key} must be > 0, got {values[key]}")
-    for key in _NONNEG_FLOAT:
-        if not values[key] >= 0:
-            raise ConfigError(f"{key} must be >= 0, got {values[key]}")
-    if values["solver.method"] not in _SOLVER_METHODS:
-        raise ConfigError(
-            f"solver.method must be one of {', '.join(_SOLVER_METHODS)}, "
-            f"got {values['solver.method']!r}"
-        )
-    for key in _CAPPED_SIZES:
-        if values[key] > SIZE_CAP:
-            raise ConfigError(f"{key} must be <= {SIZE_CAP}, got {values[key]}")
-    if values["model.L_max"] > L_MAX_CAP:
-        raise ConfigError(f"model.L_max must be <= {L_MAX_CAP}, got {values['model.L_max']}")
-    if not 1 <= values["solver.steps"] <= 100:
-        raise ConfigError(f"solver.steps must be in [1, 100], got {values['solver.steps']}")
+    for key, (_, _, lo, hi) in SCHEMA.items():
+        if lo is not None and not lo <= values[key] <= hi:
+            raise ConfigError(f"{key} must be in [{lo:g}, {hi:g}], got {values[key]!r}")
+    solver_config(values)
     if values["model.D"] % 2 != 0:
         raise ConfigError(f"model.D must be even (sinusoidal positions), got {values['model.D']}")
     if values["model.embed_rank"] > values["model.D"]:
@@ -177,7 +152,7 @@ def load_config(path=None, overrides=None):
     Raises ConfigError if the file is missing, unreadable or not UTF-8 text,
     and DataError if a file named by data.* does not exist.
     """
-    values = {k: v for k, (_, v) in SCHEMA.items()}
+    text = ""
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as f:
@@ -188,7 +163,7 @@ def load_config(path=None, overrides=None):
             raise ConfigError(f"{path}: cannot read config file: {e.strerror or e}") from None
         except UnicodeDecodeError as e:
             raise ConfigError(f"{path}: config file is not UTF-8 text: {e}") from None
-        values = parse_config_text(text, values)
+    values = parse_config_text(text)
     for item in overrides or ():
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")

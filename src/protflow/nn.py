@@ -123,18 +123,11 @@ def sinusoidal_table(length, dim):
     """Fixed sin/cos positional table, deterministic in (length, dim); cached
     and read-only, as one table serves every caller.
 
-    Even columns carry sin, odd columns cos, geometric frequencies from 1
-    down to 1/10000 across column pairs. Row i does not depend on length.
+    Row i is time_features(i, dim, 1.0): even columns carry sin, odd columns
+    cos, geometric frequencies from 1 down to 1/10000 across column pairs.
+    Row i does not depend on length.
     """
-    if dim % 2 != 0:
-        raise ValueError(f"dim must be even, got {dim}")
-    pos = np.arange(length, dtype=np.float64)[:, None]
-    half = dim // 2
-    freqs = np.exp(-math.log(10000.0) * np.arange(half, dtype=np.float64) / max(half, 1))
-    ang = pos * freqs[None, :]
-    table = np.zeros((length, dim), dtype=np.float64)
-    table[:, 0::2] = np.sin(ang)
-    table[:, 1::2] = np.cos(ang)
+    table = time_features(np.arange(length), dim, 1.0)
     table.flags.writeable = False
     return table
 

@@ -12,11 +12,17 @@ There is one implementation of each integrator, over a leading lane axis:
 solve_lanes integrates n independent states with one field call per stage
 for every lane still running, and solve, over one state, is its one-lane
 case.
+
+SolverConfig is the one check of the solver settings (method, steps, atol,
+rtol), and METHODS the one list of methods. An adaptive solve may spend
+MAX_NFE field evaluations per lane.
 """
+
+import sys
 
 import numpy as np
 
-from .errors import NfeBudgetExceeded, NonFiniteState, StepUnderflow
+from .errors import ConfigError, NfeBudgetExceeded, NonFiniteState, StepUnderflow
 
 # Dormand-Prince 5(4) tableau
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -36,47 +42,58 @@ _NEG_A = tuple(tuple(-a for a in row) for row in _A)
 _NEG_B5 = tuple(-b for b in _B5)
 _NEG_ERR = tuple(b4 - b5 for b5, b4 in zip(_B5, _B4))
 
-_FIXED_METHODS = ("euler", "dopri5-fixed")
+# solver.method values; "dopri5" names "dopri5-fixed"
+METHODS = ("euler", "dopri5", "dopri5-fixed", "dopri5-adaptive")
+# the solver settings: SolverConfig's arguments, and the config's solver.* keys
+SETTINGS = ("method", "steps", "atol", "rtol")
+# the field evaluations an adaptive solve may spend in each lane
+MAX_NFE = 100000
+
+
+def _tolerance(key, value):
+    """value as a float, if it is a finite number > 0."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if 0 < value <= sys.float_info.max:
+            return float(value)
+    raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
 
 
 class SolverConfig:
-    """Solver selection: method, fixed step count, adaptive tolerances."""
+    """Solver selection: method, fixed step count, adaptive tolerances.
 
-    __slots__ = ("method", "steps", "atol", "rtol", "max_nfe")
+    This is the one check of the solver.* settings, wherever they come from:
+    a config file, sample's flags or a checkpoint's config snapshot. The
+    method is a str in METHODS, steps an int in [1, 100] under every method
+    (the adaptive solve does not read it), and atol and rtol finite numbers
+    > 0. A bool is none of these. Anything else raises ConfigError.
+    """
 
-    def __init__(self, method="dopri5", steps=25, atol=1e-6, rtol=1e-6, max_nfe=100000):
-        if method == "dopri5":
-            method = "dopri5-fixed"
-        if method not in ("euler", "dopri5-fixed", "dopri5-adaptive"):
-            raise ValueError(f"unknown solver method {method!r}")
-        self.method = method
-        self.steps = int(steps)
-        if method in _FIXED_METHODS and not 1 <= self.steps <= 100:
-            raise ValueError(f"fixed-grid steps must be in [1, 100], got {steps}")
-        if not (0 < atol < np.inf and 0 < rtol < np.inf):
-            raise ValueError(f"atol and rtol must be finite and > 0, got {atol} and {rtol}")
-        self.atol = float(atol)
-        self.rtol = float(rtol)
-        self.max_nfe = int(max_nfe)
-        if self.max_nfe < 1:
-            raise ValueError("max_nfe must be >= 1")
+    __slots__ = SETTINGS
+
+    def __init__(self, method="dopri5", steps=25, atol=1e-6, rtol=1e-6):
+        if not isinstance(method, str) or method not in METHODS:
+            raise ConfigError(f"solver.method must be one of {', '.join(METHODS)}, got {method!r}")
+        self.method = "dopri5-fixed" if method == "dopri5" else method
+        if isinstance(steps, bool) or not isinstance(steps, int) or not 1 <= steps <= 100:
+            raise ConfigError(f"solver.steps must be an integer in [1, 100], got {steps!r}")
+        self.steps = steps
+        self.atol = _tolerance("solver.atol", atol)
+        self.rtol = _tolerance("solver.rtol", rtol)
 
 
 class SolveResult:
     """Endpoint, NFE and step counts of a solve.
 
-    For a single-state solve x0 is the state, nfe/accepted/rejected are ints
-    and trajectory is a list of (t, x) pairs. For solve_lanes x0 has the
-    lanes on its leading axis, the counts are (n,) int64 arrays, and
-    trajectory holds one such list per lane.
+    For a single-state solve x0 is the state and nfe/accepted/rejected are
+    ints. For solve_lanes x0 has the lanes on its leading axis and the counts
+    are (n,) int64 arrays.
     """
 
-    __slots__ = ("x0", "nfe", "trajectory", "accepted", "rejected")
+    __slots__ = ("x0", "nfe", "accepted", "rejected")
 
-    def __init__(self, x0, nfe, trajectory=None, accepted=0, rejected=0):
+    def __init__(self, x0, nfe, accepted, rejected):
         self.x0 = x0
         self.nfe = nfe
-        self.trajectory = trajectory
         self.accepted = accepted
         self.rejected = rejected
 
@@ -107,17 +124,12 @@ def _advance(x, h, acc):
     return acc
 
 
-def _start_trajectories(x, record):
-    return [[(1.0, xi.copy())] for xi in x] if record else None
-
-
-def _fixed_grid(v, x, n_steps, tableau, record_trajectory):
+def _fixed_grid(v, x, n_steps, tableau):
     """Uniform-grid explicit RK over all lanes; NFE = stages * N per lane."""
     c, a, b = tableau
     n = x.shape[0]
     lanes = np.arange(n)
     h = 1.0 / n_steps
-    traj = _start_trajectories(x, record_trajectory)
     vs = [None] * len(c)
     for step in range(n_steps):
         s = step * h
@@ -126,14 +138,11 @@ def _fixed_grid(v, x, n_steps, tableau, record_trajectory):
             vs[i] = v(xi, np.full(n, 1.0 - (s + c[i] * h)))
         x = _advance(x, h, _combine(b, vs))
         _check_finite(x, step, lanes)
-        if record_trajectory:
-            for lane_traj, xi in zip(traj, x):
-                lane_traj.append((1.0 - (step + 1) * h, xi.copy()))
     steps = np.full(n, n_steps, dtype=np.int64)
-    return SolveResult(x, len(c) * steps, traj, accepted=steps, rejected=np.zeros(n, np.int64))
+    return SolveResult(x, len(c) * steps, accepted=steps, rejected=np.zeros(n, np.int64))
 
 
-def _dopri5_adaptive(v, x, atol, rtol, max_nfe, record_trajectory):
+def _dopri5_adaptive(v, x, atol, rtol):
     """Embedded 5(4) pair with PI step control and FSAL reuse, per lane.
 
     Error norm: RMS over a lane's coordinates of err/(atol + rtol*max(|x|,
@@ -156,7 +165,6 @@ def _dopri5_adaptive(v, x, atol, rtol, max_nfe, record_trajectory):
     n = x.shape[0]
     x_end = x.copy()
     nfe, accepted, rejected, lane_accepted = (np.zeros(n, dtype=np.int64) for _ in range(4))
-    traj = _start_trajectories(x, record_trajectory)
     lanes = np.arange(n)  # lanes still running; the arrays below follow it
     s = np.zeros(n)
     h = np.full(n, 0.1)
@@ -166,8 +174,8 @@ def _dopri5_adaptive(v, x, atol, rtol, max_nfe, record_trajectory):
 
     def field(x_val, t):
         nonlocal calls
-        if calls >= max_nfe:
-            raise NfeBudgetExceeded(f"nfe exceeded budget {max_nfe} in lane {int(lanes[0])}")
+        if calls >= MAX_NFE:
+            raise NfeBudgetExceeded(f"nfe exceeded budget {MAX_NFE} in lane {int(lanes[0])}")
         calls += 1
         return v(x_val, t)
 
@@ -204,8 +212,6 @@ def _dopri5_adaptive(v, x, atol, rtol, max_nfe, record_trajectory):
             lane_accepted += ok
         for j, e in enumerate(errs):
             if e <= 1.0:
-                if record_trajectory:
-                    traj[lanes[j]].append((1.0 - float(s[j]), x[j].copy()))
                 factor = 5.0 if e == 0.0 else safety * e ** (-alpha) * err_old[j] ** beta
                 h[j] *= min(max(factor, 0.2), 5.0)
                 err_old[j] = max(e, 1e-4)
@@ -222,10 +228,10 @@ def _dopri5_adaptive(v, x, atol, rtol, max_nfe, record_trajectory):
             lanes, x, s, h = lanes[keep], x[keep], s[keep], h[keep]
             lane_accepted, vs[0] = lane_accepted[keep], vs[0][keep]
             err_old = [e for e, d in zip(err_old, done.tolist()) if not d]
-    return SolveResult(x_end, nfe, traj, accepted=accepted, rejected=rejected)
+    return SolveResult(x_end, nfe, accepted=accepted, rejected=rejected)
 
 
-def solve_lanes(v, x1, config, record_trajectory=False):
+def solve_lanes(v, x1, config):
     """Integrate n independent states ("lanes") from t=1 to t=0 at once.
 
     Args:
@@ -242,25 +248,22 @@ def solve_lanes(v, x1, config, record_trajectory=False):
     if x.ndim < 1 or x.shape[0] < 1:
         raise ValueError("solve_lanes needs at least one lane")
     if config.method == "dopri5-adaptive":
-        return _dopri5_adaptive(
-            v, x, config.atol, config.rtol, config.max_nfe, record_trajectory
-        )
+        return _dopri5_adaptive(v, x, config.atol, config.rtol)
     tableau = _EULER if config.method == "euler" else _DP54_FIXED
-    return _fixed_grid(v, x, config.steps, tableau, record_trajectory)
+    return _fixed_grid(v, x, config.steps, tableau)
 
 
-def solve(v, x1, config, record_trajectory=False):
+def solve(v, x1, config):
     """Integrate the field from noise (t=1) to data (t=0) per the config.
 
     v(x, t) takes one state and a float time; this is solve_lanes on one lane,
     and the counts of the result are ints.
     """
     x = np.array(x1, dtype=np.float64)[None]
-    res = solve_lanes(lambda xs, ts: v(xs[0], float(ts[0]))[None], x, config, record_trajectory)
+    res = solve_lanes(lambda xs, ts: v(xs[0], float(ts[0]))[None], x, config)
     return SolveResult(
         res.x0[0],
         int(res.nfe[0]),
-        None if res.trajectory is None else res.trajectory[0],
         accepted=int(res.accepted[0]),
         rejected=int(res.rejected[0]),
     )

@@ -315,7 +315,9 @@ def test_exit_1_sample_bad_n(workdir):
 
 @pytest.mark.parametrize(
     "flag", [("--steps", "0"), ("--steps", "101"), ("--atol", "-1"), ("--rtol", "-1"),
-             ("--atol", "nan"), ("--atol", "inf"), ("--rtol", "inf")],
+             ("--atol", "nan"), ("--atol", "inf"), ("--rtol", "inf"),
+             # SolverConfig checks the method and the step count under every method
+             ("--method", "rk4"), ("--method", "dopri5-adaptive", "--steps", "500")],
     ids=lambda f: " ".join(f),
 )
 def test_exit_1_sample_bad_solver_flag(workdir, flag):
@@ -403,6 +405,25 @@ def test_exit_2_missing_scores(workdir):
          "--external-scores", "/nonexistent/scores.csv", "--threshold", "0.5"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train-flow", "--config", "{cfg}", "--init", "{pipe}", "--out", "{root}/x.ckpt",
+      "--set", "train.lr=1e300", "--set", "train.warmup=0"],
+     ["sample", "--checkpoint", "{flow}", "--out", "{root}/x.fasta",
+      "--method", "dopri5-adaptive", "--atol", "1e-320", "--rtol", "1e-320"]],
+    ids=["train-flow lr 1e300", "sample tolerances 1e-320"],
+)
+def test_exit_3_numerical_failure_prints_one_line(workdir, argv):
+    # numpy's RuntimeWarnings on the way to the raise are not printed
+    proc = subprocess.run(
+        [sys.executable, "-m", "protflow", *(arg.format(**workdir) for arg in argv)],
+        env=_protflow_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 def test_exit_3_divergence(workdir):

@@ -1,6 +1,7 @@
 """Config file parsing, typing, validation, and overrides."""
 
 import os
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from protflow.config import (
     parse_config_text,
 )
 from protflow.errors import ConfigError, DataError
+from protflow.ode import METHODS
 
 
 def test_defaults_cover_every_key():
@@ -186,20 +188,25 @@ def test_chains_validated_inside_load():
 
 def test_readme_configuration_table_matches_schema():
     # Each row names one key, or `a` / `b` with one shared default or one each;
-    # a default of — means unset (None).
+    # a default of — means unset (None). The solver.method row names exactly
+    # the methods ode.METHODS lists, in its order.
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
     with open(readme, encoding="utf-8") as f:
         section = f.read().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
     documented = {}
+    methods = None
     for line in section.splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if len(cells) < 3 or not cells[0].startswith("`"):
             continue
         keys = [k.strip().strip("`") for k in cells[0].split(" / ")]
+        if keys == ["solver.method"]:
+            methods = tuple(re.findall(r"`([^`]+)`", cells[2]))
         defaults = [d.strip() for d in cells[1].split(" / ")]
         defaults = defaults * len(keys) if len(defaults) == 1 else defaults
         assert len(defaults) == len(keys), line
         for key, text in zip(keys, defaults):
             assert key not in documented, f"{key} documented twice"
             documented[key] = None if text == "—" else parse_config_text(f"{key} = {text}")[key]
-    assert documented == {key: default for key, (_, default) in SCHEMA.items()}
+    assert documented == {key: row[1] for key, row in SCHEMA.items()}
+    assert methods == METHODS

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from protflow import latent, multichain, ode
-from protflow.errors import NfeBudgetExceeded, NonFiniteState, StepUnderflow
+from protflow.errors import ConfigError, NfeBudgetExceeded, NonFiniteState, StepUnderflow
 from protflow.flow import VectorFieldConfig, init_flow_model
 from protflow.numeric import RngStream
 from protflow.seqio import LengthDistribution
@@ -16,18 +16,27 @@ def test_solver_config_normalizes_and_validates():
     cfg = ode.SolverConfig(method="dopri5")
     assert cfg.method == "dopri5-fixed"
     assert ode.SolverConfig(method="euler").method == "euler"
-    with pytest.raises(ValueError):
-        ode.SolverConfig(method="rk4")
-    with pytest.raises(ValueError):
-        ode.SolverConfig(method="euler", steps=0)
-    with pytest.raises(ValueError):
-        ode.SolverConfig(method="euler", steps=101)
-    with pytest.raises(ValueError):
-        ode.SolverConfig(atol=0.0)
-    with pytest.raises(ValueError):
-        ode.SolverConfig(max_nfe=0)
-    # adaptive mode has no fixed-grid bound on steps
-    assert ode.SolverConfig(method="dopri5-adaptive", steps=500).steps == 500
+    assert ode.SolverConfig(method="dopri5-adaptive", steps=100).steps == 100
+    # an integer tolerance is a number, kept as its float
+    tol = ode.SolverConfig(atol=1, rtol=2e-3)
+    assert (tol.atol, tol.rtol) == (1.0, 2e-3) and type(tol.atol) is float
+    bad = [
+        {"method": "rk4"},
+        {"method": 5},
+        {"method": None},
+        {"method": ["euler"]},
+        *({"method": m, "steps": s} for m in ode.METHODS for s in (0, 101)),
+        {"steps": True},
+        {"steps": 7.0},
+        {"steps": 2.7},
+        {"steps": "7"},
+        {"steps": [3]},
+        *({key: value} for key in ("atol", "rtol")
+          for value in (True, False, "1e-6", math.nan, math.inf, 0, 0.0, -1, -1e-6, 10**400)),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ConfigError):
+            ode.SolverConfig(**kwargs)
 
 
 def test_euler_linear_field_closed_form():
@@ -37,7 +46,7 @@ def test_euler_linear_field_closed_form():
         expected = x1 * (1.0 - 1.0 / n) ** n
         assert np.allclose(res.x0, expected, atol=1e-14)
         assert res.nfe == n
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ode.solve(lambda x, t: x, x1, ode.SolverConfig(method="euler", steps=0))
 
 
@@ -47,20 +56,6 @@ def test_euler_one_step_subtracts_field_at_t1():
     res = ode.solve(lambda x, t: x - np.array([5.0, 5.0]), x1, one_step)
     # x0 = x1 - 1*(x1 - c) = c exactly
     assert np.array_equal(res.x0, np.array([5.0, 5.0]))
-
-
-def test_trajectory_recording():
-    x1 = np.array([1.0])
-    euler4 = ode.SolverConfig(method="euler", steps=4)
-    res = ode.solve(lambda x, t: x, x1, euler4, record_trajectory=True)
-    assert len(res.trajectory) == 5
-    times = [t for t, _ in res.trajectory]
-    assert times == pytest.approx([1.0, 0.75, 0.5, 0.25, 0.0])
-    assert np.array_equal(res.trajectory[-1][1], res.x0)
-    res2 = ode.solve(
-        lambda x, t: x, x1, ode.SolverConfig(steps=3), record_trajectory=True
-    )
-    assert len(res2.trajectory) == 4
 
 
 def test_dopri5_fixed_exponential_accuracy_and_nfe():
@@ -107,8 +102,9 @@ def test_adaptive_tightening_tolerance_reduces_error():
     assert errs[1] < 1e-10
 
 
-def test_adaptive_nfe_budget():
-    cfg = ode.SolverConfig(method="dopri5-adaptive", atol=1e-12, rtol=1e-12, max_nfe=10)
+def test_adaptive_nfe_budget(monkeypatch):
+    monkeypatch.setattr(ode, "MAX_NFE", 10)
+    cfg = ode.SolverConfig(method="dopri5-adaptive", atol=1e-12, rtol=1e-12)
     with pytest.raises(NfeBudgetExceeded):
         ode.solve(lambda x, t: np.sin(100 * t) * x, np.ones(3), cfg)
 
@@ -207,17 +203,14 @@ def _decay_lanes(x, t):
 )
 def test_solve_lanes_match_one_lane_solves(cfg):
     x1 = np.array([[1.0, 0.5], [-2.0, 4.0], [0.25, 12.0], [3.0, 1.5]])
-    lanes = ode.solve_lanes(_decay_lanes, x1, cfg, record_trajectory=True)
+    lanes = ode.solve_lanes(_decay_lanes, x1, cfg)
     assert lanes.x0.shape == x1.shape
     for i in range(len(x1)):
-        solo = ode.solve(_decay, x1[i], cfg, record_trajectory=True)
+        solo = ode.solve(_decay, x1[i], cfg)
         assert np.array_equal(lanes.x0[i], solo.x0)
         assert (lanes.nfe[i], lanes.accepted[i], lanes.rejected[i]) == (
             solo.nfe, solo.accepted, solo.rejected
         )
-        assert [t for t, _ in lanes.trajectory[i]] == [t for t, _ in solo.trajectory]
-        for (_, a), (_, b) in zip(lanes.trajectory[i], solo.trajectory):
-            assert np.array_equal(a, b)
     if cfg.method == "dopri5-adaptive":
         # lanes finish after different step counts; each lane's NFE is its own
         assert len(set(lanes.nfe.tolist())) == len(x1)
@@ -225,10 +218,11 @@ def test_solve_lanes_match_one_lane_solves(cfg):
         assert lanes.rejected.sum() > 0
 
 
-def test_solve_lanes_failures_name_the_lane():
+def test_solve_lanes_failures_name_the_lane(monkeypatch):
     # lane 0 finishes in 19 evaluations, lane 1 would need thousands
     x1 = np.array([[1.0, 0.01], [1.0, 400.0]])
-    tight = ode.SolverConfig(method="dopri5-adaptive", atol=1e-8, rtol=1e-8, max_nfe=200)
+    monkeypatch.setattr(ode, "MAX_NFE", 200)
+    tight = ode.SolverConfig(method="dopri5-adaptive", atol=1e-8, rtol=1e-8)
     with pytest.raises(NfeBudgetExceeded, match="lane 1"):
         ode.solve_lanes(_decay_lanes, x1, tight)
 
@@ -286,7 +280,6 @@ def _ref_stage(v, x, s, h, h_x, ks, i, c, a):
 
 def _ref_fixed_grid(v, x, n_steps, c, a, b):
     h = 1.0 / n_steps
-    traj = [[(1.0, xi.copy())] for xi in x]
     ks = [None] * len(c)
     for step in range(n_steps):
         for i in range(len(c)):
@@ -295,10 +288,8 @@ def _ref_fixed_grid(v, x, n_steps, c, a, b):
         for i in range(1, len(b)):
             incr = incr + b[i] * ks[i]
         x = x + h * incr
-        for lane_traj, xi in zip(traj, x):
-            lane_traj.append((1.0 - (step + 1) * h, xi.copy()))
     steps = np.full(x.shape[0], n_steps)
-    return x, len(c) * steps, steps, 0 * steps, traj
+    return x, len(c) * steps, steps, 0 * steps
 
 
 def _ref_adaptive(v, x, atol, rtol, max_nfe):
@@ -307,7 +298,6 @@ def _ref_adaptive(v, x, atol, rtol, max_nfe):
     n = x.shape[0]
     x_end = x.copy()
     nfe, accepted, rejected = (np.zeros(n, dtype=np.int64) for _ in range(3))
-    traj = [[(1.0, xi.copy())] for xi in x]
     lanes = np.arange(n)
     s, h, err_old = np.zeros(n), np.full(n, 0.1), np.full(n, 1e-4)
     lane_shape = (-1,) + (1,) * (x.ndim - 1)
@@ -345,7 +335,6 @@ def _ref_adaptive(v, x, atol, rtol, max_nfe):
         rejected[lanes[~ok]] += 1
         for j, e in enumerate(err.tolist()):
             if e <= 1.0:
-                traj[lanes[j]].append((1.0 - float(s[j]), x[j].copy()))
                 factor = 5.0 if e == 0.0 else 0.9 * e ** -alpha * float(err_old[j]) ** beta
                 h[j] *= min(max(factor, 0.2), 5.0)
                 err_old[j] = max(e, 1e-4)
@@ -356,12 +345,12 @@ def _ref_adaptive(v, x, atol, rtol, max_nfe):
         keep = ~done
         lanes, x, s, h = lanes[keep], x[keep], s[keep], h[keep]
         err_old, k[0] = err_old[keep], k[0][keep]
-    return x_end, nfe, accepted, rejected, traj
+    return x_end, nfe, accepted, rejected
 
 
 def _ref_solve(v, x1, cfg):
     if cfg.method == "dopri5-adaptive":
-        return _ref_adaptive(v, x1, cfg.atol, cfg.rtol, cfg.max_nfe)
+        return _ref_adaptive(v, x1, cfg.atol, cfg.rtol, ode.MAX_NFE)
     c, a = np.array(ode._C), [np.array(row) for row in ode._A]
     if cfg.method == "euler":
         return _ref_fixed_grid(v, x1, cfg.steps, c[:1], a[:1], np.array([1.0]))
@@ -390,27 +379,25 @@ def _perturbed_flow(seed, **cfg):
 def test_solve_lanes_bitwise_matches_reference_integrators(cfg, n):
     v = _perturbed_flow(31)
     x1 = RngStream(32 + n).normal((n, 6, 8))
-    got = ode.solve_lanes(v, x1, cfg, record_trajectory=True)
-    x0, nfe, accepted, rejected, traj = _ref_solve(v, x1, cfg)
+    got = ode.solve_lanes(v, x1, cfg)
+    x0, nfe, accepted, rejected = _ref_solve(v, x1, cfg)
     assert got.x0.tobytes() == x0.tobytes()
     assert got.nfe.tolist() == nfe.tolist()
     assert got.accepted.tolist() == accepted.tolist()
     assert got.rejected.tolist() == rejected.tolist()
-    for lane_got, lane_ref in zip(got.trajectory, traj):
-        assert [t for t, _ in lane_got] == [t for t, _ in lane_ref]
-        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(lane_got, lane_ref))
     if cfg.method == "dopri5-adaptive" and n > 1:
         assert got.rejected.sum() > 0  # the rejecting branch ran too
 
 
 @pytest.mark.parametrize("budget, lane", [(1, 0), (8, 0), (800, 1), (1400, 2)])
-def test_nfe_budget_raises_where_the_reference_does(budget, lane):
+def test_nfe_budget_raises_where_the_reference_does(monkeypatch, budget, lane):
     # lane 0 finishes after 799 evaluations and lane 1 after 1363; the budgets
     # were sized for a field whose time features turn at 1000 rad per unit t
     v = _perturbed_flow(41, time_scale=1000.0)
     x1 = RngStream(42).normal((3, 6, 8))
     x1[0] *= 40.0
-    cfg = ode.SolverConfig(method="dopri5-adaptive", atol=1e-4, rtol=1e-4, max_nfe=budget)
+    monkeypatch.setattr(ode, "MAX_NFE", budget)
+    cfg = ode.SolverConfig(method="dopri5-adaptive", atol=1e-4, rtol=1e-4)
     outcomes = []
     for solver in (ode.solve_lanes, _ref_solve):
         calls = []
