@@ -1,4 +1,4 @@
-"""Self-describing binary checkpoint container.
+"""Self-describing binary checkpoint container, and the format of its metadata.
 
 Layout: 4 magic bytes "PFLW", format version (u32 LE), header length
 (u64 LE), a UTF-8 JSON header, then raw little-endian float32 tensor
@@ -10,10 +10,13 @@ an object whose "tensors" list holds one object per tensor: a unique string
 the "dtype" "<f4"; every other key is metadata. A checkpoint of a
 pipeline kind (decoder, pipeline, flow, reflow) must carry the metadata its
 commands read: "dim" and "clamp_k"; "l_max" and "length_dist", or "chains"
-and "length_dists" for a multichain corpus; and "flow_cfg" for flow and
-reflow. Each l_max is at most config.L_MAX_CAP, and each flow_cfg size at
-most config.SIZE_CAP. "clamp_k" records latent.CLAMP_K; applying the
-smoothing does not read it. Writes are atomic (fileio.write_atomic).
+and "length_dists" for a multichain corpus (layout_meta writes them); and
+"flow_cfg" for flow and reflow. Each key has one reader, and the loader
+checks a key by calling it: meta_chains (each l_max at most
+config.L_MAX_CAP), meta_length_dists (seqio.LengthDistribution.from_dict)
+and flow_config (flow.VectorFieldConfig). A reader raises MalformedHeader
+naming its key. "clamp_k" records latent.CLAMP_K; applying the smoothing
+does not read it. Writes are atomic (fileio.write_atomic).
 
 Parameters are dicts of named arrays; pack(params, prefix) stores each
 under prefix + name, so a checkpoint is all a command needs to resume or
@@ -29,15 +32,15 @@ import hashlib
 import json
 import math
 import struct
-import sys
 
 import numpy as np
 
-from .config import L_MAX_CAP, SIZE_CAP
+from .config import L_MAX_CAP
 from .errors import (
     BadMagic,
     CheckpointError,
     CorruptOffset,
+    DataError,
     IncompatibleCheckpoint,
     MalformedHeader,
     NonFiniteTensor,
@@ -47,6 +50,9 @@ from .errors import (
 from .fileio import write_atomic
 from .flow import VectorFieldConfig, VectorFieldModel, param_shapes
 from .latent import pipeline_shapes
+from .multichain import ChainSpec
+from .numeric import is_int
+from .seqio import LengthDistribution
 
 MAGIC = b"PFLW"
 VERSION = 1
@@ -127,90 +133,15 @@ def load_checkpoint(path):
     return tensors, meta
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_positive_int(x):
-    return _is_int(x) and x > 0
-
-
-def _is_positive_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
-
-
-def _is_l_max(x):
-    return _is_positive_int(x) and x <= L_MAX_CAP
-
-
-def _is_length_dist(d):
-    """Equal-length, non-empty lists of positive int64 counts and of distinct
-    positive int64 lengths."""
-    if not isinstance(d, dict):
-        return False
-    lengths, counts = d.get("lengths"), d.get("counts")
-    return (
-        isinstance(lengths, list)
-        and isinstance(counts, list)
-        and 0 < len(lengths) == len(counts)
-        and all(_is_positive_int(x) and x < 2**63 for x in lengths + counts)
-        and len(set(lengths)) == len(lengths)
-    )
-
-
-def _is_chain(c):
-    return isinstance(c, dict) and isinstance(c.get("name"), str) and _is_l_max(c.get("l_max"))
-
-
-def _is_chain_list(chains):
-    return isinstance(chains, list) and len(chains) > 0 and all(map(_is_chain, chains))
-
-
-def _is_size(x):
-    return _is_positive_int(x) and x <= SIZE_CAP
-
-
-def _is_flow_cfg(d):
-    """Integer sizes in [1, SIZE_CAP], an integer or null seq_len, a size or
-    null time_dim, a bool attention, and no time_scale or a positive number
-    that is finite as a float."""
-    return (
-        isinstance(d, dict)
-        and all(_is_size(d.get(k)) for k in ("depth", "width", "hidden"))
-        and (d.get("seq_len") is None or _is_int(d["seq_len"]))
-        and (d.get("time_dim") is None or _is_size(d["time_dim"]))
-        and isinstance(d.get("attention", False), bool)
-        and ("time_scale" not in d or _is_positive_number(d["time_scale"])
-             and d["time_scale"] <= sys.float_info.max)
-    )
-
-
-# metadata key -> (check, what the check wants)
-_META_CHECKS = {
-    "dim": (lambda x: _is_positive_int(x) and x % 2 == 0, "a positive even integer"),
-    "l_max": (_is_l_max, f"an integer in [1, {L_MAX_CAP}]"),
-    "clamp_k": (_is_positive_number, "a positive number"),
-    "length_dist": (
-        _is_length_dist,
-        "an object of equal-length 'lengths' and 'counts' lists of positive integers",
-    ),
-    "chains": (_is_chain_list, f"a non-empty list of {{name, l_max <= {L_MAX_CAP}}} objects"),
-    "length_dists": (
-        lambda d: isinstance(d, dict) and all(_is_length_dist(v) for v in d.values()),
-        "an object of per-chain length distributions",
-    ),
-    "flow_cfg": (
-        _is_flow_cfg,
-        f"an object of integer sizes up to {SIZE_CAP}, a bool 'attention' and a finite "
-        "positive 'time_scale'",
-    ),
-}
 _PIPELINE_KINDS = ("decoder", "pipeline", "flow", "reflow")
+# metadata a training stage carries over from the checkpoint it starts from:
+# the latent stack's and the layout's (a flow stage writes its own flow_cfg)
+CARRIED_META = ("dim", "clamp_k", "l_max", "length_dist", "chains", "length_dists")
 
 
 def _check_meta(path, meta):
     """Raise MalformedHeader unless a pipeline-kind checkpoint carries the
-    metadata its kind needs, each key of the expected type."""
+    metadata its kind needs, each key as its reader reads it."""
     kind = meta.get("kind")
     if kind not in _PIPELINE_KINDS:
         return
@@ -221,15 +152,18 @@ def _check_meta(path, meta):
     for key in keys:
         if key not in meta:
             raise MalformedHeader(f"{path}: {kind} checkpoint lacks metadata {key!r}")
-        check, wanted = _META_CHECKS[key]
-        if not check(meta[key]):
-            raise MalformedHeader(f"{path}: metadata {key!r} must be {wanted}")
-    if "chains" in meta:
-        missing = {c["name"] for c in meta["chains"]} - set(meta["length_dists"])
-        if missing:
-            raise MalformedHeader(
-                f"{path}: metadata 'length_dists' lacks chains {sorted(missing)}"
-            )
+    if not (is_int(meta["dim"]) and meta["dim"] > 0 and meta["dim"] % 2 == 0):
+        raise MalformedHeader(f"{path}: metadata 'dim' must be a positive even integer")
+    clamp_k = meta["clamp_k"]
+    if isinstance(clamp_k, bool) or not isinstance(clamp_k, (int, float)) or not clamp_k > 0:
+        raise MalformedHeader(f"{path}: metadata 'clamp_k' must be a positive number")
+    try:
+        meta_chains(meta)
+        meta_length_dists(meta)
+        if kind in ("flow", "reflow"):
+            flow_config(meta)
+    except MalformedHeader as e:
+        raise MalformedHeader(f"{path}: {e}") from None
 
 
 def _check_entry(path, k, entry, seen):
@@ -242,11 +176,11 @@ def _check_entry(path, k, entry, seen):
     if name in seen:
         raise MalformedHeader(f"{path}: tensor {name!r} appears twice")
     shape = entry.get("shape")
-    if not isinstance(shape, list) or not all(_is_int(x) and x >= 0 for x in shape):
+    if not isinstance(shape, list) or not all(is_int(x) and x >= 0 for x in shape):
         raise MalformedHeader(
             f"{path}: tensor {name!r} 'shape' must be a list of non-negative integers"
         )
-    if not _is_int(entry.get("offset")):
+    if not is_int(entry.get("offset")):
         raise MalformedHeader(f"{path}: tensor {name!r} 'offset' must be an integer")
 
 
@@ -313,9 +247,64 @@ def pack_flow(model):
 def unpack_flow(tensors, meta):
     if "flow_cfg" not in meta:
         raise IncompatibleCheckpoint("checkpoint carries no flow model")
+    cfg = flow_config(meta)
+    return VectorFieldModel(cfg, _get_shaped(tensors, "flow.", param_shapes(cfg)))
+
+
+# --- metadata readers --------------------------------------------------------------
+
+
+def layout_meta(chains, length_dists):
+    """Checkpoint metadata for a layout and its length-distribution dicts:
+    l_max and length_dist for the unnamed chain, chains and length_dists for
+    named ones."""
+    if not chains[0].name:
+        return {"l_max": chains[0].l_max, "length_dist": length_dists[0]}
+    return {
+        "chains": [{"name": c.name, "l_max": c.l_max} for c in chains],
+        "length_dists": {c.name: d for c, d in zip(chains, length_dists)},
+    }
+
+
+def _l_max(value, key):
+    if not (is_int(value) and 1 <= value <= L_MAX_CAP):
+        raise MalformedHeader(f"metadata {key!r} l_max must be an integer in [1, {L_MAX_CAP}]")
+    return value
+
+
+def meta_chains(meta):
+    """The ChainSpecs of the layout layout_meta wrote: its named chains, or
+    the unnamed chain."""
+    if "chains" not in meta:
+        return [ChainSpec("", _l_max(meta["l_max"], "l_max"), None)]
+    chains = meta["chains"]
+    if not (isinstance(chains, list) and chains
+            and all(isinstance(c, dict) and isinstance(c.get("name"), str) for c in chains)):
+        raise MalformedHeader("metadata 'chains' must be a non-empty list of {name, l_max}")
+    return [ChainSpec(c["name"], _l_max(c.get("l_max"), "chains"), None) for c in chains]
+
+
+def meta_length_dists(meta):
+    """{chain name: LengthDistribution} from the metadata layout_meta wrote;
+    the named chains' must cover every chain."""
+    if "chains" not in meta:
+        key, dists = "length_dist", {"": meta["length_dist"]}
+    else:
+        key, dists = "length_dists", meta["length_dists"]
+        if not isinstance(dists, dict):
+            raise MalformedHeader("metadata 'length_dists' must be an object")
+        missing = {c.name for c in meta_chains(meta)} - set(dists)
+        if missing:
+            raise MalformedHeader(f"metadata 'length_dists' lacks chains {sorted(missing)}")
     try:
-        cfg = VectorFieldConfig.from_dict(meta["flow_cfg"])
-        shapes = param_shapes(cfg)
-    except (KeyError, TypeError, ValueError) as e:
-        raise MalformedHeader(f"metadata 'flow_cfg' is not a vector-field config: {e!r}") from e
-    return VectorFieldModel(cfg, _get_shaped(tensors, "flow.", shapes))
+        return {name: LengthDistribution.from_dict(d) for name, d in dists.items()}
+    except DataError as e:
+        raise MalformedHeader(f"metadata {key!r}: {e}") from None
+
+
+def flow_config(meta):
+    """The VectorFieldConfig of metadata 'flow_cfg'."""
+    try:
+        return VectorFieldConfig.from_dict(meta["flow_cfg"])
+    except ValueError as e:
+        raise MalformedHeader(f"metadata 'flow_cfg' is not a vector-field config: {e}") from None

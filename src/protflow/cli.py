@@ -37,8 +37,6 @@ from .errors import (
 )
 
 _CHAIN_TAG = "|chain="
-# metadata a training stage carries over from the checkpoint it starts from
-_CARRIED_META = ("dim", "clamp_k", "l_max", "length_dist", "chains", "length_dists", "flow_cfg")
 _EMBED_DIM = 32
 
 # glibc mallopt parameters (malloc.h) and the values main() sets.
@@ -108,34 +106,6 @@ def _config_chains(cfg):
     return [ChainSpec(name, l_max, None) for name, l_max in parse_chains_value(cfg["chains"])]
 
 
-def _meta_chains(meta):
-    """The checkpoint's chain layout: its named chains, or the unnamed chain."""
-    from .multichain import ChainSpec
-
-    if "chains" not in meta:
-        return [ChainSpec("", int(meta["l_max"]), None)]
-    return [ChainSpec(c["name"], int(c["l_max"]), None) for c in meta["chains"]]
-
-
-def _chains_meta(chains, length_dists):
-    """Checkpoint metadata for a layout: l_max and length_dist for the unnamed
-    chain, chains and length_dists for named ones."""
-    if not chains[0].name:
-        return {"l_max": chains[0].l_max, "length_dist": length_dists[0]}
-    return {
-        "chains": [{"name": c.name, "l_max": c.l_max} for c in chains],
-        "length_dists": {c.name: d for c, d in zip(chains, length_dists)},
-    }
-
-
-def _meta_length_dists(meta):
-    """{chain name: LengthDistribution} from the metadata _chains_meta writes."""
-    from .seqio import LengthDistribution
-
-    dists = meta["length_dists"] if "chains" in meta else {"": meta["length_dist"]}
-    return {name: LengthDistribution.from_dict(d) for name, d in dists.items()}
-
-
 def _load_corpus(path, chains):
     """Per-chain (n, l_max) token id matrices, in layout order. The unnamed
     chain takes every record; named chains group '<complex>|chain=<name>'
@@ -182,11 +152,11 @@ def _val_corpus(cfg, chains):
 
 def _layout(tensors, meta):
     """The checkpoint's ChainLayout, each chain with its latent stack."""
-    from .checkpoint import unpack_pipeline
+    from .checkpoint import meta_chains, unpack_pipeline
     from .latent import LatentPipeline
     from .multichain import ChainLayout
 
-    chains = _meta_chains(meta)
+    chains = meta_chains(meta)
     for chain in chains:
         chain.pipeline = LatentPipeline(**unpack_pipeline(tensors, meta["dim"], chain.prefix))
     return ChainLayout(chains)
@@ -211,9 +181,11 @@ def _check_dim(meta, cfg, path):
 
 
 def _carry_meta(meta, cfg, kind):
-    """Metadata of a new kind-stage checkpoint: the layout, latent and flow
-    keys carried over from meta, and this run's config, seed and step count."""
-    out = {k: meta[k] for k in _CARRIED_META if k in meta}
+    """Metadata of a new kind-stage checkpoint: the layout and latent keys
+    carried over from meta, and this run's config, seed and step count."""
+    from .checkpoint import CARRIED_META
+
+    out = {k: meta[k] for k in CARRIED_META if k in meta}
     out.update(kind=kind, config=cfg.to_dict(), rng={"seed": cfg["train.seed"]})
     out["step"] = cfg["train.steps"]
     return out
@@ -249,7 +221,7 @@ def _write_loss_csvs(out, chains, traces):
 
 
 def cmd_train_decoder(args):
-    from .checkpoint import pack, save_checkpoint
+    from .checkpoint import layout_meta, pack, save_checkpoint
     from .config import load_config
     from .latent import (
         CLAMP_K,
@@ -290,7 +262,7 @@ def cmd_train_decoder(args):
         traces.append(trace)
         print(f"decoder{tag} {figure} accuracy: {accuracy:.4f}")
     meta = _carry_meta({}, cfg, "decoder")
-    meta.update(dim=dim, clamp_k=CLAMP_K, **_chains_meta(chains, length_dists))
+    meta.update(dim=dim, clamp_k=CLAMP_K, **layout_meta(chains, length_dists))
     save_checkpoint(args.out, tensors, meta)
     _write_loss_csvs(args.out, chains, traces)
     print(f"wrote {args.out}")
@@ -310,7 +282,7 @@ def _smoothed_rows(stack, seqs):
 
 
 def cmd_train_compressor(args):
-    from .checkpoint import load_checkpoint, pack, save_checkpoint, unpack_pipeline
+    from .checkpoint import load_checkpoint, meta_chains, pack, save_checkpoint, unpack_pipeline
     from .config import load_config
     from .latent import compressor_mse, init_compressor, train_compressor
     from .numeric import RngStream
@@ -319,7 +291,7 @@ def cmd_train_compressor(args):
     tensors, meta = load_checkpoint(args.init)
     _expect_kind(meta, ("decoder", "pipeline", "flow", "reflow"), args.init)
     _check_dim(meta, cfg, args.init)
-    chains = _meta_chains(meta)
+    chains = meta_chains(meta)
     corpus = _load_corpus(cfg.require("data.train_path"), chains)
     val_corpus, figure = _val_corpus(cfg, chains)
     root = RngStream(cfg["train.seed"])
@@ -347,9 +319,7 @@ def cmd_train_compressor(args):
         if trace:
             val_rows = rows if val_seqs is None else _smoothed_rows(stack, val_seqs)
             print(f"compressor{tag} {figure} MSE: {compressor_mse(comp, val_rows):.6g}")
-    out_meta = _carry_meta(meta, cfg, "pipeline")
-    out_meta.pop("flow_cfg", None)
-    save_checkpoint(args.out, out_tensors, out_meta)
+    save_checkpoint(args.out, out_tensors, _carry_meta(meta, cfg, "pipeline"))
     _write_loss_csvs(args.out, chains, traces)
     print(f"wrote {args.out}")
     return 0
@@ -404,13 +374,10 @@ def cmd_reflow(args):
     cfg = load_config(args.config, args.set)
     tensors, meta = load_checkpoint(args.init)
     _expect_kind(meta, ("flow", "reflow"), args.init)
-    m = cfg["reflow.pairs"]
-    if m < 1:
-        raise ConfigError("reflow.pairs must be >= 1: reflow needs a nonempty coupling set")
     model = unpack_flow(tensors, meta)
     solver = solver_config(cfg)
     root = RngStream(cfg["train.seed"])
-    z0, z1 = reflow_pairs(model, solver, m, root.substream("reflow-pairs"))
+    z0, z1 = reflow_pairs(model, solver, cfg["reflow.pairs"], root.substream("reflow-pairs"))
     s_before = straightness(model, z0, z1, n_t=8)
     model, trace = train_reflow(model, z0, z1, root, **_train_args(cfg))
     s_after = straightness(model, z0, z1, n_t=8)
@@ -449,7 +416,7 @@ def _solver_with_overrides(meta, args):
 
 
 def cmd_sample(args):
-    from .checkpoint import load_checkpoint, unpack_flow
+    from .checkpoint import load_checkpoint, meta_length_dists, unpack_flow
     from .multichain import sample_multichain
     from .numeric import RngStream
 
@@ -461,7 +428,7 @@ def cmd_sample(args):
     solver = _solver_with_overrides(meta, args)
     rng = RngStream(args.seed).substream("sample")
     layout = _layout(tensors, meta)
-    samples, stats = sample_multichain(model, layout, _meta_length_dists(meta), args.n, solver, rng)
+    samples, stats = sample_multichain(model, layout, meta_length_dists(meta), args.n, solver, rng)
     records = [
         (f"gen_{i}{chain.tag(_CHAIN_TAG)}", s)
         for i, tup in enumerate(samples)

@@ -58,7 +58,7 @@ SCHEMA = {
     "data.train_path": ("str", None, None, None),
     "data.val_path": ("str", None, None, None),
     "chains": ("str", None, None, None),
-    "reflow.pairs": ("int", 256, 0, math.inf),
+    "reflow.pairs": ("int", 256, 1, math.inf),
 }
 
 

@@ -12,16 +12,21 @@ time_scale) is linearly projected and added to each block's input, and the
 input of block b (for b < B//2) is linearly projected and added to the
 input of block B-1-b (long skips). A single-head self-attention sublayer
 per block, plus a learned positional table, can be switched on when
-positions must interact (e.g. jointly-modeled chains).
+positions must interact (e.g. jointly-modeled chains). VectorFieldConfig is
+the one check of those shapes and switches, whether a config or a
+checkpoint's flow_cfg gives them.
 """
 
 import functools
 import math
+import sys
 
 import numpy as np
 
 from . import nn, ode
+from .config import SIZE_CAP
 from .errors import NonFiniteLoss, ShapeMismatch
+from .numeric import is_int
 
 # Time-feature scale of new fields: the fastest time channel turns TIME_SCALE
 # rad per unit t, slow enough for the 25-step grid (h = 0.04) and the
@@ -35,18 +40,22 @@ LEGACY_TIME_SCALE = 1000.0
 
 
 class VectorFieldConfig:
-    """Shape and feature switches for the vector-field network.
+    """Shape and feature switches for the vector-field network, and the one
+    check of a flow_cfg: a value outside these rules raises ValueError.
 
     Args:
         depth: number of residual blocks B.
         width: per-position channel count W (the flow operates on (L, W)).
-        hidden: MLP hidden width H (must be even only if used as time dim).
-        attention: enable per-block single-head self-attention.
-        seq_len: positional-table length; required when attention is on.
+        hidden: MLP hidden width H.
+        attention: a bool; enables per-block single-head self-attention.
+        seq_len: an int or None, the positional-table length; required when
+            attention is on.
         time_dim: sinusoidal time-feature width (even); default max(8, W
             rounded up to even).
-        time_scale: multiplier of t in the time features (finite, > 0);
-            from_dict reads a missing one as LEGACY_TIME_SCALE.
+        time_scale: multiplier of t in the time features, a number in (0,
+            float max]; from_dict reads a missing one as LEGACY_TIME_SCALE.
+
+    depth, width, hidden and time_dim are ints (not bools) in [1, SIZE_CAP].
     """
 
     __slots__ = ("depth", "width", "hidden", "attention", "seq_len", "time_dim", "time_scale")
@@ -55,20 +64,27 @@ class VectorFieldConfig:
         self, depth, width, hidden, attention=False, seq_len=None, time_dim=None,
         time_scale=TIME_SCALE,
     ):
-        if depth < 1 or width < 1 or hidden < 1:
-            raise ValueError("depth, width, hidden must be positive")
-        if not 0.0 < time_scale < math.inf:
-            raise ValueError(f"time_scale must be finite and > 0, got {time_scale}")
-        if attention and not seq_len:
-            raise ValueError("attention requires seq_len for the positional table")
-        if time_dim is None:
+        if time_dim is None and is_int(width):
             time_dim = max(8, width + (width % 2))
+        sizes = {"depth": depth, "width": width, "hidden": hidden, "time_dim": time_dim}
+        for name, size in sizes.items():
+            if not is_int(size) or not 1 <= size <= SIZE_CAP:
+                raise ValueError(f"{name} must be an integer in [1, {SIZE_CAP}], got {size!r}")
         if time_dim % 2 != 0:
             raise ValueError("time_dim must be even")
+        if not isinstance(attention, bool):
+            raise ValueError(f"attention must be a bool, got {attention!r}")
+        if seq_len is not None and not is_int(seq_len):
+            raise ValueError(f"seq_len must be an integer or None, got {seq_len!r}")
+        if attention and not seq_len:
+            raise ValueError("attention requires seq_len for the positional table")
+        if (isinstance(time_scale, bool) or not isinstance(time_scale, (int, float))
+                or not 0 < time_scale <= sys.float_info.max):
+            raise ValueError(f"time_scale must be finite and > 0, got {time_scale!r}")
         self.depth = depth
         self.width = width
         self.hidden = hidden
-        self.attention = bool(attention)
+        self.attention = attention
         self.seq_len = seq_len
         self.time_dim = time_dim
         self.time_scale = float(time_scale)
@@ -86,10 +102,13 @@ class VectorFieldConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """The config of a stored flow_cfg; a missing size fails its rule."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a vector-field config is an object, got {d!r}")
         return cls(
-            d["depth"],
-            d["width"],
-            d["hidden"],
+            d.get("depth"),
+            d.get("width"),
+            d.get("hidden"),
             attention=d.get("attention", False),
             seq_len=d.get("seq_len"),
             time_dim=d.get("time_dim"),

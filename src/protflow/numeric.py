@@ -1,4 +1,4 @@
-"""Deterministic randomness and small linear-algebra helpers.
+"""Deterministic randomness, small linear-algebra helpers, and is_int.
 
 All randomness in the package flows from a single integer seed through
 RngStream, a counter-based (Philox) stream with named substreams. Substream
@@ -139,3 +139,9 @@ def grad_check(fn, params, h=1e-5):
             rel = abs(num - grad[i]) / max(abs(num), abs(grad[i]), 1e-8)
             worst = max(worst, rel)
     return worst
+
+
+def is_int(x):
+    """True for an int that is not a bool, the one integer test of values read
+    from checkpoint metadata and of the sizes a vector-field config takes."""
+    return isinstance(x, int) and not isinstance(x, bool)

@@ -19,6 +19,7 @@ from .errors import (
     SequenceTooLong,
     UnknownResidue,
 )
+from .numeric import is_int
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 PAD_ID = 20
@@ -165,7 +166,13 @@ class LengthDistribution:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(np.asarray(d["lengths"]), np.asarray(d["counts"]))
+        """The distribution of a to_dict object; raises DataError unless its
+        lengths and counts are lists of int64 integers."""
+        lists = [d.get(key) if isinstance(d, dict) else None for key in ("lengths", "counts")]
+        if not all(isinstance(v, list) and all(is_int(x) and abs(x) < 2**63 for x in v)
+                   for v in lists):
+            raise DataError("length distribution needs 'lengths' and 'counts' lists of integers")
+        return cls(*lists)
 
 
 def fit_length_distribution(ids):

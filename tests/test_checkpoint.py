@@ -41,6 +41,7 @@ from protflow.latent import (
     init_encoder,
     pipeline_shapes,
 )
+from protflow.multichain import ChainSpec
 from protflow.numeric import RngStream
 
 
@@ -546,7 +547,9 @@ def test_pipeline_kinds_need_their_metadata(tmp_path, kind, chains):
                      dict(flow_cfg, time_scale=0.0), dict(flow_cfg, time_scale=-10.0),
                      dict(flow_cfg, time_scale=True), dict(flow_cfg, time_scale="10"),
                      dict(flow_cfg, time_scale=None), dict(flow_cfg, time_scale=float("inf")),
-                     dict(flow_cfg, time_scale=float("nan")), dict(flow_cfg, time_scale=10**400)]
+                     dict(flow_cfg, time_scale=float("nan")), dict(flow_cfg, time_scale=10**400),
+                     # VectorFieldConfig's own rules, checked at load through the reader
+                     dict(flow_cfg, time_dim=7), dict(flow_cfg, attention=True)]
     bad_values = {"dim": ["8", 7], "clamp_k": [True], "l_max": [0],
                   "length_dist": [{"lengths": [2]}], "chains": [[{"name": "A"}]],
                   "length_dists": [{"A": {}}], "flow_cfg": bad_flow_cfgs}
@@ -613,13 +616,19 @@ _LENGTH_VALUES = _SIZES | _JSON_VALUES | st.sampled_from([2.0, 2.7, True])
 
 
 @functools.lru_cache(maxsize=None)
-def _valid_checkpoint():
-    """(header dict, payload bytes) of a small pipeline+flow checkpoint."""
+def _valid_checkpoint(chains):
+    """(header dict, payload bytes) of a small pipeline+flow checkpoint, of
+    the unnamed chain of l_max 6 or, with chains, of chains A and B of l_max
+    2 and 4."""
     cfg = VectorFieldConfig(depth=2, width=4, hidden=8, attention=True, seq_len=6)
-    tensors = {**_pack_pipeline(_toy_pipeline()),
-               **ckpt.pack_flow(init_flow_model(cfg, RngStream(23)))[0]}
-    meta = {"kind": "flow", "dim": 8, "clamp_k": 2.5, "l_max": 6,
-            "length_dist": {"lengths": [2], "counts": [1]}, "flow_cfg": cfg.to_dict()}
+    layout = [ChainSpec("A", 2, None), ChainSpec("B", 4, None)] if chains else [
+        ChainSpec("", 6, None)]
+    dists = [{"lengths": [2], "counts": [1]}, {"lengths": [1, 3], "counts": [2, 1]}]
+    tensors = ckpt.pack_flow(init_flow_model(cfg, RngStream(23)))[0]
+    for chain in layout:
+        tensors.update(_pack_pipeline(_toy_pipeline(), chain.prefix))
+    meta = {"kind": "flow", "dim": 8, "clamp_k": 2.5, "flow_cfg": cfg.to_dict(),
+            **ckpt.layout_meta(layout, dists[:len(layout)])}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "valid.ckpt")
         ckpt.save_checkpoint(path, tensors, meta)
@@ -629,26 +638,61 @@ def _valid_checkpoint():
     return json.loads(data[16:header_end]), data[header_end:]
 
 
+def _mutate_dist(data, dist):
+    """Replace, add or drop one entry of a length distribution's lists."""
+    key = data.draw(st.sampled_from(["lengths", "counts"]))
+    if not isinstance(dist, dict) or not isinstance(dist.get(key), list):
+        return
+    entries = dist[key]
+    i = data.draw(st.integers(0, len(entries)))
+    if i < len(entries) and data.draw(st.booleans()):
+        del entries[i]
+    else:
+        entries[i:i + 1] = [data.draw(_LENGTH_VALUES)]
+
+
 def _mutate_header(data, header):
     """Delete or replace one metadata value, flow_cfg field, tensor entry or
-    entry field of header; set l_max; or replace, add or drop one entry of the
-    length distribution."""
-    target = data.draw(st.sampled_from(["meta", "flow_cfg", "entry", "l_max", "length_dist"]))
+    entry field of header; set l_max; replace, add or drop one entry of a
+    length distribution, or drop or replace one chain's distribution; or
+    drop, copy, rename or resize one chain."""
+    target = data.draw(st.sampled_from(
+        ["meta", "flow_cfg", "entry", "l_max", "length_dist", "chains", "length_dists"]
+    ))
     values = _JSON_VALUES
     if target == "l_max":
         header["l_max"] = data.draw(_L_MAX_VALUES)
         return
     if target == "length_dist":
-        dist = header.get("length_dist")
-        key = data.draw(st.sampled_from(["lengths", "counts"]))
-        if not isinstance(dist, dict) or not isinstance(dist.get(key), list):
+        _mutate_dist(data, header.get("length_dist"))
+        return
+    if target == "chains":
+        chains = header.get("chains")
+        if not isinstance(chains, list) or not chains:
             return
-        entries = dist[key]
-        i = data.draw(st.integers(0, len(entries)))
-        if i < len(entries) and data.draw(st.booleans()):
-            del entries[i]
+        i = data.draw(st.integers(0, len(chains) - 1))
+        action = data.draw(st.sampled_from(["drop", "copy", "name", "l_max"]))
+        if action == "drop":
+            del chains[i]
+        elif action == "copy":
+            chains.append(json.loads(json.dumps(chains[i])))
+        elif isinstance(chains[i], dict) and action == "name":
+            chains[i]["name"] = data.draw(st.sampled_from(["A", "B", "C", ""]) | _JSON_VALUES)
+        elif isinstance(chains[i], dict):
+            chains[i]["l_max"] = data.draw(_L_MAX_VALUES)
+        return
+    if target == "length_dists":
+        dists = header.get("length_dists")
+        if not isinstance(dists, dict) or not dists:
+            return
+        name = data.draw(st.sampled_from(sorted(dists)))
+        action = data.draw(st.sampled_from(["entry", "drop", "replace"]))
+        if action == "entry":
+            _mutate_dist(data, dists[name])
+        elif action == "drop":
+            del dists[name]
         else:
-            entries[i:i + 1] = [data.draw(_LENGTH_VALUES)]
+            dists[name] = data.draw(_JSON_VALUES)
         return
     if target == "meta":
         parent = header
@@ -658,7 +702,7 @@ def _mutate_header(data, header):
             return
         parent, key = header["flow_cfg"], data.draw(st.sampled_from(_FLOW_CFG_KEYS))
         # the valid value as an integral float, or a bool, compares equal to it
-        valid = _valid_checkpoint()[0]["flow_cfg"][key]
+        valid = _valid_checkpoint(False)[0]["flow_cfg"][key]
         values = _JSON_VALUES | _FLOW_CFG_VALUES | st.sampled_from([float(valid), bool(valid)])
     else:
         entries = header["tensors"]
@@ -693,10 +737,10 @@ def _mutate_bytes(data, blob):
     return blob[:start] + patch + blob[start + len(patch):]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_fuzzed_checkpoints_load_or_exit_4(data):
-    header, payload = _valid_checkpoint()
+    header, payload = _valid_checkpoint(data.draw(st.booleans()))
     header = json.loads(json.dumps(header))  # a fresh copy to mutate
     for _ in range(data.draw(st.integers(0, 3))):
         _mutate_header(data, header)
@@ -714,10 +758,10 @@ def test_fuzzed_checkpoints_load_or_exit_4(data):
             # what sample does with a checkpoint before it draws a latent
             tensors, meta = ckpt.load_checkpoint(path)
             if meta.get("kind") in ("flow", "reflow"):
-                for chain in cli._meta_chains(meta):
+                dists = ckpt.meta_length_dists(meta)
+                for chain in ckpt.meta_chains(meta):
                     ckpt.unpack_pipeline(tensors, meta["dim"], chain.prefix)
-                for dist in cli._meta_length_dists(meta).values():
-                    dist.sample(RngStream(0))
+                    dists[chain.name].sample(RngStream(0))
                 model = ckpt.unpack_flow(tensors, meta)
                 seq_len = model.cfg.seq_len if model.cfg.attention else 6
                 flow_forward(model, np.zeros((1, seq_len, model.cfg.width)), np.zeros(1))

@@ -489,9 +489,17 @@ def test_exit_4_non_finite_checkpoint_tensor(workdir):
 def test_exit_4_malformed_checkpoint_header(tmp_path):
     # A header that breaks the schema is a checkpoint error, not a traceback.
     env = _protflow_env()
+    flow_meta = {"tensors": [], "kind": "flow", "dim": 8, "clamp_k": 3.0, "l_max": 6,
+                 "length_dist": {"lengths": [2], "counts": [1]}}
+    flow_cfg = {"depth": 1, "width": 4, "hidden": 8}
     headers = {
         "list": ([], "'tensors' list"),
         "no_shape": ({"tensors": [{"name": "w", "dtype": "<f4", "offset": 0}]}, "'shape'"),
+        # the loader reads flow_cfg through VectorFieldConfig, so a command
+        # that never builds the field rejects what sample rejects
+        "odd_time_dim": (dict(flow_meta, flow_cfg=dict(flow_cfg, time_dim=7)), "'flow_cfg'"),
+        "attention_without_seq_len": (dict(flow_meta, flow_cfg=dict(flow_cfg, attention=True)),
+                                      "'flow_cfg'"),
     }
     for label, (header, message) in headers.items():
         header = json.dumps(header).encode("utf-8")
@@ -502,8 +510,9 @@ def test_exit_4_malformed_checkpoint_header(tmp_path):
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 4, (label, proc.stderr)
-        assert "Traceback" not in proc.stderr, label
-        assert message in proc.stderr, (label, proc.stderr)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (label, proc.stderr)
+        assert message in lines[0], (label, proc.stderr)
 
 
 def test_exit_4_checkpoint_missing_metadata(workdir):

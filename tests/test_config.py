@@ -112,6 +112,8 @@ def test_range_checks():
         f"model.width={SIZE_CAP + 1}",
         f"model.decoder_hidden={SIZE_CAP + 1}",
         f"model.D={2 * SIZE_CAP}",
+        # reflow needs a nonempty coupling set, and every command reads the row
+        "reflow.pairs=0",
     ]
     for override in bad:
         with pytest.raises(ConfigError):

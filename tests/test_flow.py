@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from protflow import flow, ode
+from protflow.config import SIZE_CAP
 from protflow.errors import ShapeMismatch
 from protflow.numeric import RngStream, grad_check
 
@@ -15,6 +16,14 @@ def test_config_validation():
         flow.VectorFieldConfig(2, 2, 8, attention=True)  # needs seq_len
     with pytest.raises(ValueError):
         flow.VectorFieldConfig(2, 2, 8, time_dim=7)
+    # sizes are ints (not bools or floats) up to the cap, attention a bool and
+    # time_scale a number (not a bool) in (0, float max]
+    bad = [dict(depth=1.0), dict(width=True), dict(hidden=SIZE_CAP + 1),
+           dict(time_dim=SIZE_CAP + 2), dict(attention=1), dict(seq_len=4.0),
+           dict(time_scale=10**400), dict(time_scale=True)]
+    for change in bad:
+        with pytest.raises(ValueError):
+            flow.VectorFieldConfig(**{"depth": 2, "width": 2, "hidden": 8, **change})
     cfg = flow.VectorFieldConfig(2, 2, 8)
     assert cfg.time_dim == 8  # floor of 8
     assert flow.VectorFieldConfig(2, 10, 8).time_dim == 10

@@ -393,7 +393,7 @@ _DECODER_CORPORA = {
 @pytest.mark.parametrize("case", sorted(_DECODER_CORPORA))
 def test_decoder_accuracy_batch_matches_loop(case, tmp_path):
     from protflow import cli
-    from protflow.checkpoint import load_checkpoint, unpack_pipeline
+    from protflow.checkpoint import load_checkpoint, meta_chains, unpack_pipeline
 
     corpus, make_args, cfg, sets = _DECODER_CORPORA[case]
     if make_args is None:
@@ -409,7 +409,7 @@ def test_decoder_accuracy_batch_matches_loop(case, tmp_path):
         argv += ["--set", kv]
     assert cli.main(argv) == 0
     tensors, meta = load_checkpoint(ckpt)
-    chains = cli._meta_chains(meta)
+    chains = meta_chains(meta)
     for chain, seqs in zip(chains, cli._load_corpus(corpus, chains)):
         prefix = chain.prefix
         stack = unpack_pipeline(tensors, meta["dim"], prefix, ("encoder", "decoder"))
