@@ -13,8 +13,9 @@ commands read: "dim" and "clamp_k"; "l_max" and "length_dist", or "chains"
 and "length_dists" for a multichain corpus (layout_meta writes them); and
 "flow_cfg" for flow and reflow. Each key has one reader, and the loader
 checks a key by calling it: meta_chains (each l_max at most
-config.L_MAX_CAP), meta_length_dists (seqio.LengthDistribution.from_dict)
-and flow_config (flow.VectorFieldConfig). A reader raises MalformedHeader
+config.L_MAX_CAP, the names as multichain.ChainLayout allows),
+meta_length_dists (seqio.LengthDistribution.from_dict) and flow_config
+(flow.VectorFieldConfig). A reader raises MalformedHeader
 naming its key. "clamp_k" records latent.CLAMP_K; applying the smoothing
 does not read it. Writes are atomic (fileio.write_atomic).
 
@@ -42,6 +43,7 @@ from .errors import (
     CorruptOffset,
     DataError,
     IncompatibleCheckpoint,
+    LayoutMismatch,
     MalformedHeader,
     NonFiniteTensor,
     NonFiniteValue,
@@ -50,7 +52,7 @@ from .errors import (
 from .fileio import write_atomic
 from .flow import VectorFieldConfig, VectorFieldModel, param_shapes
 from .latent import pipeline_shapes
-from .multichain import ChainSpec
+from .multichain import ChainLayout, ChainSpec
 from .numeric import is_int
 from .seqio import LengthDistribution
 
@@ -274,14 +276,18 @@ def _l_max(value, key):
 
 def meta_chains(meta):
     """The ChainSpecs of the layout layout_meta wrote: its named chains, or
-    the unnamed chain."""
+    the unnamed chain. Named chains follow ChainLayout's rules."""
     if "chains" not in meta:
         return [ChainSpec("", _l_max(meta["l_max"], "l_max"), None)]
     chains = meta["chains"]
     if not (isinstance(chains, list) and chains
             and all(isinstance(c, dict) and isinstance(c.get("name"), str) for c in chains)):
         raise MalformedHeader("metadata 'chains' must be a non-empty list of {name, l_max}")
-    return [ChainSpec(c["name"], _l_max(c.get("l_max"), "chains"), None) for c in chains]
+    specs = [ChainSpec(c["name"], _l_max(c.get("l_max"), "chains"), None) for c in chains]
+    try:
+        return ChainLayout(specs).chains
+    except LayoutMismatch as e:
+        raise MalformedHeader(f"metadata 'chains': {e}") from None
 
 
 def meta_length_dists(meta):

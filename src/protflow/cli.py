@@ -295,18 +295,19 @@ def cmd_train_compressor(args):
     corpus = _load_corpus(cfg.require("data.train_path"), chains)
     val_corpus, figure = _val_corpus(cfg, chains)
     root = RngStream(cfg["train.seed"])
-    out_tensors = {
-        k: v
-        for k, v in tensors.items()
-        if "compressor." not in k and not k.startswith("flow.")
-    }
+    # the parts a decoder checkpoint holds, each checked against the shape table
+    stacks = [
+        unpack_pipeline(tensors, meta["dim"], chain.prefix, ("encoder", "decoder", "smoothing"))
+        for chain in chains
+    ]
+    # every chain's stack, then every compressor
+    out_tensors = {}
+    for chain, stack in zip(chains, stacks):
+        for part, params in stack.items():
+            out_tensors.update(pack(params, f"{chain.prefix}{part}."))
     traces = []
-    for chain, seqs, val_seqs in zip(chains, corpus, val_corpus):
+    for chain, stack, seqs, val_seqs in zip(chains, stacks, corpus, val_corpus):
         tag = chain.tag("-")
-        # the parts a decoder checkpoint holds, each checked against the shape table
-        stack = unpack_pipeline(
-            tensors, meta["dim"], chain.prefix, ("encoder", "decoder", "smoothing")
-        )
         rows = _smoothed_rows(stack, seqs)
         comp = init_compressor(
             meta["dim"], cfg["model.ratio_c"], root.substream(f"compressor-init{tag}")

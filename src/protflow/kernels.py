@@ -4,13 +4,19 @@ Edit distances use the bit-vector recurrence of Myers (1999, J. ACM 46(3)) in
 Hyyrö's (2003) form for global Levenshtein distance. A matrix of distances is
 one vectorized pass: every (pattern, text) pair is a lane holding its column
 of vertical deltas as uint64 words, one word per 64 pattern rows, and each
-text position updates all lanes with a fixed group of numpy ops. The single
-pair `levenshtein` runs the same recurrence on one unbounded Python int.
+text position updates all lanes with a fixed group of numpy ops. The matrix
+functions read sequences as seqio.tokenize's residue ids: each pattern has
+VOCAB_SIZE rows of match bit masks, one per id, and its PAD_ID row stays
+zero, so PAD never matches. A string holding a non-residue character raises
+UnknownResidue. The single pair `levenshtein` runs the same recurrence on one
+unbounded Python int over any characters.
 The assignment solver is a shortest augmenting path search with a vectorized
 column scan. Everything is plain numpy and integer-exact.
 """
 
 import numpy as np
+
+from .seqio import PAD_ID, VOCAB_SIZE, tokenize
 
 # the one kernel implementation, named in benchmark run records
 BACKEND = "numpy"
@@ -27,50 +33,19 @@ _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
-def encode_sequences(seqs):
-    """Pack strings into a (n, L_max) uint32 code matrix plus lengths.
+def _match_masks(ids):
+    """Per-pattern match bit masks of an (n, l_max) id matrix.
 
-    Codes are unicode code points, so any strings work, not just residue
-    alphabets. Rows are zero-padded past their length.
+    peq[w, p * VOCAB_SIZE + s] has bit r set when pattern p holds residue id
+    s at row 64 * w + r. Row PAD_ID of each pattern stays zero.
     """
-    n = len(seqs)
-    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    l_max = int(lengths.max()) if n else 0
-    codes = np.zeros((n, max(l_max, 1)), dtype=np.uint32)
-    for i, s in enumerate(seqs):
-        if s:
-            codes[i, : len(s)] = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
-    return codes, lengths
-
-
-def _sorted_unique(a):
-    """np.unique of a 1-D array by sort and neighbour comparison: np.unique
-    imports numpy.ma, which eval needs for nothing else."""
-    a = np.sort(a)
-    keep = np.empty(a.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
-
-
-def _match_masks(codes, lengths):
-    """Per-pattern match bit masks over a compressed alphabet.
-
-    Returns (alphabet, peq): alphabet is the sorted distinct code points of
-    the patterns, and peq[w, p * (sigma + 1) + s] has bit r set when
-    pattern p holds symbol s at row 64 * w + r. Row sigma of each pattern
-    stays zero; it stands for every symbol outside the alphabet.
-    """
-    n, l_max = codes.shape
-    rows, cols = np.nonzero(np.arange(l_max) < lengths[:, None])
-    alphabet = _sorted_unique(codes[rows, cols])
-    sigma = alphabet.size
+    n, l_max = ids.shape
+    rows, cols = np.nonzero(ids != PAD_ID)
     n_words = max(1, -(-l_max // 64))
-    peq = np.zeros((n_words, n * (sigma + 1)), dtype=np.uint64)
-    sym = np.searchsorted(alphabet, codes[rows, cols])
+    peq = np.zeros((n_words, n * VOCAB_SIZE), dtype=np.uint64)
     bits = _ONE << (cols % 64).astype(np.uint64)
-    np.bitwise_or.at(peq, (cols // 64, rows * (sigma + 1) + sym), bits)
-    return alphabet, peq
+    np.bitwise_or.at(peq, (cols // 64, rows * VOCAB_SIZE + ids[rows, cols]), bits)
+    return peq
 
 
 def _popcount(words):
@@ -78,7 +53,7 @@ def _popcount(words):
     return _POPCOUNT8[words.view(np.uint8)].reshape(*words.shape, 8).sum(axis=(0, 2))
 
 
-def _lane_distances(codes_p, lengths_p, codes_t, lengths_t, pi, ti):
+def _lane_distances(ids_p, ids_t, pi, ti):
     """Edit distance between pattern pi[k] and text ti[k] for every lane k.
 
     Lanes run longest text first, so the lanes still reading text at any
@@ -87,15 +62,12 @@ def _lane_distances(codes_p, lengths_p, codes_t, lengths_t, pi, ti):
     vertical delta over the pattern's rows: D[m, n] = n + sum_i (D[i, n] -
     D[i - 1, n]). An empty pattern has no rows and gives the text length.
     """
-    alphabet, peq = _match_masks(codes_p, lengths_p)
-    sigma = alphabet.size
+    peq = _match_masks(ids_p)
     n_words = peq.shape[0]
-    # text symbols as rows of the compressed alphabet, sigma when absent;
+    lengths_p = np.count_nonzero(ids_p != PAD_ID, axis=1)
+    lengths_t = np.count_nonzero(ids_t != PAD_ID, axis=1)
     # position-major, so each pass gathers its (position, lane) keys directly
-    sym_t = np.searchsorted(alphabet, codes_t.T)
-    found = sym_t < sigma
-    found[found] = alphabet[sym_t[found]] == codes_t.T[found]
-    sym_t[~found] = sigma
+    ids_t = ids_t.T
 
     out = np.empty(pi.size, dtype=np.int64)
     order = np.argsort(-lengths_t[ti], kind="stable")
@@ -105,8 +77,9 @@ def _lane_distances(codes_p, lengths_p, codes_t, lengths_t, pi, ti):
         p, t = pi[lanes], ti[lanes]
         m, n = lengths_p[p], lengths_t[t]
         t_max = int(n[0])
-        keys = sym_t[:t_max, t] + p * (sigma + 1)
-        active = np.searchsorted(-n, -np.arange(t_max), side="left")
+        keys = ids_t[:t_max, t] + p * VOCAB_SIZE
+        # lanes still reading text at each position: those with n > j
+        active = lanes.size - np.cumsum(np.bincount(n))[:t_max]
         pv = np.full((n_words, lanes.size), _ALL)
         mv = np.zeros((n_words, lanes.size), dtype=np.uint64)
         for j in range(t_max):
@@ -226,9 +199,9 @@ def pairwise_edit_matrix(seqs):
     out = np.zeros((n, n), dtype=np.int64)
     if n < 2:
         return out
-    codes, lengths = encode_sequences(seqs)
+    ids = tokenize(seqs, max(map(len, seqs)))
     i, j = np.triu_indices(n, k=1)
-    d = _lane_distances(codes, lengths, codes, lengths, i, j)
+    d = _lane_distances(ids, ids, i, j)
     out[i, j] = d
     out[j, i] = d
     return out
@@ -239,10 +212,10 @@ def cross_edit_matrix(seqs_a, seqs_b):
     na, nb = len(seqs_a), len(seqs_b)
     if na == 0 or nb == 0:
         return np.zeros((na, nb), dtype=np.int64)
-    codes_a, lengths_a = encode_sequences(seqs_a)
-    codes_b, lengths_b = encode_sequences(seqs_b)
+    ids_a = tokenize(seqs_a, max(map(len, seqs_a)))
+    ids_b = tokenize(seqs_b, max(map(len, seqs_b)))
     i, j = np.divmod(np.arange(na * nb), nb)
-    d = _lane_distances(codes_a, lengths_a, codes_b, lengths_b, i, j)
+    d = _lane_distances(ids_a, ids_b, i, j)
     return d.reshape(na, nb)
 
 

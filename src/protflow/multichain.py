@@ -42,7 +42,8 @@ class ChainSpec:
 
 
 class ChainLayout:
-    """Ordered chains with equal latent widths; total rows = sum of l_max."""
+    """Ordered chains with distinct names and equal latent widths, the unnamed
+    chain only alone; total rows = sum of l_max."""
 
     __slots__ = ("chains",)
 
@@ -52,6 +53,8 @@ class ChainLayout:
         names = [c.name for c in chains]
         if len(set(names)) != len(names):
             raise LayoutMismatch(f"duplicate chain names in {names}")
+        if "" in names and len(names) > 1:
+            raise LayoutMismatch(f"the unnamed chain cannot share a layout: {names}")
         widths = {c.pipeline.width for c in chains if c.pipeline is not None}
         if len(widths) > 1:
             raise WidthMismatch(f"chain widths differ: {sorted(widths)}")

@@ -144,6 +144,9 @@ class LengthDistribution:
             raise EmptyCorpus("length distribution needs at least one observed length")
         if np.any(counts <= 0) or np.any(lengths <= 0):
             raise EmptyCorpus("lengths and counts must be positive")
+        # the int64 cumsum below would wrap
+        if sum(map(int, counts)) >= 2**63:
+            raise EmptyCorpus("length counts total 2**63 or more")
         order = np.argsort(lengths)
         self.lengths = lengths[order]
         self.counts = counts[order]

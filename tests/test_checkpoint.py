@@ -550,9 +550,12 @@ def test_pipeline_kinds_need_their_metadata(tmp_path, kind, chains):
                      dict(flow_cfg, time_scale=float("nan")), dict(flow_cfg, time_scale=10**400),
                      # VectorFieldConfig's own rules, checked at load through the reader
                      dict(flow_cfg, time_dim=7), dict(flow_cfg, attention=True)]
+    # chains follow ChainLayout's rules: distinct names, and the unnamed chain alone
+    bad_chains = [[{"name": "A"}]] + [[{"name": a, "l_max": 3}, {"name": b, "l_max": 4}]
+                                      for a, b in (("A", "A"), ("", "B"), ("B", ""))]
     bad_values = {"dim": ["8", 7], "clamp_k": [True], "l_max": [0],
-                  "length_dist": [{"lengths": [2]}], "chains": [[{"name": "A"}]],
-                  "length_dists": [{"A": {}}], "flow_cfg": bad_flow_cfgs}
+                  "length_dist": [{"lengths": [2]}, {"lengths": [2, 5], "counts": [2**62] * 2}],
+                  "chains": bad_chains, "length_dists": [{"A": {}}], "flow_cfg": bad_flow_cfgs}
     for key in sorted(set(meta) & set(bad_values)):
         for value in bad_values[key]:
             ckpt.save_checkpoint(path, {"x": np.ones(2)}, dict(meta, **{key: value}))

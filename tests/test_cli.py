@@ -573,6 +573,8 @@ _BAD_FLOW_METADATA = [
      lambda m: m["chains"][0].update(l_max=L_MAX_CAP + 1), []),
     ("chain length_dist of floats", True,
      lambda m: m["length_dists"].update(A={"lengths": [2.0], "counts": [1]}), []),
+    # an int64 running total of the counts would wrap
+    ("counts totalling 2**63", False, _set_length_dist([2, 5], [2**62, 2**62]), []),
 ]
 
 
@@ -1141,6 +1143,62 @@ def test_multichain_corpus_errors(mc_workdir):
              "--set", f"data.train_path={bad}"]
         )
         assert code == 2, fname
+
+
+@pytest.mark.parametrize("names", [("A", "A"), ("", "B"), ("B", "")],
+                         ids=["repeated", "unnamed-first", "unnamed-last"])
+def test_exit_4_checkpoint_chains_a_layout_rejects(mc_workdir, capsys, names):
+    # a chains list the layout rejects is a checkpoint error at load in every
+    # command, not a corpus error or a silently skipped chain
+    root = mc_workdir["root"]
+    bad = {}
+    for source in ("dec", "flow"):
+        tensors, meta = load_checkpoint(mc_workdir[source])
+        meta["chains"] = [{"name": names[0], "l_max": 3}, {"name": names[1], "l_max": 4}]
+        bad[source] = str(root / f"bad_chains_{source}.ckpt")
+        save_checkpoint(bad[source], tensors, meta)
+    for argv in (
+        ["inspect-checkpoint", "--checkpoint", bad["dec"]],
+        ["train-compressor", "--config", mc_workdir["cfg"], "--init", bad["dec"],
+         "--out", str(root / "bad_chains_pipe.ckpt")],
+        ["sample", "--checkpoint", bad["flow"], "--out", str(root / "bad_chains.fasta"),
+         "--n", "2"],
+    ):
+        capsys.readouterr()
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 4, (argv[0], err)
+        lines = err.splitlines()
+        assert len(lines) == 1 and "'chains'" in lines[0], (argv[0], err)
+
+
+def test_chain_named_compressor_trains_and_samples(tmp_path):
+    # the stack tensors of chain "compressor" hold "compressor." in their
+    # names; train-compressor must still carry them to the flow stage
+    records = [
+        rec
+        for i, s in enumerate(_CORPUS)
+        for rec in ((f"c{i}|chain=compressor", s), (f"c{i}|chain=B", s[-4:]))
+    ]
+    _write_fasta(tmp_path / "corpus.fasta", records)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_BASE_CFG + f"data.train_path = {tmp_path / 'corpus.fasta'}\n"
+                   "chains = compressor:8,B:6\n")
+    dec, pipe, flow = (str(tmp_path / name) for name in ("dec.ckpt", "pipe.ckpt", "flow.ckpt"))
+    for argv in (
+        ["train-decoder", "--config", str(cfg), "--out", dec],
+        ["train-compressor", "--config", str(cfg), "--init", dec, "--out", pipe],
+        ["train-flow", "--config", str(cfg), "--init", pipe, "--out", flow],
+        ["sample", "--checkpoint", flow, "--out", str(tmp_path / "gen.fasta"), "--n", "3"],
+    ):
+        assert cli.main(argv) == 0, argv
+    tensors, _ = load_checkpoint(pipe)
+    for part in ("encoder.embed", "decoder.b1", "smoothing.mean", "compressor.b_down"):
+        assert f"chain.compressor.{part}" in tensors
+        assert f"chain.B.{part}" in tensors
+    assert [h for h, _ in read_fasta(str(tmp_path / "gen.fasta"))] == [
+        f"gen_{i}|chain={name}" for i in range(3) for name in ("compressor", "B")
+    ]
 
 
 # --- golden bytes ---------------------------------------------------------------

@@ -3,12 +3,13 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from protflow import kernels
+from protflow.errors import UnknownResidue
 from protflow.kernels import (
     assignment_min_cost,
     cross_edit_matrix,
-    encode_sequences,
     levenshtein,
     pairwise_edit_matrix,
 )
@@ -136,12 +137,6 @@ def test_cross_matrix_consistent_with_scalar():
             assert mat[i, j] == levenshtein(xs[i], ys[j])
 
 
-def test_encode_sequences_shapes():
-    codes, lengths = encode_sequences(["AC", "ACDE", ""])
-    assert codes.shape == (3, 4)
-    assert lengths.tolist() == [2, 4, 0]
-
-
 def _assignment_brute_force(cost):
     n = cost.shape[0]
     best = None
@@ -173,7 +168,8 @@ def test_assignment_identity_and_antidiagonal():
 
 # lengths on both sides of every 64-row word boundary up to four words
 BLOCK_EDGE_LENGTHS = [0, 1, 63, 64, 65, 127, 128, 129, 200]
-ALPHABETS = ["AC", "ACDEFGHIKLMNPQRSTVWY", "\u00e9\u03b1\u4e2d\U0001f600"]
+# the last holds the highest residue ids, next to the PAD_ID row
+ALPHABETS = ["AC", "ACDEFGHIKLMNPQRSTVWY", "VWY"]
 
 
 def _block_edge_sets(alphabet, seed):
@@ -244,10 +240,10 @@ def test_matrices_span_several_lane_chunks():
 
 
 def test_text_symbols_outside_the_pattern_alphabet():
-    # symbols only the texts use, including code points below and above
-    # every pattern symbol, never match
+    # residues only the texts use, with ids below and above every pattern
+    # residue, never match
     xs = ["CCC", "DCD", ""]
-    ys = ["AAA", "ZCZ", "\U0001f600C", "CD"]
+    ys = ["AAA", "WCY", "YC", "CD"]
     mat = cross_edit_matrix(xs, ys)
     for i, a in enumerate(xs):
         for j, b in enumerate(ys):
@@ -260,3 +256,13 @@ def test_empty_inputs():
     assert pairwise_edit_matrix([]).shape == (0, 0)
     assert pairwise_edit_matrix(["ACD"]).tolist() == [[0]]
     assert cross_edit_matrix(["", ""], ["", "AC"]).tolist() == [[0, 2], [0, 2]]
+
+
+@pytest.mark.parametrize("bad", ["ACZ", "acd", "AC\u00e9", "A-C"])
+def test_matrices_reject_non_residue_strings(bad):
+    with pytest.raises(UnknownResidue):
+        cross_edit_matrix(["ACD", bad], ["ACD"])
+    with pytest.raises(UnknownResidue):
+        cross_edit_matrix(["ACD"], [bad])
+    with pytest.raises(UnknownResidue):
+        pairwise_edit_matrix(["ACD", bad])

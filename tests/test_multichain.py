@@ -30,6 +30,9 @@ def test_chain_spec_and_layout_validation():
         multichain.ChainLayout(
             [multichain.ChainSpec("A", 4, p), multichain.ChainSpec("A", 3, p)]
         )
+    for names in (("", "B"), ("B", "")):
+        with pytest.raises(LayoutMismatch, match="unnamed chain"):
+            multichain.ChainLayout([multichain.ChainSpec(name, 4, p) for name in names])
     wide = _pipeline(rng.substream("b"), 3, dim=8, ratio=1)
     with pytest.raises(WidthMismatch):
         multichain.ChainLayout(

@@ -15,6 +15,7 @@ from protflow.errors import (
     SequenceTooLong,
     UnknownResidue,
 )
+from protflow.numeric import RngStream
 from protflow.seqio import (
     AMINO_ACIDS,
     PAD_ID,
@@ -129,6 +130,17 @@ def test_length_distribution_validation():
         LengthDistribution([0], [1])
 
 
+def test_length_distribution_rejects_counts_past_int64():
+    # the int64 running total of the CDF would wrap past 2**63 - 1
+    with pytest.raises(EmptyCorpus, match="2\\*\\*63"):
+        LengthDistribution([2, 5], [2**62, 2**62])
+    with pytest.raises(EmptyCorpus):
+        LengthDistribution([2, 5, 7], [2**62, 2**61, 2**61])
+    ld = LengthDistribution([2, 5], [2**62, 2**62 - 1])
+    draws = {ld.sample(RngStream(seed)) for seed in range(40)}
+    assert draws == {2, 5}
+
+
 def test_fit_length_distribution_counts_true_lengths():
     ld = fit_length_distribution(tokenize(["AC", "ACD", "AC", "M"], 10))
     assert ld.lengths.tolist() == [1, 2, 3]
@@ -144,8 +156,6 @@ def test_fit_length_distribution_sampling_is_empirical():
     lens = rng.integers(2, 30, size=400)
     seqs = ["".join(AMINO_ACIDS[j] for j in rng.integers(0, 20, n)) for n in lens]
     ld = fit_length_distribution(tokenize(seqs, 30))
-    from protflow.numeric import RngStream
-
     stream = RngStream(9).substream("len")
     draws = [ld.sample(stream.substream(f"d{i}")) for i in range(2000)]
     assert set(draws) <= set(int(x) for x in lens)
