@@ -40,6 +40,15 @@ lane, and one dopri5 x25 solve of 16 lanes, best and median of five runs
 after one warm-up. Set OPENBLAS_NUM_THREADS=1 to time them as the CLI
 benchmarks do.
 
+Memory follows: the tracemalloc peak of one call above what was live when it
+started, for one cfm_loss training step at 64 x 20 x 8 (batch x L x width,
+hidden 64, depth 2), compressor_mse over the 10,000 x 32 smoothed rows of
+the training corpus above at ratio_c 4 (train-compressor's closing figure),
+and cross_edit_matrix of 200 length-20 sequences against the same 200 plus
+one 3,000-residue text, whose passes the kernel's key budget bounds.
+tracemalloc counts numpy's array buffers, so each figure is what the call
+asks of the allocator, not the process's RSS.
+
 Start-up comes last: the child CPU seconds (user + system, from os.wait4) of
 `python -m protflow <command> --help` for each command, best and median of
 five runs, beside the bare interpreter and `import numpy` for scale. --help
@@ -55,6 +64,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -92,6 +102,11 @@ TRAIN_CALLS = 200
 FLOW_CFG = dict(depth=2, width=8, hidden=64)
 FLOW_LENGTH = 20
 FORWARD_CALLS = 200
+# perfbench's train workload: train.batch rows of a flow step
+FLOW_BATCH = 64
+# one long record among short ones: the short sequences' count and length,
+# then the long text's length
+LONG_TEXT = (200, 20, 3000)
 
 SHAPES = {
     # name: (batch size, reference size, min length, max length)
@@ -153,21 +168,27 @@ def bench_gelu():
     print()
 
 
-def bench_training():
-    c = TRAIN_CFG
-    rng = RngStream(3)
-    canonical = [s for _, s in read_fasta(CANONICAL_CORPUS)]
+def training_corpus(c, rng):
+    """(ids, encoder, smoothed rows) of the seeded TRAIN_CORPUS-sequence corpus
+    at TRAIN_CFG's shapes; every padded position is a row."""
     ids = tokenize(make_corpus(TRAIN_CORPUS, 1, c["l_max"], 7), c["l_max"])
     enc = latent.init_encoder(
         c["dim"], rng.substream("enc"), embed_scale=10.0, embed_rank=c["rank"]
     )
+    rows = latent.encode_corpus(ids, enc).reshape(-1, c["dim"])
+    return ids, enc, latent.smooth(rows, latent.fit_smoothing(rows))
+
+
+def bench_training():
+    c = TRAIN_CFG
+    rng = RngStream(3)
+    canonical = [s for _, s in read_fasta(CANONICAL_CORPUS)]
+    ids, enc, rows = training_corpus(c, rng)
     # one decoder batch: the residue positions of batch sequences, as train_decoder draws it
     idx = np.random.default_rng(4).integers(0, len(ids), size=c["batch"])
     h, y = latent._gather_rows(enc, ids, idx)
     dec = latent.init_decoder(c["dim"], c["hidden"], rng.substream("dec"))
     # one compressor batch: batch smoothed rows of the padded corpus
-    rows = latent.encode_corpus(ids, enc).reshape(-1, c["dim"])
-    rows = latent.smooth(rows, latent.fit_smoothing(rows))
     batch = rows[np.random.default_rng(5).integers(0, len(rows), size=c["batch"])]
     comp = latent.init_compressor(c["dim"], c["ratio"], rng.substream("comp"))
 
@@ -187,10 +208,16 @@ def bench_training():
     print()
 
 
-def bench_sampling():
+def perturbed_flow():
+    """A FLOW_CFG model whose parameters are perturbed off the identity map."""
     model = flow.init_flow_model(flow.VectorFieldConfig(**FLOW_CFG), RngStream(0))
     for key, val in model.params.items():
         model.params[key] = val + 0.1 * RngStream(1).substream(key).normal(val.shape)
+    return model
+
+
+def bench_sampling():
+    model = perturbed_flow()
 
     def field(x, t):
         return flow.flow_forward(model, x, t)
@@ -213,6 +240,44 @@ def bench_sampling():
         res, best, median = timed(lambda: ode.solve_lanes(field, x1, config))
         nfe = "/".join(str(k) for k in sorted(set(res.nfe.tolist())))
         print(f"{label:<34} {best * 1e3:>8.1f}ms {median * 1e3:>8.1f}ms  NFE per lane {nfe}")
+    print()
+
+
+def traced_peak(fn):
+    """Peak bytes allocated while fn runs: tracing starts with the call, so
+    what was live before it does not count."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def bench_memory():
+    c = TRAIN_CFG
+    rng = RngStream(3)
+    _, _, rows = training_corpus(c, rng)
+    comp = latent.init_compressor(c["dim"], c["ratio"], rng.substream("comp"))
+    model = perturbed_flow()
+    shape = (FLOW_BATCH, FLOW_LENGTH, FLOW_CFG["width"])
+    x0 = RngStream(2).substream("x0").normal(shape)
+    x1 = RngStream(2).substream("x1").normal(shape)
+    t = RngStream(2).substream("t").uniform(FLOW_BATCH)
+    n_short, short, long = LONG_TEXT
+    texts = make_corpus(n_short, short, short, 9)
+    texts_long = texts + make_corpus(1, long, long, 10)
+    figures = (
+        (f"cfm_loss {'x'.join(map(str, shape))}, hidden {FLOW_CFG['hidden']}, "
+         f"depth {FLOW_CFG['depth']}", lambda: flow.cfm_loss(model, x0, x1, t)),
+        (f"compressor_mse {rows.shape[0]}x{rows.shape[1]}, ratio_c {c['ratio']}",
+         lambda: latent.compressor_mse(comp, rows)),
+        (f"cross {n_short}x{n_short + 1}, one {long}-residue text",
+         lambda: kernels.cross_edit_matrix(texts, texts_long)),
+    )
+    print(f"{'memory, tracemalloc peak above entry':<46} {'peak':>10}")
+    for label, fn in figures:
+        print(f"{label:<46} {traced_peak(fn) / 1e6:>8.2f}MB")
     print()
 
 
@@ -270,6 +335,7 @@ def main():
     print()
     bench_training()
     bench_sampling()
+    bench_memory()
     bench_startup()
     return 1 if bad else 0
 

@@ -193,7 +193,8 @@ def flow_forward(model, x, t, need_cache=False):
         need_cache: also return intermediates for flow_backward.
 
     Returns:
-        v of shape (n, L, W), or (v, cache) when need_cache.
+        v of shape (n, L, W), or (v, cache) when need_cache; per block the
+        cache keeps the MLP pre-activation a and its GELU tanh, not gelu(a).
     """
     cfg = model.cfg
     p = model.params
@@ -242,7 +243,7 @@ def flow_forward(model, x, t, need_cache=False):
         stream += p[b2]
         stream += x_in
         if need_cache:
-            caches.append((u, q, k, vv, att, m, u2, a, tanh_a, z))
+            caches.append((u, q, k, vv, att, m, u2, a, tanh_a))
     if need_cache:
         return stream, (x, temb, inputs, caches)
     return stream
@@ -251,7 +252,9 @@ def flow_forward(model, x, t, need_cache=False):
 def flow_backward(model, cache, dv):
     """Gradients of a scalar loss w.r.t. all parameters, given dL/dv.
 
-    Returns a dict keyed like model.params.
+    Each block's z = gelu(a) is rebuilt from flow_forward's cached a and tanh,
+    bitwise the forward's z, and dropped after its w2 gradient. Returns a dict
+    keyed like model.params.
     """
     cfg = model.cfg
     p = model.params
@@ -268,13 +271,14 @@ def flow_backward(model, cache, dv):
     d_stream = dv
     for b in reversed(range(cfg.depth)):
         j, skip_w, (tw, tb, wq, wk, wv, wo, w1, b1, w2, b2) = names[b]
-        u, q, k, vv, att, m, u2, a, tanh_a, z = caches[b]
+        u, q, k, vv, att, m, u2, a, tanh_a = caches[b]
         # stream_out = x_in + delta
         d_delta = d_stream
-        grads[w2] += flat(z).T @ flat(d_delta)
+        grads[w2] += flat(nn.gelu_from_tanh(a, tanh_a)).T @ flat(d_delta)
         grads[b2] += flat(d_delta).sum(axis=0)
-        d_z = d_delta @ p[w2].T
-        d_a = d_z * nn.gelu_grad(a, tanh_a)
+        # d_a = d_z * gelu'(a), d_z multiplied in after gelu_grad frees its temporaries
+        d_a = nn.gelu_grad(a, tanh_a)
+        d_a *= d_delta @ p[w2].T
         grads[w1] += flat(u2).T @ flat(d_a)
         grads[b1] += flat(d_a).sum(axis=0)
         d_u2 = d_a @ p[w1].T

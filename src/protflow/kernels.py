@@ -23,9 +23,11 @@ BACKEND = "numpy"
 
 _INF = np.int64(1) << np.int64(62)
 
-# Lanes per vectorized pass. Memory per pass is O(_LANES * (W + text length)),
-# whatever the number of pairs.
+# Lanes per vectorized pass: at most _LANES, and at most _KEYS // (its longest
+# text) but at least one, so one long text does not size every lane's keys and
+# texts of up to 256 residues keep full passes. Memory per pass: O(_LANES * W + _KEYS).
 _LANES = 4096
+_KEYS = 1 << 20
 
 _ONE = np.uint64(1)
 _TOP_BIT = np.uint64(63)
@@ -72,11 +74,14 @@ def _lane_distances(ids_p, ids_t, pi, ti):
     out = np.empty(pi.size, dtype=np.int64)
     order = np.argsort(-lengths_t[ti], kind="stable")
     word_rows = 64 * np.arange(n_words)[:, None]
-    for start in range(0, order.size, _LANES):
-        lanes = order[start : start + _LANES]
+    start = 0
+    while start < order.size:
+        # the pass's first lane holds its longest text
+        t_max = int(lengths_t[ti[order[start]]])
+        lanes = order[start : start + max(1, min(_LANES, _KEYS // max(t_max, 1)))]
+        start += lanes.size
         p, t = pi[lanes], ti[lanes]
         m, n = lengths_p[p], lengths_t[t]
-        t_max = int(n[0])
         keys = ids_t[:t_max, t] + p * VOCAB_SIZE
         # lanes still reading text at each position: those with n > j
         active = lanes.size - np.cumsum(np.bincount(n))[:t_max]

@@ -190,8 +190,11 @@ def compress(h_s, comp):
 
 
 def decompress(h_c, comp):
-    """(..., width) compressed latents -> (..., dim) smoothed-space latents."""
-    return h_c @ comp["w_up"] + comp["b_up"]
+    """(..., width) compressed latents -> (..., dim) smoothed-space latents,
+    h_c @ w_up + b_up with the bias added into the fresh product."""
+    out = h_c @ comp["w_up"]
+    out += comp["b_up"]
+    return out
 
 
 def compressor_loss_and_grad(comp, batch):
@@ -233,8 +236,11 @@ def compressor_loss_and_grad(comp, batch):
 
 
 def compressor_mse(comp, rows):
+    """Mean of (decompress(compress(rows)) - rows)^2 over every scalar, taken in
+    the reconstruction's buffer: a corpus costs rows plus one array its size."""
     rec = decompress(compress(rows, comp), comp)
-    return float(((rec - rows) ** 2).mean())
+    rec -= rows
+    return float(np.square(rec, out=rec).mean())
 
 
 def train_compressor(

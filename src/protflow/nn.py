@@ -34,15 +34,21 @@ def _gelu_tanh(x):
     return np.tanh(u, out=u)
 
 
+def gelu_from_tanh(x, t):
+    """0.5 * x * (1 + t): gelu(x) from its tanh t, as gelu(x, return_tanh=True)."""
+    z = x * 0.5
+    z *= t + 1.0
+    return z
+
+
 def gelu(x, return_tanh=False):
     """Tanh-approximated GELU. With return_tanh, also return the tanh value so
     the backward pass can hand it to gelu_grad instead of recomputing it."""
-    # 0.5 * x * (1 + t)
     t = _gelu_tanh(x)
-    z = x * 0.5
     if return_tanh:
-        z *= t + 1.0
-        return z, t
+        return gelu_from_tanh(x, t), t
+    # as gelu_from_tanh, adding into the tanh buffer, which no caller sees
+    z = x * 0.5
     t += 1.0
     z *= t
     return z
@@ -93,11 +99,6 @@ def layernorm_backward(dy, cache):
     return dx, dgamma, dbeta
 
 
-def log_softmax(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
 def softmax(logits):
     z = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return z / z.sum(axis=-1, keepdims=True)
@@ -110,10 +111,14 @@ def softmax_cross_entropy(logits, targets):
         logits: (n, k) float64.
         targets: (n,) int64 class ids.
     """
+    # one exp: the loss takes log-softmax z - log(s), the gradient softmax e / s
     n = logits.shape[0]
-    logp = log_softmax(logits)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=-1, keepdims=True)
+    logp = z - np.log(s)
     loss = -logp[np.arange(n), targets].mean()
-    dlogits = softmax(logits)
+    dlogits = e / s
     dlogits[np.arange(n), targets] -= 1.0
     return loss, dlogits / n
 

@@ -106,6 +106,26 @@ def test_cfm_grad_matches_numeric_attention():
     assert grad_check(f, model.params) < 1e-5
 
 
+@pytest.mark.parametrize("attention", [False, True])
+def test_training_cache_holds_two_hidden_arrays_per_block(attention):
+    # the cache keeps a and tanh(a) per block; gelu(a) is rebuilt in backward
+    n, length, hidden = 4, 5, 16
+    cfg = flow.VectorFieldConfig(3, 3, hidden, attention=attention, seq_len=length)
+    model = _perturbed_model(cfg, 7)
+    x = np.random.default_rng(8).normal(size=(n, length, 3))
+    _, cache = flow.flow_forward(model, x, np.linspace(0.1, 0.9, n), need_cache=True)
+
+    def arrays(node):
+        if isinstance(node, np.ndarray):
+            return [node]
+        if isinstance(node, (list, tuple)):
+            return [a for item in node for a in arrays(item)]
+        return []
+
+    shapes = [a.shape for a in arrays(cache)]
+    assert shapes.count((n, length, hidden)) == 2 * cfg.depth
+
+
 def test_interpolate_exact_endpoints():
     gen = np.random.default_rng(7)
     x0 = gen.normal(size=(4, 5, 3))

@@ -1,6 +1,7 @@
 """Edit-distance and assignment kernels against independent oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,41 @@ def test_matrices_span_several_lane_chunks():
     assert np.all(np.diag(pw) == 0)
     for i, j in zip(*np.triu_indices(len(seqs), k=1)):
         assert pw[i, j] == levenshtein(seqs[i], seqs[j]), (i, j)
+
+
+def test_one_long_text_does_not_size_every_pass():
+    # 200 patterns against the same 200 texts plus one 3,000-residue text:
+    # with the key budget a pass holding the long text has few lanes
+    rng = np.random.default_rng(61)
+    aa = "ACDEFGHIKLMNPQRSTVWY"
+    xs = [_random_string(rng, aa, 20) for _ in range(200)]
+    long_text = _random_string(rng, aa, 3000)
+    assert kernels._KEYS // 256 >= kernels._LANES  # texts up to 256 keep full passes
+    tracemalloc.start()
+    try:
+        mat = cross_edit_matrix(xs, xs + [long_text])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert mat[:, -1].tolist() == [levenshtein(a, long_text) for a in xs]
+    assert np.all(np.diag(mat) == 0)
+
+
+def test_small_key_budget_splits_passes_exactly(monkeypatch):
+    # texts longer than the budget run one lane per pass
+    monkeypatch.setattr(kernels, "_KEYS", 50)
+    rng = np.random.default_rng(67)
+    aa = "ACDEFGHIKLMNPQRSTVWY"
+    xs = [_random_string(rng, aa, int(rng.integers(0, 90))) for _ in range(9)]
+    ys = [_random_string(rng, aa, int(rng.integers(0, 130))) for _ in range(11)]
+    mat = cross_edit_matrix(xs, ys)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            assert mat[i, j] == _lev_row_dp(a, b), (a, b)
+    pw = pairwise_edit_matrix(ys)
+    for i, j in zip(*np.triu_indices(len(ys), k=1)):
+        assert pw[i, j] == pw[j, i] == _lev_row_dp(ys[i], ys[j]), (i, j)
 
 
 def test_text_symbols_outside_the_pattern_alphabet():

@@ -160,6 +160,24 @@ def test_compressor_shapes():
     assert latent.decompress(c, comp).shape == (5, 7, 16)
 
 
+def test_in_place_decompress_and_mse_match_expressions_bitwise():
+    # decompress and compressor_mse work in their fresh buffers; the results
+    # must be those of the plain expressions
+    gen = np.random.default_rng(13)
+    comp = latent.init_compressor(16, 4, RngStream(5))
+    for name, value in comp.items():
+        comp[name] = value + 0.1 * gen.normal(size=value.shape)
+    for shape in ((300, 16), (6, 20, 16)):
+        rows = np.tanh(gen.normal(size=shape))
+        h_c = latent.compress(rows, comp)
+        assert np.array_equal(
+            latent.decompress(h_c, comp).view(np.uint64),
+            (h_c @ comp["w_up"] + comp["b_up"]).view(np.uint64),
+        )
+        mse = float(((latent.decompress(latent.compress(rows, comp), comp) - rows) ** 2).mean())
+        assert latent.compressor_mse(comp, rows) == mse
+
+
 def test_fresh_parameter_arrays_share_no_memory():
     # nn.fit updates every array in place, so two names on one buffer would
     # train as one parameter
