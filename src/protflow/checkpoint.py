@@ -12,12 +12,13 @@ pipeline kind (decoder, pipeline, flow, reflow) must carry the metadata its
 commands read: "dim" and "clamp_k"; "l_max" and "length_dist", or "chains"
 and "length_dists" for a multichain corpus (layout_meta writes them); and
 "flow_cfg" for flow and reflow. Each key has one reader, and the loader
-checks a key by calling it: meta_chains (each l_max at most
-config.L_MAX_CAP, the names as multichain.ChainLayout allows),
+checks a key, present or missing, by calling it: meta_chains
+(multichain.ChainLayout, so each l_max in [1, multichain.L_MAX_CAP]),
 meta_length_dists (seqio.LengthDistribution.from_dict) and flow_config
-(flow.VectorFieldConfig). A reader raises MalformedHeader
-naming its key. "clamp_k" records latent.CLAMP_K; applying the smoothing
-does not read it. Writes are atomic (fileio.write_atomic).
+(flow.VectorFieldConfig). A reader raises MalformedHeader naming its key,
+and a missing key fails its reader's rule. "clamp_k" records
+latent.CLAMP_K; applying the smoothing does not read it. Writes are atomic
+(fileio.write_atomic).
 
 Parameters are dicts of named arrays; pack(params, prefix) stores each
 under prefix + name, so a checkpoint is all a command needs to resume or
@@ -36,7 +37,6 @@ import struct
 
 import numpy as np
 
-from .config import L_MAX_CAP
 from .errors import (
     BadMagic,
     CheckpointError,
@@ -53,7 +53,7 @@ from .fileio import write_atomic
 from .flow import VectorFieldConfig, VectorFieldModel, param_shapes
 from .latent import pipeline_shapes
 from .multichain import ChainLayout, ChainSpec
-from .numeric import is_int
+from .numeric import ABOVE_0, is_int, is_number
 from .seqio import LengthDistribution
 
 MAGIC = b"PFLW"
@@ -142,22 +142,15 @@ CARRIED_META = ("dim", "clamp_k", "l_max", "length_dist", "chains", "length_dist
 
 
 def _check_meta(path, meta):
-    """Raise MalformedHeader unless a pipeline-kind checkpoint carries the
-    metadata its kind needs, each key as its reader reads it."""
+    """Raise MalformedHeader naming the key unless a pipeline-kind checkpoint
+    carries each metadata key its kind needs, as that key's reader reads it."""
     kind = meta.get("kind")
     if kind not in _PIPELINE_KINDS:
         return
-    keys = ["dim", "clamp_k"]
-    keys += ["chains", "length_dists"] if "chains" in meta else ["l_max", "length_dist"]
-    if kind in ("flow", "reflow"):
-        keys.append("flow_cfg")
-    for key in keys:
-        if key not in meta:
-            raise MalformedHeader(f"{path}: {kind} checkpoint lacks metadata {key!r}")
-    if not (is_int(meta["dim"]) and meta["dim"] > 0 and meta["dim"] % 2 == 0):
+    dim = meta.get("dim")
+    if not (is_int(dim, 1) and dim % 2 == 0):
         raise MalformedHeader(f"{path}: metadata 'dim' must be a positive even integer")
-    clamp_k = meta["clamp_k"]
-    if isinstance(clamp_k, bool) or not isinstance(clamp_k, (int, float)) or not clamp_k > 0:
+    if not is_number(meta.get("clamp_k"), ABOVE_0, math.inf):
         raise MalformedHeader(f"{path}: metadata 'clamp_k' must be a positive number")
     try:
         meta_chains(meta)
@@ -178,7 +171,7 @@ def _check_entry(path, k, entry, seen):
     if name in seen:
         raise MalformedHeader(f"{path}: tensor {name!r} appears twice")
     shape = entry.get("shape")
-    if not isinstance(shape, list) or not all(is_int(x) and x >= 0 for x in shape):
+    if not isinstance(shape, list) or not all(is_int(x, 0) for x in shape):
         raise MalformedHeader(
             f"{path}: tensor {name!r} 'shape' must be a list of non-negative integers"
         )
@@ -268,35 +261,30 @@ def layout_meta(chains, length_dists):
     }
 
 
-def _l_max(value, key):
-    if not (is_int(value) and 1 <= value <= L_MAX_CAP):
-        raise MalformedHeader(f"metadata {key!r} l_max must be an integer in [1, {L_MAX_CAP}]")
-    return value
-
-
 def meta_chains(meta):
     """The ChainSpecs of the layout layout_meta wrote: its named chains, or
-    the unnamed chain. Named chains follow ChainLayout's rules."""
+    the unnamed chain of l_max. Either follows ChainSpec's and ChainLayout's
+    rules."""
     if "chains" not in meta:
-        return [ChainSpec("", _l_max(meta["l_max"], "l_max"), None)]
-    chains = meta["chains"]
-    if not (isinstance(chains, list) and chains
-            and all(isinstance(c, dict) and isinstance(c.get("name"), str) for c in chains)):
-        raise MalformedHeader("metadata 'chains' must be a non-empty list of {name, l_max}")
-    specs = [ChainSpec(c["name"], _l_max(c.get("l_max"), "chains"), None) for c in chains]
+        key, pairs = "l_max", [("", meta.get("l_max"))]
+    else:
+        key, chains = "chains", meta["chains"]
+        if not (isinstance(chains, list) and all(isinstance(c, dict) for c in chains)):
+            raise MalformedHeader("metadata 'chains' must be a list of {name, l_max}")
+        pairs = [(c.get("name"), c.get("l_max")) for c in chains]
     try:
-        return ChainLayout(specs).chains
+        return ChainLayout([ChainSpec(name, l_max, None) for name, l_max in pairs]).chains
     except LayoutMismatch as e:
-        raise MalformedHeader(f"metadata 'chains': {e}") from None
+        raise MalformedHeader(f"metadata {key!r}: {e}") from None
 
 
 def meta_length_dists(meta):
     """{chain name: LengthDistribution} from the metadata layout_meta wrote;
     the named chains' must cover every chain."""
     if "chains" not in meta:
-        key, dists = "length_dist", {"": meta["length_dist"]}
+        key, dists = "length_dist", {"": meta.get("length_dist")}
     else:
-        key, dists = "length_dists", meta["length_dists"]
+        key, dists = "length_dists", meta.get("length_dists")
         if not isinstance(dists, dict):
             raise MalformedHeader("metadata 'length_dists' must be an object")
         missing = {c.name for c in meta_chains(meta)} - set(dists)
@@ -311,6 +299,6 @@ def meta_length_dists(meta):
 def flow_config(meta):
     """The VectorFieldConfig of metadata 'flow_cfg'."""
     try:
-        return VectorFieldConfig.from_dict(meta["flow_cfg"])
+        return VectorFieldConfig.from_dict(meta.get("flow_cfg"))
     except ValueError as e:
         raise MalformedHeader(f"metadata 'flow_cfg' is not a vector-field config: {e}") from None

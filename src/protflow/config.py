@@ -4,30 +4,25 @@ Format: one `key = value` per line, `#` starts a comment anywhere, blank
 lines ignored. Keys are dotted paths from the schema below; unknown keys are
 rejected so a typo cannot silently fall back to a default. Values are typed
 (int / float / bool / str). Each SCHEMA row holds its key's type, default and
-inclusive bounds, and ode.SolverConfig alone checks the solver.* keys. CLI
-`--set key=value` flags override file values. Paths named by data.* must
-exist at load time.
+inclusive bounds, and its default is the only one: the trainers take each
+train.* optimizer setting as a required argument. ode.SolverConfig alone
+checks the solver.* keys, and multichain.ChainLayout the chains a chains
+value names. CLI `--set key=value` flags override file values. Paths named
+by data.* must exist at load time.
 """
 
 import math
 import os
-import sys
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, LayoutMismatch
+from .multichain import L_MAX_CAP, ChainLayout, ChainSpec
+from .numeric import ABOVE_0, FINITE
 from .ode import SETTINGS, SolverConfig
 
-# The longest chain a config may name (model.L_max, each chains length) and a
-# checkpoint may carry: l_max sizes the positional table, which no stored
-# tensor bounds.
-L_MAX_CAP = 4096
 # The largest network size a config may set (the model.* sizes below) and a
 # checkpoint's flow_cfg may carry: the loader builds the flow's shape table
 # over range(depth) before it compares a single tensor.
 SIZE_CAP = 4096
-# Inclusive float bounds: the least float > 0, and the greatest finite float,
-# so a float key within its bounds is neither nan nor infinite.
-_ABOVE_0 = math.ulp(0.0)
-_FINITE = sys.float_info.max
 
 # key -> (type tag, default, lo, hi): an int or float key must lie in [lo, hi].
 # None default = unset (allowed for paths/chains). Keys without bounds are
@@ -39,18 +34,18 @@ SCHEMA = {
     "model.L_max": ("int", 50, 1, L_MAX_CAP),
     "model.D": ("int", 64, 1, SIZE_CAP),
     "model.attention": ("bool", False, None, None),
-    "model.embed_scale": ("float", 10.0, _ABOVE_0, _FINITE),
+    "model.embed_scale": ("float", 10.0, ABOVE_0, FINITE),
     "model.embed_rank": ("int", 4, 0, math.inf),
     "model.decoder_hidden": ("int", 64, 1, SIZE_CAP),
     "train.steps": ("int", 2000, 0, math.inf),
     "train.batch": ("int", 64, 1, math.inf),
-    "train.lr": ("float", 1e-3, _ABOVE_0, _FINITE),
-    "train.lr_min": ("float", 2e-4, 0.0, _FINITE),
+    "train.lr": ("float", 1e-3, ABOVE_0, FINITE),
+    "train.lr_min": ("float", 2e-4, 0.0, FINITE),
     "train.warmup": ("int", 100, 0, math.inf),
-    "train.clip": ("float", 1.0, _ABOVE_0, _FINITE),
+    "train.clip": ("float", 1.0, ABOVE_0, FINITE),
     "train.seed": ("int", 0, 0, math.inf),
     "train.val_every": ("int", 100, 1, math.inf),  # recorded in config snapshots; has no effect
-    "train.weight_decay": ("float", 0.01, 0.0, _FINITE),
+    "train.weight_decay": ("float", 0.01, 0.0, FINITE),
     "solver.method": ("str", "dopri5", None, None),
     "solver.steps": ("int", 25, None, None),
     "solver.atol": ("float", 1e-6, None, None),
@@ -177,9 +172,9 @@ def load_config(path=None, overrides=None):
 
 
 def parse_chains_value(text):
-    """Parse the chains key: comma-separated name:length pairs, e.g. "A:30,B:24"."""
+    """Parse the chains key: comma-separated name:length pairs, e.g. "A:30,B:24",
+    that must form a multichain.ChainLayout. Returns the (name, length) pairs."""
     chains = []
-    seen = set()
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -188,16 +183,14 @@ def parse_chains_value(text):
         name = name.strip()
         if not sep or not name:
             raise ConfigError(f"chains entry must be name:length, got {part!r}")
-        if name in seen:
-            raise ConfigError(f"duplicate chain name: {name}")
-        seen.add(name)
         try:
-            l_max = int(length.strip())
+            chains.append((name, int(length.strip())))
         except ValueError:
             raise ConfigError(f"bad chain length in {part!r}") from None
-        if not 1 <= l_max <= L_MAX_CAP:
-            raise ConfigError(f"chain length must be >= 1 and <= {L_MAX_CAP}, got {l_max}")
-        chains.append((name, l_max))
     if not chains:
         raise ConfigError("chains is set but names no chains")
+    try:
+        ChainLayout([ChainSpec(name, l_max, None) for name, l_max in chains])
+    except LayoutMismatch as e:
+        raise ConfigError(f"chains: {e}") from None
     return chains

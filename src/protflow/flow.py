@@ -19,14 +19,13 @@ checkpoint's flow_cfg gives them.
 
 import functools
 import math
-import sys
 
 import numpy as np
 
 from . import nn, ode
 from .config import SIZE_CAP
 from .errors import NonFiniteLoss, ShapeMismatch
-from .numeric import is_int
+from .numeric import ABOVE_0, FINITE, is_int, is_number
 
 # Time-feature scale of new fields: the fastest time channel turns TIME_SCALE
 # rad per unit t, slow enough for the 25-step grid (h = 0.04) and the
@@ -68,7 +67,7 @@ class VectorFieldConfig:
             time_dim = max(8, width + (width % 2))
         sizes = {"depth": depth, "width": width, "hidden": hidden, "time_dim": time_dim}
         for name, size in sizes.items():
-            if not is_int(size) or not 1 <= size <= SIZE_CAP:
+            if not is_int(size, 1, SIZE_CAP):
                 raise ValueError(f"{name} must be an integer in [1, {SIZE_CAP}], got {size!r}")
         if time_dim % 2 != 0:
             raise ValueError("time_dim must be even")
@@ -78,8 +77,7 @@ class VectorFieldConfig:
             raise ValueError(f"seq_len must be an integer or None, got {seq_len!r}")
         if attention and not seq_len:
             raise ValueError("attention requires seq_len for the positional table")
-        if (isinstance(time_scale, bool) or not isinstance(time_scale, (int, float))
-                or not 0 < time_scale <= sys.float_info.max):
+        if not is_number(time_scale, ABOVE_0, FINITE):
             raise ValueError(f"time_scale must be finite and > 0, got {time_scale!r}")
         self.depth = depth
         self.width = width
@@ -126,14 +124,6 @@ class VectorFieldModel:
         self.params = params
 
 
-def _skip_source(depth, b):
-    """Index j of the block whose input is projected into block b, or -1."""
-    j = depth - 1 - b
-    if 0 <= j < depth // 2 and j < b:
-        return j
-    return -1
-
-
 def param_shapes(cfg):
     """Name -> shape of every parameter of the network cfg describes, in
     parameter order."""
@@ -149,8 +139,7 @@ def param_shapes(cfg):
         shapes[f"block{b}.w2"] = (cfg.hidden, w)
         shapes[f"block{b}.b2"] = (w,)
     for j in range(cfg.depth // 2):
-        if cfg.depth - 1 - j != j:
-            shapes[f"skip{j}.w"] = (w, w)
+        shapes[f"skip{j}.w"] = (w, w)
     return shapes
 
 
@@ -175,11 +164,12 @@ def init_flow_model(cfg, rng):
 @functools.lru_cache(maxsize=None)
 def _block_names(depth):
     """Per block b: the skip source j (or -1), the name of its projection, and
-    the names of the block's parameters."""
+    the names of the block's parameters. Each block of the second half,
+    b >= (depth + 1) // 2, takes the input of block j = depth - 1 - b."""
     kinds = ("tw", "tb", "wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2")
     names = []
     for b in range(depth):
-        j = _skip_source(depth, b)
+        j = depth - 1 - b if b >= (depth + 1) // 2 else -1
         names.append((j, f"skip{j}.w", tuple(f"block{b}.{k}" for k in kinds)))
     return tuple(names)
 
@@ -367,8 +357,7 @@ def cfm_loss(model, x0, x1, t):
 
 
 def train_rf(
-    model, dataset, rng, steps, batch, lr=1e-3, lr_min=2e-4, warmup=100, weight_decay=0.01,
-    clip=1.0, ema_decay=0.0,
+    model, dataset, rng, steps, batch, lr, lr_min, warmup, weight_decay, clip, ema_decay=0.0,
 ):
     """1-RF training: x0 from data, x1 ~ N(0, I), t ~ U(0, 1) per step.
 
@@ -378,7 +367,8 @@ def train_rf(
         rng: RngStream; step s draws its batch from substream "rf-train/step{s}".
         steps, batch: optimizer steps and rows per step.
         lr, lr_min, warmup, weight_decay, clip, ema_decay: nn.fit's AdamW
-            schedule, decay, clip norm and parameter EMA.
+            schedule, decay, clip norm and parameter EMA; only ema_decay
+            has a default (0.0, no EMA).
 
     Returns:
         (model, trace) with trace rows (step, loss, lr, grad_norm).
@@ -422,8 +412,7 @@ def reflow_pairs(model, solver_config, m, rng):
 
 
 def train_reflow(
-    model, z0, z1, rng, steps, batch, lr=1e-3, lr_min=2e-4, warmup=100, weight_decay=0.01,
-    clip=1.0, ema_decay=0.0,
+    model, z0, z1, rng, steps, batch, lr, lr_min, warmup, weight_decay, clip, ema_decay=0.0,
 ):
     """Fine-tune on deterministic couplings: (x0, x1) = (z0, z1) rows drawn
     jointly, t ~ U(0, 1), step s from substream "reflow-train/step{s}" of rng.

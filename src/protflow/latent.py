@@ -247,15 +247,16 @@ def train_compressor(
     comp,
     train_rows,
     rng,
-    steps=2000,
-    batch=64,
-    lr=3e-3,
-    lr_min=1e-4,
-    warmup=100,
-    weight_decay=0.0,
-    clip=1.0,
+    steps,
+    batch,
+    lr,
+    lr_min,
+    warmup,
+    weight_decay,
+    clip,
 ):
-    """Minimize reconstruction MSE on smoothed rows; returns (comp, trace)."""
+    """Minimize reconstruction MSE on smoothed rows; returns (comp, trace).
+    The optimizer settings are nn.fit's, with no defaults."""
     stream = rng.substream("compressor-train")
     n = train_rows.shape[0]
 
@@ -340,13 +341,13 @@ def train_decoder(
     enc,
     train_ids,
     rng,
-    steps=1000,
-    batch=64,
-    lr=1e-3,
-    lr_min=1e-5,
-    warmup=50,
-    weight_decay=0.001,
-    clip=1.0,
+    steps,
+    batch,
+    lr,
+    lr_min,
+    warmup,
+    weight_decay,
+    clip,
 ):
     """Train the per-position classifier on the raw encoder latents of the
     residue positions of an (n, l_max) id matrix; returns (dec, trace)."""

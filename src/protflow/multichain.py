@@ -15,19 +15,31 @@ FASTA headers carry no chain part.
 import numpy as np
 
 from .errors import LayoutMismatch, WidthMismatch
+from .numeric import is_int
 from .seqio import detokenize
+
+# The longest chain a config may name (model.L_max, each chains length) and a
+# checkpoint may carry: l_max sizes the positional table, which no stored
+# tensor bounds.
+L_MAX_CAP = 4096
 
 
 class ChainSpec:
-    """One chain's name, maximum length, and latent stack (None until known)."""
+    """One chain's name (a str), maximum length (an int in [1, L_MAX_CAP]) and
+    latent stack (None until known). With ChainLayout, the one check of a
+    chain list from config text or checkpoint metadata."""
 
     __slots__ = ("name", "l_max", "pipeline")
 
     def __init__(self, name, l_max, pipeline):
-        if l_max < 1:
-            raise LayoutMismatch(f"chain {name!r} has non-positive l_max {l_max}")
+        if not isinstance(name, str):
+            raise LayoutMismatch(f"chain name must be a string, got {name!r}")
+        if not is_int(l_max, 1, L_MAX_CAP):
+            raise LayoutMismatch(
+                f"chain {name!r} l_max must be an integer in [1, {L_MAX_CAP}], got {l_max!r}"
+            )
         self.name = name
-        self.l_max = int(l_max)
+        self.l_max = l_max
         self.pipeline = pipeline
 
     @property

@@ -191,9 +191,10 @@ def clip_grads_(grads, max_norm):
 
 
 class AdamW:
-    """Decoupled weight-decay Adam over a dict of named parameters."""
+    """Decoupled weight-decay Adam over a dict of named parameters; fit passes
+    every setting."""
 
-    def __init__(self, params, betas=(0.9, 0.98), eps=1e-6, weight_decay=0.0):
+    def __init__(self, params, betas, eps, weight_decay):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay

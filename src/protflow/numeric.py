@@ -1,4 +1,4 @@
-"""Deterministic randomness, small linear-algebra helpers, and is_int.
+"""Deterministic randomness, small linear-algebra helpers, is_int and is_number.
 
 All randomness in the package flows from a single integer seed through
 RngStream, a counter-based (Philox) stream with named substreams. Substream
@@ -11,10 +11,17 @@ multichain.sample_multichain).
 """
 
 import hashlib
+import math
+import sys
 
 import numpy as np
 
 from .errors import NonFiniteValue, NotPSD, NotSymmetric, TooFewSamples
+
+# Inclusive float bounds: the least float > 0, and the greatest finite float,
+# so a number within [ABOVE_0, FINITE] is > 0 and neither nan nor infinite.
+ABOVE_0 = math.ulp(0.0)
+FINITE = sys.float_info.max
 
 
 class RngStream:
@@ -141,7 +148,11 @@ def grad_check(fn, params, h=1e-5):
     return worst
 
 
-def is_int(x):
-    """True for an int that is not a bool, the one integer test of values read
-    from checkpoint metadata and of the sizes a vector-field config takes."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def is_int(x, lo=-math.inf, hi=math.inf):
+    """True for an int that is not a bool and lies in [lo, hi]."""
+    return isinstance(x, int) and not isinstance(x, bool) and lo <= x <= hi
+
+
+def is_number(x, lo, hi):
+    """True for an int or float that is not a bool and lies in [lo, hi] (nan never)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and lo <= x <= hi

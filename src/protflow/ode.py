@@ -18,11 +18,10 @@ rtol), and METHODS the one list of methods. An adaptive solve may spend
 MAX_NFE field evaluations per lane.
 """
 
-import sys
-
 import numpy as np
 
 from .errors import ConfigError, NfeBudgetExceeded, NonFiniteState, StepUnderflow
+from .numeric import ABOVE_0, FINITE, is_int, is_number
 
 # Dormand-Prince 5(4) tableau
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -52,9 +51,8 @@ MAX_NFE = 100000
 
 def _tolerance(key, value):
     """value as a float, if it is a finite number > 0."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if 0 < value <= sys.float_info.max:
-            return float(value)
+    if is_number(value, ABOVE_0, FINITE):
+        return float(value)
     raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
 
 
@@ -74,7 +72,7 @@ class SolverConfig:
         if not isinstance(method, str) or method not in METHODS:
             raise ConfigError(f"solver.method must be one of {', '.join(METHODS)}, got {method!r}")
         self.method = "dopri5-fixed" if method == "dopri5" else method
-        if isinstance(steps, bool) or not isinstance(steps, int) or not 1 <= steps <= 100:
+        if not is_int(steps, 1, 100):
             raise ConfigError(f"solver.steps must be an integer in [1, 100], got {steps!r}")
         self.steps = steps
         self.atol = _tolerance("solver.atol", atol)

@@ -172,7 +172,7 @@ class LengthDistribution:
         """The distribution of a to_dict object; raises DataError unless its
         lengths and counts are lists of int64 integers."""
         lists = [d.get(key) if isinstance(d, dict) else None for key in ("lengths", "counts")]
-        if not all(isinstance(v, list) and all(is_int(x) and abs(x) < 2**63 for x in v)
+        if not all(isinstance(v, list) and all(is_int(x, 1 - 2**63, 2**63 - 1) for x in v)
                    for v in lists):
             raise DataError("length distribution needs 'lengths' and 'counts' lists of integers")
         return cls(*lists)

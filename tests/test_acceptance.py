@@ -192,7 +192,7 @@ def toy2d():
     model = init_flow_model(cfg, rng.substream("model-42"))
     model, _ = train_rf(
         model, train, RngStream(42), steps=20000, batch=64, lr=1e-3, lr_min=5e-5, warmup=500,
-        ema_decay=0.9995,
+        weight_decay=0.01, clip=1.0, ema_decay=0.9995,
     )
 
     def mean_mmd(m, tag, method, steps):
@@ -237,7 +237,8 @@ def test_criterion_5_reflow_straightens(toy2d, criterion):
     z0, z1 = reflow_pairs(model, solver, 2048, rng.substream("pairs"))
     s_before = straightness(model, z0, z1, 8)
     model2, _ = train_reflow(
-        model, z0, z1, RngStream(43), steps=4000, batch=64, lr=5e-4, lr_min=1e-4, warmup=100
+        model, z0, z1, RngStream(43), steps=4000, batch=64, lr=5e-4, lr_min=1e-4, warmup=100,
+        weight_decay=0.01, clip=1.0,
     )
     s_after = straightness(model2, z0, z1, 8)
     post1 = toy2d["mean_mmd"](model2, "post1", "euler", 1)
@@ -267,7 +268,8 @@ def test_criterion_6_round_trip(criterion):
     enc = latent.init_encoder(dim, rng.substream("encoder"), embed_scale=10.0, embed_rank=4)
     dec = latent.init_decoder(dim, 64, rng.substream("decoder-init"))
     dec, _ = latent.train_decoder(
-        dec, enc, toks, rng.substream("decoder"), steps=600, batch=48, lr=2e-3, warmup=30
+        dec, enc, toks, rng.substream("decoder"), steps=600, batch=48, lr=2e-3, lr_min=1e-5,
+        warmup=30, weight_decay=0.001, clip=1.0,
     )
 
     rows = latent.encode_corpus(toks, enc).reshape(-1, dim)
@@ -290,7 +292,10 @@ def test_criterion_6_round_trip(criterion):
             steps=1500,
             batch=256,
             lr=3e-3,
+            lr_min=1e-4,
             warmup=100,
+            weight_decay=0.0,
+            clip=1.0,
         )
         pipe = latent.LatentPipeline(enc, dec, sm, comp)
         hits = total = 0
@@ -457,7 +462,7 @@ def test_criterion_8_multichain_coupling(criterion):
     model = init_flow_model(cfg, rng.substream("joint-init"))
     model, _ = train_rf(
         model, joint_train, RngStream(80), steps=20000, batch=64, lr=1e-3, lr_min=5e-5,
-        warmup=500, ema_decay=0.9995,
+        warmup=500, weight_decay=0.01, clip=1.0, ema_decay=0.9995,
     )
 
     solver = SolverConfig(method="dopri5", steps=25)
@@ -476,7 +481,7 @@ def test_criterion_8_multichain_coupling(criterion):
     joint_corr = float(np.corrcoef(u_gen, v_gen)[0, 1])
 
     ind_cfg = VectorFieldConfig(depth=2, width=1, hidden=64, attention=True, seq_len=1)
-    opt = dict(steps=2000, batch=64, lr=1e-3, lr_min=1e-4, warmup=100)
+    opt = dict(steps=2000, batch=64, lr=1e-3, lr_min=1e-4, warmup=100, weight_decay=0.01, clip=1.0)
     model_a, _ = train_rf(
         init_flow_model(ind_cfg, rng.substream("a-init")), joint_train[:, :1, :], RngStream(81),
         **opt,

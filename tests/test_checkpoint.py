@@ -551,9 +551,12 @@ def test_pipeline_kinds_need_their_metadata(tmp_path, kind, chains):
                      # VectorFieldConfig's own rules, checked at load through the reader
                      dict(flow_cfg, time_dim=7), dict(flow_cfg, attention=True)]
     # chains follow ChainLayout's rules: distinct names, and the unnamed chain alone
-    bad_chains = [[{"name": "A"}]] + [[{"name": a, "l_max": 3}, {"name": b, "l_max": 4}]
-                                      for a, b in (("A", "A"), ("", "B"), ("B", ""))]
-    bad_values = {"dim": ["8", 7], "clamp_k": [True], "l_max": [0],
+    # and ChainSpec's: a str name and an int l_max (not a bool) in [1, L_MAX_CAP]
+    bad_chains = [[{"name": "A"}], [{"name": 3, "l_max": 3}], [{"name": "A", "l_max": True}],
+                  []] + [[{"name": a, "l_max": 3}, {"name": b, "l_max": 4}]
+                         for a, b in (("A", "A"), ("", "B"), ("B", ""))]
+    bad_values = {"dim": ["8", 7], "clamp_k": [True],
+                  "l_max": [0, True, 6.0, "6", L_MAX_CAP + 1],
                   "length_dist": [{"lengths": [2]}, {"lengths": [2, 5], "counts": [2**62] * 2}],
                   "chains": bad_chains, "length_dists": [{"A": {}}], "flow_cfg": bad_flow_cfgs}
     for key in sorted(set(meta) & set(bad_values)):

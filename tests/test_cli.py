@@ -5,6 +5,7 @@ narrow latents, tens of steps) once; the tests then exercise sampling,
 evaluation, inspection, reruns, and every error exit path against it.
 """
 
+import inspect
 import json
 import os
 import platform
@@ -154,6 +155,24 @@ def test_stage_artifacts(workdir):
     assert reflow_meta["flow_cfg"] == flow_meta["flow_cfg"]
     assert reflow_meta["lineage"] == file_sha256(workdir["flow"])
     assert reflow_meta["straightness_after"] >= 0.0
+
+
+def test_train_settings_default_only_in_the_schema():
+    # every setting the CLI passes a trainer has its one default in its
+    # config.SCHEMA row, and nn.fit passes every AdamW setting
+    from protflow import flow, latent, nn
+    from protflow.config import load_config
+
+    keys = set(cli._train_args(load_config()))
+    for trainer in (latent.train_decoder, latent.train_compressor, flow.train_rf,
+                    flow.train_reflow):
+        params = inspect.signature(trainer).parameters
+        assert keys <= set(params), trainer.__name__
+        defaults = {k for k in keys if params[k].default is not inspect.Parameter.empty}
+        assert not defaults, (trainer.__name__, defaults)
+    params = inspect.signature(nn.AdamW).parameters
+    assert all(params[k].default is inspect.Parameter.empty
+               for k in ("betas", "eps", "weight_decay"))
 
 
 def test_train_rerun_is_bitwise_identical(workdir):
@@ -335,6 +354,9 @@ def test_exit_1_sample_bad_solver_flag(workdir, flag):
 # each once trained on, or wrote NaN into a checkpoint, instead of exiting 1
 _NON_FINITE_SETTINGS = ("train.weight_decay=nan", "train.lr_min=nan", "train.lr=inf",
                         "model.embed_scale=inf", "solver.atol=inf")
+# chains values config.parse_chains_value or multichain.ChainLayout rejects
+_BAD_CHAINS = tuple(f"chains={v}" for v in ("A:3,A:4", "A:0", f"A:{L_MAX_CAP + 1}", "A:x",
+                                             ":5", "A", " , "))
 
 
 @pytest.mark.parametrize(
@@ -357,12 +379,12 @@ _NON_FINITE_SETTINGS = ("train.weight_decay=nan", "train.lr_min=nan", "train.lr=
         (["train-decoder", "--config", "{cfg}", "--out", "{root}/x.ckpt",
           "--set", "model.embed_rank=9"], 1),
         *((["train-decoder", "--config", "{cfg}", "--out", "{root}/x.ckpt", "--set", kv], 1)
-          for kv in _NON_FINITE_SETTINGS),
+          for kv in _NON_FINITE_SETTINGS + _BAD_CHAINS),
     ],
     ids=["inspect missing", "sample missing", "inspect directory", "sample directory",
          "eval missing gen", "eval directory ref", "eval non-UTF-8 gen", "eval k 0",
          "eval directory scores", "eval non-UTF-8 scores", "odd model.D",
-         "embed_rank above model.D", *_NON_FINITE_SETTINGS],
+         "embed_rank above model.D", *_NON_FINITE_SETTINGS, *_BAD_CHAINS],
 )
 def test_exit_code_for_missing_and_invalid_inputs(workdir, argv, code):
     root = workdir["root"]

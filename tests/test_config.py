@@ -157,16 +157,13 @@ def test_to_dict_is_a_copy():
 def test_parse_chains():
     assert parse_chains_value("A:30,B:24") == [("A", 30), ("B", 24)]
     assert parse_chains_value(" A : 30 , B:24 ") == [("A", 30), ("B", 24)]
-    with pytest.raises(ConfigError, match="duplicate"):
-        parse_chains_value("A:3,A:4")
-    with pytest.raises(ConfigError, match="name:length"):
-        parse_chains_value("A")
-    with pytest.raises(ConfigError, match="bad chain length"):
-        parse_chains_value("A:x")
-    with pytest.raises(ConfigError, match=">= 1"):
-        parse_chains_value("A:0")
-    with pytest.raises(ConfigError, match="names no chains"):
-        parse_chains_value(" , ")
+    # syntax errors, then multichain.ChainLayout's rules as ConfigError
+    bad = [("A", "name:length"), (":5", "name:length"), ("A:x", "bad chain length"),
+           (" , ", "names no chains"), ("A:3,A:4", "duplicate"), ("A:0", r"in \[1, "),
+           (f"A:{L_MAX_CAP + 1}", r"in \[1, ")]
+    for text, match in bad:
+        with pytest.raises(ConfigError, match=match):
+            parse_chains_value(text)
 
 
 def test_l_max_cap_is_inclusive():

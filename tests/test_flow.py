@@ -8,6 +8,10 @@ from protflow.config import SIZE_CAP
 from protflow.errors import ShapeMismatch
 from protflow.numeric import RngStream, grad_check
 
+# train_rf's and train_reflow's optimizer settings before config.SCHEMA held
+# the only defaults; the tests below were tuned at them
+_RF_SETTINGS = dict(lr=1e-3, lr_min=2e-4, warmup=100, weight_decay=0.01, clip=1.0)
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -189,8 +193,8 @@ def test_train_rf_reduces_loss():
     data = rng.substream("data").normal((256, 1, 2)) * 0.5 + 1.0
     cfg = flow.VectorFieldConfig(2, 2, 16)
     model = flow.init_flow_model(cfg, rng.substream("model"))
-    model, trace = flow.train_rf(model, data, RngStream(0), steps=300, batch=32, lr=2e-3,
-                                 warmup=30)
+    model, trace = flow.train_rf(model, data, RngStream(0), steps=300, batch=32,
+                                 **dict(_RF_SETTINGS, lr=2e-3, warmup=30))
     assert len(trace) == 300
     first = np.mean([row[1] for row in trace[:50]])
     last = np.mean([row[1] for row in trace[-50:]])
@@ -203,7 +207,7 @@ def test_train_rf_rejects_empty_dataset():
     cfg = flow.VectorFieldConfig(2, 2, 8)
     model = flow.init_flow_model(cfg, RngStream(0))
     with pytest.raises(ValueError):
-        flow.train_rf(model, np.zeros((0, 1, 2)), RngStream(0), steps=1, batch=4)
+        flow.train_rf(model, np.zeros((0, 1, 2)), RngStream(0), steps=1, batch=4, **_RF_SETTINGS)
 
 
 def test_ema_fold_in_keeps_params_near_init():
@@ -216,8 +220,8 @@ def test_ema_fold_in_keeps_params_near_init():
 
     def run(decay):
         model = flow.init_flow_model(cfg, RngStream(7))
-        model, _ = flow.train_rf(model, data, RngStream(1), steps=100, batch=16, lr=5e-3,
-                                 warmup=5, ema_decay=decay)
+        model, _ = flow.train_rf(model, data, RngStream(1), steps=100, batch=16,
+                                 **dict(_RF_SETTINGS, lr=5e-3, warmup=5), ema_decay=decay)
         return flat(model.params)
 
     init_vec = flat(flow.init_flow_model(cfg, RngStream(7)).params)
@@ -256,7 +260,7 @@ def test_reflow_empty_coupling_rejected():
             flow.reflow_pairs(model, sc, m, RngStream(0))
     empty = np.zeros((0, 1, 2))
     with pytest.raises(ValueError):
-        flow.train_reflow(model, empty, empty, RngStream(0), steps=1, batch=2)
+        flow.train_reflow(model, empty, empty, RngStream(0), steps=1, batch=2, **_RF_SETTINGS)
     with pytest.raises(ValueError):
         flow.straightness(model, empty, empty, 4)
 

@@ -12,6 +12,11 @@ from protflow.errors import EmptyCorpus, IncompatibleRatio, SequenceTooLong
 from protflow.numeric import RngStream, grad_check
 from protflow.seqio import PAD_ID, tokenize
 
+# the optimizer settings each trainer defaulted to before config.SCHEMA held
+# the only defaults; the tests below were tuned at them
+_DECODER_SETTINGS = dict(lr=1e-3, lr_min=1e-5, warmup=50, weight_decay=0.001, clip=1.0)
+_COMPRESSOR_SETTINGS = dict(lr=3e-3, lr_min=1e-4, warmup=100, weight_decay=0.0, clip=1.0)
+
 
 def test_init_encoder_shapes_and_rank():
     rng = RngStream(0)
@@ -212,7 +217,7 @@ def test_train_compressor_reduces_val_mse():
     comp = latent.init_compressor(8, 4, rng.substream("init"))
     before = latent.compressor_mse(comp, rows[200:])
     comp, trace = latent.train_compressor(
-        comp, rows[:200], rng.substream("train"), steps=400, batch=32
+        comp, rows[:200], rng.substream("train"), steps=400, batch=32, **_COMPRESSOR_SETTINGS
     )
     after = latent.compressor_mse(comp, rows[200:])
     assert after < before * 0.5
@@ -265,7 +270,7 @@ def test_train_decoder_learns_separable_corpus():
     toks = tokenize(seqs, 8)
     dec = latent.init_decoder(16, 32, rng.substream("dec"))
     dec, trace = latent.train_decoder(
-        dec, enc, toks[:45], rng.substream("train"), steps=400, batch=32
+        dec, enc, toks[:45], rng.substream("train"), steps=400, batch=32, **_DECODER_SETTINGS
     )
     assert latent.decoder_accuracy(dec, enc, toks[45:]) >= 0.95
     assert len(trace) == 400
@@ -279,13 +284,17 @@ def test_pipeline_round_trip_identity_compressor():
     seqs = ["".join(gen.choice(list(alphabet), size=int(gen.integers(2, 11)))) for _ in range(50)]
     toks = tokenize(seqs, 10)
     dec = latent.init_decoder(16, 32, rng.substream("dec"))
-    dec, _ = latent.train_decoder(dec, enc, toks, rng.substream("train"), steps=900, batch=32)
+    dec, _ = latent.train_decoder(
+        dec, enc, toks, rng.substream("train"), steps=900, batch=32, **_DECODER_SETTINGS
+    )
     rows = latent.encode_corpus(toks, enc).reshape(-1, 16)
     stats = latent.fit_smoothing(rows)
     smoothed = latent.smooth(rows, stats)
     # even at ratio 1 the tanh squash must be learned around, so train briefly
     comp = latent.init_compressor(16, 1, rng.substream("comp"))
-    comp, _ = latent.train_compressor(comp, smoothed, rng.substream("ctrain"), steps=800, batch=64)
+    comp, _ = latent.train_compressor(
+        comp, smoothed, rng.substream("ctrain"), steps=800, batch=64, **_COMPRESSOR_SETTINGS
+    )
     pipe = latent.LatentPipeline(enc, dec, stats, comp)
     assert pipe.width == 16
 

@@ -22,8 +22,11 @@ def _pipeline(rng, l_max, dim=8, ratio=2):
 def test_chain_spec_and_layout_validation():
     rng = RngStream(0)
     p = _pipeline(rng.substream("a"), 4)
-    with pytest.raises(LayoutMismatch):
-        multichain.ChainSpec("A", 0, p)
+    # a name is a str and l_max an int in [1, L_MAX_CAP]; nothing is coerced
+    for name, l_max in (("A", 0), ("A", multichain.L_MAX_CAP + 1), ("A", True), ("A", 4.0),
+                        ("A", np.int64(4)), (3, 4)):
+        with pytest.raises(LayoutMismatch):
+            multichain.ChainSpec(name, l_max, p)
     with pytest.raises(LayoutMismatch):
         multichain.ChainLayout([])
     with pytest.raises(LayoutMismatch):

@@ -212,7 +212,7 @@ def test_adamw_single_step_oracle():
 
 def test_adamw_rejects_non_finite_grad():
     params = {"w": np.ones(2)}
-    opt = nn.AdamW(params)
+    opt = nn.AdamW(params, betas=(0.9, 0.98), eps=1e-6, weight_decay=0.0)
     with pytest.raises(Diverged):
         opt.step(params, {"w": np.array([1.0, np.nan])}, 1e-3)
 
