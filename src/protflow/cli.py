@@ -11,14 +11,16 @@ Subcommands:
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 training or
 solver divergence, 4 checkpoint error; every ProtflowError carries its code
-as `exit_code`. Every command is a pure function of (config, input files,
-seed): reruns reproduce outputs bitwise on one platform. Output files are
-written atomically (temp + rename).
+as `exit_code`, and an allocation that fails (MemoryError) exits 1. Every
+command is a pure function of (config, input files, seed): reruns reproduce
+outputs bitwise on one platform. Output files are written atomically (temp +
+rename).
 
-Start-up cost is part of every command, so this module imports only the
-standard library and the errors module; each command imports numpy and the
-protflow modules it runs. `--help` and argument errors load no numpy, and
-`eval` loads neither the flow, ODE, checkpoint nor multichain modules.
+Start-up cost is part of every command. This module binds the protflow
+modules through the package's lazy bindings, so a module's code runs only
+when a command first calls into it, and each command imports numpy itself.
+`--help` and argument errors load no numpy, and `eval` loads neither the
+flow, ODE, checkpoint nor multichain modules.
 """
 
 import argparse
@@ -35,6 +37,7 @@ from .errors import (
     MalformedHeader,
     ProtflowError,
 )
+from . import checkpoint, config, fileio, flow, latent, metrics, multichain, numeric, ode, seqio
 
 _CHAIN_TAG = "|chain="
 _EMBED_DIM = 32
@@ -79,9 +82,7 @@ def keep_freed_heap():
 
 
 def _atomic_write_text(path, text):
-    from .fileio import write_atomic
-
-    write_atomic(path, text.encode("utf-8"), "output")
+    fileio.write_atomic(path, text.encode("utf-8"), "output")
 
 
 def _loss_csv_text(trace):
@@ -98,12 +99,12 @@ def _loss_csv_text(trace):
 def _config_chains(cfg):
     """The config's chain layout: its named chains, or the unnamed chain of
     model.L_max when the chains key is unset."""
-    from .config import parse_chains_value
-    from .multichain import ChainSpec
-
     if cfg["chains"] is None:
-        return [ChainSpec("", cfg["model.L_max"], None)]
-    return [ChainSpec(name, l_max, None) for name, l_max in parse_chains_value(cfg["chains"])]
+        return [multichain.ChainSpec("", cfg["model.L_max"], None)]
+    return [
+        multichain.ChainSpec(name, l_max, None)
+        for name, l_max in config.parse_chains_value(cfg["chains"])
+    ]
 
 
 def _load_corpus(path, chains):
@@ -111,13 +112,11 @@ def _load_corpus(path, chains):
     chain takes every record; named chains group '<complex>|chain=<name>'
     records into complex-aligned rows, and every complex must provide every
     chain."""
-    from .seqio import read_fasta, tokenize
-
-    records = read_fasta(path)
+    records = seqio.read_fasta(path)
     if not records:
         raise EmptyCorpus(f"no sequences in {path}")
     if not chains[0].name:
-        return [tokenize([s for _, s in records], chains[0].l_max)]
+        return [seqio.tokenize([s for _, s in records], chains[0].l_max)]
     by_chain = {c.name: {} for c in chains}
     order = {}  # complexes, in the order they first appear
     for header, seq in records:
@@ -138,7 +137,7 @@ def _load_corpus(path, chains):
         for base in order:
             if base not in seqs:
                 raise DataError(f"complex {base!r} is missing chain {name!r}")
-    return [tokenize([by_chain[c.name][base] for base in order], c.l_max) for c in chains]
+    return [seqio.tokenize([by_chain[c.name][base] for base in order], c.l_max) for c in chains]
 
 
 def _val_corpus(cfg, chains):
@@ -152,14 +151,12 @@ def _val_corpus(cfg, chains):
 
 def _layout(tensors, meta):
     """The checkpoint's ChainLayout, each chain with its latent stack."""
-    from .checkpoint import meta_chains, unpack_pipeline
-    from .latent import LatentPipeline
-    from .multichain import ChainLayout
-
-    chains = meta_chains(meta)
+    chains = checkpoint.meta_chains(meta)
     for chain in chains:
-        chain.pipeline = LatentPipeline(**unpack_pipeline(tensors, meta["dim"], chain.prefix))
-    return ChainLayout(chains)
+        chain.pipeline = latent.LatentPipeline(
+            **checkpoint.unpack_pipeline(tensors, meta["dim"], chain.prefix)
+        )
+    return multichain.ChainLayout(chains)
 
 
 # --- checkpoint compatibility helpers ----------------------------------------
@@ -183,9 +180,7 @@ def _check_dim(meta, cfg, path):
 def _carry_meta(meta, cfg, kind):
     """Metadata of a new kind-stage checkpoint: the layout and latent keys
     carried over from meta, and this run's config, seed and step count."""
-    from .checkpoint import CARRIED_META
-
-    out = {k: meta[k] for k in CARRIED_META if k in meta}
+    out = {k: meta[k] for k in checkpoint.CARRIED_META if k in meta}
     out.update(kind=kind, config=cfg.to_dict(), rng={"seed": cfg["train.seed"]})
     out["step"] = cfg["train.steps"]
     return out
@@ -201,13 +196,11 @@ def _train_args(cfg):
 def _save_flow_stage(out, tensors, out_meta, model, trace):
     """Write a flow-stage checkpoint, the input's other tensors plus the
     model, and its loss CSV."""
-    from .checkpoint import pack_flow, save_checkpoint
-
     out_tensors = {k: v for k, v in tensors.items() if not k.startswith("flow.")}
-    flow_tensors, flow_meta = pack_flow(model)
+    flow_tensors, flow_meta = checkpoint.pack_flow(model)
     out_tensors.update(flow_tensors)
     out_meta.update(flow_meta)
-    save_checkpoint(out, out_tensors, out_meta)
+    checkpoint.save_checkpoint(out, out_tensors, out_meta)
     _atomic_write_text(out + ".loss.csv", _loss_csv_text(trace))
 
 
@@ -221,49 +214,37 @@ def _write_loss_csvs(out, chains, traces):
 
 
 def cmd_train_decoder(args):
-    from .checkpoint import layout_meta, pack, save_checkpoint
-    from .config import load_config
-    from .latent import (
-        CLAMP_K,
-        decoder_accuracy,
-        encode_corpus,
-        fit_smoothing,
-        init_decoder,
-        init_encoder,
-        train_decoder,
-    )
-    from .numeric import RngStream
-    from .seqio import fit_length_distribution
-
-    cfg = load_config(args.config, args.set)
+    cfg = config.load_config(args.config, args.set)
     chains = _config_chains(cfg)
     corpus = _load_corpus(cfg.require("data.train_path"), chains)
     val_corpus, figure = _val_corpus(cfg, chains)
-    root = RngStream(cfg["train.seed"])
+    root = numeric.RngStream(cfg["train.seed"])
     dim = cfg["model.D"]
     tensors, length_dists, traces = {}, [], []
     for chain, seqs, val_seqs in zip(chains, corpus, val_corpus):
         tag = chain.tag("-")
-        enc = init_encoder(
+        enc = latent.init_encoder(
             dim,
             root.substream(f"encoder{tag}"),
             embed_scale=cfg["model.embed_scale"],
             embed_rank=cfg["model.embed_rank"],
         )
-        dec = init_decoder(dim, cfg["model.decoder_hidden"], root.substream(f"decoder-init{tag}"))
-        dec, trace = train_decoder(
+        dec = latent.init_decoder(
+            dim, cfg["model.decoder_hidden"], root.substream(f"decoder-init{tag}")
+        )
+        dec, trace = latent.train_decoder(
             dec, enc, seqs, root.substream(f"decoder{tag}"), **_train_args(cfg)
         )
-        accuracy = decoder_accuracy(dec, enc, seqs[:256] if val_seqs is None else val_seqs)
-        sm = fit_smoothing(encode_corpus(seqs, enc).reshape(-1, dim))
+        accuracy = latent.decoder_accuracy(dec, enc, seqs[:256] if val_seqs is None else val_seqs)
+        sm = latent.fit_smoothing(latent.encode_corpus(seqs, enc).reshape(-1, dim))
         for part, params in (("encoder", enc), ("decoder", dec), ("smoothing", sm)):
-            tensors.update(pack(params, f"{chain.prefix}{part}."))
-        length_dists.append(fit_length_distribution(seqs).to_dict())
+            tensors.update(checkpoint.pack(params, f"{chain.prefix}{part}."))
+        length_dists.append(seqio.fit_length_distribution(seqs).to_dict())
         traces.append(trace)
         print(f"decoder{tag} {figure} accuracy: {accuracy:.4f}")
     meta = _carry_meta({}, cfg, "decoder")
-    meta.update(dim=dim, clamp_k=CLAMP_K, **layout_meta(chains, length_dists))
-    save_checkpoint(args.out, tensors, meta)
+    meta.update(dim=dim, clamp_k=latent.CLAMP_K, **checkpoint.layout_meta(chains, length_dists))
+    checkpoint.save_checkpoint(args.out, tensors, meta)
     _write_loss_csvs(args.out, chains, traces)
     print(f"wrote {args.out}")
     return 0
@@ -275,52 +256,47 @@ def cmd_train_decoder(args):
 def _smoothed_rows(stack, seqs):
     """The smoothed latent rows of an id matrix through a stack's encoder and
     smoothing."""
-    from .latent import encode_corpus, smooth
-
-    h = encode_corpus(seqs, stack["encoder"])
-    return smooth(h.reshape(-1, h.shape[-1]), stack["smoothing"])
+    h = latent.encode_corpus(seqs, stack["encoder"])
+    return latent.smooth(h.reshape(-1, h.shape[-1]), stack["smoothing"])
 
 
 def cmd_train_compressor(args):
-    from .checkpoint import load_checkpoint, meta_chains, pack, save_checkpoint, unpack_pipeline
-    from .config import load_config
-    from .latent import compressor_mse, init_compressor, train_compressor
-    from .numeric import RngStream
-
-    cfg = load_config(args.config, args.set)
-    tensors, meta = load_checkpoint(args.init)
+    cfg = config.load_config(args.config, args.set)
+    tensors, meta = checkpoint.load_checkpoint(args.init)
     _expect_kind(meta, ("decoder", "pipeline", "flow", "reflow"), args.init)
     _check_dim(meta, cfg, args.init)
-    chains = meta_chains(meta)
+    chains = checkpoint.meta_chains(meta)
     corpus = _load_corpus(cfg.require("data.train_path"), chains)
     val_corpus, figure = _val_corpus(cfg, chains)
-    root = RngStream(cfg["train.seed"])
+    root = numeric.RngStream(cfg["train.seed"])
     # the parts a decoder checkpoint holds, each checked against the shape table
     stacks = [
-        unpack_pipeline(tensors, meta["dim"], chain.prefix, ("encoder", "decoder", "smoothing"))
+        checkpoint.unpack_pipeline(
+            tensors, meta["dim"], chain.prefix, ("encoder", "decoder", "smoothing")
+        )
         for chain in chains
     ]
     # every chain's stack, then every compressor
     out_tensors = {}
     for chain, stack in zip(chains, stacks):
         for part, params in stack.items():
-            out_tensors.update(pack(params, f"{chain.prefix}{part}."))
+            out_tensors.update(checkpoint.pack(params, f"{chain.prefix}{part}."))
     traces = []
     for chain, stack, seqs, val_seqs in zip(chains, stacks, corpus, val_corpus):
         tag = chain.tag("-")
         rows = _smoothed_rows(stack, seqs)
-        comp = init_compressor(
+        comp = latent.init_compressor(
             meta["dim"], cfg["model.ratio_c"], root.substream(f"compressor-init{tag}")
         )
-        comp, trace = train_compressor(
+        comp, trace = latent.train_compressor(
             comp, rows, root.substream(f"compressor{tag}"), **_train_args(cfg)
         )
-        out_tensors.update(pack(comp, chain.prefix + "compressor."))
+        out_tensors.update(checkpoint.pack(comp, chain.prefix + "compressor."))
         traces.append(trace)
         if trace:
             val_rows = rows if val_seqs is None else _smoothed_rows(stack, val_seqs)
-            print(f"compressor{tag} {figure} MSE: {compressor_mse(comp, val_rows):.6g}")
-    save_checkpoint(args.out, out_tensors, _carry_meta(meta, cfg, "pipeline"))
+            print(f"compressor{tag} {figure} MSE: {latent.compressor_mse(comp, val_rows):.6g}")
+    checkpoint.save_checkpoint(args.out, out_tensors, _carry_meta(meta, cfg, "pipeline"))
     _write_loss_csvs(args.out, chains, traces)
     print(f"wrote {args.out}")
     return 0
@@ -332,13 +308,8 @@ def cmd_train_compressor(args):
 def cmd_train_flow(args):
     import numpy as np
 
-    from .checkpoint import load_checkpoint
-    from .config import load_config
-    from .flow import VectorFieldConfig, init_flow_model, train_rf
-    from .numeric import RngStream
-
-    cfg = load_config(args.config, args.set)
-    tensors, meta = load_checkpoint(args.init)
+    cfg = config.load_config(args.config, args.set)
+    tensors, meta = checkpoint.load_checkpoint(args.init)
     _expect_kind(meta, ("pipeline", "flow", "reflow"), args.init)
     _check_dim(meta, cfg, args.init)
     layout = _layout(tensors, meta)
@@ -346,16 +317,16 @@ def cmd_train_flow(args):
     dataset = np.concatenate(
         [chain.pipeline.corpus_to_latent(seqs) for chain, seqs in zip(layout, corpus)], axis=1
     )
-    fcfg = VectorFieldConfig(
+    fcfg = flow.VectorFieldConfig(
         depth=cfg["model.depth"],
         width=layout.width,
         hidden=cfg["model.width"],
         attention=cfg["model.attention"],
         seq_len=layout.total_length,
     )
-    root = RngStream(cfg["train.seed"])
-    model = init_flow_model(fcfg, root.substream("flow"))
-    model, trace = train_rf(model, dataset, root, **_train_args(cfg))
+    root = numeric.RngStream(cfg["train.seed"])
+    model = flow.init_flow_model(fcfg, root.substream("flow"))
+    model, trace = flow.train_rf(model, dataset, root, **_train_args(cfg))
     _save_flow_stage(args.out, tensors, _carry_meta(meta, cfg, "flow"), model, trace)
     if trace:
         print(f"final flow loss: {trace[-1][1]:.6g}")
@@ -367,25 +338,20 @@ def cmd_train_flow(args):
 
 
 def cmd_reflow(args):
-    from .checkpoint import file_sha256, load_checkpoint, unpack_flow
-    from .config import load_config, solver_config
-    from .flow import reflow_pairs, straightness, train_reflow
-    from .numeric import RngStream
-
-    cfg = load_config(args.config, args.set)
-    tensors, meta = load_checkpoint(args.init)
+    cfg = config.load_config(args.config, args.set)
+    tensors, meta = checkpoint.load_checkpoint(args.init)
     _expect_kind(meta, ("flow", "reflow"), args.init)
-    model = unpack_flow(tensors, meta)
-    solver = solver_config(cfg)
-    root = RngStream(cfg["train.seed"])
-    z0, z1 = reflow_pairs(model, solver, cfg["reflow.pairs"], root.substream("reflow-pairs"))
-    s_before = straightness(model, z0, z1, n_t=8)
-    model, trace = train_reflow(model, z0, z1, root, **_train_args(cfg))
-    s_after = straightness(model, z0, z1, n_t=8)
+    model = checkpoint.unpack_flow(tensors, meta)
+    solver = config.solver_config(cfg)
+    root = numeric.RngStream(cfg["train.seed"])
+    z0, z1 = flow.reflow_pairs(model, solver, cfg["reflow.pairs"], root.substream("reflow-pairs"))
+    s_before = flow.straightness(model, z0, z1, n_t=8)
+    model, trace = flow.train_reflow(model, z0, z1, root, **_train_args(cfg))
+    s_after = flow.straightness(model, z0, z1, n_t=8)
     print(f"straightness before: {s_before:.6g}")
     print(f"straightness after:  {s_after:.6g}")
     out_meta = _carry_meta(meta, cfg, "reflow")
-    out_meta["lineage"] = file_sha256(args.init)
+    out_meta["lineage"] = checkpoint.file_sha256(args.init)
     out_meta["straightness_before"] = float(s_before)
     out_meta["straightness_after"] = float(s_after)
     _save_flow_stage(args.out, tensors, out_meta, model, trace)
@@ -401,35 +367,31 @@ def _solver_with_overrides(meta, args):
     else from the checkpoint's config snapshot, else the default. A snapshot
     setting that SolverConfig rejects is a MalformedHeader, whatever the
     flags; a bad flag is its ConfigError."""
-    from .ode import SETTINGS, SolverConfig
-
     snapshot = meta.get("config") or {}
     if not isinstance(snapshot, dict):
         raise MalformedHeader(f"{args.checkpoint}: metadata 'config' must be an object")
-    settings = {n: snapshot.get("solver." + n) for n in SETTINGS}
+    settings = {n: snapshot.get("solver." + n) for n in ode.SETTINGS}
     settings = {n: value for n, value in settings.items() if value is not None}
     try:
-        SolverConfig(**settings)
+        ode.SolverConfig(**settings)
     except ConfigError as e:
         raise MalformedHeader(f"{args.checkpoint}: config snapshot: {e}") from None
-    settings.update((n, getattr(args, n)) for n in SETTINGS if getattr(args, n) is not None)
-    return SolverConfig(**settings)
+    settings.update((n, getattr(args, n)) for n in ode.SETTINGS if getattr(args, n) is not None)
+    return ode.SolverConfig(**settings)
 
 
 def cmd_sample(args):
-    from .checkpoint import load_checkpoint, meta_length_dists, unpack_flow
-    from .multichain import sample_multichain
-    from .numeric import RngStream
-
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
-    tensors, meta = load_checkpoint(args.checkpoint)
+    tensors, meta = checkpoint.load_checkpoint(args.checkpoint)
     _expect_kind(meta, ("flow", "reflow"), args.checkpoint)
-    model = unpack_flow(tensors, meta)
+    model = checkpoint.unpack_flow(tensors, meta)
     solver = _solver_with_overrides(meta, args)
-    rng = RngStream(args.seed).substream("sample")
+    rng = numeric.RngStream(args.seed).substream("sample")
     layout = _layout(tensors, meta)
-    samples, stats = sample_multichain(model, layout, meta_length_dists(meta), args.n, solver, rng)
+    samples, stats = multichain.sample_multichain(
+        model, layout, checkpoint.meta_length_dists(meta), args.n, solver, rng
+    )
     records = [
         (f"gen_{i}{chain.tag(_CHAIN_TAG)}", s)
         for i, tup in enumerate(samples)
@@ -491,27 +453,10 @@ def cmd_eval(args):
 
     import numpy as np
 
-    from .latent import embed_sequences
-    from .metrics import (
-        frechet_distance,
-        int_div,
-        kmer_jaccard,
-        mean_edit_to_reference,
-        mmd_rbf,
-        ot_levenshtein,
-        pseudoperplexity,
-        shannon_entropy,
-        threshold_proportions,
-        unigram_probs,
-        uniqueness,
-        w_property,
-    )
-    from .seqio import read_fasta
-
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
-    gen = [s for _, s in read_fasta(args.gen)]
-    ref = [s for _, s in read_fasta(args.ref)]
+    gen = [s for _, s in seqio.read_fasta(args.gen)]
+    ref = [s for _, s in seqio.read_fasta(args.ref)]
     if not gen:
         raise EmptyCorpus(f"no sequences in {args.gen}")
     if not ref:
@@ -528,26 +473,26 @@ def cmd_eval(args):
         except ProtflowError as e:
             rows.append({"metric": name, "value": None, "skipped": f"{type(e).__name__}: {e}"})
 
-    add("mean_entropy_gen", lambda: np.mean([shannon_entropy(s) for s in gen]))
-    add("mean_entropy_ref", lambda: np.mean([shannon_entropy(s) for s in ref]))
-    add(f"kmer_jaccard_k{args.k}", lambda: kmer_jaccard(gen, ref, k=args.k))
-    add("int_div_gen", lambda: int_div(gen))
-    add("e_dist", lambda: mean_edit_to_reference(gen, ref))
-    add("uniqueness_gen", lambda: uniqueness(gen))
-    add("ot_levenshtein", lambda: ot_levenshtein(gen, ref))
-    z_gen = embed_sequences(gen, dim=_EMBED_DIM, seed=args.seed)
-    z_ref = embed_sequences(ref, dim=_EMBED_DIM, seed=args.seed)
-    add("frechet_distance", lambda: frechet_distance(z_gen, z_ref))
-    add("mmd_rbf", lambda: mmd_rbf(z_gen, z_ref))
-    add("w_property", lambda: w_property(gen, ref))
-    probs = unigram_probs(ref)
+    add("mean_entropy_gen", lambda: np.mean([metrics.shannon_entropy(s) for s in gen]))
+    add("mean_entropy_ref", lambda: np.mean([metrics.shannon_entropy(s) for s in ref]))
+    add(f"kmer_jaccard_k{args.k}", lambda: metrics.kmer_jaccard(gen, ref, k=args.k))
+    add("int_div_gen", lambda: metrics.int_div(gen))
+    add("e_dist", lambda: metrics.mean_edit_to_reference(gen, ref))
+    add("uniqueness_gen", lambda: metrics.uniqueness(gen))
+    add("ot_levenshtein", lambda: metrics.ot_levenshtein(gen, ref))
+    z_gen = latent.embed_sequences(gen, dim=_EMBED_DIM, seed=args.seed)
+    z_ref = latent.embed_sequences(ref, dim=_EMBED_DIM, seed=args.seed)
+    add("frechet_distance", lambda: metrics.frechet_distance(z_gen, z_ref))
+    add("mmd_rbf", lambda: metrics.mmd_rbf(z_gen, z_ref))
+    add("w_property", lambda: metrics.w_property(gen, ref))
+    probs = metrics.unigram_probs(ref)
     add(
         "pseudoperplexity_unigram_ref",
-        lambda: np.mean([pseudoperplexity(s, probs) for s in gen]),
+        lambda: np.mean([metrics.pseudoperplexity(s, probs) for s in gen]),
     )
     if scores is not None:
         for t in thresholds:
-            add(f"p_gt_{t:g}", lambda t=t: threshold_proportions(scores, t))
+            add(f"p_gt_{t:g}", lambda t=t: metrics.threshold_proportions(scores, t))
     flags = {
         "k": args.k,
         "seed": args.seed,
@@ -588,13 +533,11 @@ def cmd_eval(args):
 
 
 def cmd_inspect_checkpoint(args):
-    from .checkpoint import VERSION, file_sha256, load_checkpoint
-
-    tensors, meta = load_checkpoint(args.checkpoint)
+    tensors, meta = checkpoint.load_checkpoint(args.checkpoint)
     summary = {
         "path": args.checkpoint,
-        "sha256": file_sha256(args.checkpoint),
-        "format_version": VERSION,
+        "sha256": checkpoint.file_sha256(args.checkpoint),
+        "format_version": checkpoint.VERSION,
         "kind": meta.get("kind"),
         "step": meta.get("step"),
         "lineage": meta.get("lineage"),
@@ -681,9 +624,9 @@ def main(argv=None):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             return args.func(args)
-    except ProtflowError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.exit_code
+    except (ProtflowError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
+        return getattr(e, "exit_code", 1)
 
 
 if __name__ == "__main__":

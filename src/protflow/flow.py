@@ -356,6 +356,26 @@ def cfm_loss(model, x0, x1, t):
 # --- training loops --------------------------------------------------------------
 
 
+def _fit_cfm(model, n, pairs, stream, steps, batch, lr, lr_min, warmup, weight_decay, clip,
+             ema_decay):
+    """nn.fit of the CFM loss at the flow's AdamW constants; returns (model,
+    trace). Step s draws batch row indices in [0, n) and t ~ U(0, 1) from
+    substream "step{s}" of stream, and pairs(sub, idx) returns its (x0, x1)."""
+
+    def loss_and_grad(step):
+        sub = stream.substream(f"step{step}")
+        idx = sub.substream("idx").integers(0, n, size=batch)
+        x0, x1 = pairs(sub, idx)
+        t = sub.substream("t").uniform(batch)
+        return cfm_loss(model, x0, x1, t)
+
+    trace = nn.fit(
+        model.params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
+        betas=(0.9, 0.98), eps=1e-6, ema_decay=ema_decay,
+    )
+    return model, trace
+
+
 def train_rf(
     model, dataset, rng, steps, batch, lr, lr_min, warmup, weight_decay, clip, ema_decay=0.0,
 ):
@@ -365,7 +385,10 @@ def train_rf(
         model: VectorFieldModel (modified in place).
         dataset: (N, L, W) array of smoothed, compressed latents.
         rng: RngStream; step s draws its batch from substream "rf-train/step{s}".
-        steps, batch: optimizer steps and rows per step.
+        steps, batch: optimizer steps and rows per step. Rows are drawn with
+            replacement and each carries its own noise and t, so a batch
+            larger than N is meaningful and is not clamped to N (perfbench's
+            train workload runs reflow on 16 pairs at batch 64).
         lr, lr_min, warmup, weight_decay, clip, ema_decay: nn.fit's AdamW
             schedule, decay, clip norm and parameter EMA; only ema_decay
             has a default (0.0, no EMA).
@@ -376,22 +399,15 @@ def train_rf(
     dataset = np.asarray(dataset, dtype=np.float64)
     if dataset.ndim != 3 or dataset.shape[0] == 0:
         raise ValueError(f"dataset must be nonempty (N, L, W), got {dataset.shape}")
-    n = dataset.shape[0]
-    shape = dataset.shape[1:]
-    stream = rng.substream("rf-train")
+    shape = (batch,) + dataset.shape[1:]
 
-    def loss_and_grad(step):
-        sub = stream.substream(f"step{step}")
-        idx = sub.substream("idx").integers(0, n, size=batch)
-        x1 = sub.substream("noise").normal((batch,) + shape)
-        t = sub.substream("t").uniform(batch)
-        return cfm_loss(model, dataset[idx], x1, t)
+    def pairs(sub, idx):
+        return dataset[idx], sub.substream("noise").normal(shape)
 
-    trace = nn.fit(
-        model.params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
-        betas=(0.9, 0.98), eps=1e-6, ema_decay=ema_decay,
+    return _fit_cfm(
+        model, dataset.shape[0], pairs, rng.substream("rf-train"), steps, batch, lr, lr_min,
+        warmup, weight_decay, clip, ema_decay,
     )
-    return model, trace
 
 
 def reflow_pairs(model, solver_config, m, rng):
@@ -411,28 +427,16 @@ def reflow_pairs(model, solver_config, m, rng):
     return res.x0, z1
 
 
-def train_reflow(
-    model, z0, z1, rng, steps, batch, lr, lr_min, warmup, weight_decay, clip, ema_decay=0.0,
-):
+def train_reflow(model, z0, z1, rng, steps, batch, lr, lr_min, warmup, weight_decay, clip):
     """Fine-tune on deterministic couplings: (x0, x1) = (z0, z1) rows drawn
     jointly, t ~ U(0, 1), step s from substream "reflow-train/step{s}" of rng.
-    The optimizer settings are train_rf's; returns (model, trace)."""
-    n = len(z0)
-    if n == 0:
+    The optimizer settings are train_rf's, without EMA; returns (model, trace)."""
+    if len(z0) == 0:
         raise ValueError("empty coupling set")
-    stream = rng.substream("reflow-train")
-
-    def loss_and_grad(step):
-        sub = stream.substream(f"step{step}")
-        idx = sub.substream("idx").integers(0, n, size=batch)
-        t = sub.substream("t").uniform(batch)
-        return cfm_loss(model, z0[idx], z1[idx], t)
-
-    trace = nn.fit(
-        model.params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
-        betas=(0.9, 0.98), eps=1e-6, ema_decay=ema_decay,
+    return _fit_cfm(
+        model, len(z0), lambda sub, idx: (z0[idx], z1[idx]), rng.substream("reflow-train"),
+        steps, batch, lr, lr_min, warmup, weight_decay, clip, 0.0,
     )
-    return model, trace
 
 
 def straightness(model, z0, z1, n_t):

@@ -33,7 +33,7 @@ from .seqio import PAD_ID, VOCAB_SIZE, tokenize
 # --- encoder ------------------------------------------------------------------
 
 
-def init_encoder(dim, rng, embed_scale=1.0, embed_rank=0):
+def init_encoder(dim, rng, embed_scale, embed_rank):
     """Encoder parameters {"embed": (vocab, dim) token table}, drawn from an
     RngStream. The positional table is fixed, so it is not a parameter.
 
@@ -47,7 +47,7 @@ def init_encoder(dim, rng, embed_scale=1.0, embed_rank=0):
             basis — mimicking the anisotropy of learned embedders.
     """
     sub = rng.substream("encoder")
-    if embed_rank and embed_rank > 0:
+    if embed_rank > 0:
         scores = sub.substream("scores").normal((VOCAB_SIZE, embed_rank))
         raw = sub.substream("basis").normal((dim, embed_rank))
         q, _ = np.linalg.qr(raw)
@@ -76,17 +76,17 @@ def encode_corpus(ids, enc):
     return out
 
 
-def embed_sequences(seqs, dim=32, seed=0):
+def embed_sequences(seqs, dim, seed):
     """Deterministic mean-pooled sequence embeddings for distribution metrics.
 
     The vector for a sequence depends only on (sequence, dim, seed), never on
-    the rest of the batch.
+    the rest of the batch. The token table is full rank at scale 1.0.
     """
     if not seqs:
         raise EmptyCorpus("no sequences to embed")
     l_max = max(max(map(len, seqs)), 1)
     ids = tokenize(seqs, l_max)
-    embed = init_encoder(dim, RngStream(seed).substream("embedder"))["embed"]
+    embed = init_encoder(dim, RngStream(seed).substream("embedder"), 1.0, 0)["embed"]
     pos = nn.sinusoidal_table(l_max, dim)
     out = np.zeros((len(seqs), dim), dtype=np.float64)
     for i, n in enumerate(map(len, seqs)):

@@ -89,7 +89,7 @@ def _kmer_set(corpus, k):
     return out
 
 
-def kmer_jaccard(corpus_a, corpus_b, k=6):
+def kmer_jaccard(corpus_a, corpus_b, k):
     """Set Jaccard similarity between the k-mer sets of two corpora.
 
     Sequences shorter than k contribute nothing. Both sets empty is defined

@@ -14,6 +14,7 @@ FASTA headers carry no chain part.
 
 import numpy as np
 
+from . import flow, ode
 from .errors import LayoutMismatch, WidthMismatch
 from .numeric import is_int
 from .seqio import detokenize
@@ -127,9 +128,6 @@ def sample_multichain(model, layout, length_dists, n, solver_config, rng):
         (samples, stats): samples is a list of tuples of residue strings in
         layout order; stats carries per-sample NFE.
     """
-    from .flow import flow_forward
-    from .ode import solve_lanes
-
     if n < 1:
         raise ValueError("n must be >= 1")
     shape = (layout.total_length, layout.width)
@@ -138,7 +136,7 @@ def sample_multichain(model, layout, length_dists, n, solver_config, rng):
         raise LayoutMismatch(f"flow ({cfg.seq_len}, {cfg.width}) cannot sample latents {shape}")
     subs = [rng.substream(f"sample{i}") for i in range(n)]
     eps = np.stack([sub.substream("noise").normal(shape) for sub in subs])
-    res = solve_lanes(lambda x, t: flow_forward(model, x, t), eps, solver_config)
+    res = ode.solve_lanes(lambda x, t: flow.flow_forward(model, x, t), eps, solver_config)
     samples = []
     for sub, x0 in zip(subs, res.x0):
         chains = []

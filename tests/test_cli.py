@@ -5,10 +5,12 @@ narrow latents, tens of steps) once; the tests then exercise sampling,
 evaluation, inspection, reruns, and every error exit path against it.
 """
 
+import ast
 import inspect
 import json
 import os
 import platform
+import resource
 import struct
 import subprocess
 import sys
@@ -159,8 +161,10 @@ def test_stage_artifacts(workdir):
 
 def test_train_settings_default_only_in_the_schema():
     # every setting the CLI passes a trainer has its one default in its
-    # config.SCHEMA row, and nn.fit passes every AdamW setting
-    from protflow import flow, latent, nn
+    # config.SCHEMA row, and nn.fit passes every AdamW setting; the encoder
+    # settings default only in their SCHEMA rows, and the eval embedder's and
+    # k-mer size only in eval's flags (cli._EMBED_DIM, --seed, --k)
+    from protflow import flow, latent, metrics, nn
     from protflow.config import load_config
 
     keys = set(cli._train_args(load_config()))
@@ -170,9 +174,12 @@ def test_train_settings_default_only_in_the_schema():
         assert keys <= set(params), trainer.__name__
         defaults = {k for k in keys if params[k].default is not inspect.Parameter.empty}
         assert not defaults, (trainer.__name__, defaults)
-    params = inspect.signature(nn.AdamW).parameters
-    assert all(params[k].default is inspect.Parameter.empty
-               for k in ("betas", "eps", "weight_decay"))
+    for fn, names in ((nn.AdamW, ("betas", "eps", "weight_decay")),
+                      (latent.init_encoder, ("embed_scale", "embed_rank")),
+                      (latent.embed_sequences, ("dim", "seed")),
+                      (metrics.kmer_jaccard, ("k",))):
+        params = inspect.signature(fn).parameters
+        assert all(params[k].default is inspect.Parameter.empty for k in names), fn.__name__
 
 
 def test_train_rerun_is_bitwise_identical(workdir):
@@ -457,6 +464,25 @@ def test_exit_3_divergence(workdir):
              "--set", "train.lr=1e200", "--set", "train.steps=5"]
         )
     assert code == 3
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+def test_allocation_failure_prints_one_line(workdir):
+    # 10**12 rows per step: their row indices alone need 7.28 TiB, which the
+    # 4 GiB address-space limit refuses on any host
+    proc = subprocess.run(
+        [sys.executable, "-m", "protflow", "train-flow", "--config", workdir["cfg"],
+         "--init", workdir["pipe"], "--out", str(workdir["root"] / "x.ckpt"),
+         "--set", "train.steps=1", "--set", "train.batch=1000000000000"],
+        env=dict(_protflow_env(), OPENBLAS_NUM_THREADS="1"), preexec_fn=_limit_address_space,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), proc.stderr
 
 
 def test_exit_4_checkpoint_errors(workdir):
@@ -955,6 +981,41 @@ def test_functions_patched_after_import_reach_the_commands(tmp_path):
     )
     # e_dist and ot_levenshtein each build the matrix; eval reads both files
     assert calls == {"cross_edit_matrix": 2, "read_fasta": 2}
+
+
+def _imports_in_functions(path):
+    """Line numbers of the statements inside a function body of a source file
+    that import a protflow module: relative, or absolute from protflow."""
+    with open(path, "r", encoding="utf-8") as f:
+        tree = ast.parse(f.read(), filename=path)
+    lines = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # a relative import names a module of this package
+                modules = ["protflow" if node.level else node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "protflow" for m in modules):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_function_imports_a_protflow_module():
+    # the package's lazy bindings are the one lazy-import mechanism: a module
+    # binds the protflow modules it calls at its top, and a function imports
+    # only numpy or the standard library
+    package = os.path.dirname(os.path.abspath(protflow.__file__))
+    found = {
+        name: _imports_in_functions(os.path.join(package, name))
+        for name in sorted(os.listdir(package))
+        if name.endswith(".py")
+    }
+    assert not any(found.values()), found
 
 
 def test_sample_and_train_flow_load_no_metrics(workdir):

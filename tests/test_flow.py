@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from protflow import flow, ode
+from protflow import flow, nn, ode
 from protflow.config import SIZE_CAP
 from protflow.errors import ShapeMismatch
 from protflow.numeric import RngStream, grad_check
@@ -228,6 +228,65 @@ def test_ema_fold_in_keeps_params_near_init():
     raw = run(0.0)
     averaged = run(0.9999999)  # EMA this slow barely moves from init
     assert np.linalg.norm(raw - init_vec) > 10 * np.linalg.norm(averaged - init_vec)
+
+
+def _reference_rf(model, dataset, rng, steps, batch, lr, lr_min, warmup, weight_decay, clip,
+                  ema_decay):
+    """1-RF training written out step by step: the trace of its own nn.fit."""
+    n = dataset.shape[0]
+    shape = dataset.shape[1:]
+    stream = rng.substream("rf-train")
+
+    def loss_and_grad(step):
+        sub = stream.substream(f"step{step}")
+        idx = sub.substream("idx").integers(0, n, size=batch)
+        x1 = sub.substream("noise").normal((batch,) + shape)
+        t = sub.substream("t").uniform(batch)
+        return flow.cfm_loss(model, dataset[idx], x1, t)
+
+    return nn.fit(model.params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
+                  betas=(0.9, 0.98), eps=1e-6, ema_decay=ema_decay)
+
+
+def _reference_reflow(model, z0, z1, rng, steps, batch, lr, lr_min, warmup, weight_decay, clip):
+    """Reflow training written out step by step: the trace of its own nn.fit."""
+    n = len(z0)
+    stream = rng.substream("reflow-train")
+
+    def loss_and_grad(step):
+        sub = stream.substream(f"step{step}")
+        idx = sub.substream("idx").integers(0, n, size=batch)
+        t = sub.substream("t").uniform(batch)
+        return flow.cfm_loss(model, z0[idx], z1[idx], t)
+
+    return nn.fit(model.params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
+                  betas=(0.9, 0.98), eps=1e-6)
+
+
+@pytest.mark.parametrize("attention", [False, True])
+def test_training_loops_match_written_out_steps_bitwise(attention):
+    # N = 5 rows at batch 8: every step draws rows more than once
+    def field():
+        cfg = flow.VectorFieldConfig(2, 3, 8, attention=attention, seq_len=4)
+        model = flow.init_flow_model(cfg, RngStream(21))
+        for name, value in model.params.items():
+            value += 0.1 * RngStream(22).substream(name).normal(value.shape)
+        return model
+
+    data = RngStream(23).normal((5, 4, 3))
+    noise = RngStream(24).normal((5, 4, 3))
+    settings = dict(_RF_SETTINGS, steps=30, batch=8, warmup=5)
+    runs = (
+        (lambda m: _reference_rf(m, data, RngStream(25), ema_decay=0.9, **settings),
+         lambda m: flow.train_rf(m, data, RngStream(25), ema_decay=0.9, **settings)[1]),
+        (lambda m: _reference_reflow(m, data, noise, RngStream(26), **settings),
+         lambda m: flow.train_reflow(m, data, noise, RngStream(26), **settings)[1]),
+    )
+    for reference, train in runs:
+        expected, model = field(), field()
+        assert train(model) == reference(expected)
+        for name, value in expected.params.items():
+            assert np.array_equal(model.params[name], value), name
 
 
 def test_reflow_pairs_deterministic_and_per_pair():

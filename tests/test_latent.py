@@ -27,7 +27,7 @@ def test_init_encoder_shapes_and_rank():
         if k.startswith("encoder.")
     }
     assert np.linalg.matrix_rank(enc["embed"]) == 3
-    full = latent.init_encoder(16, RngStream(0), embed_scale=1.0)
+    full = latent.init_encoder(16, RngStream(0), embed_scale=1.0, embed_rank=0)
     assert np.linalg.matrix_rank(full["embed"]) == 16
 
 
@@ -39,7 +39,7 @@ def test_encoder_scale_multiplies_table():
 
 def test_encode_is_embed_plus_positional():
     rng = RngStream(1)
-    enc = latent.init_encoder(8, rng)
+    enc = latent.init_encoder(8, rng, embed_scale=1.0, embed_rank=0)
     h = latent.encode_corpus(tokenize(["ACDE"], 10), enc)
     assert h.shape == (1, 10, 8)
     expected = enc["embed"][[0, 1, 2, 3]] + nn.sinusoidal_table(10, 8)[:4]
@@ -52,7 +52,7 @@ def test_encode_rejects_overlong():
 
 
 def test_encode_corpus_pads():
-    enc = latent.init_encoder(8, RngStream(2))
+    enc = latent.init_encoder(8, RngStream(2), embed_scale=1.0, embed_rank=0)
     out = latent.encode_corpus(tokenize(["AC", "ACDEF"], 5), enc)
     assert out.shape == (2, 5, 8)
     expected = enc["embed"][[0, 1, PAD_ID, PAD_ID, PAD_ID]] + nn.sinusoidal_table(5, 8)
