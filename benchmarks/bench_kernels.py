@@ -1,6 +1,6 @@
 """Time GELU at the training shape, the edit-distance and assignment kernels
 at the shapes eval uses, the decoder and compressor training steps, the
-sampling path, and the start-up of each CLI command.
+optimizer, the sampling path, and the start-up of each CLI command.
 
 GELU runs first, on (64, 20, 64) float64 activations (train.batch x L_max x
 model.width: one flow block's hidden layer in a training step). gelu and
@@ -30,6 +30,14 @@ lengths 1-20 (L_max 20, D 32, decoder_hidden 64, embed_rank 4), and
 compressor_loss_and_grad on 64 smoothed rows of width 32 at ratio_c 4,
 each per call, best and median of five runs of TRAIN_CALLS calls after one
 warm-up.
+
+The optimizer follows: nn.fit per step over OPT_STEPS steps, best and
+median of five runs after one warm-up, on two flow fields: criterion 8's
+(depth 4, width 1, hidden 64, attention, seq_len 2; 43 keys) and the
+canonical one below (depth 2, width 8, hidden 64; 13 keys). loss_and_grad
+returns one constant gradient dict, drawn once, so only fit's own work is
+timed: packing, the global norm, clipping (the gradient's norm is above
+the cap), AdamW and the cosine schedule.
 
 Sampling follows, on a seeded flow model shaped like the sample workload's
 (depth 2, width 8, hidden 64, L = 20, time features at flow.TIME_SCALE)
@@ -100,6 +108,11 @@ CANONICAL_CORPUS = os.path.join(ROOT, "runs", "single_chain", "corpus.fasta")
 TRAIN_CALLS = 200
 
 FLOW_CFG = dict(depth=2, width=8, hidden=64)
+OPT_FIELDS = (
+    ("criterion 8", dict(depth=4, width=1, hidden=64, attention=True, seq_len=2)),
+    ("canonical", FLOW_CFG),
+)
+OPT_STEPS = 400
 FLOW_LENGTH = 20
 FORWARD_CALLS = 200
 # perfbench's train workload: train.batch rows of a flow step
@@ -205,6 +218,22 @@ def bench_training():
         _, best, median = timed(lambda: [step() for _ in range(TRAIN_CALLS)])
         print(f"{label:<40} {best / TRAIN_CALLS * 1e6:>8.1f}us "
               f"{median / TRAIN_CALLS * 1e6:>8.1f}us")
+    print()
+
+
+def bench_optimizer():
+    print(f"{'optimizer, nn.fit per step':<40} {'best':>10} {'median':>10}")
+    for label, cfg in OPT_FIELDS:
+        params = flow.init_flow_model(flow.VectorFieldConfig(**cfg), RngStream(0)).params
+        grads = {k: RngStream(1).substream(k).normal(v.shape) for k, v in params.items()}
+
+        def run():
+            return nn.fit(params, lambda step: (1.0, grads), OPT_STEPS, 1e-3, 2e-4, 10, 1.0,
+                          0.01, betas=(0.9, 0.98), eps=1e-6)
+
+        _, best, median = timed(run)
+        label = f"{label}, {len(params)} keys"
+        print(f"{label:<40} {best / OPT_STEPS * 1e6:>8.1f}us {median / OPT_STEPS * 1e6:>8.1f}us")
     print()
 
 
@@ -334,6 +363,7 @@ def main():
             print(f"{shape:<8} {task:<22} {best * 1e3:>8.2f}ms {median * 1e3:>8.2f}ms  {checked}")
     print()
     bench_training()
+    bench_optimizer()
     bench_sampling()
     bench_memory()
     bench_startup()

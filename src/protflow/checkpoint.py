@@ -11,7 +11,8 @@ the "dtype" "<f4"; every other key is metadata. A checkpoint of a
 pipeline kind (decoder, pipeline, flow, reflow) must carry the metadata its
 commands read: "dim" and "clamp_k"; "l_max" and "length_dist", or "chains"
 and "length_dists" for a multichain corpus (layout_meta writes them); and
-"flow_cfg" for flow and reflow. Each key has one reader, and the loader
+"flow_cfg" for flow and reflow. "dim" follows model.D's rule
+(config.is_latent_dim). Each other key has one reader, and the loader
 checks a key, present or missing, by calling it: meta_chains
 (multichain.ChainLayout, so each l_max in [1, multichain.L_MAX_CAP]),
 meta_length_dists (seqio.LengthDistribution.from_dict) and flow_config
@@ -37,6 +38,7 @@ import struct
 
 import numpy as np
 
+from .config import SIZE_CAP, is_latent_dim
 from .errors import (
     BadMagic,
     CheckpointError,
@@ -147,9 +149,8 @@ def _check_meta(path, meta):
     kind = meta.get("kind")
     if kind not in _PIPELINE_KINDS:
         return
-    dim = meta.get("dim")
-    if not (is_int(dim, 1) and dim % 2 == 0):
-        raise MalformedHeader(f"{path}: metadata 'dim' must be a positive even integer")
+    if not is_latent_dim(meta.get("dim")):
+        raise MalformedHeader(f"{path}: metadata 'dim' must be an even integer in [2, {SIZE_CAP}]")
     if not is_number(meta.get("clamp_k"), ABOVE_0, math.inf):
         raise MalformedHeader(f"{path}: metadata 'clamp_k' must be a positive number")
     try:

@@ -16,23 +16,24 @@ import os
 
 from .errors import ConfigError, DataError, LayoutMismatch
 from .multichain import L_MAX_CAP, ChainLayout, ChainSpec
-from .numeric import ABOVE_0, FINITE
+from .numeric import ABOVE_0, FINITE, is_int
 from .ode import SETTINGS, SolverConfig
 
 # The largest network size a config may set (the model.* sizes below) and a
-# checkpoint's flow_cfg may carry: the loader builds the flow's shape table
-# over range(depth) before it compares a single tensor.
+# checkpoint's dim and flow_cfg may carry: the loader builds the flow's shape
+# table over range(depth) before it compares a single tensor.
 SIZE_CAP = 4096
 
 # key -> (type tag, default, lo, hi): an int or float key must lie in [lo, hi].
 # None default = unset (allowed for paths/chains). Keys without bounds are
-# checked elsewhere: solver.* by ode.SolverConfig, chains by parse_chains_value.
+# checked elsewhere: model.D by is_latent_dim, solver.* by ode.SolverConfig,
+# chains by parse_chains_value.
 SCHEMA = {
     "model.depth": ("int", 2, 1, SIZE_CAP),
     "model.width": ("int", 64, 1, SIZE_CAP),
     "model.ratio_c": ("int", 4, 1, math.inf),
     "model.L_max": ("int", 50, 1, L_MAX_CAP),
-    "model.D": ("int", 64, 1, SIZE_CAP),
+    "model.D": ("int", 64, None, None),
     "model.attention": ("bool", False, None, None),
     "model.embed_scale": ("float", 10.0, ABOVE_0, FINITE),
     "model.embed_rank": ("int", 4, 0, math.inf),
@@ -116,13 +117,19 @@ def solver_config(values):
     return SolverConfig(**{name: values["solver." + name] for name in SETTINGS})
 
 
+def is_latent_dim(dim):
+    """The rule of the latent width (model.D, a checkpoint's "dim"): an int in
+    [1, SIZE_CAP], and even, as the sinusoidal positional table needs."""
+    return is_int(dim, 1, SIZE_CAP) and dim % 2 == 0
+
+
 def _validate(values):
     for key, (_, _, lo, hi) in SCHEMA.items():
         if lo is not None and not lo <= values[key] <= hi:
             raise ConfigError(f"{key} must be in [{lo:g}, {hi:g}], got {values[key]!r}")
     solver_config(values)
-    if values["model.D"] % 2 != 0:
-        raise ConfigError(f"model.D must be even (sinusoidal positions), got {values['model.D']}")
+    if not is_latent_dim(values["model.D"]):
+        raise ConfigError(f"model.D must be even and in [2, {SIZE_CAP}], got {values['model.D']}")
     if values["model.embed_rank"] > values["model.D"]:
         raise ConfigError(
             f"model.embed_rank ({values['model.embed_rank']}) must be <= model.D "

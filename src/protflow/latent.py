@@ -16,10 +16,12 @@ smooth/unsmooth are exact inverses away from the clamp boundary; compression
 is lossy and trained to minimize reconstruction MSE in the smoothed space.
 
 Every part of the stack (encoder, decoder, smoothing, compressor) is a dict
-of named float64 arrays, as the flow's parameters are, which nn.fit trains
-in place; pipeline_shapes is the one table of the stack's stored tensor
-names and shapes. The positional table is not a parameter: encode_corpus
-adds the cached rows of nn.sinusoidal_table for the id matrix's width.
+of named float64 arrays, as the flow's parameters are. nn.fit packs a part
+it trains into one buffer, so a trained part's parameters are named views
+of that buffer. pipeline_shapes is the one table of the stack's stored
+tensor names and shapes. The positional table is not a parameter:
+encode_corpus adds the cached rows of nn.sinusoidal_table for the id
+matrix's width.
 """
 
 import numpy as np

@@ -1,9 +1,10 @@
 """Small neural-net primitives with hand-written forward/backward passes.
 
 Everything operates on float64 numpy arrays; parameters live in ordered
-dicts of named arrays, serialized by name. GELU uses the tanh approximation,
-which has a clean analytic derivative. fit is the one training loop every
-stage runs.
+dicts of named arrays, serialized by name. fit, the one training loop every
+stage runs, packs a dict into one flat buffer and rebinds each name to its
+view of it, so AdamW, clipping and the EMA each run once over the buffer.
+GELU uses the tanh approximation, which has a clean analytic derivative.
 """
 
 import functools
@@ -173,25 +174,8 @@ def cosine_lr(step, total_steps, peak, lr_min, warmup, cycles=1):
     return lr_min + 0.5 * (peak - lr_min) * (1.0 + math.cos(math.pi * frac))
 
 
-def global_norm(grads):
-    total = 0.0
-    for g in grads.values():
-        total += float((g * g).sum())
-    return math.sqrt(total)
-
-
-def clip_grads_(grads, max_norm):
-    """Scale grads in place to cap the global L2 norm; returns the pre-clip norm."""
-    norm = global_norm(grads)
-    if max_norm > 0 and norm > max_norm:
-        scale = max_norm / (norm + 1e-12)
-        for g in grads.values():
-            g *= scale
-    return norm
-
-
 class AdamW:
-    """Decoupled weight-decay Adam over a dict of named parameters; fit passes
+    """Decoupled weight-decay Adam over one flat parameter buffer; fit passes
     every setting."""
 
     def __init__(self, params, betas, eps, weight_decay):
@@ -199,54 +183,69 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
     def step(self, params, grads, lr):
         self.step_count += 1
         b1c = 1.0 - self.beta1**self.step_count
         b2c = 1.0 - self.beta2**self.step_count
-        for k, p in params.items():
-            g = grads[k]
-            if not np.all(np.isfinite(g)):
-                raise Diverged(f"non-finite gradient for {k}")
-            if self.weight_decay > 0:
-                p -= lr * self.weight_decay * p
-            m = self.m[k]
-            v = self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        if self.weight_decay > 0:
+            params -= lr * self.weight_decay * params
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grads
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grads * grads
+        params -= lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
 
 
 def fit(params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay, betas, eps,
         cycles=1, ema_decay=0.0):
-    """Train params (a dict of named arrays, updated in place) with AdamW.
+    """Train params (a dict of named float64 arrays) with AdamW.
 
-    Each step calls loss_and_grad(step) -> (loss, grads keyed like params),
-    raises Diverged on a non-finite loss, clips the gradients to global norm
-    clip and steps at the cosine_lr rate. With ema_decay > 0 an exponential
-    moving average of params is kept and copied into params at the end.
+    On entry fit packs the arrays into one flat buffer and rebinds each name
+    to its view of it. Each step calls loss_and_grad(step) -> (loss, grads
+    keyed like params), raises Diverged on a non-finite loss or gradient,
+    copies grads into one flat buffer, clips it to global norm clip and
+    steps at the cosine_lr rate. The norm is summed key by key, so it rounds
+    as each key's own sum does. With ema_decay > 0 an exponential moving
+    average of the buffer is kept and copied into it at the end.
 
-    Returns trace rows (step, loss, lr, grad_norm), one per step.
+    Returns trace rows (step, loss, lr, grad_norm), one per step; grad_norm
+    is taken before clipping.
     """
-    opt = AdamW(params, betas=betas, eps=eps, weight_decay=weight_decay)
-    ema = {k: v.copy() for k, v in params.items()} if ema_decay > 0 else None
+    flat = np.concatenate(list(params.values()), axis=None, dtype=np.float64)
+    bounds = np.cumsum([v.size for v in params.values()])[:-1]
+    for (k, v), view in zip(params.items(), np.split(flat, bounds)):
+        params[k] = view.reshape(v.shape)
+    grad = np.empty_like(flat)
+    square = np.empty_like(flat)
+    square_views = np.split(square, bounds)
+    opt = AdamW(flat, betas=betas, eps=eps, weight_decay=weight_decay)
+    ema = flat.copy() if ema_decay > 0 else None
     trace = []
     for step in range(steps):
         loss, grads = loss_and_grad(step)
         if not np.isfinite(loss):
             raise Diverged(f"loss non-finite at step {step}")
-        grad_norm = clip_grads_(grads, clip)
+        np.concatenate([grads[k] for k in params], axis=None, out=grad)
+        np.multiply(grad, grad, out=square)
+        total = 0.0
+        for sq in square_views:
+            total += float(sq.sum())
+        grad_norm = math.sqrt(total)
+        # a non-finite entry makes the norm non-finite; a finite gradient whose
+        # square overflows does too, and trains on, clipped to zero
+        if not math.isfinite(grad_norm) and not np.isfinite(grad).all():
+            k = next(k for k, g in zip(params, np.split(grad, bounds)) if not np.isfinite(g).all())
+            raise Diverged(f"non-finite gradient for {k}")
+        if clip > 0 and grad_norm > clip:
+            grad *= clip / (grad_norm + 1e-12)
         lr_t = cosine_lr(step, steps, lr, lr_min, warmup, cycles)
-        opt.step(params, grads, lr_t)
+        opt.step(flat, grad, lr_t)
         if ema is not None:
-            for k, v in params.items():
-                ema[k] += (1.0 - ema_decay) * (v - ema[k])
+            ema += (1.0 - ema_decay) * (flat - ema)
         trace.append((step, loss, lr_t, grad_norm))
     if ema is not None:
-        for k, v in ema.items():
-            np.copyto(params[k], v)
+        np.copyto(flat, ema)
     return trace

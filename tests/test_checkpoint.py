@@ -9,6 +9,7 @@ import functools
 import hashlib
 import json
 import os
+import stat
 import struct
 import tempfile
 
@@ -129,6 +130,29 @@ def test_atomic_writer_cleans_up_after_a_failed_write(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         fileio.write_atomic(str(tmp_path / "out.bin"), b"data", "output")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+
+
+def test_atomic_writer_gives_the_mode_open_would(tmp_path, monkeypatch):
+    from protflow import fileio
+
+    path = str(tmp_path / "out.bin")
+    old = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600), (0o002, 0o664)):
+            os.umask(umask)
+            fileio.write_atomic(path, b"data", "output")
+            assert stat.S_IMODE(os.stat(path).st_mode) == mode
+            assert os.umask(umask) == umask  # writing left the umask as it was
+
+        def refused(p, mode):
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.setattr(fileio.os, "chmod", refused)
+        with pytest.raises(ConfigError, match="cannot write output"):
+            fileio.write_atomic(str(tmp_path / "other.bin"), b"data", "output")
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
 
 
 def test_non_finite_tensor_rejected(tmp_path):
@@ -555,7 +579,8 @@ def test_pipeline_kinds_need_their_metadata(tmp_path, kind, chains):
     bad_chains = [[{"name": "A"}], [{"name": 3, "l_max": 3}], [{"name": "A", "l_max": True}],
                   []] + [[{"name": a, "l_max": 3}, {"name": b, "l_max": 4}]
                          for a, b in (("A", "A"), ("", "B"), ("B", ""))]
-    bad_values = {"dim": ["8", 7], "clamp_k": [True],
+    # dim follows model.D's rule: an int (not a bool) in [1, SIZE_CAP], and even
+    bad_values = {"dim": ["8", 7, 8.0, True, 0, -2, SIZE_CAP + 2], "clamp_k": [True],
                   "l_max": [0, True, 6.0, "6", L_MAX_CAP + 1],
                   "length_dist": [{"lengths": [2]}, {"lengths": [2, 5], "counts": [2**62] * 2}],
                   "chains": bad_chains, "length_dists": [{"A": {}}], "flow_cfg": bad_flow_cfgs}

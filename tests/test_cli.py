@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import protflow
 from protflow import cli, errors
 from protflow.checkpoint import file_sha256, load_checkpoint, pack_flow, save_checkpoint
-from protflow.config import L_MAX_CAP
+from protflow.config import L_MAX_CAP, SIZE_CAP
 from protflow.flow import TIME_SCALE, VectorFieldConfig, init_flow_model
 from protflow.latent import pipeline_shapes
 from protflow.numeric import RngStream
@@ -548,6 +548,8 @@ def test_exit_4_malformed_checkpoint_header(tmp_path):
         "odd_time_dim": (dict(flow_meta, flow_cfg=dict(flow_cfg, time_dim=7)), "'flow_cfg'"),
         "attention_without_seq_len": (dict(flow_meta, flow_cfg=dict(flow_cfg, attention=True)),
                                       "'flow_cfg'"),
+        # dim follows model.D's rule, cap included
+        "dim_above_the_cap": (dict(flow_meta, dim=SIZE_CAP + 2), "'dim'"),
     }
     for label, (header, message) in headers.items():
         header = json.dumps(header).encode("utf-8")

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from protflow import nn
+from protflow import flow, latent, nn
 from protflow.errors import Diverged
-from protflow.numeric import grad_check
+from protflow.numeric import RngStream, grad_check
 
 
 def test_gelu_reference_points():
@@ -185,37 +185,226 @@ def test_cosine_lr_cycles_restart():
     assert just_before < 0.01
 
 
-def test_global_norm_and_clip():
+# --- the per-key optimizer that fit ran before it packed one buffer: the
+# reference its flat buffer must match bit for bit
+
+
+def _ref_global_norm(grads):
+    total = 0.0
+    for g in grads.values():
+        total += float((g * g).sum())
+    return math.sqrt(total)
+
+
+def _ref_clip_grads_(grads, max_norm):
+    norm = _ref_global_norm(grads)
+    if max_norm > 0 and norm > max_norm:
+        scale = max_norm / (norm + 1e-12)
+        for g in grads.values():
+            g *= scale
+    return norm
+
+
+class _RefAdamW:
+    def __init__(self, params, betas, eps, weight_decay):
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.step_count = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params, grads, lr):
+        self.step_count += 1
+        b1c = 1.0 - self.beta1**self.step_count
+        b2c = 1.0 - self.beta2**self.step_count
+        for k, p in params.items():
+            g = grads[k]
+            if not np.all(np.isfinite(g)):
+                raise Diverged(f"non-finite gradient for {k}")
+            if self.weight_decay > 0:
+                p -= lr * self.weight_decay * p
+            m = self.m[k]
+            v = self.v[k]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
+def _ref_fit(params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay, betas, eps,
+             cycles=1, ema_decay=0.0):
+    opt = _RefAdamW(params, betas=betas, eps=eps, weight_decay=weight_decay)
+    ema = {k: v.copy() for k, v in params.items()} if ema_decay > 0 else None
+    trace = []
+    for step in range(steps):
+        loss, grads = loss_and_grad(step)
+        if not np.isfinite(loss):
+            raise Diverged(f"loss non-finite at step {step}")
+        grad_norm = _ref_clip_grads_(grads, clip)
+        lr_t = nn.cosine_lr(step, steps, lr, lr_min, warmup, cycles)
+        opt.step(params, grads, lr_t)
+        if ema is not None:
+            for k, v in params.items():
+                ema[k] += (1.0 - ema_decay) * (v - ema[k])
+        trace.append((step, loss, lr_t, grad_norm))
+    if ema is not None:
+        for k, v in ema.items():
+            np.copyto(params[k], v)
+    return trace
+
+
+def _fit_matches_reference(params, make_loss_and_grad, steps, **settings):
+    """Run nn.fit and _ref_fit, each on its own copy of params, through
+    make_loss_and_grad(copy); assert that fit packed the copy into one
+    buffer and that both give bitwise the same params and trace. Returns
+    fit's trace."""
+    runs = []
+    for fit in (nn.fit, _ref_fit):
+        copy = {k: v.copy() for k, v in params.items()}
+        runs.append((copy, fit(copy, make_loss_and_grad(copy), steps, **settings)))
+    (packed, trace), (ref, ref_trace) = runs
+    assert [(k, v.shape, v.dtype) for k, v in packed.items()] == [
+        (k, v.shape, np.float64) for k, v in params.items()]
+    buffer = next(iter(packed.values())).base
+    assert buffer.ndim == 1 and buffer.size == sum(v.size for v in packed.values())
+    views = list(packed.values())
+    for i, a in enumerate(views):
+        assert a.base is buffer and a.flags.c_contiguous
+        assert not any(np.shares_memory(a, b) for b in views[i + 1 :])
+    for k, v in ref.items():
+        assert np.array_equal(packed[k].view(np.uint64), v.view(np.uint64)), k
+    assert trace == ref_trace
+    return trace
+
+
+def _flow_loss(cfg, seed):
+    """make_loss_and_grad for cfm_loss on a cfg field whose step s draws its
+    batch of 8 from substream "step{s}" of RngStream(seed)."""
+    shape = (8, cfg.seq_len or 6, cfg.width)
+
+    def make(params):
+        model = flow.VectorFieldModel(cfg, params)
+
+        def loss_and_grad(step):
+            sub = RngStream(seed).substream(f"step{step}")
+            x0 = sub.substream("x0").normal(shape)
+            x1 = sub.substream("x1").normal(shape)
+            return flow.cfm_loss(model, x0, x1, sub.substream("t").uniform(shape[0]))
+
+        return loss_and_grad
+
+    return make
+
+
+def _perturbed_flow_params(cfg, seed):
+    params = flow.init_flow_model(cfg, RngStream(seed)).params
+    noise = RngStream(seed).substream("perturb")
+    return {k: v + 0.1 * noise.substream(k).normal(v.shape) for k, v in params.items()}
+
+
+_FLOW_FIT = dict(lr=1e-2, lr_min=1e-3, warmup=5, weight_decay=0.01, betas=(0.9, 0.98), eps=1e-6)
+
+
+def test_fit_matches_the_per_key_reference_bitwise():
+    cfg = flow.VectorFieldConfig(depth=2, width=4, hidden=16, attention=True, seq_len=6)
+    trace = _fit_matches_reference(_perturbed_flow_params(cfg, 1), _flow_loss(cfg, 2), 60,
+                                   clip=1.5, **_FLOW_FIT)
+    norms = [row[3] for row in trace]
+    assert min(norms) < 1.5 < max(norms)  # clipped on some steps, not on others
+
+    plain = flow.VectorFieldConfig(depth=2, width=4, hidden=16)
+    _fit_matches_reference(_perturbed_flow_params(plain, 3), _flow_loss(plain, 4), 60,
+                           clip=1.0, ema_decay=0.9, **_FLOW_FIT)
+
+    gen = np.random.default_rng(5)
+    h, y = gen.normal(size=(50, 8)), gen.integers(0, 20, size=50)
+
+    def decoder_loss(params):
+        def loss_and_grad(step):
+            idx = np.random.default_rng(step).integers(0, 50, size=16)
+            return latent.decoder_loss_and_grad(params, h[idx], y[idx])
+
+        return loss_and_grad
+
+    _fit_matches_reference(latent.init_decoder(8, 16, RngStream(6)), decoder_loss, 60,
+                           lr=1e-2, lr_min=1e-3, warmup=5, clip=1.0, weight_decay=0.01,
+                           betas=(0.9, 0.98), eps=1e-8)
+
+    rows = np.tanh(gen.normal(size=(80, 8)))
+
+    def compressor_loss(params):
+        def loss_and_grad(step):
+            idx = np.random.default_rng(step).integers(0, 80, size=16)
+            return latent.compressor_loss_and_grad(params, rows[idx])
+
+        return loss_and_grad
+
+    _fit_matches_reference(latent.init_compressor(8, 2, RngStream(7)), compressor_loss, 60,
+                           lr=1e-2, lr_min=1e-3, warmup=5, clip=1.0, weight_decay=0.01,
+                           betas=(0.9, 0.999), eps=1e-8, cycles=2)
+
+
+def _recorded_steps(monkeypatch):
+    """A list that gets a copy of the flat gradient of each AdamW.step call."""
+    seen = []
+    adamw_step = nn.AdamW.step
+
+    def recorded_step(self, params, grads, lr):
+        seen.append(grads.copy())
+        adamw_step(self, params, grads, lr)
+
+    monkeypatch.setattr(nn.AdamW, "step", recorded_step)
+    return seen
+
+
+def _fit_constant(params, grads, steps, clip):
+    return nn.fit(params, lambda step: (1.0, {k: g.copy() for k, g in grads.items()}), steps,
+                  1e-3, 1e-4, 0, clip, 0.0, betas=(0.9, 0.98), eps=1e-8)
+
+
+def test_fit_clips_to_the_global_norm(monkeypatch):
+    seen = _recorded_steps(monkeypatch)
     grads = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}
-    assert nn.global_norm(grads) == pytest.approx(5.0)
-    norm = nn.clip_grads_(grads, 1.0)
-    assert norm == pytest.approx(5.0)
-    assert nn.global_norm(grads) == pytest.approx(1.0, rel=1e-9)
+    trace = _fit_constant({"a": np.zeros(2), "b": np.zeros((1, 1))}, grads, 1, 1.0)
+    assert trace[0][3] == pytest.approx(5.0)  # the norm before clipping
+    assert math.sqrt(float((seen[0] ** 2).sum())) == pytest.approx(1.0, rel=1e-9)
     # under the cap nothing changes
-    grads2 = {"a": np.array([0.3])}
-    nn.clip_grads_(grads2, 1.0)
-    assert grads2["a"][0] == 0.3
+    _fit_constant({"a": np.zeros(1)}, {"a": np.array([0.3])}, 1, 1.0)
+    assert seen[1][0] == 0.3
 
 
 def test_adamw_single_step_oracle():
-    params = {"w": np.array([1.0])}
-    grads = {"w": np.array([0.5])}
+    params = np.array([1.0])
     opt = nn.AdamW(params, betas=(0.9, 0.98), eps=1e-6, weight_decay=0.1)
-    opt.step(params, grads, 0.01)
+    opt.step(params, np.array([0.5]), 0.01)
     # decoupled decay first, then bias-corrected adam update
     w = 1.0 - 0.01 * 0.1 * 1.0
     m_hat = (0.1 * 0.5) / (1 - 0.9)
     v_hat = (0.02 * 0.25) / (1 - 0.98)
     w -= 0.01 * m_hat / (math.sqrt(v_hat) + 1e-6)
-    assert params["w"][0] == pytest.approx(w, abs=1e-15)
+    assert params[0] == pytest.approx(w, abs=1e-15)
 
 
-def test_adamw_rejects_non_finite_grad():
-    params = {"w": np.ones(2)}
-    opt = nn.AdamW(params, betas=(0.9, 0.98), eps=1e-6, weight_decay=0.0)
-    with pytest.raises(Diverged):
-        opt.step(params, {"w": np.array([1.0, np.nan])}, 1e-3)
-
+def test_fit_rejects_non_finite_grad(monkeypatch):
+    seen = _recorded_steps(monkeypatch)
+    for bad in (math.nan, math.inf, -math.inf):
+        grads = {"a": np.ones(2), "b": np.array([1.0, bad]), "c": np.array([bad])}
+        with pytest.raises(Diverged, match=r"non-finite gradient for b$"):
+            _fit_constant({k: np.ones_like(g) for k, g in grads.items()}, grads, 3, 1.0)
+    assert not seen  # raised before the first update
+    # a finite gradient whose squared norm overflows is no divergence: it trains
+    # as the per-key loop did, clipped to zero, or unclipped at clip 0
+    grads = {"a": np.array([1e200, 1.0]), "b": np.ones(3)}
+    for clip in (1.0, 0.0):
+        with np.errstate(over="ignore"):
+            trace = _fit_matches_reference(
+                {"a": np.ones(2), "b": np.ones(3)},
+                lambda params: lambda step: (1.0, {k: g.copy() for k, g in grads.items()}), 3,
+                lr=1e-3, lr_min=1e-4, warmup=0, clip=clip, weight_decay=0.01,
+                betas=(0.9, 0.98), eps=1e-8)
+        assert all(row[3] == math.inf for row in trace)
 
 
 def test_fit_raises_diverged_at_the_first_non_finite_loss(monkeypatch):
