@@ -81,6 +81,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from protflow import cli, flow, kernels, latent, nn, ode  # noqa: E402
+from protflow.config import solver_config  # noqa: E402
 from protflow.numeric import RngStream  # noqa: E402
 from protflow.seqio import read_fasta, tokenize  # noqa: E402
 
@@ -107,7 +108,7 @@ TRAIN_CORPUS = 500
 CANONICAL_CORPUS = os.path.join(ROOT, "runs", "single_chain", "corpus.fasta")
 TRAIN_CALLS = 200
 
-FLOW_CFG = dict(depth=2, width=8, hidden=64)
+FLOW_CFG = dict(depth=2, width=8, hidden=64, attention=False, seq_len=None)
 OPT_FIELDS = (
     ("criterion 8", dict(depth=4, width=1, hidden=64, attention=True, seq_len=2)),
     ("canonical", FLOW_CFG),
@@ -261,9 +262,12 @@ def bench_sampling():
         label = f"flow_forward {n}x{FLOW_LENGTH}x{FLOW_CFG['width']}, per call"
         print(f"{label:<34} {best / FORWARD_CALLS * 1e6:>8.1f}us "
               f"{median / FORWARD_CALLS * 1e6:>8.1f}us")
+    # each setting a solve leaves unset takes its config.SCHEMA default, as in sample
+    adaptive = solver_config({"solver.method": "dopri5-adaptive"})
+    fixed = solver_config({"solver.method": "dopri5", "solver.steps": 25})
     solves = (
-        ("dopri5-adaptive, 2 lanes", lanes(2), ode.SolverConfig(method="dopri5-adaptive")),
-        ("dopri5 x25, 16 lanes", lanes(16), ode.SolverConfig(method="dopri5", steps=25)),
+        ("dopri5-adaptive, 2 lanes", lanes(2), adaptive),
+        ("dopri5 x25, 16 lanes", lanes(16), fixed),
     )
     for label, x1, config in solves:
         res, best, median = timed(lambda: ode.solve_lanes(field, x1, config))

@@ -17,9 +17,9 @@ checks a key, present or missing, by calling it: meta_chains
 (multichain.ChainLayout, so each l_max in [1, multichain.L_MAX_CAP]),
 meta_length_dists (seqio.LengthDistribution.from_dict) and flow_config
 (flow.VectorFieldConfig). A reader raises MalformedHeader naming its key,
-and a missing key fails its reader's rule. "clamp_k" records
-latent.CLAMP_K; applying the smoothing does not read it. Writes are atomic
-(fileio.write_atomic).
+and a missing key fails its reader's rule. "clamp_k", a finite number > 0,
+records latent.CLAMP_K; applying the smoothing does not read it. Writes are
+atomic (fileio.write_atomic).
 
 Parameters are dicts of named arrays; pack(params, prefix) stores each
 under prefix + name, so a checkpoint is all a command needs to resume or
@@ -55,7 +55,7 @@ from .fileio import write_atomic
 from .flow import VectorFieldConfig, VectorFieldModel, param_shapes
 from .latent import pipeline_shapes
 from .multichain import ChainLayout, ChainSpec
-from .numeric import ABOVE_0, is_int, is_number
+from .numeric import ABOVE_0, FINITE, is_int, is_number
 from .seqio import LengthDistribution
 
 MAGIC = b"PFLW"
@@ -151,8 +151,8 @@ def _check_meta(path, meta):
         return
     if not is_latent_dim(meta.get("dim")):
         raise MalformedHeader(f"{path}: metadata 'dim' must be an even integer in [2, {SIZE_CAP}]")
-    if not is_number(meta.get("clamp_k"), ABOVE_0, math.inf):
-        raise MalformedHeader(f"{path}: metadata 'clamp_k' must be a positive number")
+    if not is_number(meta.get("clamp_k"), ABOVE_0, FINITE):
+        raise MalformedHeader(f"{path}: metadata 'clamp_k' must be a finite positive number")
     try:
         meta_chains(meta)
         meta_length_dists(meta)

@@ -101,10 +101,7 @@ def _config_chains(cfg):
     model.L_max when the chains key is unset."""
     if cfg["chains"] is None:
         return [multichain.ChainSpec("", cfg["model.L_max"], None)]
-    return [
-        multichain.ChainSpec(name, l_max, None)
-        for name, l_max in config.parse_chains_value(cfg["chains"])
-    ]
+    return config.parse_chains_value(cfg["chains"])
 
 
 def _load_corpus(path, chains):
@@ -342,7 +339,7 @@ def cmd_reflow(args):
     tensors, meta = checkpoint.load_checkpoint(args.init)
     _expect_kind(meta, ("flow", "reflow"), args.init)
     model = checkpoint.unpack_flow(tensors, meta)
-    solver = config.solver_config(cfg)
+    solver = config.solver_config(cfg.to_dict())
     root = numeric.RngStream(cfg["train.seed"])
     z0, z1 = flow.reflow_pairs(model, solver, cfg["reflow.pairs"], root.substream("reflow-pairs"))
     s_before = flow.straightness(model, z0, z1, n_t=8)
@@ -364,20 +361,18 @@ def cmd_reflow(args):
 
 def _solver_with_overrides(meta, args):
     """Each solver setting from its flag (--method, --steps, --atol, --rtol),
-    else from the checkpoint's config snapshot, else the default. A snapshot
-    setting that SolverConfig rejects is a MalformedHeader, whatever the
-    flags; a bad flag is its ConfigError."""
+    else from the checkpoint's config snapshot, else its SCHEMA default. A
+    snapshot setting that SolverConfig rejects is a MalformedHeader, whatever
+    the flags; a bad flag is its ConfigError."""
     snapshot = meta.get("config") or {}
     if not isinstance(snapshot, dict):
         raise MalformedHeader(f"{args.checkpoint}: metadata 'config' must be an object")
-    settings = {n: snapshot.get("solver." + n) for n in ode.SETTINGS}
-    settings = {n: value for n, value in settings.items() if value is not None}
     try:
-        ode.SolverConfig(**settings)
+        config.solver_config(snapshot)
     except ConfigError as e:
         raise MalformedHeader(f"{args.checkpoint}: config snapshot: {e}") from None
-    settings.update((n, getattr(args, n)) for n in ode.SETTINGS if getattr(args, n) is not None)
-    return ode.SolverConfig(**settings)
+    flags = {"solver." + n: getattr(args, n) for n in ode.SETTINGS if getattr(args, n) is not None}
+    return config.solver_config({**snapshot, **flags})
 
 
 def cmd_sample(args):
@@ -417,7 +412,7 @@ def cmd_sample(args):
 
 
 def _read_scores(path):
-    """Two-column CSV (sequence_id, score); a header row is allowed."""
+    """Two-column CSV (sequence_id, finite score); a header row is allowed."""
     import csv
 
     import numpy as np
@@ -441,6 +436,8 @@ def _read_scores(path):
             if i == 0:
                 continue
             raise DataError(f"{path}:{i + 1}: bad score {row[1]!r}") from None
+        if not np.isfinite(scores[-1]):
+            raise DataError(f"{path}:{i + 1}: non-finite score {row[1]!r}")
     if not scores:
         raise DataError(f"no scores in {path}")
     return np.array(scores, dtype=np.float64)
@@ -455,6 +452,8 @@ def cmd_eval(args):
 
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
+    if not all(np.isfinite(t) for t in args.threshold or ()):
+        raise ConfigError(f"--threshold values must be finite, got {args.threshold}")
     gen = [s for _, s in seqio.read_fasta(args.gen)]
     ref = [s for _, s in seqio.read_fasta(args.ref)]
     if not gen:

@@ -5,10 +5,11 @@ lines ignored. Keys are dotted paths from the schema below; unknown keys are
 rejected so a typo cannot silently fall back to a default. Values are typed
 (int / float / bool / str). Each SCHEMA row holds its key's type, default and
 inclusive bounds, and its default is the only one: the trainers take each
-train.* optimizer setting as a required argument. ode.SolverConfig alone
-checks the solver.* keys, and multichain.ChainLayout the chains a chains
-value names. CLI `--set key=value` flags override file values. Paths named
-by data.* must exist at load time.
+train.* optimizer setting, ode.SolverConfig (their one check) each solver.*
+setting and flow.VectorFieldConfig model.attention as a required argument.
+multichain.ChainLayout checks the chains a chains value names. CLI `--set
+key=value` flags override file values. Paths named by data.* must exist at
+load time.
 """
 
 import math
@@ -24,10 +25,9 @@ from .ode import SETTINGS, SolverConfig
 # table over range(depth) before it compares a single tensor.
 SIZE_CAP = 4096
 
-# key -> (type tag, default, lo, hi): an int or float key must lie in [lo, hi].
-# None default = unset (allowed for paths/chains). Keys without bounds are
-# checked elsewhere: model.D by is_latent_dim, solver.* by ode.SolverConfig,
-# chains by parse_chains_value.
+# key -> (type tag, default, lo, hi), the key's one default: an int or float key
+# must lie in [lo, hi], and None means unset (paths, chains). Keys without bounds
+# are checked by is_latent_dim (model.D), ode.SolverConfig and parse_chains_value.
 SCHEMA = {
     "model.depth": ("int", 2, 1, SIZE_CAP),
     "model.width": ("int", 64, 1, SIZE_CAP),
@@ -113,8 +113,9 @@ def parse_config_text(text, values=None):
 
 
 def solver_config(values):
-    """The SolverConfig of the solver.* keys of a Config or values dict."""
-    return SolverConfig(**{name: values["solver." + name] for name in SETTINGS})
+    """The SolverConfig of a values dict's solver.* keys, a missing or null one its default."""
+    keys = ["solver." + name for name in SETTINGS]
+    return SolverConfig(*(SCHEMA[k][1] if values.get(k) is None else values[k] for k in keys))
 
 
 def is_latent_dim(dim):
@@ -180,7 +181,7 @@ def load_config(path=None, overrides=None):
 
 def parse_chains_value(text):
     """Parse the chains key: comma-separated name:length pairs, e.g. "A:30,B:24",
-    that must form a multichain.ChainLayout. Returns the (name, length) pairs."""
+    that must form a multichain.ChainLayout. Returns its ChainSpecs."""
     chains = []
     for part in text.split(","):
         part = part.strip()
@@ -197,7 +198,6 @@ def parse_chains_value(text):
     if not chains:
         raise ConfigError("chains is set but names no chains")
     try:
-        ChainLayout([ChainSpec(name, l_max, None) for name, l_max in chains])
+        return ChainLayout([ChainSpec(name, l_max, None) for name, l_max in chains]).chains
     except LayoutMismatch as e:
         raise ConfigError(f"chains: {e}") from None
-    return chains

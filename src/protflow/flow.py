@@ -13,8 +13,8 @@ input of block b (for b < B//2) is linearly projected and added to the
 input of block B-1-b (long skips). A single-head self-attention sublayer
 per block, plus a learned positional table, can be switched on when
 positions must interact (e.g. jointly-modeled chains). VectorFieldConfig is
-the one check of those shapes and switches, whether a config or a
-checkpoint's flow_cfg gives them.
+the one check of those shapes and switches, whether a config (whose SCHEMA
+holds model.attention's one default) or a checkpoint's flow_cfg gives them.
 """
 
 import functools
@@ -47,8 +47,8 @@ class VectorFieldConfig:
         width: per-position channel count W (the flow operates on (L, W)).
         hidden: MLP hidden width H.
         attention: a bool; enables per-block single-head self-attention.
-        seq_len: an int or None, the positional-table length; required when
-            attention is on.
+        seq_len: an int or None, the positional-table length; a nonzero int
+            when attention is on.
         time_dim: sinusoidal time-feature width (even); default max(8, W
             rounded up to even).
         time_scale: multiplier of t in the time features, a number in (0,
@@ -60,7 +60,7 @@ class VectorFieldConfig:
     __slots__ = ("depth", "width", "hidden", "attention", "seq_len", "time_dim", "time_scale")
 
     def __init__(
-        self, depth, width, hidden, attention=False, seq_len=None, time_dim=None,
+        self, depth, width, hidden, attention, seq_len, time_dim=None,
         time_scale=TIME_SCALE,
     ):
         if time_dim is None and is_int(width):

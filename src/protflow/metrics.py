@@ -52,8 +52,12 @@ HYDROPATHY = {
 # below their pKa; negative groups lose one above theirs.
 PKA_POSITIVE = {"nterm": 8.6, "K": 10.8, "R": 12.5, "H": 6.5}
 PKA_NEGATIVE = {"cterm": 3.6, "D": 3.9, "E": 4.1, "C": 8.5, "Y": 10.1}
+PI_TOL = 1e-4
 
 AROMATIC = frozenset("FWY")
+
+# The largest batch ot_levenshtein solves: its assignment costs O(n^3).
+OT_CAP = 512
 
 PROPERTY_NAMES = (
     "length",
@@ -131,7 +135,7 @@ def uniqueness(batch):
     return len(set(batch)) / len(batch)
 
 
-def ot_levenshtein(batch_a, batch_b, cap=512):
+def ot_levenshtein(batch_a, batch_b):
     """Optimal-assignment mean edit distance between two equal-size batches.
 
     The n x n edit-distance matrix is solved exactly (integer costs), and
@@ -142,8 +146,8 @@ def ot_levenshtein(batch_a, batch_b, cap=512):
         raise UnequalSizes(f"{n} vs {len(batch_b)}")
     if n == 0:
         raise EmptyInput("empty batches")
-    if n > cap:
-        raise BatchTooLarge(f"n={n} exceeds cap {cap}")
+    if n > OT_CAP:
+        raise BatchTooLarge(f"n={n} exceeds cap {OT_CAP}")
     cost = kernels.cross_edit_matrix(batch_a, batch_b)
     total, _ = kernels.assignment_min_cost(cost)
     return total / n
@@ -262,11 +266,11 @@ def net_charge(seq, ph):
     return _charge(*_ionizable_pkas(seq), ph)
 
 
-def isoelectric_point(seq, tol=1e-4):
-    """pH where the net charge crosses zero, by bisection on [0, 14]."""
+def isoelectric_point(seq):
+    """pH where the net charge crosses zero, by bisection on [0, 14] to PI_TOL."""
     pos, neg = _ionizable_pkas(seq)
     lo, hi = 0.0, 14.0
-    while hi - lo > tol:
+    while hi - lo > PI_TOL:
         mid = 0.5 * (lo + hi)
         if _charge(pos, neg, mid) > 0:
             lo = mid
@@ -307,7 +311,7 @@ def wasserstein_1d(a, b):
     return float(np.sum(np.abs(ca - cb) * deltas))
 
 
-def w_property(gen_batch, ref_batch, properties=PROPERTY_NAMES):
+def w_property(gen_batch, ref_batch):
     """Average 1-D Wasserstein distance over jointly min-max-normalized
     property distributions. Properties constant across both batches carry no
     signal and are skipped with a warning."""
@@ -315,16 +319,13 @@ def w_property(gen_batch, ref_batch, properties=PROPERTY_NAMES):
         raise EmptyInput("both batches must be nonempty")
     gen_vecs = np.array([property_vector(s) for s in gen_batch])
     ref_vecs = np.array([property_vector(s) for s in ref_batch])
-    idx = [PROPERTY_NAMES.index(p) for p in properties]
     dists = []
-    for i in idx:
-        g = gen_vecs[:, i]
-        r = ref_vecs[:, i]
+    for name, g, r in zip(PROPERTY_NAMES, gen_vecs.T, ref_vecs.T):
         lo = min(g.min(), r.min())
         hi = max(g.max(), r.max())
         if hi - lo <= 0.0:
             warnings.warn(
-                f"property {PROPERTY_NAMES[i]} identical everywhere; skipped",
+                f"property {name} identical everywhere; skipped",
                 DegeneratePropertyWarning,
             )
             continue

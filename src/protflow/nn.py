@@ -17,6 +17,7 @@ from .errors import Diverged
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _GELU_3A = 3 * _GELU_A
+_LN_EPS = 1e-5
 
 # The GELU functions run each formula in the order written in their comments,
 # but through one or two buffers updated in place: every fresh activation-sized
@@ -55,11 +56,9 @@ def gelu(x, return_tanh=False):
     return z
 
 
-def gelu_grad(x, t=None):
-    """d gelu / dx. t is the forward pass's tanh value; recomputed when None."""
+def gelu_grad(x, t):
+    """d gelu / dx, where t is the forward pass's tanh value."""
     # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 3A * (x * x))
-    if t is None:
-        t = _gelu_tanh(x)
     b = x * 0.5
     s = t * t
     np.subtract(1.0, s, out=s)
@@ -75,12 +74,12 @@ def gelu_grad(x, t=None):
     return s
 
 
-def layernorm_forward(x, gamma, beta, eps=1e-5):
+def layernorm_forward(x, gamma, beta):
     """Normalize over the last axis. Returns (y, cache) for the backward pass."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     y = gamma * xhat + beta
     return y, (xhat, inv, gamma)
@@ -164,7 +163,7 @@ def time_features(t, dim, scale):
     return out
 
 
-def cosine_lr(step, total_steps, peak, lr_min, warmup, cycles=1):
+def cosine_lr(step, total_steps, peak, lr_min, warmup, cycles):
     """Linear warmup to peak, then cosine decay to lr_min over `cycles` restarts."""
     if warmup > 0 and step < warmup:
         return peak * (step + 1) / warmup

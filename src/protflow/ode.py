@@ -13,9 +13,9 @@ solve_lanes integrates n independent states with one field call per stage
 for every lane still running, and solve, over one state, is its one-lane
 case.
 
-SolverConfig is the one check of the solver settings (method, steps, atol,
-rtol), and METHODS the one list of methods. An adaptive solve may spend
-MAX_NFE field evaluations per lane.
+SolverConfig takes and checks every solver setting (method, steps, atol,
+rtol; config.SCHEMA holds their one default), and METHODS is the one list
+of methods. An adaptive solve may spend MAX_NFE field evaluations per lane.
 """
 
 import numpy as np
@@ -68,7 +68,7 @@ class SolverConfig:
 
     __slots__ = SETTINGS
 
-    def __init__(self, method="dopri5", steps=25, atol=1e-6, rtol=1e-6):
+    def __init__(self, method, steps, atol, rtol):
         if not isinstance(method, str) or method not in METHODS:
             raise ConfigError(f"solver.method must be one of {', '.join(METHODS)}, got {method!r}")
         self.method = "dopri5-fixed" if method == "dopri5" else method

@@ -19,6 +19,7 @@ import pytest
 
 from protflow import cli, kernels, latent
 from protflow.checkpoint import file_sha256, load_checkpoint, save_checkpoint
+from protflow.config import solver_config
 from protflow.flow import (
     VectorFieldConfig,
     VectorFieldModel,
@@ -46,8 +47,14 @@ from protflow.metrics import (
 )
 from protflow.multichain import ChainLayout, ChainSpec, split_latents
 from protflow.numeric import RngStream, grad_check, mean_cov, psd_sqrt
-from protflow.ode import SolverConfig, solve
+from protflow.ode import solve
 from protflow.seqio import AMINO_ACIDS, read_fasta, tokenize
+
+
+def _solver(**settings):
+    """The SolverConfig of settings, and config.SCHEMA's default for each other one."""
+    return solver_config({"solver." + name: value for name, value in settings.items()})
+
 
 # --- criterion 1: analytic gradients vs central finite differences ------------------
 
@@ -60,7 +67,7 @@ def test_criterion_1_gradients(criterion):
     tol = 1e-4
 
     # Rectified-flow training loss, batch 2, channel width 8.
-    cfg = VectorFieldConfig(2, 8, 16)
+    cfg = VectorFieldConfig(2, 8, 16, attention=False, seq_len=None)
     flow_params = _perturb(init_flow_model(cfg, RngStream(11)).params,
                            RngStream(11).substream("perturb"))
     gen = np.random.default_rng(12)
@@ -113,7 +120,7 @@ def test_criterion_2_interpolation_and_planted_field(criterion):
     def planted(x, t):
         return np.broadcast_to(eps - target, x.shape)
 
-    res = solve(planted, eps, SolverConfig(method="euler", steps=1))
+    res = solve(planted, eps, _solver(method="euler", steps=1))
     recovered_exact = np.array_equal(res.x0, target) and res.nfe == 1
 
     criterion(
@@ -133,7 +140,7 @@ def test_criterion_3_solver_accuracy_and_nfe(criterion):
     # dx/dt = x from t=1 to t=0 has the closed form x(0) = x(1) * e^{-1}.
     x1 = gen.normal(size=(4, 3))
     res_ad = solve(
-        lambda x, t: x, x1, SolverConfig(method="dopri5-adaptive", atol=1e-8, rtol=1e-8)
+        lambda x, t: x, x1, _solver(method="dopri5-adaptive", atol=1e-8, rtol=1e-8)
     )
     exp_err = float(np.max(np.abs(res_ad.x0 - x1 * math.exp(-1.0))))
 
@@ -143,11 +150,11 @@ def test_criterion_3_solver_accuracy_and_nfe(criterion):
 
     integral = 3.0 / 5.0 - 2.0 / 4.0 + 1.0 / 3.0 - 1.0 / 2.0 + 0.5
     x1p = gen.normal(size=(2, 3))
-    res_poly = solve(quartic, x1p, SolverConfig(method="dopri5-fixed", steps=1))
+    res_poly = solve(quartic, x1p, _solver(method="dopri5-fixed", steps=1))
     poly_err = float(np.max(np.abs(res_poly.x0 - (x1p - integral))))
 
-    res_euler = solve(lambda x, t: x, x1, SolverConfig(method="euler", steps=7))
-    res_fixed = solve(lambda x, t: x, x1, SolverConfig(method="dopri5-fixed", steps=4))
+    res_euler = solve(lambda x, t: x, x1, _solver(method="euler", steps=7))
+    res_fixed = solve(lambda x, t: x, x1, _solver(method="dopri5-fixed", steps=4))
     nfe_ok = res_poly.nfe == 6 and res_euler.nfe == 7 and res_fixed.nfe == 24
 
     passed = exp_err < 1e-7 and poly_err < 1e-12 and nfe_ok
@@ -188,7 +195,7 @@ def toy2d():
     )
 
     train = draw_mixture(rng.substream("train"), 4096)[:, None, :]
-    cfg = VectorFieldConfig(depth=4, width=2, hidden=64, attention=False)
+    cfg = VectorFieldConfig(depth=4, width=2, hidden=64, attention=False, seq_len=None)
     model = init_flow_model(cfg, rng.substream("model-42"))
     model, _ = train_rf(
         model, train, RngStream(42), steps=20000, batch=64, lr=1e-3, lr_min=5e-5, warmup=500,
@@ -203,7 +210,7 @@ def toy2d():
             def field(x, t):
                 return flow_forward(m, x, np.full(x.shape[0], t))
 
-            pts = solve(field, z1, SolverConfig(method=method, steps=steps)).x0[:, 0, :]
+            pts = solve(field, z1, _solver(method=method, steps=steps)).x0[:, 0, :]
             vals.append(float(mmd_rbf(pts, held)))
         return float(np.mean(vals))
 
@@ -233,7 +240,7 @@ def test_criterion_5_reflow_straightens(toy2d, criterion):
     t_start = time.time()
     model, rng, pre25 = toy2d["model"], toy2d["rng"], toy2d["pre25"]
 
-    solver = SolverConfig(method="dopri5", steps=25)
+    solver = _solver(method="dopri5", steps=25)
     z0, z1 = reflow_pairs(model, solver, 2048, rng.substream("pairs"))
     s_before = straightness(model, z0, z1, 8)
     model2, _ = train_reflow(
@@ -465,7 +472,7 @@ def test_criterion_8_multichain_coupling(criterion):
         warmup=500, weight_decay=0.01, clip=1.0, ema_decay=0.9995,
     )
 
-    solver = SolverConfig(method="dopri5", steps=25)
+    solver = _solver(method="dopri5", steps=25)
 
     def sample_latents(m, tag, positions):
         eps = rng.substream(tag).normal((n_gen, positions, 1))

@@ -470,7 +470,9 @@ def test_unpack_pipeline_checks_every_shape():
 
 
 def test_pack_unpack_flow(tmp_path):
-    cfg = VectorFieldConfig(depth=2, width=3, hidden=8, attention=False, time_scale=3.5)
+    cfg = VectorFieldConfig(
+        depth=2, width=3, hidden=8, attention=False, seq_len=None, time_scale=3.5
+    )
     model = init_flow_model(cfg, RngStream(11))
     tensors, meta = ckpt.pack_flow(model)
     assert all(key.startswith("flow.") for key in tensors)
@@ -505,7 +507,7 @@ def test_pack_unpack_flow(tmp_path):
 
 
 def test_unpack_flow_incompatible():
-    cfg = VectorFieldConfig(depth=1, width=2, hidden=4, attention=False)
+    cfg = VectorFieldConfig(depth=1, width=2, hidden=4, attention=False, seq_len=None)
     model = init_flow_model(cfg, RngStream(12))
     tensors, meta = ckpt.pack_flow(model)
     with pytest.raises(IncompatibleCheckpoint):
@@ -516,7 +518,7 @@ def test_unpack_flow_incompatible():
 
 def test_combined_pipeline_and_flow_checkpoint(tmp_path):
     pipe = _toy_pipeline()
-    cfg = VectorFieldConfig(depth=2, width=4, hidden=8, attention=False)
+    cfg = VectorFieldConfig(depth=2, width=4, hidden=8, attention=False, seq_len=None)
     model = init_flow_model(cfg, RngStream(22))
 
     pipe_tensors = _pack_pipeline(pipe)
@@ -579,8 +581,10 @@ def test_pipeline_kinds_need_their_metadata(tmp_path, kind, chains):
     bad_chains = [[{"name": "A"}], [{"name": 3, "l_max": 3}], [{"name": "A", "l_max": True}],
                   []] + [[{"name": a, "l_max": 3}, {"name": b, "l_max": 4}]
                          for a, b in (("A", "A"), ("", "B"), ("B", ""))]
-    # dim follows model.D's rule: an int (not a bool) in [1, SIZE_CAP], and even
-    bad_values = {"dim": ["8", 7, 8.0, True, 0, -2, SIZE_CAP + 2], "clamp_k": [True],
+    # dim follows model.D's rule: an int (not a bool) in [1, SIZE_CAP], and even;
+    # clamp_k is a finite number > 0
+    bad_values = {"dim": ["8", 7, 8.0, True, 0, -2, SIZE_CAP + 2],
+                  "clamp_k": [True, float("inf")],
                   "l_max": [0, True, 6.0, "6", L_MAX_CAP + 1],
                   "length_dist": [{"lengths": [2]}, {"lengths": [2, 5], "counts": [2**62] * 2}],
                   "chains": bad_chains, "length_dists": [{"A": {}}], "flow_cfg": bad_flow_cfgs}
@@ -613,7 +617,10 @@ def test_metadata_checks_only_pipeline_kinds(tmp_path):
 
 def test_unpack_flow_rejects_a_bad_flow_cfg():
     tensors, _ = ckpt.pack_flow(
-        init_flow_model(VectorFieldConfig(depth=1, width=2, hidden=4), RngStream(3))
+        init_flow_model(
+            VectorFieldConfig(depth=1, width=2, hidden=4, attention=False, seq_len=None),
+            RngStream(3),
+        )
     )
     for cfg in ({"width": 2, "hidden": 4}, {"depth": 1, "width": 2, "hidden": 4, "time_dim": 3}):
         with pytest.raises(MalformedHeader, match="flow_cfg"):

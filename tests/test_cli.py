@@ -22,9 +22,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import protflow
-from protflow import cli, errors
+from protflow import cli, errors, ode
 from protflow.checkpoint import file_sha256, load_checkpoint, pack_flow, save_checkpoint
-from protflow.config import L_MAX_CAP, SIZE_CAP
+from protflow.config import L_MAX_CAP, SCHEMA, SIZE_CAP
 from protflow.flow import TIME_SCALE, VectorFieldConfig, init_flow_model
 from protflow.latent import pipeline_shapes
 from protflow.numeric import RngStream
@@ -161,10 +161,13 @@ def test_stage_artifacts(workdir):
 
 def test_train_settings_default_only_in_the_schema():
     # every setting the CLI passes a trainer has its one default in its
-    # config.SCHEMA row, and nn.fit passes every AdamW setting; the encoder
-    # settings default only in their SCHEMA rows, and the eval embedder's and
-    # k-mer size only in eval's flags (cli._EMBED_DIM, --seed, --k)
-    from protflow import flow, latent, metrics, nn
+    # config.SCHEMA row, and nn.fit passes every AdamW setting; the encoder,
+    # solver.* and model.attention settings default only in their SCHEMA rows,
+    # and the eval embedder's and k-mer size only in eval's flags
+    # (cli._EMBED_DIM, --seed, --k). The knobs no command sets are constants
+    # (metrics.OT_CAP, metrics.PI_TOL, every property, the layer norm's
+    # epsilon), and nn.fit passes the schedule's cycles and the GELU's tanh.
+    from protflow import flow, latent, metrics, nn, ode
     from protflow.config import load_config
 
     keys = set(cli._train_args(load_config()))
@@ -177,9 +180,15 @@ def test_train_settings_default_only_in_the_schema():
     for fn, names in ((nn.AdamW, ("betas", "eps", "weight_decay")),
                       (latent.init_encoder, ("embed_scale", "embed_rank")),
                       (latent.embed_sequences, ("dim", "seed")),
-                      (metrics.kmer_jaccard, ("k",))):
+                      (metrics.kmer_jaccard, ("k",)),
+                      (ode.SolverConfig, ode.SETTINGS),
+                      (flow.VectorFieldConfig, ("attention", "seq_len"))):
         params = inspect.signature(fn).parameters
         assert all(params[k].default is inspect.Parameter.empty for k in names), fn.__name__
+    for fn in (metrics.ot_levenshtein, metrics.w_property, metrics.isoelectric_point,
+               nn.layernorm_forward, nn.cosine_lr, nn.gelu_grad):
+        params = inspect.signature(fn).parameters.values()
+        assert all(p.default is inspect.Parameter.empty for p in params), fn.__name__
 
 
 def test_train_rerun_is_bitwise_identical(workdir):
@@ -381,6 +390,16 @@ _BAD_CHAINS = tuple(f"chains={v}" for v in ("A:3,A:4", "A:0", f"A:{L_MAX_CAP + 1
           "--external-scores", "{root}"], 2),
         (["eval", "--gen", "{corpus}", "--ref", "{corpus}", "--out", "{root}/x",
           "--external-scores", "{not_utf8}"], 2),
+        # a non-finite threshold or score once counted as "not above", and a
+        # nan threshold was hashed into the report's config_hash
+        (["eval", "--gen", "{corpus}", "--ref", "{corpus}", "--out", "{root}/x",
+          "--external-scores", "{scores}", "--threshold", "nan", "--threshold", "inf"], 1),
+        (["eval", "--gen", "{corpus}", "--ref", "{corpus}", "--out", "{root}/x",
+          "--threshold=-inf"], 1),
+        (["eval", "--gen", "{corpus}", "--ref", "{corpus}", "--out", "{root}/x",
+          "--external-scores", "{nan_scores}", "--threshold", "0.5"], 2),
+        (["eval", "--gen", "{corpus}", "--ref", "{corpus}", "--out", "{root}/x",
+          "--external-scores", "{inf_scores}", "--threshold", "0.5"], 2),
         (["train-decoder", "--config", "{cfg}", "--out", "{root}/x.ckpt",
           "--set", "model.D=7", "--set", "model.ratio_c=1"], 1),
         (["train-decoder", "--config", "{cfg}", "--out", "{root}/x.ckpt",
@@ -390,7 +409,8 @@ _BAD_CHAINS = tuple(f"chains={v}" for v in ("A:3,A:4", "A:0", f"A:{L_MAX_CAP + 1
     ],
     ids=["inspect missing", "sample missing", "inspect directory", "sample directory",
          "eval missing gen", "eval directory ref", "eval non-UTF-8 gen", "eval k 0",
-         "eval directory scores", "eval non-UTF-8 scores", "odd model.D",
+         "eval directory scores", "eval non-UTF-8 scores", "eval threshold nan and inf",
+         "eval threshold -inf", "eval nan score", "eval -inf score", "odd model.D",
          "embed_rank above model.D", *_NON_FINITE_SETTINGS, *_BAD_CHAINS],
 )
 def test_exit_code_for_missing_and_invalid_inputs(workdir, argv, code):
@@ -399,6 +419,9 @@ def test_exit_code_for_missing_and_invalid_inputs(workdir, argv, code):
     not_utf8.write_bytes(b">s0\nAC\xff\n")
     paths = {"missing": root / "nonexistent", "root": root, "corpus": workdir["corpus"],
              "not_utf8": not_utf8, "cfg": workdir["cfg"]}
+    for name, score in (("scores", "0.5"), ("nan_scores", "nan"), ("inf_scores", "-inf")):
+        paths[name] = root / f"{name}.csv"
+        paths[name].write_text(f"id,score\ns0,0.5\ns1,{score}\n")
     proc = subprocess.run(
         [sys.executable, "-m", "protflow", *(arg.format(**paths) for arg in argv)],
         env=_protflow_env(), capture_output=True, text=True, timeout=120,
@@ -425,6 +448,17 @@ def test_exit_2_malformed_fasta(workdir):
          "--out", str(workdir["root"] / "x.ckpt"), "--set", f"data.train_path={bad}"]
     )
     assert code == 2
+
+
+def test_exit_2_non_finite_score_names_its_line(workdir, capsys):
+    scores = workdir["root"] / "nan_on_line_3.csv"
+    scores.write_text("id,score\ns0,0.5\ns1,nan\ns2,0.9\n")
+    code = cli.main(
+        ["eval", "--gen", workdir["corpus"], "--ref", workdir["corpus"],
+         "--out", str(workdir["root"] / "rx"), "--external-scores", str(scores)]
+    )
+    assert code == 2
+    assert f"{scores}:3: non-finite score 'nan'" in capsys.readouterr().err
 
 
 def test_exit_2_missing_scores(workdir):
@@ -661,6 +695,31 @@ def test_snapshot_solver_settings_of_their_schema_type_sample(workdir):
         sidecar = json.load(f)
     assert (sidecar["solver"], sidecar["steps"], sidecar["atol"]) == ("euler", 7, 1.0)
     assert sidecar["nfe"] == [7, 7]
+
+
+@pytest.mark.parametrize("missing", ["absent", "null"])
+def test_snapshot_without_solver_settings_samples_with_the_schema_defaults(workdir, missing):
+    # a snapshot that lacks a solver.* key, or sets it to null, takes the
+    # key's config.SCHEMA default; a flag still overrides it
+    tensors, meta = load_checkpoint(workdir["flow"])
+    keys = ["solver." + name for name in ode.SETTINGS]
+    for key in keys:
+        if missing == "absent":
+            del meta["config"][key]
+        else:
+            meta["config"][key] = None
+    path = str(workdir["root"] / f"snapshot_{missing}.ckpt")
+    save_checkpoint(path, tensors, meta)
+    default = ode.SolverConfig(*(SCHEMA[key][1] for key in keys))
+    assert default.method == "dopri5-fixed"  # six field evaluations a step
+    for flags, steps in (([], default.steps), (["--steps", "3"], 3)):
+        out = str(workdir["root"] / f"snapshot_{missing}.fasta")
+        assert cli.main(["sample", "--checkpoint", path, "--out", out, "--n", "2", *flags]) == 0
+        with open(out + ".json") as f:
+            sidecar = json.load(f)
+        assert [sidecar[k] for k in ("solver", "steps", "atol", "rtol")] == [
+            default.method, steps, default.atol, default.rtol]
+        assert sidecar["nfe"] == [6 * steps] * 2
 
 
 def test_exit_4_tensors_that_disagree_with_the_model(workdir, mc_workdir):
@@ -1303,7 +1362,7 @@ def test_flow_cfg_without_time_scale_samples_as_before(workdir, flags, digest, m
     # 1000: the digests and NFE were recorded by sampling this checkpoint with
     # the code that predates the key.
     tensors, meta = load_checkpoint(workdir["pipe"])
-    model = init_flow_model(VectorFieldConfig(2, 4, 16), RngStream(61))
+    model = init_flow_model(VectorFieldConfig(2, 4, 16, False, None), RngStream(61))
     for key, val in model.params.items():
         model.params[key] = val + 0.3 * RngStream(62).substream(key).normal(val.shape)
     flow_tensors, flow_meta = pack_flow(model)

@@ -154,9 +154,16 @@ def test_to_dict_is_a_copy():
     assert cfg["model.D"] == 64
 
 
+def _chain_pairs(text):
+    """The (name, l_max) of each ChainSpec parse_chains_value returns."""
+    chains = parse_chains_value(text)
+    assert all(c.pipeline is None for c in chains)
+    return [(c.name, c.l_max) for c in chains]
+
+
 def test_parse_chains():
-    assert parse_chains_value("A:30,B:24") == [("A", 30), ("B", 24)]
-    assert parse_chains_value(" A : 30 , B:24 ") == [("A", 30), ("B", 24)]
+    assert _chain_pairs("A:30,B:24") == [("A", 30), ("B", 24)]
+    assert _chain_pairs(" A : 30 , B:24 ") == [("A", 30), ("B", 24)]
     # syntax errors, then multichain.ChainLayout's rules as ConfigError
     bad = [("A", "name:length"), (":5", "name:length"), ("A:x", "bad chain length"),
            (" , ", "names no chains"), ("A:3,A:4", "duplicate"), ("A:0", r"in \[1, "),
@@ -169,7 +176,7 @@ def test_parse_chains():
 def test_l_max_cap_is_inclusive():
     cfg = load_config(None, overrides=[f"model.L_max={L_MAX_CAP}", f"chains=A:{L_MAX_CAP}"])
     assert cfg["model.L_max"] == L_MAX_CAP
-    assert parse_chains_value(cfg["chains"]) == [("A", L_MAX_CAP)]
+    assert _chain_pairs(cfg["chains"]) == [("A", L_MAX_CAP)]
 
 
 def test_size_cap_is_inclusive():
@@ -180,7 +187,7 @@ def test_size_cap_is_inclusive():
 
 def test_chains_validated_inside_load():
     cfg = load_config(None, overrides=["chains=A:3,B:4"])
-    assert parse_chains_value(cfg["chains"]) == [("A", 3), ("B", 4)]
+    assert _chain_pairs(cfg["chains"]) == [("A", 3), ("B", 4)]
     with pytest.raises(ConfigError):
         load_config(None, overrides=["chains=A:0"])
 

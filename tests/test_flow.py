@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from protflow import flow, nn, ode
-from protflow.config import SIZE_CAP
+from protflow.config import SIZE_CAP, solver_config
 from protflow.errors import ShapeMismatch
 from protflow.numeric import RngStream, grad_check
+
+
+def _solver(**settings):
+    """The SolverConfig of settings, and config.SCHEMA's default for each other one."""
+    return solver_config({"solver." + name: value for name, value in settings.items()})
+
 
 # train_rf's and train_reflow's optimizer settings before config.SCHEMA held
 # the only defaults; the tests below were tuned at them
@@ -15,11 +21,11 @@ _RF_SETTINGS = dict(lr=1e-3, lr_min=2e-4, warmup=100, weight_decay=0.01, clip=1.
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        flow.VectorFieldConfig(0, 2, 8)
+        flow.VectorFieldConfig(0, 2, 8, attention=False, seq_len=None)
     with pytest.raises(ValueError):
-        flow.VectorFieldConfig(2, 2, 8, attention=True)  # needs seq_len
+        flow.VectorFieldConfig(2, 2, 8, attention=True, seq_len=None)  # needs seq_len
     with pytest.raises(ValueError):
-        flow.VectorFieldConfig(2, 2, 8, time_dim=7)
+        flow.VectorFieldConfig(2, 2, 8, attention=False, seq_len=None, time_dim=7)
     # sizes are ints (not bools or floats) up to the cap, attention a bool and
     # time_scale a number (not a bool) in (0, float max]
     bad = [dict(depth=1.0), dict(width=True), dict(hidden=SIZE_CAP + 1),
@@ -27,11 +33,13 @@ def test_config_validation():
            dict(time_scale=10**400), dict(time_scale=True)]
     for change in bad:
         with pytest.raises(ValueError):
-            flow.VectorFieldConfig(**{"depth": 2, "width": 2, "hidden": 8, **change})
-    cfg = flow.VectorFieldConfig(2, 2, 8)
+            flow.VectorFieldConfig(**{"depth": 2, "width": 2, "hidden": 8, "attention": False,
+                                      "seq_len": None, **change})
+    cfg = flow.VectorFieldConfig(2, 2, 8, attention=False, seq_len=None)
     assert cfg.time_dim == 8  # floor of 8
-    assert flow.VectorFieldConfig(2, 10, 8).time_dim == 10
-    assert flow.VectorFieldConfig(2, 9, 8).time_dim == 10  # rounded even
+    assert flow.VectorFieldConfig(2, 10, 8, attention=False, seq_len=None).time_dim == 10
+    # rounded even
+    assert flow.VectorFieldConfig(2, 9, 8, attention=False, seq_len=None).time_dim == 10
 
 
 def test_config_dict_round_trip():
@@ -41,7 +49,7 @@ def test_config_dict_round_trip():
 
 
 def test_init_is_identity_map():
-    cfg = flow.VectorFieldConfig(4, 3, 16)
+    cfg = flow.VectorFieldConfig(4, 3, 16, attention=False, seq_len=None)
     model = flow.init_flow_model(cfg, RngStream(0))
     x = np.random.default_rng(1).normal(size=(5, 7, 3))
     v = flow.flow_forward(model, x, 0.3)
@@ -80,7 +88,7 @@ def _perturbed_model(cfg, seed):
 
 
 def test_cfm_grad_matches_numeric_plain():
-    cfg = flow.VectorFieldConfig(3, 2, 6)
+    cfg = flow.VectorFieldConfig(3, 2, 6, attention=False, seq_len=None)
     model = _perturbed_model(cfg, 3)
     gen = np.random.default_rng(4)
     x0 = gen.normal(size=(2, 3, 2))
@@ -157,7 +165,7 @@ def test_rf_target():
 
 def test_cfm_loss_value_at_identity_init():
     # at init v(x_t, t) = x_t, so the loss is mean((x_t - (x1 - x0))^2)
-    cfg = flow.VectorFieldConfig(2, 2, 4)
+    cfg = flow.VectorFieldConfig(2, 2, 4, attention=False, seq_len=None)
     model = flow.init_flow_model(cfg, RngStream(0))
     gen = np.random.default_rng(9)
     x0 = gen.normal(size=(3, 2, 2))
@@ -173,7 +181,7 @@ def test_cfm_loss_value_at_identity_init():
 
 def test_planted_constant_offset_field():
     # block bias makes v(x, t) = x - c; one Euler step from noise lands on c
-    cfg = flow.VectorFieldConfig(2, 4, 8)
+    cfg = flow.VectorFieldConfig(2, 4, 8, attention=False, seq_len=None)
     model = flow.init_flow_model(cfg, RngStream(0))
     c = np.array([0.3, -1.2, 0.05, 2.0])
     model.params["block0.b2"] = -c
@@ -184,14 +192,14 @@ def test_planted_constant_offset_field():
     def field(x, t):
         return flow.flow_forward(model, x, np.full(x.shape[0], t))
 
-    res = ode.solve(field, eps, ode.SolverConfig(method="euler", steps=1))
+    res = ode.solve(field, eps, _solver(method="euler", steps=1))
     assert np.allclose(res.x0, np.broadcast_to(c, eps.shape), atol=1e-12)
 
 
 def test_train_rf_reduces_loss():
     rng = RngStream(11)
     data = rng.substream("data").normal((256, 1, 2)) * 0.5 + 1.0
-    cfg = flow.VectorFieldConfig(2, 2, 16)
+    cfg = flow.VectorFieldConfig(2, 2, 16, attention=False, seq_len=None)
     model = flow.init_flow_model(cfg, rng.substream("model"))
     model, trace = flow.train_rf(model, data, RngStream(0), steps=300, batch=32,
                                  **dict(_RF_SETTINGS, lr=2e-3, warmup=30))
@@ -204,7 +212,7 @@ def test_train_rf_reduces_loss():
 
 
 def test_train_rf_rejects_empty_dataset():
-    cfg = flow.VectorFieldConfig(2, 2, 8)
+    cfg = flow.VectorFieldConfig(2, 2, 8, attention=False, seq_len=None)
     model = flow.init_flow_model(cfg, RngStream(0))
     with pytest.raises(ValueError):
         flow.train_rf(model, np.zeros((0, 1, 2)), RngStream(0), steps=1, batch=4, **_RF_SETTINGS)
@@ -213,7 +221,7 @@ def test_train_rf_rejects_empty_dataset():
 def test_ema_fold_in_keeps_params_near_init():
     rng = RngStream(12)
     data = rng.substream("data").normal((64, 1, 2))
-    cfg = flow.VectorFieldConfig(2, 2, 8)
+    cfg = flow.VectorFieldConfig(2, 2, 8, attention=False, seq_len=None)
 
     def flat(params):
         return np.concatenate([v.ravel() for v in params.values()])
@@ -290,10 +298,10 @@ def test_training_loops_match_written_out_steps_bitwise(attention):
 
 
 def test_reflow_pairs_deterministic_and_per_pair():
-    cfg = flow.VectorFieldConfig(2, 2, 8)
+    cfg = flow.VectorFieldConfig(2, 2, 8, attention=False, seq_len=None)
     model = flow.init_flow_model(cfg, RngStream(3))
     model.params["block0.b2"] = np.array([0.5, -0.5])
-    sc = ode.SolverConfig(method="euler", steps=4)
+    sc = _solver(method="euler", steps=4)
     z0, z1 = flow.reflow_pairs(model, sc, 3, RngStream(99).substream("pairs"))
     again = flow.reflow_pairs(model, sc, 3, RngStream(99).substream("pairs"))
     assert np.array_equal(z0, again[0])
@@ -311,9 +319,9 @@ def test_reflow_pairs_deterministic_and_per_pair():
 
 
 def test_reflow_empty_coupling_rejected():
-    cfg = flow.VectorFieldConfig(2, 2, 8)
+    cfg = flow.VectorFieldConfig(2, 2, 8, attention=False, seq_len=None)
     model = flow.init_flow_model(cfg, RngStream(0))
-    sc = ode.SolverConfig(method="euler", steps=2)
+    sc = _solver(method="euler", steps=2)
     for m in (0, -1):
         with pytest.raises(ValueError):
             flow.reflow_pairs(model, sc, m, RngStream(0))
@@ -325,7 +333,7 @@ def test_reflow_empty_coupling_rejected():
 
 
 def test_straightness_manual_value():
-    cfg = flow.VectorFieldConfig(2, 2, 8)
+    cfg = flow.VectorFieldConfig(2, 2, 8, attention=False, seq_len=None)
     model = flow.init_flow_model(cfg, RngStream(0))  # v(x, t) = x
     gen = np.random.default_rng(13)
     z0 = gen.normal(size=(5, 1, 2))
@@ -344,9 +352,9 @@ def test_straightness_manual_value():
 def test_straightness_positive_for_curved_field():
     # the identity field dx/dt = x has curved trajectories x(t) = z1*e^{t-1},
     # so straightness over its own couplings must be strictly positive
-    cfg = flow.VectorFieldConfig(2, 2, 8)
+    cfg = flow.VectorFieldConfig(2, 2, 8, attention=False, seq_len=None)
     model = flow.init_flow_model(cfg, RngStream(1))
-    sc = ode.SolverConfig(method="dopri5-fixed", steps=10)
+    sc = _solver(method="dopri5-fixed", steps=10)
     z0, z1 = flow.reflow_pairs(model, sc, 4, RngStream(5))
     val = flow.straightness(model, z0, z1, 6)
     assert val > 0.0

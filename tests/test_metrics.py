@@ -95,7 +95,7 @@ def test_ot_levenshtein_validation():
     with pytest.raises(EmptyInput):
         metrics.ot_levenshtein([], [])
     with pytest.raises(BatchTooLarge):
-        metrics.ot_levenshtein(["A"] * 3, ["C"] * 3, cap=2)
+        metrics.ot_levenshtein(["A"] * (metrics.OT_CAP + 1), ["C"] * (metrics.OT_CAP + 1))
 
 
 def test_ot_levenshtein_identical_batches_zero():
@@ -235,10 +235,10 @@ def _net_charge_reference(seq, ph):
     return out
 
 
-def _isoelectric_point_reference(seq, tol=1e-4):
+def _isoelectric_point_reference(seq):
     """Bisection that rebuilds the pKa lists at every step."""
     lo, hi = 0.0, 14.0
-    while hi - lo > tol:
+    while hi - lo > metrics.PI_TOL:
         mid = 0.5 * (lo + hi)
         if _net_charge_reference(seq, mid) > 0:
             lo = mid
@@ -254,8 +254,7 @@ def test_isoelectric_point_is_bitwise_the_per_step_formula():
             "GGGG", "KDKDKDKD", "HHHHHHHHHH"]
     seqs += ["".join(gen.choice(alphabet, size=int(n))) for n in gen.integers(1, 97, size=200)]
     for seq in seqs:
-        for tol in (1e-4, 1e-9):
-            assert metrics.isoelectric_point(seq, tol) == _isoelectric_point_reference(seq, tol)
+        assert metrics.isoelectric_point(seq) == _isoelectric_point_reference(seq)
         for ph in (0.0, 3.3, 6.0, 7.0, 9.1, 14.0):
             assert metrics.net_charge(seq, ph) == _net_charge_reference(seq, ph)
 
@@ -292,10 +291,26 @@ def test_w_property_identical_batches_zero():
 
 
 def test_w_property_skips_degenerate_dimension():
-    # equal-length batches make the length property constant everywhere
+    # equal-length batches without an aromatic residue make length and
+    # aromaticity constant everywhere: the mean runs over the other five
+    gen, ref = ["AA", "CC"], ["DD", "EE"]
+    with pytest.warns(DegeneratePropertyWarning) as caught:
+        val = metrics.w_property(gen, ref)
+    assert [str(w.message) for w in caught] == [
+        f"property {name} identical everywhere; skipped" for name in ("length", "aromaticity")
+    ]
+    g = np.array([metrics.property_vector(s) for s in gen])
+    r = np.array([metrics.property_vector(s) for s in ref])
+    dists = []
+    for i, name in enumerate(metrics.PROPERTY_NAMES):
+        if name not in ("length", "aromaticity"):
+            lo, hi = min(g[:, i].min(), r[:, i].min()), max(g[:, i].max(), r[:, i].max())
+            gi, ri = (g[:, i] - lo) / (hi - lo), (r[:, i] - lo) / (hi - lo)
+            dists.append(metrics.wasserstein_1d(gi, ri))
+    assert len(dists) == 5 and val == float(np.mean(dists))
+    # a property constant in every sequence carries no signal at all
     with pytest.warns(DegeneratePropertyWarning):
-        val = metrics.w_property(["AA", "CC"], ["DD", "EE"], properties=("length",))
-    assert val == 0.0
+        assert metrics.w_property(["ACK"], ["ACK"]) == 0.0
 
 
 def test_w_property_detects_shift():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from protflow import latent, multichain, ode
+from protflow import latent, multichain
+from protflow.config import solver_config
 from protflow.errors import LayoutMismatch, WidthMismatch
 from protflow.flow import VectorFieldConfig, init_flow_model
 from protflow.numeric import RngStream
@@ -96,7 +97,7 @@ def test_sample_multichain_deterministic_and_shaped():
         "A": LengthDistribution([2, 3], [1, 1]),
         "B": LengthDistribution([4, 5], [3, 1]),
     }
-    sc = ode.SolverConfig(method="dopri5", steps=3)
+    sc = solver_config({"solver.method": "dopri5", "solver.steps": 3})
     samples, stats = multichain.sample_multichain(model, layout, dists, 4, sc, RngStream(9))
     assert len(samples) == 4
     assert stats["mean_nfe"] == 18.0

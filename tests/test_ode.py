@@ -6,19 +6,26 @@ import numpy as np
 import pytest
 
 from protflow import latent, multichain, ode
+from protflow.config import SCHEMA, solver_config
 from protflow.errors import ConfigError, NfeBudgetExceeded, NonFiniteState, StepUnderflow
 from protflow.flow import VectorFieldConfig, init_flow_model
 from protflow.numeric import RngStream
 from protflow.seqio import LengthDistribution
 
 
+def _solver(**settings):
+    """The SolverConfig of settings, and config.SCHEMA's default for each other one."""
+    return solver_config({"solver." + name: value for name, value in settings.items()})
+
+
 def test_solver_config_normalizes_and_validates():
-    cfg = ode.SolverConfig(method="dopri5")
+    defaults = {name: SCHEMA["solver." + name][1] for name in ode.SETTINGS}
+    cfg = ode.SolverConfig(**{**defaults, "method": "dopri5"})
     assert cfg.method == "dopri5-fixed"
-    assert ode.SolverConfig(method="euler").method == "euler"
-    assert ode.SolverConfig(method="dopri5-adaptive", steps=100).steps == 100
+    assert ode.SolverConfig(**{**defaults, "method": "euler"}).method == "euler"
+    assert ode.SolverConfig(**{**defaults, "method": "dopri5-adaptive", "steps": 100}).steps == 100
     # an integer tolerance is a number, kept as its float
-    tol = ode.SolverConfig(atol=1, rtol=2e-3)
+    tol = ode.SolverConfig(**{**defaults, "atol": 1, "rtol": 2e-3})
     assert (tol.atol, tol.rtol) == (1.0, 2e-3) and type(tol.atol) is float
     bad = [
         {"method": "rk4"},
@@ -36,23 +43,23 @@ def test_solver_config_normalizes_and_validates():
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
-            ode.SolverConfig(**kwargs)
+            ode.SolverConfig(**{**defaults, **kwargs})
 
 
 def test_euler_linear_field_closed_form():
     x1 = np.array([2.0, -3.0, 0.5])
     for n in (1, 4, 25):
-        res = ode.solve(lambda x, t: x, x1, ode.SolverConfig(method="euler", steps=n))
+        res = ode.solve(lambda x, t: x, x1, _solver(method="euler", steps=n))
         expected = x1 * (1.0 - 1.0 / n) ** n
         assert np.allclose(res.x0, expected, atol=1e-14)
         assert res.nfe == n
     with pytest.raises(ConfigError):
-        ode.solve(lambda x, t: x, x1, ode.SolverConfig(method="euler", steps=0))
+        ode.solve(lambda x, t: x, x1, _solver(method="euler", steps=0))
 
 
 def test_euler_one_step_subtracts_field_at_t1():
     x1 = np.array([1.0, 2.0])
-    one_step = ode.SolverConfig(method="euler", steps=1)
+    one_step = _solver(method="euler", steps=1)
     res = ode.solve(lambda x, t: x - np.array([5.0, 5.0]), x1, one_step)
     # x0 = x1 - 1*(x1 - c) = c exactly
     assert np.array_equal(res.x0, np.array([5.0, 5.0]))
@@ -61,7 +68,7 @@ def test_euler_one_step_subtracts_field_at_t1():
 def test_dopri5_fixed_exponential_accuracy_and_nfe():
     x1 = np.array([1.0, -2.0])
     for n in (5, 25):
-        res = ode.solve(lambda x, t: x, x1, ode.SolverConfig(steps=n))
+        res = ode.solve(lambda x, t: x, x1, _solver(steps=n))
         assert res.nfe == 6 * n
         assert np.max(np.abs(res.x0 - x1 * math.exp(-1.0))) < 1e-7
 
@@ -74,7 +81,7 @@ def test_dopri5_fixed_single_step_quartic_exact():
     def v(x, t):
         return np.array([t**4 + t + 1.0])
 
-    res = ode.solve(v, x1, ode.SolverConfig(steps=1))
+    res = ode.solve(v, x1, _solver(steps=1))
     expected = x1 - (1.0 / 5.0 + 1.0 / 2.0 + 1.0)
     assert np.max(np.abs(res.x0 - expected)) < 1e-12
     assert res.nfe == 6
@@ -82,7 +89,7 @@ def test_dopri5_fixed_single_step_quartic_exact():
 
 def test_dopri5_adaptive_accuracy_and_nfe_accounting():
     x1 = np.array([3.0, -1.0, 0.125])
-    cfg = ode.SolverConfig(method="dopri5-adaptive", atol=1e-8, rtol=1e-8)
+    cfg = _solver(method="dopri5-adaptive", atol=1e-8, rtol=1e-8)
     res = ode.solve(lambda x, t: x, x1, cfg)
     assert np.max(np.abs(res.x0 - x1 * math.exp(-1.0))) < 1e-7
     assert res.nfe == 1 + 6 * (res.accepted + res.rejected)
@@ -93,7 +100,7 @@ def test_adaptive_tightening_tolerance_reduces_error():
     x1 = np.array([1.0])
     errs = []
     for tol in (1e-4, 1e-10):
-        cfg = ode.SolverConfig(method="dopri5-adaptive", atol=tol, rtol=tol)
+        cfg = _solver(method="dopri5-adaptive", atol=tol, rtol=tol)
         res = ode.solve(lambda x, t: np.sin(3.0 * t) * x, x1, cfg)
         # closed form: x(0) = x1 * exp(-(1 - cos(3))/3) integrated 1 -> 0
         exact = x1 * math.exp(-(1.0 - math.cos(3.0)) / 3.0)
@@ -104,7 +111,7 @@ def test_adaptive_tightening_tolerance_reduces_error():
 
 def test_adaptive_nfe_budget(monkeypatch):
     monkeypatch.setattr(ode, "MAX_NFE", 10)
-    cfg = ode.SolverConfig(method="dopri5-adaptive", atol=1e-12, rtol=1e-12)
+    cfg = _solver(method="dopri5-adaptive", atol=1e-12, rtol=1e-12)
     with pytest.raises(NfeBudgetExceeded):
         ode.solve(lambda x, t: np.sin(100 * t) * x, np.ones(3), cfg)
 
@@ -113,26 +120,26 @@ def test_adaptive_step_underflow():
     def nasty(x, t):
         return np.array([1e16 * math.sin(1e12 * t)])
 
-    cfg = ode.SolverConfig(method="dopri5-adaptive", atol=1e-10, rtol=1e-10)
+    cfg = _solver(method="dopri5-adaptive", atol=1e-10, rtol=1e-10)
     with pytest.raises(StepUnderflow):
         ode.solve(nasty, np.array([1.0]), cfg)
 
 
 def test_non_finite_state_raises():
     with pytest.raises(NonFiniteState):
-        ode.solve(lambda x, t: x * np.inf, np.ones(2), ode.SolverConfig(method="euler", steps=4))
+        ode.solve(lambda x, t: x * np.inf, np.ones(2), _solver(method="euler", steps=4))
     with pytest.raises(NonFiniteState):
-        ode.solve(lambda x, t: x * np.nan, np.ones(2), ode.SolverConfig(steps=2))
+        ode.solve(lambda x, t: x * np.nan, np.ones(2), _solver(steps=2))
 
 
 def test_solve_dispatches_by_method():
     x1 = np.array([1.0])
-    r_euler = ode.solve(lambda x, t: x, x1, ode.SolverConfig(method="euler", steps=10))
+    r_euler = ode.solve(lambda x, t: x, x1, _solver(method="euler", steps=10))
     assert r_euler.nfe == 10
-    r_fixed = ode.solve(lambda x, t: x, x1, ode.SolverConfig(method="dopri5", steps=10))
+    r_fixed = ode.solve(lambda x, t: x, x1, _solver(method="dopri5", steps=10))
     assert r_fixed.nfe == 60
     r_ad = ode.solve(
-        lambda x, t: x, x1, ode.SolverConfig(method="dopri5-adaptive", atol=1e-6, rtol=1e-6)
+        lambda x, t: x, x1, _solver(method="dopri5-adaptive", atol=1e-6, rtol=1e-6)
     )
     assert r_ad.nfe == 1 + 6 * (r_ad.accepted + r_ad.rejected)
 
@@ -151,10 +158,10 @@ def _tiny_layout(rng):
 def test_sample_batch_order_independent():
     rng = RngStream(17)
     layout = _tiny_layout(rng)
-    cfg = VectorFieldConfig(2, 4, 8)
+    cfg = VectorFieldConfig(2, 4, 8, attention=False, seq_len=None)
     model = init_flow_model(cfg, rng.substream("model"))
     ld = {"": LengthDistribution([2, 3, 4], [1, 2, 1])}
-    sc = ode.SolverConfig(method="dopri5", steps=4)
+    sc = _solver(method="dopri5", steps=4)
     samples3, stats3 = multichain.sample_multichain(model, layout, ld, 3, sc, RngStream(5))
     samples5, stats5 = multichain.sample_multichain(model, layout, ld, 5, sc, RngStream(5))
     assert all(len(sample) == 1 for sample in samples5)
@@ -170,11 +177,11 @@ def test_sample_batch_order_independent():
 def test_sample_batch_rejects_nonpositive_n():
     rng = RngStream(18)
     layout = _tiny_layout(rng)
-    cfg = VectorFieldConfig(2, 4, 8)
+    cfg = VectorFieldConfig(2, 4, 8, attention=False, seq_len=None)
     model = init_flow_model(cfg, rng.substream("model"))
     ld = {"": LengthDistribution([2], [1])}
     with pytest.raises(ValueError):
-        multichain.sample_multichain(model, layout, ld, 0, ode.SolverConfig(), RngStream(0))
+        multichain.sample_multichain(model, layout, ld, 0, _solver(), RngStream(0))
 
 
 # --- lane-batched solves ---------------------------------------------------------
@@ -195,9 +202,9 @@ def _decay_lanes(x, t):
 @pytest.mark.parametrize(
     "cfg",
     [
-        ode.SolverConfig(method="euler", steps=9),
-        ode.SolverConfig(method="dopri5", steps=5),
-        ode.SolverConfig(method="dopri5-adaptive", atol=1e-8, rtol=1e-8),
+        _solver(method="euler", steps=9),
+        _solver(method="dopri5", steps=5),
+        _solver(method="dopri5-adaptive", atol=1e-8, rtol=1e-8),
     ],
     ids=lambda c: c.method,
 )
@@ -222,7 +229,7 @@ def test_solve_lanes_failures_name_the_lane(monkeypatch):
     # lane 0 finishes in 19 evaluations, lane 1 would need thousands
     x1 = np.array([[1.0, 0.01], [1.0, 400.0]])
     monkeypatch.setattr(ode, "MAX_NFE", 200)
-    tight = ode.SolverConfig(method="dopri5-adaptive", atol=1e-8, rtol=1e-8)
+    tight = _solver(method="dopri5-adaptive", atol=1e-8, rtol=1e-8)
     with pytest.raises(NfeBudgetExceeded, match="lane 1"):
         ode.solve_lanes(_decay_lanes, x1, tight)
 
@@ -232,9 +239,9 @@ def test_solve_lanes_failures_name_the_lane(monkeypatch):
         return out
 
     with pytest.raises(NonFiniteState, match="lane 1"):
-        ode.solve_lanes(blow_up, x1, ode.SolverConfig(method="euler", steps=3))
+        ode.solve_lanes(blow_up, x1, _solver(method="euler", steps=3))
     with pytest.raises(ValueError):
-        ode.solve_lanes(_decay_lanes, np.zeros((0, 2)), ode.SolverConfig())
+        ode.solve_lanes(_decay_lanes, np.zeros((0, 2)), _solver())
 
 
 @pytest.mark.parametrize("method", ["euler", "dopri5", "dopri5-adaptive"])
@@ -243,7 +250,7 @@ def test_flow_lanes_agree_with_one_lane_solves(method):
     # states agree to 1e-12 while steps and NFE stay identical per lane.
     from protflow.flow import flow_forward
 
-    cfg = VectorFieldConfig(2, 8, 32)
+    cfg = VectorFieldConfig(2, 8, 32, attention=False, seq_len=None)
     model = init_flow_model(cfg, RngStream(21))
     for key, val in model.params.items():
         model.params[key] = val + 0.2 * RngStream(22).substream(key).normal(val.shape)
@@ -360,7 +367,9 @@ def _ref_solve(v, x1, cfg):
 def _perturbed_flow(seed, **cfg):
     from protflow.flow import flow_forward
 
-    model = init_flow_model(VectorFieldConfig(3, 8, 16, **cfg), RngStream(seed))
+    model = init_flow_model(
+        VectorFieldConfig(3, 8, 16, attention=False, seq_len=None, **cfg), RngStream(seed)
+    )
     for key, val in model.params.items():
         model.params[key] = val + 0.3 * RngStream(seed + 1).substream(key).normal(val.shape)
     return lambda x, t: flow_forward(model, x, t)
@@ -370,9 +379,9 @@ def _perturbed_flow(seed, **cfg):
 @pytest.mark.parametrize(
     "cfg",
     [
-        ode.SolverConfig(method="euler", steps=7),
-        ode.SolverConfig(method="dopri5", steps=3),
-        ode.SolverConfig(method="dopri5-adaptive", atol=1e-5, rtol=1e-5),
+        _solver(method="euler", steps=7),
+        _solver(method="dopri5", steps=3),
+        _solver(method="dopri5-adaptive", atol=1e-5, rtol=1e-5),
     ],
     ids=lambda c: c.method,
 )
@@ -397,7 +406,7 @@ def test_nfe_budget_raises_where_the_reference_does(monkeypatch, budget, lane):
     x1 = RngStream(42).normal((3, 6, 8))
     x1[0] *= 40.0
     monkeypatch.setattr(ode, "MAX_NFE", budget)
-    cfg = ode.SolverConfig(method="dopri5-adaptive", atol=1e-4, rtol=1e-4)
+    cfg = _solver(method="dopri5-adaptive", atol=1e-4, rtol=1e-4)
     outcomes = []
     for solver in (ode.solve_lanes, _ref_solve):
         calls = []
