@@ -342,9 +342,9 @@ def cmd_reflow(args):
     solver = config.solver_config(cfg.to_dict())
     root = numeric.RngStream(cfg["train.seed"])
     z0, z1 = flow.reflow_pairs(model, solver, cfg["reflow.pairs"], root.substream("reflow-pairs"))
-    s_before = flow.straightness(model, z0, z1, n_t=8)
+    s_before = flow.straightness(model, z0, z1)
     model, trace = flow.train_reflow(model, z0, z1, root, **_train_args(cfg))
-    s_after = flow.straightness(model, z0, z1, n_t=8)
+    s_after = flow.straightness(model, z0, z1)
     print(f"straightness before: {s_before:.6g}")
     print(f"straightness after:  {s_after:.6g}")
     out_meta = _carry_meta(meta, cfg, "reflow")
@@ -454,6 +454,8 @@ def cmd_eval(args):
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     if not all(np.isfinite(t) for t in args.threshold or ()):
         raise ConfigError(f"--threshold values must be finite, got {args.threshold}")
+    if args.threshold and not args.external_scores:
+        raise ConfigError("--threshold needs --external-scores")
     gen = [s for _, s in seqio.read_fasta(args.gen)]
     ref = [s for _, s in seqio.read_fasta(args.ref)]
     if not gen:
@@ -489,9 +491,8 @@ def cmd_eval(args):
         "pseudoperplexity_unigram_ref",
         lambda: np.mean([metrics.pseudoperplexity(s, probs) for s in gen]),
     )
-    if scores is not None:
-        for t in thresholds:
-            add(f"p_gt_{t:g}", lambda t=t: metrics.threshold_proportions(scores, t))
+    for t in thresholds:  # thresholds come only with scores, checked above
+        add(f"p_gt_{t:g}", lambda t=t: metrics.threshold_proportions(scores, t))
     flags = {
         "k": args.k,
         "seed": args.seed,
@@ -604,7 +605,8 @@ def build_parser():
         action="append",
         type=float,
         default=None,
-        help="emit proportion of external scores strictly above this value (repeatable)",
+        help="emit proportion of external scores strictly above this value (repeatable; "
+        "needs --external-scores)",
     )
     sp.set_defaults(func=cmd_eval)
 

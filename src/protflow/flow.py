@@ -36,6 +36,8 @@ TIME_SCALE = 10.0
 # The scale of a flow_cfg that has no "time_scale": every field trained before
 # the key existed used it, so such checkpoints sample unchanged.
 LEGACY_TIME_SCALE = 1000.0
+# Points of straightness's uniform t-grid on [0, 1], both ends included.
+STRAIGHTNESS_T = 8
 
 
 class VectorFieldConfig:
@@ -356,8 +358,7 @@ def cfm_loss(model, x0, x1, t):
 # --- training loops --------------------------------------------------------------
 
 
-def _fit_cfm(model, n, pairs, stream, steps, batch, lr, lr_min, warmup, weight_decay, clip,
-             ema_decay):
+def _fit_cfm(model, n, pairs, stream, steps, batch, lr, lr_min, warmup, weight_decay, clip):
     """nn.fit of the CFM loss at the flow's AdamW constants; returns (model,
     trace). Step s draws batch row indices in [0, n) and t ~ U(0, 1) from
     substream "step{s}" of stream, and pairs(sub, idx) returns its (x0, x1)."""
@@ -371,14 +372,12 @@ def _fit_cfm(model, n, pairs, stream, steps, batch, lr, lr_min, warmup, weight_d
 
     trace = nn.fit(
         model.params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
-        betas=(0.9, 0.98), eps=1e-6, ema_decay=ema_decay,
+        betas=(0.9, 0.98), eps=1e-6,
     )
     return model, trace
 
 
-def train_rf(
-    model, dataset, rng, steps, batch, lr, lr_min, warmup, weight_decay, clip, ema_decay=0.0,
-):
+def train_rf(model, dataset, rng, steps, batch, lr, lr_min, warmup, weight_decay, clip):
     """1-RF training: x0 from data, x1 ~ N(0, I), t ~ U(0, 1) per step.
 
     Args:
@@ -389,9 +388,8 @@ def train_rf(
             replacement and each carries its own noise and t, so a batch
             larger than N is meaningful and is not clamped to N (perfbench's
             train workload runs reflow on 16 pairs at batch 64).
-        lr, lr_min, warmup, weight_decay, clip, ema_decay: nn.fit's AdamW
-            schedule, decay, clip norm and parameter EMA; only ema_decay
-            has a default (0.0, no EMA).
+        lr, lr_min, warmup, weight_decay, clip: nn.fit's AdamW schedule,
+            decay and clip norm.
 
     Returns:
         (model, trace) with trace rows (step, loss, lr, grad_norm).
@@ -406,7 +404,7 @@ def train_rf(
 
     return _fit_cfm(
         model, dataset.shape[0], pairs, rng.substream("rf-train"), steps, batch, lr, lr_min,
-        warmup, weight_decay, clip, ema_decay,
+        warmup, weight_decay, clip,
     )
 
 
@@ -430,27 +428,26 @@ def reflow_pairs(model, solver_config, m, rng):
 def train_reflow(model, z0, z1, rng, steps, batch, lr, lr_min, warmup, weight_decay, clip):
     """Fine-tune on deterministic couplings: (x0, x1) = (z0, z1) rows drawn
     jointly, t ~ U(0, 1), step s from substream "reflow-train/step{s}" of rng.
-    The optimizer settings are train_rf's, without EMA; returns (model, trace)."""
+    The optimizer settings are train_rf's; returns (model, trace)."""
     if len(z0) == 0:
         raise ValueError("empty coupling set")
     return _fit_cfm(
         model, len(z0), lambda sub, idx: (z0[idx], z1[idx]), rng.substream("reflow-train"),
-        steps, batch, lr, lr_min, warmup, weight_decay, clip, 0.0,
+        steps, batch, lr, lr_min, warmup, weight_decay, clip,
     )
 
 
-def straightness(model, z0, z1, n_t):
+def straightness(model, z0, z1):
     """Mean squared deviation per coordinate between the model field and the
-    straight-line velocity, over a uniform t-grid and all pairs (z0, z1). 0
-    means the learned paths are exactly straight on these couplings."""
+    straight-line velocity, over the uniform STRAIGHTNESS_T grid on [0, 1] and
+    all pairs (z0, z1). 0 means the learned paths are exactly straight on
+    these couplings."""
     if len(z0) == 0:
         raise ValueError("empty coupling set")
-    if n_t < 2:
-        raise ValueError("n_t must be >= 2")
     u = z1 - z0
     total = 0.0
-    for t in np.linspace(0.0, 1.0, n_t):
+    for t in np.linspace(0.0, 1.0, STRAIGHTNESS_T):
         z_t = rf_interpolate(z0, z1, float(t))
         v = flow_forward(model, z_t, np.full(z0.shape[0], t))
         total += float(((u - v) ** 2).mean())
-    return total / n_t
+    return total / STRAIGHTNESS_T

@@ -196,13 +196,14 @@ def median_pairwise_distance(z):
     return float(_median(np.sqrt(np.maximum(d2[iu], 0.0))))
 
 
-def mmd_rbf(x, y, bandwidth="median"):
+def mmd_rbf(x, y):
     """Biased V-statistic MMD with an RBF kernel, diagonals included:
     (1/n^2) * sum_ij [k(x_i,x_j) + k(y_i,y_j) - 2 k(x_i,y_j)].
 
-    Both batches must have the same size n. bandwidth is sigma in
-    k(a,b) = exp(-|a-b|^2 / (2 sigma^2)), or "median" for the median
-    pairwise distance over the pooled rows.
+    Both batches must have the same size n. The bandwidth sigma in
+    k(a,b) = exp(-|a-b|^2 / (2 sigma^2)) is the median pairwise distance
+    over the pooled rows (Gretton et al. 2012); a median that is 0 or not
+    finite, as for an all-constant pool, raises BadBandwidth.
     """
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
@@ -213,14 +214,9 @@ def mmd_rbf(x, y, bandwidth="median"):
         raise EmptyInput("empty batches")
     if xv.shape[1] != yv.shape[1]:
         raise DimensionMismatch(f"d={xv.shape[1]} vs d={yv.shape[1]}")
-    if isinstance(bandwidth, str):
-        if bandwidth != "median":
-            raise BadBandwidth(f"unknown bandwidth {bandwidth!r}")
-        sigma = median_pairwise_distance(np.vstack([xv, yv]))
-    else:
-        sigma = float(bandwidth)
+    sigma = median_pairwise_distance(np.vstack([xv, yv]))
     if not (np.isfinite(sigma) and sigma > 0):
-        raise BadBandwidth(f"bandwidth must be finite and > 0, got {sigma}")
+        raise BadBandwidth(f"median bandwidth must be finite and > 0, got {sigma}")
     if np.array_equal(xv, yv):
         # Every kernel term cancels pairwise, so the V-statistic is exactly 0;
         # evaluating the grams would reintroduce BLAS-path rounding noise.

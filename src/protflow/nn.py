@@ -3,7 +3,7 @@
 Everything operates on float64 numpy arrays; parameters live in ordered
 dicts of named arrays, serialized by name. fit, the one training loop every
 stage runs, packs a dict into one flat buffer and rebinds each name to its
-view of it, so AdamW, clipping and the EMA each run once over the buffer.
+view of it, so AdamW and clipping each run once over the buffer.
 GELU uses the tanh approximation, which has a clean analytic derivative.
 """
 
@@ -199,7 +199,7 @@ class AdamW:
 
 
 def fit(params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay, betas, eps,
-        cycles=1, ema_decay=0.0):
+        cycles=1):
     """Train params (a dict of named float64 arrays) with AdamW.
 
     On entry fit packs the arrays into one flat buffer and rebinds each name
@@ -207,8 +207,7 @@ def fit(params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay, be
     keyed like params), raises Diverged on a non-finite loss or gradient,
     copies grads into one flat buffer, clips it to global norm clip and
     steps at the cosine_lr rate. The norm is summed key by key, so it rounds
-    as each key's own sum does. With ema_decay > 0 an exponential moving
-    average of the buffer is kept and copied into it at the end.
+    as each key's own sum does. The params end at the last step's values.
 
     Returns trace rows (step, loss, lr, grad_norm), one per step; grad_norm
     is taken before clipping.
@@ -221,7 +220,6 @@ def fit(params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay, be
     square = np.empty_like(flat)
     square_views = np.split(square, bounds)
     opt = AdamW(flat, betas=betas, eps=eps, weight_decay=weight_decay)
-    ema = flat.copy() if ema_decay > 0 else None
     trace = []
     for step in range(steps):
         loss, grads = loss_and_grad(step)
@@ -242,9 +240,5 @@ def fit(params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay, be
             grad *= clip / (grad_norm + 1e-12)
         lr_t = cosine_lr(step, steps, lr, lr_min, warmup, cycles)
         opt.step(flat, grad, lr_t)
-        if ema is not None:
-            ema += (1.0 - ema_decay) * (flat - ema)
         trace.append((step, loss, lr_t, grad_norm))
-    if ema is not None:
-        np.copyto(flat, ema)
     return trace

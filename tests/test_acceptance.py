@@ -199,7 +199,7 @@ def toy2d():
     model = init_flow_model(cfg, rng.substream("model-42"))
     model, _ = train_rf(
         model, train, RngStream(42), steps=20000, batch=64, lr=1e-3, lr_min=5e-5, warmup=500,
-        weight_decay=0.01, clip=1.0, ema_decay=0.9995,
+        weight_decay=0.01, clip=1.0,
     )
 
     def mean_mmd(m, tag, method, steps):
@@ -242,12 +242,12 @@ def test_criterion_5_reflow_straightens(toy2d, criterion):
 
     solver = _solver(method="dopri5", steps=25)
     z0, z1 = reflow_pairs(model, solver, 2048, rng.substream("pairs"))
-    s_before = straightness(model, z0, z1, 8)
+    s_before = straightness(model, z0, z1)
     model2, _ = train_reflow(
         model, z0, z1, RngStream(43), steps=4000, batch=64, lr=5e-4, lr_min=1e-4, warmup=100,
         weight_decay=0.01, clip=1.0,
     )
-    s_after = straightness(model2, z0, z1, 8)
+    s_after = straightness(model2, z0, z1)
     post1 = toy2d["mean_mmd"](model2, "post1", "euler", 1)
 
     seconds = time.time() - t_start
@@ -398,19 +398,18 @@ def test_criterion_7_metric_oracles(criterion):
     )
     fd_ok = fd1_err < 1e-8 and fd3_err < 1e-6
 
-    # Kernel discrepancy: vectorized grams vs a literal double loop, fixed and
-    # median bandwidth alike.
+    # Kernel discrepancy: vectorized grams vs a literal double loop at the
+    # median bandwidth.
     x = np.random.default_rng(703).normal(size=(24, 4))
     y = np.random.default_rng(704).normal(size=(24, 4)) * 1.3 + 0.2
-    mmd_err = abs(mmd_rbf(x, y, bandwidth=1.3) - _naive_mmd(x, y, 1.3))
     pool = np.vstack([x, y])
     dists = [
         math.sqrt(float(((pool[i] - pool[j]) ** 2).sum()))
         for i in range(pool.shape[0])
         for j in range(i + 1, pool.shape[0])
     ]
-    mmd_med_err = abs(mmd_rbf(x, y) - _naive_mmd(x, y, float(np.median(dists))))
-    mmd_ok = mmd_err < 1e-12 and mmd_med_err < 1e-12
+    mmd_err = abs(mmd_rbf(x, y) - _naive_mmd(x, y, float(np.median(dists))))
+    mmd_ok = mmd_err < 1e-12
 
     # A uniform scorer assigns every residue probability 1/20.
     pppl_err = abs(pseudoperplexity(AMINO_ACIDS, np.full(20, 1.0 / 20.0)) - 20.0)
@@ -427,7 +426,7 @@ def test_criterion_7_metric_oracles(criterion):
         passed,
         f"edit exact on {n_pairs} pairs {edit_ok}; assignment err {ot_err:.1e} (exact); "
         f"frechet 1-d {fd1_err:.1e} < 1e-8, 3-d {fd3_err:.1e} < 1e-6; "
-        f"mmd vs loop {max(mmd_err, mmd_med_err):.1e} < 1e-12; "
+        f"mmd vs loop {mmd_err:.1e} < 1e-12; "
         f"uniform pseudoperplexity err {pppl_err:.1e} <= 1e-12; self transport {wp}",
     )
 
@@ -469,7 +468,7 @@ def test_criterion_8_multichain_coupling(criterion):
     model = init_flow_model(cfg, rng.substream("joint-init"))
     model, _ = train_rf(
         model, joint_train, RngStream(80), steps=20000, batch=64, lr=1e-3, lr_min=5e-5,
-        warmup=500, weight_decay=0.01, clip=1.0, ema_decay=0.9995,
+        warmup=500, weight_decay=0.01, clip=1.0,
     )
 
     solver = _solver(method="dopri5", steps=25)

@@ -166,7 +166,9 @@ def test_train_settings_default_only_in_the_schema():
     # and the eval embedder's and k-mer size only in eval's flags
     # (cli._EMBED_DIM, --seed, --k). The knobs no command sets are constants
     # (metrics.OT_CAP, metrics.PI_TOL, every property, the layer norm's
-    # epsilon), and nn.fit passes the schedule's cycles and the GELU's tanh.
+    # epsilon, mmd_rbf's median bandwidth, flow.STRAIGHTNESS_T), so train_rf,
+    # mmd_rbf and straightness take no default at all; nn.fit passes the
+    # schedule's cycles and the GELU's tanh.
     from protflow import flow, latent, metrics, nn, ode
     from protflow.config import load_config
 
@@ -186,7 +188,8 @@ def test_train_settings_default_only_in_the_schema():
         params = inspect.signature(fn).parameters
         assert all(params[k].default is inspect.Parameter.empty for k in names), fn.__name__
     for fn in (metrics.ot_levenshtein, metrics.w_property, metrics.isoelectric_point,
-               nn.layernorm_forward, nn.cosine_lr, nn.gelu_grad):
+               metrics.mmd_rbf, nn.layernorm_forward, nn.cosine_lr, nn.gelu_grad,
+               flow.straightness, flow.train_rf):
         params = inspect.signature(fn).parameters.values()
         assert all(p.default is inspect.Parameter.empty for p in params), fn.__name__
 
@@ -397,6 +400,8 @@ _BAD_CHAINS = tuple(f"chains={v}" for v in ("A:3,A:4", "A:0", f"A:{L_MAX_CAP + 1
         (["eval", "--gen", "{corpus}", "--ref", "{corpus}", "--out", "{root}/x",
           "--threshold=-inf"], 1),
         (["eval", "--gen", "{corpus}", "--ref", "{corpus}", "--out", "{root}/x",
+          "--threshold", "0.5"], 1),
+        (["eval", "--gen", "{corpus}", "--ref", "{corpus}", "--out", "{root}/x",
           "--external-scores", "{nan_scores}", "--threshold", "0.5"], 2),
         (["eval", "--gen", "{corpus}", "--ref", "{corpus}", "--out", "{root}/x",
           "--external-scores", "{inf_scores}", "--threshold", "0.5"], 2),
@@ -410,8 +415,9 @@ _BAD_CHAINS = tuple(f"chains={v}" for v in ("A:3,A:4", "A:0", f"A:{L_MAX_CAP + 1
     ids=["inspect missing", "sample missing", "inspect directory", "sample directory",
          "eval missing gen", "eval directory ref", "eval non-UTF-8 gen", "eval k 0",
          "eval directory scores", "eval non-UTF-8 scores", "eval threshold nan and inf",
-         "eval threshold -inf", "eval nan score", "eval -inf score", "odd model.D",
-         "embed_rank above model.D", *_NON_FINITE_SETTINGS, *_BAD_CHAINS],
+         "eval threshold -inf", "eval threshold without scores", "eval nan score",
+         "eval -inf score", "odd model.D", "embed_rank above model.D", *_NON_FINITE_SETTINGS,
+         *_BAD_CHAINS],
 )
 def test_exit_code_for_missing_and_invalid_inputs(workdir, argv, code):
     root = workdir["root"]

@@ -159,13 +159,6 @@ def _naive_mmd(x, y, sigma):
     return (kxx + kyy - 2.0 * kxy) / (n * n)
 
 
-def test_mmd_rbf_matches_naive_loop():
-    gen = np.random.default_rng(4)
-    x = gen.normal(size=(12, 3))
-    y = gen.normal(size=(12, 3)) + 0.3
-    assert abs(metrics.mmd_rbf(x, y, bandwidth=1.3) - _naive_mmd(x, y, 1.3)) < 1e-12
-
-
 def test_mmd_rbf_median_bandwidth_matches_naive():
     gen = np.random.default_rng(5)
     x = gen.normal(size=(10, 2))
@@ -204,10 +197,6 @@ def test_mmd_rbf_validation():
         metrics.mmd_rbf(np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(DimensionMismatch):
         metrics.mmd_rbf(x, np.zeros((3, 3)))
-    with pytest.raises(BadBandwidth):
-        metrics.mmd_rbf(x, np.ones((3, 2)), bandwidth=-1.0)
-    with pytest.raises(BadBandwidth):
-        metrics.mmd_rbf(x, np.ones((3, 2)), bandwidth="mean")
     # an all-constant pool has no usable median bandwidth
     with pytest.raises(BadBandwidth):
         metrics.mmd_rbf(np.zeros((4, 2)), np.zeros((4, 2)))

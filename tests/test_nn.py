@@ -233,9 +233,8 @@ class _RefAdamW:
 
 
 def _ref_fit(params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay, betas, eps,
-             cycles=1, ema_decay=0.0):
+             cycles=1):
     opt = _RefAdamW(params, betas=betas, eps=eps, weight_decay=weight_decay)
-    ema = {k: v.copy() for k, v in params.items()} if ema_decay > 0 else None
     trace = []
     for step in range(steps):
         loss, grads = loss_and_grad(step)
@@ -244,13 +243,7 @@ def _ref_fit(params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_deca
         grad_norm = _ref_clip_grads_(grads, clip)
         lr_t = nn.cosine_lr(step, steps, lr, lr_min, warmup, cycles)
         opt.step(params, grads, lr_t)
-        if ema is not None:
-            for k, v in params.items():
-                ema[k] += (1.0 - ema_decay) * (v - ema[k])
         trace.append((step, loss, lr_t, grad_norm))
-    if ema is not None:
-        for k, v in ema.items():
-            np.copyto(params[k], v)
     return trace
 
 
@@ -315,7 +308,7 @@ def test_fit_matches_the_per_key_reference_bitwise():
 
     plain = flow.VectorFieldConfig(depth=2, width=4, hidden=16, attention=False, seq_len=None)
     _fit_matches_reference(_perturbed_flow_params(plain, 3), _flow_loss(plain, 4), 60,
-                           clip=1.0, ema_decay=0.9, **_FLOW_FIT)
+                           clip=1.0, **_FLOW_FIT)
 
     gen = np.random.default_rng(5)
     h, y = gen.normal(size=(50, 8)), gen.integers(0, 20, size=50)
