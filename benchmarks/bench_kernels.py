@@ -52,10 +52,14 @@ Memory follows: the tracemalloc peak of one call above what was live when it
 started, for one cfm_loss training step at 64 x 20 x 8 (batch x L x width,
 hidden 64, depth 2), compressor_mse over the 10,000 x 32 smoothed rows of
 the training corpus above at ratio_c 4 (train-compressor's closing figure),
-and cross_edit_matrix of 200 length-20 sequences against the same 200 plus
-one 3,000-residue text, whose passes the kernel's key budget bounds.
-tracemalloc counts numpy's array buffers, so each figure is what the call
-asks of the allocator, not the process's RSS.
+corpus_to_latent of that 500 x 20 corpus (train-flow's dataset), a dopri5
+x25 and a dopri5-adaptive solve of SOLVE_LANES lanes of the sampling field
+below (reflow's 1,024 pairs), and cross_edit_matrix of 200 length-20
+sequences against the same 200 plus one 3,000-residue text, whose passes the
+kernel's key budget bounds. tracemalloc counts numpy's array buffers, so
+each figure is what the call asks of the allocator, not the process's RSS.
+Beside each peak, the call's best and median time of five untraced runs
+after one warm-up; compressor_mse overwrites its rows, so it runs once.
 
 Start-up comes last: the child CPU seconds (user + system, from os.wait4) of
 `python -m protflow <command> --help` for each command, best and median of
@@ -121,6 +125,8 @@ FLOW_BATCH = 64
 # one long record among short ones: the short sequences' count and length,
 # then the long text's length
 LONG_TEXT = (200, 20, 3000)
+# lanes of the memory section's solves: the shipped reflow's pairs
+SOLVE_LANES = 1024
 
 SHAPES = {
     # name: (batch size, reference size, min length, max length)
@@ -183,21 +189,23 @@ def bench_gelu():
 
 
 def training_corpus(c, rng):
-    """(ids, encoder, smoothed rows) of the seeded TRAIN_CORPUS-sequence corpus
-    at TRAIN_CFG's shapes; every padded position is a row."""
+    """(ids, encoder, smoothing, smoothed rows) of the seeded
+    TRAIN_CORPUS-sequence corpus at TRAIN_CFG's shapes; every padded position
+    is a row."""
     ids = tokenize(make_corpus(TRAIN_CORPUS, 1, c["l_max"], 7), c["l_max"])
     enc = latent.init_encoder(
         c["dim"], rng.substream("enc"), embed_scale=10.0, embed_rank=c["rank"]
     )
     rows = latent.encode_corpus(ids, enc).reshape(-1, c["dim"])
-    return ids, enc, latent.smooth(rows, latent.fit_smoothing(rows))
+    stats = latent.fit_smoothing(rows)
+    return ids, enc, stats, latent.smooth(rows, stats)
 
 
 def bench_training():
     c = TRAIN_CFG
     rng = RngStream(3)
     canonical = [s for _, s in read_fasta(CANONICAL_CORPUS)]
-    ids, enc, rows = training_corpus(c, rng)
+    ids, enc, _, rows = training_corpus(c, rng)
     # one decoder batch: the residue positions of batch sequences, as train_decoder draws it
     idx = np.random.default_rng(4).integers(0, len(ids), size=c["batch"])
     h, y = latent._gather_rows(enc, ids, idx)
@@ -290,9 +298,17 @@ def traced_peak(fn):
 def bench_memory():
     c = TRAIN_CFG
     rng = RngStream(3)
-    _, _, rows = training_corpus(c, rng)
+    ids, enc, stats, rows = training_corpus(c, rng)
     comp = latent.init_compressor(c["dim"], c["ratio"], rng.substream("comp"))
+    pipe = latent.LatentPipeline(enc, None, stats, comp)
     model = perturbed_flow()
+
+    def field(x, t):
+        return flow.flow_forward(model, x, t)
+
+    lanes = RngStream(2).substream("lanes").normal((SOLVE_LANES, FLOW_LENGTH, FLOW_CFG["width"]))
+    adaptive = solver_config({"solver.method": "dopri5-adaptive"})
+    fixed = solver_config({"solver.method": "dopri5", "solver.steps": 25})
     shape = (FLOW_BATCH, FLOW_LENGTH, FLOW_CFG["width"])
     x0 = RngStream(2).substream("x0").normal(shape)
     x1 = RngStream(2).substream("x1").normal(shape)
@@ -300,17 +316,27 @@ def bench_memory():
     n_short, short, long = LONG_TEXT
     texts = make_corpus(n_short, short, short, 9)
     texts_long = texts + make_corpus(1, long, long, 10)
+    # (label, call, whether it may be timed: compressor_mse consumes its rows)
     figures = (
         (f"cfm_loss {'x'.join(map(str, shape))}, hidden {FLOW_CFG['hidden']}, "
-         f"depth {FLOW_CFG['depth']}", lambda: flow.cfm_loss(model, x0, x1, t)),
+         f"depth {FLOW_CFG['depth']}", lambda: flow.cfm_loss(model, x0, x1, t), True),
         (f"compressor_mse {rows.shape[0]}x{rows.shape[1]}, ratio_c {c['ratio']}",
-         lambda: latent.compressor_mse(comp, rows)),
+         lambda: latent.compressor_mse(comp, rows), False),
+        (f"corpus_to_latent {ids.shape[0]}x{ids.shape[1]}, ratio_c {c['ratio']}",
+         lambda: pipe.corpus_to_latent(ids), True),
+        (f"dopri5 x25, {SOLVE_LANES} lanes", lambda: ode.solve_lanes(field, lanes, fixed), True),
+        (f"dopri5-adaptive, {SOLVE_LANES} lanes",
+         lambda: ode.solve_lanes(field, lanes, adaptive), True),
         (f"cross {n_short}x{n_short + 1}, one {long}-residue text",
-         lambda: kernels.cross_edit_matrix(texts, texts_long)),
+         lambda: kernels.cross_edit_matrix(texts, texts_long), True),
     )
-    print(f"{'memory, tracemalloc peak above entry':<46} {'peak':>10}")
-    for label, fn in figures:
-        print(f"{label:<46} {traced_peak(fn) / 1e6:>8.2f}MB")
+    print(f"{'memory, tracemalloc peak above entry':<46} {'peak':>10} {'best':>10} {'median':>10}")
+    for label, fn, timeable in figures:
+        times = ""
+        if timeable:
+            _, best, median = timed(fn)
+            times = f" {best * 1e3:>8.1f}ms {median * 1e3:>8.1f}ms"
+        print(f"{label:<46} {traced_peak(fn) / 1e6:>8.2f}MB{times}")
     print()
 
 

@@ -250,13 +250,6 @@ def cmd_train_decoder(args):
 # --- train-compressor -----------------------------------------------------------
 
 
-def _smoothed_rows(stack, seqs):
-    """The smoothed latent rows of an id matrix through a stack's encoder and
-    smoothing."""
-    h = latent.encode_corpus(seqs, stack["encoder"])
-    return latent.smooth(h.reshape(-1, h.shape[-1]), stack["smoothing"])
-
-
 def cmd_train_compressor(args):
     cfg = config.load_config(args.config, args.set)
     tensors, meta = checkpoint.load_checkpoint(args.init)
@@ -281,7 +274,7 @@ def cmd_train_compressor(args):
     traces = []
     for chain, stack, seqs, val_seqs in zip(chains, stacks, corpus, val_corpus):
         tag = chain.tag("-")
-        rows = _smoothed_rows(stack, seqs)
+        rows = latent.smoothed_rows(seqs, stack["encoder"], stack["smoothing"])
         comp = latent.init_compressor(
             meta["dim"], cfg["model.ratio_c"], root.substream(f"compressor-init{tag}")
         )
@@ -291,8 +284,12 @@ def cmd_train_compressor(args):
         out_tensors.update(checkpoint.pack(comp, chain.prefix + "compressor."))
         traces.append(trace)
         if trace:
-            val_rows = rows if val_seqs is None else _smoothed_rows(stack, val_seqs)
-            print(f"compressor{tag} {figure} MSE: {latent.compressor_mse(comp, val_rows):.6g}")
+            if val_seqs is not None:
+                del rows  # one corpus's rows at a time
+                rows = latent.smoothed_rows(val_seqs, stack["encoder"], stack["smoothing"])
+            # the last use of rows: compressor_mse overwrites them
+            print(f"compressor{tag} {figure} MSE: {latent.compressor_mse(comp, rows):.6g}")
+        del rows
     checkpoint.save_checkpoint(args.out, out_tensors, _carry_meta(meta, cfg, "pipeline"))
     _write_loss_csvs(args.out, chains, traces)
     print(f"wrote {args.out}")

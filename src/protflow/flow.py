@@ -38,6 +38,11 @@ TIME_SCALE = 10.0
 LEGACY_TIME_SCALE = 1000.0
 # Points of straightness's uniform t-grid on [0, 1], both ends included.
 STRAIGHTNESS_T = 8
+# Items per block where a training step turns an (n, L, hidden) activation
+# into gelu(a), its w2 product or gelu'(a): each is elementwise or a per-item
+# product, so blocks are bitwise the whole array, and a block's temporaries
+# stay small where whole-array ones would each be a hidden-size array.
+GELU_ITEMS = 8
 
 
 class VectorFieldConfig:
@@ -186,7 +191,8 @@ def flow_forward(model, x, t, need_cache=False):
 
     Returns:
         v of shape (n, L, W), or (v, cache) when need_cache; per block the
-        cache keeps the MLP pre-activation a and its GELU tanh, not gelu(a).
+        cache keeps the MLP pre-activation a and its GELU tanh, not gelu(a),
+        which is built GELU_ITEMS items at a time for the w2 product.
     """
     cfg = model.cfg
     p = model.params
@@ -230,23 +236,43 @@ def flow_forward(model, x, t, need_cache=False):
             u2 = u
         a = u2 @ p[w1]
         a += p[b1]
-        z, tanh_a = nn.gelu(a, return_tanh=True) if need_cache else (nn.gelu(a), None)
-        stream = z @ p[w2]
+        if need_cache:
+            tanh_a = nn.gelu_tanh(a)
+            stream = np.empty(x_in.shape)
+            for i in range(0, n, GELU_ITEMS):
+                items = slice(i, i + GELU_ITEMS)
+                np.matmul(nn.gelu_from_tanh(a[items], tanh_a[items]), p[w2], out=stream[items])
+            caches.append((u, q, k, vv, att, m, u2, a, tanh_a))
+        else:
+            stream = nn.gelu(a) @ p[w2]
         stream += p[b2]
         stream += x_in
-        if need_cache:
-            caches.append((u, q, k, vv, att, m, u2, a, tanh_a))
     if need_cache:
         return stream, (x, temb, inputs, caches)
     return stream
 
 
+def _gelu_backward_in_place(a, tanh_a, d_out, w2):
+    """Overwrite a with z = gelu(a) and tanh_a with d_a = gelu'(a) * (d_out @
+    w2.T), the gradient at a of a block output z @ w2 with gradient d_out,
+    GELU_ITEMS items at a time."""
+    for i in range(0, len(a), GELU_ITEMS):
+        items = slice(i, i + GELU_ITEMS)
+        z = nn.gelu_from_tanh(a[items], tanh_a[items])
+        d_a = nn.gelu_grad(a[items], tanh_a[items])
+        d_a *= d_out[items] @ w2.T
+        tanh_a[items] = d_a
+        a[items] = z
+
+
 def flow_backward(model, cache, dv):
     """Gradients of a scalar loss w.r.t. all parameters, given dL/dv.
 
-    Each block's z = gelu(a) is rebuilt from flow_forward's cached a and tanh,
-    bitwise the forward's z, and dropped after its w2 gradient. Returns a dict
-    keyed like model.params.
+    Consumes the cache: each block's entry is popped, and GELU_ITEMS items at
+    a time its cached a and tanh(a) are overwritten with z = gelu(a), bitwise
+    the forward's z, and the gradient d_a. A block's activations are dropped
+    once its gradients are taken, so the step holds no hidden-size array
+    beyond the cache. Returns a dict keyed like model.params.
     """
     cfg = model.cfg
     p = model.params
@@ -263,17 +289,16 @@ def flow_backward(model, cache, dv):
     d_stream = dv
     for b in reversed(range(cfg.depth)):
         j, skip_w, (tw, tb, wq, wk, wv, wo, w1, b1, w2, b2) = names[b]
-        u, q, k, vv, att, m, u2, a, tanh_a = caches[b]
-        # stream_out = x_in + delta
+        u, q, k, vv, att, m, u2, z, d_a = caches.pop()
+        # stream_out = x_in + delta, delta = gelu(a) @ w2 + b2
         d_delta = d_stream
-        grads[w2] += flat(nn.gelu_from_tanh(a, tanh_a)).T @ flat(d_delta)
+        _gelu_backward_in_place(z, d_a, d_delta, p[w2])
+        grads[w2] += flat(z).T @ flat(d_delta)
         grads[b2] += flat(d_delta).sum(axis=0)
-        # d_a = d_z * gelu'(a), d_z multiplied in after gelu_grad frees its temporaries
-        d_a = nn.gelu_grad(a, tanh_a)
-        d_a *= d_delta @ p[w2].T
         grads[w1] += flat(u2).T @ flat(d_a)
         grads[b1] += flat(d_a).sum(axis=0)
         d_u2 = d_a @ p[w1].T
+        del z, d_a
         if cfg.attention:
             d_u = d_u2.copy()
             grads[wo] += flat(m).T @ flat(d_u2)
@@ -411,9 +436,10 @@ def train_rf(model, dataset, rng, steps, batch, lr, lr_min, warmup, weight_decay
 def reflow_pairs(model, solver_config, m, rng):
     """Generate M >= 1 coupling pairs: z1 ~ N(0, I), z0 = ODE endpoint from z1.
 
-    Each pair draws z1 from its own RNG substream, and all pairs are solved
-    together as lanes of one ode.solve_lanes call. A one-pair re-solve
-    takes the same steps and agrees to 1e-12 (see multichain.sample_multichain).
+    Each pair draws z1 from its own RNG substream, and the pairs are solved
+    as lanes of one ode.solve_lanes call, which integrates ode.LANES of them
+    at a time. A one-pair re-solve takes the same steps and agrees to 1e-12
+    (see multichain.sample_multichain).
 
     Returns:
         (z0, z1), two (M, L, W) arrays. M < 1 raises ValueError.

@@ -15,6 +15,11 @@ Pipeline, sample side:  h_s' = decompress(h_c'); h' = unsmooth(h_s'); x' = decod
 smooth/unsmooth are exact inverses away from the clamp boundary; compression
 is lossy and trained to minimize reconstruction MSE in the smoothed space.
 
+A whole corpus goes through the stack BLOCK_ROWS latent rows at a time:
+every step is elementwise or a per-row product, so the blocks are bitwise the
+whole corpus, and a pass holds its one corpus-sized result, not one array
+per step.
+
 Every part of the stack (encoder, decoder, smoothing, compressor) is a dict
 of named float64 arrays, as the flow's parameters are. nn.fit packs a part
 it trains into one buffer, so a trained part's parameters are named views
@@ -30,6 +35,21 @@ from . import nn
 from .errors import EmptyCorpus, IncompatibleRatio
 from .numeric import RngStream
 from .seqio import PAD_ID, VOCAB_SIZE, tokenize
+
+# Latent rows per block of a whole-corpus pass: 64 sequences at l_max 20.
+BLOCK_ROWS = 1280
+
+
+def _blocks(n, rows_per_item):
+    """Slices of range(n) covering BLOCK_ROWS latent rows each, for items of
+    rows_per_item rows; one item at least. A last block of one item joins
+    the block before it: numpy takes a one-row product through gemv, which
+    rounds unlike the gemm of more rows."""
+    step = max(1, BLOCK_ROWS // max(rows_per_item, 1))
+    starts = list(range(0, n, step))
+    if step > 1 and len(starts) > 1 and n - starts[-1] == 1:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 # --- encoder ------------------------------------------------------------------
@@ -61,7 +81,8 @@ def init_encoder(dim, rng, embed_scale, embed_rank):
 
 def _gather_rows(enc, ids, idx):
     """Latent rows and token ids of the residue (non-PAD) positions of id
-    matrix rows idx, sequence after sequence, in one gather."""
+    matrix rows idx (indices or a slice), sequence after sequence, in one
+    gather."""
     sub = ids[idx]
     rows, pos = np.nonzero(sub != PAD_ID)
     y = sub[rows, pos]
@@ -76,6 +97,22 @@ def encode_corpus(ids, enc):
     out = enc["embed"][ids]
     out += nn.sinusoidal_table(ids.shape[1], out.shape[2])
     return out
+
+
+def _corpus_pass(ids, width, f):
+    """(n, l_max, width) array of f(block) over blocks of the id matrix's
+    sequences, each block BLOCK_ROWS latent rows."""
+    out = np.empty(ids.shape + (width,))
+    for block in _blocks(len(ids), ids.shape[1]):
+        out[block] = f(ids[block])
+    return out
+
+
+def smoothed_rows(ids, enc, stats):
+    """smooth(encode_corpus(ids, enc), stats) as (n * l_max, dim) rows, built
+    a block of sequences at a time."""
+    h = _corpus_pass(ids, enc["embed"].shape[1], lambda b: smooth(encode_corpus(b, enc), stats))
+    return h.reshape(-1, h.shape[-1])
 
 
 def embed_sequences(seqs, dim, seed):
@@ -120,7 +157,10 @@ def fit_smoothing(rows):
     std = rows.std(axis=0)
     constant = std <= 1e-12
     safe_std = np.where(constant, 1.0, std)
-    z = np.clip((rows - mean) / safe_std, -CLAMP_K, CLAMP_K)
+    # clip((rows - mean) / safe_std, -CLAMP_K, CLAMP_K) in one buffer
+    z = rows - mean
+    z /= safe_std
+    np.clip(z, -CLAMP_K, CLAMP_K, out=z)
     post_min = z.min(axis=0)
     post_max = z.max(axis=0)
     degenerate = (post_max - post_min) <= 1e-12
@@ -238,11 +278,19 @@ def compressor_loss_and_grad(comp, batch):
 
 
 def compressor_mse(comp, rows):
-    """Mean of (decompress(compress(rows)) - rows)^2 over every scalar, taken in
-    the reconstruction's buffer: a corpus costs rows plus one array its size."""
-    rec = decompress(compress(rows, comp), comp)
-    rec -= rows
-    return float(np.square(rec, out=rec).mean())
+    """Mean of (decompress(compress(rows)) - rows)^2 over every scalar of a
+    C-contiguous float64 array of rows, shape (n, ..., dim).
+
+    The squared errors overwrite rows, BLOCK_ROWS rows at a time, so pass
+    rows at their last use, or a copy; a corpus then costs no array its
+    size. The mean is taken over the overwritten rows as one array, so it
+    rounds as the whole-array expression does.
+    """
+    for block in _blocks(len(rows), rows[:1].size // rows.shape[-1]):
+        rec = decompress(compress(rows[block], comp), comp)
+        rec -= rows[block]
+        np.square(rec, out=rows[block])
+    return float(rows.mean())
 
 
 def train_compressor(
@@ -331,11 +379,14 @@ def decode(h, dec):
 
 def decoder_accuracy(dec, enc, ids):
     """Fraction of the residue positions of an (n, l_max) id matrix that
-    decode(encode) recovers, every position of every sequence in one batch."""
-    h, y = _gather_rows(enc, ids, np.arange(len(ids)))
-    if y.size == 0:
-        return 0.0
-    return int((decode(h, dec) == y).sum()) / y.size
+    decode(encode) recovers, a block of sequences at a time; 0.0 if there
+    are none. The counts are ints, so blocks do not move the result."""
+    correct = total = 0
+    for block in _blocks(len(ids), ids.shape[1]):
+        h, y = _gather_rows(enc, ids, block)
+        correct += int((decode(h, dec) == y).sum())
+        total += y.size
+    return correct / total if total else 0.0
 
 
 def train_decoder(
@@ -411,8 +462,13 @@ class LatentPipeline:
         return self.compressor["w_down"].shape[1]
 
     def corpus_to_latent(self, ids):
-        """(n, l_max) token ids -> (n, l_max, width) compressed latents."""
-        return compress(smooth(encode_corpus(ids, self.encoder), self.smoothing), self.compressor)
+        """(n, l_max) token ids -> (n, l_max, width) compressed latents, built
+        a block of sequences at a time."""
+
+        def compressed(block):
+            return compress(smooth(encode_corpus(block, self.encoder), self.smoothing), self.compressor)
+
+        return _corpus_pass(ids, self.width, compressed)
 
     def latent_to_sequence(self, h_c, length):
         """(l_max, width) compressed latent -> residue ids of its first length

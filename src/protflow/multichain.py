@@ -106,15 +106,17 @@ def split_latents(joint, layout):
 
 
 def sample_multichain(model, layout, length_dists, n, solver_config, rng):
-    """Full sampling: noise -> one lane-batched ODE solve -> split into
-    chains -> decompress -> unsmooth -> decode, per sample and chain.
+    """Full sampling: noise -> lane-batched ODE solve -> split into chains ->
+    decompress -> unsmooth -> decode, ode.LANES samples at a time.
 
     Each sample draws its noise and each chain's length from RNG substreams
-    keyed by its index, and all samples are solved together as lanes of one
-    solve_lanes call. A rerun with the same n and seed is bitwise identical.
-    Across batch sizes a sample's latent agrees to 1e-12 (the field's matrix
-    products round differently with the row count), and its NFE and
-    accepted/rejected step counts are equal.
+    keyed by its index. A chunk of samples is drawn, solved as the lanes of
+    one solve_lanes call and decoded before the next is drawn, so memory does
+    not grow with n; a solver failure names the sample's index. A rerun with
+    the same n and seed is bitwise identical. Across batch sizes a sample's
+    latent agrees to 1e-12 (numpy's one-row matrix products round unlike
+    larger ones; see ode.solve_lanes), and its NFE and accepted/rejected step
+    counts are equal.
 
     Args:
         model: VectorFieldModel trained on the joint (total_length, W) grid.
@@ -134,17 +136,21 @@ def sample_multichain(model, layout, length_dists, n, solver_config, rng):
     cfg = model.cfg
     if cfg.width != shape[1] or cfg.attention and cfg.seq_len != shape[0]:
         raise LayoutMismatch(f"flow ({cfg.seq_len}, {cfg.width}) cannot sample latents {shape}")
-    subs = [rng.substream(f"sample{i}") for i in range(n)]
-    eps = np.stack([sub.substream("noise").normal(shape) for sub in subs])
-    res = ode.solve_lanes(lambda x, t: flow.flow_forward(model, x, t), eps, solver_config)
     samples = []
-    for sub, x0 in zip(subs, res.x0):
-        chains = []
-        for chain, block in zip(layout, split_latents(x0, layout)):
-            length = length_dists[chain.name].sample(sub.substream("length" + chain.tag("-")))
-            ids = chain.pipeline.latent_to_sequence(block, min(length, chain.l_max))
-            chains.append(detokenize(ids))
-        samples.append(tuple(chains))
-    nfes = [int(k) for k in res.nfe]
+    nfes = []
+    for start in range(0, n, ode.LANES):
+        subs = [rng.substream(f"sample{i}") for i in range(start, min(n, start + ode.LANES))]
+        eps = np.stack([sub.substream("noise").normal(shape) for sub in subs])
+        res = ode.solve_lanes(
+            lambda x, t: flow.flow_forward(model, x, t), eps, solver_config, first_lane=start
+        )
+        for sub, x0 in zip(subs, res.x0):
+            chains = []
+            for chain, block in zip(layout, split_latents(x0, layout)):
+                length = length_dists[chain.name].sample(sub.substream("length" + chain.tag("-")))
+                ids = chain.pipeline.latent_to_sequence(block, min(length, chain.l_max))
+                chains.append(detokenize(ids))
+            samples.append(tuple(chains))
+        nfes += res.nfe.tolist()
     stats = {"nfes": nfes, "mean_nfe": float(np.mean(nfes)), "n": n}
     return samples, stats

@@ -25,9 +25,9 @@ _LN_EPS = 1e-5
 # and sums only swap operands, so results are bitwise those of the formulas.
 
 
-def _gelu_tanh(x):
-    # tanh(C * (x + A * (x * x * x))); x*x*x rather than x**3: numpy's float
-    # pow costs ~60x a multiply per element
+def gelu_tanh(x):
+    """tanh(C * (x + A * x^3)), the tanh gelu_from_tanh and gelu_grad take."""
+    # x*x*x rather than x**3: numpy's float pow costs ~60x a multiply per element
     u = x * x
     u *= x
     u *= _GELU_A
@@ -46,7 +46,7 @@ def gelu_from_tanh(x, t):
 def gelu(x, return_tanh=False):
     """Tanh-approximated GELU. With return_tanh, also return the tanh value so
     the backward pass can hand it to gelu_grad instead of recomputing it."""
-    t = _gelu_tanh(x)
+    t = gelu_tanh(x)
     if return_tanh:
         return gelu_from_tanh(x, t), t
     # as gelu_from_tanh, adding into the tanh buffer, which no caller sees

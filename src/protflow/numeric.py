@@ -4,10 +4,10 @@ All randomness in the package flows from a single integer seed through
 RngStream, a counter-based (Philox) stream with named substreams. Substream
 keys are derived by hashing (root seed, path), so the draw order inside one
 substream never perturbs any other substream. Per-sample streams give every
-sample the same noise whatever the batch size; a rerun with the same n and
-seed is bitwise identical, and across batch sizes the solved states agree to
-1e-12 with equal per-sample NFE and step counts (see
-multichain.sample_multichain).
+sample the same noise whatever the batch size or the chunk of ode.LANES
+samples it is solved in; a rerun with the same n and seed is bitwise
+identical, and across batch sizes the solved states agree to 1e-12 with equal
+per-sample NFE and step counts (see multichain.sample_multichain).
 """
 
 import hashlib

@@ -11,7 +11,8 @@ The fixed-grid DP54 mode needs just the first six stages per step (the
 There is one implementation of each integrator, over a leading lane axis:
 solve_lanes integrates n independent states with one field call per stage
 for every lane still running, and solve, over one state, is its one-lane
-case.
+case. solve_lanes takes at most LANES lanes per integration, so a solve's
+stages and the field's activations are bounded whatever n is.
 
 SolverConfig takes and checks every solver setting (method, steps, atol,
 rtol; config.SCHEMA holds their one default), and METHODS is the one list
@@ -47,6 +48,11 @@ METHODS = ("euler", "dopri5", "dopri5-fixed", "dopri5-adaptive")
 SETTINGS = ("method", "steps", "atol", "rtol")
 # the field evaluations an adaptive solve may spend in each lane
 MAX_NFE = 100000
+# Lanes per integration: a solve's memory grows with its lanes (about 64 KB
+# per lane with the shipped single-chain field). On 2 vCPUs, 1,024 lanes of
+# that field took 1.7 s CPU (dopri5-adaptive) in chunks of 128, 2.0-2.2 s in
+# chunks of 256 and 2.8-3.3 s in one integration.
+LANES = 128
 
 
 def _tolerance(key, value):
@@ -122,11 +128,12 @@ def _advance(x, h, acc):
     return acc
 
 
-def _fixed_grid(v, x, n_steps, tableau):
-    """Uniform-grid explicit RK over all lanes; NFE = stages * N per lane."""
+def _fixed_grid(v, x, first, n_steps, tableau):
+    """Uniform-grid explicit RK over the lanes of x, numbered from first; NFE
+    = stages * N per lane."""
     c, a, b = tableau
     n = x.shape[0]
-    lanes = np.arange(n)
+    lanes = np.arange(first, first + n)
     h = 1.0 / n_steps
     vs = [None] * len(c)
     for step in range(n_steps):
@@ -140,8 +147,9 @@ def _fixed_grid(v, x, n_steps, tableau):
     return SolveResult(x, len(c) * steps, accepted=steps, rejected=np.zeros(n, np.int64))
 
 
-def _dopri5_adaptive(v, x, atol, rtol):
-    """Embedded 5(4) pair with PI step control and FSAL reuse, per lane.
+def _dopri5_adaptive(v, x, first, atol, rtol):
+    """Embedded 5(4) pair with PI step control and FSAL reuse, per lane; a
+    failure names lane i of x as lane first + i.
 
     Error norm: RMS over a lane's coordinates of err/(atol + rtol*max(|x|,
     |x_new|)). Accept when the norm is <= 1. Step factor safety 0.9,
@@ -173,7 +181,8 @@ def _dopri5_adaptive(v, x, atol, rtol):
     def field(x_val, t):
         nonlocal calls
         if calls >= MAX_NFE:
-            raise NfeBudgetExceeded(f"nfe exceeded budget {MAX_NFE} in lane {int(lanes[0])}")
+            lane = first + int(lanes[0])
+            raise NfeBudgetExceeded(f"nfe exceeded budget {MAX_NFE} in lane {lane}")
         calls += 1
         return v(x_val, t)
 
@@ -183,7 +192,8 @@ def _dopri5_adaptive(v, x, atol, rtol):
         under = h < 1e-10
         if under.any():
             j = int(np.argmax(under))
-            raise StepUnderflow(f"step size {h[j]:g} underflowed at s={s[j]:g} in lane {lanes[j]}")
+            lane = first + int(lanes[j])
+            raise StepUnderflow(f"step size {h[j]:g} underflowed at s={s[j]:g} in lane {lane}")
         h_x = h.reshape(lane_shape)
         for i in range(1, 7):
             acc = _combine(_NEG_A[i], vs)
@@ -192,7 +202,7 @@ def _dopri5_adaptive(v, x, atol, rtol):
             vs[i] = field(_advance(x, h_x, acc), 1.0 - (s + _C[i] * h))
         incr += _NEG_B5[6] * vs[6]
         x_new = _advance(x, h_x, incr)
-        _check_finite(x_new, steps, lanes)
+        _check_finite(x_new, steps, first + lanes)
         steps += 1
         err_vec = h_x * _combine(_NEG_ERR, vs)
         scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
@@ -229,26 +239,41 @@ def _dopri5_adaptive(v, x, atol, rtol):
     return SolveResult(x_end, nfe, accepted=accepted, rejected=rejected)
 
 
-def solve_lanes(v, x1, config):
-    """Integrate n independent states ("lanes") from t=1 to t=0 at once.
+def solve_lanes(v, x1, config, first_lane=0):
+    """Integrate n independent states ("lanes") from t=1 to t=0, at most
+    LANES at a time.
 
     Args:
         v: lane field, v(x, t) -> dx/dt for x of shape (k, ...) and t of
             shape (k,): the k lanes still running, in lane order.
         x1: (n, ...) initial states, n >= 1.
         config: SolverConfig.
+        first_lane: the number of lane x1[0]; a failure names its lane
+            first_lane + i, so a caller solving in chunks names lanes as one
+            solve would.
 
     Each lane follows the steps a one-lane solve of it would take, with the
     same NFE and accepted/rejected counts; only the field's own arithmetic
-    on a larger batch can move the states, by rounding.
+    on a larger batch can move the states, by rounding. So the chunks of
+    LANES lanes give one solve's states bitwise for a field whose lanes
+    round alike in any batch. The flow's are, but for numpy's one-row
+    products (gemv, not gemm): a lane that runs alone in its chunk and not
+    in one solve over every lane, or the reverse, can move by rounding.
     """
-    x = np.array(x1, dtype=np.float64)
-    if x.ndim < 1 or x.shape[0] < 1:
+    x1 = np.asarray(x1)
+    if x1.ndim < 1 or x1.shape[0] < 1:
         raise ValueError("solve_lanes needs at least one lane")
-    if config.method == "dopri5-adaptive":
-        return _dopri5_adaptive(v, x, config.atol, config.rtol)
     tableau = _EULER if config.method == "euler" else _DP54_FIXED
-    return _fixed_grid(v, x, config.steps, tableau)
+    parts = []
+    for start in range(0, x1.shape[0], LANES):
+        x = np.array(x1[start : start + LANES], dtype=np.float64)
+        if config.method == "dopri5-adaptive":
+            parts.append(_dopri5_adaptive(v, x, first_lane + start, config.atol, config.rtol))
+        else:
+            parts.append(_fixed_grid(v, x, first_lane + start, config.steps, tableau))
+    return SolveResult(
+        *(np.concatenate([getattr(r, k) for r in parts]) for k in SolveResult.__slots__)
+    )
 
 
 def solve(v, x1, config):

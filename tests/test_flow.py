@@ -1,5 +1,8 @@
 """Vector-field network, CFM objective, 1-RF training, and reflow couplings."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +139,109 @@ def test_training_cache_holds_two_hidden_arrays_per_block(attention):
 
     shapes = [a.shape for a in arrays(cache)]
     assert shapes.count((n, length, hidden)) == 2 * cfg.depth
+
+
+def _ref_flow_backward(model, cache, dv):
+    """flow_backward as it was before its item blocks: each block's z and
+    gelu'(a) as whole arrays, the cache read and left as it was."""
+    cfg = model.cfg
+    p = model.params
+    x, temb, inputs, caches = cache
+    inv_sqrt_w = 1.0 / math.sqrt(x.shape[2])
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    d_inputs_extra = [None] * cfg.depth
+
+    def flat(arr):
+        return arr.reshape(-1, arr.shape[-1])
+
+    d_stream = dv
+    for b in reversed(range(cfg.depth)):
+        j, skip_w, (tw, tb, wq, wk, wv, wo, w1, b1, w2, b2) = flow._block_names(cfg.depth)[b]
+        u, q, k, vv, att, m, u2, a, tanh_a = caches[b]
+        d_delta = d_stream
+        grads[w2] += flat(nn.gelu_from_tanh(a, tanh_a)).T @ flat(d_delta)
+        grads[b2] += flat(d_delta).sum(axis=0)
+        d_a = nn.gelu_grad(a, tanh_a)
+        d_a *= d_delta @ p[w2].T
+        grads[w1] += flat(u2).T @ flat(d_a)
+        grads[b1] += flat(d_a).sum(axis=0)
+        d_u2 = d_a @ p[w1].T
+        if cfg.attention:
+            d_u = d_u2.copy()
+            grads[wo] += flat(m).T @ flat(d_u2)
+            d_m = d_u2 @ p[wo].T
+            d_att = d_m @ vv.transpose(0, 2, 1)
+            d_vv = att.transpose(0, 2, 1) @ d_m
+            d_scores = att * (d_att - (d_att * att).sum(axis=-1, keepdims=True))
+            d_q = (d_scores @ k) * inv_sqrt_w
+            d_k = (d_scores.transpose(0, 2, 1) @ q) * inv_sqrt_w
+            grads[wq] += flat(u).T @ flat(d_q)
+            grads[wk] += flat(u).T @ flat(d_k)
+            grads[wv] += flat(u).T @ flat(d_vv)
+            d_u += d_q @ p[wq].T
+            d_u += d_k @ p[wk].T
+            d_u += d_vv @ p[wv].T
+        else:
+            d_u = d_u2
+        d_tb = d_u.sum(axis=1)
+        grads[tw] += temb.T @ d_tb
+        grads[tb] += d_tb.sum(axis=0)
+        d_x_in = d_stream + d_u
+        if d_inputs_extra[b] is not None:
+            d_x_in = d_x_in + d_inputs_extra[b]
+        if j >= 0:
+            grads[skip_w] += flat(inputs[j]).T @ flat(d_x_in)
+            extra = d_x_in @ p[skip_w].T
+            d_inputs_extra[j] = extra if d_inputs_extra[j] is None else d_inputs_extra[j] + extra
+        d_stream = d_x_in
+    if cfg.attention:
+        grads["pos"] += d_stream.sum(axis=0)
+    return grads
+
+
+@pytest.mark.parametrize("attention", [False, True])
+def test_item_blocks_match_whole_array_step_bitwise(attention):
+    # GELU_ITEMS does not divide n, so the last block is short
+    n, length, hidden = 2 * flow.GELU_ITEMS + 3, 5, 16
+    assert n % flow.GELU_ITEMS
+    cfg = flow.VectorFieldConfig(3, 4, hidden, attention=attention, seq_len=length)
+    model = _perturbed_model(cfg, 11)
+    gen = np.random.default_rng(12)
+    x = gen.normal(size=(n, length, 4))
+    t = gen.uniform(size=n)
+    v, cache = flow.flow_forward(model, x, t, need_cache=True)
+    # the uncached forward takes each w2 product over every item at once
+    assert v.tobytes() == flow.flow_forward(model, x, t).tobytes()
+    dv = gen.normal(size=v.shape)
+    want = _ref_flow_backward(model, cache, dv)
+    got = flow.flow_backward(model, cache, dv)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    assert cache[3] == []  # every block's activations were handed back
+
+
+def test_training_step_holds_its_cache_and_block_temporaries():
+    # One cfm_loss step at batch 64, L 20, width 4, hidden 128, depth 2. The
+    # cache holds 2 * depth hidden-size arrays; GELU_ITEMS-item temporaries
+    # and width-size arrays fit in one more. Before the item blocks the step
+    # peaked at 7.4 hidden-size arrays.
+    n, length, width, hidden, depth = 64, 20, 4, 128, 2
+    model = _perturbed_model(
+        flow.VectorFieldConfig(depth, width, hidden, attention=False, seq_len=None), 13
+    )
+    gen = np.random.default_rng(14)
+    x0, x1 = gen.normal(size=(2, n, length, width))
+    t = gen.uniform(size=n)
+    flow.cfm_loss(model, x0, x1, t)  # fills the lru caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        flow.cfm_loss(model, x0, x1, t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * depth + 1) * n * length * hidden * 8
 
 
 def test_interpolate_exact_endpoints():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,11 +216,12 @@ def test_train_compressor_reduces_val_mse():
     z = rng.substream("z").normal((300, 2))
     rows = np.tanh(z @ basis * 0.5)
     comp = latent.init_compressor(8, 4, rng.substream("init"))
-    before = latent.compressor_mse(comp, rows[200:])
+    # compressor_mse overwrites its rows, so each call gets a copy
+    before = latent.compressor_mse(comp, rows[200:].copy())
     comp, trace = latent.train_compressor(
         comp, rows[:200], rng.substream("train"), steps=400, batch=32, **_COMPRESSOR_SETTINGS
     )
-    after = latent.compressor_mse(comp, rows[200:])
+    after = latent.compressor_mse(comp, rows[200:].copy())
     assert after < before * 0.5
     assert [row[0] for row in trace] == list(range(400))
 
@@ -338,6 +340,61 @@ def test_corpus_to_latent_is_bitwise_per_sequence():
     batched = pipe.corpus_to_latent(ids)
     assert batched.shape == (500, 20, 8)
     assert np.array_equal(batched, np.stack([_row_latent(pipe, row) for row in ids]))
+
+
+def test_corpus_blocks_match_whole_corpus_expressions_bitwise():
+    # 500 sequences at l_max 20 are 7 full blocks of 64 and one of 52
+    pipe = _random_pipeline(20, 1)
+    ids = tokenize(_random_peptides(500, 20, 2), 20)
+    assert len(ids) % (latent.BLOCK_ROWS // 20)
+    enc, sm, comp = pipe.encoder, pipe.smoothing, pipe.compressor
+    h_s = latent.smooth(latent.encode_corpus(ids, enc), sm)
+    assert pipe.corpus_to_latent(ids).tobytes() == latent.compress(h_s, comp).tobytes()
+    rows = latent.smoothed_rows(ids, enc, sm)
+    assert rows.shape == (500 * 20, 32)
+    assert rows.tobytes() == h_s.reshape(-1, 32).tobytes()
+    # compressor_mse blocks the rows too, and leaves their squared errors in
+    # them: 10,000 rows end in a short block, 2,561 in one of a single row,
+    # which joins the block before it
+    for n in (len(rows), 2 * latent.BLOCK_ROWS + 1):
+        assert n % latent.BLOCK_ROWS
+        block = rows[:n].copy()
+        sq = (latent.decompress(latent.compress(block, comp), comp) - block) ** 2
+        assert latent.compressor_mse(comp, block) == float(sq.mean())
+        assert block.tobytes() == sq.tobytes()
+
+
+def test_compressor_stage_holds_one_corpus_sized_array():
+    # train-compressor's path: the smoothed rows of a 500 x 20 corpus at D 32,
+    # a short fit and the closing MSE. Block temporaries are BLOCK_ROWS rows;
+    # the stage used to hold two corpus-sized arrays in each of
+    # smoothed_rows and compressor_mse.
+    pipe = _random_pipeline(20, 1)
+    ids = tokenize(_random_peptides(500, 20, 2), 20)
+    comp = latent.init_compressor(32, 4, RngStream(3))
+    corpus_bytes = ids.size * 32 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rows = latent.smoothed_rows(ids, pipe.encoder, pipe.smoothing)
+        comp, _ = latent.train_compressor(
+            comp, rows, RngStream(4), steps=2, batch=64, **_COMPRESSOR_SETTINGS
+        )
+        latent.compressor_mse(comp, rows)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * corpus_bytes
+
+
+def test_fit_smoothing_matches_its_expressions_bitwise():
+    rows = np.random.default_rng(15).normal(size=(400, 6)) * [1.0, 2.0, 0.5, 3.0, 1.0, 1.0]
+    rows[:, 4] = 0.25  # a constant dimension
+    rows[7, 5] = 40.0  # an outlier the clamp moves
+    stats = latent.fit_smoothing(rows)
+    z = np.clip((rows - stats["mean"]) / stats["std"], -latent.CLAMP_K, latent.CLAMP_K)
+    assert stats["post_min"].tobytes() == z.min(axis=0).tobytes()
+    assert stats["post_max"].tobytes() == z.max(axis=0).tobytes()
 
 
 def test_multichain_corpus_latents_are_bitwise_per_complex():

@@ -68,7 +68,8 @@ def test_gelu_in_place_matches_formulas_bitwise():
     assert np.array_equal(nn.gelu(x), z)
     z2, t2 = nn.gelu(x, return_tanh=True)
     assert np.array_equal(z2, z) and np.array_equal(t2, t)
-    # flow_backward rebuilds the forward's z from the cached tanh, left unwritten
+    assert np.array_equal(nn.gelu_tanh(x), t)  # the tanh a flow block caches
+    # flow_forward and flow_backward build z from the cached tanh, left unwritten
     assert np.array_equal(nn.gelu_from_tanh(x, t2).view(np.uint64), z2.view(np.uint64))
     assert np.array_equal(t2, t)
     t_in = t.copy()

@@ -1,11 +1,12 @@
 """Fixed and adaptive integrators, NFE accounting, and batch sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from protflow import latent, multichain, ode
+from protflow import flow, latent, multichain, ode
 from protflow.config import SCHEMA, solver_config
 from protflow.errors import ConfigError, NfeBudgetExceeded, NonFiniteState, StepUnderflow
 from protflow.flow import VectorFieldConfig, init_flow_model
@@ -419,3 +420,132 @@ def test_nfe_budget_raises_where_the_reference_does(monkeypatch, budget, lane):
             solver(counted, x1, cfg)
         outcomes.append((str(info.value), calls))
     assert outcomes[0] == outcomes[1]
+
+
+# --- lane chunks -----------------------------------------------------------------
+
+
+def _pair_lone_lanes(v):
+    """v, evaluating a lone lane as a pair of copies: numpy takes a one-row
+    matrix product through gemv, which may round differently from the gemm
+    of two or more rows."""
+
+    def paired(x, t):
+        if x.shape[0] == 1:
+            return v(np.concatenate([x, x]), np.concatenate([t, t]))[:1]
+        return v(x, t)
+
+    return paired
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _solver(method="euler", steps=7),
+        _solver(method="dopri5", steps=3),
+        _solver(method="dopri5-adaptive", atol=1e-5, rtol=1e-5),
+    ],
+    ids=lambda c: c.method,
+)
+def test_chunked_solve_matches_one_solve_bitwise(monkeypatch, cfg):
+    # 11 lanes in chunks of 4, so the last chunk is short. An adaptive lane
+    # can run alone in its chunk while others still run in the whole solve:
+    # then only the flow's one-row time projection rounds differently, so
+    # the states agree to 1e-12, and bitwise once lone lanes run in pairs.
+    v = _perturbed_flow(51)
+    paired = _pair_lone_lanes(v)
+    x1 = RngStream(52).normal((11, 6, 8))
+    whole, whole_paired = ode.solve_lanes(v, x1, cfg), ode.solve_lanes(paired, x1, cfg)
+    monkeypatch.setattr(ode, "LANES", 4)
+    calls = []
+
+    def counted(x, t):
+        calls.append(x.shape[0])
+        return v(x, t)
+
+    chunked, chunked_paired = ode.solve_lanes(counted, x1, cfg), ode.solve_lanes(paired, x1, cfg)
+    assert max(calls) == 4
+    for want, got in ((whole, chunked), (whole_paired, chunked_paired)):
+        for count in ("nfe", "accepted", "rejected"):
+            assert getattr(got, count).tolist() == getattr(want, count).tolist(), count
+        assert np.abs(got.x0 - want.x0).max() <= 1e-12
+    assert chunked_paired.x0.tobytes() == whole_paired.x0.tobytes()
+    if cfg.method == "dopri5-adaptive":
+        assert len(set(whole.nfe.tolist())) > 1  # lanes finish at different steps
+    else:  # no chunk of one lane
+        assert chunked.x0.tobytes() == whole.x0.tobytes()
+
+
+def test_chunked_failures_name_the_global_lane(monkeypatch):
+    # lanes 0-2 and 4 finish in 19 evaluations; lane 3, in the second chunk
+    # of two, would need thousands
+    x1 = np.array([[1.0, 0.01]] * 3 + [[1.0, 400.0], [1.0, 0.01]])
+    monkeypatch.setattr(ode, "LANES", 2)
+    monkeypatch.setattr(ode, "MAX_NFE", 200)
+    with pytest.raises(NfeBudgetExceeded, match="in lane 3$"):
+        ode.solve_lanes(_decay_lanes, x1, _solver(method="dopri5-adaptive", atol=1e-8, rtol=1e-8))
+    with pytest.raises(NfeBudgetExceeded, match="in lane 13$"):
+        ode.solve_lanes(
+            _decay_lanes, x1, _solver(method="dopri5-adaptive", atol=1e-8, rtol=1e-8),
+            first_lane=10,
+        )
+
+    def blow_up(x, t):
+        out = _decay_lanes(x, t)
+        out[x[:, 1] > 100.0] = np.nan
+        return out
+
+    for method in ("euler", "dopri5", "dopri5-adaptive"):
+        with pytest.raises(NonFiniteState, match="in lane 3$"):
+            ode.solve_lanes(blow_up, x1, _solver(method=method, steps=3))
+
+
+def test_sample_chunks_name_the_global_lane(monkeypatch):
+    # sample_multichain solves ode.LANES samples at a time: 6 samples in
+    # chunks of 4 and 2 give the samples of one solve, and a failure in the
+    # second chunk names the sample's own index
+    rng = RngStream(19)
+    layout = _tiny_layout(rng)
+    model = init_flow_model(
+        VectorFieldConfig(2, 4, 8, attention=False, seq_len=None), rng.substream("model")
+    )
+    ld = {"": LengthDistribution([2, 3], [1, 1])}
+    sc = _solver(method="euler", steps=2)
+    whole = multichain.sample_multichain(model, layout, ld, 6, sc, RngStream(6))
+    monkeypatch.setattr(ode, "LANES", 4)
+    assert multichain.sample_multichain(model, layout, ld, 6, sc, RngStream(6)) == whole
+    forward = flow.flow_forward
+
+    def poisoned(m, x, t):
+        out = forward(m, x, t)
+        if x.shape[0] == 2:  # the second chunk, samples 4 and 5
+            out[:] = np.nan
+        return out
+
+    monkeypatch.setattr(flow, "flow_forward", poisoned)
+    with pytest.raises(NonFiniteState, match="in lane 4$"):
+        multichain.sample_multichain(model, layout, ld, 6, sc, RngStream(6))
+
+
+def test_large_adaptive_solve_memory_is_bounded():
+    # 4,096 lanes at the shipped single-chain field's shape (L 20, width 8,
+    # hidden 64, depth 2): traced peak 11 MiB in chunks of 128 lanes (17 MiB
+    # in chunks of 256), of which the 5 MiB result, and 201 MiB in one
+    # integration of every lane.
+    from protflow.flow import flow_forward
+
+    model = init_flow_model(VectorFieldConfig(2, 8, 64, attention=False, seq_len=None),
+                            RngStream(61))
+    for key, val in model.params.items():
+        model.params[key] = val + 0.1 * RngStream(62).substream(key).normal(val.shape)
+    x1 = RngStream(63).normal((4096, 20, 8))
+    cfg = _solver(method="dopri5-adaptive", atol=1e-2, rtol=1e-2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = ode.solve_lanes(lambda x, t: flow_forward(model, x, t), x1, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.x0.shape == x1.shape
+    assert peak < 16 * 2**20
