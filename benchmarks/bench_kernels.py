@@ -42,21 +42,24 @@ the cap), AdamW and the cosine schedule.
 Sampling follows, on a seeded flow model shaped like the sample workload's
 (depth 2, width 8, hidden 64, L = 20, time features at flow.TIME_SCALE)
 whose parameters are perturbed so the field is not the identity:
-flow_forward per call at batch 2 and 16 (the adaptive and dopri5 x25 sample
-commands' batches), one dopri5-adaptive solve of 2 lanes with its NFE per
+flow_forward per call at batch 2, 16 and ode.LANES (the adaptive and dopri5
+x25 sample commands' batches, and the most lanes a solve integrates at
+once), one dopri5-adaptive solve of 2 lanes with its NFE per
 lane, and one dopri5 x25 solve of 16 lanes, best and median of five runs
 after one warm-up. Set OPENBLAS_NUM_THREADS=1 to time them as the CLI
 benchmarks do.
 
 Memory follows: the tracemalloc peak of one call above what was live when it
 started, for one cfm_loss training step at 64 x 20 x 8 (batch x L x width,
-hidden 64, depth 2), compressor_mse over the 10,000 x 32 smoothed rows of
-the training corpus above at ratio_c 4 (train-compressor's closing figure),
+hidden 64, depth 2) and at 64 x 1 x 8 (reflow's single-row pairs), one
+uncached flow_forward of ode.LANES lanes at L 20, fit_corpus_smoothing of
+the training corpus above (train-decoder's fit), compressor_mse over its
+10,000 x 32 smoothed rows at ratio_c 4 (train-compressor's closing figure),
 corpus_to_latent of that 500 x 20 corpus (train-flow's dataset), a dopri5
 x25 and a dopri5-adaptive solve of SOLVE_LANES lanes of the sampling field
 below (reflow's 1,024 pairs), and cross_edit_matrix of 200 length-20
-sequences against the same 200 plus one 3,000-residue text, whose passes the
-kernel's key budget bounds. tracemalloc counts numpy's array buffers, so
+sequences against the same 200 plus one 3,000-residue text, whose length does
+not size the kernel's passes. tracemalloc counts numpy's array buffers, so
 each figure is what the call asks of the allocator, not the process's RSS.
 Beside each peak, the call's best and median time of five untraced runs
 after one warm-up; compressor_mse overwrites its rows, so it runs once.
@@ -264,12 +267,12 @@ def bench_sampling():
         return RngStream(2).normal((n, FLOW_LENGTH, FLOW_CFG["width"]))
 
     print(f"{'sampling':<34} {'best':>10} {'median':>10}")
-    for n in (2, 16):
+    for n in (2, 16, ode.LANES):
         x, t = lanes(n), np.full(n, 0.5)
-        _, best, median = timed(lambda: [field(x, t) for _ in range(FORWARD_CALLS)])
+        calls = FORWARD_CALLS * 16 // max(n, 16)
+        _, best, median = timed(lambda: [field(x, t) for _ in range(calls)])
         label = f"flow_forward {n}x{FLOW_LENGTH}x{FLOW_CFG['width']}, per call"
-        print(f"{label:<34} {best / FORWARD_CALLS * 1e6:>8.1f}us "
-              f"{median / FORWARD_CALLS * 1e6:>8.1f}us")
+        print(f"{label:<34} {best / calls * 1e6:>8.1f}us {median / calls * 1e6:>8.1f}us")
     # each setting a solve leaves unset takes its config.SCHEMA default, as in sample
     adaptive = solver_config({"solver.method": "dopri5-adaptive"})
     fixed = solver_config({"solver.method": "dopri5", "solver.steps": 25})
@@ -313,6 +316,10 @@ def bench_memory():
     x0 = RngStream(2).substream("x0").normal(shape)
     x1 = RngStream(2).substream("x1").normal(shape)
     t = RngStream(2).substream("t").uniform(FLOW_BATCH)
+    # reflow's pairs are single rows
+    row_shape = (FLOW_BATCH, 1, FLOW_CFG["width"])
+    r0 = RngStream(2).substream("r0").normal(row_shape)
+    r1 = RngStream(2).substream("r1").normal(row_shape)
     n_short, short, long = LONG_TEXT
     texts = make_corpus(n_short, short, short, 9)
     texts_long = texts + make_corpus(1, long, long, 10)
@@ -320,6 +327,11 @@ def bench_memory():
     figures = (
         (f"cfm_loss {'x'.join(map(str, shape))}, hidden {FLOW_CFG['hidden']}, "
          f"depth {FLOW_CFG['depth']}", lambda: flow.cfm_loss(model, x0, x1, t), True),
+        (f"cfm_loss {'x'.join(map(str, row_shape))}", lambda: flow.cfm_loss(model, r0, r1, t), True),
+        (f"flow_forward {ode.LANES}x{FLOW_LENGTH}x{FLOW_CFG['width']}, uncached",
+         lambda: field(lanes[:ode.LANES], 0.5), True),
+        (f"fit_corpus_smoothing {ids.shape[0]}x{ids.shape[1]}, D {c['dim']}",
+         lambda: latent.fit_corpus_smoothing(ids, enc), True),
         (f"compressor_mse {rows.shape[0]}x{rows.shape[1]}, ratio_c {c['ratio']}",
          lambda: latent.compressor_mse(comp, rows), False),
         (f"corpus_to_latent {ids.shape[0]}x{ids.shape[1]}, ratio_c {c['ratio']}",

@@ -233,7 +233,7 @@ def cmd_train_decoder(args):
             dec, enc, seqs, root.substream(f"decoder{tag}"), **_train_args(cfg)
         )
         accuracy = latent.decoder_accuracy(dec, enc, seqs[:256] if val_seqs is None else val_seqs)
-        sm = latent.fit_smoothing(latent.encode_corpus(seqs, enc).reshape(-1, dim))
+        sm = latent.fit_corpus_smoothing(seqs, enc)
         for part, params in (("encoder", enc), ("decoder", dec), ("smoothing", sm)):
             tensors.update(checkpoint.pack(params, f"{chain.prefix}{part}."))
         length_dists.append(seqio.fit_length_distribution(seqs).to_dict())

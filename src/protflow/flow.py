@@ -25,7 +25,7 @@ import numpy as np
 from . import nn, ode
 from .config import SIZE_CAP
 from .errors import NonFiniteLoss, ShapeMismatch
-from .numeric import ABOVE_0, FINITE, is_int, is_number
+from .numeric import ABOVE_0, FINITE, is_int, is_number, item_blocks
 
 # Time-feature scale of new fields: the fastest time channel turns TIME_SCALE
 # rad per unit t, slow enough for the 25-step grid (h = 0.04) and the
@@ -38,11 +38,12 @@ TIME_SCALE = 10.0
 LEGACY_TIME_SCALE = 1000.0
 # Points of straightness's uniform t-grid on [0, 1], both ends included.
 STRAIGHTNESS_T = 8
-# Items per block where a training step turns an (n, L, hidden) activation
-# into gelu(a), its w2 product or gelu'(a): each is elementwise or a per-item
+# Row budget of the blocks of items (numeric.item_blocks) in which the flow
+# builds its (n, L, hidden) activation: a = u2 @ w1 + b1, GELU and the w2
+# product, and in backward gelu'(a). Each is elementwise or a per-item 3-D
 # product, so blocks are bitwise the whole array, and a block's temporaries
 # stay small where whole-array ones would each be a hidden-size array.
-GELU_ITEMS = 8
+HIDDEN_ROWS = 320
 
 
 class VectorFieldConfig:
@@ -190,9 +191,12 @@ def flow_forward(model, x, t, need_cache=False):
         need_cache: also return intermediates for flow_backward.
 
     Returns:
-        v of shape (n, L, W), or (v, cache) when need_cache; per block the
-        cache keeps the MLP pre-activation a and its GELU tanh, not gelu(a),
-        which is built GELU_ITEMS items at a time for the w2 product.
+        v of shape (n, L, W), or (v, cache) when need_cache.
+
+    Each block's MLP runs a block of items at a time (HIDDEN_ROWS rows):
+    a = u2 @ w1 + b1, gelu(a) and its w2 product into the block output, so
+    no call holds a batch-sized a or gelu(a). Per block the cache keeps only
+    tanh(a), the costly part of GELU; flow_backward rebuilds a.
     """
     cfg = model.cfg
     p = model.params
@@ -213,6 +217,7 @@ def flow_forward(model, x, t, need_cache=False):
     inputs = []
     caches = []
     inv_sqrt_w = 1.0 / math.sqrt(w)
+    blocks = item_blocks(n, length, HIDDEN_ROWS)
     # Biases, residuals and the score scale are applied in place to fresh
     # matmul results; each sum adds the operand pair x + y would, so no value moves.
     for j, skip_w, (tw, tb, wq, wk, wv, wo, w1, b1, w2, b2) in _block_names(cfg.depth):
@@ -234,17 +239,19 @@ def flow_forward(model, x, t, need_cache=False):
         else:
             q = k = vv = att = m = None
             u2 = u
-        a = u2 @ p[w1]
-        a += p[b1]
+        stream = np.empty(x_in.shape)
         if need_cache:
-            tanh_a = nn.gelu_tanh(a)
-            stream = np.empty(x_in.shape)
-            for i in range(0, n, GELU_ITEMS):
-                items = slice(i, i + GELU_ITEMS)
-                np.matmul(nn.gelu_from_tanh(a[items], tanh_a[items]), p[w2], out=stream[items])
-            caches.append((u, q, k, vv, att, m, u2, a, tanh_a))
-        else:
-            stream = nn.gelu(a) @ p[w2]
+            tanh_a = np.empty((n, length, cfg.hidden))
+            caches.append((u, q, k, vv, att, m, u2, tanh_a))
+        for items in blocks:
+            a = u2[items] @ p[w1]
+            a += p[b1]
+            if need_cache:
+                nn.gelu_from_tanh(a, nn.gelu_tanh(a, out=tanh_a[items]), out=a)
+            else:
+                a = nn.gelu(a)
+            np.matmul(a, p[w2], out=stream[items])
+            del a  # else it lives on while the next block's is built
         stream += p[b2]
         stream += x_in
     if need_cache:
@@ -252,27 +259,35 @@ def flow_forward(model, x, t, need_cache=False):
     return stream
 
 
-def _gelu_backward_in_place(a, tanh_a, d_out, w2):
-    """Overwrite a with z = gelu(a) and tanh_a with d_a = gelu'(a) * (d_out @
-    w2.T), the gradient at a of a block output z @ w2 with gradient d_out,
-    GELU_ITEMS items at a time."""
-    for i in range(0, len(a), GELU_ITEMS):
-        items = slice(i, i + GELU_ITEMS)
-        z = nn.gelu_from_tanh(a[items], tanh_a[items])
-        d_a = nn.gelu_grad(a[items], tanh_a[items])
+def _hidden_backward(u2, tanh_a, d_out, w1, b1, w2):
+    """z = gelu(a) of a block's MLP, its pre-activation a = u2 @ w1 + b1
+    rebuilt by the forward's expression into z's buffer a block of items at
+    a time, so z is bitwise the forward's. tanh_a, the cached tanh(a), is
+    overwritten with d_a = gelu'(a) * (d_out @ w2.T), the gradient at a of a
+    block output z @ w2 with gradient d_out. Returns z."""
+    n, length, _ = u2.shape
+    z = np.empty(tanh_a.shape)
+    for items in item_blocks(n, length, HIDDEN_ROWS):
+        a = np.matmul(u2[items], w1, out=z[items])
+        a += b1
+        t = tanh_a[items]
+        d_a = nn.gelu_grad(a, t)
         d_a *= d_out[items] @ w2.T
-        tanh_a[items] = d_a
-        a[items] = z
+        nn.gelu_from_tanh(a, t, out=a)
+        t[...] = d_a
+        del d_a  # else it lives on while the next block's is built
+    return z
 
 
 def flow_backward(model, cache, dv):
     """Gradients of a scalar loss w.r.t. all parameters, given dL/dv.
 
-    Consumes the cache: each block's entry is popped, and GELU_ITEMS items at
-    a time its cached a and tanh(a) are overwritten with z = gelu(a), bitwise
-    the forward's z, and the gradient d_a. A block's activations are dropped
-    once its gradients are taken, so the step holds no hidden-size array
-    beyond the cache. Returns a dict keyed like model.params.
+    Consumes the cache: each block's entry is popped, its pre-activation a
+    is rebuilt a block of items at a time into a buffer that then holds z =
+    gelu(a), bitwise the forward's z, and its cached tanh(a) is overwritten
+    with the gradient d_a. A block's arrays are dropped once its gradients
+    are taken, so the step holds one hidden-size array beyond the cache.
+    Returns a dict keyed like model.params.
     """
     cfg = model.cfg
     p = model.params
@@ -289,16 +304,17 @@ def flow_backward(model, cache, dv):
     d_stream = dv
     for b in reversed(range(cfg.depth)):
         j, skip_w, (tw, tb, wq, wk, wv, wo, w1, b1, w2, b2) = names[b]
-        u, q, k, vv, att, m, u2, z, d_a = caches.pop()
+        u, q, k, vv, att, m, u2, d_a = caches.pop()
         # stream_out = x_in + delta, delta = gelu(a) @ w2 + b2
         d_delta = d_stream
-        _gelu_backward_in_place(z, d_a, d_delta, p[w2])
+        z = _hidden_backward(u2, d_a, d_delta, p[w1], p[b1], p[w2])
         grads[w2] += flat(z).T @ flat(d_delta)
+        del z
         grads[b2] += flat(d_delta).sum(axis=0)
         grads[w1] += flat(u2).T @ flat(d_a)
         grads[b1] += flat(d_a).sum(axis=0)
         d_u2 = d_a @ p[w1].T
-        del z, d_a
+        del d_a
         if cfg.attention:
             d_u = d_u2.copy()
             grads[wo] += flat(m).T @ flat(d_u2)
@@ -361,7 +377,8 @@ def cfm_loss(model, x0, x1, t):
     """Conditional flow-matching loss and its parameter gradients.
 
     Loss is the mean over every scalar of (v(x_t, t) - u)^2, which keeps
-    thresholds independent of batch shape.
+    thresholds independent of batch shape. dL/dv = 2 (v - u) / v.size is
+    formed in v's buffer.
 
     Returns:
         (loss, grads dict).
@@ -372,12 +389,12 @@ def cfm_loss(model, x0, x1, t):
     x_t = rf_interpolate(x0, x1, t)
     u = rf_target(x0, x1)
     v, cache = flow_forward(model, x_t, t, need_cache=True)
-    diff = v - u
-    loss = float((diff**2).mean())
+    v -= u
+    loss = float((v**2).mean())
     if not np.isfinite(loss):
         raise NonFiniteLoss("CFM loss is non-finite")
-    dv = (2.0 / diff.size) * diff
-    return loss, flow_backward(model, cache, dv)
+    v *= 2.0 / v.size
+    return loss, flow_backward(model, cache, v)
 
 
 # --- training loops --------------------------------------------------------------

@@ -4,7 +4,9 @@ Edit distances use the bit-vector recurrence of Myers (1999, J. ACM 46(3)) in
 Hyyrö's (2003) form for global Levenshtein distance. A matrix of distances is
 one vectorized pass: every (pattern, text) pair is a lane holding its column
 of vertical deltas as uint64 words, one word per 64 pattern rows, and each
-text position updates all lanes with a fixed group of numpy ops. The matrix
+text position gathers its lanes' match masks and updates all lanes with a
+fixed group of numpy ops; a pass takes at most _LANES lanes, so its memory
+does not grow with the texts' lengths. The matrix
 functions read sequences as seqio.tokenize's residue ids: each pattern has
 VOCAB_SIZE rows of match bit masks, one per id, and its PAD_ID row stays
 zero, so PAD never matches. A string holding a non-residue character raises
@@ -23,11 +25,9 @@ BACKEND = "numpy"
 
 _INF = np.int64(1) << np.int64(62)
 
-# Lanes per vectorized pass: at most _LANES, and at most _KEYS // (its longest
-# text) but at least one, so one long text does not size every lane's keys and
-# texts of up to 256 residues keep full passes. Memory per pass: O(_LANES * W + _KEYS).
+# Lanes per vectorized pass. Each text position gathers its lanes' match masks
+# as it is read, so a pass holds O(_LANES * W) words whatever its texts' lengths.
 _LANES = 4096
-_KEYS = 1 << 20
 
 _ONE = np.uint64(1)
 _TOP_BIT = np.uint64(63)
@@ -68,7 +68,7 @@ def _lane_distances(ids_p, ids_t, pi, ti):
     n_words = peq.shape[0]
     lengths_p = np.count_nonzero(ids_p != PAD_ID, axis=1)
     lengths_t = np.count_nonzero(ids_t != PAD_ID, axis=1)
-    # position-major, so each pass gathers its (position, lane) keys directly
+    # position-major, so each text position gathers its lanes' ids from one row
     ids_t = ids_t.T
 
     out = np.empty(pi.size, dtype=np.int64)
@@ -78,18 +78,18 @@ def _lane_distances(ids_p, ids_t, pi, ti):
     while start < order.size:
         # the pass's first lane holds its longest text
         t_max = int(lengths_t[ti[order[start]]])
-        lanes = order[start : start + max(1, min(_LANES, _KEYS // max(t_max, 1)))]
+        lanes = order[start : start + _LANES]
         start += lanes.size
         p, t = pi[lanes], ti[lanes]
         m, n = lengths_p[p], lengths_t[t]
-        keys = ids_t[:t_max, t] + p * VOCAB_SIZE
+        p_rows = p * VOCAB_SIZE
         # lanes still reading text at each position: those with n > j
         active = lanes.size - np.cumsum(np.bincount(n))[:t_max]
         pv = np.full((n_words, lanes.size), _ALL)
         mv = np.zeros((n_words, lanes.size), dtype=np.uint64)
         for j in range(t_max):
             a = active[j]
-            eq_words = peq[:, keys[j, :a]]
+            eq_words = peq[:, ids_t[j, t[:a]] + p_rows[:a]]
             # word 0 sits under the top row D[0, j] = j: horizontal delta +1
             h_pos, h_neg = _ONE, None
             for w in range(n_words):

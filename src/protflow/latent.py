@@ -18,7 +18,8 @@ is lossy and trained to minimize reconstruction MSE in the smoothed space.
 A whole corpus goes through the stack BLOCK_ROWS latent rows at a time:
 every step is elementwise or a per-row product, so the blocks are bitwise the
 whole corpus, and a pass holds its one corpus-sized result, not one array
-per step.
+per step. The smoothing fit holds none: its sums chain from block to block
+in numpy's own order of addition.
 
 Every part of the stack (encoder, decoder, smoothing, compressor) is a dict
 of named float64 arrays, as the flow's parameters are. nn.fit packs a part
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import nn
 from .errors import EmptyCorpus, IncompatibleRatio
-from .numeric import RngStream
+from .numeric import RngStream, item_blocks
 from .seqio import PAD_ID, VOCAB_SIZE, tokenize
 
 # Latent rows per block of a whole-corpus pass: 64 sequences at l_max 20.
@@ -41,15 +42,8 @@ BLOCK_ROWS = 1280
 
 
 def _blocks(n, rows_per_item):
-    """Slices of range(n) covering BLOCK_ROWS latent rows each, for items of
-    rows_per_item rows; one item at least. A last block of one item joins
-    the block before it: numpy takes a one-row product through gemv, which
-    rounds unlike the gemm of more rows."""
-    step = max(1, BLOCK_ROWS // max(rows_per_item, 1))
-    starts = list(range(0, n, step))
-    if step > 1 and len(starts) > 1 and n - starts[-1] == 1:
-        del starts[-1]
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+    """numeric.item_blocks of n items at BLOCK_ROWS latent rows per block."""
+    return item_blocks(n, rows_per_item, BLOCK_ROWS)
 
 
 # --- encoder ------------------------------------------------------------------
@@ -149,20 +143,68 @@ def fit_smoothing(rows):
     constant is 1.0 on constant dimensions (std below tolerance, or a
     degenerate post-clamp range), which pass through unchanged in both
     directions, and 0.0 elsewhere.
+
+    The rows are read BLOCK_ROWS at a time, and for dim >= 2 every
+    statistic is bitwise the whole-array expression's: rows.mean(axis=0),
+    rows.std(axis=0), and the min and max of the clamped z-scores.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 2:
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
         raise EmptyCorpus(f"need (n>=2, dim) rows, got {rows.shape}")
-    mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
+    return _fit_blocks(lambda: (rows[b] for b in _blocks(len(rows), 1)), rows.shape)
+
+
+def fit_corpus_smoothing(ids, enc):
+    """fit_smoothing of encode_corpus(ids, enc) as (n * l_max, dim) rows,
+    bitwise, with each pass over the corpus encoding a block of sequences at
+    a time, so no corpus-sized array is built."""
+
+    def blocks():
+        for block in _blocks(len(ids), ids.shape[1]):
+            h = encode_corpus(ids[block], enc)
+            yield h.reshape(-1, h.shape[-1])
+
+    return _fit_blocks(blocks, (ids.size, enc["embed"].shape[1]))
+
+
+def _fit_blocks(blocks, shape):
+    """fit_smoothing of the (n, dim) = shape rows that blocks() yields in
+    order as C-contiguous arrays; each pass calls blocks() afresh.
+
+    numpy adds the rows of a C-contiguous array with dim >= 2 along axis 0
+    one after another, so a block's sum taken with the running sum as its
+    first row chains into the whole array's sum, bitwise. mean and std are
+    then numpy's sum / n and sqrt(sum((x - mean)^2) / n); min and max are
+    exact in any order.
+    """
+    n = shape[0]
+    if n < 2:
+        raise EmptyCorpus(f"need (n>=2, dim) rows, got {shape}")
+
+    def chained_sum(term):
+        total = None
+        for rows in blocks():
+            x = term(rows)
+            total = (x if total is None else np.concatenate([total[None], x])).sum(axis=0)
+        return total
+
+    def square_deviation(rows):
+        d = rows - mean
+        return np.multiply(d, d, out=d)
+
+    mean = chained_sum(lambda rows: rows) / n
+    std = np.sqrt(chained_sum(square_deviation) / n)
     constant = std <= 1e-12
     safe_std = np.where(constant, 1.0, std)
-    # clip((rows - mean) / safe_std, -CLAMP_K, CLAMP_K) in one buffer
-    z = rows - mean
-    z /= safe_std
-    np.clip(z, -CLAMP_K, CLAMP_K, out=z)
-    post_min = z.min(axis=0)
-    post_max = z.max(axis=0)
+    post_min = post_max = None
+    for rows in blocks():
+        # clip((rows - mean) / safe_std, -CLAMP_K, CLAMP_K) in one buffer
+        z = rows - mean
+        z /= safe_std
+        np.clip(z, -CLAMP_K, CLAMP_K, out=z)
+        lo, hi = z.min(axis=0), z.max(axis=0)
+        post_min = lo if post_min is None else np.minimum(post_min, lo)
+        post_max = hi if post_max is None else np.maximum(post_max, hi)
     degenerate = (post_max - post_min) <= 1e-12
     constant = constant | degenerate
     return {

@@ -25,10 +25,11 @@ _LN_EPS = 1e-5
 # and sums only swap operands, so results are bitwise those of the formulas.
 
 
-def gelu_tanh(x):
-    """tanh(C * (x + A * x^3)), the tanh gelu_from_tanh and gelu_grad take."""
+def gelu_tanh(x, out=None):
+    """tanh(C * (x + A * x^3)), the tanh gelu_from_tanh and gelu_grad take,
+    written into out if given."""
     # x*x*x rather than x**3: numpy's float pow costs ~60x a multiply per element
-    u = x * x
+    u = np.multiply(x, x, out=out)
     u *= x
     u *= _GELU_A
     u += x
@@ -36,9 +37,10 @@ def gelu_tanh(x):
     return np.tanh(u, out=u)
 
 
-def gelu_from_tanh(x, t):
-    """0.5 * x * (1 + t): gelu(x) from its tanh t, as gelu(x, return_tanh=True)."""
-    z = x * 0.5
+def gelu_from_tanh(x, t, out=None):
+    """0.5 * x * (1 + t): gelu(x) from its tanh t, as gelu(x, return_tanh=True),
+    written into out (which may be x) if given."""
+    z = np.multiply(x, 0.5, out=out)
     z *= t + 1.0
     return z
 

@@ -1,4 +1,5 @@
-"""Deterministic randomness, small linear-algebra helpers, is_int and is_number.
+"""Deterministic randomness, small linear-algebra helpers, item blocks, is_int
+and is_number.
 
 All randomness in the package flows from a single integer seed through
 RngStream, a counter-based (Philox) stream with named substreams. Substream
@@ -146,6 +147,18 @@ def grad_check(fn, params, h=1e-5):
             rel = abs(num - grad[i]) / max(abs(num), abs(grad[i]), 1e-8)
             worst = max(worst, rel)
     return worst
+
+
+def item_blocks(n, rows_per_item, budget):
+    """Slices of range(n) covering at most budget rows each, for items of
+    rows_per_item rows; one item at least. A last block of one item joins
+    the block before it: numpy takes a one-row product through gemv, which
+    rounds unlike the gemm of more rows."""
+    step = max(1, budget // max(rows_per_item, 1))
+    starts = list(range(0, n, step))
+    if step > 1 and len(starts) > 1 and n - starts[-1] == 1:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def is_int(x, lo=-math.inf, hi=math.inf):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from protflow import flow, nn, ode
+from protflow import flow, nn, numeric, ode
 from protflow.config import SIZE_CAP, solver_config
 from protflow.errors import ShapeMismatch
 from protflow.numeric import RngStream, grad_check
@@ -122,8 +122,8 @@ def test_cfm_grad_matches_numeric_attention():
 
 
 @pytest.mark.parametrize("attention", [False, True])
-def test_training_cache_holds_two_hidden_arrays_per_block(attention):
-    # the cache keeps a and tanh(a) per block; gelu(a) is rebuilt in backward
+def test_training_cache_holds_one_hidden_array_per_block(attention):
+    # the cache keeps tanh(a) per block; a and gelu(a) are rebuilt in backward
     n, length, hidden = 4, 5, 16
     cfg = flow.VectorFieldConfig(3, 3, hidden, attention=attention, seq_len=length)
     model = _perturbed_model(cfg, 7)
@@ -138,12 +138,42 @@ def test_training_cache_holds_two_hidden_arrays_per_block(attention):
         return []
 
     shapes = [a.shape for a in arrays(cache)]
-    assert shapes.count((n, length, hidden)) == 2 * cfg.depth
+    assert shapes.count((n, length, hidden)) == cfg.depth
+
+
+def _ref_flow_forward(model, x, t):
+    """flow_forward(need_cache=True) as it was before its item blocks: each
+    block's a = u2 @ w1 + b1, tanh(a) and w2 product as whole arrays, and a
+    cache that keeps a beside tanh(a)."""
+    cfg = model.cfg
+    p = model.params
+    n, length, w = x.shape
+    temb = nn.time_features(np.broadcast_to(t, (n,)), cfg.time_dim, cfg.time_scale)
+    stream = x + p["pos"][None] if cfg.attention else x
+    inputs, caches = [], []
+    for j, skip_w, (tw, tb, wq, wk, wv, wo, w1, b1, w2, b2) in flow._block_names(cfg.depth):
+        x_in = stream + inputs[j] @ p[skip_w] if j >= 0 else stream
+        inputs.append(x_in)
+        u = x_in + (temb @ p[tw] + p[tb])[:, None, :]
+        if cfg.attention:
+            q, k, vv = u @ p[wq], u @ p[wk], u @ p[wv]
+            att = nn.softmax((q @ k.transpose(0, 2, 1)) * (1.0 / math.sqrt(w)))
+            m = att @ vv
+            u2 = m @ p[wo] + u
+        else:
+            q = k = vv = att = m = None
+            u2 = u
+        a = u2 @ p[w1] + p[b1]
+        tanh_a = nn.gelu_tanh(a)
+        stream = nn.gelu_from_tanh(a, tanh_a) @ p[w2] + p[b2] + x_in
+        caches.append((u, q, k, vv, att, m, u2, a, tanh_a))
+    return stream, (x, temb, inputs, caches)
 
 
 def _ref_flow_backward(model, cache, dv):
-    """flow_backward as it was before its item blocks: each block's z and
-    gelu'(a) as whole arrays, the cache read and left as it was."""
+    """flow_backward as it was before its item blocks, on _ref_flow_forward's
+    cache: each block's z and gelu'(a) as whole arrays from the cached a and
+    tanh(a), the cache read and left as it was."""
     cfg = model.cfg
     p = model.params
     x, temb, inputs, caches = cache
@@ -201,47 +231,75 @@ def _ref_flow_backward(model, cache, dv):
 
 @pytest.mark.parametrize("attention", [False, True])
 def test_item_blocks_match_whole_array_step_bitwise(attention):
-    # GELU_ITEMS does not divide n, so the last block is short
-    n, length, hidden = 2 * flow.GELU_ITEMS + 3, 5, 16
-    assert n % flow.GELU_ITEMS
-    cfg = flow.VectorFieldConfig(3, 4, hidden, attention=attention, seq_len=length)
-    model = _perturbed_model(cfg, 11)
-    gen = np.random.default_rng(12)
-    x = gen.normal(size=(n, length, 4))
-    t = gen.uniform(size=n)
-    v, cache = flow.flow_forward(model, x, t, need_cache=True)
-    # the uncached forward takes each w2 product over every item at once
-    assert v.tobytes() == flow.flow_forward(model, x, t).tobytes()
-    dv = gen.normal(size=v.shape)
-    want = _ref_flow_backward(model, cache, dv)
-    got = flow.flow_backward(model, cache, dv)
-    assert list(got) == list(want)
-    for name in want:
-        assert got[name].tobytes() == want[name].tobytes(), name
-    assert cache[3] == []  # every block's activations were handed back
+    # Blocks do not divide the batch: the last one holds `short` items. A
+    # single item joins the block before it, except where an item alone
+    # exceeds HIDDEN_ROWS and every block is one item.
+    for length, short in ((1, 1), (5, 3), (21, 2), (flow.HIDDEN_ROWS + 1, 1)):
+        per_block = max(1, flow.HIDDEN_ROWS // length)
+        n = 2 * per_block + short
+        sizes = [b.stop - b.start for b in numeric.item_blocks(n, length, flow.HIDDEN_ROWS)]
+        assert sizes[-1] == (per_block + 1 if short == 1 < per_block else short)
+        cfg = flow.VectorFieldConfig(3, 4, 16, attention=attention, seq_len=length)
+        model = _perturbed_model(cfg, 11)
+        gen = np.random.default_rng(12)
+        x = gen.normal(size=(n, length, 4))
+        t = gen.uniform(size=n)
+        want_v, ref_cache = _ref_flow_forward(model, x, t)
+        v, cache = flow.flow_forward(model, x, t, need_cache=True)
+        assert v.tobytes() == want_v.tobytes(), length
+        assert flow.flow_forward(model, x, t).tobytes() == want_v.tobytes(), length
+        dv = gen.normal(size=v.shape)
+        want = _ref_flow_backward(model, ref_cache, dv)
+        got = flow.flow_backward(model, cache, dv)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), (length, name)
+        assert cache[3] == []  # every block's activations were handed back
+
+
+def _step_model(depth, width, hidden, seed):
+    return _perturbed_model(
+        flow.VectorFieldConfig(depth, width, hidden, attention=False, seq_len=None), seed
+    )
+
+
+def _traced_peak(fn):
+    """Bytes fn allocates at its peak above what was live when it started."""
+    fn()  # fills the lru caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def test_training_step_holds_its_cache_and_block_temporaries():
     # One cfm_loss step at batch 64, L 20, width 4, hidden 128, depth 2. The
-    # cache holds 2 * depth hidden-size arrays; GELU_ITEMS-item temporaries
-    # and width-size arrays fit in one more. Before the item blocks the step
-    # peaked at 7.4 hidden-size arrays.
+    # cache holds depth hidden-size arrays and backward one more, z;
+    # HIDDEN_ROWS-row temporaries and width-size arrays fit in one more. It
+    # peaks at 3.7 hidden-size arrays; with a cached beside tanh(a) it
+    # peaked at 4.8, and before the item blocks at 7.4.
     n, length, width, hidden, depth = 64, 20, 4, 128, 2
-    model = _perturbed_model(
-        flow.VectorFieldConfig(depth, width, hidden, attention=False, seq_len=None), 13
-    )
+    model = _step_model(depth, width, hidden, 13)
     gen = np.random.default_rng(14)
     x0, x1 = gen.normal(size=(2, n, length, width))
     t = gen.uniform(size=n)
-    flow.cfm_loss(model, x0, x1, t)  # fills the lru caches
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        flow.cfm_loss(model, x0, x1, t)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= (2 * depth + 1) * n * length * hidden * 8
+    peak = _traced_peak(lambda: flow.cfm_loss(model, x0, x1, t))
+    assert peak <= (depth + 2) * n * length * hidden * 8
+
+
+def test_sampling_forward_holds_no_hidden_size_array():
+    # the uncached forward at ode.LANES lanes, L 20, width 8, hidden 64, depth
+    # 2: width-size arrays and HIDDEN_ROWS-row temporaries stay under one
+    # hidden-size array (0.76 measured). Built whole, a, tanh(a) and gelu(a)
+    # peaked at 3.4.
+    n, length, width, hidden = ode.LANES, 20, 8, 64
+    model = _step_model(2, width, hidden, 15)
+    x = np.random.default_rng(16).normal(size=(n, length, width))
+    peak = _traced_peak(lambda: flow.flow_forward(model, x, 0.5))
+    assert peak <= n * length * hidden * 8
 
 
 def test_interpolate_exact_endpoints():

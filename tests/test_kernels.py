@@ -242,12 +242,12 @@ def test_matrices_span_several_lane_chunks():
 
 def test_one_long_text_does_not_size_every_pass():
     # 200 patterns against the same 200 texts plus one 3,000-residue text:
-    # with the key budget a pass holding the long text has few lanes
+    # each text position gathers its lanes' masks as it is read, so the pass
+    # holding the long text holds no (text length, lanes) array
     rng = np.random.default_rng(61)
     aa = "ACDEFGHIKLMNPQRSTVWY"
     xs = [_random_string(rng, aa, 20) for _ in range(200)]
     long_text = _random_string(rng, aa, 3000)
-    assert kernels._KEYS // 256 >= kernels._LANES  # texts up to 256 keep full passes
     tracemalloc.start()
     try:
         mat = cross_edit_matrix(xs, xs + [long_text])
@@ -259,9 +259,9 @@ def test_one_long_text_does_not_size_every_pass():
     assert np.all(np.diag(mat) == 0)
 
 
-def test_small_key_budget_splits_passes_exactly(monkeypatch):
-    # texts longer than the budget run one lane per pass
-    monkeypatch.setattr(kernels, "_KEYS", 50)
+def test_small_lane_budget_splits_passes_exactly(monkeypatch):
+    # 99 cross and 55 pairwise lanes run 7 per pass, the last pass short
+    monkeypatch.setattr(kernels, "_LANES", 7)
     rng = np.random.default_rng(67)
     aa = "ACDEFGHIKLMNPQRSTVWY"
     xs = [_random_string(rng, aa, int(rng.integers(0, 90))) for _ in range(9)]

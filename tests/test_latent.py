@@ -397,6 +397,53 @@ def test_fit_smoothing_matches_its_expressions_bitwise():
     assert stats["post_max"].tobytes() == z.max(axis=0).tobytes()
 
 
+def _whole_array_fit(rows):
+    """fit_smoothing's statistics as whole-array expressions."""
+    std = rows.std(axis=0)
+    safe_std = np.where(std <= 1e-12, 1.0, std)
+    z = np.clip((rows - rows.mean(axis=0)) / safe_std, -latent.CLAMP_K, latent.CLAMP_K)
+    return {"mean": rows.mean(axis=0), "std": safe_std,
+            "post_min": z.min(axis=0), "post_max": z.max(axis=0)}
+
+
+@pytest.mark.parametrize("n", [latent.BLOCK_ROWS + 1, 2 * latent.BLOCK_ROWS + 7, 10_001])
+def test_fit_smoothing_blocks_match_the_whole_array_fit_bitwise(n):
+    # BLOCK_ROWS does not divide n: the last block is short, or a single row
+    # that joins the block before it
+    assert n % latent.BLOCK_ROWS
+    rows = np.random.default_rng(n).normal(size=(n, 6)) * [1.0, 2.0, 0.5, 3.0, 1.0, 1.0] + 4.0
+    rows[:, 4] = 0.25  # a constant dimension
+    rows[-1, 5] = 40.0  # an outlier the clamp moves, in the last block
+    stats = latent.fit_smoothing(rows)
+    for name, want in _whole_array_fit(rows).items():
+        assert stats[name].tobytes() == want.tobytes(), name
+    assert stats["constant"].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+
+
+def test_corpus_smoothing_is_the_fit_of_the_encoded_corpus_in_bounded_memory():
+    # train-decoder's fit: 500 sequences at l_max 20 and D 32 are 10,000 rows,
+    # 7 blocks of 64 sequences and one of 52. The encoded corpus is never
+    # built whole, and a few block-sized temporaries stay under half its size
+    # (fit_smoothing of the whole encoded corpus held it and one more).
+    pipe = _random_pipeline(20, 1)
+    ids = tokenize(_random_peptides(500, 20, 2), 20)
+    want = latent.fit_smoothing(latent.encode_corpus(ids, pipe.encoder).reshape(-1, 32))
+    got = latent.fit_corpus_smoothing(ids, pipe.encoder)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        latent.fit_corpus_smoothing(ids, pipe.encoder)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * ids.size * 32 * 8
+    with pytest.raises(EmptyCorpus):
+        latent.fit_corpus_smoothing(ids[:1, :1], pipe.encoder)
+
+
 def test_multichain_corpus_latents_are_bitwise_per_complex():
     # one batch per chain, joined on the position axis, as train-flow builds them
     chains = [("A", 12, _random_pipeline(12, 3)), ("B", 9, _random_pipeline(9, 4))]
