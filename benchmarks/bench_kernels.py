@@ -51,7 +51,10 @@ benchmarks do.
 
 Memory follows: the tracemalloc peak of one call above what was live when it
 started, for one cfm_loss training step at 64 x 20 x 8 (batch x L x width,
-hidden 64, depth 2) and at 64 x 1 x 8 (reflow's single-row pairs), one
+hidden 64, depth 2), at 64 x 21 x 8 (an L whose items do not fill a
+flow.HIDDEN_ROWS block evenly) and at 64 x 1 x 8 (reflow's single-row
+pairs), each on a float64 batch and on the same batch in float32 (the
+dtype train_rf and train_reflow hand it, flow.TRAIN_DTYPE), one
 uncached flow_forward of ode.LANES lanes at L 20, fit_corpus_smoothing of
 the training corpus above (train-decoder's fit), compressor_mse over its
 10,000 x 32 smoothed rows at ratio_c 4 (train-compressor's closing figure),
@@ -312,22 +315,24 @@ def bench_memory():
     lanes = RngStream(2).substream("lanes").normal((SOLVE_LANES, FLOW_LENGTH, FLOW_CFG["width"]))
     adaptive = solver_config({"solver.method": "dopri5-adaptive"})
     fixed = solver_config({"solver.method": "dopri5", "solver.steps": 25})
-    shape = (FLOW_BATCH, FLOW_LENGTH, FLOW_CFG["width"])
-    x0 = RngStream(2).substream("x0").normal(shape)
-    x1 = RngStream(2).substream("x1").normal(shape)
     t = RngStream(2).substream("t").uniform(FLOW_BATCH)
-    # reflow's pairs are single rows
-    row_shape = (FLOW_BATCH, 1, FLOW_CFG["width"])
-    r0 = RngStream(2).substream("r0").normal(row_shape)
-    r1 = RngStream(2).substream("r1").normal(row_shape)
     n_short, short, long = LONG_TEXT
     texts = make_corpus(n_short, short, short, 9)
     texts_long = texts + make_corpus(1, long, long, 10)
     # (label, call, whether it may be timed: compressor_mse consumes its rows)
-    figures = (
-        (f"cfm_loss {'x'.join(map(str, shape))}, hidden {FLOW_CFG['hidden']}, "
-         f"depth {FLOW_CFG['depth']}", lambda: flow.cfm_loss(model, x0, x1, t), True),
-        (f"cfm_loss {'x'.join(map(str, row_shape))}", lambda: flow.cfm_loss(model, r0, r1, t), True),
+    figures = []
+    # reflow's pairs are single rows
+    for length in (FLOW_LENGTH, FLOW_LENGTH + 1, 1):
+        shape = (FLOW_BATCH, length, FLOW_CFG["width"])
+        x0 = RngStream(2).substream(f"x0-{length}").normal(shape)
+        x1 = RngStream(2).substream(f"x1-{length}").normal(shape)
+        for dtype in (np.float64, flow.TRAIN_DTYPE):
+            batch = [a.astype(dtype) for a in (x0, x1, t)]
+            figures.append((
+                f"cfm_loss {'x'.join(map(str, shape))}, {np.dtype(dtype).name}",
+                lambda batch=batch: flow.cfm_loss(model, *batch), True,
+            ))
+    figures += [
         (f"flow_forward {ode.LANES}x{FLOW_LENGTH}x{FLOW_CFG['width']}, uncached",
          lambda: field(lanes[:ode.LANES], 0.5), True),
         (f"fit_corpus_smoothing {ids.shape[0]}x{ids.shape[1]}, D {c['dim']}",
@@ -341,7 +346,7 @@ def bench_memory():
          lambda: ode.solve_lanes(field, lanes, adaptive), True),
         (f"cross {n_short}x{n_short + 1}, one {long}-residue text",
          lambda: kernels.cross_edit_matrix(texts, texts_long), True),
-    )
+    ]
     print(f"{'memory, tracemalloc peak above entry':<46} {'peak':>10} {'best':>10} {'median':>10}")
     for label, fn, timeable in figures:
         times = ""

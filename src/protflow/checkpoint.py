@@ -38,7 +38,7 @@ import struct
 
 import numpy as np
 
-from .config import SIZE_CAP, is_latent_dim
+from .config import is_latent_dim
 from .errors import (
     BadMagic,
     CheckpointError,
@@ -55,7 +55,7 @@ from .fileio import write_atomic
 from .flow import VectorFieldConfig, VectorFieldModel, param_shapes
 from .latent import pipeline_shapes
 from .multichain import ChainLayout, ChainSpec
-from .numeric import ABOVE_0, FINITE, is_int, is_number
+from .numeric import ABOVE_0, FINITE, SIZE_CAP, is_int, is_number
 from .seqio import LengthDistribution
 
 MAGIC = b"PFLW"

@@ -17,13 +17,8 @@ import os
 
 from .errors import ConfigError, DataError, LayoutMismatch
 from .multichain import L_MAX_CAP, ChainLayout, ChainSpec
-from .numeric import ABOVE_0, FINITE, is_int
+from .numeric import ABOVE_0, FINITE, SIZE_CAP, is_int
 from .ode import SETTINGS, SolverConfig
-
-# The largest network size a config may set (the model.* sizes below) and a
-# checkpoint's dim and flow_cfg may carry: the loader builds the flow's shape
-# table over range(depth) before it compares a single tensor.
-SIZE_CAP = 4096
 
 # key -> (type tag, default, lo, hi), the key's one default: an int or float key
 # must lie in [lo, hi], and None means unset (paths, chains). Keys without bounds

@@ -23,9 +23,8 @@ import math
 import numpy as np
 
 from . import nn, ode
-from .config import SIZE_CAP
 from .errors import NonFiniteLoss, ShapeMismatch
-from .numeric import ABOVE_0, FINITE, is_int, is_number, item_blocks
+from .numeric import ABOVE_0, FINITE, SIZE_CAP, is_int, is_number, item_blocks
 
 # Time-feature scale of new fields: the fastest time channel turns TIME_SCALE
 # rad per unit t, slow enough for the 25-step grid (h = 0.04) and the
@@ -44,6 +43,10 @@ STRAIGHTNESS_T = 8
 # product, so blocks are bitwise the whole array, and a block's temporaries
 # stay small where whole-array ones would each be a hidden-size array.
 HIDDEN_ROWS = 320
+# The dtype of a training step's activations: _fit_cfm casts each step's (x0,
+# x1, t) to it, so the step runs at half float64's memory and bandwidth. The
+# parameters, their gradients, the optimizer and the loss sum stay float64.
+TRAIN_DTYPE = np.float32
 
 
 class VectorFieldConfig:
@@ -186,12 +189,18 @@ def flow_forward(model, x, t, need_cache=False):
     """Evaluate v(x, t).
 
     Args:
-        x: (n, L, W) states.
+        x: (n, L, W) states. A float32 x is evaluated in float32, anything
+            else in float64.
         t: scalar or (n,) times.
         need_cache: also return intermediates for flow_backward.
 
     Returns:
-        v of shape (n, L, W), or (v, cache) when need_cache.
+        v of shape (n, L, W) in x's dtype, or (v, cache) when need_cache.
+
+    The precision is x's: in float32 the parameters are cast once per call
+    and the cache carries the copies to flow_backward, and the time features
+    are computed in float64 and cast. A float64 x runs on the parameters
+    themselves.
 
     Each block's MLP runs a block of items at a time (HIDDEN_ROWS rows):
     a = u2 @ w1 + b1, gelu(a) and its w2 product into the block output, so
@@ -200,7 +209,9 @@ def flow_forward(model, x, t, need_cache=False):
     """
     cfg = model.cfg
     p = model.params
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    dtype = np.float32 if x.dtype == np.float32 else np.float64
+    x = x.astype(dtype, copy=False)
     if x.ndim != 3 or x.shape[2] != cfg.width:
         raise ShapeMismatch(f"expected (n, L, {cfg.width}), got {x.shape}")
     n, length, w = x.shape
@@ -208,6 +219,9 @@ def flow_forward(model, x, t, need_cache=False):
     if t.shape != (n,):
         t = np.broadcast_to(t, (n,))
     temb = nn.time_features(t, cfg.time_dim, cfg.time_scale)
+    if dtype != np.float64:
+        p = {k: v.astype(dtype) for k, v in p.items()}
+        temb = temb.astype(dtype)
 
     stream = x
     if cfg.attention:
@@ -239,9 +253,9 @@ def flow_forward(model, x, t, need_cache=False):
         else:
             q = k = vv = att = m = None
             u2 = u
-        stream = np.empty(x_in.shape)
+        stream = np.empty(x_in.shape, dtype)
         if need_cache:
-            tanh_a = np.empty((n, length, cfg.hidden))
+            tanh_a = np.empty((n, length, cfg.hidden), dtype)
             caches.append((u, q, k, vv, att, m, u2, tanh_a))
         for items in blocks:
             a = u2[items] @ p[w1]
@@ -255,7 +269,7 @@ def flow_forward(model, x, t, need_cache=False):
         stream += p[b2]
         stream += x_in
     if need_cache:
-        return stream, (x, temb, inputs, caches)
+        return stream, (x, temb, inputs, caches, p)
     return stream
 
 
@@ -266,7 +280,7 @@ def _hidden_backward(u2, tanh_a, d_out, w1, b1, w2):
     overwritten with d_a = gelu'(a) * (d_out @ w2.T), the gradient at a of a
     block output z @ w2 with gradient d_out. Returns z."""
     n, length, _ = u2.shape
-    z = np.empty(tanh_a.shape)
+    z = np.empty(tanh_a.shape, tanh_a.dtype)
     for items in item_blocks(n, length, HIDDEN_ROWS):
         a = np.matmul(u2[items], w1, out=z[items])
         a += b1
@@ -287,14 +301,17 @@ def flow_backward(model, cache, dv):
     gelu(a), bitwise the forward's z, and its cached tanh(a) is overwritten
     with the gradient d_a. A block's arrays are dropped once its gradients
     are taken, so the step holds one hidden-size array beyond the cache.
-    Returns a dict keyed like model.params.
+
+    The backward runs in the forward's precision, on the parameters the
+    cache carries, with dv in the same dtype. Each gradient term is added
+    into a float64 array, so the result is a dict of float64 arrays keyed
+    like model.params whatever the activations' dtype.
     """
     cfg = model.cfg
-    p = model.params
-    x, temb, inputs, caches = cache
+    x, temb, inputs, caches, p = cache
     n, length, w = x.shape
     inv_sqrt_w = 1.0 / math.sqrt(w)
-    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
     d_inputs_extra = [None] * cfg.depth
 
     def flat(arr):
@@ -353,21 +370,23 @@ def flow_backward(model, cache, dv):
 
 
 def rf_interpolate(x0, x1, t):
-    """Straight-line interpolant x_t = t*x1 + (1-t)*x0; exact at t in {0, 1}."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
+    """Straight-line interpolant x_t = t*x1 + (1-t)*x0; exact at t in {0, 1}.
+    It is computed in the floating dtype of x0 and x1, to which t is cast."""
+    x0 = np.asarray(x0)
+    x1 = np.asarray(x1)
     if x0.shape != x1.shape:
         raise ShapeMismatch(f"x0 {x0.shape} vs x1 {x1.shape}")
-    t = np.asarray(t, dtype=np.float64)
+    t = np.asarray(t, dtype=np.result_type(x0, x1, 0.0))
     if t.ndim == 1:
         t = t.reshape((-1,) + (1,) * (x0.ndim - 1))
     return t * x1 + (1.0 - t) * x0
 
 
 def rf_target(x0, x1):
-    """Constant path velocity u = x1 - x0 (independent of t)."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
+    """Constant path velocity u = x1 - x0 (independent of t), in the dtype
+    of x0 and x1."""
+    x0 = np.asarray(x0)
+    x1 = np.asarray(x1)
     if x0.shape != x1.shape:
         raise ShapeMismatch(f"x0 {x0.shape} vs x1 {x1.shape}")
     return x1 - x0
@@ -380,17 +399,22 @@ def cfm_loss(model, x0, x1, t):
     thresholds independent of batch shape. dL/dv = 2 (v - u) / v.size is
     formed in v's buffer.
 
+    The step computes in the dtype of x0 and x1 (see flow_forward): float32
+    pairs give a float32 interpolant, forward and backward, float64 pairs
+    run every operation in float64. Either way the squares are summed in
+    float64 and the gradients are float64.
+
     Returns:
         (loss, grads dict).
     """
-    t = np.asarray(t, dtype=np.float64)
+    t = np.asarray(t)
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("t values must lie in [0, 1]")
     x_t = rf_interpolate(x0, x1, t)
     u = rf_target(x0, x1)
     v, cache = flow_forward(model, x_t, t, need_cache=True)
     v -= u
-    loss = float((v**2).mean())
+    loss = float(np.square(v, dtype=np.float64).mean())
     if not np.isfinite(loss):
         raise NonFiniteLoss("CFM loss is non-finite")
     v *= 2.0 / v.size
@@ -403,14 +427,18 @@ def cfm_loss(model, x0, x1, t):
 def _fit_cfm(model, n, pairs, stream, steps, batch, lr, lr_min, warmup, weight_decay, clip):
     """nn.fit of the CFM loss at the flow's AdamW constants; returns (model,
     trace). Step s draws batch row indices in [0, n) and t ~ U(0, 1) from
-    substream "step{s}" of stream, and pairs(sub, idx) returns its (x0, x1)."""
+    substream "step{s}" of stream, and pairs(sub, idx) returns its (x0, x1).
+
+    Mixed precision: the step's x0, x1 and t are drawn in float64 and cast
+    to TRAIN_DTYPE, so cfm_loss runs its activations in float32, while the
+    parameters, gradients, clipping, AdamW moments and loss sum stay float64."""
 
     def loss_and_grad(step):
         sub = stream.substream(f"step{step}")
         idx = sub.substream("idx").integers(0, n, size=batch)
         x0, x1 = pairs(sub, idx)
         t = sub.substream("t").uniform(batch)
-        return cfm_loss(model, x0, x1, t)
+        return cfm_loss(model, *(np.asarray(a, dtype=TRAIN_DTYPE) for a in (x0, x1, t)))
 
     trace = nn.fit(
         model.params, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
@@ -420,7 +448,9 @@ def _fit_cfm(model, n, pairs, stream, steps, batch, lr, lr_min, warmup, weight_d
 
 
 def train_rf(model, dataset, rng, steps, batch, lr, lr_min, warmup, weight_decay, clip):
-    """1-RF training: x0 from data, x1 ~ N(0, I), t ~ U(0, 1) per step.
+    """1-RF training: x0 from data, x1 ~ N(0, I), t ~ U(0, 1) per step. The
+    steps run in _fit_cfm's mixed precision: float32 activations, float64
+    parameters, optimizer and loss sum.
 
     Args:
         model: VectorFieldModel (modified in place).

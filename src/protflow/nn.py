@@ -1,9 +1,12 @@
 """Small neural-net primitives with hand-written forward/backward passes.
 
-Everything operates on float64 numpy arrays; parameters live in ordered
-dicts of named arrays, serialized by name. fit, the one training loop every
-stage runs, packs a dict into one flat buffer and rebinds each name to its
-view of it, so AdamW and clipping each run once over the buffer.
+Precision policy: parameters, gradients, optimizer state and losses are
+float64, and so is all other work except the flow's training step, which
+flow._fit_cfm runs on float32 activations. The GELU functions compute in
+their input's dtype. Parameters live in ordered dicts of named arrays,
+serialized by name. fit, the one training loop every stage runs, packs a
+dict into one flat float64 buffer and rebinds each name to its view of it,
+so AdamW and clipping each run once over the buffer.
 GELU uses the tanh approximation, which has a clean analytic derivative.
 """
 

@@ -1,5 +1,5 @@
-"""Deterministic randomness, small linear-algebra helpers, item blocks, is_int
-and is_number.
+"""Deterministic randomness, small linear-algebra helpers, item blocks, is_int,
+is_number and the cap on network sizes.
 
 All randomness in the package flows from a single integer seed through
 RngStream, a counter-based (Philox) stream with named substreams. Substream
@@ -23,6 +23,10 @@ from .errors import NonFiniteValue, NotPSD, NotSymmetric, TooFewSamples
 # so a number within [ABOVE_0, FINITE] is > 0 and neither nan nor infinite.
 ABOVE_0 = math.ulp(0.0)
 FINITE = sys.float_info.max
+# The largest network size a config may set (its model.* sizes) and a
+# checkpoint's dim and flow_cfg may carry: the loader builds the flow's shape
+# table over range(depth) before it compares a single tensor.
+SIZE_CAP = 4096
 
 
 class RngStream:

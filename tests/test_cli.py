@@ -1050,6 +1050,33 @@ def test_functions_patched_after_import_reach_the_commands(tmp_path):
     assert calls == {"cross_edit_matrix": 2, "read_fasta": 2}
 
 
+# Imports one protflow module, named as the second argument, under a plain
+# package at the directory named as the first: the package's own __init__,
+# whose lazy bindings let a module run while another is half initialized,
+# does not run.
+_IMPORT_UNDER_PLAIN_PACKAGE = """\
+import importlib, sys, types
+package = types.ModuleType("protflow")
+package.__path__ = [sys.argv[1]]
+sys.modules["protflow"] = package
+importlib.import_module("protflow." + sys.argv[2])
+"""
+
+
+def test_every_module_imports_under_a_plain_package(tmp_path):
+    # an import cycle among the modules fails here as an ImportError from a
+    # partially initialized module
+    package = os.path.dirname(os.path.abspath(protflow.__file__))
+    names = sorted(n[:-3] for n in os.listdir(package) if n.endswith(".py") and n != "__init__.py")
+    assert "config" in names and "flow" in names
+    for name in names:
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_UNDER_PLAIN_PACKAGE, package, name],
+            cwd=tmp_path, env=_protflow_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (name, proc.stderr)
+
+
 def _imports_in_functions(path):
     """Line numbers of the statements inside a function body of a source file
     that import a protflow module: relative, or absolute from protflow."""
@@ -1391,8 +1418,8 @@ _GOLDEN = {
     None: {
         "dec.ckpt": "6e4c3e44867b4966db278cd67450000bd72285cd5a71b641ca37bb7c76fc1d34",
         "dec.ckpt.loss.csv": "e4a572cc3bfd320fa7a1761e93c6897b84c276356de01623494ad7ecf95b9680",
-        "flow.ckpt": "c657dc96dd9f0cf60744fcea022a181f33657f29b52f786c5438385a61d0b453",
-        "flow.ckpt.loss.csv": "90b3bb51c06837051d9a990615e01cc5ad2d447cdd91b7e7c00774d0831d28e7",
+        "flow.ckpt": "1365fcf560b49df29117c1cdead942e351bafe6ff5a2fd28ff7a2dcebb581dbe",
+        "flow.ckpt.loss.csv": "71bc605d21cf8a1253aaedf7ace5f50654782a9015605f7fb08a14d409e3bbd4",
         "gen.fasta": "cc9d1f58cbb70b852b2880ba805d816ddec1951367982a856639f15038de23f5",
         "gen.fasta.json": "4455d7bced896a4e5d7bf4318d81dc0072a38ee78a64d97c78e4e0b98883da0c",
         "pipe.ckpt": "b3344d1a2b4e183691da2d30ae9b1e3c35b8be78116c85fc938b9e3c29f7fa0d",
@@ -1402,8 +1429,8 @@ _GOLDEN = {
         "dec.ckpt": "1601b661dc7c04121c2fd34cd5a9c44189cae8e76ca002e20fafc01a65e04dc7",
         "dec.ckpt.A.loss.csv": "fba529ac338e0664611978f41ef1786c452f65f6faddf8f0cbfbfaa22e7fde01",
         "dec.ckpt.B.loss.csv": "f4665507cd5294d97c96b75638d09ed9ef5c78d2b27ea084c567929deabd66cb",
-        "flow.ckpt": "12d4ebeb4c6d5839bac0f2b7164d0679ba32feb742d614f0aba70d580236d27e",
-        "flow.ckpt.loss.csv": "60376e20cff44f599efcf0adf4a60b23ce4fa2e332aa03153a1a9a8dad1ebc48",
+        "flow.ckpt": "d47b602df3729bf7ce7526c85984472ea2778d1c726407bd78769c5424dc843c",
+        "flow.ckpt.loss.csv": "19bb0bfdd4f0df56fcf0cd7a483403c20b2d4e2da0204b6fab1f7c02524be93d",
         "gen.fasta": "b762ed328b6187470eee71ea7c031b97d4c1e0e2ef7c188fb359876d4ecb7c05",
         "gen.fasta.json": "4455d7bced896a4e5d7bf4318d81dc0072a38ee78a64d97c78e4e0b98883da0c",
         "pipe.ckpt": "c29aeebed752f4fae37d76e82bda9d1318b0620f292e5929c3012e9c3cd93794",
