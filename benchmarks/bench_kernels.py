@@ -3,8 +3,9 @@ at the shapes eval uses, the decoder and compressor training steps, the
 optimizer, the sampling path, and the start-up of each CLI command.
 
 GELU runs first, on (64, 20, 64) float64 activations (train.batch x L_max x
-model.width: one flow block's hidden layer in a training step). gelu and
-gelu_grad are timed, and their minor page faults per call counted with
+model.width: one flow block's hidden layer in a training step). gelu, as a
+training step takes it (gelu_tanh, then gelu_from_tanh), and gelu_grad are
+timed, and their minor page faults per call counted with
 resource.getrusage, twice: with the C library's default allocator settings,
 then after protflow.cli.keep_freed_heap, which the CLI applies at start-up.
 The first figure is the fault churn that setting removes. It comes first in
@@ -177,7 +178,7 @@ def gelu_calls(fn):
 
 def bench_gelu():
     x = np.random.default_rng(0).normal(size=GELU_SHAPE)
-    _, t = nn.gelu(x, return_tanh=True)
+    t = nn.gelu_tanh(x)
     shape = "x".join(map(str, GELU_SHAPE))
     print(f"{'allocator':<10} {'task':<22} {'best':>10} {'median':>10}  minor faults/call")
     for label in ("default", "kept-heap"):
@@ -185,7 +186,7 @@ def bench_gelu():
             print("kept-heap  skipped: the C library is not glibc")
             break
         for task, fn in (
-            (f"gelu {shape}", lambda: nn.gelu(x, return_tanh=True)),
+            (f"gelu {shape}", lambda: nn.gelu_from_tanh(x, nn.gelu_tanh(x))),
             (f"gelu_grad {shape}", lambda: nn.gelu_grad(x, t)),
         ):
             best, median, faults = gelu_calls(fn)

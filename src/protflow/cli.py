@@ -178,7 +178,7 @@ def _carry_meta(meta, cfg, kind):
     """Metadata of a new kind-stage checkpoint: the layout and latent keys
     carried over from meta, and this run's config, seed and step count."""
     out = {k: meta[k] for k in checkpoint.CARRIED_META if k in meta}
-    out.update(kind=kind, config=cfg.to_dict(), rng={"seed": cfg["train.seed"]})
+    out.update(kind=kind, config=dict(cfg), rng={"seed": cfg["train.seed"]})
     out["step"] = cfg["train.steps"]
     return out
 
@@ -213,7 +213,7 @@ def _write_loss_csvs(out, chains, traces):
 def cmd_train_decoder(args):
     cfg = config.load_config(args.config, args.set)
     chains = _config_chains(cfg)
-    corpus = _load_corpus(cfg.require("data.train_path"), chains)
+    corpus = _load_corpus(config.require(cfg, "data.train_path"), chains)
     val_corpus, figure = _val_corpus(cfg, chains)
     root = numeric.RngStream(cfg["train.seed"])
     dim = cfg["model.D"]
@@ -256,7 +256,7 @@ def cmd_train_compressor(args):
     _expect_kind(meta, ("decoder", "pipeline", "flow", "reflow"), args.init)
     _check_dim(meta, cfg, args.init)
     chains = checkpoint.meta_chains(meta)
-    corpus = _load_corpus(cfg.require("data.train_path"), chains)
+    corpus = _load_corpus(config.require(cfg, "data.train_path"), chains)
     val_corpus, figure = _val_corpus(cfg, chains)
     root = numeric.RngStream(cfg["train.seed"])
     # the parts a decoder checkpoint holds, each checked against the shape table
@@ -307,7 +307,7 @@ def cmd_train_flow(args):
     _expect_kind(meta, ("pipeline", "flow", "reflow"), args.init)
     _check_dim(meta, cfg, args.init)
     layout = _layout(tensors, meta)
-    corpus = _load_corpus(cfg.require("data.train_path"), layout.chains)
+    corpus = _load_corpus(config.require(cfg, "data.train_path"), layout.chains)
     dataset = np.concatenate(
         [chain.pipeline.corpus_to_latent(seqs) for chain, seqs in zip(layout, corpus)], axis=1
     )
@@ -336,7 +336,7 @@ def cmd_reflow(args):
     tensors, meta = checkpoint.load_checkpoint(args.init)
     _expect_kind(meta, ("flow", "reflow"), args.init)
     model = checkpoint.unpack_flow(tensors, meta)
-    solver = config.solver_config(cfg.to_dict())
+    solver = config.solver_config(cfg)
     root = numeric.RngStream(cfg["train.seed"])
     z0, z1 = flow.reflow_pairs(model, solver, cfg["reflow.pairs"], root.substream("reflow-pairs"))
     s_before = flow.straightness(model, z0, z1)

@@ -71,23 +71,12 @@ def _parse_value(key, text):
         raise ConfigError(f"bad {kind} value for {key}: {text!r}") from None
 
 
-class Config:
-    """Resolved, validated configuration: dotted key -> typed value."""
-
-    def __init__(self, values):
-        self._values = dict(values)
-
-    def __getitem__(self, key):
-        return self._values[key]
-
-    def require(self, key):
-        val = self._values.get(key)
-        if val is None:
-            raise ConfigError(f"config key {key} must be set for this command")
-        return val
-
-    def to_dict(self):
-        return dict(self._values)
+def require(values, key):
+    """values[key], or ConfigError if the key is unset (None)."""
+    val = values.get(key)
+    if val is None:
+        raise ConfigError(f"config key {key} must be set for this command")
+    return val
 
 
 def parse_config_text(text, values=None):
@@ -141,7 +130,8 @@ def _validate(values):
 
 
 def load_config(path=None, overrides=None):
-    """Build a Config from an optional file plus `key=value` override strings.
+    """The validated values dict, dotted key -> typed value, of an optional
+    file plus `key=value` override strings.
 
     Args:
         path: config file, or None for pure defaults + overrides.
@@ -171,7 +161,7 @@ def load_config(path=None, overrides=None):
         p = values[key]
         if p is not None and not os.path.exists(p):
             raise DataError(f"{key} does not exist: {p}")
-    return Config(values)
+    return values
 
 
 def parse_chains_value(text):

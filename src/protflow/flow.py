@@ -111,14 +111,15 @@ class VectorFieldConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """The config of a stored flow_cfg; a missing size fails its rule."""
+        """The config of a stored flow_cfg; a missing key other than time_scale
+        fails its rule."""
         if not isinstance(d, dict):
             raise ValueError(f"a vector-field config is an object, got {d!r}")
         return cls(
             d.get("depth"),
             d.get("width"),
             d.get("hidden"),
-            attention=d.get("attention", False),
+            attention=d.get("attention"),
             seq_len=d.get("seq_len"),
             time_dim=d.get("time_dim"),
             time_scale=d.get("time_scale", LEGACY_TIME_SCALE),
@@ -260,10 +261,7 @@ def flow_forward(model, x, t, need_cache=False):
         for items in blocks:
             a = u2[items] @ p[w1]
             a += p[b1]
-            if need_cache:
-                nn.gelu_from_tanh(a, nn.gelu_tanh(a, out=tanh_a[items]), out=a)
-            else:
-                a = nn.gelu(a)
+            nn.gelu_from_tanh(a, nn.gelu_tanh(a, out=tanh_a[items] if need_cache else None), out=a)
             np.matmul(a, p[w2], out=stream[items])
             del a  # else it lives on while the next block's is built
         stream += p[b2]

@@ -391,7 +391,8 @@ def decoder_logits(dec, h):
 def decoder_loss_and_grad(dec, h, targets):
     """Mean cross-entropy over rows plus gradients w.r.t. decoder params."""
     a = h @ dec["w1"] + dec["b1"]
-    z, tanh_a = nn.gelu(a, return_tanh=True)
+    tanh_a = nn.gelu_tanh(a)
+    z = nn.gelu_from_tanh(a, tanh_a)
     y, ln_cache = nn.layernorm_forward(z, dec["gamma"], dec["beta"])
     logits = y @ dec["w2"] + dec["b2"]
     loss, dlogits = nn.softmax_cross_entropy(logits, targets)

@@ -87,9 +87,6 @@ class ChainLayout:
     def __iter__(self):
         return iter(self.chains)
 
-    def __len__(self):
-        return len(self.chains)
-
 
 def split_latents(joint, layout):
     """Per-chain (l_max, W) blocks of a joint latent, in layout order."""

@@ -41,19 +41,17 @@ def gelu_tanh(x, out=None):
 
 
 def gelu_from_tanh(x, t, out=None):
-    """0.5 * x * (1 + t): gelu(x) from its tanh t, as gelu(x, return_tanh=True),
-    written into out (which may be x) if given."""
+    """0.5 * x * (1 + t): gelu(x) from its tanh t = gelu_tanh(x), bitwise
+    gelu(x), written into out (which may be x) if given."""
     z = np.multiply(x, 0.5, out=out)
     z *= t + 1.0
     return z
 
 
-def gelu(x, return_tanh=False):
-    """Tanh-approximated GELU. With return_tanh, also return the tanh value so
-    the backward pass can hand it to gelu_grad instead of recomputing it."""
+def gelu(x):
+    """Tanh-approximated GELU. A caller that needs the tanh for gelu_grad
+    takes t = gelu_tanh(x) and gelu_from_tanh(x, t) instead."""
     t = gelu_tanh(x)
-    if return_tanh:
-        return gelu_from_tanh(x, t), t
     # as gelu_from_tanh, adding into the tanh buffer, which no caller sees
     z = x * 0.5
     t += 1.0

@@ -207,17 +207,11 @@ def _dopri5_adaptive(v, x, first, atol, rtol):
         err_vec = h_x * _combine(_NEG_ERR, vs)
         scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
         errs = np.sqrt(((err_vec / scale) ** 2).reshape(lanes.size, -1).mean(axis=1)).tolist()
-        if all(e <= 1.0 for e in errs):
-            s = s + h
-            x = x_new
-            vs[0] = vs[6]  # FSAL
-            lane_accepted += 1
-        else:
-            ok = np.array([e <= 1.0 for e in errs])
-            s = np.where(ok, s + h, s)
-            x = np.where(ok.reshape(lane_shape), x_new, x)
-            vs[0] = np.where(ok.reshape(lane_shape), vs[6], vs[0])
-            lane_accepted += ok
+        ok = np.array([e <= 1.0 for e in errs])
+        s = np.where(ok, s + h, s)
+        x = np.where(ok.reshape(lane_shape), x_new, x)
+        vs[0] = np.where(ok.reshape(lane_shape), vs[6], vs[0])  # FSAL
+        lane_accepted += ok
         for j, e in enumerate(errs):
             if e <= 1.0:
                 factor = 5.0 if e == 0.0 else safety * e ** (-alpha) * err_old[j] ** beta

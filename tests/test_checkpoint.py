@@ -547,7 +547,7 @@ def _pipeline_meta(kind, chains=False):
     else:
         meta.update({"l_max": 6, "length_dist": {"lengths": [2], "counts": [1]}})
     if kind in ("flow", "reflow"):
-        meta["flow_cfg"] = {"depth": 1, "width": 4, "hidden": 8}
+        meta["flow_cfg"] = {"depth": 1, "width": 4, "hidden": 8, "attention": False}
     return meta
 
 
@@ -564,7 +564,7 @@ def test_pipeline_kinds_need_their_metadata(tmp_path, kind, chains):
             ckpt.load_checkpoint(path)
     # an odd dim would reach nn.sinusoidal_table, which needs an even width
     # and a float, bool or huge flow_cfg size would reach the network's range() calls
-    flow_cfg = {"depth": 1, "width": 4, "hidden": 8}
+    flow_cfg = {"depth": 1, "width": 4, "hidden": 8, "attention": False}
     bad_flow_cfgs = [[1], dict(flow_cfg, depth=1.0), dict(flow_cfg, width=True),
                      dict(flow_cfg, time_dim=8.0), dict(flow_cfg, seq_len=6.0),
                      dict(flow_cfg, attention=1), dict(flow_cfg, depth=10**9),
@@ -575,7 +575,8 @@ def test_pipeline_kinds_need_their_metadata(tmp_path, kind, chains):
                      dict(flow_cfg, time_scale=None), dict(flow_cfg, time_scale=float("inf")),
                      dict(flow_cfg, time_scale=float("nan")), dict(flow_cfg, time_scale=10**400),
                      # VectorFieldConfig's own rules, checked at load through the reader
-                     dict(flow_cfg, time_dim=7), dict(flow_cfg, attention=True)]
+                     dict(flow_cfg, time_dim=7), dict(flow_cfg, attention=True),
+                     {k: v for k, v in flow_cfg.items() if k != "attention"}]
     # chains follow ChainLayout's rules: distinct names, and the unnamed chain alone
     # and ChainSpec's: a str name and an int l_max (not a bool) in [1, L_MAX_CAP]
     bad_chains = [[{"name": "A"}], [{"name": 3, "l_max": 3}], [{"name": "A", "l_max": True}],
@@ -599,7 +600,7 @@ def test_flow_cfg_sizes_up_to_the_cap_load(tmp_path):
     path = str(tmp_path / "m.ckpt")
     meta = _pipeline_meta("flow")
     meta["flow_cfg"] = {"depth": SIZE_CAP, "width": SIZE_CAP, "hidden": SIZE_CAP,
-                        "time_dim": SIZE_CAP, "time_scale": 1}
+                        "attention": False, "time_dim": SIZE_CAP, "time_scale": 1}
     ckpt.save_checkpoint(path, {"x": np.ones(2)}, meta)
     assert ckpt.load_checkpoint(path)[1] == meta
 

@@ -12,6 +12,7 @@ from protflow.config import (
     load_config,
     parse_chains_value,
     parse_config_text,
+    require,
 )
 from protflow.errors import ConfigError, DataError
 from protflow.ode import METHODS
@@ -19,7 +20,7 @@ from protflow.ode import METHODS
 
 def test_defaults_cover_every_key():
     cfg = load_config(None)
-    assert set(cfg.to_dict()) == set(SCHEMA)
+    assert set(cfg) == set(SCHEMA)
     assert cfg["model.D"] == 64
     assert cfg["model.ratio_c"] == 4
     assert cfg["train.lr"] == 1e-3
@@ -143,15 +144,8 @@ def test_data_paths_checked(tmp_path):
 def test_require():
     cfg = load_config(None)
     with pytest.raises(ConfigError, match="must be set"):
-        cfg.require("data.train_path")
-    assert cfg.require("model.D") == 64
-
-
-def test_to_dict_is_a_copy():
-    cfg = load_config(None)
-    snapshot = cfg.to_dict()
-    snapshot["model.D"] = 999
-    assert cfg["model.D"] == 64
+        require(cfg, "data.train_path")
+    assert require(cfg, "model.D") == 64
 
 
 def _chain_pairs(text):

@@ -255,6 +255,11 @@ def test_item_blocks_match_whole_array_step_bitwise(attention):
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), (length, name)
         assert cache[3] == []  # every block's activations were handed back
+        # the one GELU statement serves both forwards in float32 too, as in training
+        x32 = x.astype(np.float32)
+        v32 = flow.flow_forward(model, x32, t, need_cache=True)[0]
+        assert v32.dtype == np.float32
+        assert flow.flow_forward(model, x32, t).tobytes() == v32.tobytes(), length
 
 
 def _step_model(depth, width, hidden, seed):

@@ -53,7 +53,7 @@ def test_layout_properties():
     )
     assert layout.total_length == 10
     assert layout.width == 4
-    assert len(layout) == 2
+    assert len(layout.chains) == 2
     assert [c.name for c in layout] == ["A", "B"]
 
 

@@ -25,7 +25,7 @@ def test_gelu_grad_matches_numeric():
     x = rng.normal(size=50) * 2.0
     h = 1e-6
     num = (nn.gelu(x + h) - nn.gelu(x - h)) / (2.0 * h)
-    _, t = nn.gelu(x, return_tanh=True)
+    t = nn.gelu_tanh(x)
     assert np.max(np.abs(num - nn.gelu_grad(x, t))) < 1e-8
 
 
@@ -38,15 +38,15 @@ def test_gelu_pow_free_matches_cube_formula():
     c = math.sqrt(2.0 / math.pi)
     ref = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
     assert np.all(np.abs(nn.gelu(x) - ref) <= 1e-15 * np.maximum(np.abs(x), 1.0))
-    z, t = nn.gelu(x, return_tanh=True)
-    assert np.array_equal(z, nn.gelu(x))
+    t = nn.gelu_tanh(x)
+    assert np.array_equal(nn.gelu_from_tanh(x, t), nn.gelu(x))
     assert np.array_equal(t, np.tanh(c * (x + 0.044715 * (x * x * x))))
 
 
 def test_gelu_grad_with_cached_tanh():
     rng = np.random.default_rng(4)
     x = np.concatenate([rng.normal(size=200) * 3.0, np.linspace(-50.0, 50.0, 101)])
-    _, t = nn.gelu(x, return_tanh=True)
+    t = nn.gelu_tanh(x)
     cached = nn.gelu_grad(x, t)
     h = 1e-6
     num = (nn.gelu(x + h) - nn.gelu(x - h)) / (2.0 * h)
@@ -66,17 +66,16 @@ def test_gelu_in_place_matches_formulas_bitwise():
     z = 0.5 * x * (1.0 + t)
     grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * (x * x))
     assert np.array_equal(nn.gelu(x), z)
-    z2, t2 = nn.gelu(x, return_tanh=True)
-    assert np.array_equal(z2, z) and np.array_equal(t2, t)
-    assert np.array_equal(nn.gelu_tanh(x), t)  # the tanh a flow block caches
+    t2 = nn.gelu_tanh(x)  # the tanh a flow block caches
+    assert np.array_equal(t2, t)
     # flow_forward and flow_backward build z from the cached tanh, left unwritten
-    assert np.array_equal(nn.gelu_from_tanh(x, t2).view(np.uint64), z2.view(np.uint64))
+    assert np.array_equal(nn.gelu_from_tanh(x, t2).view(np.uint64), z.view(np.uint64))
     assert np.array_equal(t2, t)
     t_in = t.copy()
     assert np.array_equal(nn.gelu_grad(x, t_in), grad)
     assert np.array_equal(t_in, t)  # the cached tanh is read, never written
     x3 = x[: 4 * 20 * 64].reshape(4, 20, 64)  # activations come in as (n, L, hidden)
-    _, t3 = nn.gelu(x3, return_tanh=True)
+    t3 = nn.gelu_tanh(x3)
     assert np.array_equal(nn.gelu_grad(x3, t3), grad[: x3.size].reshape(x3.shape))
 
 
