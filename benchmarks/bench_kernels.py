@@ -57,16 +57,20 @@ flow.HIDDEN_ROWS block evenly) and at 64 x 1 x 8 (reflow's single-row
 pairs), each on a float64 batch and on the same batch in float32 (the
 dtype train_rf and train_reflow hand it, flow.TRAIN_DTYPE), one
 uncached flow_forward of ode.LANES lanes at L 20, fit_corpus_smoothing of
-the training corpus above (train-decoder's fit), compressor_mse over its
-10,000 x 32 smoothed rows at ratio_c 4 (train-compressor's closing figure),
-corpus_to_latent of that 500 x 20 corpus (train-flow's dataset), a dopri5
+the training corpus above (train-decoder's fit), the latent tables at
+L_max 20 (smoothed_table, train-compressor's, and LatentPipeline.latent_table
+at ratio_c 4, train-flow's), compressor_mse of that corpus's 500 x 20 keys
+into the smoothed table (train-compressor's closing figure), the whole
+compressor stage (table_keys, the table, COMPRESSOR_STEPS steps and the
+closing MSE) on that corpus and on one of STAGE_CORPUS sequences, a dopri5
 x25 and a dopri5-adaptive solve of SOLVE_LANES lanes of the sampling field
 below (reflow's 1,024 pairs), and cross_edit_matrix of 200 length-20
 sequences against the same 200 plus one 3,000-residue text, whose length does
 not size the kernel's passes. tracemalloc counts numpy's array buffers, so
 each figure is what the call asks of the allocator, not the process's RSS.
 Beside each peak, the call's best and median time of five untraced runs
-after one warm-up; compressor_mse overwrites its rows, so it runs once.
+after one warm-up. The tables are over the (token, position) grid, so the
+compressor stage's peak grows with the corpus only by its key matrix.
 
 Start-up comes last: the child CPU seconds (user + system, from os.wait4) of
 `python -m protflow <command> --help` for each command, best and median of
@@ -134,6 +138,9 @@ FLOW_BATCH = 64
 LONG_TEXT = (200, 20, 3000)
 # lanes of the memory section's solves: the shipped reflow's pairs
 SOLVE_LANES = 1024
+# the memory section's larger compressor-stage corpus, and the stage's steps
+STAGE_CORPUS = 5000
+COMPRESSOR_STEPS = 20
 
 SHAPES = {
     # name: (batch size, reference size, min length, max length)
@@ -302,12 +309,26 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def compressor_stage(ids, enc, stats, comp):
+    """train-compressor's work on one chain: the keys and smoothed table, a
+    short fit and the closing MSE."""
+    keys = latent.table_keys(ids)
+    table = latent.smoothed_table(enc, stats, ids.shape[1])
+    comp, _ = latent.train_compressor(
+        comp, keys, table, RngStream(4), steps=COMPRESSOR_STEPS, batch=TRAIN_CFG["batch"],
+        lr=3e-3, lr_min=1e-4, warmup=5, weight_decay=0.0, clip=1.0,
+    )
+    return latent.compressor_mse(comp, keys, table)
+
+
 def bench_memory():
     c = TRAIN_CFG
     rng = RngStream(3)
-    ids, enc, stats, rows = training_corpus(c, rng)
+    ids, enc, stats, _ = training_corpus(c, rng)
+    big = tokenize(make_corpus(STAGE_CORPUS, 1, c["l_max"], 8), c["l_max"])
     comp = latent.init_compressor(c["dim"], c["ratio"], rng.substream("comp"))
     pipe = latent.LatentPipeline(enc, None, stats, comp)
+    keys, table = latent.table_keys(ids), latent.smoothed_table(enc, stats, c["l_max"])
     model = perturbed_flow()
 
     def field(x, t):
@@ -320,7 +341,7 @@ def bench_memory():
     n_short, short, long = LONG_TEXT
     texts = make_corpus(n_short, short, short, 9)
     texts_long = texts + make_corpus(1, long, long, 10)
-    # (label, call, whether it may be timed: compressor_mse consumes its rows)
+    # (label, call)
     figures = []
     # reflow's pairs are single rows
     for length in (FLOW_LENGTH, FLOW_LENGTH + 1, 1):
@@ -331,30 +352,36 @@ def bench_memory():
             batch = [a.astype(dtype) for a in (x0, x1, t)]
             figures.append((
                 f"cfm_loss {'x'.join(map(str, shape))}, {np.dtype(dtype).name}",
-                lambda batch=batch: flow.cfm_loss(model, *batch), True,
+                lambda batch=batch: flow.cfm_loss(model, *batch),
             ))
     figures += [
         (f"flow_forward {ode.LANES}x{FLOW_LENGTH}x{FLOW_CFG['width']}, uncached",
-         lambda: field(lanes[:ode.LANES], 0.5), True),
+         lambda: field(lanes[:ode.LANES], 0.5)),
         (f"fit_corpus_smoothing {ids.shape[0]}x{ids.shape[1]}, D {c['dim']}",
-         lambda: latent.fit_corpus_smoothing(ids, enc), True),
-        (f"compressor_mse {rows.shape[0]}x{rows.shape[1]}, ratio_c {c['ratio']}",
-         lambda: latent.compressor_mse(comp, rows), False),
-        (f"corpus_to_latent {ids.shape[0]}x{ids.shape[1]}, ratio_c {c['ratio']}",
-         lambda: pipe.corpus_to_latent(ids), True),
-        (f"dopri5 x25, {SOLVE_LANES} lanes", lambda: ode.solve_lanes(field, lanes, fixed), True),
-        (f"dopri5-adaptive, {SOLVE_LANES} lanes",
-         lambda: ode.solve_lanes(field, lanes, adaptive), True),
+         lambda: latent.fit_corpus_smoothing(ids, enc)),
+        (f"smoothed_table L_max {c['l_max']}, D {c['dim']}",
+         lambda: latent.smoothed_table(enc, stats, c["l_max"])),
+        (f"latent_table L_max {c['l_max']}, ratio_c {c['ratio']}",
+         lambda: pipe.latent_table(c["l_max"])),
+        (f"compressor_mse {keys.shape[0]}x{keys.shape[1]} keys, ratio_c {c['ratio']}",
+         lambda: latent.compressor_mse(comp, keys, table)),
+    ]
+    figures += [
+        (f"compressor stage {corpus.shape[0]}x{corpus.shape[1]}, {COMPRESSOR_STEPS} steps",
+         lambda corpus=corpus: compressor_stage(corpus, enc, stats, dict(comp)))
+        for corpus in (ids, big)
+    ]
+    figures += [
+        (f"dopri5 x25, {SOLVE_LANES} lanes", lambda: ode.solve_lanes(field, lanes, fixed)),
+        (f"dopri5-adaptive, {SOLVE_LANES} lanes", lambda: ode.solve_lanes(field, lanes, adaptive)),
         (f"cross {n_short}x{n_short + 1}, one {long}-residue text",
-         lambda: kernels.cross_edit_matrix(texts, texts_long), True),
+         lambda: kernels.cross_edit_matrix(texts, texts_long)),
     ]
     print(f"{'memory, tracemalloc peak above entry':<46} {'peak':>10} {'best':>10} {'median':>10}")
-    for label, fn, timeable in figures:
-        times = ""
-        if timeable:
-            _, best, median = timed(fn)
-            times = f" {best * 1e3:>8.1f}ms {median * 1e3:>8.1f}ms"
-        print(f"{label:<46} {traced_peak(fn) / 1e6:>8.2f}MB{times}")
+    for label, fn in figures:
+        _, best, median = timed(fn)
+        times = f"{best * 1e3:>8.1f}ms {median * 1e3:>8.1f}ms"
+        print(f"{label:<46} {traced_peak(fn) / 1e6:>8.2f}MB {times}")
     print()
 
 

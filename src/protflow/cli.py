@@ -274,22 +274,19 @@ def cmd_train_compressor(args):
     traces = []
     for chain, stack, seqs, val_seqs in zip(chains, stacks, corpus, val_corpus):
         tag = chain.tag("-")
-        rows = latent.smoothed_rows(seqs, stack["encoder"], stack["smoothing"])
+        table = latent.smoothed_table(stack["encoder"], stack["smoothing"], chain.l_max)
         comp = latent.init_compressor(
             meta["dim"], cfg["model.ratio_c"], root.substream(f"compressor-init{tag}")
         )
         comp, trace = latent.train_compressor(
-            comp, rows, root.substream(f"compressor{tag}"), **_train_args(cfg)
+            comp, latent.table_keys(seqs), table, root.substream(f"compressor{tag}"),
+            **_train_args(cfg),
         )
         out_tensors.update(checkpoint.pack(comp, chain.prefix + "compressor."))
         traces.append(trace)
         if trace:
-            if val_seqs is not None:
-                del rows  # one corpus's rows at a time
-                rows = latent.smoothed_rows(val_seqs, stack["encoder"], stack["smoothing"])
-            # the last use of rows: compressor_mse overwrites them
-            print(f"compressor{tag} {figure} MSE: {latent.compressor_mse(comp, rows):.6g}")
-        del rows
+            keys = latent.table_keys(seqs if val_seqs is None else val_seqs)
+            print(f"compressor{tag} {figure} MSE: {latent.compressor_mse(comp, keys, table):.6g}")
     checkpoint.save_checkpoint(args.out, out_tensors, _carry_meta(meta, cfg, "pipeline"))
     _write_loss_csvs(args.out, chains, traces)
     print(f"wrote {args.out}")
@@ -308,9 +305,10 @@ def cmd_train_flow(args):
     _check_dim(meta, cfg, args.init)
     layout = _layout(tensors, meta)
     corpus = _load_corpus(config.require(cfg, "data.train_path"), layout.chains)
-    dataset = np.concatenate(
-        [chain.pipeline.corpus_to_latent(seqs) for chain, seqs in zip(layout, corpus)], axis=1
-    )
+    # one table of every chain's latents; a chain's keys skip the tables before it
+    tables = [chain.pipeline.latent_table(chain.l_max) for chain in layout]
+    starts = np.cumsum([0] + [len(t) for t in tables])
+    keys = np.concatenate([latent.table_keys(s) + a for s, a in zip(corpus, starts)], axis=1)
     fcfg = flow.VectorFieldConfig(
         depth=cfg["model.depth"],
         width=layout.width,
@@ -320,7 +318,7 @@ def cmd_train_flow(args):
     )
     root = numeric.RngStream(cfg["train.seed"])
     model = flow.init_flow_model(fcfg, root.substream("flow"))
-    model, trace = flow.train_rf(model, dataset, root, **_train_args(cfg))
+    model, trace = flow.train_rf(model, keys, np.concatenate(tables), root, **_train_args(cfg))
     _save_flow_stage(args.out, tensors, _carry_meta(meta, cfg, "flow"), model, trace)
     if trace:
         print(f"final flow loss: {trace[-1][1]:.6g}")

@@ -445,14 +445,16 @@ def _fit_cfm(model, n, pairs, stream, steps, batch, lr, lr_min, warmup, weight_d
     return model, trace
 
 
-def train_rf(model, dataset, rng, steps, batch, lr, lr_min, warmup, weight_decay, clip):
+def train_rf(model, keys, table, rng, steps, batch, lr, lr_min, warmup, weight_decay, clip):
     """1-RF training: x0 from data, x1 ~ N(0, I), t ~ U(0, 1) per step. The
     steps run in _fit_cfm's mixed precision: float32 activations, float64
     parameters, optimizer and loss sum.
 
     Args:
         model: VectorFieldModel (modified in place).
-        dataset: (N, L, W) array of smoothed, compressed latents.
+        keys, table: item i's x0 is table[keys[i]], (N, L) ints into (K, W)
+            latent rows (latent.table_keys); a raw (N, L, W) array is its
+            (N * L, W) reshape at keys np.arange(N * L).reshape(N, L).
         rng: RngStream; step s draws its batch from substream "rf-train/step{s}".
         steps, batch: optimizer steps and rows per step. Rows are drawn with
             replacement and each carries its own noise and t, so a batch
@@ -464,16 +466,16 @@ def train_rf(model, dataset, rng, steps, batch, lr, lr_min, warmup, weight_decay
     Returns:
         (model, trace) with trace rows (step, loss, lr, grad_norm).
     """
-    dataset = np.asarray(dataset, dtype=np.float64)
-    if dataset.ndim != 3 or dataset.shape[0] == 0:
-        raise ValueError(f"dataset must be nonempty (N, L, W), got {dataset.shape}")
-    shape = (batch,) + dataset.shape[1:]
+    table = np.asarray(table, dtype=np.float64)
+    if keys.ndim != 2 or len(keys) == 0 or table.ndim != 2:
+        raise ValueError(f"need nonempty (N, L) keys, (K, W) rows: {keys.shape}, {table.shape}")
+    shape = keys.shape[1:] + table.shape[1:]
 
     def pairs(sub, idx):
-        return dataset[idx], sub.substream("noise").normal(shape)
+        return table[keys[idx]], sub.substream("noise").normal((batch,) + shape)
 
     return _fit_cfm(
-        model, dataset.shape[0], pairs, rng.substream("rf-train"), steps, batch, lr, lr_min,
+        model, len(keys), pairs, rng.substream("rf-train"), steps, batch, lr, lr_min,
         warmup, weight_decay, clip,
     )
 

@@ -15,11 +15,14 @@ Pipeline, sample side:  h_s' = decompress(h_c'); h' = unsmooth(h_s'); x' = decod
 smooth/unsmooth are exact inverses away from the clamp boundary; compression
 is lossy and trained to minimize reconstruction MSE in the smoothed space.
 
-A whole corpus goes through the stack BLOCK_ROWS latent rows at a time:
-every step is elementwise or a per-row product, so the blocks are bitwise the
-whole corpus, and a pass holds its one corpus-sized result, not one array
-per step. The smoothing fit holds none: its sums chain from block to block
-in numpy's own order of addition.
+The encoder is not contextual, smooth is elementwise and compress works row
+by row, so the data side maps a position by its (token, position) pair
+alone, and training builds no corpus's latents: smoothed_table and
+LatentPipeline.latent_table run it once over the (VOCAB_SIZE, l_max) grid
+of every pair, and a position reads its row at table_keys(ids), token *
+l_max + pos. A contextual encoder would void this. Only train-decoder's
+corpus passes go BLOCK_ROWS latent rows at a time, bitwise the whole corpus;
+the smoothing fit's sums chain from block to block in numpy's order.
 
 Every part of the stack (encoder, decoder, smoothing, compressor) is a dict
 of named float64 arrays, as the flow's parameters are. nn.fit packs a part
@@ -37,7 +40,7 @@ from .errors import EmptyCorpus, IncompatibleRatio
 from .numeric import RngStream, item_blocks
 from .seqio import PAD_ID, VOCAB_SIZE, tokenize
 
-# Latent rows per block of a whole-corpus pass: 64 sequences at l_max 20.
+# Latent rows per block of train-decoder's corpus passes: 64 sequences at l_max 20.
 BLOCK_ROWS = 1280
 
 
@@ -93,20 +96,19 @@ def encode_corpus(ids, enc):
     return out
 
 
-def _corpus_pass(ids, width, f):
-    """(n, l_max, width) array of f(block) over blocks of the id matrix's
-    sequences, each block BLOCK_ROWS latent rows."""
-    out = np.empty(ids.shape + (width,))
-    for block in _blocks(len(ids), ids.shape[1]):
-        out[block] = f(ids[block])
-    return out
+def table_keys(ids):
+    """(n, l_max) token ids -> (n, l_max) keys token * l_max + pos: the row
+    of a table over the id grid of width l_max (smoothed_table,
+    LatentPipeline.latent_table) that each position's latent is."""
+    return np.ravel_multi_index((ids, np.arange(ids.shape[1])), (VOCAB_SIZE, ids.shape[1]))
 
 
-def smoothed_rows(ids, enc, stats):
-    """smooth(encode_corpus(ids, enc), stats) as (n * l_max, dim) rows, built
-    a block of sequences at a time."""
-    h = _corpus_pass(ids, enc["embed"].shape[1], lambda b: smooth(encode_corpus(b, enc), stats))
-    return h.reshape(-1, h.shape[-1])
+def smoothed_table(enc, stats, l_max):
+    """smooth(encode_corpus(grid, enc), stats) as (VOCAB_SIZE * l_max, dim)
+    rows, which table_keys index, of the (VOCAB_SIZE, l_max) id grid whose
+    row v is token v at every position."""
+    grid = np.repeat(np.arange(VOCAB_SIZE)[:, None], l_max, axis=1)
+    return smooth(encode_corpus(grid, enc), stats).reshape(VOCAB_SIZE * l_max, -1)
 
 
 def embed_sequences(seqs, dim, seed):
@@ -319,25 +321,23 @@ def compressor_loss_and_grad(comp, batch):
     return loss, grads
 
 
-def compressor_mse(comp, rows):
-    """Mean of (decompress(compress(rows)) - rows)^2 over every scalar of a
-    C-contiguous float64 array of rows, shape (n, ..., dim).
-
-    The squared errors overwrite rows, BLOCK_ROWS rows at a time, so pass
-    rows at their last use, or a copy; a corpus then costs no array its
-    size. The mean is taken over the overwritten rows as one array, so it
-    rounds as the whole-array expression does.
-    """
-    for block in _blocks(len(rows), rows[:1].size // rows.shape[-1]):
-        rec = decompress(compress(rows[block], comp), comp)
-        rec -= rows[block]
-        np.square(rec, out=rows[block])
-    return float(rows.mean())
+def compressor_mse(comp, keys, table):
+    """Mean of (decompress(compress(rows)) - rows)^2 over every scalar of the
+    rows table[keys] of a (K, dim) float64 table, for int keys of any shape
+    (a raw array of rows passes keys np.arange(len(rows))). It is the mean of
+    each table row's squared error weighted by its count in keys,
+    np.bincount(keys) @ err.mean(axis=1) / keys.size, so the rows are never
+    gathered."""
+    err = decompress(compress(table, comp), comp)
+    err -= table
+    np.square(err, out=err)
+    return float(np.bincount(keys.ravel(), minlength=len(table)) @ err.mean(axis=1) / keys.size)
 
 
 def train_compressor(
     comp,
-    train_rows,
+    keys,
+    table,
     rng,
     steps,
     batch,
@@ -347,14 +347,16 @@ def train_compressor(
     weight_decay,
     clip,
 ):
-    """Minimize reconstruction MSE on smoothed rows; returns (comp, trace).
-    The optimizer settings are nn.fit's, with no defaults."""
+    """Minimize reconstruction MSE on the smoothed rows table[keys], each
+    step's batch gathered from a (K, dim) table by int keys of any shape;
+    returns (comp, trace). The optimizer settings are nn.fit's, with no
+    defaults."""
     stream = rng.substream("compressor-train")
-    n = train_rows.shape[0]
+    keys = keys.ravel()
 
     def loss_and_grad(step):
-        idx = stream.integers(0, n, size=min(batch, n))
-        return compressor_loss_and_grad(comp, train_rows[idx])
+        idx = stream.integers(0, len(keys), size=min(batch, len(keys)))
+        return compressor_loss_and_grad(comp, table[keys[idx]])
 
     trace = nn.fit(
         comp, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
@@ -504,14 +506,12 @@ class LatentPipeline:
     def width(self):
         return self.compressor["w_down"].shape[1]
 
-    def corpus_to_latent(self, ids):
-        """(n, l_max) token ids -> (n, l_max, width) compressed latents, built
-        a block of sequences at a time."""
-
-        def compressed(block):
-            return compress(smooth(encode_corpus(block, self.encoder), self.smoothing), self.compressor)
-
-        return _corpus_pass(ids, self.width, compressed)
+    def latent_table(self, l_max):
+        """compress(smoothed_table(...)) as (VOCAB_SIZE * l_max, width) rows,
+        which table_keys index; each grid sequence is compressed as one
+        (l_max, dim) product, as a corpus sequence is."""
+        h_s = smoothed_table(self.encoder, self.smoothing, l_max).reshape(VOCAB_SIZE, l_max, -1)
+        return compress(h_s, self.compressor).reshape(-1, self.width)
 
     def latent_to_sequence(self, h_c, length):
         """(l_max, width) compressed latent -> residue ids of its first length

@@ -56,6 +56,12 @@ def _solver(**settings):
     return solver_config({"solver." + name: value for name, value in settings.items()})
 
 
+def _own_rows(data):
+    """A raw (N, L, W) dataset as train_rf's keys and table: its own rows."""
+    n, length, width = data.shape
+    return np.arange(n * length).reshape(n, length), data.reshape(-1, width)
+
+
 # --- criterion 1: analytic gradients vs central finite differences ------------------
 
 def _perturb(params, rng, scale=0.05):
@@ -198,8 +204,8 @@ def toy2d():
     cfg = VectorFieldConfig(depth=4, width=2, hidden=64, attention=False, seq_len=None)
     model = init_flow_model(cfg, rng.substream("model-42"))
     model, _ = train_rf(
-        model, train, RngStream(42), steps=20000, batch=64, lr=1e-3, lr_min=5e-5, warmup=500,
-        weight_decay=0.01, clip=1.0,
+        model, *_own_rows(train), RngStream(42), steps=20000, batch=64, lr=1e-3, lr_min=5e-5,
+        warmup=500, weight_decay=0.01, clip=1.0,
     )
 
     def mean_mmd(m, tag, method, steps):
@@ -294,6 +300,7 @@ def test_criterion_6_round_trip(criterion):
         comp = latent.init_compressor(dim, c, rng.substream(f"comp-init-{c}"))
         comp, _ = latent.train_compressor(
             comp,
+            np.arange(len(smoothed)),
             smoothed,
             rng.substream(f"comp-{c}"),
             steps=1500,
@@ -306,7 +313,7 @@ def test_criterion_6_round_trip(criterion):
         )
         pipe = latent.LatentPipeline(enc, dec, sm, comp)
         hits = total = 0
-        for row, h_c, n in zip(toks, pipe.corpus_to_latent(toks), lengths):
+        for row, h_c, n in zip(toks, pipe.latent_table(l_max)[latent.table_keys(toks)], lengths):
             out = pipe.latent_to_sequence(h_c, n)
             hits += int((out == row[:n]).sum())
             total += int(n)
@@ -467,7 +474,7 @@ def test_criterion_8_multichain_coupling(criterion):
     cfg = VectorFieldConfig(depth=4, width=1, hidden=64, attention=True, seq_len=2)
     model = init_flow_model(cfg, rng.substream("joint-init"))
     model, _ = train_rf(
-        model, joint_train, RngStream(80), steps=20000, batch=64, lr=1e-3, lr_min=5e-5,
+        model, *_own_rows(joint_train), RngStream(80), steps=20000, batch=64, lr=1e-3, lr_min=5e-5,
         warmup=500, weight_decay=0.01, clip=1.0,
     )
 
@@ -489,12 +496,12 @@ def test_criterion_8_multichain_coupling(criterion):
     ind_cfg = VectorFieldConfig(depth=2, width=1, hidden=64, attention=True, seq_len=1)
     opt = dict(steps=2000, batch=64, lr=1e-3, lr_min=1e-4, warmup=100, weight_decay=0.01, clip=1.0)
     model_a, _ = train_rf(
-        init_flow_model(ind_cfg, rng.substream("a-init")), joint_train[:, :1, :], RngStream(81),
-        **opt,
+        init_flow_model(ind_cfg, rng.substream("a-init")), *_own_rows(joint_train[:, :1, :]),
+        RngStream(81), **opt,
     )
     model_b, _ = train_rf(
-        init_flow_model(ind_cfg, rng.substream("b-init")), joint_train[:, 1:, :], RngStream(82),
-        **opt,
+        init_flow_model(ind_cfg, rng.substream("b-init")), *_own_rows(joint_train[:, 1:, :]),
+        RngStream(82), **opt,
     )
     a_ind = sample_latents(model_a, "a-noise", 1)[:, 0, 0]
     b_ind = sample_latents(model_b, "b-noise", 1)[:, 0, 0]

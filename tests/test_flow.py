@@ -22,6 +22,12 @@ def _solver(**settings):
 _RF_SETTINGS = dict(lr=1e-3, lr_min=2e-4, warmup=100, weight_decay=0.01, clip=1.0)
 
 
+def _own_rows(data):
+    """A raw (N, L, W) dataset as train_rf's keys and table: its own rows."""
+    n, length, width = data.shape
+    return np.arange(n * length).reshape(n, length), data.reshape(-1, width)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         flow.VectorFieldConfig(0, 2, 8, attention=False, seq_len=None)
@@ -370,7 +376,7 @@ def test_train_rf_reduces_loss():
     data = rng.substream("data").normal((256, 1, 2)) * 0.5 + 1.0
     cfg = flow.VectorFieldConfig(2, 2, 16, attention=False, seq_len=None)
     model = flow.init_flow_model(cfg, rng.substream("model"))
-    model, trace = flow.train_rf(model, data, RngStream(0), steps=300, batch=32,
+    model, trace = flow.train_rf(model, *_own_rows(data), RngStream(0), steps=300, batch=32,
                                  **dict(_RF_SETTINGS, lr=2e-3, warmup=30))
     assert len(trace) == 300
     first = np.mean([row[1] for row in trace[:50]])
@@ -383,8 +389,12 @@ def test_train_rf_reduces_loss():
 def test_train_rf_rejects_empty_dataset():
     cfg = flow.VectorFieldConfig(2, 2, 8, attention=False, seq_len=None)
     model = flow.init_flow_model(cfg, RngStream(0))
-    with pytest.raises(ValueError):
-        flow.train_rf(model, np.zeros((0, 1, 2)), RngStream(0), steps=1, batch=4, **_RF_SETTINGS)
+    table = np.zeros((3, 2))
+    # no items, keys that are not (N, L), and a table that is not (K, W)
+    for keys, rows in ((np.zeros((0, 1), int), table), (np.zeros(4, int), table),
+                       (np.zeros((4, 1), int), table[None])):
+        with pytest.raises(ValueError):
+            flow.train_rf(model, keys, rows, RngStream(0), steps=1, batch=4, **_RF_SETTINGS)
 
 
 def _float32(*arrays):
@@ -435,12 +445,15 @@ def test_training_loops_match_written_out_steps_bitwise(attention):
             value += 0.1 * RngStream(22).substream(name).normal(value.shape)
         return model
 
-    data = RngStream(23).normal((5, 4, 3))
+    # train_rf gathers x0 from 7 table rows by (5, 4) keys, some repeated
+    table = RngStream(23).normal((7, 3))
+    keys = np.random.default_rng(23).integers(0, 7, size=(5, 4))
+    data = table[keys]
     noise = RngStream(24).normal((5, 4, 3))
     settings = dict(_RF_SETTINGS, steps=30, batch=8, warmup=5)
     runs = (
         (lambda m: _reference_rf(m, data, RngStream(25), **settings),
-         lambda m: flow.train_rf(m, data, RngStream(25), **settings)[1]),
+         lambda m: flow.train_rf(m, keys, table, RngStream(25), **settings)[1]),
         (lambda m: _reference_reflow(m, data, noise, RngStream(26), **settings),
          lambda m: flow.train_reflow(m, data, noise, RngStream(26), **settings)[1]),
     )
@@ -504,7 +517,7 @@ def test_training_loops_hand_cfm_loss_float32_batches(monkeypatch):
     model = _step_model(2, 3, 8, 35)
     data = RngStream(36).normal((5, 4, 3))
     settings = dict(_RF_SETTINGS, steps=3, batch=4)
-    flow.train_rf(model, data, RngStream(37), **settings)
+    flow.train_rf(model, *_own_rows(data), RngStream(37), **settings)
     flow.train_reflow(model, data, data[::-1], RngStream(38), **settings)
     assert dtypes == [(np.float32,) * 3] * 6
     assert all(value.dtype == np.float64 for value in model.params.values())

@@ -8,10 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from protflow import latent, nn
+from protflow import flow, latent, nn
 from protflow.errors import EmptyCorpus, IncompatibleRatio, SequenceTooLong
 from protflow.numeric import RngStream, grad_check
-from protflow.seqio import PAD_ID, tokenize
+from protflow.seqio import PAD_ID, VOCAB_SIZE, tokenize
 
 # the optimizer settings each trainer defaulted to before config.SCHEMA held
 # the only defaults; the tests below were tuned at them
@@ -167,8 +167,9 @@ def test_compressor_shapes():
 
 
 def test_in_place_decompress_and_mse_match_expressions_bitwise():
-    # decompress and compressor_mse work in their fresh buffers; the results
-    # must be those of the plain expressions
+    # decompress works in its fresh buffer, and compressor_mse weights each
+    # table row's error by its count in the keys; the results must be those
+    # of the plain expressions
     gen = np.random.default_rng(13)
     comp = latent.init_compressor(16, 4, RngStream(5))
     for name, value in comp.items():
@@ -180,8 +181,18 @@ def test_in_place_decompress_and_mse_match_expressions_bitwise():
             latent.decompress(h_c, comp).view(np.uint64),
             (h_c @ comp["w_up"] + comp["b_up"]).view(np.uint64),
         )
-        mse = float(((latent.decompress(latent.compress(rows, comp), comp) - rows) ** 2).mean())
-        assert latent.compressor_mse(comp, rows) == mse
+    table = np.tanh(gen.normal(size=(40, 16)))
+    err = (latent.decompress(latent.compress(table, comp), comp) - table) ** 2
+    # identity keys (a raw array of rows), and (25, 7) keys that read some
+    # rows many times and some not at all
+    for keys in (np.arange(40), gen.integers(0, 30, size=(25, 7))):
+        mse = float(np.bincount(keys.ravel(), minlength=40) @ err.mean(axis=1) / keys.size)
+        assert latent.compressor_mse(comp, keys, table) == mse
+        # the mean over the gathered rows sums in another order: float64
+        # round-off on a few thousand positive terms
+        rows = table[keys]
+        plain = float(((latent.decompress(latent.compress(rows, comp), comp) - rows) ** 2).mean())
+        assert mse == pytest.approx(plain, rel=1e-12, abs=0.0)
 
 
 def test_fresh_parameter_arrays_share_no_memory():
@@ -216,12 +227,12 @@ def test_train_compressor_reduces_val_mse():
     z = rng.substream("z").normal((300, 2))
     rows = np.tanh(z @ basis * 0.5)
     comp = latent.init_compressor(8, 4, rng.substream("init"))
-    # compressor_mse overwrites its rows, so each call gets a copy
-    before = latent.compressor_mse(comp, rows[200:].copy())
+    before = latent.compressor_mse(comp, np.arange(100), rows[200:])
     comp, trace = latent.train_compressor(
-        comp, rows[:200], rng.substream("train"), steps=400, batch=32, **_COMPRESSOR_SETTINGS
+        comp, np.arange(200), rows[:200], rng.substream("train"), steps=400, batch=32,
+        **_COMPRESSOR_SETTINGS,
     )
-    after = latent.compressor_mse(comp, rows[200:].copy())
+    after = latent.compressor_mse(comp, np.arange(100), rows[200:])
     assert after < before * 0.5
     assert [row[0] for row in trace] == list(range(400))
 
@@ -295,14 +306,15 @@ def test_pipeline_round_trip_identity_compressor():
     # even at ratio 1 the tanh squash must be learned around, so train briefly
     comp = latent.init_compressor(16, 1, rng.substream("comp"))
     comp, _ = latent.train_compressor(
-        comp, smoothed, rng.substream("ctrain"), steps=800, batch=64, **_COMPRESSOR_SETTINGS
+        comp, np.arange(len(smoothed)), smoothed, rng.substream("ctrain"), steps=800, batch=64,
+        **_COMPRESSOR_SETTINGS,
     )
     pipe = latent.LatentPipeline(enc, dec, stats, comp)
     assert pipe.width == 16
 
     hits = 0
     total = 0
-    h_c = pipe.corpus_to_latent(toks[:20])
+    h_c = pipe.latent_table(10)[latent.table_keys(toks[:20])]
     assert h_c.shape == (20, 10, 16)
     for i, seq in enumerate(seqs[:20]):
         out = pipe.latent_to_sequence(h_c[i], len(seq))
@@ -333,58 +345,81 @@ def _row_latent(pipe, row):
     return latent.compress(latent.smooth(h, pipe.smoothing), pipe.compressor)
 
 
-def test_corpus_to_latent_is_bitwise_per_sequence():
-    # the training-corpus shapes: 500 sequences, L_max 20, D 32, ratio 4
+def test_latent_table_gathers_are_bitwise_per_sequence():
+    # the training-corpus shapes: 500 sequences, L_max 20, D 32, ratio 4.
+    # PAD positions are latents too, and read the table's PAD rows.
     pipe = _random_pipeline(20, 1)
     ids = tokenize(_random_peptides(500, 20, 2), 20)
-    batched = pipe.corpus_to_latent(ids)
-    assert batched.shape == (500, 20, 8)
-    assert np.array_equal(batched, np.stack([_row_latent(pipe, row) for row in ids]))
+    keys = latent.table_keys(ids)
+    assert (ids == PAD_ID).any() and keys.shape == ids.shape
+    table = pipe.latent_table(20)
+    assert table.shape == (VOCAB_SIZE * 20, 8)
+    assert np.array_equal(table[keys], np.stack([_row_latent(pipe, row) for row in ids]))
 
 
-def test_corpus_blocks_match_whole_corpus_expressions_bitwise():
-    # 500 sequences at l_max 20 are 7 full blocks of 64 and one of 52
+def test_table_gathers_match_whole_corpus_expressions_bitwise():
+    # A training corpus and a held-out (data.val_path) corpus both read the
+    # tables of the training chain's stack.
     pipe = _random_pipeline(20, 1)
-    ids = tokenize(_random_peptides(500, 20, 2), 20)
-    assert len(ids) % (latent.BLOCK_ROWS // 20)
     enc, sm, comp = pipe.encoder, pipe.smoothing, pipe.compressor
-    h_s = latent.smooth(latent.encode_corpus(ids, enc), sm)
-    assert pipe.corpus_to_latent(ids).tobytes() == latent.compress(h_s, comp).tobytes()
-    rows = latent.smoothed_rows(ids, enc, sm)
-    assert rows.shape == (500 * 20, 32)
-    assert rows.tobytes() == h_s.reshape(-1, 32).tobytes()
-    # compressor_mse blocks the rows too, and leaves their squared errors in
-    # them: 10,000 rows end in a short block, 2,561 in one of a single row,
-    # which joins the block before it
-    for n in (len(rows), 2 * latent.BLOCK_ROWS + 1):
-        assert n % latent.BLOCK_ROWS
-        block = rows[:n].copy()
-        sq = (latent.decompress(latent.compress(block, comp), comp) - block) ** 2
-        assert latent.compressor_mse(comp, block) == float(sq.mean())
-        assert block.tobytes() == sq.tobytes()
+    smoothed, compressed = latent.smoothed_table(enc, sm, 20), pipe.latent_table(20)
+    assert smoothed.shape == (VOCAB_SIZE * 20, 32)
+    for n, seed in ((500, 2), (37, 9)):
+        ids = tokenize(_random_peptides(n, 20, seed), 20)
+        keys = latent.table_keys(ids)
+        h_s = latent.smooth(latent.encode_corpus(ids, enc), sm)
+        assert smoothed[keys].tobytes() == h_s.tobytes()
+        assert compressed[keys].tobytes() == latent.compress(h_s, comp).tobytes()
 
 
-def test_compressor_stage_holds_one_corpus_sized_array():
-    # train-compressor's path: the smoothed rows of a 500 x 20 corpus at D 32,
-    # a short fit and the closing MSE. Block temporaries are BLOCK_ROWS rows;
-    # the stage used to hold two corpus-sized arrays in each of
-    # smoothed_rows and compressor_mse.
-    pipe = _random_pipeline(20, 1)
-    ids = tokenize(_random_peptides(500, 20, 2), 20)
-    comp = latent.init_compressor(32, 4, RngStream(3))
-    corpus_bytes = ids.size * 32 * 8
+def _traced_peak(fn):
+    """tracemalloc peak of fn() above what was live when it started."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        rows = latent.smoothed_rows(ids, pipe.encoder, pipe.smoothing)
-        comp, _ = latent.train_compressor(
-            comp, rows, RngStream(4), steps=2, batch=64, **_COMPRESSOR_SETTINGS
-        )
-        latent.compressor_mse(comp, rows)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * corpus_bytes
+
+
+# allocator and tracing noise allowed on top of the id and key matrices'
+# growth, fixed before the peaks below were first measured
+_MEMORY_SLACK = 64 << 10
+
+
+def test_training_memory_does_not_grow_with_the_corpus():
+    # train-compressor's stage (its table, a short fit and the closing MSE,
+    # as cmd_train_compressor runs them) and a few train_rf steps, on corpora
+    # of 500 and 5,000 sequences at l_max 20 and D 32. The stage held the
+    # (n * 20, 32) smoothed rows, and train-flow an (n, 20, 8) dataset; now
+    # only the id and key matrices may grow with n.
+    pipe = _random_pipeline(20, 1)
+    model = flow.init_flow_model(flow.VectorFieldConfig(2, 8, 64, False, None), RngStream(5))
+    rf_settings = dict(lr=1e-3, lr_min=2e-4, warmup=1, weight_decay=0.01, clip=1.0)
+    peaks = {}
+    for n in (500, 5000):
+        ids = tokenize(_random_peptides(n, 20, 2), 20)
+
+        def compressor_stage():
+            table = latent.smoothed_table(pipe.encoder, pipe.smoothing, 20)
+            comp, _ = latent.train_compressor(
+                latent.init_compressor(32, 4, RngStream(3)), latent.table_keys(ids), table,
+                RngStream(4), steps=2, batch=64, **_COMPRESSOR_SETTINGS,
+            )
+            latent.compressor_mse(comp, latent.table_keys(ids), table)
+
+        keys, table = latent.table_keys(ids), pipe.latent_table(20)
+        flow_steps = _traced_peak(
+            lambda: flow.train_rf(model, keys, table, RngStream(6), steps=2, batch=64,
+                                  **rf_settings)
+        )
+        peaks[n] = (_traced_peak(compressor_stage), flow_steps, ids.nbytes + keys.nbytes)
+    allowed = peaks[5000][2] - peaks[500][2] + _MEMORY_SLACK
+    for stage, (small, large) in zip(("compressor", "train_rf"), zip(peaks[500], peaks[5000])):
+        assert large - small <= allowed, (stage, small, large, allowed)
+    # the old bound of the stage at 500 sequences: 1.5 times its smoothed rows
+    assert peaks[500][0] < 1.5 * 500 * 20 * 32 * 8
 
 
 def test_fit_smoothing_matches_its_expressions_bitwise():
@@ -445,13 +480,19 @@ def test_corpus_smoothing_is_the_fit_of_the_encoded_corpus_in_bounded_memory():
 
 
 def test_multichain_corpus_latents_are_bitwise_per_complex():
-    # one batch per chain, joined on the position axis, as train-flow builds them
+    # one table of both chains' latents, B's keys offset past A's table, as
+    # train-flow builds them
     chains = [("A", 12, _random_pipeline(12, 3)), ("B", 9, _random_pipeline(9, 4))]
     ids = {
         name: tokenize(_random_peptides(300, l_max, 5 + l_max), l_max)
         for name, l_max, _ in chains
     }
-    batched = np.concatenate([p.corpus_to_latent(ids[name]) for name, _, p in chains], axis=1)
+    table = np.concatenate([p.latent_table(l_max) for _, l_max, p in chains])
+    keys = np.concatenate(
+        [latent.table_keys(ids["A"]), latent.table_keys(ids["B"]) + VOCAB_SIZE * 12], axis=1
+    )
+    assert keys.shape == (300, 21)
+    batched = table[keys]
     looped = np.stack(
         [
             np.concatenate([_row_latent(p, ids[name][i]) for name, _, p in chains], axis=0)
