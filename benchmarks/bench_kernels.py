@@ -27,7 +27,8 @@ mismatch, else 0.
 Training follows, at experiments/single_chain.sh's canonical shapes:
 tokenize of the 500-record runs/single_chain/corpus.fasta at L_max 20,
 decoder_loss_and_grad on the residue positions of a batch of 64 sequences of
-lengths 1-20 (L_max 20, D 32, decoder_hidden 64, embed_rank 4), and
+lengths 1-20 (L_max 20, D 32, decoder_hidden 64, embed_rank 4), gathered
+from the token table as train_decoder gathers them, and
 compressor_loss_and_grad on 64 smoothed rows of width 32 at ratio_c 4,
 each per call, best and median of five runs of TRAIN_CALLS calls after one
 warm-up.
@@ -56,21 +57,24 @@ hidden 64, depth 2), at 64 x 21 x 8 (an L whose items do not fill a
 flow.HIDDEN_ROWS block evenly) and at 64 x 1 x 8 (reflow's single-row
 pairs), each on a float64 batch and on the same batch in float32 (the
 dtype train_rf and train_reflow hand it, flow.TRAIN_DTYPE), one
-uncached flow_forward of ode.LANES lanes at L 20, fit_corpus_smoothing of
-the training corpus above (train-decoder's fit), the latent tables at
-L_max 20 (smoothed_table, train-compressor's, and LatentPipeline.latent_table
-at ratio_c 4, train-flow's), compressor_mse of that corpus's 500 x 20 keys
-into the smoothed table (train-compressor's closing figure), the whole
-compressor stage (table_keys, the table, COMPRESSOR_STEPS steps and the
-closing MSE) on that corpus and on one of STAGE_CORPUS sequences, a dopri5
-x25 and a dopri5-adaptive solve of SOLVE_LANES lanes of the sampling field
-below (reflow's 1,024 pairs), and cross_edit_matrix of 200 length-20
+uncached flow_forward of ode.LANES lanes at L 20, fit_smoothing of the
+training corpus above as its 500 x 20 keys into the token table
+(train-decoder's fit), the latent tables at L_max 20 (token_table,
+train-decoder's; its smooth, train-compressor's; and
+LatentPipeline.latent_table at ratio_c 4, train-flow's), compressor_mse of
+that corpus's keys into the smoothed table (train-compressor's closing
+figure), the whole decoder stage (table_keys, the token table, STAGE_STEPS
+steps, the accuracy of at most 256 sequences and the smoothing fit) and the
+whole compressor stage (table_keys, the smoothed table, STAGE_STEPS steps
+and the closing MSE), each on that corpus and on one of STAGE_CORPUS
+sequences, a dopri5 x25 and a dopri5-adaptive solve of SOLVE_LANES lanes of
+the sampling field below (reflow's 1,024 pairs), and cross_edit_matrix of 200 length-20
 sequences against the same 200 plus one 3,000-residue text, whose length does
 not size the kernel's passes. tracemalloc counts numpy's array buffers, so
 each figure is what the call asks of the allocator, not the process's RSS.
 Beside each peak, the call's best and median time of five untraced runs
-after one warm-up. The tables are over the (token, position) grid, so the
-compressor stage's peak grows with the corpus only by its key matrix.
+after one warm-up. The tables are over the (token, position) grid, so each
+stage's peak grows with the corpus only by its key matrix.
 
 Start-up comes last: the child CPU seconds (user + system, from os.wait4) of
 `python -m protflow <command> --help` for each command, best and median of
@@ -98,7 +102,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from protflow import cli, flow, kernels, latent, nn, ode  # noqa: E402
 from protflow.config import solver_config  # noqa: E402
 from protflow.numeric import RngStream  # noqa: E402
-from protflow.seqio import read_fasta, tokenize  # noqa: E402
+from protflow.seqio import PAD_ID, read_fasta, tokenize  # noqa: E402
 
 ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 REPEATS = 5
@@ -138,9 +142,9 @@ FLOW_BATCH = 64
 LONG_TEXT = (200, 20, 3000)
 # lanes of the memory section's solves: the shipped reflow's pairs
 SOLVE_LANES = 1024
-# the memory section's larger compressor-stage corpus, and the stage's steps
+# the memory section's larger stage corpus, and each stage's steps
 STAGE_CORPUS = 5000
-COMPRESSOR_STEPS = 20
+STAGE_STEPS = 20
 
 SHAPES = {
     # name: (batch size, reference size, min length, max length)
@@ -203,28 +207,29 @@ def bench_gelu():
 
 
 def training_corpus(c, rng):
-    """(ids, encoder, smoothing, smoothed rows) of the seeded
+    """(ids, keys, encoder, token table, smoothing) of the seeded
     TRAIN_CORPUS-sequence corpus at TRAIN_CFG's shapes; every padded position
-    is a row."""
+    is a key."""
     ids = tokenize(make_corpus(TRAIN_CORPUS, 1, c["l_max"], 7), c["l_max"])
     enc = latent.init_encoder(
         c["dim"], rng.substream("enc"), embed_scale=10.0, embed_rank=c["rank"]
     )
-    rows = latent.encode_corpus(ids, enc).reshape(-1, c["dim"])
-    stats = latent.fit_smoothing(rows)
-    return ids, enc, stats, latent.smooth(rows, stats)
+    keys, table = latent.table_keys(ids), latent.token_table(enc, c["l_max"])
+    return ids, keys, enc, table, latent.fit_smoothing(keys, table)
 
 
 def bench_training():
     c = TRAIN_CFG
     rng = RngStream(3)
     canonical = [s for _, s in read_fasta(CANONICAL_CORPUS)]
-    ids, enc, _, rows = training_corpus(c, rng)
-    # one decoder batch: the residue positions of batch sequences, as train_decoder draws it
-    idx = np.random.default_rng(4).integers(0, len(ids), size=c["batch"])
-    h, y = latent._gather_rows(enc, ids, idx)
+    ids, keys, _, table, stats = training_corpus(c, rng)
+    # one decoder batch: the residue positions of batch sequences, as train_decoder gathers it
+    k = keys[np.random.default_rng(4).integers(0, len(ids), size=c["batch"])]
+    tokens = k // c["l_max"]
+    h, y = table[k[tokens != PAD_ID]], tokens[tokens != PAD_ID]
     dec = latent.init_decoder(c["dim"], c["hidden"], rng.substream("dec"))
     # one compressor batch: batch smoothed rows of the padded corpus
+    rows = latent.smooth(table, stats)[keys.ravel()]
     batch = rows[np.random.default_rng(5).integers(0, len(rows), size=c["batch"])]
     comp = latent.init_compressor(c["dim"], c["ratio"], rng.substream("comp"))
 
@@ -309,13 +314,24 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def decoder_stage(ids, enc, dec):
+    """train-decoder's work on one chain: the keys and token table, a short
+    fit, the accuracy of its first 256 sequences and the smoothing fit."""
+    keys, table = latent.table_keys(ids), latent.token_table(enc, ids.shape[1])
+    dec, _ = latent.train_decoder(
+        dec, keys, table, RngStream(4), steps=STAGE_STEPS, batch=TRAIN_CFG["batch"],
+        lr=1e-3, lr_min=2e-4, warmup=5, weight_decay=0.01, clip=1.0,
+    )
+    return latent.decoder_accuracy(dec, keys[:256], table), latent.fit_smoothing(keys, table)
+
+
 def compressor_stage(ids, enc, stats, comp):
     """train-compressor's work on one chain: the keys and smoothed table, a
     short fit and the closing MSE."""
     keys = latent.table_keys(ids)
-    table = latent.smoothed_table(enc, stats, ids.shape[1])
+    table = latent.smooth(latent.token_table(enc, ids.shape[1]), stats)
     comp, _ = latent.train_compressor(
-        comp, keys, table, RngStream(4), steps=COMPRESSOR_STEPS, batch=TRAIN_CFG["batch"],
+        comp, keys, table, RngStream(4), steps=STAGE_STEPS, batch=TRAIN_CFG["batch"],
         lr=3e-3, lr_min=1e-4, warmup=5, weight_decay=0.0, clip=1.0,
     )
     return latent.compressor_mse(comp, keys, table)
@@ -324,11 +340,12 @@ def compressor_stage(ids, enc, stats, comp):
 def bench_memory():
     c = TRAIN_CFG
     rng = RngStream(3)
-    ids, enc, stats, _ = training_corpus(c, rng)
+    ids, keys, enc, tokens, stats = training_corpus(c, rng)
     big = tokenize(make_corpus(STAGE_CORPUS, 1, c["l_max"], 8), c["l_max"])
+    dec = latent.init_decoder(c["dim"], c["hidden"], rng.substream("dec"))
     comp = latent.init_compressor(c["dim"], c["ratio"], rng.substream("comp"))
     pipe = latent.LatentPipeline(enc, None, stats, comp)
-    keys, table = latent.table_keys(ids), latent.smoothed_table(enc, stats, c["l_max"])
+    table = latent.smooth(tokens, stats)
     model = perturbed_flow()
 
     def field(x, t):
@@ -357,20 +374,24 @@ def bench_memory():
     figures += [
         (f"flow_forward {ode.LANES}x{FLOW_LENGTH}x{FLOW_CFG['width']}, uncached",
          lambda: field(lanes[:ode.LANES], 0.5)),
-        (f"fit_corpus_smoothing {ids.shape[0]}x{ids.shape[1]}, D {c['dim']}",
-         lambda: latent.fit_corpus_smoothing(ids, enc)),
-        (f"smoothed_table L_max {c['l_max']}, D {c['dim']}",
-         lambda: latent.smoothed_table(enc, stats, c["l_max"])),
+        (f"fit_smoothing {keys.shape[0]}x{keys.shape[1]} keys, D {c['dim']}",
+         lambda: latent.fit_smoothing(keys, tokens)),
+        (f"token_table L_max {c['l_max']}, D {c['dim']}",
+         lambda: latent.token_table(enc, c["l_max"])),
+        (f"smooth of the token table, L_max {c['l_max']}",
+         lambda: latent.smooth(tokens, stats)),
         (f"latent_table L_max {c['l_max']}, ratio_c {c['ratio']}",
          lambda: pipe.latent_table(c["l_max"])),
         (f"compressor_mse {keys.shape[0]}x{keys.shape[1]} keys, ratio_c {c['ratio']}",
          lambda: latent.compressor_mse(comp, keys, table)),
     ]
-    figures += [
-        (f"compressor stage {corpus.shape[0]}x{corpus.shape[1]}, {COMPRESSOR_STEPS} steps",
-         lambda corpus=corpus: compressor_stage(corpus, enc, stats, dict(comp)))
-        for corpus in (ids, big)
-    ]
+    for corpus in (ids, big):
+        size = f"{corpus.shape[0]}x{corpus.shape[1]}, {STAGE_STEPS} steps"
+        figures += [
+            (f"decoder stage {size}", lambda corpus=corpus: decoder_stage(corpus, enc, dict(dec))),
+            (f"compressor stage {size}",
+             lambda corpus=corpus: compressor_stage(corpus, enc, stats, dict(comp))),
+        ]
     figures += [
         (f"dopri5 x25, {SOLVE_LANES} lanes", lambda: ode.solve_lanes(field, lanes, fixed)),
         (f"dopri5-adaptive, {SOLVE_LANES} lanes", lambda: ode.solve_lanes(field, lanes, adaptive)),

@@ -3,6 +3,9 @@
 # experiments/, then compare every git-tracked file under runs/ with the
 # rerun's byte for byte. Prints each file that differs or is missing and
 # exits 1 if there is any; exits 0 when every tracked runs/ file reproduces.
+# Each experiment's stdout.txt is one of them, so a printed figure (decoder
+# accuracy, compressor MSE, flow loss, straightness, the eval lines) that
+# moves is caught even when no checkpoint does.
 #
 #   bash experiments/check_runs.sh
 set -euo pipefail

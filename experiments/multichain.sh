@@ -10,8 +10,13 @@ export OPENBLAS_NUM_THREADS=1
 
 RUN=runs/multichain
 mkdir -p "$RUN"
+# What the commands print (accuracies, MSEs, losses, straightness, the eval
+# lines) goes to the terminal and to $RUN/stdout.txt, a tracked file that
+# check_runs.sh compares like every other.
+: > "$RUN/stdout.txt"
+logged() { "$@" | tee -a "$RUN/stdout.txt"; }
 
-python3 experiments/make_corpus.py --n 300 --max-len 12 --seed 9 \
+logged python3 experiments/make_corpus.py --n 300 --max-len 12 --seed 9 \
     --chains A:12,B:9 --out "$RUN/corpus.fasta"
 
 cat > "$RUN/run.cfg" <<EOF
@@ -35,11 +40,11 @@ chains = A:12,B:9
 data.train_path = $RUN/corpus.fasta
 EOF
 
-python3 -m protflow train-decoder    --config "$RUN/run.cfg" --out "$RUN/decoder.ckpt"
-python3 -m protflow train-compressor --config "$RUN/run.cfg" --init "$RUN/decoder.ckpt" --out "$RUN/pipeline.ckpt"
-python3 -m protflow train-flow       --config "$RUN/run.cfg" --init "$RUN/pipeline.ckpt" --out "$RUN/flow.ckpt"
+logged python3 -m protflow train-decoder    --config "$RUN/run.cfg" --out "$RUN/decoder.ckpt"
+logged python3 -m protflow train-compressor --config "$RUN/run.cfg" --init "$RUN/decoder.ckpt" --out "$RUN/pipeline.ckpt"
+logged python3 -m protflow train-flow       --config "$RUN/run.cfg" --init "$RUN/pipeline.ckpt" --out "$RUN/flow.ckpt"
 
-python3 -m protflow sample --checkpoint "$RUN/flow.ckpt" --out "$RUN/gen_pairs.fasta" --n 64 --seed 13
+logged python3 -m protflow sample --checkpoint "$RUN/flow.ckpt" --out "$RUN/gen_pairs.fasta" --n 64 --seed 13
 
-python3 -m protflow eval --gen "$RUN/gen_pairs.fasta" --ref "$RUN/corpus.fasta" --out "$RUN/report"
+logged python3 -m protflow eval --gen "$RUN/gen_pairs.fasta" --ref "$RUN/corpus.fasta" --out "$RUN/report"
 echo "artifacts in $RUN/"

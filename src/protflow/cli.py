@@ -229,11 +229,13 @@ def cmd_train_decoder(args):
         dec = latent.init_decoder(
             dim, cfg["model.decoder_hidden"], root.substream(f"decoder-init{tag}")
         )
+        keys, table = latent.table_keys(seqs), latent.token_table(enc, chain.l_max)
         dec, trace = latent.train_decoder(
-            dec, enc, seqs, root.substream(f"decoder{tag}"), **_train_args(cfg)
+            dec, keys, table, root.substream(f"decoder{tag}"), **_train_args(cfg)
         )
-        accuracy = latent.decoder_accuracy(dec, enc, seqs[:256] if val_seqs is None else val_seqs)
-        sm = latent.fit_corpus_smoothing(seqs, enc)
+        scored = keys[:256] if val_seqs is None else latent.table_keys(val_seqs)
+        accuracy = latent.decoder_accuracy(dec, scored, table)
+        sm = latent.fit_smoothing(keys, table)
         for part, params in (("encoder", enc), ("decoder", dec), ("smoothing", sm)):
             tensors.update(checkpoint.pack(params, f"{chain.prefix}{part}."))
         length_dists.append(seqio.fit_length_distribution(seqs).to_dict())
@@ -274,7 +276,7 @@ def cmd_train_compressor(args):
     traces = []
     for chain, stack, seqs, val_seqs in zip(chains, stacks, corpus, val_corpus):
         tag = chain.tag("-")
-        table = latent.smoothed_table(stack["encoder"], stack["smoothing"], chain.l_max)
+        table = latent.smooth(latent.token_table(stack["encoder"], chain.l_max), stack["smoothing"])
         comp = latent.init_compressor(
             meta["dim"], cfg["model.ratio_c"], root.substream(f"compressor-init{tag}")
         )

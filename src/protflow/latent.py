@@ -17,12 +17,12 @@ is lossy and trained to minimize reconstruction MSE in the smoothed space.
 
 The encoder is not contextual, smooth is elementwise and compress works row
 by row, so the data side maps a position by its (token, position) pair
-alone, and training builds no corpus's latents: smoothed_table and
-LatentPipeline.latent_table run it once over the (VOCAB_SIZE, l_max) grid
-of every pair, and a position reads its row at table_keys(ids), token *
-l_max + pos. A contextual encoder would void this. Only train-decoder's
-corpus passes go BLOCK_ROWS latent rows at a time, bitwise the whole corpus;
-the smoothing fit's sums chain from block to block in numpy's order.
+alone, and no stage builds a corpus's latents: token_table encodes the
+(VOCAB_SIZE, l_max) grid of every pair once, smooth and compress map that
+table, and a position reads its row at table_keys(ids), token * l_max + pos.
+Every stage reads a corpus as these (keys, table) pairs, and a raw array of
+rows passes the identity keys np.arange(len(rows)). A contextual encoder
+would void this.
 
 Every part of the stack (encoder, decoder, smoothing, compressor) is a dict
 of named float64 arrays, as the flow's parameters are. nn.fit packs a part
@@ -37,16 +37,11 @@ import numpy as np
 
 from . import nn
 from .errors import EmptyCorpus, IncompatibleRatio
-from .numeric import RngStream, item_blocks
+from .numeric import RngStream
 from .seqio import PAD_ID, VOCAB_SIZE, tokenize
 
-# Latent rows per block of train-decoder's corpus passes: 64 sequences at l_max 20.
+# Rows per block that fit_smoothing gathers: 64 sequences at l_max 20.
 BLOCK_ROWS = 1280
-
-
-def _blocks(n, rows_per_item):
-    """numeric.item_blocks of n items at BLOCK_ROWS latent rows per block."""
-    return item_blocks(n, rows_per_item, BLOCK_ROWS)
 
 
 # --- encoder ------------------------------------------------------------------
@@ -76,18 +71,6 @@ def init_encoder(dim, rng, embed_scale, embed_rank):
     return {"embed": embed}
 
 
-def _gather_rows(enc, ids, idx):
-    """Latent rows and token ids of the residue (non-PAD) positions of id
-    matrix rows idx (indices or a slice), sequence after sequence, in one
-    gather."""
-    sub = ids[idx]
-    rows, pos = np.nonzero(sub != PAD_ID)
-    y = sub[rows, pos]
-    h = enc["embed"][y]
-    h += nn.sinusoidal_table(ids.shape[1], h.shape[1])[pos]
-    return h, y
-
-
 def encode_corpus(ids, enc):
     """(n, l_max) token ids -> (n, l_max, dim) latents embed[ids] plus the
     positional table of l_max rows, in one gather."""
@@ -98,17 +81,17 @@ def encode_corpus(ids, enc):
 
 def table_keys(ids):
     """(n, l_max) token ids -> (n, l_max) keys token * l_max + pos: the row
-    of a table over the id grid of width l_max (smoothed_table,
-    LatentPipeline.latent_table) that each position's latent is."""
+    of a table over the id grid of width l_max (token_table, and the tables
+    smooth and compress make of it) that each position's latent is."""
     return np.ravel_multi_index((ids, np.arange(ids.shape[1])), (VOCAB_SIZE, ids.shape[1]))
 
 
-def smoothed_table(enc, stats, l_max):
-    """smooth(encode_corpus(grid, enc), stats) as (VOCAB_SIZE * l_max, dim)
-    rows, which table_keys index, of the (VOCAB_SIZE, l_max) id grid whose
-    row v is token v at every position."""
+def token_table(enc, l_max):
+    """encode_corpus of the (VOCAB_SIZE, l_max) id grid whose row v is token
+    v at every position, as (VOCAB_SIZE * l_max, dim) rows, which table_keys
+    index."""
     grid = np.repeat(np.arange(VOCAB_SIZE)[:, None], l_max, axis=1)
-    return smooth(encode_corpus(grid, enc), stats).reshape(VOCAB_SIZE * l_max, -1)
+    return encode_corpus(grid, enc).reshape(VOCAB_SIZE * l_max, -1)
 
 
 def embed_sequences(seqs, dim, seed):
@@ -136,9 +119,10 @@ def embed_sequences(seqs, dim, seed):
 CLAMP_K = 3.0
 
 
-def fit_smoothing(rows):
-    """Per-dimension affine normalization fitted on pooled latent rows of
-    shape (n, dim): {mean, std, post_min, post_max, constant}, each (dim,).
+def fit_smoothing(keys, table):
+    """Per-dimension affine normalization fitted on the pooled latent rows
+    table[keys] of a (K, dim) table, for int keys of any shape:
+    {mean, std, post_min, post_max, constant}, each (dim,).
 
     Value map per non-constant dimension: z-score, clamp to [-CLAMP_K,
     CLAMP_K], then min-max (over the post-clamp data range) to [-1, 1].
@@ -146,42 +130,23 @@ def fit_smoothing(rows):
     degenerate post-clamp range), which pass through unchanged in both
     directions, and 0.0 elsewhere.
 
-    The rows are read BLOCK_ROWS at a time, and for dim >= 2 every
-    statistic is bitwise the whole-array expression's: rows.mean(axis=0),
-    rows.std(axis=0), and the min and max of the clamped z-scores.
+    Each pass gathers BLOCK_ROWS rows at a time, and for dim >= 2 every
+    statistic is bitwise the expression's over rows = table[keys] as one
+    (n, dim) array: rows.mean(axis=0), rows.std(axis=0), and the min and
+    max of the clamped z-scores. numpy adds the rows of a C-contiguous array
+    with dim >= 2 along axis 0 one after another, so a block's sum taken
+    with the running sum as its first row chains into the whole array's
+    sum. mean and std are then numpy's sum / n and sqrt(sum((x - mean)^2) /
+    n); min and max are exact in any order.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise EmptyCorpus(f"need (n>=2, dim) rows, got {rows.shape}")
-    return _fit_blocks(lambda: (rows[b] for b in _blocks(len(rows), 1)), rows.shape)
-
-
-def fit_corpus_smoothing(ids, enc):
-    """fit_smoothing of encode_corpus(ids, enc) as (n * l_max, dim) rows,
-    bitwise, with each pass over the corpus encoding a block of sequences at
-    a time, so no corpus-sized array is built."""
+    keys = np.ravel(keys)
+    n = keys.size
+    if n < 2 or table.ndim != 2:
+        raise EmptyCorpus(f"need (n>=2, dim) rows, got {n} keys into {table.shape}")
 
     def blocks():
-        for block in _blocks(len(ids), ids.shape[1]):
-            h = encode_corpus(ids[block], enc)
-            yield h.reshape(-1, h.shape[-1])
-
-    return _fit_blocks(blocks, (ids.size, enc["embed"].shape[1]))
-
-
-def _fit_blocks(blocks, shape):
-    """fit_smoothing of the (n, dim) = shape rows that blocks() yields in
-    order as C-contiguous arrays; each pass calls blocks() afresh.
-
-    numpy adds the rows of a C-contiguous array with dim >= 2 along axis 0
-    one after another, so a block's sum taken with the running sum as its
-    first row chains into the whole array's sum, bitwise. mean and std are
-    then numpy's sum / n and sqrt(sum((x - mean)^2) / n); min and max are
-    exact in any order.
-    """
-    n = shape[0]
-    if n < 2:
-        raise EmptyCorpus(f"need (n>=2, dim) rows, got {shape}")
+        for start in range(0, n, BLOCK_ROWS):
+            yield table[keys[start:start + BLOCK_ROWS]]
 
     def chained_sum(term):
         total = None
@@ -221,9 +186,9 @@ def _fit_blocks(blocks, shape):
 def smooth(h, stats):
     """Normalize latents into [-1, 1] per dimension; shape-preserving."""
     # out = clip(2 * (((h - mean) / std - post_min) / span) - 1, -1, 1), computed
-    # in one buffer, as a whole corpus goes through here at once. The z-score
-    # needs no clamp: post_min and post_max lie inside [-CLAMP_K, CLAMP_K], so
-    # the final clip saturates every value the clamp would move.
+    # in one buffer. The z-score needs no clamp: post_min and post_max lie
+    # inside [-CLAMP_K, CLAMP_K], so the final clip saturates every value the
+    # clamp would move.
     h = np.asarray(h, dtype=np.float64)
     constant = stats["constant"] != 0.0
     span = np.where(constant, 1.0, stats["post_max"] - stats["post_min"])
@@ -422,22 +387,21 @@ def decode(h, dec):
     return np.argmax(decoder_logits(dec, h)[:, :PAD_ID], axis=1)
 
 
-def decoder_accuracy(dec, enc, ids):
-    """Fraction of the residue positions of an (n, l_max) id matrix that
-    decode(encode) recovers, a block of sequences at a time; 0.0 if there
-    are none. The counts are ints, so blocks do not move the result."""
-    correct = total = 0
-    for block in _blocks(len(ids), ids.shape[1]):
-        h, y = _gather_rows(enc, ids, block)
-        correct += int((decode(h, dec) == y).sum())
-        total += y.size
+def decoder_accuracy(dec, keys, table):
+    """Fraction of the residue keys (table_keys of an id matrix) into a
+    token_table whose row decode maps to the key's token; 0.0 if there are
+    none. decode runs once over the table."""
+    tokens = keys // (len(table) // VOCAB_SIZE)
+    residue = tokens != PAD_ID
+    total = int(np.count_nonzero(residue))
+    correct = int(np.count_nonzero(decode(table, dec)[keys[residue]] == tokens[residue]))
     return correct / total if total else 0.0
 
 
 def train_decoder(
     dec,
-    enc,
-    train_ids,
+    keys,
+    table,
     rng,
     steps,
     batch,
@@ -448,16 +412,20 @@ def train_decoder(
     clip,
 ):
     """Train the per-position classifier on the raw encoder latents of the
-    residue positions of an (n, l_max) id matrix; returns (dec, trace)."""
-    n = len(train_ids)
+    residue positions of a corpus: each step draws batch rows of its
+    (n, l_max) table_keys and gathers their residue rows from the
+    token_table, sequence after sequence. Returns (dec, trace)."""
+    n = len(keys)
     if n == 0:
         raise EmptyCorpus("empty decoder training corpus")
+    l_max = len(table) // VOCAB_SIZE
     stream = rng.substream("decoder-train")
 
     def loss_and_grad(step):
-        idx = stream.integers(0, n, size=min(batch, n))
-        h, y = _gather_rows(enc, train_ids, idx)
-        return decoder_loss_and_grad(dec, h, y)
+        k = keys[stream.integers(0, n, size=min(batch, n))]
+        tokens = k // l_max
+        residue = tokens != PAD_ID
+        return decoder_loss_and_grad(dec, table[k[residue]], tokens[residue])
 
     trace = nn.fit(
         dec, loss_and_grad, steps, lr, lr_min, warmup, clip, weight_decay,
@@ -507,11 +475,11 @@ class LatentPipeline:
         return self.compressor["w_down"].shape[1]
 
     def latent_table(self, l_max):
-        """compress(smoothed_table(...)) as (VOCAB_SIZE * l_max, width) rows,
-        which table_keys index; each grid sequence is compressed as one
+        """compress(smooth(token_table(...))) as (VOCAB_SIZE * l_max, width)
+        rows, which table_keys index; each grid sequence is compressed as one
         (l_max, dim) product, as a corpus sequence is."""
-        h_s = smoothed_table(self.encoder, self.smoothing, l_max).reshape(VOCAB_SIZE, l_max, -1)
-        return compress(h_s, self.compressor).reshape(-1, self.width)
+        h_s = smooth(token_table(self.encoder, l_max), self.smoothing)
+        return compress(h_s.reshape(VOCAB_SIZE, l_max, -1), self.compressor).reshape(-1, self.width)
 
     def latent_to_sequence(self, h_c, length):
         """(l_max, width) compressed latent -> residue ids of its first length

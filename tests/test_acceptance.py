@@ -281,12 +281,13 @@ def test_criterion_6_round_trip(criterion):
     enc = latent.init_encoder(dim, rng.substream("encoder"), embed_scale=10.0, embed_rank=4)
     dec = latent.init_decoder(dim, 64, rng.substream("decoder-init"))
     dec, _ = latent.train_decoder(
-        dec, enc, toks, rng.substream("decoder"), steps=600, batch=48, lr=2e-3, lr_min=1e-5,
+        dec, latent.table_keys(toks), latent.token_table(enc, l_max), rng.substream("decoder"),
+        steps=600, batch=48, lr=2e-3, lr_min=1e-5,
         warmup=30, weight_decay=0.001, clip=1.0,
     )
 
     rows = latent.encode_corpus(toks, enc).reshape(-1, dim)
-    sm = latent.fit_smoothing(rows)
+    sm = latent.fit_smoothing(np.arange(len(rows)), rows)
     smoothed = latent.smooth(rows, sm)
 
     # Inverse check away from the clamp and off constant dimensions.

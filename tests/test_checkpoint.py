@@ -355,7 +355,7 @@ def _toy_pipeline():
     dec = init_decoder(8, 16, rng.substream("dec"))
     rows = rng.substream("rows").normal((64, 8))
     rows[:, 3] = 0.7  # one constant channel to exercise the 0/1 mask
-    sm = fit_smoothing(rows)
+    sm = fit_smoothing(np.arange(len(rows)), rows)
     comp = init_compressor(8, 2, rng.substream("comp"))
     return LatentPipeline(enc, dec, sm, comp)
 

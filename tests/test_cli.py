@@ -790,8 +790,8 @@ def test_val_path_is_held_out_data(workdir, monkeypatch, capsys):
 
     def spy(name, fn):
         def wrapper(*args, **kwargs):
-            # sequences scored, or latent rows: the keys into the table
-            seen[name] = len(args[2]) if name == "decoder" else args[1].size
+            # sequences scored (rows of the keys), or latent rows (every key)
+            seen[name] = len(args[1]) if name == "decoder" else args[1].size
             return fn(*args, **kwargs)
         return wrapper
 

@@ -73,7 +73,7 @@ def test_embed_sequences_batch_independent():
 def test_smoothing_round_trip_interior():
     rng = np.random.default_rng(7)
     rows = rng.normal(size=(200, 6)) * np.array([1, 5, 0.1, 2, 3, 1]) + 1.0
-    stats = latent.fit_smoothing(rows)
+    stats = latent.fit_smoothing(np.arange(len(rows)), rows)
     s = latent.smooth(rows, stats)
     assert s.min() >= -1.0 and s.max() <= 1.0
     z = np.abs((rows - stats["mean"]) / stats["std"])
@@ -87,7 +87,7 @@ def test_smoothing_clamps_outliers_one_sided():
     rng = np.random.default_rng(8)
     rows = rng.normal(size=(100, 2))
     rows[0, 0] = 50.0  # far outside the clamp
-    stats = latent.fit_smoothing(rows)
+    stats = latent.fit_smoothing(np.arange(len(rows)), rows)
     s = latent.smooth(rows, stats)
     back = latent.unsmooth(s, stats)
     assert abs(back[0, 0] - rows[0, 0]) > 1.0  # clamped, not invertible
@@ -96,7 +96,7 @@ def test_smoothing_clamps_outliers_one_sided():
 
 def test_smoothing_constant_dims_pass_through():
     rows = np.stack([np.linspace(0, 1, 50), np.full(50, 4.2)], axis=1)
-    stats = latent.fit_smoothing(rows)
+    stats = latent.fit_smoothing(np.arange(len(rows)), rows)
     assert list(stats["constant"]) == [0.0, 1.0]
     s = latent.smooth(rows, stats)
     assert np.array_equal(s[:, 1], rows[:, 1])
@@ -119,7 +119,7 @@ def test_smooth_in_place_matches_formula_bitwise():
         rows = gen.standard_t(2 + trial % 3, size=(300, 4)) * np.array([1.0, 5.0, 0.1, 1.0])
         rows[:, 3] = 4.2  # constant: passes through
         rows[:5, 0] = 50.0  # clamped in the fit
-        fitted = latent.fit_smoothing(rows[:200])
+        fitted = latent.fit_smoothing(np.arange(200), rows)
         # outliers far past the clamp on both sides, and the clamp boundary itself
         far = gen.choice([-1.0, 1.0], size=(60, 4)) * 10.0 ** gen.uniform(1, 6, size=(60, 4))
         rows[200:260] = fitted["mean"] + far * fitted["std"]
@@ -136,7 +136,9 @@ def test_smooth_in_place_matches_formula_bitwise():
 
 def test_fit_smoothing_needs_rows():
     with pytest.raises(EmptyCorpus):
-        latent.fit_smoothing(np.zeros((1, 4)))
+        latent.fit_smoothing(np.arange(1), np.zeros((1, 4)))
+    with pytest.raises(EmptyCorpus):
+        latent.fit_smoothing(np.arange(2), np.zeros(2))
 
 
 def test_identity_compressor_is_tanh():
@@ -282,10 +284,11 @@ def test_train_decoder_learns_separable_corpus():
     seqs = ["".join(gen.choice(list(alphabet), size=int(gen.integers(2, 9)))) for _ in range(60)]
     toks = tokenize(seqs, 8)
     dec = latent.init_decoder(16, 32, rng.substream("dec"))
+    keys, table = latent.table_keys(toks), latent.token_table(enc, 8)
     dec, trace = latent.train_decoder(
-        dec, enc, toks[:45], rng.substream("train"), steps=400, batch=32, **_DECODER_SETTINGS
+        dec, keys[:45], table, rng.substream("train"), steps=400, batch=32, **_DECODER_SETTINGS
     )
-    assert latent.decoder_accuracy(dec, enc, toks[45:]) >= 0.95
+    assert latent.decoder_accuracy(dec, keys[45:], table) >= 0.95
     assert len(trace) == 400
 
 
@@ -298,10 +301,11 @@ def test_pipeline_round_trip_identity_compressor():
     toks = tokenize(seqs, 10)
     dec = latent.init_decoder(16, 32, rng.substream("dec"))
     dec, _ = latent.train_decoder(
-        dec, enc, toks, rng.substream("train"), steps=900, batch=32, **_DECODER_SETTINGS
+        dec, latent.table_keys(toks), latent.token_table(enc, 10), rng.substream("train"),
+        steps=900, batch=32, **_DECODER_SETTINGS,
     )
     rows = latent.encode_corpus(toks, enc).reshape(-1, 16)
-    stats = latent.fit_smoothing(rows)
+    stats = latent.fit_smoothing(np.arange(len(rows)), rows)
     smoothed = latent.smooth(rows, stats)
     # even at ratio 1 the tanh squash must be learned around, so train briefly
     comp = latent.init_compressor(16, 1, rng.substream("comp"))
@@ -328,7 +332,8 @@ def _random_pipeline(l_max, seed, dim=32, ratio=4):
     enc = latent.init_encoder(dim, rng.substream("enc"), embed_scale=10.0, embed_rank=4)
     dec = latent.init_decoder(dim, 16, rng.substream("dec"))
     corpus = tokenize(_random_peptides(64, l_max, seed), l_max)
-    sm = latent.fit_smoothing(latent.encode_corpus(corpus, enc).reshape(-1, dim))
+    rows = latent.encode_corpus(corpus, enc).reshape(-1, dim)
+    sm = latent.fit_smoothing(np.arange(len(rows)), rows)
     comp = latent.init_compressor(dim, ratio, rng.substream("comp"))
     return latent.LatentPipeline(enc, dec, sm, comp)
 
@@ -362,7 +367,7 @@ def test_table_gathers_match_whole_corpus_expressions_bitwise():
     # tables of the training chain's stack.
     pipe = _random_pipeline(20, 1)
     enc, sm, comp = pipe.encoder, pipe.smoothing, pipe.compressor
-    smoothed, compressed = latent.smoothed_table(enc, sm, 20), pipe.latent_table(20)
+    smoothed, compressed = latent.smooth(latent.token_table(enc, 20), sm), pipe.latent_table(20)
     assert smoothed.shape == (VOCAB_SIZE * 20, 32)
     for n, seed in ((500, 2), (37, 9)):
         ids = tokenize(_random_peptides(n, 20, seed), 20)
@@ -389,9 +394,11 @@ _MEMORY_SLACK = 64 << 10
 
 
 def test_training_memory_does_not_grow_with_the_corpus():
-    # train-compressor's stage (its table, a short fit and the closing MSE,
-    # as cmd_train_compressor runs them) and a few train_rf steps, on corpora
-    # of 500 and 5,000 sequences at l_max 20 and D 32. The stage held the
+    # train-decoder's stage (its token table, a short fit, the accuracy and
+    # the smoothing fit, as cmd_train_decoder runs them), train-compressor's
+    # stage (its table, a short fit and the closing MSE, as
+    # cmd_train_compressor runs them) and a few train_rf steps, on corpora of
+    # 500 and 5,000 sequences at l_max 20 and D 32. train-compressor held the
     # (n * 20, 32) smoothed rows, and train-flow an (n, 20, 8) dataset; now
     # only the id and key matrices may grow with n.
     pipe = _random_pipeline(20, 1)
@@ -401,8 +408,17 @@ def test_training_memory_does_not_grow_with_the_corpus():
     for n in (500, 5000):
         ids = tokenize(_random_peptides(n, 20, 2), 20)
 
+        def decoder_stage():
+            keys, table = latent.table_keys(ids), latent.token_table(pipe.encoder, 20)
+            dec, _ = latent.train_decoder(
+                latent.init_decoder(32, 64, RngStream(7)), keys, table, RngStream(8),
+                steps=2, batch=64, **_DECODER_SETTINGS,
+            )
+            latent.decoder_accuracy(dec, keys[:256], table)
+            latent.fit_smoothing(keys, table)
+
         def compressor_stage():
-            table = latent.smoothed_table(pipe.encoder, pipe.smoothing, 20)
+            table = latent.smooth(latent.token_table(pipe.encoder, 20), pipe.smoothing)
             comp, _ = latent.train_compressor(
                 latent.init_compressor(32, 4, RngStream(3)), latent.table_keys(ids), table,
                 RngStream(4), steps=2, batch=64, **_COMPRESSOR_SETTINGS,
@@ -414,19 +430,21 @@ def test_training_memory_does_not_grow_with_the_corpus():
             lambda: flow.train_rf(model, keys, table, RngStream(6), steps=2, batch=64,
                                   **rf_settings)
         )
-        peaks[n] = (_traced_peak(compressor_stage), flow_steps, ids.nbytes + keys.nbytes)
-    allowed = peaks[5000][2] - peaks[500][2] + _MEMORY_SLACK
-    for stage, (small, large) in zip(("compressor", "train_rf"), zip(peaks[500], peaks[5000])):
+        peaks[n] = (_traced_peak(decoder_stage), _traced_peak(compressor_stage), flow_steps,
+                    ids.nbytes + keys.nbytes)
+    allowed = peaks[5000][-1] - peaks[500][-1] + _MEMORY_SLACK
+    stages = ("decoder", "compressor", "train_rf")
+    for stage, small, large in zip(stages, peaks[500], peaks[5000]):
         assert large - small <= allowed, (stage, small, large, allowed)
-    # the old bound of the stage at 500 sequences: 1.5 times its smoothed rows
-    assert peaks[500][0] < 1.5 * 500 * 20 * 32 * 8
+    # the old bound of the compressor stage at 500 sequences: 1.5 times its smoothed rows
+    assert peaks[500][1] < 1.5 * 500 * 20 * 32 * 8
 
 
 def test_fit_smoothing_matches_its_expressions_bitwise():
     rows = np.random.default_rng(15).normal(size=(400, 6)) * [1.0, 2.0, 0.5, 3.0, 1.0, 1.0]
     rows[:, 4] = 0.25  # a constant dimension
     rows[7, 5] = 40.0  # an outlier the clamp moves
-    stats = latent.fit_smoothing(rows)
+    stats = latent.fit_smoothing(np.arange(len(rows)), rows)
     z = np.clip((rows - stats["mean"]) / stats["std"], -latent.CLAMP_K, latent.CLAMP_K)
     assert stats["post_min"].tobytes() == z.min(axis=0).tobytes()
     assert stats["post_max"].tobytes() == z.max(axis=0).tobytes()
@@ -444,39 +462,37 @@ def _whole_array_fit(rows):
 @pytest.mark.parametrize("n", [latent.BLOCK_ROWS + 1, 2 * latent.BLOCK_ROWS + 7, 10_001])
 def test_fit_smoothing_blocks_match_the_whole_array_fit_bitwise(n):
     # BLOCK_ROWS does not divide n: the last block is short, or a single row
-    # that joins the block before it
     assert n % latent.BLOCK_ROWS
     rows = np.random.default_rng(n).normal(size=(n, 6)) * [1.0, 2.0, 0.5, 3.0, 1.0, 1.0] + 4.0
     rows[:, 4] = 0.25  # a constant dimension
     rows[-1, 5] = 40.0  # an outlier the clamp moves, in the last block
-    stats = latent.fit_smoothing(rows)
+    stats = latent.fit_smoothing(np.arange(len(rows)), rows)
     for name, want in _whole_array_fit(rows).items():
         assert stats[name].tobytes() == want.tobytes(), name
     assert stats["constant"].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
 
 
 def test_corpus_smoothing_is_the_fit_of_the_encoded_corpus_in_bounded_memory():
-    # train-decoder's fit: 500 sequences at l_max 20 and D 32 are 10,000 rows,
-    # 7 blocks of 64 sequences and one of 52. The encoded corpus is never
-    # built whole, and a few block-sized temporaries stay under half its size
-    # (fit_smoothing of the whole encoded corpus held it and one more).
+    # train-decoder's fit: 500 sequences at l_max 20 and D 32 are 10,000 keys
+    # into the token table, gathered in 7 blocks of BLOCK_ROWS rows and one
+    # of 1,040. It is bitwise the fit of the encoded corpus as one array,
+    # which is never built: a few block-sized temporaries stay under half its
+    # size (fitting the whole encoded corpus held it and one more).
     pipe = _random_pipeline(20, 1)
     ids = tokenize(_random_peptides(500, 20, 2), 20)
-    want = latent.fit_smoothing(latent.encode_corpus(ids, pipe.encoder).reshape(-1, 32))
-    got = latent.fit_corpus_smoothing(ids, pipe.encoder)
+    rows = latent.encode_corpus(ids, pipe.encoder).reshape(-1, 32)
+    keys, table = latent.table_keys(ids), latent.token_table(pipe.encoder, 20)
+    assert table[keys].tobytes() == latent.encode_corpus(ids, pipe.encoder).tobytes()
+    want = latent.fit_smoothing(np.arange(len(rows)), rows)
+    got = latent.fit_smoothing(keys, table)
     assert list(got) == list(want)
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        latent.fit_corpus_smoothing(ids, pipe.encoder)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.5 * ids.size * 32 * 8
+    for name, expression in _whole_array_fit(rows).items():
+        assert got[name].tobytes() == expression.tobytes(), name
+    assert _traced_peak(lambda: latent.fit_smoothing(keys, table)) < 0.5 * ids.size * 32 * 8
     with pytest.raises(EmptyCorpus):
-        latent.fit_corpus_smoothing(ids[:1, :1], pipe.encoder)
+        latent.fit_smoothing(keys[:1, :1], table)
 
 
 def test_multichain_corpus_latents_are_bitwise_per_complex():
@@ -507,18 +523,35 @@ def _residues(row):
     return row[: int((row != PAD_ID).sum())]
 
 
-def test_decoder_batch_gather_matches_encode_loop():
+def test_decoder_batch_gather_matches_encode_loop(monkeypatch):
+    # each train_decoder step hands decoder_loss_and_grad the residue rows of
+    # the sequences it draws, gathered from the token table, bitwise the
+    # encoder's rows of each sequence in turn
     enc = latent.init_encoder(32, RngStream(6), embed_scale=10.0, embed_rank=4)
     ids = tokenize(_random_peptides(200, 20, 7), 20)
-    idx = np.random.default_rng(8).integers(0, len(ids), size=64)
-    h, y = latent._gather_rows(enc, ids, idx)
-    hs, ys = [], []
-    for i in idx:
-        res = _residues(ids[int(i)])
-        hs.append(enc["embed"][res] + nn.sinusoidal_table(20, 32)[: len(res)])
-        ys.append(res)
-    assert np.array_equal(h, np.concatenate(hs, axis=0))
-    assert np.array_equal(y, np.concatenate(ys, axis=0))
+    batches = []
+    step = latent.decoder_loss_and_grad
+
+    def spy(dec, h, y):
+        batches.append((h.copy(), y.copy()))
+        return step(dec, h, y)
+
+    monkeypatch.setattr(latent, "decoder_loss_and_grad", spy)
+    latent.train_decoder(
+        latent.init_decoder(32, 16, RngStream(8)), latent.table_keys(ids),
+        latent.token_table(enc, 20), RngStream(9), steps=3, batch=64, **_DECODER_SETTINGS,
+    )
+    assert len(batches) == 3
+    stream = RngStream(9).substream("decoder-train")
+    pos = nn.sinusoidal_table(20, 32)
+    for h, y in batches:
+        hs, ys = [], []
+        for i in stream.integers(0, len(ids), size=64):
+            res = _residues(ids[int(i)])
+            hs.append(enc["embed"][res] + pos[: len(res)])
+            ys.append(res)
+        assert h.tobytes() == np.concatenate(hs, axis=0).tobytes()
+        assert np.array_equal(y, np.concatenate(ys, axis=0))
 
 
 def _accuracy_loop(dec, enc, ids):
@@ -587,7 +620,8 @@ def test_decoder_accuracy_batch_matches_loop(case, tmp_path):
         stack = unpack_pipeline(tensors, meta["dim"], prefix, ("encoder", "decoder"))
         enc, dec = stack["encoder"], stack["decoder"]
         val = seqs[:256]  # the held-out set train-decoder scores
-        accuracy = latent.decoder_accuracy(dec, enc, val)
+        table = latent.token_table(enc, val.shape[1])
+        accuracy = latent.decoder_accuracy(dec, latent.table_keys(val), table)
         assert 0.0 < accuracy < 1.0, (case, prefix, accuracy)
         assert accuracy == _accuracy_loop(dec, enc, val), (case, prefix)
 
@@ -595,7 +629,9 @@ def test_decoder_accuracy_batch_matches_loop(case, tmp_path):
 def test_decoder_accuracy_edge_cases():
     enc = latent.init_encoder(8, RngStream(3), embed_scale=10.0, embed_rank=4)
     dec = latent.init_decoder(8, 16, RngStream(4))
+    table = latent.token_table(enc, 6)
     ids = tokenize(["", "A", "ACDEFG", "KL"], 6)
-    assert latent.decoder_accuracy(dec, enc, ids) == _accuracy_loop(dec, enc, ids)
-    assert latent.decoder_accuracy(dec, enc, tokenize([""], 6)) == 0.0
-    assert latent.decoder_accuracy(dec, enc, tokenize([], 6)) == 0.0
+    accuracy = latent.decoder_accuracy(dec, latent.table_keys(ids), table)
+    assert accuracy == _accuracy_loop(dec, enc, ids)
+    for empty in ([""], []):
+        assert latent.decoder_accuracy(dec, latent.table_keys(tokenize(empty, 6)), table) == 0.0

@@ -15,7 +15,7 @@ def _pipeline(rng, l_max, dim=8, ratio=2):
     enc = latent.init_encoder(dim, rng.substream("enc"), embed_scale=5.0, embed_rank=3)
     dec = latent.init_decoder(dim, 8, rng.substream("dec"))
     rows = rng.substream("rows").normal((30, dim))
-    stats = latent.fit_smoothing(rows)
+    stats = latent.fit_smoothing(np.arange(len(rows)), rows)
     comp = latent.init_compressor(dim, ratio, rng.substream("comp"))
     return latent.LatentPipeline(enc, dec, stats, comp)
 

@@ -150,7 +150,7 @@ def _tiny_layout(rng):
     enc = latent.init_encoder(8, rng.substream("enc"), embed_scale=5.0, embed_rank=3)
     dec = latent.init_decoder(8, 8, rng.substream("dec"))
     rows = rng.substream("rows").normal((30, 8))
-    stats = latent.fit_smoothing(rows)
+    stats = latent.fit_smoothing(np.arange(len(rows)), rows)
     comp = latent.init_compressor(8, 2, rng.substream("comp"))
     pipe = latent.LatentPipeline(enc, dec, stats, comp)
     return multichain.ChainLayout([multichain.ChainSpec("", 4, pipe)])
