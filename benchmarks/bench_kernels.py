@@ -59,11 +59,11 @@ pairs), each on a float64 batch and on the same batch in float32 (the
 dtype train_rf and train_reflow hand it, flow.TRAIN_DTYPE), one
 uncached flow_forward of ode.LANES lanes at L 20, fit_smoothing of the
 training corpus above as its 500 x 20 keys into the token table
-(train-decoder's fit), the latent tables at L_max 20 (token_table,
-train-decoder's; its smooth, train-compressor's; and
-LatentPipeline.latent_table at ratio_c 4, train-flow's), compressor_mse of
-that corpus's keys into the smoothed table (train-compressor's closing
-figure), the whole decoder stage (table_keys, the token table, STAGE_STEPS
+(train-decoder's fit) and of the keys of STAGE_CORPUS sequences, the latent
+tables at L_max 20 (token_table, train-decoder's; its smooth,
+train-compressor's; and LatentPipeline.latent_table at ratio_c 4,
+train-flow's), compressor_mse of the training corpus's keys into the
+smoothed table (train-compressor's closing figure), the whole decoder stage (table_keys, the token table, STAGE_STEPS
 steps, the accuracy of at most 256 sequences and the smoothing fit) and the
 whole compressor stage (table_keys, the smoothed table, STAGE_STEPS steps
 and the closing MSE), each on that corpus and on one of STAGE_CORPUS
@@ -342,6 +342,7 @@ def bench_memory():
     rng = RngStream(3)
     ids, keys, enc, tokens, stats = training_corpus(c, rng)
     big = tokenize(make_corpus(STAGE_CORPUS, 1, c["l_max"], 8), c["l_max"])
+    big_keys = latent.table_keys(big)
     dec = latent.init_decoder(c["dim"], c["hidden"], rng.substream("dec"))
     comp = latent.init_compressor(c["dim"], c["ratio"], rng.substream("comp"))
     pipe = latent.LatentPipeline(enc, None, stats, comp)
@@ -376,6 +377,8 @@ def bench_memory():
          lambda: field(lanes[:ode.LANES], 0.5)),
         (f"fit_smoothing {keys.shape[0]}x{keys.shape[1]} keys, D {c['dim']}",
          lambda: latent.fit_smoothing(keys, tokens)),
+        (f"fit_smoothing {big_keys.shape[0]}x{big_keys.shape[1]} keys, D {c['dim']}",
+         lambda: latent.fit_smoothing(big_keys, tokens)),
         (f"token_table L_max {c['l_max']}, D {c['dim']}",
          lambda: latent.token_table(enc, c["l_max"])),
         (f"smooth of the token table, L_max {c['l_max']}",

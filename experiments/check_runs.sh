@@ -2,7 +2,8 @@
 # Rerun both experiment scripts in a temporary copy of the checkout's src/ and
 # experiments/, then compare every git-tracked file under runs/ with the
 # rerun's byte for byte. Prints each file that differs or is missing and
-# exits 1 if there is any; exits 0 when every tracked runs/ file reproduces.
+# exits 1 if there is any, or if git tracks no file under runs/; exits 0 when
+# every tracked runs/ file reproduces.
 # Each experiment's stdout.txt is one of them, so a printed figure (decoder
 # accuracy, compressor MSE, flow loss, straightness, the eval lines) that
 # moves is caught even when no checkpoint does.
@@ -10,6 +11,10 @@
 #   bash experiments/check_runs.sh
 set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+if [ -z "$(git -C "$ROOT" ls-files runs)" ]; then
+    echo "git tracks no file under runs/: nothing to compare" >&2
+    exit 1
+fi
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 

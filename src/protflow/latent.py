@@ -21,8 +21,9 @@ alone, and no stage builds a corpus's latents: token_table encodes the
 (VOCAB_SIZE, l_max) grid of every pair once, smooth and compress map that
 table, and a position reads its row at table_keys(ids), token * l_max + pos.
 Every stage reads a corpus as these (keys, table) pairs, and a raw array of
-rows passes the identity keys np.arange(len(rows)). A contextual encoder
-would void this.
+rows passes the identity keys np.arange(len(rows)). Every corpus statistic
+(the smoothing fit and compressor_mse) is a sum over the table rows weighted
+by their counts in the keys. A contextual encoder would void this.
 
 Every part of the stack (encoder, decoder, smoothing, compressor) is a dict
 of named float64 arrays, as the flow's parameters are. nn.fit packs a part
@@ -39,9 +40,6 @@ from . import nn
 from .errors import EmptyCorpus, IncompatibleRatio
 from .numeric import RngStream
 from .seqio import PAD_ID, VOCAB_SIZE, tokenize
-
-# Rows per block that fit_smoothing gathers: 64 sequences at l_max 20.
-BLOCK_ROWS = 1280
 
 
 # --- encoder ------------------------------------------------------------------
@@ -130,48 +128,28 @@ def fit_smoothing(keys, table):
     degenerate post-clamp range), which pass through unchanged in both
     directions, and 0.0 elsewhere.
 
-    Each pass gathers BLOCK_ROWS rows at a time, and for dim >= 2 every
-    statistic is bitwise the expression's over rows = table[keys] as one
-    (n, dim) array: rows.mean(axis=0), rows.std(axis=0), and the min and
-    max of the clamped z-scores. numpy adds the rows of a C-contiguous array
-    with dim >= 2 along axis 0 one after another, so a block's sum taken
-    with the running sum as its first row chains into the whole array's
-    sum. mean and std are then numpy's sum / n and sqrt(sum((x - mean)^2) /
-    n); min and max are exact in any order.
+    The rows are never gathered: with w the count of each table row that
+    occurs in keys, the mean and variance are the count-weighted sums
+    w @ rows / n and w @ (rows - mean)^2 / n, and the clamped z-scores'
+    min and max are taken over the rows that occur. A row no key names
+    never enters the fit.
     """
     keys = np.ravel(keys)
     n = keys.size
     if n < 2 or table.ndim != 2:
         raise EmptyCorpus(f"need (n>=2, dim) rows, got {n} keys into {table.shape}")
-
-    def blocks():
-        for start in range(0, n, BLOCK_ROWS):
-            yield table[keys[start:start + BLOCK_ROWS]]
-
-    def chained_sum(term):
-        total = None
-        for rows in blocks():
-            x = term(rows)
-            total = (x if total is None else np.concatenate([total[None], x])).sum(axis=0)
-        return total
-
-    def square_deviation(rows):
-        d = rows - mean
-        return np.multiply(d, d, out=d)
-
-    mean = chained_sum(lambda rows: rows) / n
-    std = np.sqrt(chained_sum(square_deviation) / n)
+    counts = np.bincount(keys, minlength=len(table))
+    seen = counts > 0
+    rows, w = table[seen], counts[seen]
+    mean = w @ rows / n
+    d = rows - mean
+    std = np.sqrt(w @ (d * d) / n)
     constant = std <= 1e-12
     safe_std = np.where(constant, 1.0, std)
-    post_min = post_max = None
-    for rows in blocks():
-        # clip((rows - mean) / safe_std, -CLAMP_K, CLAMP_K) in one buffer
-        z = rows - mean
-        z /= safe_std
-        np.clip(z, -CLAMP_K, CLAMP_K, out=z)
-        lo, hi = z.min(axis=0), z.max(axis=0)
-        post_min = lo if post_min is None else np.minimum(post_min, lo)
-        post_max = hi if post_max is None else np.maximum(post_max, hi)
+    # clip((rows - mean) / safe_std, -CLAMP_K, CLAMP_K) in d's buffer
+    d /= safe_std
+    np.clip(d, -CLAMP_K, CLAMP_K, out=d)
+    post_min, post_max = d.min(axis=0), d.max(axis=0)
     degenerate = (post_max - post_min) <= 1e-12
     constant = constant | degenerate
     return {

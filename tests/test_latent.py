@@ -440,14 +440,16 @@ def test_training_memory_does_not_grow_with_the_corpus():
     assert peaks[500][1] < 1.5 * 500 * 20 * 32 * 8
 
 
-def test_fit_smoothing_matches_its_expressions_bitwise():
-    rows = np.random.default_rng(15).normal(size=(400, 6)) * [1.0, 2.0, 0.5, 3.0, 1.0, 1.0]
-    rows[:, 4] = 0.25  # a constant dimension
-    rows[7, 5] = 40.0  # an outlier the clamp moves
-    stats = latent.fit_smoothing(np.arange(len(rows)), rows)
-    z = np.clip((rows - stats["mean"]) / stats["std"], -latent.CLAMP_K, latent.CLAMP_K)
-    assert stats["post_min"].tobytes() == z.min(axis=0).tobytes()
-    assert stats["post_max"].tobytes() == z.max(axis=0).tobytes()
+def _count_weighted_fit(keys, table):
+    """fit_smoothing's statistics as expressions over the distinct rows of
+    table[keys], each weighted by its count."""
+    seen, w = np.unique(keys, return_counts=True)
+    rows = table[seen]
+    mean = w @ rows / keys.size
+    std = np.sqrt(w @ (rows - mean) ** 2 / keys.size)
+    safe_std = np.where(std <= 1e-12, 1.0, std)
+    z = np.clip((rows - mean) / safe_std, -latent.CLAMP_K, latent.CLAMP_K)
+    return {"mean": mean, "std": safe_std, "post_min": z.min(axis=0), "post_max": z.max(axis=0)}
 
 
 def _whole_array_fit(rows):
@@ -459,40 +461,57 @@ def _whole_array_fit(rows):
             "post_min": z.min(axis=0), "post_max": z.max(axis=0)}
 
 
-@pytest.mark.parametrize("n", [latent.BLOCK_ROWS + 1, 2 * latent.BLOCK_ROWS + 7, 10_001])
-def test_fit_smoothing_blocks_match_the_whole_array_fit_bitwise(n):
-    # BLOCK_ROWS does not divide n: the last block is short, or a single row
-    assert n % latent.BLOCK_ROWS
-    rows = np.random.default_rng(n).normal(size=(n, 6)) * [1.0, 2.0, 0.5, 3.0, 1.0, 1.0] + 4.0
-    rows[:, 4] = 0.25  # a constant dimension
-    rows[-1, 5] = 40.0  # an outlier the clamp moves, in the last block
-    stats = latent.fit_smoothing(np.arange(len(rows)), rows)
-    for name, want in _whole_array_fit(rows).items():
-        assert stats[name].tobytes() == want.tobytes(), name
-    assert stats["constant"].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+def test_fit_smoothing_matches_its_expressions_bitwise():
+    for n, offset in ((400, 0.0), (10_001, 4.0)):
+        rows = np.random.default_rng(n).normal(size=(n, 6)) * [1.0, 2.0, 0.5, 3.0, 1.0, 1.0]
+        rows += offset
+        rows[:, 4] = 0.25  # a constant dimension
+        rows[7, 5] = 40.0  # outliers the clamp moves
+        rows[-1, 3] = -50.0
+        keys = np.arange(len(rows))
+        stats = latent.fit_smoothing(keys, rows)
+        for name, want in _count_weighted_fit(keys, rows).items():
+            assert stats[name].tobytes() == want.tobytes(), (n, name)
+        assert stats["post_max"][5] == latent.CLAMP_K and stats["post_min"][3] == -latent.CLAMP_K
+        assert stats["constant"].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
 
 
 def test_corpus_smoothing_is_the_fit_of_the_encoded_corpus_in_bounded_memory():
     # train-decoder's fit: 500 sequences at l_max 20 and D 32 are 10,000 keys
-    # into the token table, gathered in 7 blocks of BLOCK_ROWS rows and one
-    # of 1,040. It is bitwise the fit of the encoded corpus as one array,
-    # which is never built: a few block-sized temporaries stay under half its
-    # size (fitting the whole encoded corpus held it and one more).
+    # into the token table. It is bitwise the count-weighted fit over the
+    # table rows that occur, and the fit of the encoded corpus as one array
+    # up to rounding: the bound, 1e-12 times the rows' largest magnitude,
+    # was fixed before measuring. The encoded corpus is never built: the
+    # fit's temporaries are table-sized, under half the corpus's size
+    # (fitting the whole encoded corpus held it and one more).
     pipe = _random_pipeline(20, 1)
     ids = tokenize(_random_peptides(500, 20, 2), 20)
     rows = latent.encode_corpus(ids, pipe.encoder).reshape(-1, 32)
     keys, table = latent.table_keys(ids), latent.token_table(pipe.encoder, 20)
     assert table[keys].tobytes() == latent.encode_corpus(ids, pipe.encoder).tobytes()
-    want = latent.fit_smoothing(np.arange(len(rows)), rows)
     got = latent.fit_smoothing(keys, table)
-    assert list(got) == list(want)
-    for name in want:
-        assert got[name].tobytes() == want[name].tobytes(), name
-    for name, expression in _whole_array_fit(rows).items():
+    assert list(got) == ["mean", "std", "post_min", "post_max", "constant"]
+    for name, expression in _count_weighted_fit(keys, table).items():
         assert got[name].tobytes() == expression.tobytes(), name
+    bound = 1e-12 * np.abs(rows).max()
+    for name, whole in _whole_array_fit(rows).items():
+        assert np.abs(got[name] - whole).max() <= bound, name
     assert _traced_peak(lambda: latent.fit_smoothing(keys, table)) < 0.5 * ids.size * 32 * 8
     with pytest.raises(EmptyCorpus):
         latent.fit_smoothing(keys[:1, :1], table)
+
+
+def test_fit_smoothing_ignores_table_rows_no_key_names():
+    # a row no key names stays out of the fit, even as a zero-weighted term:
+    # 0 * (1e300 - mean)^2 would be nan
+    table = np.random.default_rng(3).normal(size=(12, 4))
+    keys = np.random.default_rng(4).choice([0, 1, 2, 4, 5, 7, 9, 10, 11], size=(30, 5))
+    want = latent.fit_smoothing(keys - (keys > 6), np.delete(table, 6, axis=0))
+    table[6] = 1e300
+    got = latent.fit_smoothing(keys, table)
+    for name in want:
+        assert np.isfinite(got[name]).all(), name
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def test_multichain_corpus_latents_are_bitwise_per_complex():
